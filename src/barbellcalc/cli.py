@@ -4,7 +4,9 @@ Command-line front door: single theorems, grid sweeps, scenario files.
 Exit codes: 0 = every check passed, 1 = a computed value mismatched an
 expectation, 2 = invalid input or a hypothesis violation.  Output is
 byte-deterministic for fixed arguments (every term order is sorted);
-BARBELL_THREADS caps sweep parallelism.
+sweeps run in process, one job after another in grid order.  If the
+reader closes the output before all of it is written (`| head`), the
+run exits 1 without a traceback.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .scenarios import (
     GEOMETRY_BUILDERS,
-    THEOREM_FIELDS,
     THEOREMS,
     HypothesisError,
     Report,
@@ -32,14 +32,6 @@ _FIELD_FLAGS = {"f2": "F2", "int": "Z"}
 # every package error subclasses ValueError; TypeError covers bad
 # parameter combinations, KeyError malformed scenario files
 USER_ERRORS = (ValueError, TypeError, KeyError)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("BARBELL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return min(8, os.cpu_count() or 1)
 
 
 def _emit(text: str, out_path: str | None):
@@ -64,8 +56,8 @@ def _theorem_params(args) -> dict:
 
 
 def _cmd_theorem(args) -> int:
-    if args.field is not None:
-        expected = THEOREM_FIELDS.get(args.name)
+    if args.field is not None and args.name in THEOREMS:
+        expected = THEOREMS[args.name].field
         if expected is not None and _FIELD_FLAGS[args.field] != expected:
             raise HypothesisError(
                 f"theorem {args.name} is computed over {expected}, not {_FIELD_FLAGS[args.field]}"
@@ -75,44 +67,15 @@ def _cmd_theorem(args) -> int:
     return 0 if report.passed else 1
 
 
-def _sweep_jobs(args) -> list[tuple[str, dict]]:
-    jobs: list[tuple[str, dict]] = []
-    if args.name == "morsesimple":
-        top = args.max or 10
-        for k in range(1, top + 1):
-            for l in range(1, top + 1):
-                jobs.append(("morsesimple-s3", {"k": k, "l": l}))
-    elif args.name == "higher-dim":
-        top = args.max or 10
-        for k in range(1, top + 1):
-            for l in range(1, top + 1):
-                jobs.append(("higher-dim-knots", {"k": k, "l": l}))
-    elif args.name == "brunnian":
-        n = args.n or 2
-        top = args.max or 4
-        pairs = [(k, l) for k in range(1, top + 1) for l in range(k, top + 1)]
-        for i, (k, l) in enumerate(pairs):
-            for kp, lp in pairs[i + 1 :]:
-                jobs.append(("linked-6crit", {"n": n, "k": k, "l": l, "kp": kp, "lp": lp}))
-    elif args.name == "montesinos":
-        import math
-
-        top = args.max or 30
-        for p in range(2, top + 1):
-            for q in range(p + 1, top + 1):
-                if math.gcd(p, q) == 1:
-                    jobs.append(("morsesimple3mfd", {"p": p, "q": q}))
-    else:
-        raise HypothesisError(
-            f"unknown sweep {args.name!r}; choose from morsesimple, higher-dim, brunnian, montesinos"
-        )
-    return jobs
-
-
 def _cmd_sweep(args) -> int:
-    jobs = _sweep_jobs(args)
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        reports = list(pool.map(lambda job: run_theorem(job[0], **job[1]), jobs))
+    sweeps = {record.sweep.name: record for record in THEOREMS.values() if record.sweep}
+    if args.name not in sweeps:
+        raise HypothesisError(f"unknown sweep {args.name!r}; choose from {', '.join(sweeps)}")
+    theorem = sweeps[args.name]
+    top = theorem.sweep.default_max if args.max is None else args.max
+    if top < 1:
+        raise HypothesisError(f"sweep size must satisfy --max >= 1, got {top}")
+    reports = [run_theorem(theorem.name, **params) for params in theorem.sweep.grid(top, args.n)]
     lines = []
     failed = 0
     for report in reports:
@@ -193,7 +156,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to /dev/null
+        # so the interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (FileNotFoundError, *USER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -124,9 +124,6 @@ class Geometry:
         deck = deck if deck is not None else self.identity()
         return EquivClass(self, {(label, deck): coeff})
 
-    def kernel_classes(self) -> list["EquivClass"]:
-        return [self.basis_class(name) for name in self.kernel_labels]
-
     def extend(self, label: GeneratorLabel, pairings: Mapping[str, RingElement]) -> "Geometry":
         """A copy with one extra generator and its pairing rows; used for
         synthetic classes with prescribed intersection data."""

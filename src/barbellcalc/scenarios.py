@@ -11,6 +11,8 @@ analogue.  Each theorem runner drives the barbell engine through one
 argument, compares against the closed-form value when there is one,
 and reports pass/fail; hypothesis bounds (winding numbers >= 1, cover
 order m large enough) are enforced up front, not silently accepted.
+`THEOREMS` holds one record per reproduction: its runner, coefficient
+ring, obstruction-scenario alias and parameter sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 from .deckgroup import (
@@ -91,19 +94,20 @@ def _poly(group, coeffs, coeff_by_exp: Mapping[int, int]) -> RingElement:
     return RingElement(group, coeffs, terms)
 
 
-def _torus_complement() -> Geometry:
+def _torus_geometry(name: str, horizontal_disk: bool) -> Geometry:
     # Universal cover of the unknotted-torus complement in the 4-sphere.
     # The horizontal sphere meets deck translates 0 and 1 of the vertical
     # sphere once each; each compressing disk meets its dual sphere once.
     group = free_abelian(1)
-    labels = _labels(spheres=("S_h", "S_v"), disks=("D_v", "D_h"))
+    labels = _labels(spheres=("S_h", "S_v"), disks=("D_v", "D_h") if horizontal_disk else ("D_v",))
     entries = {
         ("S_h", "S_v"): _poly(group, F2, {0: 1, 1: 1}),
         ("D_v", "S_v"): _poly(group, F2, {0: 1}),
-        ("D_h", "S_h"): _poly(group, F2, {0: 1}),
     }
+    if horizontal_disk:
+        entries[("D_h", "S_h")] = _poly(group, F2, {0: 1})
     return Geometry(
-        name="torus_complement",
+        name=name,
         group=group,
         coeffs=F2,
         labels=labels,
@@ -111,26 +115,17 @@ def _torus_complement() -> Geometry:
         attaching=["S_v"],
         disks=["D_v"],
     )
+
+
+def _torus_complement() -> Geometry:
+    return _torus_geometry("torus_complement", horizontal_disk=True)
 
 
 def _higher_dim_torus() -> Geometry:
-    # 2n-dimensional analogue: identical pairing data, so the engine
-    # output agrees with the 4-dimensional computation term for term.
-    group = free_abelian(1)
-    labels = _labels(spheres=("S_h", "S_v"), disks=("D_v",))
-    entries = {
-        ("S_h", "S_v"): _poly(group, F2, {0: 1, 1: 1}),
-        ("D_v", "S_v"): _poly(group, F2, {0: 1}),
-    }
-    return Geometry(
-        name="higher_dim_torus",
-        group=group,
-        coeffs=F2,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
-        attaching=["S_v"],
-        disks=["D_v"],
-    )
+    # 2n-dimensional analogue: the same pairing data without the
+    # horizontal disk, so the engine output agrees with the 4-dimensional
+    # computation term for term.
+    return _torus_geometry("higher_dim_torus", horizontal_disk=False)
 
 
 def _sphere_torus_link(n: int) -> Geometry:
@@ -404,36 +399,22 @@ def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Theorem runners.
+# Theorem runners.  Each takes the key of its registry record first and
+# names its report by it.
 
 
-def _run_morsesimple(k: int, l: int) -> Report:
+def _run_torus_knot(
+    geometry: str, closed_form: Callable[[int, int], RingElement], name: str, k: int, l: int
+) -> Report:
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
-    geo = builtin_geometry("torus_complement")
+    geo = builtin_geometry(geometry)
     matrix = present_from_scenario(geo, _torus_barbells(geo, k, l))
     f = matrix.entry(0, 0)
     dim = f2_quotient_dim(matrix)
-    expected_f = morsesimple_f(k, l)
+    expected_f = closed_form(k, l)
     expected_dim = 2 * k + 2 * l + 2
     return Report(
-        name="morsesimple-s3",
-        params={"k": k, "l": l},
-        computed={"f": _poly_json(f), "dim": dim},
-        expected={"f": _poly_json(expected_f), "dim": expected_dim},
-        passed=(f == expected_f and dim == expected_dim),
-    )
-
-
-def _run_higher_dim(k: int, l: int) -> Report:
-    _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
-    geo = builtin_geometry("higher_dim_torus")
-    matrix = present_from_scenario(geo, _torus_barbells(geo, k, l))
-    f = matrix.entry(0, 0)
-    dim = f2_quotient_dim(matrix)
-    expected_f = higher_dim_f(k, l)
-    expected_dim = 2 * k + 2 * l + 2
-    return Report(
-        name="higher-dim-knots",
+        name=name,
         params={"k": k, "l": l},
         computed={"f": _poly_json(f), "dim": dim},
         expected={"f": _poly_json(expected_f), "dim": expected_dim},
@@ -444,7 +425,7 @@ def _run_higher_dim(k: int, l: int) -> Report:
 UNKNOT_VARIANTS = ("v-only", "h-only", "h-after-v")
 
 
-def _run_unknots(k: int = 1, l: int = 1, variant: str | None = None) -> Report:
+def _run_unknots(name: str, k: int = 1, l: int = 1, variant: str | None = None) -> Report:
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
     geo = builtin_geometry("torus_complement")
     specs = {
@@ -468,7 +449,7 @@ def _run_unknots(k: int = 1, l: int = 1, variant: str | None = None) -> Report:
         computed[v] = {"f": _poly_json(f), "dim": f2_quotient_dim(matrix)}
         passed = passed and f == one
     return Report(
-        name="unknots",
+        name=name,
         params={"k": k, "l": l, **({"variant": variant} if variant else {})},
         computed=computed,
         expected={"f": "1", "dim": 0},
@@ -477,7 +458,9 @@ def _run_unknots(k: int = 1, l: int = 1, variant: str | None = None) -> Report:
     )
 
 
-def _run_linked_6crit(n: int, k: int, l: int, kp: int | None = None, lp: int | None = None) -> Report:
+def _run_linked_6crit(
+    name: str, n: int, k: int, l: int, kp: int | None = None, lp: int | None = None
+) -> Report:
     _require(n >= 2, f"need n >= 2 components, got {n}")
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
     from .deckgroup import brunnian_word
@@ -505,7 +488,7 @@ def _run_linked_6crit(n: int, k: int, l: int, kp: int | None = None, lp: int | N
         params.update({"kp": kp, "lp": lp})
         passed = passed and verdict == ({k, l} != {kp, lp})
     return Report(
-        name="linked-6crit",
+        name=name,
         params=params,
         computed=computed,
         expected={"relator": _poly_json(formula_f)},
@@ -514,7 +497,7 @@ def _run_linked_6crit(n: int, k: int, l: int, kp: int | None = None, lp: int | N
     )
 
 
-def _run_simple_5d(k: int) -> Report:
+def _run_simple_5d(name: str, k: int) -> Report:
     _require(k >= 1, f"iteration count must be >= 1, got k={k}")
     geo = builtin_geometry("genus2_complement")
     spec = BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=k)
@@ -527,7 +510,7 @@ def _run_simple_5d(k: int) -> Report:
     expected_factor = _poly(geo.group, INT, {1: k, 0: -k})  # k(t - 1)
     matches = all(matrix.entry(r, s) == expected[r][s] for r in range(2) for s in range(2))
     return Report(
-        name="simple-5d",
+        name=name,
         params={"k": k},
         computed={
             "matrix": [[_poly_json(matrix.entry(r, s)) for s in range(2)] for r in range(2)],
@@ -546,19 +529,25 @@ def _identity_summand(geo: Geometry, names: list[str]):
     return {(name, ident) for name in names}
 
 
-def _run_circle_splitting(k: int, l: int = 0, theorem: str = "circle-splittingspheres") -> Report:
+def _iterated(geo: Geometry, start: str, cuff1: str, cuff2: str, power: int) -> EquivClass:
+    """The basis class `start` moved by the power-th iterate of the
+    barbell with cuffs (cuff1, cuff2) and a trivial bar."""
+    moved = geo.basis_class(start)
+    if power:
+        moved = barbell_action(moved, BarbellSpec(cuff1, cuff2, geo.identity(), iterate=power))
+    return moved
+
+
+def _run_circle_splitting(name: str, k: int, l: int = 0) -> Report:
     diff = k - l
     geo = builtin_geometry("circles_complement")
     d_r = geo.basis_class("D_R")
-    if diff:
-        moved = barbell_action(d_r, BarbellSpec("S_L", "S_R", geo.identity(), iterate=diff))
-    else:
-        moved = d_r
+    moved = _iterated(geo, "D_R", "S_L", "S_R", diff)
     expected_class = d_r.add(geo.basis_class("S_L", coeff=-diff)) if diff else d_r
     member = summand_membership(moved, _identity_summand(geo, ["D_R", "S_R"]))
     distinguished = not member
     return Report(
-        name=theorem,
+        name=name,
         params={"k": k, "l": l},
         computed={
             "class": _class_json(moved),
@@ -572,22 +561,16 @@ def _run_circle_splitting(k: int, l: int = 0, theorem: str = "circle-splittingsp
     )
 
 
-def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
+def _run_simple_knotted_handlebody(name: str, k: int, l: int = 0, g: int = 2) -> Report:
     _require(g >= 2, f"the two-cuff argument needs genus g >= 2, got {g}")
     geo = builtin_geometry("genus_g_complement", g=g)
     d_h = geo.basis_class("D_h")
-
-    def moved(power: int) -> EquivClass:
-        if not power:
-            return d_h
-        return barbell_action(d_h, BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=power))
-
-    class_k, class_l = moved(k), moved(l)
+    class_k, class_l = (_iterated(geo, "D_h", "S_h_1", "S_h_2", power) for power in (k, l))
     expected_k = d_h.add(geo.basis_class("S_h_2", coeff=k)) if k else d_h
     member = summand_membership(class_k.sub(class_l), _identity_summand(geo, ["D_h"]))
     distinguished = not member
     return Report(
-        name="simple-knotted-handlebody",
+        name=name,
         params={"k": k, "l": l, "g": g},
         computed={
             "class": _class_json(class_k),
@@ -599,23 +582,16 @@ def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
     )
 
 
-def _run_disks_linked(k: int, l: int) -> Report:
+def _run_disks_linked(name: str, k: int, l: int) -> Report:
     geo = builtin_geometry("circles_complement")
-    d_r = geo.basis_class("D_R")
-
-    def moved(power: int) -> EquivClass:
-        if not power:
-            return d_r
-        return barbell_action(d_r, BarbellSpec("S_L", "S_R", geo.identity(), iterate=power))
-
     # the glued 2-sphere's class in the complement of the other component
     # is the difference of the two disk classes; only the meridian
     # coefficient survives
-    difference = moved(k).sub(moved(l))
-    mu_coefficient = difference.terms.get(("S_L", geo.identity()), 0)
+    class_k, class_l = (_iterated(geo, "D_R", "S_L", "S_R", power) for power in (k, l))
+    mu_coefficient = class_k.sub(class_l).terms.get(("S_L", geo.identity()), 0)
     linked = mu_coefficient != 0
     return Report(
-        name="disks-5dlinked",
+        name=name,
         params={"k": k, "l": l},
         computed={"mu_L_coefficient": mu_coefficient, "linked": linked},
         expected={"mu_L_coefficient": l - k, "linked": k != l},
@@ -624,21 +600,28 @@ def _run_disks_linked(k: int, l: int) -> Report:
     )
 
 
-def _less_simple_classes(geo: Geometry, k: int, l: int) -> EquivClass:
-    d = geo.basis_class("D")
-    moved = barbell_action(d, BarbellSpec("S_prime", "S", _hol(geo, k)))
-    if l:
-        moved = barbell_action(moved, BarbellSpec("S_prime", "S", _hol(geo, l), iterate=-1))
-    return moved
-
-
-def _run_less_simple(m: int, k: int, l: int = 0, theorem: str = "less-simple") -> Report:
+def _cover_move(
+    geometry: str, m: int, k: int, l: int, bar: Callable[[Geometry, int], DeckElement] = _hol
+) -> tuple[Geometry, dict[int, DeckElement], EquivClass]:
+    """Check the cover hypotheses, then move the disk D of the m-fold
+    cover by the barbell (S_prime, S) whose bar winds k times, followed
+    by the inverse of the one winding l times.  `bar` maps the cover and
+    a winding number to the bar's deck element.  Returns the cover, the
+    bars by winding number and the moved class."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
-    _require(l >= 0, "second winding number must be >= 0")
+    _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
-    geo = builtin_geometry("cyclic_cover", m=m)
-    moved = _less_simple_classes(geo, k, l)
+    geo = builtin_geometry(geometry, m=m)
+    bars = {power: bar(geo, power) for power in (k, l)}
+    moved = barbell_action(geo.basis_class("D"), BarbellSpec("S_prime", "S", bars[k]))
+    if l:
+        moved = barbell_action(moved, BarbellSpec("S_prime", "S", bars[l], iterate=-1))
+    return geo, bars, moved
+
+
+def _run_less_simple(name: str, m: int, k: int, l: int = 0) -> Report:
+    geo, _, moved = _cover_move("cyclic_cover", m, k, l)
     member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
     distinguished = not member
     expected_terms = {("D", geo.identity()): 1}
@@ -650,7 +633,7 @@ def _run_less_simple(m: int, k: int, l: int = 0, theorem: str = "less-simple") -
             )
     expected_class = EquivClass(geo, expected_terms)
     return Report(
-        name=theorem,
+        name=name,
         params={"m": m, "k": k, "l": l},
         computed={
             "class": _class_json(moved),
@@ -663,29 +646,21 @@ def _run_less_simple(m: int, k: int, l: int = 0, theorem: str = "less-simple") -
     )
 
 
-def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
+def _run_splitting_spheres_mixed(name: str, m: int, k: int, l: int = 0) -> Report:
     # The finite cover comes from quotienting the rank-2 meridian lattice
     # by (m, 0) and (0, 1): weights (1, 0) mod m.  The bar winds k times
     # around the first meridian, so its residue is the weighted
     # projection of x1^k.
-    _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
-    bound = 2 * k + 2 * l + 100
-    _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
     from .deckgroup import cyclic_project
 
-    meridians = free_group(2)
-    residues = {
-        power: cyclic_project(meridians.generator(1).pow(power), (1, 0), m) for power in (k, l)
-    }
-    geo = builtin_geometry("cyclic_cover", m=m)
-    d = geo.basis_class("D")
-    moved = barbell_action(d, BarbellSpec("S_prime", "S", residues[k]))
-    if l:
-        moved = barbell_action(moved, BarbellSpec("S_prime", "S", residues[l], iterate=-1))
+    x1 = free_group(2).generator(1)
+    geo, residues, moved = _cover_move(
+        "cyclic_cover", m, k, l, bar=lambda geo, power: cyclic_project(x1.pow(power), (1, 0), m)
+    )
     member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
     distinguished = not member
     return Report(
-        name="simple-splitting-spheres",
+        name=name,
         params={"m": m, "k": k, "l": l},
         computed={
             "bar_residues": {str(p): residues[p].value for p in residues},
@@ -699,15 +674,9 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
     )
 
 
-def _run_branched(m: int, k: int, l: int = 0) -> Report:
-    _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
-    bound = 2 * k + 2 * l + 100
-    _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
-    geo = builtin_geometry("branched_cover", m=m)
+def _run_branched(name: str, m: int, k: int, l: int = 0) -> Report:
+    geo, _, moved = _cover_move("branched_cover", m, k, l)
     d = geo.basis_class("D")
-    moved = barbell_action(d, BarbellSpec("S_prime", "S", _hol(geo, k)))
-    if l:
-        moved = barbell_action(moved, BarbellSpec("S_prime", "S", _hol(geo, l), iterate=-1))
     x = moved.sub(d)
     mu = geo.basis_class("mu")
     probes = [geo.basis_class("D", _hol(geo, k)), d]
@@ -724,7 +693,7 @@ def _run_branched(m: int, k: int, l: int = 0) -> Report:
     if not degenerate:
         passed = passed and witnesses == expected_witnesses
     return Report(
-        name="genus1-handlebody",
+        name=name,
         params={"m": m, "k": k, "l": l},
         computed={
             "class": _class_json(x),
@@ -791,7 +760,7 @@ def genus1_hd_dim(
     return closed, engine
 
 
-def _run_genus1_hd(k: int, l: int, h=None, v=None, b=None) -> Report:
+def _run_genus1_hd(name: str, k: int, l: int, h=None, v=None, b=None) -> Report:
     h = h if h is not None else {0: 1}
     v = v or {}
     b = b or {}
@@ -803,7 +772,7 @@ def _run_genus1_hd(k: int, l: int, h=None, v=None, b=None) -> Report:
     else:
         branch = "vertical present (2k + 2l + 1 + span v)"
     return Report(
-        name="genus1-hd",
+        name=name,
         params={"k": k, "l": l, "h": {str(i): c for i, c in _coeff_map(h).items()},
                 "v": {str(i): c for i, c in _coeff_map(v).items()},
                 "b": {str(i): c for i, c in _coeff_map(b).items()}},
@@ -891,7 +860,7 @@ def classify_gluing(matrix: GluingMatrix) -> str:
     return f"L({a},{c})"
 
 
-def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
+def _run_morsesimple3mfd(name: str, p: int | None = None, q: int | None = None) -> Report:
     if p is None or q is None:
         identity = GluingMatrix(1, 0, 0, 1)
         rotation = GluingMatrix(0, -1, 1, 0)
@@ -906,7 +875,7 @@ def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
             and computed["quarter_turn"]["parity_even"]
         )
         return Report(
-            name="morsesimple3mfd",
+            name=name,
             params={},
             computed=computed,
             expected={"identity": "S1xS2", "quarter_turn": "S3"},
@@ -917,7 +886,7 @@ def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
     target = f"L({p},{p + q})" if substituted else f"L({p},{q})"
     tag = classify_gluing(matrix)
     return Report(
-        name="morsesimple3mfd",
+        name=name,
         params={"p": p, "q": q},
         computed={
             "matrix": list(matrix.entries()),
@@ -930,10 +899,10 @@ def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
     )
 
 
-def _run_no_brunnian_2disk(n: int) -> Report:
+def _run_no_brunnian_2disk(name: str, n: int) -> Report:
     forced = brunnian_disk_obstruction(n)
     return Report(
-        name="no-brunnian-2disk",
+        name=name,
         params={"n": n},
         computed={"disks_forced_isotopic": forced},
         expected={"disks_forced_isotopic": n >= 3},
@@ -941,52 +910,77 @@ def _run_no_brunnian_2disk(n: int) -> Report:
     )
 
 
-THEOREMS: dict[str, Callable[..., Report]] = {
-    "morsesimple-s3": _run_morsesimple,
-    "higher-dim-knots": _run_higher_dim,
-    "unknots": _run_unknots,
-    "linked-6crit": _run_linked_6crit,
-    "simple-5d": _run_simple_5d,
-    "circle-splittingspheres": _run_circle_splitting,
-    "simple-splitting": lambda k, l=0: _run_circle_splitting(k, l, theorem="simple-splitting"),
-    "simple-knotted-handlebody": _run_simple_knotted_handlebody,
-    "disks-5dlinked": _run_disks_linked,
-    "less-simple": _run_less_simple,
-    "simple-splitting-spheres": _run_splitting_spheres_mixed,
-    "genus1-handlebody": _run_branched,
-    "genus1-hd": _run_genus1_hd,
-    "morsesimple3mfd": _run_morsesimple3mfd,
-    "no-brunnian-2disk": _run_no_brunnian_2disk,
-}
+# ---------------------------------------------------------------------------
+# The theorem registry: one record per reproduction.
 
-# Coefficient ring each reproduction is computed over (None: no group
-# ring is involved); the CLI --field flag is validated against this.
-THEOREM_FIELDS: dict[str, str | None] = {
-    "morsesimple-s3": F2,
-    "higher-dim-knots": F2,
-    "unknots": F2,
-    "linked-6crit": F2,
-    "genus1-hd": F2,
-    "genus1-handlebody": F2,
-    "simple-5d": INT,
-    "circle-splittingspheres": INT,
-    "simple-splitting": INT,
-    "simple-knotted-handlebody": INT,
-    "disks-5dlinked": INT,
-    "less-simple": INT,
-    "simple-splitting-spheres": INT,
-    "morsesimple3mfd": None,
-    "no-brunnian-2disk": None,
-}
 
-OBSTRUCTION_SCENARIOS = {
-    "simple_splitting_circles": "circle-splittingspheres",
-    "simple_splitting_surfaces": "simple-splitting",
-    "simple_handlebody": "simple-knotted-handlebody",
-    "disks_linked_b5": "disks-5dlinked",
-    "less_simple": "less-simple",
-    "simple_splitting_spheres_mixed": "simple-splitting-spheres",
-    "branched_contradiction": "genus1-handlebody",
+@dataclass(frozen=True)
+class Sweep:
+    """A parameter grid over one theorem: `grid(top, n)` lists the jobs'
+    parameters in the order they run, for sizes up to `top` (`n`: the
+    component count, or None for the default)."""
+
+    name: str
+    default_max: int
+    grid: Callable[[int, int | None], list[dict]]
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """A reproduction: its runner, the coefficient ring it is computed
+    over (None: no group ring is involved; the CLI --field flag is
+    validated against it), the obstruction-scenario name it answers to,
+    and its parameter sweep."""
+
+    name: str
+    runner: Callable[..., Report]
+    field: str | None
+    obstruction: str | None = None
+    sweep: Sweep | None = None
+
+
+def _square_grid(top: int, n: int | None) -> list[dict]:
+    return [{"k": k, "l": l} for k in range(1, top + 1) for l in range(1, top + 1)]
+
+
+def _brunnian_grid(top: int, n: int | None) -> list[dict]:
+    # every two distinct unordered winding pairs {k, l}, {kp, lp}
+    n = 2 if n is None else n
+    pairs = [(k, l) for k in range(1, top + 1) for l in range(k, top + 1)]
+    return [
+        {"n": n, "k": k, "l": l, "kp": kp, "lp": lp}
+        for i, (k, l) in enumerate(pairs)
+        for kp, lp in pairs[i + 1 :]
+    ]
+
+
+def _montesinos_grid(top: int, n: int | None) -> list[dict]:
+    return [
+        {"p": p, "q": q} for p in range(2, top + 1) for q in range(p + 1, top + 1) if math.gcd(p, q) == 1
+    ]
+
+
+THEOREMS: dict[str, Theorem] = {
+    record.name: record
+    for record in (
+        Theorem("morsesimple-s3", partial(_run_torus_knot, "torus_complement", morsesimple_f), F2,
+                sweep=Sweep("morsesimple", 10, _square_grid)),
+        Theorem("higher-dim-knots", partial(_run_torus_knot, "higher_dim_torus", higher_dim_f), F2,
+                sweep=Sweep("higher-dim", 10, _square_grid)),
+        Theorem("unknots", _run_unknots, F2),
+        Theorem("linked-6crit", _run_linked_6crit, F2, sweep=Sweep("brunnian", 4, _brunnian_grid)),
+        Theorem("simple-5d", _run_simple_5d, INT),
+        Theorem("circle-splittingspheres", _run_circle_splitting, INT, "simple_splitting_circles"),
+        Theorem("simple-splitting", _run_circle_splitting, INT, "simple_splitting_surfaces"),
+        Theorem("simple-knotted-handlebody", _run_simple_knotted_handlebody, INT, "simple_handlebody"),
+        Theorem("disks-5dlinked", _run_disks_linked, INT, "disks_linked_b5"),
+        Theorem("less-simple", _run_less_simple, INT, "less_simple"),
+        Theorem("simple-splitting-spheres", _run_splitting_spheres_mixed, INT, "simple_splitting_spheres_mixed"),
+        Theorem("genus1-handlebody", _run_branched, F2, "branched_contradiction"),
+        Theorem("genus1-hd", _run_genus1_hd, F2),
+        Theorem("morsesimple3mfd", _run_morsesimple3mfd, None, sweep=Sweep("montesinos", 30, _montesinos_grid)),
+        Theorem("no-brunnian-2disk", _run_no_brunnian_2disk, None),
+    )
 }
 
 
@@ -995,15 +989,16 @@ def run_theorem(name: str, **params) -> Report:
         raise HypothesisError(
             f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}"
         )
-    return THEOREMS[name](**params)
+    return THEOREMS[name].runner(name, **params)
 
 
 def obstruction_scenario(name: str, **params) -> Report:
-    if name not in OBSTRUCTION_SCENARIOS:
+    aliases = {record.obstruction: key for key, record in THEOREMS.items() if record.obstruction}
+    if name not in aliases:
         raise HypothesisError(
-            f"unknown obstruction scenario {name!r}; available: {', '.join(sorted(OBSTRUCTION_SCENARIOS))}"
+            f"unknown obstruction scenario {name!r}; available: {', '.join(sorted(aliases))}"
         )
-    return run_theorem(OBSTRUCTION_SCENARIOS[name], **params)
+    return run_theorem(aliases[name], **params)
 
 
 # ---------------------------------------------------------------------------

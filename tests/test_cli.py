@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 CLI = [sys.executable, "-m", "barbellcalc.cli"]
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def test_theorem_pass_exit_zero():
@@ -52,14 +55,38 @@ def test_brunnian_sweep_all_distinguished():
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
-def test_sweep_respects_thread_cap(tmp_path):
-    import os
+def test_sweep_runs_jobs_in_grid_order():
+    first = run_cli("sweep", "morsesimple", "--max", "3")
+    second = run_cli("sweep", "morsesimple", "--max", "3")
+    assert first.returncode == 0 and first.stdout == second.stdout
+    expected = [f"PASS morsesimple-s3 k={k}, l={l}" for k in (1, 2, 3) for l in (1, 2, 3)]
+    assert first.stdout.splitlines() == expected + ["9/9 passed"]
 
-    env = dict(os.environ, BARBELL_THREADS="1")
-    capped = run_cli("sweep", "morsesimple", "--max", "3", env=env)
-    free = run_cli("sweep", "morsesimple", "--max", "3")
-    assert capped.returncode == 0
-    assert capped.stdout == free.stdout
+
+@pytest.mark.parametrize("top", ["0", "-3"])
+def test_sweep_rejects_max_below_one(top):
+    result = run_cli("sweep", "morsesimple", "--max", top)
+    assert result.returncode == 2
+    assert result.stdout == "" and "error:" in result.stderr
+
+
+@pytest.mark.parametrize("name", ["less-simple", "simple-splitting-spheres", "genus1-handlebody"])
+def test_cover_runners_reject_negative_second_winding(name):
+    # l < 0 would shrink the bound m > 2k + 2l + 100 below what the argument needs
+    result = run_cli("theorem", name, "--m", "3", "--k", "1", "--l", "-50")
+    assert result.returncode == 2
+    assert result.stdout == "" and "error:" in result.stderr
+
+
+def test_closed_stdout_is_not_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes anything
+    try:
+        result = subprocess.run(CLI + ["list"], stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode in (0, 1, 2)
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 def test_scenario_file_execution(tmp_path):

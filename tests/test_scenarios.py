@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from barbellcalc.groupring import to_term_list
+from barbellcalc.groupring import F2, INT, to_term_list
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
+    THEOREMS,
     GluingMatrix,
     HypothesisError,
     builtin_geometry,
@@ -264,6 +265,61 @@ def test_obstruction_verdicts_flip_on_equal_powers():
 def test_unknown_obstruction_name():
     with pytest.raises(HypothesisError):
         obstruction_scenario("splitting_everything")
+
+
+# -- the theorem registry ------------------------------------------------------
+
+# small passing parameters for every registered theorem
+SAMPLE_PARAMS = {
+    "morsesimple-s3": {"k": 1, "l": 2},
+    "higher-dim-knots": {"k": 2, "l": 1},
+    "unknots": {"k": 1, "l": 1},
+    "linked-6crit": {"n": 3, "k": 1, "l": 2},
+    "simple-5d": {"k": 2},
+    "circle-splittingspheres": {"k": 2},
+    "simple-splitting": {"k": 3, "l": 1},
+    "simple-knotted-handlebody": {"k": 2},
+    "disks-5dlinked": {"k": 2, "l": 1},
+    "less-simple": {"m": 105, "k": 1},
+    "simple-splitting-spheres": {"m": 105, "k": 1},
+    "genus1-handlebody": {"m": 105, "k": 1},
+    "genus1-hd": {"k": 100, "l": 100},
+    "morsesimple3mfd": {"p": 3, "q": 5},
+    "no-brunnian-2disk": {"n": 3},
+}
+
+
+def test_registry_keys_name_their_reports():
+    assert set(SAMPLE_PARAMS) == set(THEOREMS)
+    for key, record in THEOREMS.items():
+        assert record.name == key
+        report = run_theorem(key, **SAMPLE_PARAMS[key])
+        assert report.name == key and report.passed, key
+        if record.obstruction:
+            assert obstruction_scenario(record.obstruction, **SAMPLE_PARAMS[key]).name == key
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLE_PARAMS))
+def test_field_flag_rejected_exactly_where_the_record_differs(key, capsys):
+    from barbellcalc import cli
+
+    params = [arg for flag, value in SAMPLE_PARAMS[key].items() for arg in (f"--{flag}", str(value))]
+    for flag, ring in (("f2", F2), ("int", INT)):
+        code = cli.main(["theorem", key, *params, "--field", flag])
+        rejected = THEOREMS[key].field not in (None, ring)
+        assert code == (2 if rejected else 0), (key, flag)
+        assert ("error:" in capsys.readouterr().err) == rejected
+
+
+def test_sweep_grids_keep_their_job_counts():
+    sweeps = {record.sweep.name: record for record in THEOREMS.values() if record.sweep}
+    assert list(sweeps) == ["morsesimple", "higher-dim", "brunnian", "montesinos"]
+    assert len(sweeps["morsesimple"].sweep.grid(3, None)) == 9
+    assert len(sweeps["higher-dim"].sweep.grid(3, None)) == 9
+    assert len(sweeps["brunnian"].sweep.grid(4, 3)) == 45
+    montesinos = sweeps["montesinos"].sweep
+    assert len(montesinos.grid(montesinos.default_max, None)) == 248
+    assert sweeps["brunnian"].sweep.grid(2, None)[0] == {"n": 2, "k": 1, "l": 1, "kp": 1, "lp": 2}
 
 
 # -- scenario files ----------------------------------------------------------------
