@@ -12,6 +12,7 @@ run exits 1 without a traceback.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from .scenarios import (
     THEOREMS,
     HypothesisError,
     Report,
+    Theorem,
     render_machine,
     render_table,
     run_scenario,
@@ -28,6 +30,7 @@ from .scenarios import (
 )
 
 _FIELD_FLAGS = {"f2": "F2", "int": "Z"}
+_PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
 
 # every package error subclasses ValueError; TypeError covers bad
 # parameter combinations, KeyError malformed scenario files
@@ -46,12 +49,31 @@ def _render(report: Report, fmt: str) -> str:
     return render_machine(report) if fmt == "machine" else render_table(report)
 
 
+def _flags(theorem: Theorem) -> tuple[list[str], list[str]]:
+    """The parameter flags a theorem's runner accepts, and those it
+    requires, read from its signature (the first parameter is the
+    registry key)."""
+    params = list(inspect.signature(theorem.runner).parameters.values())[1:]
+    accepted = [p.name for p in params if p.name in _PARAM_FLAGS]
+    required = [p.name for p in params if p.default is p.empty]
+    return accepted, required
+
+
+def _dashed(names) -> str:
+    return " ".join(f"--{name}" for name in names)
+
+
 def _theorem_params(args) -> dict:
-    params = {}
-    for key in ("k", "l", "n", "m", "p", "q"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in _PARAM_FLAGS if getattr(args, key) is not None}
+    if args.name not in THEOREMS:
+        return params  # run_theorem lists the known theorems
+    accepted, required = _flags(THEOREMS[args.name])
+    extra = [key for key in params if key not in accepted]
+    missing = [key for key in required if key not in params]
+    if extra or missing:
+        problem = f"unexpected {_dashed(extra)}" if extra else f"missing {_dashed(missing)}"
+        note = f" (required: {_dashed(required)})" if required else ""
+        raise HypothesisError(f"theorem {args.name} takes {_dashed(accepted)}{note}; {problem}")
     return params
 
 
@@ -72,6 +94,9 @@ def _cmd_sweep(args) -> int:
     if args.name not in sweeps:
         raise HypothesisError(f"unknown sweep {args.name!r}; choose from {', '.join(sweeps)}")
     theorem = sweeps[args.name]
+    if args.n is not None and "n" not in _flags(theorem)[0]:
+        takes_n = [name for name, record in sweeps.items() if "n" in _flags(record)[0]]
+        raise HypothesisError(f"sweep {args.name} takes no --n; only {', '.join(takes_n)} does")
     top = theorem.sweep.default_max if args.max is None else args.max
     if top < 1:
         raise HypothesisError(f"sweep size must satisfy --max >= 1, got {top}")
@@ -124,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     theorem = sub.add_parser("theorem", help="run one theorem reproduction")
     theorem.add_argument("name")
-    for flag in ("k", "l", "n", "m", "p", "q"):
+    for flag in _PARAM_FLAGS:
         theorem.add_argument(f"--{flag}", type=int, default=None)
     theorem.add_argument("--field", choices=("f2", "int"), default=None, help="accepted for symmetry; geometries fix their coefficients")
     common(theorem)

@@ -165,13 +165,17 @@ class DeckElement:
         return DeckElement(self.group, (-self.value) % self.group.n)
 
     def pow(self, k: int) -> "DeckElement":
-        if k == 0:
-            return self.group.identity()
+        """x^k in time linear in the result: k*v for exponent vectors,
+        k*r mod m for residues, and for words one free reduction of |k|
+        copies of x (of x^-1 when k < 0), which cancels each letter at
+        most once.  k = 0 gives the identity."""
+        kind = self.group.kind
+        if kind == FREE_ABELIAN:
+            return DeckElement(self.group, tuple(k * a for a in self.value))
+        if kind == CYCLIC:
+            return DeckElement(self.group, (k * self.value) % self.group.n)
         base = self if k > 0 else self.inv()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out.mul(base)
-        return out
+        return DeckElement(self.group, reduce_letters(base.value * abs(k)))
 
     def __mul__(self, other):
         return self.mul(other)
@@ -290,17 +294,21 @@ def unitriangular_rep(word: DeckElement, n: int) -> UniTriMatrix:
 
     Defined on words in x1..x_{n-1} only; the matrix product follows the
     word's left-to-right order, so psi is a homomorphism for our
-    concatenation convention.
+    concatenation convention.  Each letter x_i^e right-multiplies by
+    (I + E_{i,i+1})^e = I + e*E_{i,i+1} (E_{i,i+1} squares to zero),
+    which adds e times column i to column i+1; column i vanishes below
+    row i, so a letter costs O(i) updates of one list of rows, and the
+    matrix is built and validated once at the end.
     """
     if word.group.kind != FREE:
         raise GroupError("unitriangular_rep takes free-group elements")
-    out = UniTriMatrix.identity(n)
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for gen, exp in word.value:
         if gen >= n:
             raise GroupError(f"generator x{gen} has no image in U_{n} (needs index < {n})")
-        # (I + E)^e = I + eE since E_{i,i+1} squares to zero
-        out = out.mul(UniTriMatrix.elementary(n, gen, gen + 1, exp))
-    return out
+        for row in rows[:gen]:
+            row[gen] += exp * row[gen - 1]
+    return UniTriMatrix(tuple(tuple(row) for row in rows))
 
 
 def nilpotent_times_z(word: DeckElement, n: int) -> tuple[UniTriMatrix, int]:

@@ -243,12 +243,12 @@ def equivariant_pairing(x: EquivClass, b: str) -> RingElement:
     """sum_g <x, g b~> g: the term c (a, u) contributes c * u * P[a,b]."""
     geo = x.geometry
     geo.label(b)
-    out = RingElement.zero(geo.group, geo.coeffs)
+    acc: dict[DeckElement, int] = {}
     for (a, u), c in x.terms.items():
-        p = geo.pairing.pairing(a, b, geo.group, geo.coeffs)
-        if not p.is_zero():
-            out = out.add(p.translate(u).scale(c))
-    return out
+        for g, d in geo.pairing.pairing(a, b, geo.group, geo.coeffs).terms.items():
+            key = u.mul(g)
+            acc[key] = acc.get(key, 0) + c * d
+    return RingElement(geo.group, geo.coeffs, acc)
 
 
 def pair_classes(x: EquivClass, y: EquivClass) -> int:

@@ -247,6 +247,11 @@ def _cyclic_cover(m: int) -> Geometry:
     )
 
 
+# The meridian row of the branched cover has m terms; 10**6 of them take
+# about 330 MB and 3 s, so larger orders are refused rather than built.
+MAX_BRANCHED_COVER_ORDER = 10**6
+
+
 def _branched_cover(m: int) -> Geometry:
     # m-fold branched cyclic cover along the torus, mod-2 coefficients.
     # Every deck translate of the lifted compressing disk shares the
@@ -255,6 +260,10 @@ def _branched_cover(m: int) -> Geometry:
     # form a free basis here; membership goes through pairings.
     if m < 1:
         raise HypothesisError(f"branched cover order must be >= 1, got {m}")
+    if m > MAX_BRANCHED_COVER_ORDER:
+        raise HypothesisError(
+            f"branched cover order must be <= {MAX_BRANCHED_COVER_ORDER}, got {m}"
+        )
     group = cyclic(m)
     labels = _labels(spheres=("S", "S_prime"), disks=("D",), meridians=("mu",))
     entries = {

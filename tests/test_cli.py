@@ -5,11 +5,16 @@ import sys
 
 import pytest
 
+import barbellcalc
+
 CLI = [sys.executable, "-m", "barbellcalc.cli"]
+# the child interpreter imports the same package as the tests
+_SRC = os.path.dirname(os.path.dirname(barbellcalc.__file__))
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+def run_cli(*args, timeout=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV, timeout=timeout)
 
 
 def test_theorem_pass_exit_zero():
@@ -78,11 +83,38 @@ def test_cover_runners_reject_negative_second_winding(name):
     assert result.stdout == "" and "error:" in result.stderr
 
 
+def test_theorem_rejects_a_flag_it_does_not_take():
+    result = run_cli("theorem", "morsesimple-s3", "--k", "1", "--l", "1", "--m", "5")
+    assert result.returncode == 2 and result.stdout == ""
+    assert "theorem morsesimple-s3 takes --k --l" in result.stderr
+    assert "unexpected --m" in result.stderr and "_run" not in result.stderr
+
+
+def test_theorem_names_its_missing_flags():
+    result = run_cli("theorem", "morsesimple-s3")
+    assert result.returncode == 2 and result.stdout == ""
+    assert "theorem morsesimple-s3 takes --k --l" in result.stderr
+    assert "missing --k --l" in result.stderr and "positional" not in result.stderr
+
+
+def test_sweep_rejects_n_outside_brunnian():
+    result = run_cli("sweep", "morsesimple", "--max", "2", "--n", "9")
+    assert result.returncode == 2 and result.stdout == ""
+    assert "sweep morsesimple takes no --n" in result.stderr
+
+
+def test_branched_cover_order_is_bounded():
+    # m = 10**8 used to build a 10**8-term pairing row (gigabytes) before failing
+    result = run_cli("theorem", "genus1-handlebody", "--m", "100000000", "--k", "1", timeout=30)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "<= 1000000" in result.stderr
+
+
 def test_closed_stdout_is_not_a_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the child writes anything
     try:
-        result = subprocess.run(CLI + ["list"], stdout=write_end, stderr=subprocess.PIPE, text=True)
+        result = subprocess.run(CLI + ["list"], stdout=write_end, stderr=subprocess.PIPE, text=True, env=ENV)
     finally:
         os.close(write_end)
     assert result.returncode in (0, 1, 2)

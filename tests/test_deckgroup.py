@@ -50,6 +50,25 @@ def slow_reduce(letters):
     return tuple((g, e) for g, e in merged if e)
 
 
+def slow_pow(x, k):
+    """k-fold product of x (of x^-1 when k < 0), one mul at a time."""
+    if k == 0:
+        return x.group.identity()
+    base = x if k > 0 else x.inv()
+    out = base
+    for _ in range(abs(k) - 1):
+        out = out.mul(base)
+    return out
+
+
+def slow_rep(w, n):
+    """Dense product of elementary matrices, one per letter."""
+    out = UniTriMatrix.identity(n)
+    for gen, exp in w.value:
+        out = out.mul(UniTriMatrix.elementary(n, gen, gen + 1, exp))
+    return out
+
+
 def matmul3(a, b):
     n = len(a)
     return tuple(
@@ -129,6 +148,39 @@ def test_free_abelian_and_cyclic_inverses(letters):
     assert c.mul(c.inv()).is_identity()
 
 
+# -- powers ---------------------------------------------------------------------
+
+LETTERS = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=10)
+EXPONENTS = st.integers(-30, 30)
+
+
+@given(LETTERS, EXPONENTS)
+def test_free_power_matches_repeated_product(letters, k):
+    # words need not be cyclically reduced, so powers cancel across copies
+    x = word(F3, *letters)
+    assert x.pow(k) == slow_pow(x, k)
+    assert x.pow(-k) == x.pow(k).inv()
+
+
+@given(st.lists(st.integers(-5, 5), min_size=3, max_size=3), EXPONENTS)
+def test_free_abelian_power_matches_repeated_product(vec, k):
+    x = DeckElement(free_abelian(3), tuple(vec))
+    assert x.pow(k) == slow_pow(x, k)
+    assert x.pow(-k) == x.pow(k).inv()
+
+
+@given(st.integers(1, 12), st.integers(0, 11), EXPONENTS)
+def test_cyclic_power_matches_repeated_product(m, r, k):
+    x = DeckElement(cyclic(m), r % m)
+    assert x.pow(k) == slow_pow(x, k)
+    assert x.pow(-k) == x.pow(k).inv()
+
+
+def test_power_of_cyclically_reduced_word_has_no_cancellation():
+    # [x1, x2] starts with x1^-1 and ends with x2, so copies never merge
+    assert len(brunnian_word(3).pow(10**4).value) == 40_000
+
+
 # -- brunnian words -------------------------------------------------------------
 
 
@@ -198,6 +250,23 @@ def test_rep_rejects_last_generator():
 def test_rep_is_homomorphism(aletters, bletters):
     a, b = word(F3, *aletters), word(F3, *bletters)
     assert unitriangular_rep(a.mul(b), 3) == unitriangular_rep(a, 3).mul(unitriangular_rep(b, 3))
+
+
+@given(st.data(), st.integers(2, 7))
+def test_rep_matches_dense_elementary_product(data, n):
+    letters = data.draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(-3, 3)), max_size=20))
+    w = word(free_group(n), *letters)
+    assert unitriangular_rep(w, n) == slow_rep(w, n)
+
+
+@given(st.data(), st.integers(2, 7))
+def test_rep_rejects_any_generator_without_an_image(data, n):
+    letters = data.draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(-3, 3)), max_size=6))
+    bad = (data.draw(st.integers(n, n + 2)), data.draw(st.sampled_from([-2, -1, 1, 2])))
+    position = data.draw(st.integers(0, len(letters)))
+    w = word(free_group(n + 2), *letters[:position], bad, *letters[position:])
+    with pytest.raises(GroupError, match=f"has no image in U_{n}"):
+        unitriangular_rep(w, n)
 
 
 def test_unitriangular_inverse_and_powers():

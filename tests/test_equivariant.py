@@ -1,8 +1,11 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import DeckElement, cyclic, free_abelian
+from barbellcalc.deckgroup import DeckElement, cyclic, free_abelian, reduce_letters
 from barbellcalc.equivariant import (
     DISK,
     SPHERE,
@@ -66,6 +69,59 @@ def test_unknown_label_raises():
     geo = builtin_geometry("torus_complement")
     with pytest.raises(GeometryError):
         equivariant_pairing(geo.basis_class("S_v"), "D_w")
+
+
+def slow_pairing(x, b):
+    """The pairing summed term by term with RingElement.add."""
+    geo = x.geometry
+    geo.label(b)
+    out = RingElement.zero(geo.group, geo.coeffs)
+    for (a, u), c in x.terms.items():
+        p = geo.pairing.pairing(a, b, geo.group, geo.coeffs)
+        if not p.is_zero():
+            out = out.add(p.translate(u).scale(c))
+    return out
+
+
+def _over_integers(geo):
+    entries = {key: RingElement(geo.group, INT, p.terms) for key, p in geo.pairing.entries.items()}
+    return dataclasses.replace(geo, coeffs=INT, pairing=PairingTable(geo.labels, entries))
+
+
+def deck_elements(group):
+    if group.kind == "free":
+        letters = st.lists(st.tuples(st.integers(1, group.n), st.integers(-2, 2)), max_size=4)
+        return letters.map(lambda ls: DeckElement(group, reduce_letters(ls, group.n)))
+    return st.integers(-4, 4).map(lambda i: DeckElement(group, (i,)))
+
+
+PAIRING_GEOMETRIES = {
+    "torus-f2": builtin_geometry("torus_complement"),
+    "torus-z": _over_integers(builtin_geometry("torus_complement")),
+    "free-f3": builtin_geometry("sphere_torus_link", n=3),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PAIRING_GEOMETRIES))
+@given(data=st.data())
+def test_pairing_matches_repeated_add(key, data):
+    geo = PAIRING_GEOMETRIES[key]
+    labels = sorted(geo.labels)
+    drawn = data.draw(
+        st.lists(st.tuples(st.sampled_from(labels), deck_elements(geo.group), st.integers(-3, 3)), max_size=8)
+    )
+    terms = {}
+    for label, deck, c in drawn:
+        terms[(label, deck)] = terms.get((label, deck), 0) + c
+    x = EquivClass(geo, terms)
+    b = data.draw(st.sampled_from(labels))
+    try:
+        expected = slow_pairing(x, b)
+    except GeometryError:  # a disk paired with a disk
+        with pytest.raises(GeometryError):
+            equivariant_pairing(x, b)
+        return
+    assert equivariant_pairing(x, b) == expected
 
 
 # -- the barbell action on the torus-complement cover -------------------------
