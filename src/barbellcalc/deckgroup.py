@@ -40,6 +40,11 @@ FREE = "free"
 FREE_ABELIAN = "free_abelian"
 CYCLIC = "cyclic"
 
+# Longest word power DeckElement.pow builds.  On a 2-vCPU Xeon host a
+# scenario whose offset power had 10**5 letters took 0.5 s and 38 MB end
+# to end, one with 4 * 10**5 letters 1.8 s and 107 MB.
+MAX_POWER_LETTERS = 100_000
+
 
 @dataclass(frozen=True)
 class DeckGroup:
@@ -168,12 +173,20 @@ class DeckElement:
         """x^k in time linear in the result: k*v for exponent vectors,
         k*r mod m for residues, and for words one free reduction of |k|
         copies of x (of x^-1 when k < 0), which cancels each letter at
-        most once.  k = 0 gives the identity."""
+        most once.  k = 0 gives the identity.  A word power is refused
+        before it is built when its |k| copies, an upper bound on the
+        result's length, have more than MAX_POWER_LETTERS letters."""
         kind = self.group.kind
         if kind == FREE_ABELIAN:
             return DeckElement(self.group, tuple(k * a for a in self.value))
         if kind == CYCLIC:
             return DeckElement(self.group, (k * self.value) % self.group.n)
+        letters = abs(k) * len(self.value)
+        if letters > MAX_POWER_LETTERS:
+            raise GroupError(
+                f"power {k} of a {len(self.value)}-letter word has {letters} letters, "
+                f"more than {MAX_POWER_LETTERS}"
+            )
         base = self if k > 0 else self.inv()
         return DeckElement(self.group, reduce_letters(base.value * abs(k)))
 

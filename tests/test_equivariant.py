@@ -92,7 +92,21 @@ def deck_elements(group):
     if group.kind == "free":
         letters = st.lists(st.tuples(st.integers(1, group.n), st.integers(-2, 2)), max_size=4)
         return letters.map(lambda ls: DeckElement(group, reduce_letters(ls, group.n)))
+    if group.kind == "cyclic":
+        return st.integers(0, group.n - 1).map(lambda i: DeckElement(group, i))
     return st.integers(-4, 4).map(lambda i: DeckElement(group, (i,)))
+
+
+def equiv_classes(geo):
+    term = st.tuples(st.sampled_from(sorted(geo.labels)), deck_elements(geo.group), st.integers(-3, 3))
+
+    def build(drawn):
+        terms = {}
+        for label, deck, c in drawn:
+            terms[(label, deck)] = terms.get((label, deck), 0) + c
+        return EquivClass(geo, terms)
+
+    return st.lists(term, max_size=8).map(build)
 
 
 PAIRING_GEOMETRIES = {
@@ -106,15 +120,8 @@ PAIRING_GEOMETRIES = {
 @given(data=st.data())
 def test_pairing_matches_repeated_add(key, data):
     geo = PAIRING_GEOMETRIES[key]
-    labels = sorted(geo.labels)
-    drawn = data.draw(
-        st.lists(st.tuples(st.sampled_from(labels), deck_elements(geo.group), st.integers(-3, 3)), max_size=8)
-    )
-    terms = {}
-    for label, deck, c in drawn:
-        terms[(label, deck)] = terms.get((label, deck), 0) + c
-    x = EquivClass(geo, terms)
-    b = data.draw(st.sampled_from(labels))
+    x = data.draw(equiv_classes(geo))
+    b = data.draw(st.sampled_from(sorted(geo.labels)))
     try:
         expected = slow_pairing(x, b)
     except GeometryError:  # a disk paired with a disk
@@ -247,6 +254,106 @@ def test_offset_lift_inverts_consistently():
     undo = BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=-1, offset=t_elt(geo, 2))
     x = cls(geo, ("S_v_1", 0, 1), ("S_h_2", 1, -2))
     assert barbell_action(barbell_action(x, spec), undo) == x
+
+
+# -- closed-form iterates and their precondition ----------------------------------
+
+
+def reference_correction(x, spec):
+    """C(x) = sum_u [s1 <x, u c1~> (u c) c2~ - s2 <x, u c c2~> u c1~] for
+    one step, from the repeated-add pairing."""
+    geo = x.geometry
+    s1, s2 = spec.signs
+    out = geo.zero_class()
+    for u, c in slow_pairing(x, spec.cuff1).terms.items():
+        out = out.add(geo.basis_class(spec.cuff2, u.mul(spec.holonomy), s1 * c))
+    for g, c in slow_pairing(x, spec.cuff2).terms.items():
+        out = out.add(geo.basis_class(spec.cuff1, g.mul(spec.holonomy.inv()), -s2 * c))
+    return out
+
+
+def stepwise_action(x, spec):
+    """The iterate applied one step at a time, x -> o (x + C(x)); an
+    inverse step undoes the offset and subtracts the Neumann series
+    C - C^2 + ... of the correction."""
+    out = x
+    for _ in range(abs(spec.iterate)):
+        if spec.iterate > 0:
+            out = out.add(reference_correction(out, spec))
+            if spec.offset is not None:
+                out = out.translate(spec.offset)
+            continue
+        if spec.offset is not None:
+            out = out.translate(spec.offset.inv())
+        term = reference_correction(out, spec).scale(-1)
+        for _ in range(1000):
+            if term.is_zero():
+                break
+            out = out.add(term)
+            term = reference_correction(term, spec).scale(-1)
+        else:
+            raise AssertionError("the correction is not nilpotent")
+    return out
+
+
+ITERATE_GEOMETRIES = {
+    "torus": builtin_geometry("torus_complement"),
+    "genus2": builtin_geometry("genus2_complement"),
+    "cyclic-5": builtin_geometry("cyclic_cover", m=5),
+    "circles": builtin_geometry("circles_complement"),
+    "free-f3": builtin_geometry("sphere_torus_link", n=3),
+}
+
+
+def disjoint_cuff_pairs(geo):
+    spheres = sorted(name for name, label in geo.labels.items() if label.kind == SPHERE)
+    zero = lambda a, b: geo.pairing.pairing(a, b, geo.group, geo.coeffs).is_zero()
+    return [(a, b) for a in spheres for b in spheres if zero(a, a) and zero(a, b) and zero(b, b)]
+
+
+@pytest.mark.parametrize("key", sorted(ITERATE_GEOMETRIES))
+@given(data=st.data())
+def test_closed_form_iterate_matches_the_stepwise_action(key, data):
+    geo = ITERATE_GEOMETRIES[key]
+    cuff1, cuff2 = data.draw(st.sampled_from(disjoint_cuff_pairs(geo)))
+    sign = st.sampled_from((1, -1))
+    spec = BarbellSpec(
+        cuff1,
+        cuff2,
+        data.draw(deck_elements(geo.group)),
+        signs=(data.draw(sign), data.draw(sign)),
+        iterate=data.draw(st.integers(-12, 12).filter(bool)),
+        offset=data.draw(st.none() | deck_elements(geo.group)),
+    )
+    x = data.draw(equiv_classes(geo))
+    assert barbell_action(x, spec) == stepwise_action(x, spec)
+
+
+@pytest.mark.parametrize("cuff1,cuff2", [("S_h", "S_v"), ("S_v", "S_h")])
+def test_crossing_cuffs_are_refused(cuff1, cuff2):
+    geo = builtin_geometry("torus_complement")
+    spec = BarbellSpec(cuff1, cuff2, geo.identity())
+    message = rf"barbell cuffs {cuff1} and {cuff2} are not disjoint: P\[S_h,S_v\] = 1 \+ t is nonzero"
+    for x in (geo.basis_class("S_v"), geo.zero_class()):
+        with pytest.raises(GeometryError, match=message):
+            barbell_action(x, spec)
+
+
+def test_a_self_intersecting_cuff_is_refused():
+    base = builtin_geometry("genus2_complement")
+    geo = base.extend(GeneratorLabel("T", SPHERE), {"T": tpoly(base, {1: 2})})
+    with pytest.raises(GeometryError, match=r"cuffs S_h_1 and T are not disjoint: P\[T,T\] = 2t is nonzero"):
+        barbell_action(geo.basis_class("S_v_1"), BarbellSpec("S_h_1", "T", geo.identity()))
+    # stored zero entries are no intersection
+    geo = base.extend(GeneratorLabel("Z", SPHERE), {"Z": tpoly(base, {}), "S_h_1": tpoly(base, {})})
+    moved = barbell_action(geo.basis_class("S_v_1"), BarbellSpec("S_h_1", "Z", geo.identity(), iterate=-2))
+    assert moved == cls(geo, ("S_v_1", 0, 1), ("Z", 0, -2), ("Z", -1, 2))
+
+
+def test_cuff_kind_is_checked_before_disjointness():
+    geo = builtin_geometry("torus_complement")
+    with pytest.raises(GeometryError, match="cuff D_h must be a sphere label"):
+        barbell_action(geo.basis_class("S_v"), BarbellSpec("D_h", "S_h", geo.identity()))
 
 
 # -- intersection polynomials ---------------------------------------------------

@@ -353,6 +353,26 @@ def test_scenario_expected_matrix_comparison():
     assert not run_scenario(payload).passed
 
 
+@pytest.mark.parametrize("iterate", [2.7, 2.0, True, False, "2", None, [2]])
+def test_scenario_iterate_must_be_a_json_integer(iterate, tmp_path, capsys):
+    from barbellcalc import cli
+
+    payload = scenario_payload()
+    payload["barbells"][0]["iterate"] = iterate
+    with pytest.raises(HypothesisError, match="barbell field 'iterate' must be a JSON integer"):
+        run_scenario(payload)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["scenario", str(path)]) == 2
+    assert "'iterate' must be a JSON integer" in capsys.readouterr().err
+
+
+def test_scenario_iterate_accepts_negative_integers():
+    payload = scenario_payload()
+    payload["barbells"][0]["iterate"] = -3
+    assert run_scenario(payload).computed["dim"] == 12
+
+
 def test_scenario_field_mismatch():
     payload = scenario_payload()
     payload["field"] = "int"
