@@ -110,6 +110,52 @@ def test_branched_cover_order_is_bounded():
     assert "<= 1000000" in result.stderr
 
 
+def test_brunnian_sweep_is_refused_before_its_jobs_are_built():
+    # --max 100 is 12.7 million jobs; the grid used to be listed in full first
+    result = run_cli("sweep", "brunnian", "--max", "100", timeout=30)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "sweep brunnian --max 100 has up to 12748725 jobs, more than 10000" in result.stderr
+
+
+def test_sweep_job_cap_boundary():
+    # montesinos --max 142 has 9,870 (p, q) candidates, --max 143 has 10,011
+    assert run_cli("sweep", "montesinos", "--max", "142", timeout=30).returncode == 0
+    result = run_cli("sweep", "montesinos", "--max", "143", timeout=30)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "has up to 10011 jobs, more than 10000" in result.stderr
+
+
+def test_sweep_job_cap_admits_a_grid_of_exactly_the_cap(monkeypatch, capsys):
+    from barbellcalc import cli
+
+    monkeypatch.setattr(cli, "MAX_SWEEP_JOBS", 9)
+    assert cli.main(["sweep", "morsesimple", "--max", "3"]) == 0
+    assert capsys.readouterr().out.endswith("9/9 passed\n")
+    assert cli.main(["sweep", "morsesimple", "--max", "4"]) == 2
+    assert "has up to 16 jobs, more than 9" in capsys.readouterr().err
+
+
+def test_scenario_genus_is_bounded(tmp_path):
+    # g = 10**6 took 7.9 s and 539 MB before the bound
+    barbell = {"cuff1": "S_h_1", "cuff2": "S_h_2"}
+    path = write_scenario(tmp_path, [barbell], geometry={"name": "genus_g_complement", "g": 1000000})
+    result = run_cli("scenario", path, timeout=30)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "genus_g_complement needs g <= 10000, got 1000000" in result.stderr
+
+
+def test_scenario_free_abelian_rank_is_bounded(tmp_path):
+    # the identity of Z^r is an r-tuple: r = 10**9 would take gigabytes
+    geometry = {
+        "name": "wide",
+        "group": {"kind": "free_abelian", "rank": 1000000000},
+        "labels": {"S_h": "sphere", "S_v": "sphere", "D_v": "disk"},
+    }
+    result = run_cli("scenario", write_scenario(tmp_path, [{"cuff1": "S_h", "cuff2": "S_h"}], geometry), timeout=30)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "free abelian rank must be <= 10000, got 1000000000" in result.stderr
+
+
 def test_closed_stdout_is_not_a_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the child writes anything

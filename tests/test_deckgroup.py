@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 
 import pytest
@@ -5,14 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import (
+    FREE,
     MAX_POWER_LETTERS,
     DeckElement,
+    DeckGroup,
     GroupError,
     UniTriMatrix,
     brunnian_word,
     commutator,
     cyclic,
     cyclic_project,
+    element_from_json,
+    element_to_json,
     format_element,
     free_abelian,
     free_group,
@@ -147,6 +153,137 @@ def test_free_abelian_and_cyclic_inverses(letters):
     zc = cyclic(7)
     c = DeckElement(zc, sum(e for _, e in letters) % 7)
     assert c.mul(c.inv()).is_identity()
+
+
+# -- seam products, validation, equality -----------------------------------------
+
+REDUCED = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=10).map(
+    lambda letters: reduce_letters(letters, 3)
+)
+NONZERO = st.integers(-3, 3).filter(bool)
+
+
+def inverse_letters(w):
+    return tuple((g, -e) for g, e in reversed(w))
+
+
+def check_product(a, b):
+    """a.mul(b) against a full free reduction of the concatenation."""
+    product = DeckElement(F3, a).mul(DeckElement(F3, b)).value
+    assert product == reduce_letters(itertools.chain(a, b)) == slow_reduce(itertools.chain(a, b))
+    return product
+
+
+@given(REDUCED, REDUCED, REDUCED)
+def test_seam_product_cancels_a_shared_middle(p, u, q):
+    # a = p u, b = u^-1 q: u cancels, then p's last and q's first letters
+    # may cancel further or merge (u = () gives two random words)
+    a = reduce_letters(p + u)
+    b = reduce_letters(inverse_letters(u) + q)
+    check_product(a, b)
+    assert check_product(a, inverse_letters(a)) == ()
+    assert check_product((), b) == b and check_product(a, ()) == a
+
+
+@given(REDUCED, REDUCED, st.integers(1, 3), NONZERO, NONZERO)
+def test_seam_product_merges_one_letter_pair(p, q, gen, e, f):
+    a = reduce_letters(p + ((gen, e),))
+    b = reduce_letters(((gen, f),) + q)
+    check_product(a, b)
+
+
+def test_seam_product_examples():
+    assert check_product(((1, 2),), ((1, 1),)) == ((1, 3),)
+    assert check_product(((1, 2), (2, 1)), ((2, -1), (1, -2))) == ()
+    assert check_product(((1, 1), (2, 1)), ((2, -1), (1, 1), (3, 1))) == ((1, 2), (3, 1))
+    assert check_product(((3, 1), (1, 1), (2, 1)), ((2, -1), (1, -1), (2, 1))) == ((3, 1), (2, 1))
+    assert check_product((), ()) == ()
+
+
+def builtin_valid(letters, n):
+    """The three word conditions in builtins: no zero exponent, every
+    generator in 1..n, no two adjacent letters on one generator."""
+    if not letters:
+        return True
+    gens, exps = zip(*letters)
+    return not (0 in exps or min(gens) < 1 or max(gens) > n or any(map(operator.eq, gens, gens[1:])))
+
+
+@given(st.lists(st.tuples(st.integers(-1, 4), st.integers(-2, 2)), max_size=8))
+def test_word_validation_matches_builtin_conditions(letters):
+    letters = tuple(letters)
+    try:
+        DeckElement(F3, letters)
+        accepted = True
+    except GroupError as exc:
+        assert "is not freely reduced" in str(exc)
+        accepted = False
+    assert accepted == builtin_valid(letters, 3)
+    in_range = all(1 <= g <= 3 for g, _ in letters)
+    # a valid word is exactly a raw word that free reduction leaves alone
+    assert accepted == (in_range and reduce_letters(letters, 3) == letters)
+
+
+def assert_all_equal(elements):
+    first = elements[0]
+    for other in elements[1:]:
+        assert other == first and first == other
+        assert hash(other) == hash(first)
+    assert len(set(elements)) == 1
+
+
+@given(REDUCED, st.data())
+def test_equal_words_are_equal_and_hash_equal_however_built(w, data):
+    f3 = DeckGroup(FREE, 3)
+    x = DeckElement(free_group(3), w)
+    cut = data.draw(st.integers(0, len(w)))
+    built = [
+        x,
+        DeckElement(f3, w[:cut]).mul(DeckElement(f3, w[cut:])),
+        x.mul(x.inv()).mul(x),
+        x.pow(1),
+        x.pow(2).mul(x.inv()),
+        x.inv().pow(-1),
+        parse_word(format_element(x), f3),
+        element_from_json(element_to_json(x), free_group(3)),
+    ]
+    assert f3 == free_group(3) and hash(f3) == hash(free_group(3))
+    assert_all_equal(built)
+    assert_all_equal([x.mul(x.inv()), F3.identity(), parse_word("1", f3)])
+
+
+@given(st.lists(st.integers(-5, 5), min_size=3, max_size=3), st.integers(0, 2**70))
+def test_equal_vectors_and_residues_are_equal_and_hash_equal_however_built(vec, r):
+    z3 = free_abelian(3)
+    v = DeckElement(z3, tuple(vec))
+    assert_all_equal([
+        v,
+        element_from_json(list(vec), free_abelian(3)),
+        v.pow(3).mul(v.pow(-2)),
+        parse_word(format_element(v), free_abelian(3)),
+    ])
+    # residues below and beyond 2**61 - 1, where hash(r) != r
+    m = 2**71
+    c = DeckElement(cyclic(m), r)
+    assert_all_equal([c, element_from_json(r, cyclic(m)), c.pow(3).mul(c.pow(-2)), parse_word(str(r), cyclic(m))])
+
+
+def test_values_of_different_groups_differ():
+    assert DeckElement(cyclic(5), 1) != DeckElement(cyclic(7), 1)
+    assert free_group(2).identity() != free_group(3).identity()
+    assert free_group(2) != free_abelian(2) and free_group(2) != cyclic(2)
+    assert DeckElement(cyclic(5), 1) != 1 and free_group(2) != "free"
+    with pytest.raises(GroupError, match="cannot multiply across groups"):
+        DeckElement(cyclic(5), 1).mul(DeckElement(cyclic(7), 1))
+
+
+def test_values_are_slotted_and_frozen():
+    x = F3.generator(2)
+    assert not hasattr(x, "__dict__") and not hasattr(F3, "__dict__")
+    with pytest.raises(AttributeError):
+        x.value = ()
+    with pytest.raises(AttributeError):
+        F3.n = 4
 
 
 # -- powers ---------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from barbellcalc.groupring import F2, INT, to_term_list
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
+    MAX_FREE_ABELIAN_RANK,
+    MAX_GENUS,
     THEOREMS,
     GluingMatrix,
     HypothesisError,
@@ -322,6 +324,17 @@ def test_sweep_grids_keep_their_job_counts():
     assert sweeps["brunnian"].sweep.grid(2, None)[0] == {"n": 2, "k": 1, "l": 1, "kp": 1, "lp": 2}
 
 
+@pytest.mark.parametrize("top", range(1, 13))
+def test_sweep_job_counts_match_their_grids(top):
+    # the closed forms size a sweep before any job is built
+    sweeps = {record.sweep.name: record.sweep for record in THEOREMS.values() if record.sweep}
+    for name in ("morsesimple", "higher-dim", "brunnian"):
+        assert sweeps[name].jobs(top) == len(sweeps[name].grid(top, None)), (name, top)
+    montesinos = sweeps["montesinos"]
+    candidates = [(p, q) for p in range(2, top + 1) for q in range(p + 1, top + 1)]
+    assert montesinos.jobs(top) == len(candidates) >= len(montesinos.grid(top, None))
+
+
 # -- scenario files ----------------------------------------------------------------
 
 
@@ -389,6 +402,31 @@ def test_scenario_geometry_with_parameters():
     }
     report = run_scenario(payload)
     assert report.passed
+
+
+def test_genus_is_bounded():
+    assert len(builtin_geometry("genus_g_complement", g=MAX_GENUS).attaching) == MAX_GENUS
+    with pytest.raises(HypothesisError, match=f"g <= {MAX_GENUS}, got {MAX_GENUS + 1}"):
+        builtin_geometry("genus_g_complement", g=MAX_GENUS + 1)
+
+
+def _free_abelian_payload(rank):
+    return {
+        "geometry": {
+            "name": "wide",
+            "group": {"kind": "free_abelian", "rank": rank},
+            "labels": {"S_h": "sphere", "S_v": "sphere", "D_v": "disk"},
+            "attaching": ["S_v"],
+            "disks": ["D_v"],
+        },
+        "barbells": [{"cuff1": "S_h", "cuff2": "S_h"}],
+    }
+
+
+def test_custom_free_abelian_rank_is_bounded():
+    assert run_scenario(_free_abelian_payload(MAX_FREE_ABELIAN_RANK)).passed
+    with pytest.raises(HypothesisError, match=f"rank must be <= {MAX_FREE_ABELIAN_RANK}, got 1000000000"):
+        run_scenario(_free_abelian_payload(10**9))
 
 
 def test_scenario_with_inline_custom_geometry():
