@@ -9,10 +9,10 @@ A barbell (two disjoint embedded 2-spheres joined by an arc) in a
 This package lifts that action equivariantly to covers, computes the
 group-ring-valued intersection polynomials that present pi_2 of
 knotted-3-manifold complements, and evaluates the module invariants
-(Laurent quotient dimensions, cokernel factors, Fitting generators,
-unit/associate tests in F2[s,t]) used to tell the resulting knotted
-objects apart.  Everything is exact: F2 or arbitrary-precision integer
-coefficients, no floating point.
+(Laurent quotient dimensions, cokernel factors, unit/associate tests
+in F2[s,t]) used to tell the resulting knotted objects apart.
+Everything is exact: F2 or arbitrary-precision integer coefficients,
+no floating point.
 """
 
 from .deckgroup import (
@@ -70,7 +70,6 @@ from .presentations import (
     brunnian_relator,
     distinguish_brunnian_modules,
     f2_quotient_dim,
-    fitting_generators,
     present_from_scenario,
 )
 from .scenarios import (

@@ -259,9 +259,6 @@ class DeckElement:
         base = self if k > 0 else self.inv()
         return DeckElement(self.group, reduce_letters(base.value * abs(k)))
 
-    def __mul__(self, other):
-        return self.mul(other)
-
     def sort_key(self):
         """Deterministic total order: residues and exponent vectors
         numerically, words lexicographically on their letter sequence."""
@@ -340,35 +337,6 @@ class UniTriMatrix:
             for i in range(n)
         )
         return UniTriMatrix(rows)
-
-    def inv(self) -> "UniTriMatrix":
-        # Unit triangular, so I - N + N^2 - ... terminates (N nilpotent).
-        n = self.size
-        ident = UniTriMatrix.identity(n)
-        nil = [[self.rows[i][j] - ident.rows[i][j] for j in range(n)] for i in range(n)]
-        acc = [list(row) for row in ident.rows]
-        power = [list(row) for row in ident.rows]
-        sign = 1
-        for _ in range(n):
-            power = [
-                [sum(power[i][k] * nil[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-            sign = -sign
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += sign * power[i][j]
-        return UniTriMatrix(tuple(tuple(row) for row in acc))
-
-    def pow(self, k: int) -> "UniTriMatrix":
-        out = UniTriMatrix.identity(self.size)
-        base = self if k >= 0 else self.inv()
-        for _ in range(abs(k)):
-            out = out.mul(base)
-        return out
-
-    def __mul__(self, other):
-        return self.mul(other)
 
 
 def unitriangular_rep(word: DeckElement, n: int) -> UniTriMatrix:

@@ -34,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .deckgroup import DeckElement, DeckGroup
-from .groupring import F2, RingElement, render
-from .intlinalg import solve_integer, solve_mod2
+from .deckgroup import DeckElement, DeckGroup, format_element
+from .groupring import F2, RingElement, join_signed, render
+from .intlinalg import solve_mod2
 
 SPHERE = "sphere"
 DISK = "disk"
@@ -205,12 +205,6 @@ class EquivClass:
             self.geometry, {(label, g.mul(u)): c for (label, u), c in self.terms.items()}
         )
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
     def __eq__(self, other):
         return (
             isinstance(other, EquivClass)
@@ -226,10 +220,6 @@ class EquivClass:
 
 def render_class(x: EquivClass) -> str:
     """Sorted human form, e.g. "S_v + x1^-1 S_h + ..."."""
-    from .deckgroup import format_element
-
-    if x.is_zero():
-        return "0"
     parts = []
     for label, deck in x.support():
         c = x.terms[(label, deck)]
@@ -237,10 +227,7 @@ def render_class(x: EquivClass) -> str:
         if abs(c) != 1:
             body = f"{abs(c)} {body}"
         parts.append((c < 0, body))
-    out = ("-" if parts[0][0] else "") + parts[0][1]
-    for negative, body in parts[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+    return join_signed(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +369,12 @@ def _aliased(x: EquivClass) -> EquivClass:
     return EquivClass(x.geometry, terms)
 
 
-def _solve(matrix, rhs, coeffs):
-    if not rhs:
-        return []
-    if not matrix or not matrix[0]:
+def _solve(matrix, rhs):
+    # summand_membership refuses kernel generators and probes over Z, so
+    # a system with unknowns is always over F2
+    if not rhs or not matrix[0]:
         return [] if all(v == 0 for v in rhs) else None
-    return solve_mod2(matrix, rhs) if coeffs == F2 else solve_integer(matrix, rhs)
+    return solve_mod2(matrix, rhs)
 
 
 def summand_membership(
@@ -405,9 +392,12 @@ def summand_membership(
     certified by pairing witnesses: if no choice of kernel coefficients
     and allowed-supported class reproduces x's pairings against the
     probes, x cannot be congruent.  Configurations this cannot decide
-    raise rather than guess.
+    raise rather than guess; over Z that includes any kernel generator
+    or probe, since no argument here needs an integer solve.
     """
     geo = x.geometry
+    if geo.coeffs != F2 and (kernel_gens or probes):
+        raise GeometryError("over Z, membership takes no kernel generators or probes")
     x = _aliased(x)
     gens = [_aliased(k) for k in kernel_gens]
     allowed_keys = {(geo.aliases.get(label, label), deck) for label, deck in allowed}
@@ -419,7 +409,7 @@ def summand_membership(
     )
     matrix = [[g.terms.get(key, 0) for g in gens] for key in outside]
     rhs = [x.terms.get(key, 0) for key in outside]
-    if _solve(matrix, rhs, geo.coeffs) is not None:
+    if _solve(matrix, rhs) is not None:
         return True
     if geo.free_basis:
         return False
@@ -434,7 +424,7 @@ def summand_membership(
     columns = gens + [EquivClass(geo, {key: 1}) for key in allowed_list]
     w_matrix = [[pair_classes(col, z) for col in columns] for z in probes]
     w_rhs = [pair_classes(x, z) for z in probes]
-    if _solve(w_matrix, w_rhs, geo.coeffs) is None:
+    if _solve(w_matrix, w_rhs) is None:
         return False
     raise GeometryError(
         "pairing witnesses do not refute membership and the basis is not free; undecided"

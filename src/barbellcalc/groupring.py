@@ -31,6 +31,7 @@ from .deckgroup import (
     element_to_json,
     format_element,
     free_abelian,
+    free_group,
     nilpotent_times_z,
 )
 
@@ -79,10 +80,6 @@ class RingElement:
     def one(group: DeckGroup, coeffs: str) -> "RingElement":
         return RingElement(group, coeffs, {group.identity(): 1})
 
-    @staticmethod
-    def monomial(elt: DeckElement, coeffs: str, c: int = 1) -> "RingElement":
-        return RingElement(elt.group, coeffs, {elt: c})
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -122,9 +119,6 @@ class RingElement:
     def neg(self) -> "RingElement":
         return RingElement(self.group, self.coeffs, {e: -c for e, c in self.terms.items()})
 
-    def sub(self, other: "RingElement") -> "RingElement":
-        return self.add(other.neg())
-
     def mul(self, other: "RingElement") -> "RingElement":
         self._check(other)
         terms: dict[DeckElement, int] = {}
@@ -146,23 +140,6 @@ class RingElement:
     def reverse(self) -> "RingElement":
         """Apply g -> g^-1 to the support (the pairing-table involution)."""
         return RingElement(self.group, self.coeffs, {e.inv(): c for e, c in self.terms.items()})
-
-    def pow(self, k: int) -> "RingElement":
-        if k < 0:
-            raise RingError("negative powers are not defined in the group ring")
-        out = RingElement.one(self.group, self.coeffs)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        return self.mul(other)
 
     def __repr__(self):
         return f"<{render(self)} over {self.coeffs}[{self.group}]>"
@@ -229,8 +206,6 @@ class BrunnianCoordinates(Homomorphism):
     """
 
     def __init__(self, n: int):
-        from .deckgroup import free_group
-
         self.n = n
         self.source = free_group(n)
         self.target = free_abelian(2)
@@ -325,11 +300,10 @@ _VARIABLE_NAMES = {1: ("t",), 2: ("s", "t")}
 
 
 def _monomial_string(elt: DeckElement) -> str:
+    """A cyclic or free abelian element in t / s, t / x1, x2, ... notation."""
     group = elt.group
     if group.kind == CYCLIC:
         return "1" if elt.value == 0 else ("t" if elt.value == 1 else f"t^{elt.value}")
-    if group.kind == FREE:
-        return format_element(elt)
     names = _VARIABLE_NAMES.get(group.n)
     parts = []
     for i, e in enumerate(elt.value):
@@ -340,15 +314,31 @@ def _monomial_string(elt: DeckElement) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def render(elem: RingElement) -> str:
-    """Human-readable sum in increasing deck-element order, e.g.
-    "t^-3 + t^-1 + 1 + t + t^3"."""
-    if elem.is_zero():
-        return "0"
+def join_signed(parts: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, body) pairs as "a + b - c", with a leading "-"
+    when the first is negative; "0" when there are none."""
+    out = []
+    for negative, body in parts:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
+
+
+def term_list_and_render(elem: RingElement) -> tuple[list[list], str]:
+    """The machine form (sorted [element, coefficient] pairs) and the
+    human form (e.g. "t^-3 + t^-1 + 1 + t + t^3", increasing deck-element
+    order) from one pass over the support: each element is formatted
+    once, a free-group word's string serving both."""
+    terms = []
     parts = []
     for elt in elem.support():
         c = elem.terms[elt]
-        mono = _monomial_string(elt)
+        raw = element_to_json(elt)
+        terms.append([raw, c])
+        mono = raw if elt.group.kind == FREE else _monomial_string(elt)
         if mono == "1":
             body = str(abs(c)) if elem.coeffs == INT else "1"
         elif abs(c) == 1:
@@ -356,15 +346,17 @@ def render(elem: RingElement) -> str:
         else:
             body = f"{abs(c)}{mono}"
         parts.append((c < 0, body))
-    out = ("-" if parts[0][0] else "") + parts[0][1]
-    for negative, body in parts[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+    return terms, join_signed(parts)
+
+
+def render(elem: RingElement) -> str:
+    """Human-readable sum in increasing deck-element order."""
+    return term_list_and_render(elem)[1]
 
 
 def to_term_list(elem: RingElement) -> list[list]:
     """Machine form: sorted [(element, coefficient)] pairs."""
-    return [[element_to_json(e), elem.terms[e]] for e in elem.support()]
+    return term_list_and_render(elem)[0]
 
 
 def from_term_list(data: Iterable, group: DeckGroup, coeffs: str) -> RingElement:

@@ -1,11 +1,10 @@
 """
-Exact linear solvers over F2 and Z for small dense systems.
+An exact linear solver over F2 for small dense systems.
 
 Used by the summand-membership tests: deciding whether a class is a
 combination of kernel generators on a finite joint support.  Matrices
-here have a handful of rows and columns, so the textbook algorithms
-(mod-2 Gaussian elimination, Smith normal form with unimodular
-bookkeeping) are plenty.
+here have a handful of rows and columns, so textbook mod-2 Gaussian
+elimination is plenty.
 """
 
 from __future__ import annotations
@@ -39,100 +38,3 @@ def solve_mod2(a: Matrix, b: list[int]) -> list[int] | None:
     for i, c in enumerate(pivots):
         x[c] = aug[i][cols]
     return x
-
-
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(u, d, v) with d = u * a * v diagonal and u, v unimodular."""
-    d = [row[:] for row in a]
-    rows = len(d)
-    cols = len(d[0]) if rows else 0
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # Move a minimal nonzero entry to the pivot and clear its line.
-        while True:
-            entries = [
-                (abs(d[i][j]), i, j)
-                for i in range(t, rows)
-                for j in range(t, cols)
-                if d[i][j] != 0
-            ]
-            if not entries:
-                return u, d, v
-            _, pi, pj = min(entries)
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            pivot = d[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                q = d[i][t] // pivot
-                if q:
-                    add_row(t, i, -q)
-                if d[i][t]:
-                    dirty = True
-            for j in range(t + 1, cols):
-                q = d[t][j] // pivot
-                if q:
-                    add_col(t, j, -q)
-                if d[t][j]:
-                    dirty = True
-            if not dirty:
-                break
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, d, v
-
-
-def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
-    """One integer solution x of A x = b, or None if there is none."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return [] if all(v == 0 for v in b) else None
-    u, d, v = smith_normal_form(a)
-    ub = [sum(u[i][k] * b[k] for k in range(rows)) for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]

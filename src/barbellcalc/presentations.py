@@ -10,17 +10,15 @@ gives a zero-diagonal 2x2 over Z[t, t^-1].
 
 There is deliberately no Smith normal form over Z[t, t^-1] (not a PID):
 cokernel normal forms are computed only for the shapes that actually
-arise (1x1 and zero-diagonal 2x2), and Fitting ideal generators cover
-everything else.
+arise (1x1 and zero-diagonal 2x2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from typing import Sequence
 
-from .deckgroup import DeckElement, DeckGroup, free_group
+from .deckgroup import DeckElement, DeckGroup, brunnian_word, free_abelian, free_group
 from .equivariant import (
     BarbellSpec,
     Geometry,
@@ -29,9 +27,7 @@ from .equivariant import (
 )
 from .groupring import (
     F2,
-    BrunnianCoordinates,
     RingElement,
-    apply_hom,
     are_associates,
     is_monomial_unit,
     laurent_span,
@@ -110,72 +106,33 @@ def antidiagonal_cokernel(matrix: PresentationMatrix) -> list[RingElement]:
     return [normalize_monomial(g1), normalize_monomial(g2)]
 
 
-def _determinant(rows: list[list[RingElement]], group: DeckGroup, coeffs: str) -> RingElement:
-    n = len(rows)
-    out = RingElement.zero(group, coeffs)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        # permutation parity by cycle counting
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        prod = RingElement.one(group, coeffs)
-        for i in range(n):
-            prod = prod.mul(rows[i][perm[i]])
-        out = out.add(prod.scale(sign))
-    return out
-
-
-def fitting_generators(matrix: PresentationMatrix, level: int) -> list[RingElement]:
-    """Generators of the level-th Fitting ideal: all (n - level)-minors,
-    n the number of generators (columns), each normalized by a monomial
-    unit.  Empty minors are 1 (whole ring); too-large minors give the
-    zero ideal (empty generator list)."""
-    if matrix.group.kind == "free":
-        raise PresentationError("Fitting ideals need a commutative group ring")
-    if level < 0:
-        raise PresentationError("Fitting level must be >= 0")
-    rows, cols = matrix.shape
-    size = cols - level
-    if size <= 0:
-        return [RingElement.one(matrix.group, matrix.coeffs)]
-    if size > rows:
-        return []
-    gens = []
-    for row_idx in combinations(range(rows), size):
-        for col_idx in combinations(range(cols), size):
-            minor = [[matrix.entry(r, c) for c in col_idx] for r in row_idx]
-            det = _determinant(minor, matrix.group, matrix.coeffs)
-            if not det.is_zero():
-                det = normalize_monomial(det)
-            if det not in gens:
-                gens.append(det)
-    return gens
-
-
 # ---------------------------------------------------------------------------
 # The Brunnian-link module family and its distinctness test.
 
 
-@lru_cache(maxsize=None)
-def brunnian_relator(k: int, l: int, n: int) -> RingElement:
-    """The single relator 1 + (xn^-1 + 1)(w^-k + w^k)(1 + xn)(w^-l + w^l)
-    of the n-component Brunnian link module, in F2[F_n], where w is the
-    iterated commutator word."""
-    from .deckgroup import brunnian_word
+def symmetric_relator(vectors: Sequence[tuple[int, ...]]) -> RingElement:
+    """1 + prod_v (x^v + x^-v) in F2[Z^r], r the length of each vector."""
+    group = free_abelian(len(vectors[0]))
+    one = RingElement.one(group, F2)
+    product = one
+    for v in vectors:
+        pair = {DeckElement(group, v): 1, DeckElement(group, tuple(-a for a in v)): 1}
+        product = product.mul(RingElement(group, F2, pair))
+    return one.add(product)
 
+
+def _check_brunnian(k: int, l: int, n: int):
     if k < 1 or l < 1:
         raise PresentationError(f"winding numbers must be >= 1, got k={k}, l={l}")
     if n < 2:
         raise PresentationError(f"need n >= 2 components, got n={n}")
+
+
+def brunnian_relator(k: int, l: int, n: int) -> RingElement:
+    """The single relator 1 + (xn^-1 + 1)(w^-k + w^k)(1 + xn)(w^-l + w^l)
+    of the n-component Brunnian link module, in F2[F_n], where w is the
+    iterated commutator word."""
+    _check_brunnian(k, l, n)
     group = free_group(n)
     w = brunnian_word(n)
     rho_n = group.generator(n)
@@ -190,11 +147,17 @@ def brunnian_relator(k: int, l: int, n: int) -> RingElement:
     return RingElement.one(group, F2).add(product)
 
 
-@lru_cache(maxsize=None)
 def brunnian_image(k: int, l: int, n: int) -> RingElement:
     """The relator pushed into F2[s^{±1}, t^{±1}] by the unitriangular
-    coordinates (s = image of w, t = image of xn)."""
-    return apply_hom(brunnian_relator(k, l, n), BrunnianCoordinates(n))
+    coordinates (s = image of w, t = image of xn), in closed form.
+
+    The coordinates are a ring map, so the image is the product of the
+    factors' images; over F2, (t^-1 + 1)(1 + t) = t + t^-1, so for every
+    n it is 1 + (t + t^-1)(s^k + s^-k)(s^l + s^-l).  Pushing
+    brunnian_relator through BrunnianCoordinates term by term gives the
+    same element (the test suite checks it)."""
+    _check_brunnian(k, l, n)
+    return symmetric_relator([(0, 1), (k, 0), (l, 0)])
 
 
 def distinguish_brunnian_modules(k: int, l: int, kp: int, lp: int, n: int) -> bool:
@@ -205,13 +168,10 @@ def distinguish_brunnian_modules(k: int, l: int, kp: int, lp: int, n: int) -> bo
     False means "not distinguished by this test", never "isomorphic";
     in particular unordered-equal parameter pairs return False.
     """
-    for value in (k, l, kp, lp):
-        if value < 1:
-            raise PresentationError("winding numbers must be >= 1")
-    if {k, l} == {kp, lp}:
-        return False
     a = brunnian_image(k, l, n)
     b = brunnian_image(kp, lp, n)
+    if {k, l} == {kp, lp}:
+        return False
     if is_monomial_unit(a) or is_monomial_unit(b):
         # would contradict nontriviality of the modules; refuse to distinguish
         return False

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +200,33 @@ def test_scenario_malformed_payload_exit_two(tmp_path):
     assert run_cli("scenario", str(path)).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"geometry": "torus_complement", "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "signs": [1]}]}',
+         "field 'signs'"),
+        ('[{"geometry": "torus_complement"}]', "JSON object"),
+        ('{"geometry": "torus_complement", "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": [1e400]}]}',
+         "field 'holonomy'"),
+        ('{"geometry": {"name": "genus_g_complement", "g": "3"}, "barbells": []}', "field 'g'"),
+        ('{"geometry": "torus_complement", "barbells": [], "expected": {"matrix": [[5]]}}', "field 'matrix'"),
+        ('{"geometry": "torus_complement", "barbells": [{"cuff1": "S_h"}]}', "field 'cuff2'"),
+    ],
+    ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2"],
+)
+def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
+    # each of these used to end in a traceback or a bare Python message
+    from barbellcalc import cli
+
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert cli.main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
+
+
 def test_negative_power_splitting_spheres():
     result = run_cli("theorem", "circle-splittingspheres", "--k", "-2", "--l", "1")
     assert result.returncode == 0
@@ -284,3 +313,29 @@ def test_splitting_spheres_projects_before_the_power():
     record = json.loads(result.stdout)
     assert record["computed"]["bar_residues"] == {"1000000000": 1000000000, "0": 0}
     assert record["passed"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines() -> list[tuple[str, int | None]]:
+    """Each `barbellcalc ...` line of the README with the exit code its
+    comment states (None when it states none)."""
+    out = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("barbellcalc "):
+            command, _, comment = line.partition("#")
+            code = re.search(r"exit (\d)", comment)
+            out.append((command.strip(), int(code.group(1)) if code else None))
+    assert out, "the README lists no command lines"
+    return out
+
+
+@pytest.mark.parametrize("line,code", readme_command_lines())
+def test_readme_command_lines_exit_as_documented(line, code, monkeypatch, capsys):
+    from barbellcalc import cli
+
+    assert code is not None, f"README line {line!r} states no exit code"
+    monkeypatch.chdir(README.parent)
+    assert cli.main(line.split()[1:]) == code
+    assert "Traceback" not in capsys.readouterr().err

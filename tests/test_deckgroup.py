@@ -419,17 +419,6 @@ def test_rep_rejects_any_generator_without_an_image(data, n):
         unitriangular_rep(w, n)
 
 
-def test_unitriangular_inverse_and_powers():
-    rng = random.Random(17)
-    for _ in range(100):
-        m = UniTriMatrix.identity(4)
-        for _ in range(rng.randint(0, 6)):
-            m = m.mul(UniTriMatrix.elementary(4, *sorted(rng.sample(range(1, 5), 2)), rng.randint(-3, 3)))
-        assert m.mul(m.inv()) == UniTriMatrix.identity(4)
-        assert m.pow(3) == m.mul(m).mul(m)
-        assert m.pow(-2) == m.inv().mul(m.inv())
-
-
 def test_unitriangular_shape_is_validated():
     with pytest.raises(GroupError):
         UniTriMatrix(((1, 0), (1, 1)))

@@ -455,6 +455,15 @@ def test_membership_in_nonfree_geometry_requires_probes():
         summand_membership(x, set(), kernel_gens=[geo.basis_class("mu")])
 
 
+@pytest.mark.parametrize("extra", ["kernel_gens", "probes"])
+def test_membership_over_z_takes_no_kernel_generators_or_probes(extra):
+    # over Z only the formal test is decided: no argument needs an integer solve
+    geo = builtin_geometry("cyclic_cover", m=205)
+    x = cls(geo, ("D", 0, 1), ("S", 3, 1))
+    with pytest.raises(GeometryError, match="over Z"):
+        summand_membership(x, identity_summand(geo, ["D"]), **{extra: [geo.basis_class("S", t_elt(geo, 3))]})
+
+
 # -- brute-force per-lift oracle ----------------------------------------------------
 
 

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import DeckElement, brunnian_word, free_abelian, free_group
+from barbellcalc.deckgroup import DeckElement, brunnian_word, free_abelian
 from barbellcalc.equivariant import BarbellSpec
-from barbellcalc.groupring import F2, INT, RingElement
+from barbellcalc.groupring import F2, INT, BrunnianCoordinates, RingElement, apply_hom
 from barbellcalc.presentations import (
     PresentationError,
     PresentationMatrix,
@@ -12,7 +14,6 @@ from barbellcalc.presentations import (
     brunnian_relator,
     distinguish_brunnian_modules,
     f2_quotient_dim,
-    fitting_generators,
     present_from_scenario,
 )
 from barbellcalc.scenarios import builtin_geometry, morsesimple_f
@@ -110,53 +111,6 @@ def test_cokernel_factors_are_nonunits_exactly_when_k_is_nonzero():
             assert not is_monomial_unit(factor)
 
 
-# -- Fitting ideals ----------------------------------------------------------------
-
-
-def test_fitting_zero_of_the_genus2_matrix():
-    # oracle: the 2x2 determinant is -(k - k t^-1)(k t^-1 - k), which
-    # normalizes to k^2 (t - 1)^2 = k^2 t^2 - 2 k^2 t + k^2
-    for k in (1, 2, 3):
-        gens = fitting_generators(genus2_matrix(k), 0)
-        assert gens == [tpoly(INT, {0: k * k, 1: -2 * k * k, 2: k * k})]
-
-
-def test_fitting_zero_of_the_unit_matrix():
-    matrix = PresentationMatrix(Z1, INT, [[tpoly(INT, {0: 1})]])
-    assert fitting_generators(matrix, 0) == [tpoly(INT, {0: 1})]
-
-
-def test_fitting_one_of_any_one_by_one_is_the_whole_ring():
-    matrix = torus_matrix(2, 2)
-    assert fitting_generators(matrix, 1) == [tpoly(F2, {0: 1})]
-
-
-def test_fitting_zero_agrees_with_the_single_relator():
-    from barbellcalc.groupring import normalize_monomial
-
-    matrix = torus_matrix(1, 2)
-    assert fitting_generators(matrix, 0) == [normalize_monomial(matrix.entry(0, 0))]
-
-
-def test_fitting_three_by_three_determinant():
-    # oracle: det [[1,2,3],[4,5,6],[7,8,10]] = -3; normalization makes it 3
-    rows = [[tpoly(INT, {0: c}) for c in row] for row in ([1, 2, 3], [4, 5, 6], [7, 8, 10])]
-    matrix = PresentationMatrix(Z1, INT, rows)
-    assert fitting_generators(matrix, 0) == [tpoly(INT, {0: 3})]
-
-
-def test_fitting_rejects_noncommutative_rings():
-    group = free_group(2)
-    matrix = PresentationMatrix(group, F2, [[RingElement.one(group, F2)]])
-    with pytest.raises(PresentationError):
-        fitting_generators(matrix, 0)
-
-
-def test_fitting_oversized_minors_give_zero_ideal():
-    matrix = PresentationMatrix(Z1, INT, [[tpoly(INT, {0: 1}), tpoly(INT, {1: 1})]])
-    assert fitting_generators(matrix, 0) == []
-
-
 # -- Brunnian module distinctness -----------------------------------------------
 
 
@@ -170,6 +124,24 @@ def test_engine_and_formula_agree_on_the_relator():
                 [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))],
             )
             assert matrix.entry(0, 0) == brunnian_relator(k, l, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 8), st.integers(1, 8))
+def test_engine_relator_pushes_forward_to_the_closed_form_image(n, k, l):
+    # naturality: the engine's relator, pushed term by term through the
+    # unitriangular coordinates, is 1 + (t + t^-1)(s^k + s^-k)(s^l + s^-l)
+    geo = builtin_geometry("sphere_torus_link", n=n)
+    w = brunnian_word(n)
+    specs = [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))]
+    relator = present_from_scenario(geo, specs).entry(0, 0)
+    assert apply_hom(relator, BrunnianCoordinates(n)) == brunnian_image(k, l, n)
+
+
+@pytest.mark.parametrize("k,l,n", [(0, 1, 3), (1, 0, 3), (-2, 1, 2), (1, 1, 1)])
+def test_brunnian_image_validates_its_parameters(k, l, n):
+    with pytest.raises(PresentationError):
+        brunnian_image(k, l, n)
 
 
 def test_distinguish_separates_distinct_pairs():
