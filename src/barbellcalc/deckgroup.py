@@ -443,7 +443,10 @@ def element_to_json(elt: DeckElement):
 
 def element_from_json(data, group: DeckGroup) -> DeckElement:
     if group.kind == CYCLIC:
-        return DeckElement(group, int(data) % group.n)
+        try:
+            return DeckElement(group, int(data) % group.n)
+        except (TypeError, ValueError, OverflowError):
+            raise GroupError(f"{data!r} is not an element of {group!r}; give an integer residue") from None
     if group.kind == FREE_ABELIAN and isinstance(data, (list, tuple)):
         return DeckElement(group, tuple(int(a) for a in data))
     if isinstance(data, int) and group.kind == FREE_ABELIAN and group.n == 1:

@@ -2,10 +2,14 @@ r"""
 Second-homology classes in covers and the lifted barbell action.
 
 A geometry packages the covering data we compute in: a deck group, a
-coefficient ring, labelled generators (lifted spheres, disks, and a
-meridian when one spans a kernel), and the equivariant pairing table
+coefficient ring, labelled generators (lifted spheres, disks, and
+meridians), and the equivariant pairing table
 P[a,b] = sum_g <a~, g b~> g.  Equivariance means <g a~, h b~> depends
 only on g^-1 h, so this finite table determines every pairing of lifts.
+A meridian of a branched cyclic cover is deck-invariant, so its row is
+c N for the norm element N = sum_g g (and N a = eps(a) N): it is stored
+as its augmentation c 1, needs a cyclic deck group, and is never
+expanded; pair_classes reads <a~, g b~> = c at every g.
 
 A barbell with cuffs c1, c2 and bar holonomy c lifts to one barbell per
 deck element u, with cuff pair (u c1~, u c c2~).  Each lift acts on a
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .deckgroup import DeckElement, DeckGroup, format_element
+from .deckgroup import CYCLIC, DeckElement, DeckGroup, format_element
 from .groupring import F2, RingElement, join_signed, render
 from .intlinalg import solve_mod2
 
@@ -74,17 +78,30 @@ class PairingTable:
                 raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
             if self.labels[a].kind == DISK and self.labels[b].kind == DISK:
                 raise GeometryError("disk-disk pairings are not part of the data")
+            if self._meridian(a, b) and any(not g.is_identity() for g in elem.terms):
+                raise GeometryError(f"meridian row ({a}, {b}) must be stored as its augmentation, got {render(elem)}")
             self.entries[(a, b)] = elem
 
-    def pairing(self, a: str, b: str, group: DeckGroup, coeffs: str) -> RingElement:
-        ka, kb = self.labels[a].kind, self.labels[b].kind
-        if ka == DISK and kb == DISK:
+    def _meridian(self, a: str, b: str) -> bool:
+        return MERIDIAN in (self.labels[a].kind, self.labels[b].kind)
+
+    def _stored(self, a: str, b: str) -> RingElement | None:
+        if self.labels[a].kind == DISK and self.labels[b].kind == DISK:
             raise GeometryError(f"pairing of two disks ({a}, {b}) is undefined")
         if (a, b) in self.entries:
             return self.entries[(a, b)]
-        if (b, a) in self.entries:
-            return self.entries[(b, a)].reverse()
-        return RingElement.zero(group, coeffs)
+        return self.entries[(b, a)].reverse() if (b, a) in self.entries else None
+
+    def pairing(self, a: str, b: str, group: DeckGroup, coeffs: str) -> RingElement:
+        row = self._stored(a, b)
+        if row is not None and row.terms and self._meridian(a, b):
+            raise GeometryError(f"pairing ({a}, {b}) is a meridian row, a multiple of sum_g g, never expanded")
+        return row if row is not None else RingElement.zero(group, coeffs)
+
+    def coefficient(self, a: str, b: str, g: DeckElement) -> int:
+        """<a~, g b~>; a meridian row is deck-invariant, read at the identity."""
+        row = self._stored(a, b)
+        return 0 if row is None else row.coefficient(g.group.identity() if self._meridian(a, b) else g)
 
 
 @dataclass
@@ -93,11 +110,11 @@ class Geometry:
     generators, pairing table, and the handle roles (which spheres are
     attaching spheres, which disks are belt-sphere disks).
 
-    free_basis records whether the lifted generators form a basis of
-    the second homology (true for the universal/cyclic covers built
-    here, false for branched covers, where membership questions must go
-    through pairings).  aliases identifies labels that are parallel
-    copies of the same homology class.
+    A meridian label is a deck-invariant kernel class, its rows stored as
+    augmentations (cyclic deck groups only, never expanded); the lifted
+    generators are a free basis exactly when there is no meridian, and
+    otherwise membership goes through pairings.  aliases identifies
+    labels that are parallel copies of the same homology class.
     """
 
     name: str
@@ -107,14 +124,17 @@ class Geometry:
     pairing: PairingTable
     attaching: list[str] = field(default_factory=list)
     disks: list[str] = field(default_factory=list)
-    kernel_labels: list[str] = field(default_factory=list)
-    free_basis: bool = True
     aliases: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in self.attaching + self.disks + self.kernel_labels:
+        for name in self.attaching + self.disks:
             if name not in self.labels:
                 raise GeometryError(f"role label {name} is not declared")
+        if self.meridians() and self.group.kind != CYCLIC:
+            raise GeometryError(f"geometry {self.name}: meridians need a cyclic deck group, not {self.group!r}")
+
+    def meridians(self) -> list[str]:
+        return [name for name, label in self.labels.items() if label.kind == MERIDIAN]
 
     def label(self, name: str) -> GeneratorLabel:
         if name not in self.labels:
@@ -148,8 +168,6 @@ class Geometry:
             pairing=PairingTable(labels, entries),
             attaching=list(self.attaching),
             disks=list(self.disks),
-            kernel_labels=list(self.kernel_labels),
-            free_basis=self.free_basis,
             aliases=dict(self.aliases),
         )
 
@@ -253,8 +271,7 @@ def pair_classes(x: EquivClass, y: EquivClass) -> int:
     total = 0
     for (a, u), c in x.terms.items():
         for (b, v), d in y.terms.items():
-            p = geo.pairing.pairing(a, b, geo.group, geo.coeffs)
-            total += c * d * p.coefficient(u.inv().mul(v))
+            total += c * d * geo.pairing.coefficient(a, b, u.inv().mul(v))
     return total % 2 if geo.coeffs == F2 else total
 
 
@@ -370,7 +387,7 @@ def _aliased(x: EquivClass) -> EquivClass:
 
 
 def _solve(matrix, rhs):
-    # summand_membership refuses kernel generators and probes over Z, so
+    # summand_membership refuses meridians and probes over Z, so
     # a system with unknowns is always over F2
     if not rhs or not matrix[0]:
         return [] if all(v == 0 for v in rhs) else None
@@ -380,26 +397,26 @@ def _solve(matrix, rhs):
 def summand_membership(
     x: EquivClass,
     allowed: Iterable[tuple[str, DeckElement]],
-    kernel_gens: Sequence[EquivClass] = (),
     probes: Sequence[EquivClass] = (),
 ) -> bool:
-    """Is x congruent, modulo the span of kernel_gens, to a class
-    supported only on the allowed (label, deck) pairs?
+    """Is x congruent, modulo the span of the geometry's meridians, to
+    a class supported only on the allowed (label, deck) pairs?
 
     Formal congruence on the joint support certifies yes in any
     geometry (the formal module maps onto homology).  A no answer is
-    returned directly in free-basis geometries; otherwise it must be
-    certified by pairing witnesses: if no choice of kernel coefficients
-    and allowed-supported class reproduces x's pairings against the
-    probes, x cannot be congruent.  Configurations this cannot decide
-    raise rather than guess; over Z that includes any kernel generator
-    or probe, since no argument here needs an integer solve.
+    returned directly when the geometry has no meridian, its lifted
+    generators then being a free basis; otherwise it must be certified
+    by pairing witnesses: if no choice of meridian coefficients and
+    allowed-supported class reproduces x's pairings against the probes,
+    x cannot be congruent.  Configurations this cannot decide raise
+    rather than guess; over Z that includes any meridian or probe, since
+    no argument here needs an integer solve.
     """
     geo = x.geometry
-    if geo.coeffs != F2 and (kernel_gens or probes):
+    gens = [_aliased(geo.basis_class(name)) for name in geo.meridians()]
+    if geo.coeffs != F2 and (gens or probes):
         raise GeometryError("over Z, membership takes no kernel generators or probes")
     x = _aliased(x)
-    gens = [_aliased(k) for k in kernel_gens]
     allowed_keys = {(geo.aliases.get(label, label), deck) for label, deck in allowed}
 
     outside = sorted(
@@ -411,14 +428,14 @@ def summand_membership(
     rhs = [x.terms.get(key, 0) for key in outside]
     if _solve(matrix, rhs) is not None:
         return True
-    if geo.free_basis:
+    if not gens:
         return False
 
     if not probes:
         raise GeometryError(
             "membership in a non-free geometry needs pairing witnesses; pass probe classes"
         )
-    # Unknowns: kernel coefficients plus one coefficient per allowed
+    # Unknowns: meridian coefficients plus one coefficient per allowed
     # basis pair; equations: pairings against each probe.
     allowed_list = sorted(allowed_keys, key=lambda k: (k[0], k[1].sort_key()))
     columns = gens + [EquivClass(geo, {key: 1}) for key in allowed_list]

@@ -36,7 +36,6 @@ from barbellcalc.scenarios import (
     GluingMatrix,
     builtin_geometry,
     classify_gluing,
-    higher_dim_f,
     montesinos_matrix_for,
     morsesimple_f,
     obstruction_scenario,
@@ -188,7 +187,6 @@ def test_criterion_8_higher_dimensional_family():
             geo = builtin_geometry("higher_dim_torus")
             matrix = present_from_scenario(geo, torus_specs(geo, k, l))
             f = matrix.entry(0, 0)
-            assert f == higher_dim_f(k, l), (k, l)
             assert f == morsesimple_f(k, l), (k, l)  # same f as criterion 1
             assert f2_quotient_dim(matrix) == 2 * k + 2 * l + 2
     announce(8, "2n-dimensional pairing data reproduces the same f and dims on the 1..10 grid")

@@ -105,11 +105,21 @@ def test_sweep_rejects_n_outside_brunnian():
     assert "sweep morsesimple takes no --n" in result.stderr
 
 
-def test_branched_cover_order_is_bounded():
-    # m = 10**8 used to build a 10**8-term pairing row (gigabytes) before failing
-    result = run_cli("theorem", "genus1-handlebody", "--m", "100000000", "--k", "1", timeout=30)
+def test_branched_cover_order_costs_nothing():
+    # the meridian row is read by augmentation, so no cost grows with m
+    result = run_cli("theorem", "genus1-handlebody", "--m", "1000000000000", "--k", "3", "--l", "5", timeout=30)
+    assert result.returncode == 0 and result.stdout.strip().endswith("PASS")
+
+
+def test_meridian_is_not_an_attaching_sphere(tmp_path):
+    # its row is the norm element, which is never expanded into a matrix entry
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(
+        {"geometry": {"name": "branched_cover", "m": 5}, "attaching": ["mu"], "disks": ["D"]}
+    ))
+    result = run_cli("scenario", str(path))
     assert result.returncode == 2 and result.stdout == ""
-    assert "<= 1000000" in result.stderr
+    assert "(mu, D) is a meridian row" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_brunnian_sweep_is_refused_before_its_jobs_are_built():
@@ -200,6 +210,10 @@ def test_scenario_malformed_payload_exit_two(tmp_path):
     assert run_cli("scenario", str(path)).returncode == 2
 
 
+def _inline(fields):
+    return '{"geometry": {"name": "x", ' + fields + '}, "barbells": []}'
+
+
 @pytest.mark.parametrize(
     "text,field",
     [
@@ -211,11 +225,22 @@ def test_scenario_malformed_payload_exit_two(tmp_path):
         ('{"geometry": {"name": "genus_g_complement", "g": "3"}, "barbells": []}', "field 'g'"),
         ('{"geometry": "torus_complement", "barbells": [], "expected": {"matrix": [[5]]}}', "field 'matrix'"),
         ('{"geometry": "torus_complement", "barbells": [{"cuff1": "S_h"}]}', "field 'cuff2'"),
+        (_inline('"group": {"kind": "free", "rank": 2}, "labels": ["S_h"]'), "field 'labels'"),
+        (_inline('"labels": {"S_h": "sphere"}'), "field 'group'"),
+        (_inline('"group": {"kind": "free"}, "labels": {"S_h": "sphere"}'), "field 'rank'"),
+        (_inline('"group": {"kind": "free", "rank": "2"}, "labels": {"S_h": "sphere"}'), "field 'rank'"),
+        (_inline('"group": {"kind": "cyclic", "modulus": 5}, "labels": {"mu": "meridian"}'), "field 'labels'"),
+        (_inline('"group": {"kind": "free", "rank": 2}, "labels": {"S_h": "sphere"}, "pairings": [["S_h"]]'),
+         "field 'pairings'"),
+        (_inline('"group": {"kind": "free", "rank": 2}, "labels": {"S_h": "sphere", "D": "disk"}, '
+                 '"pairings": [["D", "S_h", 5]]'), "field 'pairings'"),
     ],
-    ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2"],
+    ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
+         "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
+         "inline-meridian", "inline-short-pairing", "inline-bare-pairing-terms"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
-    # each of these used to end in a traceback or a bare Python message
+    # each of these used to end in a traceback or a bare Python message, or was accepted
     from barbellcalc import cli
 
     path = tmp_path / "scenario.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from barbellcalc.deckgroup import DeckElement, cyclic, free_abelian, reduce_letters
 from barbellcalc.equivariant import (
     DISK,
+    MERIDIAN,
     SPHERE,
     BarbellSpec,
     EquivClass,
@@ -402,6 +403,59 @@ def test_sphere_sphere_pairing_vanishes():
     assert pair_classes(cls(geo, ("S", 2, 1)), cls(geo, ("S", 5, 1))) == 0
 
 
+def norm_row_pairing(x, y, m):
+    """<x, y> over the branched cover's table with the meridian row
+    materialized as the norm element sum_i t^i, term by term."""
+    rows = {("D", "S"): {0: 1}, ("D", "S_prime"): {0: 1}, ("mu", "D"): {i: 1 for i in range(m)}}
+    total = 0
+    for (a, u), c in x.terms.items():
+        for (b, v), d in y.terms.items():
+            g = (v.value - u.value) % m
+            total += c * d * (rows.get((a, b), {}).get(g, 0) + rows.get((b, a), {}).get(-g % m, 0))
+    return total % 2
+
+
+@given(data=st.data())
+def test_meridian_pairing_matches_the_materialized_norm_row(data):
+    m = data.draw(st.integers(3, 200))
+    geo = builtin_geometry("branched_cover", m=m)
+
+    def terms(labels):
+        term = st.tuples(st.sampled_from(labels), st.integers(0, m - 1), st.integers(-2, 2))
+        return data.draw(st.lists(term, max_size=6))
+
+    x_terms = terms(["S", "S_prime", "D", "mu"])
+    # disk-disk pairings are undefined
+    y_terms = terms(["S", "S_prime", "mu"] + ([] if any(t[0] == "D" for t in x_terms) else ["D"]))
+    x, y = cls(geo, *x_terms), cls(geo, *y_terms)
+    assert pair_classes(x, y) == norm_row_pairing(x, y, m) == pair_classes(y, x)
+
+
+def test_meridian_row_is_never_expanded():
+    geo = builtin_geometry("branched_cover", m=7)
+    mu = geo.basis_class("mu")
+    assert pair_classes(mu, geo.basis_class("D", t_elt(geo, 3))) == 1
+    assert equivariant_pairing(mu, "S").is_zero()  # an absent row is zero
+    with pytest.raises(GeometryError, match=r"\(mu, D\) is a meridian row"):
+        equivariant_pairing(mu, "D")
+    with pytest.raises(GeometryError, match=r"\(D, mu\) is a meridian row"):
+        equivariant_pairing(geo.basis_class("D"), "mu")
+
+
+def test_meridian_row_is_stored_as_its_augmentation():
+    group = cyclic(5)
+    labels = {"mu": GeneratorLabel("mu", MERIDIAN), "D": GeneratorLabel("D", DISK)}
+    row = RingElement(group, F2, {DeckElement(group, 0): 1, DeckElement(group, 1): 1})
+    with pytest.raises(GeometryError, match=r"meridian row \(mu, D\) must be stored as its augmentation"):
+        PairingTable(labels, {("mu", "D"): row})
+
+
+def test_meridian_needs_a_cyclic_deck_group():
+    labels = {"mu": GeneratorLabel("mu", MERIDIAN)}
+    with pytest.raises(GeometryError, match="cyclic deck group"):
+        Geometry("z", Z1, F2, labels, PairingTable(labels, {}))
+
+
 def test_disk_disk_pairing_is_undefined():
     geo = builtin_geometry("torus_complement")
     with pytest.raises(GeometryError):
@@ -437,7 +491,7 @@ def test_membership_respects_the_parallel_copy_alias():
 def test_membership_modulo_kernel_generator():
     geo = builtin_geometry("branched_cover", m=205)
     mu = geo.basis_class("mu")
-    assert summand_membership(mu, set(), kernel_gens=[mu], probes=[geo.basis_class("D")])
+    assert summand_membership(mu, set(), probes=[geo.basis_class("D")])
 
 
 def test_membership_refuted_by_witnesses():
@@ -445,23 +499,27 @@ def test_membership_refuted_by_witnesses():
     k = 1
     x = cls(geo, ("S", k, 1), ("S_prime", -k, 1))
     probes = [geo.basis_class("D", t_elt(geo, k)), geo.basis_class("D")]
-    assert not summand_membership(x, set(), kernel_gens=[geo.basis_class("mu")], probes=probes)
+    assert not summand_membership(x, set(), probes=probes)
 
 
 def test_membership_in_nonfree_geometry_requires_probes():
     geo = builtin_geometry("branched_cover", m=205)
     x = cls(geo, ("S", 1, 1), ("S_prime", -1, 1))
     with pytest.raises(GeometryError):
-        summand_membership(x, set(), kernel_gens=[geo.basis_class("mu")])
+        summand_membership(x, set())
 
 
 @pytest.mark.parametrize("extra", ["kernel_gens", "probes"])
 def test_membership_over_z_takes_no_kernel_generators_or_probes(extra):
-    # over Z only the formal test is decided: no argument needs an integer solve
+    # over Z only the formal test is decided: no argument needs an integer
+    # solve; a meridian label is a kernel generator
     geo = builtin_geometry("cyclic_cover", m=205)
+    probes = [geo.basis_class("S", t_elt(geo, 3))]
+    if extra == "kernel_gens":
+        geo, probes = geo.extend(GeneratorLabel("mu", MERIDIAN), {}), []
     x = cls(geo, ("D", 0, 1), ("S", 3, 1))
     with pytest.raises(GeometryError, match="over Z"):
-        summand_membership(x, identity_summand(geo, ["D"]), **{extra: [geo.basis_class("S", t_elt(geo, 3))]})
+        summand_membership(x, identity_summand(geo, ["D"]), probes=probes)
 
 
 # -- brute-force per-lift oracle ----------------------------------------------------

@@ -183,7 +183,7 @@ def test_relator_image_collapses_on_diagonal_pairs():
 
 
 def test_higher_dim_polynomial_grid():
-    from barbellcalc.scenarios import higher_dim_f
+    from barbellcalc.scenarios import morsesimple_f
 
     geo = builtin_geometry("higher_dim_torus")
     hol = lambda e: DeckElement(geo.group, (e,))
@@ -192,7 +192,7 @@ def test_higher_dim_polynomial_grid():
             matrix = present_from_scenario(
                 geo, [BarbellSpec("S_h", "S_h", hol(k)), BarbellSpec("S_v", "S_v", hol(l))]
             )
-            assert matrix.entry(0, 0) == higher_dim_f(k, l)
+            assert matrix.entry(0, 0) == morsesimple_f(k, l)
             assert f2_quotient_dim(matrix) == 2 * k + 2 * l + 2
 
 

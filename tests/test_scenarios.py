@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from barbellcalc.deckgroup import GroupError
+from barbellcalc.equivariant import MERIDIAN
 from barbellcalc.groupring import F2, INT, to_term_list
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
@@ -51,7 +53,7 @@ GOLDEN_TABLES = {
     "branched_cover": {
         ("D", "S"): [[0, 1]],
         ("D", "S_prime"): [[0, 1]],
-        ("mu", "D"): [[0, 1], [1, 1], [2, 1], [3, 1], [4, 1]],
+        ("mu", "D"): [[0, 1]],  # the augmentation of the norm row
     },
     "sphere_torus_link": {
         ("S_h", "S_v"): [["1", 1], ["x3", 1]],
@@ -87,7 +89,7 @@ def test_geometry_roles_are_declared():
     geo2 = builtin_geometry("genus2_complement")
     assert geo2.attaching == ["S_v_1", "S_v_2"] and geo2.disks == ["D_h_1", "D_h_2"]
     branched = builtin_geometry("branched_cover", m=7)
-    assert branched.kernel_labels == ["mu"] and not branched.free_basis
+    assert branched.labels["mu"].kind == MERIDIAN and branched.meridians() == ["mu"]
 
 
 # -- theorem runners ---------------------------------------------------------
@@ -452,6 +454,24 @@ def test_scenario_with_inline_custom_geometry():
     }
     report = run_scenario(payload)
     assert report.passed and report.computed["dim"] == 6
+
+
+def test_inline_cyclic_holonomy_must_be_a_residue():
+    payload = {
+        "geometry": {
+            "name": "inline_cyclic",
+            "group": {"kind": "cyclic", "modulus": 5},
+            "labels": {"S": "sphere", "D": "disk"},
+            "pairings": [["D", "S", [[0, 1]]]],
+            "attaching": ["S"],
+            "disks": ["D"],
+        },
+        "barbells": [{"cuff1": "S", "cuff2": "S", "holonomy": "3"}],
+    }
+    assert run_scenario(payload).passed  # an integer string is a residue
+    payload["barbells"][0]["holonomy"] = "x1"
+    with pytest.raises(GroupError, match="'x1' is not an element of Z/5"):
+        run_scenario(payload)
 
 
 def test_genus1_hd_single_barbell_variant():
