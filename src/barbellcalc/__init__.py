@@ -49,14 +49,12 @@ from .equivariant import (
 from .groupring import (
     F2,
     INT,
-    Abelianization,
-    BrunnianCoordinates,
-    CyclicProjection,
     HomDomainError,
     RingElement,
     RingError,
     apply_hom,
     are_associates,
+    brunnian_coordinates,
     is_monomial_unit,
     laurent_span,
     render,

@@ -29,7 +29,6 @@ from .scenarios import (
     run_theorem,
 )
 
-_FIELD_FLAGS = {"f2": "F2", "int": "Z"}
 _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
 
 # Most jobs one sweep runs, checked against the grid's closed-form job
@@ -40,8 +39,9 @@ _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
 MAX_SWEEP_JOBS = 10_000
 
 # every package error subclasses ValueError; TypeError covers bad
-# parameter combinations, KeyError malformed scenario files
-USER_ERRORS = (ValueError, TypeError, KeyError)
+# parameter combinations, KeyError malformed scenario files, OSError a
+# path that cannot be read or written (main catches BrokenPipeError first)
+USER_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
 
 def _emit(text: str, out_path: str | None):
@@ -85,12 +85,6 @@ def _theorem_params(args) -> dict:
 
 
 def _cmd_theorem(args) -> int:
-    if args.field is not None and args.name in THEOREMS:
-        expected = THEOREMS[args.name].field
-        if expected is not None and _FIELD_FLAGS[args.field] != expected:
-            raise HypothesisError(
-                f"theorem {args.name} is computed over {expected}, not {_FIELD_FLAGS[args.field]}"
-            )
     report = run_theorem(args.name, **_theorem_params(args))
     _emit(_render(report, args.format), args.out)
     return 0 if report.passed else 1
@@ -127,10 +121,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    path = args.file or args.scenario
-    if not path:
-        raise HypothesisError("scenario command needs a file path")
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(args.file, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     report = run_scenario(data)
     _emit(_render(report, args.format), args.out)
@@ -153,15 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def out(p):
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
     def common(p):
         p.add_argument("--format", choices=("table", "machine"), default="table")
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+        out(p)
 
     theorem = sub.add_parser("theorem", help="run one theorem reproduction")
     theorem.add_argument("name")
     for flag in _PARAM_FLAGS:
         theorem.add_argument(f"--{flag}", type=int, default=None)
-    theorem.add_argument("--field", choices=("f2", "int"), default=None, help="accepted for symmetry; geometries fix their coefficients")
     common(theorem)
     theorem.set_defaults(func=_cmd_theorem)
 
@@ -173,13 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     scenario = sub.add_parser("scenario", help="run a JSON scenario file")
-    scenario.add_argument("file", nargs="?", default=None)
-    scenario.add_argument("--scenario", default=None, help="scenario file path")
+    scenario.add_argument("file")
     common(scenario)
     scenario.set_defaults(func=_cmd_scenario)
 
     listing = sub.add_parser("list", help="list theorems and geometries")
-    common(listing)
+    out(listing)
     listing.set_defaults(func=_cmd_list)
     return parser
 
@@ -201,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (FileNotFoundError, *USER_ERRORS) as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

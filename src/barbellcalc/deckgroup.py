@@ -25,10 +25,11 @@ pass over every letter, is kept for raw letter sequences (generators,
 word powers, parsing, and dropping x_n in nilpotent_times_z).
 
 The module also provides the two homomorphisms the distinctness
-arguments push classes through: the unitriangular representation
-psi(x_i) = I + E_{i,i+1} of F_{n-1} into unit upper-triangular integer
-matrices, and the weighted cyclic projections used to build finite
-cyclic covers.
+arguments push classes through, as plain functions of an element: the
+unitriangular representation psi(x_i) = I + E_{i,i+1} of F_{n-1} into
+unit upper-triangular integer matrices, and cyclic_project, the
+weighted exponent sum mod m, which is the covering map onto an m-fold
+cyclic cover (groupring.apply_hom pushes ring elements through it).
 """
 
 from __future__ import annotations

@@ -7,6 +7,14 @@ free groups.  Over free abelian groups these are exactly (multivariate)
 Laurent polynomials, with rank 1 rendered in the variable t and rank 2
 in s, t.
 
+A group homomorphism is a plain map of deck elements, and apply_hom
+pushes a ring element through one (colliding images add).  Two maps
+occur: deckgroup.cyclic_project, the covering map onto a finite cyclic
+cover, under which the lifted barbell action and the equivariant
+pairing are natural (a property the test suite checks), and
+brunnian_coordinates, F_n -> Z^2 by the unitriangular coordinates, the
+oracle of presentations.brunnian_image.
+
 The module distinguishes cokernels the way the distinctness proofs do:
 unit and associate tests in F2[s^{±1}, t^{±1}] and the degree span of a
 single-variable Laurent polynomial, which equals the F2-dimension of
@@ -16,7 +24,7 @@ No factorization, Groebner bases, or general ideal membership.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .deckgroup import (
     CYCLIC,
@@ -25,13 +33,10 @@ from .deckgroup import (
     DeckElement,
     DeckGroup,
     UniTriMatrix,
-    cyclic,
-    cyclic_project,
     element_from_json,
     element_to_json,
     format_element,
     free_abelian,
-    free_group,
     nilpotent_times_z,
 )
 
@@ -146,56 +151,23 @@ class RingElement:
 
 
 # ---------------------------------------------------------------------------
-# Group homomorphisms, pushed forward term by term with collision handling.
+# Group homomorphisms as plain maps of deck elements.
 
 
-class Homomorphism:
-    """A deck-group homomorphism descriptor usable by apply_hom."""
-
-    source: DeckGroup
-    target: DeckGroup
-
-    def map_element(self, elt: DeckElement) -> DeckElement:
-        raise NotImplementedError
-
-
-class Abelianization(Homomorphism):
-    """Generator i of F_n maps to the integer vector weights[i-1] in Z^r."""
-
-    def __init__(self, source: DeckGroup, weights: Sequence[Sequence[int]]):
-        if source.kind != FREE:
-            raise RingError("abelianization is defined on free groups")
-        if len(weights) != source.n:
-            raise RingError("one weight vector per generator required")
-        rank = len(weights[0])
-        if any(len(w) != rank for w in weights):
-            raise RingError("weight vectors must share a rank")
-        self.source = source
-        self.target = free_abelian(rank)
-        self.weights = [tuple(w) for w in weights]
-
-    def map_element(self, elt: DeckElement) -> DeckElement:
-        vec = [0] * self.target.n
-        for g, e in elt.value:
-            for i, w in enumerate(self.weights[g - 1]):
-                vec[i] += e * w
-        return DeckElement(self.target, tuple(vec))
+def apply_hom(
+    elem: RingElement, target: DeckGroup, image: Callable[[DeckElement], DeckElement]
+) -> RingElement:
+    """Push a ring element through a group homomorphism, given as the map
+    `image` from deck elements to elements of target (a ring map);
+    colliding images add, mod 2 over F2."""
+    terms: dict[DeckElement, int] = {}
+    for g, c in elem.terms.items():
+        h = image(g)
+        terms[h] = terms.get(h, 0) + c
+    return RingElement(target, elem.coeffs, terms)
 
 
-class CyclicProjection(Homomorphism):
-    """Weighted exponent sum mod m."""
-
-    def __init__(self, source: DeckGroup, weights: Sequence[int], m: int):
-        self.source = source
-        self.target = cyclic(m)
-        self.weights = tuple(weights)
-        self.m = m
-
-    def map_element(self, elt: DeckElement) -> DeckElement:
-        return cyclic_project(elt, self.weights, self.m)
-
-
-class BrunnianCoordinates(Homomorphism):
+def brunnian_coordinates(elt: DeckElement, n: int) -> DeckElement:
     """F_n -> Z^2 by the unitriangular coordinates.
 
     A term g maps through (psi of the x_n-free part, x_n exponent); the
@@ -204,33 +176,11 @@ class BrunnianCoordinates(Homomorphism):
     must equal I + a*E_{1,n}.  Terms whose image falls outside raise
     HomDomainError: the element does not live in the s,t-subring.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.source = free_group(n)
-        self.target = free_abelian(2)
-
-    def map_element(self, elt: DeckElement) -> DeckElement:
-        mat, exponent = nilpotent_times_z(elt, self.n)
-        a = mat.rows[0][self.n - 1]
-        expected = UniTriMatrix.elementary(self.n, 1, self.n, a) if self.n >= 2 else mat
-        if mat != expected:
-            raise HomDomainError(
-                f"term {format_element(elt)} maps outside the central rank-2 subgroup"
-            )
-        return DeckElement(self.target, (a, exponent))
-
-
-def apply_hom(elem: RingElement, hom: Homomorphism) -> RingElement:
-    """Push a ring element through a group homomorphism (a ring map);
-    colliding images add, mod 2 over F2."""
-    if elem.group != hom.source:
-        raise RingError("element is not over the homomorphism's source group")
-    terms: dict[DeckElement, int] = {}
-    for g, c in elem.terms.items():
-        image = hom.map_element(g)
-        terms[image] = terms.get(image, 0) + c
-    return RingElement(hom.target, elem.coeffs, terms)
+    mat, exponent = nilpotent_times_z(elt, n)
+    a = mat.rows[0][n - 1]
+    if mat != UniTriMatrix.elementary(n, 1, n, a):
+        raise HomDomainError(f"term {format_element(elt)} maps outside the central rank-2 subgroup")
+    return DeckElement(free_abelian(2), (a, exponent))
 
 
 # ---------------------------------------------------------------------------

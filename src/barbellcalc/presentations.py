@@ -154,8 +154,8 @@ def brunnian_image(k: int, l: int, n: int) -> RingElement:
     The coordinates are a ring map, so the image is the product of the
     factors' images; over F2, (t^-1 + 1)(1 + t) = t + t^-1, so for every
     n it is 1 + (t + t^-1)(s^k + s^-k)(s^l + s^-l).  Pushing
-    brunnian_relator through BrunnianCoordinates term by term gives the
-    same element (the test suite checks it)."""
+    brunnian_relator through groupring.brunnian_coordinates term by term
+    gives the same element (the test suite checks it)."""
     _check_brunnian(k, l, n)
     return symmetric_relator([(0, 1), (k, 0), (l, 0)])
 

@@ -939,14 +939,11 @@ class Sweep:
 
 @dataclass(frozen=True)
 class Theorem:
-    """A reproduction: its runner, the coefficient ring it is computed
-    over (None: no group ring is involved; the CLI --field flag is
-    validated against it), the obstruction-scenario name it answers to,
-    and its parameter sweep."""
+    """A reproduction: its runner, the obstruction-scenario name it
+    answers to, and its parameter sweep."""
 
     name: str
     runner: Callable[..., Report]
-    field: str | None
     obstruction: str | None = None
     sweep: Sweep | None = None
 
@@ -988,25 +985,25 @@ def _montesinos_grid(top: int, n: int | None) -> list[dict]:
 THEOREMS: dict[str, Theorem] = {
     record.name: record
     for record in (
-        Theorem("morsesimple-s3", partial(_run_torus_knot, "torus_complement"), F2,
+        Theorem("morsesimple-s3", partial(_run_torus_knot, "torus_complement"),
                 sweep=Sweep("morsesimple", 10, _square_grid, _square_jobs)),
-        Theorem("higher-dim-knots", partial(_run_torus_knot, "higher_dim_torus"), F2,
+        Theorem("higher-dim-knots", partial(_run_torus_knot, "higher_dim_torus"),
                 sweep=Sweep("higher-dim", 10, _square_grid, _square_jobs)),
-        Theorem("unknots", _run_unknots, F2),
-        Theorem("linked-6crit", _run_linked_6crit, F2,
+        Theorem("unknots", _run_unknots),
+        Theorem("linked-6crit", _run_linked_6crit,
                 sweep=Sweep("brunnian", 4, _brunnian_grid, _brunnian_jobs)),
-        Theorem("simple-5d", _run_simple_5d, INT),
-        Theorem("circle-splittingspheres", _run_circle_splitting, INT, "simple_splitting_circles"),
-        Theorem("simple-splitting", _run_circle_splitting, INT, "simple_splitting_surfaces"),
-        Theorem("simple-knotted-handlebody", _run_simple_knotted_handlebody, INT, "simple_handlebody"),
-        Theorem("disks-5dlinked", _run_disks_linked, INT, "disks_linked_b5"),
-        Theorem("less-simple", _run_less_simple, INT, "less_simple"),
-        Theorem("simple-splitting-spheres", _run_splitting_spheres_mixed, INT, "simple_splitting_spheres_mixed"),
-        Theorem("genus1-handlebody", _run_branched, F2, "branched_contradiction"),
-        Theorem("genus1-hd", _run_genus1_hd, F2),
-        Theorem("morsesimple3mfd", _run_morsesimple3mfd, None,
+        Theorem("simple-5d", _run_simple_5d),
+        Theorem("circle-splittingspheres", _run_circle_splitting, "simple_splitting_circles"),
+        Theorem("simple-splitting", _run_circle_splitting, "simple_splitting_surfaces"),
+        Theorem("simple-knotted-handlebody", _run_simple_knotted_handlebody, "simple_handlebody"),
+        Theorem("disks-5dlinked", _run_disks_linked, "disks_linked_b5"),
+        Theorem("less-simple", _run_less_simple, "less_simple"),
+        Theorem("simple-splitting-spheres", _run_splitting_spheres_mixed, "simple_splitting_spheres_mixed"),
+        Theorem("genus1-handlebody", _run_branched, "branched_contradiction"),
+        Theorem("genus1-hd", _run_genus1_hd),
+        Theorem("morsesimple3mfd", _run_morsesimple3mfd,
                 sweep=Sweep("montesinos", 30, _montesinos_grid, _montesinos_jobs)),
-        Theorem("no-brunnian-2disk", _run_no_brunnian_2disk, None),
+        Theorem("no-brunnian-2disk", _run_no_brunnian_2disk),
     )
 }
 
@@ -1125,6 +1122,7 @@ _SCHEMA = {
     "expected": ({
         "matrix": (lambda v: _is_list(v, lambda row: _is_list(row, _is_term_list)),
                    "rows of term lists ([element, coefficient] pairs)"),
+        "dim": (lambda v: v is None or _is_int(v), "a JSON integer or null"),
     }, ()),
     # a parameterized built-in: its name, then integer parameters ("*")
     "geometry": ({
@@ -1225,11 +1223,9 @@ def run_scenario(data: Mapping) -> Report:
     passed = True
     expected = data.get("expected", {})
     if "matrix" in expected:
-        for r, row in enumerate(expected["matrix"]):
-            for s, terms in enumerate(row):
-                wanted = from_term_list(terms, geo.group, geo.coeffs)
-                if matrix.entry(r, s) != wanted:
-                    passed = False
+        # the whole matrix: an expected matrix of another shape fails
+        wanted = [[from_term_list(terms, geo.group, geo.coeffs) for terms in row] for row in expected["matrix"]]
+        passed = wanted == matrix.entries
     if "dim" in expected:
         passed = passed and computed.get("dim") == expected["dim"]
 

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import barbellcalc
 
@@ -234,10 +236,14 @@ def _inline(fields):
          "field 'pairings'"),
         (_inline('"group": {"kind": "free", "rank": 2}, "labels": {"S_h": "sphere", "D": "disk"}, '
                  '"pairings": [["D", "S_h", 5]]'), "field 'pairings'"),
+        ('{"geometry": "torus_complement", "barbells": [], "expected": {"dim": "0"}}', "field 'dim'"),
+        ('{"geometry": "torus_complement", "barbells": [], "expected": {"dim": 2.0e45}}', "field 'dim'"),
+        ('{"geometry": "torus_complement", "barbells": [], "expected": {"dim": true}}', "field 'dim'"),
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
-         "inline-meridian", "inline-short-pairing", "inline-bare-pairing-terms"],
+         "inline-meridian", "inline-short-pairing", "inline-bare-pairing-terms",
+         "string-dim", "float-dim", "boolean-dim"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -252,17 +258,152 @@ def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
 
 
+def one_error_line(err: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "geometry,matrix",
+    [
+        ("genus2_complement", [[[], [], []]]),  # 1 x 3 against the computed 2 x 2: was an IndexError traceback
+        ("torus_complement", [[]]),  # 1 x 0 against 1 x 1: used to pass without checking anything
+        ("torus_complement", []),
+    ],
+)
+def test_expected_matrix_of_another_shape_fails(geometry, matrix, tmp_path, capsys):
+    from barbellcalc import cli
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"geometry": geometry, "barbells": [], "expected": {"matrix": matrix}}))
+    assert cli.main(["scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.strip().endswith("FAIL")
+
+
+def test_paths_that_cannot_be_read_or_written_are_user_errors(tmp_path, capsys):
+    # a directory where a file belongs used to end in an IsADirectoryError traceback
+    from barbellcalc import cli
+
+    assert cli.main(["list", "--out", str(tmp_path)]) == 2
+    assert one_error_line(capsys.readouterr().err)
+    assert cli.main(["scenario", str(tmp_path)]) == 2
+    assert one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem", "morsesimple-s3", "--k", "1", "--l", "1", "--field", "f2"],
+        ["scenario", "--scenario", "scenarios/torus_k2_l3.json"],
+        ["list", "--format", "machine"],
+    ],
+    ids=["theorem-field", "scenario-scenario", "list-format"],
+)
+def test_removed_options_are_refused(argv, capsys):
+    from barbellcalc import cli
+
+    assert cli.main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# -- scenario fuzzer -----------------------------------------------------------------
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JUNK = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+GENUS2_SPHERES = ["S_h_1", "S_h_2", "S_v_1", "S_v_2"]
+# each geometry's field, disjoint cuff pairs, spheres and disks
+FUZZ_GEOMETRIES = {
+    "torus_complement": ("f2", [("S_h", "S_h"), ("S_v", "S_v")], ["S_h", "S_v"], ["D_v", "D_h"]),
+    "genus2_complement": (
+        "int",
+        # S_h_i meets S_v_i; every other pair of spheres is disjoint
+        [(a, b) for a in GENUS2_SPHERES for b in GENUS2_SPHERES if {a, b} not in ({"S_h_1", "S_v_1"}, {"S_h_2", "S_v_2"})],
+        GENUS2_SPHERES,
+        ["D_h_1", "D_h_2"],
+    ),
+}
+JUNK_SLOTS = [
+    (),
+    *[(name,) for name in ("geometry", "barbells", "attaching", "disks", "expected", "field")],
+    *[("barbells", name) for name in ("cuff1", "cuff2", "holonomy", "offset", "signs", "iterate")],
+    *[("expected", name) for name in ("matrix", "dim")],
+]
+
+
+def well_typed_documents(name):
+    field, cuffs, spheres, disks = FUZZ_GEOMETRIES[name]
+    element = st.lists(st.integers(-3, 3), min_size=1, max_size=1)
+    barbell = st.sampled_from(cuffs).flatmap(
+        lambda pair: st.fixed_dictionaries(
+            {"cuff1": st.just(pair[0]), "cuff2": st.just(pair[1])},
+            optional={
+                "holonomy": element,
+                "offset": element,
+                "signs": st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2),
+                "iterate": st.integers(-5, 5).filter(bool),
+            },
+        )
+    )
+    term_list = st.lists(st.tuples(element, st.integers(-2, 2)).map(list), max_size=3)
+    expected = st.fixed_dictionaries(
+        {},
+        optional={
+            "matrix": st.lists(st.lists(term_list, max_size=3), max_size=3),
+            "dim": st.integers(0, 14) | JUNK,
+        },
+    )
+    return st.fixed_dictionaries(
+        {"geometry": st.just(name), "barbells": st.lists(barbell, max_size=3), "expected": expected},
+        optional={
+            "attaching": st.lists(st.sampled_from(spheres), min_size=1, max_size=2, unique=True),
+            "disks": st.lists(st.sampled_from(disks), min_size=1, max_size=2, unique=True),
+            "field": st.just(field),
+        },
+    )
+
+
+def plant(doc, slot, junk):
+    """The document with junk in one field (the whole document for the empty slot)."""
+    if not slot:
+        return junk
+    if len(slot) == 1:
+        return {**doc, slot[0]: junk}
+    parent, name = slot
+    if parent == "barbells":
+        cuff1, cuff2 = FUZZ_GEOMETRIES[doc["geometry"]][1][0]
+        first = doc["barbells"][0] if doc["barbells"] else {"cuff1": cuff1, "cuff2": cuff2}
+        return {**doc, "barbells": [{**first, name: junk}, *doc["barbells"][1:]]}
+    return {**doc, "expected": {**doc.get("expected", {}), name: junk}}
+
+
+SCENARIO_DOCUMENTS = st.sampled_from(sorted(FUZZ_GEOMETRIES)).flatmap(well_typed_documents)
+FUZZED_DOCUMENTS = SCENARIO_DOCUMENTS | st.builds(plant, SCENARIO_DOCUMENTS, st.sampled_from(JUNK_SLOTS), JUNK)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=FUZZED_DOCUMENTS)
+def test_scenario_documents_never_raise(doc, tmp_path, capsys):
+    # any document exits 0, 1 or 2; only exit 2 writes to stderr, one error: line
+    from barbellcalc import cli
+
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main(["scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert one_error_line(err) if code == 2 else err == ""
+
+
 def test_negative_power_splitting_spheres():
     result = run_cli("theorem", "circle-splittingspheres", "--k", "-2", "--l", "1")
     assert result.returncode == 0
     assert "distinguished: True" in result.stdout
-
-
-def test_field_flag_is_validated_per_theorem():
-    ok = run_cli("theorem", "morsesimple-s3", "--k", "1", "--l", "1", "--field", "f2")
-    assert ok.returncode == 0
-    bad = run_cli("theorem", "morsesimple-s3", "--k", "1", "--l", "1", "--field", "int")
-    assert bad.returncode == 2
 
 
 def test_list_names_everything():

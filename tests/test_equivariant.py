@@ -1,11 +1,12 @@
 import dataclasses
 import random
+from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import DeckElement, cyclic, free_abelian, reduce_letters
+from barbellcalc.deckgroup import DeckElement, cyclic, cyclic_project, free_abelian, free_group, reduce_letters
 from barbellcalc.equivariant import (
     DISK,
     MERIDIAN,
@@ -23,7 +24,7 @@ from barbellcalc.equivariant import (
     pair_classes,
     summand_membership,
 )
-from barbellcalc.groupring import F2, INT, RingElement
+from barbellcalc.groupring import F2, INT, RingElement, apply_hom
 from barbellcalc.scenarios import builtin_geometry
 
 Z1 = free_abelian(1)
@@ -604,3 +605,85 @@ def test_equivariant_action_matches_per_lift_oracle():
         rng.shuffle(shuffled)
         assert per_lift_action(x, spec, order=shuffled) == slow
         checked += 1
+
+
+# -- naturality under cyclic covering maps ------------------------------------------
+
+
+def random_free_geometries(n, coeffs):
+    """F_n geometries in the shape of random_cyclic_geometry: cuffs A, B
+    that pair to zero, bystander spheres C1, C2, and a probe disk P."""
+    group = free_group(n)
+    labels = {name: GeneratorLabel(name, SPHERE) for name in ("A", "B", "C1", "C2")}
+    labels["P"] = GeneratorLabel("P", DISK)
+    coeff = st.sampled_from([-2, -1, 1, 2] if coeffs == INT else [1])
+    row = st.dictionaries(deck_elements(group), coeff, max_size=3).map(lambda terms: RingElement(group, coeffs, terms))
+    keys = [(c, cuff) for c in ("C1", "C2") for cuff in ("A", "B")] + [("P", a) for a in ("A", "B", "C1", "C2")]
+    return st.tuples(*[row] * len(keys)).map(
+        lambda rows: Geometry(
+            name="random_free",
+            group=group,
+            coeffs=coeffs,
+            labels=labels,
+            pairing=PairingTable(labels, dict(zip(keys, rows))),
+            disks=["P"],
+        )
+    )
+
+
+def push_geometry(geo, project, target):
+    """The geometry of the cover that the covering map project: G -> target
+    induces: every pairing row pushed through it."""
+    entries = {key: apply_hom(p, target, project) for key, p in geo.pairing.entries.items()}
+    return dataclasses.replace(geo, group=target, pairing=PairingTable(geo.labels, entries))
+
+
+def push_class(x, project, pushed):
+    terms = {}
+    for (label, u), c in x.terms.items():
+        key = (label, project(u))
+        terms[key] = terms.get(key, 0) + c
+    return EquivClass(pushed, terms)
+
+
+@pytest.mark.parametrize("coeffs", [F2, INT])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_action_and_pairing_are_natural_under_cyclic_covering_maps(coeffs, data):
+    # acting (or pairing) upstairs and then pushing through F_n -> Z/m
+    # equals pushing the table, class and barbell first and acting there
+    n = data.draw(st.integers(2, 4))
+    if data.draw(st.booleans()):
+        geo = builtin_geometry("sphere_torus_link", n=n)
+        geo = geo if coeffs == F2 else _over_integers(geo)
+    else:
+        geo = data.draw(random_free_geometries(n, coeffs))
+    m = data.draw(st.integers(1, 9))
+    weights = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    project = partial(cyclic_project, weights=weights, m=m)
+    pushed = push_geometry(geo, project, cyclic(m))
+
+    cuff1, cuff2 = data.draw(st.sampled_from(disjoint_cuff_pairs(geo)))
+    sign = st.sampled_from((1, -1))
+    spec = BarbellSpec(
+        cuff1,
+        cuff2,
+        data.draw(deck_elements(geo.group)),
+        signs=(data.draw(sign), data.draw(sign)),
+        iterate=data.draw(st.integers(-12, 12).filter(bool)),
+        offset=data.draw(st.none() | deck_elements(geo.group)),
+    )
+    pushed_spec = dataclasses.replace(
+        spec,
+        holonomy=project(spec.holonomy),
+        offset=None if spec.offset is None else project(spec.offset),
+    )
+    x = data.draw(equiv_classes(geo))
+    down = push_class(x, project, pushed)
+    assert push_class(barbell_action(x, spec), project, pushed) == barbell_action(down, pushed_spec)
+    for b in sorted(geo.labels):
+        try:
+            upstairs = equivariant_pairing(x, b)
+        except GeometryError:  # a disk paired with a disk
+            continue
+        assert apply_hom(upstairs, pushed.group, project) == equivariant_pairing(down, b)

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from barbellcalc.deckgroup import (
     DeckElement,
     brunnian_word,
     cyclic,
+    cyclic_project,
     free_abelian,
     free_group,
     reduce_letters,
@@ -15,14 +17,12 @@ from barbellcalc.deckgroup import (
 from barbellcalc.groupring import (
     F2,
     INT,
-    Abelianization,
-    BrunnianCoordinates,
-    CyclicProjection,
     HomDomainError,
     RingElement,
     RingError,
     apply_hom,
     are_associates,
+    brunnian_coordinates,
     from_term_list,
     is_monomial_unit,
     laurent_span,
@@ -116,15 +116,14 @@ def brunnian_relator_image(k, l, n):
     # the closed form brunnian_image
     from barbellcalc.presentations import brunnian_relator
 
-    return apply_hom(brunnian_relator(k, l, n), BrunnianCoordinates(n))
+    return apply_hom(brunnian_relator(k, l, n), Z2, partial(brunnian_coordinates, n=n))
 
 
 def test_identity_maps_to_one_under_any_hom():
     one = RingElement.one(F3GRP, F2)
-    assert apply_hom(one, BrunnianCoordinates(3)) == RingElement.one(Z2, F2)
-    assert apply_hom(one, CyclicProjection(F3GRP, (1, 1, 1), 5)) == RingElement.one(cyclic(5), F2)
-    ab = Abelianization(F3GRP, [(1, 0), (0, 1), (1, 1)])
-    assert apply_hom(one, ab) == RingElement.one(Z2, F2)
+    assert apply_hom(one, Z2, partial(brunnian_coordinates, n=3)) == RingElement.one(Z2, F2)
+    cyc = partial(cyclic_project, weights=(1, 1, 1), m=5)
+    assert apply_hom(one, cyclic(5), cyc) == RingElement.one(cyclic(5), F2)
 
 
 def test_brunnian_coordinates_of_relator():
@@ -156,7 +155,7 @@ def test_pushforward_equals_the_product_formula_in_s_t(n, k, l):
 def test_brunnian_coordinates_reject_outside_terms():
     elem = RingElement(F3GRP, F2, {F3GRP.identity(): 1, F3GRP.generator(1): 1})
     with pytest.raises(HomDomainError):
-        apply_hom(elem, BrunnianCoordinates(3))
+        apply_hom(elem, Z2, partial(brunnian_coordinates, n=3))
 
 
 def test_homs_are_multiplicative_on_their_domains():
@@ -172,19 +171,17 @@ def test_homs_are_multiplicative_on_their_domains():
             out = out.mul(rng.choice([w, w.inv(), rho, rho.inv()]))
         return out
 
-    hom = BrunnianCoordinates(n)
-    cyc = CyclicProjection(group, (1, 2, 3), 7)
-    ab = Abelianization(group, [(1, 0), (0, 1), (1, 1)])
+    hom = partial(apply_hom, target=Z2, image=partial(brunnian_coordinates, n=n))
+    cyc = partial(apply_hom, target=cyclic(7), image=partial(cyclic_project, weights=(1, 2, 3), m=7))
     for _ in range(200):
         terms_a = {random_subgroup_element(): 1 for _ in range(rng.randint(1, 3))}
         terms_b = {random_subgroup_element(): 1 for _ in range(rng.randint(1, 3))}
         a = RingElement(group, F2, terms_a)
         b = RingElement(group, F2, terms_b)
-        assert apply_hom(a.mul(b), hom) == apply_hom(a, hom).mul(apply_hom(b, hom))
+        assert hom(a.mul(b)) == hom(a).mul(hom(b))
         ra = random_element(rng, group, F2)
         rb = random_element(rng, group, F2)
-        assert apply_hom(ra.mul(rb), cyc) == apply_hom(ra, cyc).mul(apply_hom(rb, cyc))
-        assert apply_hom(ra.mul(rb), ab) == apply_hom(ra, ab).mul(apply_hom(rb, ab))
+        assert cyc(ra.mul(rb)) == cyc(ra).mul(cyc(rb))
 
 
 # -- units and associates -------------------------------------------------------

@@ -1,10 +1,12 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import DeckElement, brunnian_word, free_abelian
 from barbellcalc.equivariant import BarbellSpec
-from barbellcalc.groupring import F2, INT, BrunnianCoordinates, RingElement, apply_hom
+from barbellcalc.groupring import F2, INT, RingElement, apply_hom, brunnian_coordinates
 from barbellcalc.presentations import (
     PresentationError,
     PresentationMatrix,
@@ -135,7 +137,7 @@ def test_engine_relator_pushes_forward_to_the_closed_form_image(n, k, l):
     w = brunnian_word(n)
     specs = [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))]
     relator = present_from_scenario(geo, specs).entry(0, 0)
-    assert apply_hom(relator, BrunnianCoordinates(n)) == brunnian_image(k, l, n)
+    assert apply_hom(relator, free_abelian(2), partial(brunnian_coordinates, n=n)) == brunnian_image(k, l, n)
 
 
 @pytest.mark.parametrize("k,l,n", [(0, 1, 3), (1, 0, 3), (-2, 1, 2), (1, 1, 1)])

@@ -4,7 +4,7 @@ import pytest
 
 from barbellcalc.deckgroup import GroupError
 from barbellcalc.equivariant import MERIDIAN
-from barbellcalc.groupring import F2, INT, to_term_list
+from barbellcalc.groupring import to_term_list
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
     MAX_FREE_ABELIAN_RANK,
@@ -301,18 +301,6 @@ def test_registry_keys_name_their_reports():
         assert report.name == key and report.passed, key
         if record.obstruction:
             assert obstruction_scenario(record.obstruction, **SAMPLE_PARAMS[key]).name == key
-
-
-@pytest.mark.parametrize("key", sorted(SAMPLE_PARAMS))
-def test_field_flag_rejected_exactly_where_the_record_differs(key, capsys):
-    from barbellcalc import cli
-
-    params = [arg for flag, value in SAMPLE_PARAMS[key].items() for arg in (f"--{flag}", str(value))]
-    for flag, ring in (("f2", F2), ("int", INT)):
-        code = cli.main(["theorem", key, *params, "--field", flag])
-        rejected = THEOREMS[key].field not in (None, ring)
-        assert code == (2 if rejected else 0), (key, flag)
-        assert ("error:" in capsys.readouterr().err) == rejected
 
 
 def test_sweep_grids_keep_their_job_counts():
