@@ -7,11 +7,18 @@ byte-deterministic for fixed arguments (every term order is sorted);
 sweeps run in process, one job after another in grid order.  If the
 reader closes the output before all of it is written (`| head`), the
 run exits 1 without a traceback.
+
+One parser per process: `build_parser()` builds it on first use and
+every later `main` call parses with that same parser, so only the first
+call pays for its construction.  Nothing may mutate it after it is
+built; argparse keeps no state between `parse_args` calls, and the
+tests compare a sequence of in-process calls with fresh interpreters.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -56,13 +63,14 @@ def _render(report: Report, fmt: str) -> str:
     return render_machine(report) if fmt == "machine" else render_table(report)
 
 
-def _flags(theorem: Theorem) -> tuple[list[str], list[str]]:
+@functools.cache
+def _flags(theorem: Theorem) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The parameter flags a theorem's runner accepts, and those it
     requires, read from its signature (the first parameter is the
-    registry key)."""
+    registry key) once per process."""
     params = list(inspect.signature(theorem.runner).parameters.values())[1:]
-    accepted = [p.name for p in params if p.name in _PARAM_FLAGS]
-    required = [p.name for p in params if p.default is p.empty]
+    accepted = tuple(p.name for p in params if p.name in _PARAM_FLAGS)
+    required = tuple(p.name for p in params if p.default is p.empty)
     return accepted, required
 
 
@@ -137,7 +145,10 @@ def _cmd_list(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and returned
+    by every later one; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="barbellcalc",
         description="equivariant barbell-action computations and their module invariants",

@@ -194,7 +194,9 @@ class DeckElement:
                 prev = g
         elif kind == FREE_ABELIAN:
             if len(value) != self.group.n:
-                raise GroupError("exponent vector has wrong length")
+                raise GroupError(
+                    f"exponent vector {list(value)} has length {len(value)}; {self.group!r} has rank {self.group.n}"
+                )
         else:
             if not 0 <= value < self.group.n:
                 raise GroupError(f"residue {value} not normalized mod {self.group.n}")

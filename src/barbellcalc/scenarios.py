@@ -25,6 +25,7 @@ from typing import Callable, Mapping
 
 from .deckgroup import (
     DeckElement,
+    GroupError,
     brunnian_word,
     cyclic,
     cyclic_project,
@@ -1065,8 +1066,8 @@ def _custom_geometry(spec: Mapping) -> Geometry:
     coeffs = _field(spec.get("field", "f2"))
     labels = {name: GeneratorLabel(name, label_kind) for name, label_kind in spec["labels"].items()}
     entries = {}
-    for a, b, terms in spec.get("pairings", []):
-        entries[(a, b)] = from_term_list(terms, group, coeffs)
+    for i, (a, b, terms) in enumerate(spec.get("pairings", [])):
+        entries[(a, b)] = _in_field(f"geometry.pairings[{i}]", from_term_list, terms, group, coeffs)
     return Geometry(
         name=str(spec.get("name", "custom")),
         group=group,
@@ -1159,6 +1160,16 @@ def _check(where: str, data: Mapping, required=()):
             raise HypothesisError(f"{where} field {name!r} must be {wanted}, got {value!r}")
 
 
+def _in_field(where: str, build, *args):
+    """build(*args), where the GroupError of a deck-group value that
+    does not fit the geometry's group (a word over a missing generator,
+    an exponent vector of another rank) names the scenario field."""
+    try:
+        return build(*args)
+    except GroupError as exc:
+        raise GroupError(f"scenario field {where!r}: {exc}") from None
+
+
 def _check_scenario(data) -> None:
     """The scenario schema, checked before anything is built: a field of
     the wrong shape is a HypothesisError that names it."""
@@ -1196,9 +1207,13 @@ def run_scenario(data: Mapping) -> Report:
         )
 
     barbells = []
-    for spec in data.get("barbells", []):
-        holonomy = element_from_json(spec["holonomy"], geo.group) if "holonomy" in spec else geo.identity()
-        offset = element_from_json(spec["offset"], geo.group) if "offset" in spec else None
+    for i, spec in enumerate(data.get("barbells", [])):
+        holonomy = geo.identity()
+        if "holonomy" in spec:
+            holonomy = _in_field(f"barbells[{i}].holonomy", element_from_json, spec["holonomy"], geo.group)
+        offset = None
+        if "offset" in spec:
+            offset = _in_field(f"barbells[{i}].offset", element_from_json, spec["offset"], geo.group)
         barbells.append(
             BarbellSpec(
                 cuff1=spec["cuff1"],
@@ -1224,7 +1239,11 @@ def run_scenario(data: Mapping) -> Report:
     expected = data.get("expected", {})
     if "matrix" in expected:
         # the whole matrix: an expected matrix of another shape fails
-        wanted = [[from_term_list(terms, geo.group, geo.coeffs) for terms in row] for row in expected["matrix"]]
+        wanted = [
+            [_in_field(f"expected.matrix[{r}][{c}]", from_term_list, terms, geo.group, geo.coeffs)
+             for c, terms in enumerate(row)]
+            for r, row in enumerate(expected["matrix"])
+        ]
         passed = wanted == matrix.entries
     if "dim" in expected:
         passed = passed and computed.get("dim") == expected["dim"]

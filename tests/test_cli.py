@@ -239,11 +239,22 @@ def _inline(fields):
         ('{"geometry": "torus_complement", "barbells": [], "expected": {"dim": "0"}}', "field 'dim'"),
         ('{"geometry": "torus_complement", "barbells": [], "expected": {"dim": 2.0e45}}', "field 'dim'"),
         ('{"geometry": "torus_complement", "barbells": [], "expected": {"dim": true}}', "field 'dim'"),
+        ('{"geometry": "torus_complement", "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": [1, 2]}]}',
+         "field 'barbells[0].holonomy': exponent vector [1, 2] has length 2; Z^1 has rank 1"),
+        ('{"geometry": "torus_complement", "barbells": [{"cuff1": "S_h", "cuff2": "S_h"}, '
+         '{"cuff1": "S_v", "cuff2": "S_v", "offset": [1, 0, 3]}]}',
+         "field 'barbells[1].offset': exponent vector [1, 0, 3] has length 3; Z^1 has rank 1"),
+        ('{"geometry": "torus_complement", "barbells": [], "expected": {"matrix": [[[[[1, 2], 1]]]]}}',
+         "field 'expected.matrix[0][0]': exponent vector [1, 2] has length 2; Z^1 has rank 1"),
+        (_inline('"group": {"kind": "free_abelian", "rank": 2}, "labels": {"S_h": "sphere", "D": "disk"}, '
+                 '"pairings": [["D", "S_h", [[[1], 1]]]]'),
+         "field 'geometry.pairings[0]': exponent vector [1] has length 1; Z^2 has rank 2"),
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
          "inline-meridian", "inline-short-pairing", "inline-bare-pairing-terms",
-         "string-dim", "float-dim", "boolean-dim"],
+         "string-dim", "float-dim", "boolean-dim",
+         "long-holonomy", "long-offset", "long-expected-term", "short-inline-pairing-term"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -289,6 +300,68 @@ def test_paths_that_cannot_be_read_or_written_are_user_errors(tmp_path, capsys):
     assert one_error_line(capsys.readouterr().err)
     assert cli.main(["scenario", str(tmp_path)]) == 2
     assert one_error_line(capsys.readouterr().err)
+
+
+# One in-process sequence through the process's one parser: every call
+# type, each error exit and --help, each followed by a valid theorem call.
+REUSE_SEQUENCE = [
+    ["theorem", "morsesimple-s3", "--k", "2", "--l", "3"],
+    ["theorem", "higher-dim-knots", "--k", "2", "--l", "3", "--format", "machine"],
+    ["sweep", "morsesimple", "--max", "2"],
+    ["theorem", "morsesimple-s3", "--k", "1", "--l", "1", "--format", "machine"],
+    ["sweep", "brunnian", "--n", "3", "--max", "2", "--format", "machine"],
+    ["theorem", "simple-5d", "--k", "2"],
+    ["scenario", "scenarios/torus_k2_l3.json"],
+    ["theorem", "morsesimple-s3", "--k", "3", "--l", "2"],
+    ["list"],
+    ["theorem", "unknots", "--k", "2", "--format", "machine"],
+    ["theorem", "morsesimple-s3", "--bogus", "1"],
+    ["theorem", "morsesimple-s3", "--k", "2", "--l", "2"],
+    ["theorem"],
+    ["theorem", "higher-dim-knots", "--k", "1", "--l", "2"],
+    ["theorem", "--help"],
+    ["theorem", "morsesimple-s3", "--k", "2", "--l", "3", "--format", "machine"],
+]
+
+
+def test_reused_parser_matches_fresh_interpreters(monkeypatch, capsys):
+    from barbellcalc import cli
+
+    root = README.parent
+    monkeypatch.chdir(root)
+    monkeypatch.setenv("COLUMNS", "100")  # usage lines wrap alike in both runs
+    fresh_env = {**ENV, "COLUMNS": "100"}
+    for argv in REUSE_SEQUENCE:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(CLI + argv, capture_output=True, text=True, env=fresh_env, cwd=root)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    # a parser tree is one ArgumentParser plus one per subcommand; after
+    # the first call no call may construct any
+    import argparse
+
+    from barbellcalc import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.chdir(README.parent)
+    cli.main(["list"])
+    first = len(built)
+    assert first <= 5
+    for argv in REUSE_SEQUENCE:
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(built) == first
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize(
