@@ -37,7 +37,6 @@ from .equivariant import (
     GeneratorLabel,
     Geometry,
     GeometryError,
-    PairingTable,
     action_sequence,
     barbell_action,
     equivariant_pairing,
@@ -79,7 +78,6 @@ from .scenarios import (
     genus1_hd_dim,
     montesinos_matrix_for,
     montesinos_parity,
-    obstruction_scenario,
     render_machine,
     render_table,
     run_scenario,

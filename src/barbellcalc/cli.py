@@ -2,7 +2,8 @@
 Command-line front door: single theorems, grid sweeps, scenario files.
 
 Exit codes: 0 = every check passed, 1 = a computed value mismatched an
-expectation, 2 = invalid input or a hypothesis violation.  Output is
+expectation, 2 = invalid input or a hypothesis violation (an empty sweep
+included: it checks nothing, so it does not pass).  Output is
 byte-deterministic for fixed arguments (every term order is sorted);
 sweeps run in process, one job after another in grid order.  If the
 reader closes the output before all of it is written (`| head`), the
@@ -110,6 +111,10 @@ def _cmd_sweep(args) -> int:
     if top < 1:
         raise HypothesisError(f"sweep size must satisfy --max >= 1, got {top}")
     jobs = theorem.sweep.jobs(top)
+    if jobs == 0:
+        # a grid is empty exactly when its job count is 0: refuse it
+        # rather than pass it vacuously
+        raise HypothesisError(f"sweep {args.name} --max {top} has no jobs")
     if jobs > MAX_SWEEP_JOBS:
         raise HypothesisError(f"sweep {args.name} --max {top} has up to {jobs} jobs, more than {MAX_SWEEP_JOBS}")
     lines = []

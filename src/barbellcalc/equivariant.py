@@ -3,9 +3,10 @@ Second-homology classes in covers and the lifted barbell action.
 
 A geometry packages the covering data we compute in: a deck group, a
 coefficient ring, labelled generators (lifted spheres, disks, and
-meridians), and the equivariant pairing table
-P[a,b] = sum_g <a~, g b~> g.  Equivariance means <g a~, h b~> depends
-only on g^-1 h, so this finite table determines every pairing of lifts.
+meridians), and its own equivariant pairing table
+P[a,b] = sum_g <a~, g b~> g, checked against those labels.
+Equivariance means <g a~, h b~> depends only on g^-1 h, so this finite
+table determines every pairing of lifts.
 A meridian of a branched cyclic cover is deck-invariant, so its row is
 c N for the norm element N = sum_g g (and N a = eps(a) N): it is stored
 as its augmentation c 1, needs a cyclic deck group, and is never
@@ -35,7 +36,7 @@ applies that closed form and raises GeometryError when they fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .deckgroup import CYCLIC, DeckElement, DeckGroup, format_element
@@ -61,54 +62,18 @@ class GeneratorLabel:
             raise GeometryError(f"unknown generator kind {self.kind!r}")
 
 
-class PairingTable:
-    """Equivariant pairings P[a,b]; the reverse pairing is derived from
-    the stored direction by the involution g -> g^-1 (the intersection
-    form on middle-dimensional classes here is symmetric).
-
-    Disk-disk pairings are deliberately absent and asking for one is an
-    error; any other absent entry counts as zero.
-    """
-
-    def __init__(self, labels: Mapping[str, GeneratorLabel], entries: Mapping[tuple[str, str], RingElement]):
-        self.labels = dict(labels)
-        self.entries: dict[tuple[str, str], RingElement] = {}
-        for (a, b), elem in entries.items():
-            if a not in self.labels or b not in self.labels:
-                raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
-            if self.labels[a].kind == DISK and self.labels[b].kind == DISK:
-                raise GeometryError("disk-disk pairings are not part of the data")
-            if self._meridian(a, b) and any(not g.is_identity() for g in elem.terms):
-                raise GeometryError(f"meridian row ({a}, {b}) must be stored as its augmentation, got {render(elem)}")
-            self.entries[(a, b)] = elem
-
-    def _meridian(self, a: str, b: str) -> bool:
-        return MERIDIAN in (self.labels[a].kind, self.labels[b].kind)
-
-    def _stored(self, a: str, b: str) -> RingElement | None:
-        if self.labels[a].kind == DISK and self.labels[b].kind == DISK:
-            raise GeometryError(f"pairing of two disks ({a}, {b}) is undefined")
-        if (a, b) in self.entries:
-            return self.entries[(a, b)]
-        return self.entries[(b, a)].reverse() if (b, a) in self.entries else None
-
-    def pairing(self, a: str, b: str, group: DeckGroup, coeffs: str) -> RingElement:
-        row = self._stored(a, b)
-        if row is not None and row.terms and self._meridian(a, b):
-            raise GeometryError(f"pairing ({a}, {b}) is a meridian row, a multiple of sum_g g, never expanded")
-        return row if row is not None else RingElement.zero(group, coeffs)
-
-    def coefficient(self, a: str, b: str, g: DeckElement) -> int:
-        """<a~, g b~>; a meridian row is deck-invariant, read at the identity."""
-        row = self._stored(a, b)
-        return 0 if row is None else row.coefficient(g.group.identity() if self._meridian(a, b) else g)
-
-
 @dataclass
 class Geometry:
     """A cover's computational data: deck group, coefficients, labelled
-    generators, pairing table, and the handle roles (which spheres are
-    attaching spheres, which disks are belt-sphere disks).
+    generators, the equivariant pairing table, and the handle roles
+    (which spheres are attaching spheres, which disks are belt-sphere
+    disks).
+
+    pairings holds P[a,b] for the stored direction; the reverse pairing
+    is derived by the involution g -> g^-1 (the intersection form on
+    middle-dimensional classes here is symmetric).  Disk-disk pairings
+    are deliberately absent and asking for one is an error; any other
+    absent entry counts as zero.
 
     A meridian label is a deck-invariant kernel class, its rows stored as
     augmentations (cyclic deck groups only, never expanded); the lifted
@@ -121,12 +86,19 @@ class Geometry:
     group: DeckGroup
     coeffs: str
     labels: dict[str, GeneratorLabel]
-    pairing: PairingTable
+    pairings: dict[tuple[str, str], RingElement]
     attaching: list[str] = field(default_factory=list)
     disks: list[str] = field(default_factory=list)
     aliases: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for (a, b), elem in self.pairings.items():
+            if a not in self.labels or b not in self.labels:
+                raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
+            if self.labels[a].kind == DISK and self.labels[b].kind == DISK:
+                raise GeometryError("disk-disk pairings are not part of the data")
+            if self._meridian(a, b) and any(not g.is_identity() for g in elem.terms):
+                raise GeometryError(f"meridian row ({a}, {b}) must be stored as its augmentation, got {render(elem)}")
         for name in self.attaching + self.disks:
             if name not in self.labels:
                 raise GeometryError(f"role label {name} is not declared")
@@ -144,6 +116,29 @@ class Geometry:
     def identity(self) -> DeckElement:
         return self.group.identity()
 
+    def _meridian(self, a: str, b: str) -> bool:
+        return MERIDIAN in (self.labels[a].kind, self.labels[b].kind)
+
+    def _stored(self, a: str, b: str) -> RingElement | None:
+        if self.labels[a].kind == DISK and self.labels[b].kind == DISK:
+            raise GeometryError(f"pairing of two disks ({a}, {b}) is undefined")
+        if (a, b) in self.pairings:
+            return self.pairings[(a, b)]
+        return self.pairings[(b, a)].reverse() if (b, a) in self.pairings else None
+
+    def pairing(self, a: str, b: str) -> RingElement:
+        """P[a,b]; a meridian row is never expanded, so asking for a
+        nonzero one is an error."""
+        row = self._stored(a, b)
+        if row is not None and row.terms and self._meridian(a, b):
+            raise GeometryError(f"pairing ({a}, {b}) is a meridian row, a multiple of sum_g g, never expanded")
+        return row if row is not None else RingElement.zero(self.group, self.coeffs)
+
+    def coefficient(self, a: str, b: str, g: DeckElement) -> int:
+        """<a~, g b~>; a meridian row is deck-invariant, read at the identity."""
+        row = self._stored(a, b)
+        return 0 if row is None else row.coefficient(self.identity() if self._meridian(a, b) else g)
+
     def zero_class(self) -> "EquivClass":
         return EquivClass(self, {})
 
@@ -155,21 +150,10 @@ class Geometry:
     def extend(self, label: GeneratorLabel, pairings: Mapping[str, RingElement]) -> "Geometry":
         """A copy with one extra generator and its pairing rows; used for
         synthetic classes with prescribed intersection data."""
-        labels = dict(self.labels)
-        labels[label.name] = label
-        entries = dict(self.pairing.entries)
+        entries = dict(self.pairings)
         for other, elem in pairings.items():
             entries[(label.name, other)] = elem
-        return Geometry(
-            name=self.name,
-            group=self.group,
-            coeffs=self.coeffs,
-            labels=labels,
-            pairing=PairingTable(labels, entries),
-            attaching=list(self.attaching),
-            disks=list(self.disks),
-            aliases=dict(self.aliases),
-        )
+        return replace(self, labels={**self.labels, label.name: label}, pairings=entries)
 
 
 class EquivClass:
@@ -258,7 +242,7 @@ def equivariant_pairing(x: EquivClass, b: str) -> RingElement:
     geo.label(b)
     acc: dict[DeckElement, int] = {}
     for (a, u), c in x.terms.items():
-        for g, d in geo.pairing.pairing(a, b, geo.group, geo.coeffs).terms.items():
+        for g, d in geo.pairing(a, b).terms.items():
             key = u.mul(g)
             acc[key] = acc.get(key, 0) + c * d
     return RingElement(geo.group, geo.coeffs, acc)
@@ -271,7 +255,7 @@ def pair_classes(x: EquivClass, y: EquivClass) -> int:
     total = 0
     for (a, u), c in x.terms.items():
         for (b, v), d in y.terms.items():
-            total += c * d * geo.pairing.coefficient(a, b, u.inv().mul(v))
+            total += c * d * geo.coefficient(a, b, u.inv().mul(v))
     return total % 2 if geo.coeffs == F2 else total
 
 
@@ -314,9 +298,8 @@ def _check_spec(geo: Geometry, spec: BarbellSpec):
     if spec.holonomy.group != geo.group:
         raise GeometryError("holonomy lives in the wrong deck group")
     c1, c2 = spec.cuff1, spec.cuff2
-    entries = geo.pairing.entries
     for key in ((c1, c1), (c1, c2), (c2, c1), (c2, c2)):
-        elem = entries.get(key)
+        elem = geo.pairings.get(key)
         if elem is not None and elem.terms:
             raise GeometryError(
                 f"barbell cuffs {c1} and {c2} are not disjoint: "

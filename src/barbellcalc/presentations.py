@@ -182,20 +182,13 @@ def distinguish_brunnian_modules(k: int, l: int, kp: int, lp: int, n: int) -> bo
 # Brunnian 2-disk links: the homology constraint intersection.
 
 
-def brunnian_disk_obstruction(n: int, vanishing_sets: dict[int, set[int]] | None = None) -> bool:
+def brunnian_disk_obstruction(n: int) -> bool:
     """Model the difference class of two n-component disk fillings as an
     unknown vector (a_2, ..., a_n) of meridian coordinates.  Removing
-    component k >= 2 forces the coordinates in vanishing_sets[k] to zero
-    (default: every coordinate except a_k).  True iff the constraints
-    force the whole vector to zero, i.e. the disks must be isotopic."""
+    component k >= 2 forces every coordinate except a_k to zero.  True
+    iff the constraints force the whole vector to zero, i.e. the disks
+    must be isotopic: a_k is forced by removing any other component j,
+    which exists exactly when n >= 3."""
     if n < 2:
         raise PresentationError(f"need n >= 2 components, got n={n}")
-    coords = set(range(2, n + 1))
-    if vanishing_sets is None:
-        vanishing_sets = {key: coords - {key} for key in coords}
-    forced: set[int] = set()
-    for key, zeros in vanishing_sets.items():
-        if key not in coords:
-            raise PresentationError(f"removed component {key} out of range 2..{n}")
-        forced |= zeros & coords
-    return forced >= coords
+    return n >= 3

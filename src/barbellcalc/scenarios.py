@@ -5,26 +5,27 @@ argument.
 Each geometry packages the finite intersection data of a specific
 cover: the unknotted-torus complement and its universal cover, the
 genus-2 surface complement, the n-component sphere/torus link
-complement with free deck group, the two-circle complement, m-fold
-cyclic and branched cyclic covers, and the higher-dimensional torus
-analogue.  Each theorem runner drives the barbell engine through one
-argument, compares against the closed-form value when there is one,
-and reports pass/fail; hypothesis bounds (winding numbers >= 1, cover
-order m large enough) are enforced up front, not silently accepted.
-`THEOREMS` holds one record per reproduction: its runner, coefficient
-ring, obstruction-scenario alias and parameter sweep.
+complement with free deck group, the two-circle complement, and m-fold
+cyclic and branched cyclic covers; the higher-dimensional torus
+analogue has the torus complement's pairing data and runs on it.  Each
+theorem runner drives the barbell engine through one argument, compares
+against the closed-form value when there is one, and reports pass/fail;
+hypothesis bounds (winding numbers >= 1, cover order m large enough)
+are enforced up front, not silently accepted.  `THEOREMS` holds one
+record per reproduction, under one name: its runner and parameter
+sweep.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Mapping
 
 from .deckgroup import (
-    DeckElement,
     GroupError,
     brunnian_word,
     cyclic,
@@ -43,7 +44,6 @@ from .equivariant import (
     GeneratorLabel,
     Geometry,
     GeometryError,
-    PairingTable,
     action_sequence,
     barbell_action,
     equivariant_pairing,
@@ -91,47 +91,26 @@ def _labels(spheres=(), disks=(), meridians=()):
     return out
 
 
-def _poly(group, coeffs, coeff_by_exp: Mapping[int, int]) -> RingElement:
-    """Rank-1 / cyclic shorthand: {exponent: coefficient}."""
-    if group.kind == "cyclic":
-        terms = {DeckElement(group, e % group.n): c for e, c in coeff_by_exp.items()}
-    else:
-        terms = {DeckElement(group, (e,)): c for e, c in coeff_by_exp.items()}
-    return RingElement(group, coeffs, terms)
-
-
-def _torus_geometry(name: str, horizontal_disk: bool) -> Geometry:
+def _torus_complement() -> Geometry:
     # Universal cover of the unknotted-torus complement in the 4-sphere.
     # The horizontal sphere meets deck translates 0 and 1 of the vertical
     # sphere once each; each compressing disk meets its dual sphere once.
+    # Its one belt disk is D_v, so the 2n-dimensional analogue presents
+    # the same matrix term for term.
     group = free_abelian(1)
-    labels = _labels(spheres=("S_h", "S_v"), disks=("D_v", "D_h") if horizontal_disk else ("D_v",))
-    entries = {
-        ("S_h", "S_v"): _poly(group, F2, {0: 1, 1: 1}),
-        ("D_v", "S_v"): _poly(group, F2, {0: 1}),
-    }
-    if horizontal_disk:
-        entries[("D_h", "S_h")] = _poly(group, F2, {0: 1})
     return Geometry(
-        name=name,
+        name="torus_complement",
         group=group,
         coeffs=F2,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
+        labels=_labels(spheres=("S_h", "S_v"), disks=("D_v", "D_h")),
+        pairings={
+            ("S_h", "S_v"): from_term_list([[0, 1], [1, 1]], group, F2),
+            ("D_v", "S_v"): from_term_list([[0, 1]], group, F2),
+            ("D_h", "S_h"): from_term_list([[0, 1]], group, F2),
+        },
         attaching=["S_v"],
         disks=["D_v"],
     )
-
-
-def _torus_complement() -> Geometry:
-    return _torus_geometry("torus_complement", horizontal_disk=True)
-
-
-def _higher_dim_torus() -> Geometry:
-    # 2n-dimensional analogue: the same pairing data without the
-    # horizontal disk, so the engine output agrees with the 4-dimensional
-    # computation term for term.
-    return _torus_geometry("higher_dim_torus", horizontal_disk=False)
 
 
 def _sphere_torus_link(n: int) -> Geometry:
@@ -141,19 +120,15 @@ def _sphere_torus_link(n: int) -> Geometry:
     if n < 2:
         raise HypothesisError(f"sphere_torus_link needs n >= 2, got {n}")
     group = free_group(n)
-    labels = _labels(spheres=("S_h", "S_v"), disks=("D_v",))
-    ident = group.identity()
-    rho_n = group.generator(n)
-    entries = {
-        ("S_h", "S_v"): RingElement(group, F2, {ident: 1, rho_n: 1}),
-        ("D_v", "S_v"): RingElement(group, F2, {ident: 1}),
-    }
     return Geometry(
         name="sphere_torus_link",
         group=group,
         coeffs=F2,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
+        labels=_labels(spheres=("S_h", "S_v"), disks=("D_v",)),
+        pairings={
+            ("S_h", "S_v"): from_term_list([["1", 1], [f"x{n}", 1]], group, F2),
+            ("D_v", "S_v"): from_term_list([["1", 1]], group, F2),
+        },
         attaching=["S_v"],
         disks=["D_v"],
     )
@@ -166,22 +141,17 @@ def _genus2_complement() -> Geometry:
     # disk orientations are pinned by the golden presentation matrix
     # (see the acceptance tests), which forces <D_h,s, S_h,s> = -1.
     group = free_abelian(1)
-    labels = _labels(
-        spheres=("S_h_1", "S_h_2", "S_v_1", "S_v_2"),
-        disks=("D_h_1", "D_h_2"),
-    )
-    entries = {
-        ("S_h_1", "S_v_1"): _poly(group, INT, {0: 1, 1: -1}),
-        ("S_h_2", "S_v_2"): _poly(group, INT, {0: 1, 1: -1}),
-        ("D_h_1", "S_h_1"): _poly(group, INT, {0: -1}),
-        ("D_h_2", "S_h_2"): _poly(group, INT, {0: -1}),
-    }
     return Geometry(
         name="genus2_complement",
         group=group,
         coeffs=INT,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
+        labels=_labels(spheres=("S_h_1", "S_h_2", "S_v_1", "S_v_2"), disks=("D_h_1", "D_h_2")),
+        pairings={
+            ("S_h_1", "S_v_1"): from_term_list([[0, 1], [1, -1]], group, INT),
+            ("S_h_2", "S_v_2"): from_term_list([[0, 1], [1, -1]], group, INT),
+            ("D_h_1", "S_h_1"): from_term_list([[0, -1]], group, INT),
+            ("D_h_2", "S_h_2"): from_term_list([[0, -1]], group, INT),
+        },
         attaching=["S_v_1", "S_v_2"],
         disks=["D_h_1", "D_h_2"],
     )
@@ -205,14 +175,12 @@ def _genus_g_complement(g: int) -> Geometry:
     spheres = tuple(f"S_h_{i}" for i in range(1, g + 1)) + tuple(
         f"S_v_{i}" for i in range(1, g + 1)
     )
-    labels = _labels(spheres=spheres, disks=("D_h",))
-    entries = {("D_h", "S_h_1"): _poly(group, INT, {0: 1})}
     return Geometry(
         name="genus_g_complement",
         group=group,
         coeffs=INT,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
+        labels=_labels(spheres=spheres, disks=("D_h",)),
+        pairings={("D_h", "S_h_1"): from_term_list([[0, 1]], group, INT)},
         attaching=[f"S_v_{i}" for i in range(1, g + 1)],
         disks=["D_h"],
     )
@@ -222,17 +190,15 @@ def _circles_complement() -> Geometry:
     # Complement of two split circles: meridian spheres S_L, S_R and the
     # disks they are dual to.  No cover is taken in these arguments.
     group = cyclic(1)
-    labels = _labels(spheres=("S_L", "S_R"), disks=("D_L", "D_R"))
-    entries = {
-        ("D_R", "S_R"): _poly(group, INT, {0: 1}),
-        ("D_L", "S_L"): _poly(group, INT, {0: 1}),
-    }
     return Geometry(
         name="circles_complement",
         group=group,
         coeffs=INT,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
+        labels=_labels(spheres=("S_L", "S_R"), disks=("D_L", "D_R")),
+        pairings={
+            ("D_R", "S_R"): from_term_list([[0, 1]], group, INT),
+            ("D_L", "S_L"): from_term_list([[0, 1]], group, INT),
+        },
         disks=["D_R", "D_L"],
     )
 
@@ -245,17 +211,15 @@ def _cyclic_cover(m: int) -> Geometry:
     if m < 1:
         raise HypothesisError(f"cyclic cover order must be >= 1, got {m}")
     group = cyclic(m)
-    labels = _labels(spheres=("S", "S_prime"), disks=("D",))
-    entries = {
-        ("D", "S"): _poly(group, INT, {0: 1}),
-        ("D", "S_prime"): _poly(group, INT, {0: 1}),
-    }
     return Geometry(
         name="cyclic_cover",
         group=group,
         coeffs=INT,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
+        labels=_labels(spheres=("S", "S_prime"), disks=("D",)),
+        pairings={
+            ("D", "S"): from_term_list([[0, 1]], group, INT),
+            ("D", "S_prime"): from_term_list([[0, 1]], group, INT),
+        },
         disks=["D"],
         aliases={"S_prime": "S"},
     )
@@ -271,18 +235,16 @@ def _branched_cover(m: int) -> Geometry:
     if m < 1:
         raise HypothesisError(f"branched cover order must be >= 1, got {m}")
     group = cyclic(m)
-    labels = _labels(spheres=("S", "S_prime"), disks=("D",), meridians=("mu",))
-    entries = {
-        ("D", "S"): _poly(group, F2, {0: 1}),
-        ("D", "S_prime"): _poly(group, F2, {0: 1}),
-        ("mu", "D"): _poly(group, F2, {0: 1}),
-    }
     return Geometry(
         name="branched_cover",
         group=group,
         coeffs=F2,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
+        labels=_labels(spheres=("S", "S_prime"), disks=("D",), meridians=("mu",)),
+        pairings={
+            ("D", "S"): from_term_list([[0, 1]], group, F2),
+            ("D", "S_prime"): from_term_list([[0, 1]], group, F2),
+            ("mu", "D"): from_term_list([[0, 1]], group, F2),
+        },
         disks=["D"],
         aliases={"S_prime": "S"},
     )
@@ -290,7 +252,6 @@ def _branched_cover(m: int) -> Geometry:
 
 GEOMETRY_BUILDERS: dict[str, Callable[..., Geometry]] = {
     "torus_complement": _torus_complement,
-    "higher_dim_torus": _higher_dim_torus,
     "sphere_torus_link": _sphere_torus_link,
     "genus2_complement": _genus2_complement,
     "genus_g_complement": _genus_g_complement,
@@ -300,11 +261,24 @@ GEOMETRY_BUILDERS: dict[str, Callable[..., Geometry]] = {
 }
 
 
+@functools.cache
+def _builder_params(name: str) -> tuple[str, ...]:
+    """The parameters a built-in geometry takes, read from its builder's
+    signature once per process; every one is required."""
+    return tuple(inspect.signature(GEOMETRY_BUILDERS[name]).parameters)
+
+
 def builtin_geometry(name: str, **params) -> Geometry:
     if name not in GEOMETRY_BUILDERS:
         raise GeometryError(
             f"unknown geometry {name!r}; available: {', '.join(sorted(GEOMETRY_BUILDERS))}"
         )
+    takes = _builder_params(name)
+    extra = sorted(key for key in params if key not in takes)
+    missing = [key for key in takes if key not in params]
+    if extra or missing:
+        problem = f"unexpected {', '.join(extra)}" if extra else f"missing {', '.join(missing)}"
+        raise HypothesisError(f"geometry {name} takes {', '.join(takes) or 'no parameters'}; {problem}")
     return GEOMETRY_BUILDERS[name](**params)
 
 
@@ -385,17 +359,11 @@ def morsesimple_f(k: int, l: int) -> RingElement:
     return symmetric_relator([(1,), (k,), (l,)])
 
 
-def _hol(geometry: Geometry, exponent: int) -> DeckElement:
-    return geometry.group.generator(1, exponent) if exponent else geometry.identity()
-
-
 def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
     """Horizontal barbell first, then vertical, matching the composition
     in which the horizontal diffeomorphism is applied first."""
-    return [
-        BarbellSpec("S_h", "S_h", _hol(geometry, k)),
-        BarbellSpec("S_v", "S_v", _hol(geometry, l)),
-    ]
+    t = geometry.group.generator
+    return [BarbellSpec("S_h", "S_h", t(1, k)), BarbellSpec("S_v", "S_v", t(1, l))]
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +371,9 @@ def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
 # names its report by it.
 
 
-def _run_torus_knot(geometry: str, name: str, k: int, l: int) -> Report:
+def _run_torus_knot(name: str, k: int, l: int) -> Report:
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
-    geo = builtin_geometry(geometry)
+    geo = builtin_geometry("torus_complement")
     matrix = present_from_scenario(geo, _torus_barbells(geo, k, l))
     f = matrix.entry(0, 0)
     dim = f2_quotient_dim(matrix)
@@ -420,35 +388,24 @@ def _run_torus_knot(geometry: str, name: str, k: int, l: int) -> Report:
     )
 
 
-UNKNOT_VARIANTS = ("v-only", "h-only", "h-after-v")
-
-
-def _run_unknots(name: str, k: int = 1, l: int = 1, variant: str | None = None) -> Report:
+def _run_unknots(name: str, k: int = 1, l: int = 1) -> Report:
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
     geo = builtin_geometry("torus_complement")
-    specs = {
-        "v-only": [BarbellSpec("S_v", "S_v", _hol(geo, l))],
-        "h-only": [BarbellSpec("S_h", "S_h", _hol(geo, k))],
-        # the horizontal diffeomorphism composed after the vertical one
-        "h-after-v": [
-            BarbellSpec("S_v", "S_v", _hol(geo, l)),
-            BarbellSpec("S_h", "S_h", _hol(geo, k)),
-        ],
-    }
-    variants = [variant] if variant else list(UNKNOT_VARIANTS)
-    if any(v not in specs for v in variants):
-        raise HypothesisError(f"unknown variant {variant!r}; choose from {UNKNOT_VARIANTS}")
+    vertical = BarbellSpec("S_v", "S_v", geo.group.generator(1, l))
+    horizontal = BarbellSpec("S_h", "S_h", geo.group.generator(1, k))
+    # h-after-v: the horizontal diffeomorphism composed after the vertical one
+    variants = {"v-only": [vertical], "h-only": [horizontal], "h-after-v": [vertical, horizontal]}
     computed = {}
     passed = True
     one = RingElement.one(geo.group, geo.coeffs)
-    for v in variants:
-        matrix = present_from_scenario(geo, specs[v])
+    for variant, specs in variants.items():
+        matrix = present_from_scenario(geo, specs)
         f = matrix.entry(0, 0)
-        computed[v] = {"f": _poly_json(f), "dim": f2_quotient_dim(matrix)}
+        computed[variant] = {"f": _poly_json(f), "dim": f2_quotient_dim(matrix)}
         passed = passed and f == one
     return Report(
         name=name,
-        params={"k": k, "l": l, **({"variant": variant} if variant else {})},
+        params={"k": k, "l": l},
         computed=computed,
         expected={"f": "1", "dim": 0},
         passed=passed,
@@ -514,12 +471,13 @@ def _run_simple_5d(name: str, k: int) -> Report:
     geo = builtin_geometry("genus2_complement")
     spec = BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=k)
     matrix = present_from_scenario(geo, [spec])
+    zero = RingElement.zero(geo.group, INT)
     expected = [
-        [_poly(geo.group, INT, {}), _poly(geo.group, INT, {0: k, -1: -k})],
-        [_poly(geo.group, INT, {-1: k, 0: -k}), _poly(geo.group, INT, {})],
+        [zero, from_term_list([[0, k], [-1, -k]], geo.group, INT)],
+        [from_term_list([[-1, k], [0, -k]], geo.group, INT), zero],
     ]
     factors = antidiagonal_cokernel(matrix)
-    expected_factor = _poly(geo.group, INT, {1: k, 0: -k})  # k(t - 1)
+    expected_factor = from_term_list([[1, k], [0, -k]], geo.group, INT)  # k(t - 1)
     matches = all(matrix.entry(r, s) == expected[r][s] for r in range(2) for s in range(2))
     return Report(
         name=name,
@@ -612,38 +570,33 @@ def _run_disks_linked(name: str, k: int, l: int) -> Report:
     )
 
 
-def _cover_move(
-    geometry: str, m: int, k: int, l: int, bar: Callable[[Geometry, int], DeckElement] = _hol
-) -> tuple[Geometry, dict[int, DeckElement], EquivClass]:
+def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivClass]:
     """Check the cover hypotheses, then move the disk D of the m-fold
     cover by the barbell (S_prime, S) whose bar winds k times, followed
-    by the inverse of the one winding l times.  `bar` maps the cover and
-    a winding number to the bar's deck element.  Returns the cover, the
-    bars by winding number and the moved class."""
+    by the inverse of the one winding l times.  Returns the cover and
+    the moved class."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
     geo = builtin_geometry(geometry, m=m)
-    bars = {power: bar(geo, power) for power in (k, l)}
-    moved = barbell_action(geo.basis_class("D"), BarbellSpec("S_prime", "S", bars[k]))
+    t = geo.group.generator
+    moved = barbell_action(geo.basis_class("D"), BarbellSpec("S_prime", "S", t(1, k)))
     if l:
-        moved = barbell_action(moved, BarbellSpec("S_prime", "S", bars[l], iterate=-1))
-    return geo, bars, moved
+        moved = barbell_action(moved, BarbellSpec("S_prime", "S", t(1, l), iterate=-1))
+    return geo, moved
 
 
 def _run_less_simple(name: str, m: int, k: int, l: int = 0) -> Report:
-    geo, _, moved = _cover_move("cyclic_cover", m, k, l)
+    geo, moved = _cover_move("cyclic_cover", m, k, l)
     member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
     distinguished = not member
-    expected_terms = {("D", geo.identity()): 1}
+    t = geo.group.generator
+    expected_class = geo.basis_class("D")
     for power, sign in ((k, 1), (l, -1)):
         if power:
-            expected_terms[("S", _hol(geo, power))] = expected_terms.get(("S", _hol(geo, power)), 0) + sign
-            expected_terms[("S_prime", _hol(geo, -power))] = (
-                expected_terms.get(("S_prime", _hol(geo, -power)), 0) - sign
-            )
-    expected_class = EquivClass(geo, expected_terms)
+            expected_class = expected_class.add(geo.basis_class("S", t(1, power), sign))
+            expected_class = expected_class.add(geo.basis_class("S_prime", t(1, -power), -sign))
     return Report(
         name=name,
         params={"m": m, "k": k, "l": l},
@@ -662,18 +615,16 @@ def _run_splitting_spheres_mixed(name: str, m: int, k: int, l: int = 0) -> Repor
     # The finite cover comes from quotienting the rank-2 meridian lattice
     # by (m, 0) and (0, 1): weights (1, 0) mod m.  The bar winds k times
     # around the first meridian, so its residue is the weighted
-    # projection of x1^k.
-    x1 = free_group(2).generator(1)
-    geo, residues, moved = _cover_move(
-        "cyclic_cover", m, k, l, bar=lambda geo, power: cyclic_project(x1, (1, 0), m).pow(power)
-    )
+    # projection of x1, raised to the power k.
+    geo, moved = _cover_move("cyclic_cover", m, k, l)
+    x1 = cyclic_project(free_group(2).generator(1), (1, 0), m)
     member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
     distinguished = not member
     return Report(
         name=name,
         params={"m": m, "k": k, "l": l},
         computed={
-            "bar_residues": {str(p): residues[p].value for p in residues},
+            "bar_residues": {str(p): x1.pow(p).value for p in (k, l)},
             "class": _class_json(moved),
             "class_rendered": render_class(moved),
             "distinguished": distinguished,
@@ -685,10 +636,10 @@ def _run_splitting_spheres_mixed(name: str, m: int, k: int, l: int = 0) -> Repor
 
 
 def _run_branched(name: str, m: int, k: int, l: int = 0) -> Report:
-    geo, _, moved = _cover_move("branched_cover", m, k, l)
+    geo, moved = _cover_move("branched_cover", m, k, l)
     d = geo.basis_class("D")
     x = moved.sub(d)
-    probes = [geo.basis_class("D", _hol(geo, k)), d]
+    probes = [geo.basis_class("D", geo.group.generator(1, k)), d]
     witnesses = {
         "x_dot_rho_k_D": pair_classes(x, probes[0]),
         "x_dot_D": pair_classes(x, probes[1]),
@@ -729,6 +680,39 @@ def _coeff_map(data: Mapping) -> dict[int, int]:
     return out
 
 
+def _genus1_hd(
+    h: Mapping, v: Mapping, b: Mapping, k: int, l: int
+) -> tuple[tuple[dict, dict, dict], str, int | None, int | None]:
+    """The twisted genus-1 scenario with prescribed intersection data
+    (h, v, b): their mod-2 coefficient maps, the closed-form branch and
+    its dimension (None on the degenerate branch), and the dimension the
+    engine computes on a synthetic class."""
+    h, v, b = _coeff_map(h), _coeff_map(v), _coeff_map(b)
+    radius = lambda data: max((abs(i) for i in data), default=0)
+    m_b, m_h, m_v = radius(b), radius(h), radius(v)
+    _require(k >= m_b + m_h + 100, f"need k >= {m_b + m_h + 100}, got k={k}")
+    _require(l >= m_b + m_h + m_v + 100, f"need l >= {m_b + m_h + m_v + 100}, got l={l}")
+
+    base = builtin_geometry("torus_complement")
+    row = lambda data: from_term_list(data.items(), base.group, F2)
+    geo = base.extend(GeneratorLabel("phi", SPHERE), {"S_h": row(h), "S_v": row(v), "D_h": row(b)})
+    # vertical barbell acts first here; the horizontal one is applied last
+    t = geo.group.generator
+    moved = action_sequence(
+        geo.basis_class("phi"), [BarbellSpec("S_v", "S_v", t(1, l)), BarbellSpec("S_h", "S_h", t(1, k))]
+    )
+    engine = laurent_span(equivariant_pairing(moved, "D_h"))
+
+    if not h and not v:
+        # the class is nullhomologous; no closed form applies
+        branch, closed = "degenerate", None
+    elif not v:
+        branch, closed = "horizontal only (2k + span h)", 2 * k + max(h) - min(h)
+    else:
+        branch, closed = "vertical present (2k + 2l + 1 + span v)", 2 * k + 2 * l + 1 + max(v) - min(v)
+    return (h, v, b), branch, closed, engine
+
+
 def genus1_hd_dim(
     h: Mapping, v: Mapping, b: Mapping, k: int, l: int
 ) -> tuple[int | None, int | None]:
@@ -738,53 +722,16 @@ def genus1_hd_dim(
     class; callers should expect the two to agree whenever the closed
     form applies (it requires the class to be homologically nonzero).
     """
-    h, v, b = _coeff_map(h), _coeff_map(v), _coeff_map(b)
-    radius = lambda data: max((abs(i) for i in data), default=0)
-    m_b, m_h, m_v = radius(b), radius(h), radius(v)
-    _require(k >= m_b + m_h + 100, f"need k >= {m_b + m_h + 100}, got k={k}")
-    _require(l >= m_b + m_h + m_v + 100, f"need l >= {m_b + m_h + m_v + 100}, got l={l}")
-
-    base = builtin_geometry("torus_complement")
-    geo = base.extend(
-        GeneratorLabel("phi", SPHERE),
-        {
-            "S_h": _poly(base.group, F2, h),
-            "S_v": _poly(base.group, F2, v),
-            "D_h": _poly(base.group, F2, b),
-        },
-    )
-    # vertical barbell acts first here; the horizontal one is applied last
-    moved = action_sequence(
-        geo.basis_class("phi"),
-        [BarbellSpec("S_v", "S_v", _hol(geo, l)), BarbellSpec("S_h", "S_h", _hol(geo, k))],
-    )
-    engine = laurent_span(equivariant_pairing(moved, "D_h"))
-
-    if not h and not v:
-        closed = None  # the class is nullhomologous; no closed form applies
-    elif not v:
-        closed = 2 * k + max(h) - min(h)
-    else:
-        closed = 2 * k + 2 * l + 1 + max(v) - min(v)
+    _, _, closed, engine = _genus1_hd(h, v, b, k, l)
     return closed, engine
 
 
 def _run_genus1_hd(name: str, k: int, l: int, h=None, v=None, b=None) -> Report:
-    h = h if h is not None else {0: 1}
-    v = v or {}
-    b = b or {}
-    closed, engine = genus1_hd_dim(h, v, b, k, l)
-    if not _coeff_map(h) and not _coeff_map(v):
-        branch = "degenerate"
-    elif not _coeff_map(v):
-        branch = "horizontal only (2k + span h)"
-    else:
-        branch = "vertical present (2k + 2l + 1 + span v)"
+    (h, v, b), branch, closed, engine = _genus1_hd({0: 1} if h is None else h, v or {}, b or {}, k, l)
+    as_param = lambda coeffs: {str(i): c for i, c in coeffs.items()}
     return Report(
         name=name,
-        params={"k": k, "l": l, "h": {str(i): c for i, c in _coeff_map(h).items()},
-                "v": {str(i): c for i, c in _coeff_map(v).items()},
-                "b": {str(i): c for i, c in _coeff_map(b).items()}},
+        params={"k": k, "l": l, "h": as_param(h), "v": as_param(v), "b": as_param(b)},
         computed={"dim_engine": engine, "dim_closed_form": closed, "branch": branch},
         expected={} if closed is None else {"dim": closed},
         passed=(closed is None or closed == engine),
@@ -870,7 +817,7 @@ def classify_gluing(matrix: GluingMatrix) -> str:
 
 
 def _run_morsesimple3mfd(name: str, p: int | None = None, q: int | None = None) -> Report:
-    if p is None or q is None:
+    if p is None and q is None:
         identity = GluingMatrix(1, 0, 0, 1)
         rotation = GluingMatrix(0, -1, 1, 0)
         computed = {
@@ -890,6 +837,9 @@ def _run_morsesimple3mfd(name: str, p: int | None = None, q: int | None = None) 
             expected={"identity": "S1xS2", "quarter_turn": "S3"},
             passed=passed,
         )
+    _require(p is not None and q is not None,
+             f"theorem {name} takes --p and --q together or neither; got only --{'q' if p is None else 'p'}")
+    _require(p >= 2 and q >= 1, f"--p and --q must satisfy p >= 2 and q >= 1, got p={p}, q={q}")
     matrix = montesinos_matrix_for(p, q)
     substituted = (p + q) % 2 == 0
     target = f"L({p},{p + q})" if substituted else f"L({p},{q})"
@@ -940,12 +890,10 @@ class Sweep:
 
 @dataclass(frozen=True)
 class Theorem:
-    """A reproduction: its runner, the obstruction-scenario name it
-    answers to, and its parameter sweep."""
+    """A reproduction: its runner and its parameter sweep."""
 
     name: str
     runner: Callable[..., Report]
-    obstruction: str | None = None
     sweep: Sweep | None = None
 
 
@@ -986,21 +934,20 @@ def _montesinos_grid(top: int, n: int | None) -> list[dict]:
 THEOREMS: dict[str, Theorem] = {
     record.name: record
     for record in (
-        Theorem("morsesimple-s3", partial(_run_torus_knot, "torus_complement"),
-                sweep=Sweep("morsesimple", 10, _square_grid, _square_jobs)),
-        Theorem("higher-dim-knots", partial(_run_torus_knot, "higher_dim_torus"),
-                sweep=Sweep("higher-dim", 10, _square_grid, _square_jobs)),
+        Theorem("morsesimple-s3", _run_torus_knot, sweep=Sweep("morsesimple", 10, _square_grid, _square_jobs)),
+        Theorem("higher-dim-knots", _run_torus_knot, sweep=Sweep("higher-dim", 10, _square_grid, _square_jobs)),
         Theorem("unknots", _run_unknots),
         Theorem("linked-6crit", _run_linked_6crit,
                 sweep=Sweep("brunnian", 4, _brunnian_grid, _brunnian_jobs)),
         Theorem("simple-5d", _run_simple_5d),
-        Theorem("circle-splittingspheres", _run_circle_splitting, "simple_splitting_circles"),
-        Theorem("simple-splitting", _run_circle_splitting, "simple_splitting_surfaces"),
-        Theorem("simple-knotted-handlebody", _run_simple_knotted_handlebody, "simple_handlebody"),
-        Theorem("disks-5dlinked", _run_disks_linked, "disks_linked_b5"),
-        Theorem("less-simple", _run_less_simple, "less_simple"),
-        Theorem("simple-splitting-spheres", _run_splitting_spheres_mixed, "simple_splitting_spheres_mixed"),
-        Theorem("genus1-handlebody", _run_branched, "branched_contradiction"),
+        # two results of the paper that share one argument
+        Theorem("circle-splittingspheres", _run_circle_splitting),
+        Theorem("simple-splitting", _run_circle_splitting),
+        Theorem("simple-knotted-handlebody", _run_simple_knotted_handlebody),
+        Theorem("disks-5dlinked", _run_disks_linked),
+        Theorem("less-simple", _run_less_simple),
+        Theorem("simple-splitting-spheres", _run_splitting_spheres_mixed),
+        Theorem("genus1-handlebody", _run_branched),
         Theorem("genus1-hd", _run_genus1_hd),
         Theorem("morsesimple3mfd", _run_morsesimple3mfd,
                 sweep=Sweep("montesinos", 30, _montesinos_grid, _montesinos_jobs)),
@@ -1015,15 +962,6 @@ def run_theorem(name: str, **params) -> Report:
             f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}"
         )
     return THEOREMS[name].runner(name, **params)
-
-
-def obstruction_scenario(name: str, **params) -> Report:
-    aliases = {record.obstruction: key for key, record in THEOREMS.items() if record.obstruction}
-    if name not in aliases:
-        raise HypothesisError(
-            f"unknown obstruction scenario {name!r}; available: {', '.join(sorted(aliases))}"
-        )
-    return run_theorem(aliases[name], **params)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1002,6 @@ def _custom_geometry(spec: Mapping) -> Geometry:
     else:
         group = cyclic(group_spec["modulus"])
     coeffs = _field(spec.get("field", "f2"))
-    labels = {name: GeneratorLabel(name, label_kind) for name, label_kind in spec["labels"].items()}
     entries = {}
     for i, (a, b, terms) in enumerate(spec.get("pairings", [])):
         entries[(a, b)] = _in_field(f"geometry.pairings[{i}]", from_term_list, terms, group, coeffs)
@@ -1072,8 +1009,8 @@ def _custom_geometry(spec: Mapping) -> Geometry:
         name=str(spec.get("name", "custom")),
         group=group,
         coeffs=coeffs,
-        labels=labels,
-        pairing=PairingTable(labels, entries),
+        labels={name: GeneratorLabel(name, label_kind) for name, label_kind in spec["labels"].items()},
+        pairings=entries,
         attaching=list(spec.get("attaching", [])),
         disks=list(spec.get("disks", [])),
     )

@@ -17,7 +17,6 @@ from barbellcalc.equivariant import (
     EquivClass,
     GeneratorLabel,
     Geometry,
-    PairingTable,
     SPHERE,
     DISK,
     action_sequence,
@@ -38,7 +37,6 @@ from barbellcalc.scenarios import (
     classify_gluing,
     montesinos_matrix_for,
     morsesimple_f,
-    obstruction_scenario,
     run_theorem,
 )
 
@@ -160,23 +158,23 @@ def test_criterion_7_obstruction_scenarios():
         for l in range(0, 6):
             if k == l:
                 continue
-            r = obstruction_scenario("simple_splitting_circles", k=k, l=l)
+            r = run_theorem("circle-splittingspheres", k=k, l=l)
             assert r.passed and r.computed["distinguished"], (k, l)
-            r = obstruction_scenario("simple_handlebody", k=k, l=l)
+            r = run_theorem("simple-knotted-handlebody", k=k, l=l)
             assert r.passed and r.computed["distinguished"], (k, l)
-            r = obstruction_scenario("disks_linked_b5", k=k, l=l)
+            r = run_theorem("disks-5dlinked", k=k, l=l)
             assert r.passed and r.computed["linked"] and r.computed["mu_L_coefficient"] == l - k
-            r = obstruction_scenario("less_simple", m=205, k=k, l=l)
+            r = run_theorem("less-simple", m=205, k=k, l=l)
             assert r.passed and r.computed["distinguished"], (k, l)
-            r = obstruction_scenario("simple_splitting_spheres_mixed", m=205, k=k, l=l)
+            r = run_theorem("simple-splitting-spheres", m=205, k=k, l=l)
             assert r.passed and r.computed["distinguished"], (k, l)
     for k in range(1, 6):
-        assert not obstruction_scenario("simple_splitting_circles", k=k, l=k).computed["distinguished"]
-        assert not obstruction_scenario("simple_handlebody", k=k, l=k).computed["distinguished"]
-        assert not obstruction_scenario("disks_linked_b5", k=k, l=k).computed["linked"]
-        assert not obstruction_scenario("less_simple", m=205, k=k, l=k).computed["distinguished"]
-        assert not obstruction_scenario(
-            "simple_splitting_spheres_mixed", m=205, k=k, l=k
+        assert not run_theorem("circle-splittingspheres", k=k, l=k).computed["distinguished"]
+        assert not run_theorem("simple-knotted-handlebody", k=k, l=k).computed["distinguished"]
+        assert not run_theorem("disks-5dlinked", k=k, l=k).computed["linked"]
+        assert not run_theorem("less-simple", m=205, k=k, l=k).computed["distinguished"]
+        assert not run_theorem(
+            "simple-splitting-spheres", m=205, k=k, l=k
         ).computed["distinguished"]
     announce(7, "splitting/handlebody/disk-link/cover obstructions match for k != l <= 5 and invert at k = l")
 
@@ -184,7 +182,7 @@ def test_criterion_7_obstruction_scenarios():
 def test_criterion_8_higher_dimensional_family():
     for k in range(1, 11):
         for l in range(1, 11):
-            geo = builtin_geometry("higher_dim_torus")
+            geo = builtin_geometry("torus_complement")
             matrix = present_from_scenario(geo, torus_specs(geo, k, l))
             f = matrix.entry(0, 0)
             assert f == morsesimple_f(k, l), (k, l)  # same f as criterion 1
@@ -227,7 +225,7 @@ def test_criterion_10_per_lift_oracle():
             for cuff in ("A", "B"):
                 entries[(sphere, cuff)] = poly()
             entries[("P", sphere)] = poly()
-        return Geometry("oracle", group, coeffs, labels, PairingTable(labels, entries), disks=["P"])
+        return Geometry("oracle", group, coeffs, labels, entries, disks=["P"])
 
     checked = 0
     while checked < 200:

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import barbellcalc
+from barbellcalc.scenarios import THEOREMS
 
 CLI = [sys.executable, "-m", "barbellcalc.cli"]
 # the child interpreter imports the same package as the tests
@@ -249,12 +252,17 @@ def _inline(fields):
         (_inline('"group": {"kind": "free_abelian", "rank": 2}, "labels": {"S_h": "sphere", "D": "disk"}, '
                  '"pairings": [["D", "S_h", [[[1], 1]]]]'),
          "field 'geometry.pairings[0]': exponent vector [1] has length 1; Z^2 has rank 2"),
+        ('{"geometry": {"name": "cyclic_cover"}, "barbells": []}', "geometry cyclic_cover takes m; missing m"),
+        ('{"geometry": "cyclic_cover", "barbells": []}', "geometry cyclic_cover takes m; missing m"),
+        ('{"geometry": {"name": "torus_complement", "m": 3}, "barbells": []}',
+         "geometry torus_complement takes no parameters; unexpected m"),
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
          "inline-meridian", "inline-short-pairing", "inline-bare-pairing-terms",
          "string-dim", "float-dim", "boolean-dim",
-         "long-holonomy", "long-offset", "long-expected-term", "short-inline-pairing-term"],
+         "long-holonomy", "long-offset", "long-expected-term", "short-inline-pairing-term",
+         "builtin-missing-parameter", "builtin-name-missing-parameter", "builtin-unexpected-parameter"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -471,6 +479,73 @@ def test_scenario_documents_never_raise(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert one_error_line(err) if code == 2 else err == ""
+
+
+FLAG_VALUES = [-10**12, -1, 0, 1, 2, 3, 5, 205, 10**12]
+
+
+@pytest.mark.parametrize("key", sorted(THEOREMS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_theorem_flags_pass_or_are_refused(key, data, capsys):
+    # every flag a runner takes, drawn from small, boundary and huge values:
+    # an accepted input must PASS (exit 0), anything else exits 2 with one
+    # error: line, and no call takes more than a few seconds
+    from barbellcalc import cli
+
+    accepted, required = cli._flags(THEOREMS[key])
+    argv = ["theorem", key]
+    for flag in accepted:
+        values = st.sampled_from(FLAG_VALUES)
+        value = data.draw(values if flag in required else st.none() | values, label=flag)
+        if value is not None:
+            argv += [f"--{flag}", str(value)]
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 2), argv
+    assert err == "" if code == 0 else one_error_line(err)
+    assert elapsed < 5, argv
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--p", "1", "--q", "4"], ["--p", "-3", "--q", "5"], ["--p", "3", "--q", "-5"], ["--p", "3"], ["--q", "7"]],
+)
+def test_morsesimple3mfd_refuses_p_and_q_outside_its_domain(flags, capsys):
+    # these used to FAIL, leak a determinant message, or run the report without parameters
+    from barbellcalc import cli
+
+    assert cli.main(["theorem", "morsesimple3mfd", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and one_error_line(captured.err)
+    assert "--p and --q" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["brunnian", "--n", "-5", "--max", "1"], ["montesinos", "--max", "2"]])
+def test_empty_sweep_is_refused(argv, capsys):
+    # an empty grid used to print "0/0 passed" and exit 0 without checking --n
+    from barbellcalc import cli
+
+    assert cli.main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and one_error_line(captured.err) and "has no jobs" in captured.err
+
+
+def test_brunnian_disk_obstruction_is_bounded_for_huge_n():
+    # the constraint loop was killed for memory at n = 10**11
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    start = time.perf_counter()
+    result = subprocess.run(
+        CLI + ["theorem", "no-brunnian-2disk", "--n", "100000000000"],
+        capture_output=True, text=True, env=ENV, timeout=30, preexec_fn=limit_memory,
+    )
+    assert result.returncode == 0 and result.stdout.strip().endswith("PASS")
+    assert time.perf_counter() - start < 10
 
 
 def test_negative_power_splitting_spheres():

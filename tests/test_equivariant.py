@@ -16,7 +16,6 @@ from barbellcalc.equivariant import (
     GeneratorLabel,
     Geometry,
     GeometryError,
-    PairingTable,
     action_sequence,
     barbell_action,
     equivariant_pairing,
@@ -79,15 +78,15 @@ def slow_pairing(x, b):
     geo.label(b)
     out = RingElement.zero(geo.group, geo.coeffs)
     for (a, u), c in x.terms.items():
-        p = geo.pairing.pairing(a, b, geo.group, geo.coeffs)
+        p = geo.pairing(a, b)
         if not p.is_zero():
             out = out.add(p.translate(u).scale(c))
     return out
 
 
 def _over_integers(geo):
-    entries = {key: RingElement(geo.group, INT, p.terms) for key, p in geo.pairing.entries.items()}
-    return dataclasses.replace(geo, coeffs=INT, pairing=PairingTable(geo.labels, entries))
+    entries = {key: RingElement(geo.group, INT, p.terms) for key, p in geo.pairings.items()}
+    return dataclasses.replace(geo, coeffs=INT, pairings=entries)
 
 
 def deck_elements(group):
@@ -309,7 +308,7 @@ ITERATE_GEOMETRIES = {
 
 def disjoint_cuff_pairs(geo):
     spheres = sorted(name for name, label in geo.labels.items() if label.kind == SPHERE)
-    zero = lambda a, b: geo.pairing.pairing(a, b, geo.group, geo.coeffs).is_zero()
+    zero = lambda a, b: geo.pairing(a, b).is_zero()
     return [(a, b) for a in spheres for b in spheres if zero(a, a) and zero(a, b) and zero(b, b)]
 
 
@@ -448,13 +447,13 @@ def test_meridian_row_is_stored_as_its_augmentation():
     labels = {"mu": GeneratorLabel("mu", MERIDIAN), "D": GeneratorLabel("D", DISK)}
     row = RingElement(group, F2, {DeckElement(group, 0): 1, DeckElement(group, 1): 1})
     with pytest.raises(GeometryError, match=r"meridian row \(mu, D\) must be stored as its augmentation"):
-        PairingTable(labels, {("mu", "D"): row})
+        Geometry("z", group, F2, labels, {("mu", "D"): row})
 
 
 def test_meridian_needs_a_cyclic_deck_group():
     labels = {"mu": GeneratorLabel("mu", MERIDIAN)}
     with pytest.raises(GeometryError, match="cyclic deck group"):
-        Geometry("z", Z1, F2, labels, PairingTable(labels, {}))
+        Geometry("z", Z1, F2, labels, {})
 
 
 def test_disk_disk_pairing_is_undefined():
@@ -556,7 +555,7 @@ def random_cyclic_geometry(rng, m, coeffs):
         group=group,
         coeffs=coeffs,
         labels=labels,
-        pairing=PairingTable(labels, entries),
+        pairings=entries,
         disks=["P"],
     )
 
@@ -625,7 +624,7 @@ def random_free_geometries(n, coeffs):
             group=group,
             coeffs=coeffs,
             labels=labels,
-            pairing=PairingTable(labels, dict(zip(keys, rows))),
+            pairings=dict(zip(keys, rows)),
             disks=["P"],
         )
     )
@@ -634,8 +633,8 @@ def random_free_geometries(n, coeffs):
 def push_geometry(geo, project, target):
     """The geometry of the cover that the covering map project: G -> target
     induces: every pairing row pushed through it."""
-    entries = {key: apply_hom(p, target, project) for key, p in geo.pairing.entries.items()}
-    return dataclasses.replace(geo, group=target, pairing=PairingTable(geo.labels, entries))
+    entries = {key: apply_hom(p, target, project) for key, p in geo.pairings.items()}
+    return dataclasses.replace(geo, group=target, pairings=entries)
 
 
 def push_class(x, project, pushed):

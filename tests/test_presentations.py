@@ -187,7 +187,7 @@ def test_relator_image_collapses_on_diagonal_pairs():
 def test_higher_dim_polynomial_grid():
     from barbellcalc.scenarios import morsesimple_f
 
-    geo = builtin_geometry("higher_dim_torus")
+    geo = builtin_geometry("torus_complement")
     hol = lambda e: DeckElement(geo.group, (e,))
     for k in range(1, 11):
         for l in range(1, 11):
@@ -209,10 +209,23 @@ def test_two_components_leave_a_free_coordinate():
     assert not brunnian_disk_obstruction(2)
 
 
-def test_explicit_total_constraints():
-    assert brunnian_disk_obstruction(2, {2: {2}})
+def constraint_model(n: int) -> bool:
+    """The obstruction as a constraint intersection: removing component
+    k in 2..n forces every meridian coordinate a_j with j != k to zero;
+    the disks are forced isotopic iff every coordinate is forced."""
+    coords = set(range(2, n + 1))
+    forced = set()
+    for k in coords:
+        forced |= coords - {k}
+    return forced == coords
 
 
-def test_component_range_is_checked():
+@given(n=st.integers(2, 40))
+def test_closed_form_obstruction_matches_the_constraint_model(n):
+    assert brunnian_disk_obstruction(n) == constraint_model(n)
+
+
+@pytest.mark.parametrize("n", [1, 0, -5])
+def test_obstruction_needs_two_components(n):
     with pytest.raises(PresentationError):
-        brunnian_disk_obstruction(3, {5: {2}})
+        brunnian_disk_obstruction(n)

@@ -17,7 +17,6 @@ from barbellcalc.scenarios import (
     genus1_hd_dim,
     montesinos_matrix_for,
     montesinos_parity,
-    obstruction_scenario,
     render_machine,
     run_scenario,
     run_theorem,
@@ -30,10 +29,6 @@ GOLDEN_TABLES = {
         ("S_h", "S_v"): [[[0], 1], [[1], 1]],
         ("D_v", "S_v"): [[[0], 1]],
         ("D_h", "S_h"): [[[0], 1]],
-    },
-    "higher_dim_torus": {
-        ("S_h", "S_v"): [[[0], 1], [[1], 1]],
-        ("D_v", "S_v"): [[[0], 1]],
     },
     "genus2_complement": {
         ("S_h_1", "S_v_1"): [[[0], 1], [[1], -1]],
@@ -72,7 +67,7 @@ GEOMETRY_PARAMS = {
 @pytest.mark.parametrize("name", sorted(GEOMETRY_BUILDERS))
 def test_builtin_pairing_tables_are_locked(name):
     geo = builtin_geometry(name, **GEOMETRY_PARAMS.get(name, {}))
-    table = {pair: to_term_list(elem) for pair, elem in geo.pairing.entries.items()}
+    table = {pair: to_term_list(elem) for pair, elem in geo.pairings.items()}
     assert table == GOLDEN_TABLES[name]
 
 
@@ -242,11 +237,11 @@ def test_classification_normalizes_column_signs():
     assert classify_gluing(GluingMatrix(0, 1, -1, 0)) == "S3"
 
 
-# -- obstruction scenario dispatch ----------------------------------------------
+# -- the obstruction arguments ----------------------------------------------------
 
 
 def test_obstruction_names_route_to_theorems():
-    report = obstruction_scenario("simple_splitting_circles", k=4)
+    report = run_theorem("circle-splittingspheres", k=4)
     assert report.name == "circle-splittingspheres"
     assert report.computed["class_rendered"] == "D_R - 4 S_L"
     assert report.computed["distinguished"]
@@ -254,21 +249,16 @@ def test_obstruction_names_route_to_theorems():
 
 def test_obstruction_verdicts_flip_on_equal_powers():
     for name, params in [
-        ("simple_splitting_circles", {"k": 2, "l": 2}),
-        ("simple_handlebody", {"k": 3, "l": 3}),
-        ("disks_linked_b5", {"k": 2, "l": 2}),
-        ("less_simple", {"m": 205, "k": 2, "l": 2}),
-        ("simple_splitting_spheres_mixed", {"m": 205, "k": 2, "l": 2}),
+        ("circle-splittingspheres", {"k": 2, "l": 2}),
+        ("simple-knotted-handlebody", {"k": 3, "l": 3}),
+        ("disks-5dlinked", {"k": 2, "l": 2}),
+        ("less-simple", {"m": 205, "k": 2, "l": 2}),
+        ("simple-splitting-spheres", {"m": 205, "k": 2, "l": 2}),
     ]:
-        report = obstruction_scenario(name, **params)
+        report = run_theorem(name, **params)
         assert report.passed, name
-        key = "linked" if name == "disks_linked_b5" else "distinguished"
+        key = "linked" if name == "disks-5dlinked" else "distinguished"
         assert not report.computed[key], name
-
-
-def test_unknown_obstruction_name():
-    with pytest.raises(HypothesisError):
-        obstruction_scenario("splitting_everything")
 
 
 # -- the theorem registry ------------------------------------------------------
@@ -299,8 +289,6 @@ def test_registry_keys_name_their_reports():
         assert record.name == key
         report = run_theorem(key, **SAMPLE_PARAMS[key])
         assert report.name == key and report.passed, key
-        if record.obstruction:
-            assert obstruction_scenario(record.obstruction, **SAMPLE_PARAMS[key]).name == key
 
 
 def test_sweep_grids_keep_their_job_counts():
