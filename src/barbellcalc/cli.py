@@ -40,10 +40,12 @@ from .scenarios import (
 _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
 
 # Most jobs one sweep runs, checked against the grid's closed-form job
-# count before any job is built.  On a 2-vCPU Xeon host, with n at its
-# default, 10**4 jobs took 3.9 s (morsesimple --max 100) and 6.0 s
-# (brunnian --max 16, 9,180 jobs), about 20 MB each; brunnian --n 4
-# --max 16 took 30 s.
+# count before any job is built.  On a 2-vCPU Xeon host 10**4 jobs of
+# morsesimple --max 100 took 5.2 s and 21 MB.  A brunnian job reuses
+# the one linked-6crit report of its (k, l): --max 16 (9,180 jobs, 136
+# reports) took 0.36 s at the default n and 0.54 s at --n 4 in table
+# format; in machine format --n 4 took 2.6 s and 330 MB, because every
+# job line repeats its report (320 MB of output).
 MAX_SWEEP_JOBS = 10_000
 
 # every package error subclasses ValueError; TypeError covers bad
@@ -52,12 +54,14 @@ MAX_SWEEP_JOBS = 10_000
 USER_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(lines: list[str], out_path: str | None):
+    """Write each line and a newline to out_path, or to stdout; one line
+    at a time, so a large sweep's output is never joined into one string."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.writelines(f"{line}\n" for line in lines)
     else:
-        print(text)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 def _render(report: Report, fmt: str) -> str:
@@ -95,7 +99,7 @@ def _theorem_params(args) -> dict:
 
 def _cmd_theorem(args) -> int:
     report = run_theorem(args.name, **_theorem_params(args))
-    _emit(_render(report, args.format), args.out)
+    _emit([_render(report, args.format)], args.out)
     return 0 if report.passed else 1
 
 
@@ -119,8 +123,7 @@ def _cmd_sweep(args) -> int:
         raise HypothesisError(f"sweep {args.name} --max {top} has up to {jobs} jobs, more than {MAX_SWEEP_JOBS}")
     lines = []
     failed = 0
-    for params in theorem.sweep.grid(top, args.n):
-        report = run_theorem(theorem.name, **params)
+    for report in theorem.sweep.reports(theorem.name, theorem.sweep.grid(top, args.n)):
         status = "PASS" if report.passed else "FAIL"
         failed += 0 if report.passed else 1
         if args.format == "machine":
@@ -129,7 +132,7 @@ def _cmd_sweep(args) -> int:
             summary = ", ".join(f"{key}={report.params[key]}" for key in sorted(report.params))
             lines.append(f"{status} {report.name} {summary}")
     lines.append(f"{len(lines) - failed}/{len(lines)} passed")
-    _emit("\n".join(lines), args.out)
+    _emit(lines, args.out)
     return 0 if failed == 0 else 1
 
 
@@ -137,7 +140,7 @@ def _cmd_scenario(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     report = run_scenario(data)
-    _emit(_render(report, args.format), args.out)
+    _emit([_render(report, args.format)], args.out)
     return 0 if report.passed else 1
 
 
@@ -146,7 +149,7 @@ def _cmd_list(args) -> int:
     lines += [f"  {name}" for name in sorted(THEOREMS)]
     lines.append("geometries:")
     lines += [f"  {name}" for name in sorted(GEOMETRY_BUILDERS)]
-    _emit("\n".join(lines), args.out)
+    _emit(lines, args.out)
     return 0
 
 

@@ -15,14 +15,21 @@ are 1-based throughout.
 
 Groups and elements are slotted values whose hash is computed once, at
 construction; an element hashes by its value alone (equal elements
-share a group).  Every constructed word is validated, so both factors
-of a product are freely reduced and the product of two words can only
-cancel where they meet: DeckElement.mul walks inward from that seam
-while letters cancel, merges at most one pair of letters on the same
-generator, and joins the two remaining slices, in O(cancelled letters)
-interpreted steps plus C-level tuple slicing.  reduce_letters, a full
-pass over every letter, is kept for raw letter sequences (generators,
-word powers, parsing, and dropping x_n in nilpotent_times_z).
+share a group).  A value is validated where it enters: the public
+constructor DeckElement(group, value), and through it parse_word,
+element_from_json and DeckGroup.generator, refuse a word that is not
+freely reduced, an exponent vector of the wrong length and a residue
+outside [0, m).  The group operations mul, inv and pow return values
+that are canonical by construction, so they build their results
+through the private trusted constructor _canonical, which skips that
+check.  Both factors of a product are therefore freely reduced, and
+the product of two words can only cancel where they meet:
+DeckElement.mul walks inward from that seam while letters cancel,
+merges at most one pair of letters on the same generator, and joins
+the two remaining slices, in O(cancelled letters) interpreted steps
+plus C-level tuple slicing.  reduce_letters, a full pass over every
+letter, is kept for raw letter sequences (generators, word powers,
+parsing, and dropping x_n in nilpotent_times_z).
 
 The module also provides the two homomorphisms the distinctness
 arguments push classes through, as plain functions of an element: the
@@ -168,6 +175,36 @@ def _seam_product(a: Word, b: Word) -> Word:
     return a[:i] + b[j:]
 
 
+def _check_value(group: DeckGroup, value) -> None:
+    """Raise GroupError unless value is canonical in group: a freely
+    reduced word on x1..xn, an exponent vector of length r, or a residue
+    in [0, m)."""
+    kind = group.kind
+    if kind == FREE:
+        # One interpreted pass: splitting the letters with zip(*value)
+        # for builtin min/max/any checks took 2.5x as long on CPython
+        # 3.10 and 3.11, over the words one brunnian-words pass builds.
+        prev, n = 0, group.n
+        for g, e in value:
+            if e == 0 or not 1 <= g <= n or g == prev:
+                raise GroupError(f"word {value} is not freely reduced")
+            prev = g
+    elif kind == FREE_ABELIAN:
+        if len(value) != group.n:
+            raise GroupError(
+                f"exponent vector {list(value)} has length {len(value)}; {group!r} has rank {group.n}"
+            )
+    elif not 0 <= value < group.n:
+        raise GroupError(f"residue {value} not normalized mod {group.n}")
+
+
+def _value_hash(value) -> int:
+    # An int residue below 2**61 - 1 is its own hash; keeping the
+    # residue object itself spares one int per cyclic element.
+    h = hash(value)
+    return value if value.__class__ is int and h == value else h
+
+
 @dataclass(frozen=True, slots=True)
 class DeckElement:
     """An element of a deck group, stored in canonical form.
@@ -181,29 +218,8 @@ class DeckElement:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind = self.group.kind
-        value = self.value
-        if kind == FREE:
-            # One interpreted pass: splitting the letters with zip(*value)
-            # for builtin min/max/any checks took 2.5x as long on CPython
-            # 3.10 and 3.11, over the words one brunnian-words pass builds.
-            prev, n = 0, self.group.n
-            for g, e in value:
-                if e == 0 or not 1 <= g <= n or g == prev:
-                    raise GroupError(f"word {value} is not freely reduced")
-                prev = g
-        elif kind == FREE_ABELIAN:
-            if len(value) != self.group.n:
-                raise GroupError(
-                    f"exponent vector {list(value)} has length {len(value)}; {self.group!r} has rank {self.group.n}"
-                )
-        else:
-            if not 0 <= value < self.group.n:
-                raise GroupError(f"residue {value} not normalized mod {self.group.n}")
-        # An int residue below 2**61 - 1 is its own hash; keeping the
-        # residue object itself spares one int per cyclic element.
-        h = hash(value)
-        object.__setattr__(self, "_hash", value if value.__class__ is int and h == value else h)
+        _check_value(self.group, self.value)
+        object.__setattr__(self, "_hash", _value_hash(self.value))
 
     def __eq__(self, other):
         if self is other:
@@ -221,25 +237,27 @@ class DeckElement:
     def mul(self, other: "DeckElement") -> "DeckElement":
         """Group law; for words, left-to-right concatenation (self first),
         reduced only at the seam where the two words meet (see
-        _seam_product): O(cancelled letters) interpreted steps instead of
-        one pass over |self| + |other| letters."""
+        _seam_product).  Both factors are canonical, so the product is
+        too and is built unchecked (_canonical): O(cancelled letters)
+        interpreted steps in all, not a pass over |self| + |other|
+        letters."""
         group = self.group
         if other.group is not group and other.group != group:
             raise GroupError(f"cannot multiply across groups {group} and {other.group}")
         kind = group.kind
         if kind == FREE:
-            return DeckElement(group, _seam_product(self.value, other.value))
+            return _canonical(group, _seam_product(self.value, other.value))
         if kind == FREE_ABELIAN:
-            return DeckElement(group, tuple(map(operator.add, self.value, other.value)))
-        return DeckElement(group, (self.value + other.value) % group.n)
+            return _canonical(group, tuple(map(operator.add, self.value, other.value)))
+        return _canonical(group, (self.value + other.value) % group.n)
 
     def inv(self) -> "DeckElement":
         kind = self.group.kind
         if kind == FREE:
-            return DeckElement(self.group, tuple((g, -e) for g, e in reversed(self.value)))
+            return _canonical(self.group, tuple((g, -e) for g, e in reversed(self.value)))
         if kind == FREE_ABELIAN:
-            return DeckElement(self.group, tuple(-a for a in self.value))
-        return DeckElement(self.group, (-self.value) % self.group.n)
+            return _canonical(self.group, tuple(-a for a in self.value))
+        return _canonical(self.group, (-self.value) % self.group.n)
 
     def pow(self, k: int) -> "DeckElement":
         """x^k in time linear in the result: k*v for exponent vectors,
@@ -247,12 +265,13 @@ class DeckElement:
         copies of x (of x^-1 when k < 0), which cancels each letter at
         most once.  k = 0 gives the identity.  A word power is refused
         before it is built when its |k| copies, an upper bound on the
-        result's length, have more than MAX_POWER_LETTERS letters."""
+        result's length, have more than MAX_POWER_LETTERS letters.  Every
+        result is canonical, so it is built unchecked (_canonical)."""
         kind = self.group.kind
         if kind == FREE_ABELIAN:
-            return DeckElement(self.group, tuple(k * a for a in self.value))
+            return _canonical(self.group, tuple(k * a for a in self.value))
         if kind == CYCLIC:
-            return DeckElement(self.group, (k * self.value) % self.group.n)
+            return _canonical(self.group, (k * self.value) % self.group.n)
         letters = abs(k) * len(self.value)
         if letters > MAX_POWER_LETTERS:
             raise GroupError(
@@ -260,7 +279,7 @@ class DeckElement:
                 f"more than {MAX_POWER_LETTERS}"
             )
         base = self if k > 0 else self.inv()
-        return DeckElement(self.group, reduce_letters(base.value * abs(k)))
+        return _canonical(self.group, reduce_letters(base.value * abs(k)))
 
     def sort_key(self):
         """Deterministic total order: residues and exponent vectors
@@ -273,6 +292,18 @@ class DeckElement:
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.group}>"
+
+
+def _canonical(group: DeckGroup, value) -> DeckElement:
+    """The trusted constructor: a DeckElement from a value that is
+    canonical in group by construction, built without _check_value.
+    Only the group operations (mul, inv, pow) use it; everything else
+    goes through the validating DeckElement(group, value)."""
+    elt = object.__new__(DeckElement)
+    object.__setattr__(elt, "group", group)
+    object.__setattr__(elt, "value", value)
+    object.__setattr__(elt, "_hash", _value_hash(value))
+    return elt
 
 
 def commutator(a: DeckElement, b: DeckElement) -> DeckElement:

@@ -166,7 +166,10 @@ def distinguish_brunnian_modules(k: int, l: int, kp: int, lp: int, n: int) -> bo
     (and each is certifiably non-trivial: not a monomial unit).
 
     False means "not distinguished by this test", never "isomorphic";
-    in particular unordered-equal parameter pairs return False.
+    in particular unordered-equal parameter pairs return False.  The
+    brunnian sweep decides its pairs by the same rule on images it
+    normalizes once per winding pair; this function is the tests'
+    oracle for it.
     """
     a = brunnian_image(k, l, n)
     b = brunnian_image(kp, lp, n)

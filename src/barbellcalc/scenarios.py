@@ -23,7 +23,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .deckgroup import (
     GroupError,
@@ -58,13 +58,13 @@ from .groupring import (
     from_term_list,
     is_monomial_unit,
     laurent_span,
+    normalize_monomial,
     term_list_and_render,
 )
 from .presentations import (
     antidiagonal_cokernel,
     brunnian_image,
     brunnian_relator,
-    distinguish_brunnian_modules,
     brunnian_disk_obstruction,
     f2_quotient_dim,
     present_from_scenario,
@@ -420,14 +420,14 @@ def _run_unknots(name: str, k: int = 1, l: int = 1) -> Report:
 MAX_LINKED_WORD_LETTERS = 10_000
 
 
-def _run_linked_6crit(
-    name: str, n: int, k: int, l: int, kp: int | None = None, lp: int | None = None
-) -> Report:
+def _linked_6crit(name: str, n: int, k: int, l: int) -> tuple[Report, RingElement]:
+    """The linked-6crit report for one winding pair (k, l), and the
+    relator's image in F2[s^±1, t^±1], whose nontriviality it reports."""
     _require(n >= 2, f"need n >= 2 components, got {n}")
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
     # |w_n| = 3 * 2^(n-2) - 2, checked before any word is built; the
     # shift is capped so that a huge n stays cheap to refuse
-    top = max(k, l, kp or 0, lp or 0)
+    top = max(k, l)
     _require(
         ((3 << min(n - 2, 64)) - 2) * top <= MAX_LINKED_WORD_LETTERS,
         f"bar words w_n^k must have <= {MAX_LINKED_WORD_LETTERS} letters "
@@ -442,28 +442,20 @@ def _run_linked_6crit(
     image = brunnian_image(k, l, n)
     nontrivial = not is_monomial_unit(image)
     relator = _poly_json(engine_f)
-    computed = {
-        "relator": relator,
-        "image_in_st": _poly_json(image),
-        "nontrivial": nontrivial,
-    }
     agrees = engine_f == formula_f
-    passed = agrees and nontrivial
-    params = {"n": n, "k": k, "l": l}
-    if kp is not None and lp is not None:
-        _require(kp >= 1 and lp >= 1, "winding numbers must be >= 1")
-        verdict = distinguish_brunnian_modules(k, l, kp, lp, n)
-        computed["distinguished"] = verdict
-        params.update({"kp": kp, "lp": lp})
-        passed = passed and verdict == ({k, l} != {kp, lp})
-    return Report(
+    report = Report(
         name=name,
-        params=params,
-        computed=computed,
+        params={"n": n, "k": k, "l": l},
+        computed={"relator": relator, "image_in_st": _poly_json(image), "nontrivial": nontrivial},
         expected={"relator": relator if agrees else _poly_json(formula_f)},
-        passed=passed,
+        passed=agrees and nontrivial,
         notes=["sublink triviality is a geometric input here, not a computation"],
     )
+    return report, image
+
+
+def _run_linked_6crit(name: str, n: int, k: int, l: int) -> Report:
+    return _linked_6crit(name, n, k, l)[0]
 
 
 def _run_simple_5d(name: str, k: int) -> Report:
@@ -685,8 +677,8 @@ def _genus1_hd(
 ) -> tuple[tuple[dict, dict, dict], str, int | None, int | None]:
     """The twisted genus-1 scenario with prescribed intersection data
     (h, v, b): their mod-2 coefficient maps, the closed-form branch and
-    its dimension (None on the degenerate branch), and the dimension the
-    engine computes on a synthetic class."""
+    its dimension, and the dimension the engine computes on a synthetic
+    class (None = infinite)."""
     h, v, b = _coeff_map(h), _coeff_map(v), _coeff_map(b)
     radius = lambda data: max((abs(i) for i in data), default=0)
     m_b, m_h, m_v = radius(b), radius(h), radius(v)
@@ -704,8 +696,9 @@ def _genus1_hd(
     engine = laurent_span(equivariant_pairing(moved, "D_h"))
 
     if not h and not v:
-        # the class is nullhomologous; no closed form applies
-        branch, closed = "degenerate", None
+        # the class meets no cuff, so neither barbell moves it and its
+        # disk pairing is b itself: infinite when b = 0
+        branch, closed = "degenerate (span b)", laurent_span(row(b))
     elif not v:
         branch, closed = "horizontal only (2k + span h)", 2 * k + max(h) - min(h)
     else:
@@ -719,8 +712,9 @@ def genus1_hd_dim(
     """Dimension of the mod-2 second homology for the twisted genus-1
     scenario with prescribed intersection data (h, v, b), both by the
     piecewise closed form and by driving the engine on a synthetic
-    class; callers should expect the two to agree whenever the closed
-    form applies (it requires the class to be homologically nonzero).
+    class (None = infinite); the two agree on every branch.  When
+    h = v = 0 the class meets no cuff and the closed form is the span
+    of b.
     """
     _, _, closed, engine = _genus1_hd(h, v, b, k, l)
     return closed, engine
@@ -733,10 +727,8 @@ def _run_genus1_hd(name: str, k: int, l: int, h=None, v=None, b=None) -> Report:
         name=name,
         params={"k": k, "l": l, "h": as_param(h), "v": as_param(v), "b": as_param(b)},
         computed={"dim_engine": engine, "dim_closed_form": closed, "branch": branch},
-        expected={} if closed is None else {"dim": closed},
-        passed=(closed is None or closed == engine),
-        notes=[] if closed is not None else
-        ["intersection data is nullhomologous; closed form does not apply"],
+        expected={"dim": closed},
+        passed=closed == engine,
     )
 
 
@@ -873,6 +865,12 @@ def _run_no_brunnian_2disk(name: str, n: int) -> Report:
 # The theorem registry: one record per reproduction.
 
 
+def _run_grid(name: str, grid: list[dict]) -> Iterator[Report]:
+    """One report per job: the theorem run on the job's parameters."""
+    for params in grid:
+        yield run_theorem(name, **params)
+
+
 @dataclass(frozen=True)
 class Sweep:
     """A parameter grid over one theorem: `grid(top, n)` lists the jobs'
@@ -880,12 +878,15 @@ class Sweep:
     component count, or None for the default); `jobs(top)` is the
     grid's job count in closed form (for montesinos the (p, q)
     candidates before the coprimality filter, an upper bound), so a
-    sweep can be sized before any job is built."""
+    sweep can be sized before any job is built; `reports(name, grid)`
+    yields one report per job, in grid order (by default the theorem
+    run on each job's parameters)."""
 
     name: str
     default_max: int
     grid: Callable[[int, int | None], list[dict]]
     jobs: Callable[[int], int]
+    reports: Callable[[str, list[dict]], Iterator[Report]] = _run_grid
 
 
 @dataclass(frozen=True)
@@ -925,6 +926,39 @@ def _brunnian_grid(top: int, n: int | None) -> list[dict]:
     ]
 
 
+def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
+    """The brunnian sweep's jobs, each deciding two winding pairs
+    {k, l} and {kp, lp}.  Each (n, k, l) is run once, as one linked-6crit
+    report, and its image is normalized once; a job is that report with
+    its `distinguished` verdict added.  The two modules are distinguished
+    when the pairs differ as unordered pairs, neither image is a
+    monomial unit, and the normalized images differ, which is
+    presentations.distinguish_brunnian_modules (the tests' oracle)."""
+    decided: dict[tuple[int, int, int], tuple[Report, RingElement | None]] = {}
+
+    def decide(n: int, k: int, l: int) -> tuple[Report, RingElement | None]:
+        if (n, k, l) not in decided:
+            report, image = _linked_6crit(name, n, k, l)
+            # a unit image would contradict the module's nontriviality:
+            # such a pair distinguishes nothing
+            decided[n, k, l] = report, None if is_monomial_unit(image) else normalize_monomial(image)
+        return decided[n, k, l]
+
+    for job in grid:
+        n, k, l, kp, lp = job["n"], job["k"], job["l"], job["kp"], job["lp"]
+        report, image = decide(n, k, l)
+        other = decide(n, kp, lp)[1]
+        verdict = {k, l} != {kp, lp} and image is not None and other is not None and image != other
+        yield Report(
+            name=report.name,
+            params={**report.params, "kp": kp, "lp": lp},
+            computed={**report.computed, "distinguished": verdict},
+            expected=report.expected,
+            passed=report.passed and verdict == ({k, l} != {kp, lp}),
+            notes=report.notes,
+        )
+
+
 def _montesinos_grid(top: int, n: int | None) -> list[dict]:
     return [
         {"p": p, "q": q} for p in range(2, top + 1) for q in range(p + 1, top + 1) if math.gcd(p, q) == 1
@@ -938,7 +972,7 @@ THEOREMS: dict[str, Theorem] = {
         Theorem("higher-dim-knots", _run_torus_knot, sweep=Sweep("higher-dim", 10, _square_grid, _square_jobs)),
         Theorem("unknots", _run_unknots),
         Theorem("linked-6crit", _run_linked_6crit,
-                sweep=Sweep("brunnian", 4, _brunnian_grid, _brunnian_jobs)),
+                sweep=Sweep("brunnian", 4, _brunnian_grid, _brunnian_jobs, _brunnian_reports)),
         Theorem("simple-5d", _run_simple_5d),
         # two results of the paper that share one argument
         Theorem("circle-splittingspheres", _run_circle_splitting),

@@ -67,6 +67,69 @@ def test_brunnian_sweep_all_distinguished():
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+def brunnian_oracle_reports(n, top):
+    """The brunnian sweep's jobs rebuilt one at a time: every two distinct
+    unordered winding pairs, the linked-6crit report of the first, and
+    the verdict of distinguish_brunnian_modules on both."""
+    from barbellcalc.presentations import distinguish_brunnian_modules
+    from barbellcalc.scenarios import Report, run_theorem
+
+    pairs = [(k, l) for k in range(1, top + 1) for l in range(k, top + 1)]
+    runs = {pair: run_theorem("linked-6crit", n=n, k=pair[0], l=pair[1]) for pair in pairs}
+    reports = []
+    for i, (k, l) in enumerate(pairs):
+        for kp, lp in pairs[i + 1 :]:
+            base = runs[k, l]
+            verdict = distinguish_brunnian_modules(k, l, kp, lp, n)
+            reports.append(Report(
+                name="linked-6crit",
+                params={"n": n, "k": k, "l": l, "kp": kp, "lp": lp},
+                computed={**base.computed, "distinguished": verdict},
+                expected=base.expected,
+                passed=base.passed and verdict == ({k, l} != {kp, lp}),
+                notes=base.notes,
+            ))
+    return reports
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("top", [2, 3, 4, 5])
+def test_brunnian_sweep_verdicts_match_the_pairwise_oracle(n, top, capsys):
+    from barbellcalc import cli
+
+    assert cli.main(["sweep", "brunnian", "--n", str(n), "--max", str(top), "--format", "machine"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    oracle = brunnian_oracle_reports(n, top)
+    assert summary == f"{len(oracle)}/{len(oracle)} passed"
+    assert [json.loads(line) for line in lines] == [report.to_machine() for report in oracle]
+    assert all(record["computed"]["distinguished"] for record in map(json.loads, lines))
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_brunnian_sweep_output_is_the_oracle_byte_for_byte(fmt):
+    from barbellcalc.scenarios import render_machine
+
+    result = run_cli("sweep", "brunnian", "--n", "3", "--max", "4", "--format", fmt)
+    lines = []
+    for report in brunnian_oracle_reports(3, 4):
+        if fmt == "machine":
+            lines.append(render_machine(report))
+        else:
+            summary = ", ".join(f"{key}={report.params[key]}" for key in sorted(report.params))
+            lines.append(f"{'PASS' if report.passed else 'FAIL'} linked-6crit {summary}")
+    assert result.returncode == 0
+    assert result.stdout == "\n".join(lines + ["45/45 passed"]) + "\n"
+
+
+def test_linked_6crit_decides_one_winding_pair():
+    from barbellcalc.scenarios import run_theorem
+
+    report = run_theorem("linked-6crit", n=3, k=1, l=2)
+    assert report.params == {"n": 3, "k": 1, "l": 2} and "distinguished" not in report.computed
+    with pytest.raises(TypeError):
+        run_theorem("linked-6crit", n=3, k=1, l=2, kp=1, lp=3)
+
+
 def test_sweep_runs_jobs_in_grid_order():
     first = run_cli("sweep", "morsesimple", "--max", "3")
     second = run_cli("sweep", "morsesimple", "--max", "3")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import (
     FREE,
+    _check_value,
     MAX_POWER_LETTERS,
     DeckElement,
     DeckGroup,
@@ -329,6 +330,62 @@ def test_word_power_is_capped_before_it_is_built():
     # only words are capped: other kinds have fixed-size values
     assert DeckElement(free_abelian(2), (1, 2)).pow(10**12).value == (10**12, 2 * 10**12)
     assert DeckElement(cyclic(7), 3).pow(10**12).value == 3 * 10**12 % 7
+
+
+# -- the trusted constructor -----------------------------------------------------
+#
+# mul, inv and pow build their results without the public constructor's
+# check; every value they return must still pass it.
+
+
+def check_trusted(elt):
+    """elt passes the public constructor's check and matches, value and
+    hash, the element the validating constructor builds from its value."""
+    _check_value(elt.group, elt.value)
+    validated = DeckElement(elt.group, elt.value)
+    assert validated.value == elt.value and validated == elt
+    assert hash(validated) == hash(elt)
+
+
+def check_operations(x, y, k):
+    for elt in (x.mul(y), y.mul(x), x.mul(x.inv()), x.inv(), y.inv(), x.pow(k), y.pow(-k), x.pow(0)):
+        check_trusted(elt)
+
+
+@given(REDUCED, REDUCED, REDUCED, EXPONENTS)
+def test_word_operations_return_canonical_words(p, u, q, k):
+    # a = p u and b = u^-1 q cancel at their seam (u = () gives two random words)
+    a = DeckElement(F3, reduce_letters(p + u))
+    b = DeckElement(F3, reduce_letters(inverse_letters(u) + q))
+    check_operations(a, b, k)
+
+
+@given(st.integers(1, 5).flatmap(lambda r: st.tuples(*[st.lists(st.integers(-9, 9), min_size=r, max_size=r)] * 2)),
+       EXPONENTS)
+def test_vector_operations_return_canonical_vectors(vectors, k):
+    group = free_abelian(len(vectors[0]))
+    check_operations(DeckElement(group, tuple(vectors[0])), DeckElement(group, tuple(vectors[1])), k)
+
+
+@given(st.integers(1, 2**70).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1), st.integers(0, m - 1))),
+       st.integers(-(2**70), 2**70))
+def test_residue_operations_return_canonical_residues(residues, k):
+    # residues beyond 2**61 - 1 hash differently from their value
+    m, r, s = residues
+    check_operations(DeckElement(cyclic(m), r), DeckElement(cyclic(m), s), k)
+
+
+def test_public_constructor_refuses_non_canonical_values():
+    for letters in (((1, 1), (1, 2)), ((2, 0),), ((4, 1),)):
+        with pytest.raises(GroupError, match="is not freely reduced"):
+            DeckElement(F3, letters)
+    with pytest.raises(GroupError, match=r"has length 2; Z\^3 has rank 3"):
+        DeckElement(free_abelian(3), (1, 2))
+    for residue in (5, -1):
+        with pytest.raises(GroupError, match="not normalized mod 5"):
+            DeckElement(cyclic(5), residue)
+    with pytest.raises(GroupError, match="not normalized"):
+        DeckElement(cyclic(2**70), 2**70)
 
 
 # -- brunnian words -------------------------------------------------------------

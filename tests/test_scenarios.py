@@ -166,8 +166,35 @@ def test_genus1_hd_shifted_support():
 
 
 def test_genus1_hd_degenerate_disk_data():
+    # h = v = 0: the class meets no cuff, so the dimension is the span of b
     closed, engine = genus1_hd_dim({}, {}, {0: 1}, k=100, l=100)
-    assert closed is None and engine == 0
+    assert closed == engine == 0
+    closed, engine = genus1_hd_dim({}, {}, {-2: 1, 3: 1}, k=103, l=103)
+    assert closed == engine == 5
+
+
+@pytest.mark.parametrize("b, dim", [({0: 1}, 0), ({}, None)])
+def test_genus1_hd_degenerate_branch_has_an_expected_value(b, dim):
+    report = run_theorem("genus1-hd", k=100, l=100, h={}, v={}, b=b)
+    assert report.passed and report.expected == {"dim": dim}
+    assert report.computed["dim_engine"] == report.computed["dim_closed_form"] == dim
+
+
+@pytest.mark.parametrize("b", [{0: 1}, {}])
+def test_genus1_hd_degenerate_branch_fails_on_a_wrong_engine(b, monkeypatch):
+    # an engine whose disk pairing gains a stray term t^5 must FAIL
+    import barbellcalc.scenarios as scenarios
+    from barbellcalc.groupring import from_term_list
+
+    pairing = scenarios.equivariant_pairing
+
+    def mutated(x, label):
+        p = pairing(x, label)
+        return p.add(from_term_list([[[5], 1]], p.group, p.coeffs))
+
+    monkeypatch.setattr(scenarios, "equivariant_pairing", mutated)
+    report = run_theorem("genus1-hd", k=100, l=100, h={}, v={}, b=b)
+    assert not report.passed and report.expected == {"dim": 0 if b else None}
 
 
 def test_genus1_hd_hypothesis_bounds():
@@ -300,6 +327,32 @@ def test_sweep_grids_keep_their_job_counts():
     montesinos = sweeps["montesinos"].sweep
     assert len(montesinos.grid(montesinos.default_max, None)) == 248
     assert sweeps["brunnian"].sweep.grid(2, None)[0] == {"n": 2, "k": 1, "l": 1, "kp": 1, "lp": 2}
+
+
+def test_brunnian_reports_apply_the_pair_rules(monkeypatch):
+    from barbellcalc.presentations import distinguish_brunnian_modules
+    import barbellcalc.scenarios as scenarios
+
+    sweep = THEOREMS["linked-6crit"].sweep
+    # order-swapped and equal pairs are never distinguished; distinct ones are
+    grid = [
+        {"n": 3, "k": 1, "l": 2, "kp": 2, "lp": 1},
+        {"n": 3, "k": 2, "l": 2, "kp": 2, "lp": 2},
+        {"n": 3, "k": 1, "l": 2, "kp": 1, "lp": 3},
+        {"n": 4, "k": 1, "l": 2, "kp": 1, "lp": 3},
+    ]
+    reports = list(sweep.reports("linked-6crit", grid))
+    assert [r.computed["distinguished"] for r in reports] == [False, False, True, True]
+    assert [r.computed["distinguished"] for r in reports] == [
+        distinguish_brunnian_modules(job["k"], job["l"], job["kp"], job["lp"], job["n"]) for job in grid
+    ]
+    assert all(r.passed for r in reports) and reports[3].params["n"] == 4
+    # a monomial-unit image distinguishes nothing, and its own report
+    # fails: call every image of s-degree >= 4, here (2, 2) and (1, 3), a unit
+    monkeypatch.setattr(scenarios, "is_monomial_unit", lambda elem: max(e.value[0] for e in elem.terms) >= 4)
+    reports = list(sweep.reports("linked-6crit", grid))
+    assert [r.computed["distinguished"] for r in reports] == [False] * 4
+    assert [r.passed for r in reports] == [True, False, False, False]
 
 
 @pytest.mark.parametrize("top", range(1, 13))
