@@ -9,8 +9,9 @@ A barbell (two disjoint embedded 2-spheres joined by an arc) in a
 This package lifts that action equivariantly to covers, computes the
 group-ring-valued intersection polynomials that present pi_2 of
 knotted-3-manifold complements, and evaluates the module invariants
-(Laurent quotient dimensions, cokernel factors, unit/associate tests
-in F2[s,t]) used to tell the resulting knotted objects apart.
+(Laurent quotient dimensions, cokernel factors, monomial-unit tests
+and normal forms in F2[s,t]) used to tell the resulting knotted
+objects apart.
 Everything is exact: F2 or arbitrary-precision integer coefficients,
 no floating point.
 """
@@ -19,17 +20,13 @@ from .deckgroup import (
     DeckElement,
     DeckGroup,
     GroupError,
-    UniTriMatrix,
     brunnian_word,
     commutator,
     cyclic,
-    cyclic_project,
     free_abelian,
     free_group,
-    nilpotent_times_z,
     parse_word,
     reduce_letters,
-    unitriangular_rep,
 )
 from .equivariant import (
     BarbellSpec,
@@ -48,12 +45,8 @@ from .equivariant import (
 from .groupring import (
     F2,
     INT,
-    HomDomainError,
     RingElement,
     RingError,
-    apply_hom,
-    are_associates,
-    brunnian_coordinates,
     is_monomial_unit,
     laurent_span,
     render,
@@ -65,7 +58,6 @@ from .presentations import (
     brunnian_disk_obstruction,
     brunnian_image,
     brunnian_relator,
-    distinguish_brunnian_modules,
     f2_quotient_dim,
     present_from_scenario,
 )
@@ -75,7 +67,6 @@ from .scenarios import (
     Report,
     builtin_geometry,
     classify_gluing,
-    genus1_hd_dim,
     montesinos_matrix_for,
     montesinos_parity,
     render_machine,

@@ -6,7 +6,8 @@ Three kinds of deck groups occur in the covers we compute with:
 * free groups F_n (universal covers of link complements, generators
   x1..xn identified with meridians),
 * free abelian groups Z^r (infinite cyclic covers unwinding a meridian,
-  and the rank-2 target of the unitriangular coordinates), and
+  and Z^2, whose group ring F2[s^{±1}, t^{±1}] holds the Brunnian
+  relator images), and
 * finite cyclic groups Z/m (m-fold cyclic and branched cyclic covers).
 
 Elements are immutable values in canonical form: freely reduced words,
@@ -28,15 +29,8 @@ DeckElement.mul walks inward from that seam while letters cancel,
 merges at most one pair of letters on the same generator, and joins
 the two remaining slices, in O(cancelled letters) interpreted steps
 plus C-level tuple slicing.  reduce_letters, a full pass over every
-letter, is kept for raw letter sequences (generators, word powers,
-parsing, and dropping x_n in nilpotent_times_z).
-
-The module also provides the two homomorphisms the distinctness
-arguments push classes through, as plain functions of an element: the
-unitriangular representation psi(x_i) = I + E_{i,i+1} of F_{n-1} into
-unit upper-triangular integer matrices, and cyclic_project, the
-weighted exponent sum mod m, which is the covering map onto an m-fold
-cyclic cover (groupring.apply_hom pushes ring elements through it).
+letter, is kept for raw letter sequences (generators, word powers and
+parsing).
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 class GroupError(ValueError):
@@ -284,11 +278,7 @@ class DeckElement:
     def sort_key(self):
         """Deterministic total order: residues and exponent vectors
         numerically, words lexicographically on their letter sequence."""
-        if self.group.kind == CYCLIC:
-            return (self.value,)
-        if self.group.kind == FREE_ABELIAN:
-            return self.value
-        return self.value
+        return (self.value,) if self.group.kind == CYCLIC else self.value
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.group}>"
@@ -323,105 +313,6 @@ def brunnian_word(n: int) -> DeckElement:
     for m in range(2, n):
         w = commutator(w, group.generator(m))
     return w
-
-
-# ---------------------------------------------------------------------------
-# Unit upper-triangular integer matrices and the representations through them.
-
-
-@dataclass(frozen=True)
-class UniTriMatrix:
-    """An n x n integer matrix with unit diagonal and zeros below it."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        for i, row in enumerate(self.rows):
-            if len(row) != n:
-                raise GroupError("matrix is not square")
-            if row[i] != 1:
-                raise GroupError("diagonal entries must equal 1")
-            if any(row[j] != 0 for j in range(i)):
-                raise GroupError("entries below the diagonal must vanish")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def identity(n: int) -> "UniTriMatrix":
-        return UniTriMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def elementary(n: int, i: int, j: int, c: int = 1) -> "UniTriMatrix":
-        """I + c*E_{i,j} with 1-based indices, i < j."""
-        if not (1 <= i < j <= n):
-            raise GroupError(f"elementary position ({i},{j}) not strictly upper in size {n}")
-        rows = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-        rows[i - 1][j - 1] = c
-        return UniTriMatrix(tuple(tuple(r) for r in rows))
-
-    def mul(self, other: "UniTriMatrix") -> "UniTriMatrix":
-        n = self.size
-        if other.size != n:
-            raise GroupError("size mismatch")
-        rows = tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return UniTriMatrix(rows)
-
-
-def unitriangular_rep(word: DeckElement, n: int) -> UniTriMatrix:
-    """psi(word) in U_n under psi(x_i) = I + E_{i,i+1}.
-
-    Defined on words in x1..x_{n-1} only; the matrix product follows the
-    word's left-to-right order, so psi is a homomorphism for our
-    concatenation convention.  Each letter x_i^e right-multiplies by
-    (I + E_{i,i+1})^e = I + e*E_{i,i+1} (E_{i,i+1} squares to zero),
-    which adds e times column i to column i+1; column i vanishes below
-    row i, so a letter costs O(i) updates of one list of rows, and the
-    matrix is built and validated once at the end.
-    """
-    if word.group.kind != FREE:
-        raise GroupError("unitriangular_rep takes free-group elements")
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for gen, exp in word.value:
-        if gen >= n:
-            raise GroupError(f"generator x{gen} has no image in U_{n} (needs index < {n})")
-        for row in rows[:gen]:
-            row[gen] += exp * row[gen - 1]
-    return UniTriMatrix(tuple(tuple(row) for row in rows))
-
-
-def nilpotent_times_z(word: DeckElement, n: int) -> tuple[UniTriMatrix, int]:
-    """Image of word in U_n x Z: drop x_n letters and apply psi, paired
-    with the total x_n exponent.
-
-    This is the composition F_{n-1} * Z -> F_{n-1} x Z -> U_n x Z; it is
-    a homomorphism because dropping x_n is a retraction of free groups.
-    """
-    if word.group.kind != FREE or word.group.n != n:
-        raise GroupError(f"expected an element of F_{n}")
-    dropped = reduce_letters((g, e) for g, e in word.value if g != n)
-    exponent = sum(e for g, e in word.value if g == n)
-    return unitriangular_rep(DeckElement(word.group, dropped), n), exponent
-
-
-def cyclic_project(word: DeckElement, weights: Sequence[int], m: int) -> DeckElement:
-    """Weighted exponent sum mod m; weights encode which meridians
-    survive the quotient defining the cyclic cover."""
-    if m < 1:
-        raise GroupError(f"modulus must be >= 1, got {m}")
-    target = cyclic(m)
-    if word.group.kind == FREE:
-        total = sum(weights[g - 1] * e for g, e in word.value)
-    elif word.group.kind == FREE_ABELIAN:
-        total = sum(w * e for w, e in zip(weights, word.value))
-    else:
-        total = weights[0] * word.value
-    return DeckElement(target, total % m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,9 @@ free groups.  Over free abelian groups these are exactly (multivariate)
 Laurent polynomials, with rank 1 rendered in the variable t and rank 2
 in s, t.
 
-A group homomorphism is a plain map of deck elements, and apply_hom
-pushes a ring element through one (colliding images add).  Two maps
-occur: deckgroup.cyclic_project, the covering map onto a finite cyclic
-cover, under which the lifted barbell action and the equivariant
-pairing are natural (a property the test suite checks), and
-brunnian_coordinates, F_n -> Z^2 by the unitriangular coordinates, the
-oracle of presentations.brunnian_image.
-
 The module distinguishes cokernels the way the distinctness proofs do:
-unit and associate tests in F2[s^{±1}, t^{±1}] and the degree span of a
+monomial-unit tests and normalization up to monomial units in
+F2[s^{±1}, t^{±1}] and Z[t^{±1}], and the degree span of a
 single-variable Laurent polynomial, which equals the F2-dimension of
 its quotient ring because F2[t, t^{-1}] is Euclidean under that span.
 No factorization, Groebner bases, or general ideal membership.
@@ -24,7 +17,7 @@ No factorization, Groebner bases, or general ideal membership.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .deckgroup import (
     CYCLIC,
@@ -32,12 +25,8 @@ from .deckgroup import (
     FREE_ABELIAN,
     DeckElement,
     DeckGroup,
-    UniTriMatrix,
     element_from_json,
     element_to_json,
-    format_element,
-    free_abelian,
-    nilpotent_times_z,
 )
 
 F2 = "F2"
@@ -46,10 +35,6 @@ INT = "Z"
 
 class RingError(ValueError):
     """Coefficient/group mismatch or an operation outside its domain."""
-
-
-class HomDomainError(RingError):
-    """A term lies outside the homomorphism's valid domain."""
 
 
 def _normalize_coeff(c: int, coeffs: str) -> int:
@@ -151,40 +136,7 @@ class RingElement:
 
 
 # ---------------------------------------------------------------------------
-# Group homomorphisms as plain maps of deck elements.
-
-
-def apply_hom(
-    elem: RingElement, target: DeckGroup, image: Callable[[DeckElement], DeckElement]
-) -> RingElement:
-    """Push a ring element through a group homomorphism, given as the map
-    `image` from deck elements to elements of target (a ring map);
-    colliding images add, mod 2 over F2."""
-    terms: dict[DeckElement, int] = {}
-    for g, c in elem.terms.items():
-        h = image(g)
-        terms[h] = terms.get(h, 0) + c
-    return RingElement(target, elem.coeffs, terms)
-
-
-def brunnian_coordinates(elt: DeckElement, n: int) -> DeckElement:
-    """F_n -> Z^2 by the unitriangular coordinates.
-
-    A term g maps through (psi of the x_n-free part, x_n exponent); the
-    image must land in the rank-2 central subgroup generated by the
-    images of the iterated commutator w and of x_n, i.e. the matrix part
-    must equal I + a*E_{1,n}.  Terms whose image falls outside raise
-    HomDomainError: the element does not live in the s,t-subring.
-    """
-    mat, exponent = nilpotent_times_z(elt, n)
-    a = mat.rows[0][n - 1]
-    if mat != UniTriMatrix.elementary(n, 1, n, a):
-        raise HomDomainError(f"term {format_element(elt)} maps outside the central rank-2 subgroup")
-    return DeckElement(free_abelian(2), (a, exponent))
-
-
-# ---------------------------------------------------------------------------
-# Unit and associate tests over commutative group rings.
+# Monomial units and normal forms over commutative group rings.
 
 
 def is_monomial_unit(elem: RingElement) -> bool:
@@ -218,14 +170,6 @@ def normalize_monomial(elem: RingElement) -> RingElement:
         if out.terms[lead] < 0:
             out = out.neg()
     return out
-
-
-def are_associates(a: RingElement, b: RingElement) -> bool:
-    """True iff a = m*b for a monomial unit m (sign included over Z)."""
-    a._check(b)
-    if a.is_zero() or b.is_zero():
-        raise RingError("associate testing requires nonzero elements")
-    return normalize_monomial(a) == normalize_monomial(b)
 
 
 def laurent_span(elem: RingElement) -> int | None:

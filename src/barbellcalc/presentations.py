@@ -11,6 +11,10 @@ gives a zero-diagonal 2x2 over Z[t, t^-1].
 There is deliberately no Smith normal form over Z[t, t^-1] (not a PID):
 cokernel normal forms are computed only for the shapes that actually
 arise (1x1 and zero-diagonal 2x2).
+
+The n-component Brunnian-link module has one relator in F2[F_n];
+brunnian_image is its image in F2[s^{±1}, t^{±1}] in closed form, on
+which the brunnian sweep tells two modules apart.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from .equivariant import (
 from .groupring import (
     F2,
     RingElement,
-    are_associates,
-    is_monomial_unit,
     laurent_span,
     normalize_monomial,
 )
@@ -107,7 +109,7 @@ def antidiagonal_cokernel(matrix: PresentationMatrix) -> list[RingElement]:
 
 
 # ---------------------------------------------------------------------------
-# The Brunnian-link module family and its distinctness test.
+# The Brunnian-link module family.
 
 
 def symmetric_relator(vectors: Sequence[tuple[int, ...]]) -> RingElement:
@@ -153,32 +155,11 @@ def brunnian_image(k: int, l: int, n: int) -> RingElement:
 
     The coordinates are a ring map, so the image is the product of the
     factors' images; over F2, (t^-1 + 1)(1 + t) = t + t^-1, so for every
-    n it is 1 + (t + t^-1)(s^k + s^-k)(s^l + s^-l).  Pushing
-    brunnian_relator through groupring.brunnian_coordinates term by term
-    gives the same element (the test suite checks it)."""
+    n it is 1 + (t + t^-1)(s^k + s^-k)(s^l + s^-l).  The test suite
+    checks it against brunnian_relator pushed through the unitriangular
+    coordinates term by term (tests/oracles.py)."""
     _check_brunnian(k, l, n)
     return symmetric_relator([(0, 1), (k, 0), (l, 0)])
-
-
-def distinguish_brunnian_modules(k: int, l: int, kp: int, lp: int, n: int) -> bool:
-    """True = the two Brunnian-link modules are provably non-isomorphic:
-    their pushed-forward relators are non-associate in F2[s^{±1},t^{±1}]
-    (and each is certifiably non-trivial: not a monomial unit).
-
-    False means "not distinguished by this test", never "isomorphic";
-    in particular unordered-equal parameter pairs return False.  The
-    brunnian sweep decides its pairs by the same rule on images it
-    normalizes once per winding pair; this function is the tests'
-    oracle for it.
-    """
-    a = brunnian_image(k, l, n)
-    b = brunnian_image(kp, lp, n)
-    if {k, l} == {kp, lp}:
-        return False
-    if is_monomial_unit(a) or is_monomial_unit(b):
-        # would contradict nontriviality of the modules; refuse to distinguish
-        return False
-    return not are_associates(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .deckgroup import (
     GroupError,
     brunnian_word,
     cyclic,
-    cyclic_project,
     element_from_json,
     element_to_json,
     free_abelian,
@@ -605,18 +604,17 @@ def _run_less_simple(name: str, m: int, k: int, l: int = 0) -> Report:
 
 def _run_splitting_spheres_mixed(name: str, m: int, k: int, l: int = 0) -> Report:
     # The finite cover comes from quotienting the rank-2 meridian lattice
-    # by (m, 0) and (0, 1): weights (1, 0) mod m.  The bar winds k times
-    # around the first meridian, so its residue is the weighted
-    # projection of x1, raised to the power k.
+    # by (m, 0) and (0, 1): weights (1, 0) mod m.  A bar winding p times
+    # around the first meridian projects to p * 1 + 0 mod m, so its
+    # residue is p mod m.
     geo, moved = _cover_move("cyclic_cover", m, k, l)
-    x1 = cyclic_project(free_group(2).generator(1), (1, 0), m)
     member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
     distinguished = not member
     return Report(
         name=name,
         params={"m": m, "k": k, "l": l},
         computed={
-            "bar_residues": {str(p): x1.pow(p).value for p in (k, l)},
+            "bar_residues": {str(p): p % m for p in (k, l)},
             "class": _class_json(moved),
             "class_rendered": render_class(moved),
             "distinguished": distinguished,
@@ -672,14 +670,12 @@ def _coeff_map(data: Mapping) -> dict[int, int]:
     return out
 
 
-def _genus1_hd(
-    h: Mapping, v: Mapping, b: Mapping, k: int, l: int
-) -> tuple[tuple[dict, dict, dict], str, int | None, int | None]:
+def _run_genus1_hd(name: str, k: int, l: int, h=None, v=None, b=None) -> Report:
     """The twisted genus-1 scenario with prescribed intersection data
-    (h, v, b): their mod-2 coefficient maps, the closed-form branch and
-    its dimension, and the dimension the engine computes on a synthetic
-    class (None = infinite)."""
-    h, v, b = _coeff_map(h), _coeff_map(v), _coeff_map(b)
+    (h, v, b), default h = 1: the dimension of its mod-2 second homology
+    by the piecewise closed form and by driving the engine on a
+    synthetic class (None = infinite)."""
+    h, v, b = _coeff_map({0: 1} if h is None else h), _coeff_map(v or {}), _coeff_map(b or {})
     radius = lambda data: max((abs(i) for i in data), default=0)
     m_b, m_h, m_v = radius(b), radius(h), radius(v)
     _require(k >= m_b + m_h + 100, f"need k >= {m_b + m_h + 100}, got k={k}")
@@ -703,25 +699,6 @@ def _genus1_hd(
         branch, closed = "horizontal only (2k + span h)", 2 * k + max(h) - min(h)
     else:
         branch, closed = "vertical present (2k + 2l + 1 + span v)", 2 * k + 2 * l + 1 + max(v) - min(v)
-    return (h, v, b), branch, closed, engine
-
-
-def genus1_hd_dim(
-    h: Mapping, v: Mapping, b: Mapping, k: int, l: int
-) -> tuple[int | None, int | None]:
-    """Dimension of the mod-2 second homology for the twisted genus-1
-    scenario with prescribed intersection data (h, v, b), both by the
-    piecewise closed form and by driving the engine on a synthetic
-    class (None = infinite); the two agree on every branch.  When
-    h = v = 0 the class meets no cuff and the closed form is the span
-    of b.
-    """
-    _, _, closed, engine = _genus1_hd(h, v, b, k, l)
-    return closed, engine
-
-
-def _run_genus1_hd(name: str, k: int, l: int, h=None, v=None, b=None) -> Report:
-    (h, v, b), branch, closed, engine = _genus1_hd({0: 1} if h is None else h, v or {}, b or {}, k, l)
     as_param = lambda coeffs: {str(i): c for i, c in coeffs.items()}
     return Report(
         name=name,
@@ -932,8 +909,9 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
     report, and its image is normalized once; a job is that report with
     its `distinguished` verdict added.  The two modules are distinguished
     when the pairs differ as unordered pairs, neither image is a
-    monomial unit, and the normalized images differ, which is
-    presentations.distinguish_brunnian_modules (the tests' oracle)."""
+    monomial unit, and the normalized images differ: the images are
+    non-associate.  The tests compare each verdict with a pairwise
+    oracle that rebuilds both images (tests/oracles.py)."""
     decided: dict[tuple[int, int, int], tuple[Report, RingElement | None]] = {}
 
     def decide(n: int, k: int, l: int) -> tuple[Report, RingElement | None]:

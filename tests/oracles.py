@@ -1,0 +1,196 @@
+r"""
+Test oracles: the maps the distinctness arguments push classes through,
+kept outside the package so that they stay independent of the engine.
+
+No theorem, sweep or scenario needs them: the engine uses closed forms
+in their place, and the tests compare the two.
+
+* The unitriangular representation psi(x_i) = I + E_{i,i+1} of F_{n-1}
+  into unit upper-triangular integer matrices, its extension
+  nilpotent_times_z to F_n -> U_n x Z, and brunnian_coordinates,
+  F_n -> Z^2, the oracle of presentations.brunnian_image.
+* cyclic_project, the weighted exponent sum mod m: the covering map
+  onto an m-fold cyclic cover, under which the lifted barbell action
+  and the equivariant pairing are natural.
+* apply_hom, which pushes a ring element through either map (colliding
+  images add), are_associates, and distinguish_brunnian_modules, the
+  pairwise oracle of the brunnian sweep's verdicts.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from barbellcalc.deckgroup import (
+    FREE,
+    FREE_ABELIAN,
+    DeckElement,
+    DeckGroup,
+    GroupError,
+    cyclic,
+    format_element,
+    free_abelian,
+    reduce_letters,
+)
+from barbellcalc.groupring import RingElement, RingError, is_monomial_unit, normalize_monomial
+from barbellcalc.presentations import brunnian_image
+
+# ---------------------------------------------------------------------------
+# Unit upper-triangular integer matrices and the representations through them.
+
+
+@dataclass(frozen=True)
+class UniTriMatrix:
+    """An n x n integer matrix with unit diagonal and zeros below it."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.rows)
+        for i, row in enumerate(self.rows):
+            if len(row) != n:
+                raise GroupError("matrix is not square")
+            if row[i] != 1:
+                raise GroupError("diagonal entries must equal 1")
+            if any(row[j] != 0 for j in range(i)):
+                raise GroupError("entries below the diagonal must vanish")
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    @staticmethod
+    def identity(n: int) -> "UniTriMatrix":
+        return UniTriMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+    @staticmethod
+    def elementary(n: int, i: int, j: int, c: int = 1) -> "UniTriMatrix":
+        """I + c*E_{i,j} with 1-based indices, i < j."""
+        if not (1 <= i < j <= n):
+            raise GroupError(f"elementary position ({i},{j}) not strictly upper in size {n}")
+        rows = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
+        rows[i - 1][j - 1] = c
+        return UniTriMatrix(tuple(tuple(r) for r in rows))
+
+    def mul(self, other: "UniTriMatrix") -> "UniTriMatrix":
+        n = self.size
+        if other.size != n:
+            raise GroupError("size mismatch")
+        rows = tuple(
+            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+        return UniTriMatrix(rows)
+
+
+def unitriangular_rep(word: DeckElement, n: int) -> UniTriMatrix:
+    """psi(word) in U_n under psi(x_i) = I + E_{i,i+1}.
+
+    Defined on words in x1..x_{n-1} only; the matrix product follows the
+    word's left-to-right order, so psi is a homomorphism for our
+    concatenation convention.  Each letter x_i^e right-multiplies by
+    (I + E_{i,i+1})^e = I + e*E_{i,i+1} (E_{i,i+1} squares to zero),
+    which adds e times column i to column i+1; column i vanishes below
+    row i, so a letter costs O(i) updates of one list of rows, and the
+    matrix is built and validated once at the end.
+    """
+    if word.group.kind != FREE:
+        raise GroupError("unitriangular_rep takes free-group elements")
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for gen, exp in word.value:
+        if gen >= n:
+            raise GroupError(f"generator x{gen} has no image in U_{n} (needs index < {n})")
+        for row in rows[:gen]:
+            row[gen] += exp * row[gen - 1]
+    return UniTriMatrix(tuple(tuple(row) for row in rows))
+
+
+def nilpotent_times_z(word: DeckElement, n: int) -> tuple[UniTriMatrix, int]:
+    """Image of word in U_n x Z: drop x_n letters and apply psi, paired
+    with the total x_n exponent.
+
+    This is the composition F_{n-1} * Z -> F_{n-1} x Z -> U_n x Z; it is
+    a homomorphism because dropping x_n is a retraction of free groups.
+    """
+    if word.group.kind != FREE or word.group.n != n:
+        raise GroupError(f"expected an element of F_{n}")
+    dropped = reduce_letters((g, e) for g, e in word.value if g != n)
+    exponent = sum(e for g, e in word.value if g == n)
+    return unitriangular_rep(DeckElement(word.group, dropped), n), exponent
+
+
+def cyclic_project(word: DeckElement, weights: Sequence[int], m: int) -> DeckElement:
+    """Weighted exponent sum mod m; weights encode which meridians
+    survive the quotient defining the cyclic cover."""
+    if m < 1:
+        raise GroupError(f"modulus must be >= 1, got {m}")
+    target = cyclic(m)
+    if word.group.kind == FREE:
+        total = sum(weights[g - 1] * e for g, e in word.value)
+    elif word.group.kind == FREE_ABELIAN:
+        total = sum(w * e for w, e in zip(weights, word.value))
+    else:
+        total = weights[0] * word.value
+    return DeckElement(target, total % m)
+
+
+# ---------------------------------------------------------------------------
+# Group homomorphisms as plain maps of deck elements, pushed through rings.
+
+
+def apply_hom(
+    elem: RingElement, target: DeckGroup, image: Callable[[DeckElement], DeckElement]
+) -> RingElement:
+    """Push a ring element through a group homomorphism, given as the map
+    `image` from deck elements to elements of target (a ring map);
+    colliding images add, mod 2 over F2."""
+    terms: dict[DeckElement, int] = {}
+    for g, c in elem.terms.items():
+        h = image(g)
+        terms[h] = terms.get(h, 0) + c
+    return RingElement(target, elem.coeffs, terms)
+
+
+def brunnian_coordinates(elt: DeckElement, n: int) -> DeckElement:
+    """F_n -> Z^2 by the unitriangular coordinates.
+
+    A term g maps through (psi of the x_n-free part, x_n exponent); the
+    image must land in the rank-2 central subgroup generated by the
+    images of the iterated commutator w and of x_n, i.e. the matrix part
+    must equal I + a*E_{1,n}.  Terms whose image falls outside raise
+    RingError: the element does not live in the s,t-subring.
+    """
+    mat, exponent = nilpotent_times_z(elt, n)
+    a = mat.rows[0][n - 1]
+    if mat != UniTriMatrix.elementary(n, 1, n, a):
+        raise RingError(f"term {format_element(elt)} maps outside the central rank-2 subgroup")
+    return DeckElement(free_abelian(2), (a, exponent))
+
+
+def are_associates(a: RingElement, b: RingElement) -> bool:
+    """True iff a = m*b for a monomial unit m (sign included over Z)."""
+    a._check(b)
+    if a.is_zero() or b.is_zero():
+        raise RingError("associate testing requires nonzero elements")
+    return normalize_monomial(a) == normalize_monomial(b)
+
+
+def distinguish_brunnian_modules(k: int, l: int, kp: int, lp: int, n: int) -> bool:
+    """True = the two Brunnian-link modules are provably non-isomorphic:
+    their pushed-forward relators are non-associate in F2[s^{±1},t^{±1}]
+    (and each is certifiably non-trivial: not a monomial unit).
+
+    False means "not distinguished by this test", never "isomorphic";
+    in particular unordered-equal parameter pairs return False.  The
+    brunnian sweep decides its pairs by the same rule on images it
+    normalizes once per winding pair.
+    """
+    a = brunnian_image(k, l, n)
+    b = brunnian_image(kp, lp, n)
+    if {k, l} == {kp, lp}:
+        return False
+    if is_monomial_unit(a) or is_monomial_unit(b):
+        # would contradict nontriviality of the modules; refuse to distinguish
+        return False
+    return not are_associates(a, b)

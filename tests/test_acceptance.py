@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from barbellcalc.deckgroup import DeckElement, UniTriMatrix, brunnian_word, cyclic, unitriangular_rep
+from barbellcalc.deckgroup import DeckElement, brunnian_word, cyclic
 from barbellcalc.equivariant import (
     BarbellSpec,
     EquivClass,
@@ -27,7 +27,6 @@ from barbellcalc.groupring import F2, INT, RingElement, is_monomial_unit
 from barbellcalc.presentations import (
     antidiagonal_cokernel,
     brunnian_image,
-    distinguish_brunnian_modules,
     f2_quotient_dim,
     present_from_scenario,
 )
@@ -39,6 +38,7 @@ from barbellcalc.scenarios import (
     morsesimple_f,
     run_theorem,
 )
+from oracles import UniTriMatrix, distinguish_brunnian_modules, unitriangular_rep
 
 
 def announce(number, text):

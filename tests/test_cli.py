@@ -71,8 +71,8 @@ def brunnian_oracle_reports(n, top):
     """The brunnian sweep's jobs rebuilt one at a time: every two distinct
     unordered winding pairs, the linked-6crit report of the first, and
     the verdict of distinguish_brunnian_modules on both."""
-    from barbellcalc.presentations import distinguish_brunnian_modules
     from barbellcalc.scenarios import Report, run_theorem
+    from oracles import distinguish_brunnian_modules
 
     pairs = [(k, l) for k in range(1, top + 1) for l in range(k, top + 1)]
     runs = {pair: run_theorem("linked-6crit", n=n, k=pair[0], l=pair[1]) for pair in pairs}

@@ -13,21 +13,18 @@ from barbellcalc.deckgroup import (
     DeckElement,
     DeckGroup,
     GroupError,
-    UniTriMatrix,
     brunnian_word,
     commutator,
     cyclic,
-    cyclic_project,
     element_from_json,
     element_to_json,
     format_element,
     free_abelian,
     free_group,
-    nilpotent_times_z,
     parse_word,
     reduce_letters,
-    unitriangular_rep,
 )
+from oracles import UniTriMatrix, cyclic_project, nilpotent_times_z, unitriangular_rep
 
 F3 = free_group(3)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import DeckElement, cyclic, cyclic_project, free_abelian, free_group, reduce_letters
+from barbellcalc.deckgroup import DeckElement, cyclic, free_abelian, free_group, reduce_letters
 from barbellcalc.equivariant import (
     DISK,
     MERIDIAN,
@@ -23,8 +23,9 @@ from barbellcalc.equivariant import (
     pair_classes,
     summand_membership,
 )
-from barbellcalc.groupring import F2, INT, RingElement, apply_hom
+from barbellcalc.groupring import F2, INT, RingElement
 from barbellcalc.scenarios import builtin_geometry
+from oracles import apply_hom, cyclic_project
 
 Z1 = free_abelian(1)
 

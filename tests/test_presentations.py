@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import DeckElement, brunnian_word, free_abelian
 from barbellcalc.equivariant import BarbellSpec
-from barbellcalc.groupring import F2, INT, RingElement, apply_hom, brunnian_coordinates
+from barbellcalc.groupring import F2, INT, RingElement
 from barbellcalc.presentations import (
     PresentationError,
     PresentationMatrix,
@@ -14,11 +14,11 @@ from barbellcalc.presentations import (
     brunnian_disk_obstruction,
     brunnian_image,
     brunnian_relator,
-    distinguish_brunnian_modules,
     f2_quotient_dim,
     present_from_scenario,
 )
 from barbellcalc.scenarios import builtin_geometry, morsesimple_f
+from oracles import apply_hom, brunnian_coordinates, distinguish_brunnian_modules
 
 Z1 = free_abelian(1)
 

@@ -1,8 +1,15 @@
+import importlib
+import inspect
 import json
+import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import GroupError
+from barbellcalc.deckgroup import GroupError, free_group
 from barbellcalc.equivariant import MERIDIAN
 from barbellcalc.groupring import to_term_list
 from barbellcalc.scenarios import (
@@ -14,13 +21,13 @@ from barbellcalc.scenarios import (
     HypothesisError,
     builtin_geometry,
     classify_gluing,
-    genus1_hd_dim,
     montesinos_matrix_for,
     montesinos_parity,
     render_machine,
     run_scenario,
     run_theorem,
 )
+from oracles import cyclic_project, distinguish_brunnian_modules
 
 # Golden pairing tables: the full finite intersection data of each
 # built-in geometry, locked term by term.
@@ -147,29 +154,49 @@ def test_splitting_spheres_mixed_reports_residues():
     assert report.computed["bar_residues"]["2"] == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bar_residues_are_the_projected_bar_powers(data):
+    # the runner's closed form p mod m against the bar x1^p pushed
+    # through the covering map F_2 -> Z/m with weights (1, 0), for
+    # every cover order the hypotheses admit, up to 10^12
+    k = data.draw(st.integers(1, 10**6), label="k")
+    l = data.draw(st.integers(0, 10**6), label="l")
+    m = data.draw(st.integers(2 * k + 2 * l + 101, 10**12), label="m")
+    x1 = cyclic_project(free_group(2).generator(1), (1, 0), m)
+    report = run_theorem("simple-splitting-spheres", m=m, k=k, l=l)
+    assert report.computed["bar_residues"] == {str(p): x1.pow(p).value for p in (k, l)}
+
+
 # -- the Heegaard-genus-1 dimension formula -------------------------------------
 
 
+def genus1_hd_dims(**params):
+    """The closed-form and engine dimensions of one genus1-hd report."""
+    computed = run_theorem("genus1-hd", **params).computed
+    return computed["dim_closed_form"], computed["dim_engine"]
+
+
 def test_genus1_hd_single_barbell_branch():
-    closed, engine = genus1_hd_dim({0: 1}, {}, {}, k=110, l=110)
+    closed, engine = genus1_hd_dims(h={0: 1}, v={}, b={}, k=110, l=110)
     assert closed == engine == 220
 
 
 def test_genus1_hd_two_barbell_branch():
-    closed, engine = genus1_hd_dim({}, {0: 1}, {}, k=300, l=300)
+    closed, engine = genus1_hd_dims(h={}, v={0: 1}, b={}, k=300, l=300)
     assert closed == engine == 1201
 
 
 def test_genus1_hd_shifted_support():
-    closed, engine = genus1_hd_dim({-2: 1, 3: 1}, {}, {1: 1}, k=120, l=120)
+    closed, engine = genus1_hd_dims(h={-2: 1, 3: 1}, v={}, b={1: 1}, k=120, l=120)
     assert closed == engine == 2 * 120 + 3 - (-2)
 
 
 def test_genus1_hd_degenerate_disk_data():
     # h = v = 0: the class meets no cuff, so the dimension is the span of b
-    closed, engine = genus1_hd_dim({}, {}, {0: 1}, k=100, l=100)
+    closed, engine = genus1_hd_dims(h={}, v={}, b={0: 1}, k=100, l=100)
     assert closed == engine == 0
-    closed, engine = genus1_hd_dim({}, {}, {-2: 1, 3: 1}, k=103, l=103)
+    closed, engine = genus1_hd_dims(h={}, v={}, b={-2: 1, 3: 1}, k=103, l=103)
     assert closed == engine == 5
 
 
@@ -199,9 +226,9 @@ def test_genus1_hd_degenerate_branch_fails_on_a_wrong_engine(b, monkeypatch):
 
 def test_genus1_hd_hypothesis_bounds():
     with pytest.raises(HypothesisError):
-        genus1_hd_dim({0: 1}, {}, {}, k=99, l=100)
+        genus1_hd_dims(h={0: 1}, v={}, b={}, k=99, l=100)
     with pytest.raises(HypothesisError):
-        genus1_hd_dim({}, {5: 1}, {}, k=110, l=100)
+        genus1_hd_dims(h={}, v={5: 1}, b={}, k=110, l=100)
 
 
 # -- Montesinos --------------------------------------------------------------------
@@ -318,6 +345,62 @@ def test_registry_keys_name_their_reports():
         assert report.name == key and report.passed, key
 
 
+# Public functions of the package that no CLI path enters, and why each
+# stays.  Anything else the CLI never reaches is library code without a
+# caller, or an oracle that belongs in tests/oracles.py.
+UNREACHED_BY_THE_CLI = {
+    "groupring.render": "renders ring elements in error messages and reprs",
+    "groupring.to_term_list": "the library's serializer; reports use term_list_and_render",
+}
+
+
+def cli_corpus():
+    """Every theorem at its sample parameters, every sweep and the
+    committed scenario, in both output formats."""
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "torus_k2_l3.json"
+    sweeps = [record.sweep.name for record in THEOREMS.values() if record.sweep]
+    for fmt in ("table", "machine"):
+        for key in sorted(THEOREMS):
+            flags = [token for name, value in SAMPLE_PARAMS[key].items() for token in (f"--{name}", str(value))]
+            yield ["theorem", key, *flags, "--format", fmt]
+        # --max 3: the smallest size at which every sweep, montesinos
+        # included, has a job
+        for name in sweeps:
+            yield ["sweep", name, "--max", "3", "--format", fmt]
+        yield ["scenario", str(scenario), "--format", fmt]
+
+
+def test_every_public_function_is_reached_by_the_cli(capsys):
+    import barbellcalc
+    from barbellcalc import cli
+
+    public = {}
+    for info in pkgutil.iter_modules(barbellcalc.__path__):
+        module = importlib.import_module(f"barbellcalc.{info.name}")
+        for name, obj in vars(module).items():
+            func = inspect.unwrap(obj) if callable(obj) else None
+            if not name.startswith("_") and inspect.isfunction(func) and func.__module__ == module.__name__:
+                public[f"{info.name}.{name}"] = func.__code__
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    # the parser is cached per process: build it again so that this
+    # call sequence enters build_parser whatever ran before it
+    cli.build_parser.cache_clear()
+    sys.setprofile(profile)
+    try:
+        codes = {tuple(argv): cli.main(argv) for argv in cli_corpus()}
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert all(code == 0 for code in codes.values()), codes
+    unreached = sorted(name for name, code in public.items() if code not in entered)
+    assert unreached == sorted(UNREACHED_BY_THE_CLI)
+
+
 def test_sweep_grids_keep_their_job_counts():
     sweeps = {record.sweep.name: record for record in THEOREMS.values() if record.sweep}
     assert list(sweeps) == ["morsesimple", "higher-dim", "brunnian", "montesinos"]
@@ -330,7 +413,6 @@ def test_sweep_grids_keep_their_job_counts():
 
 
 def test_brunnian_reports_apply_the_pair_rules(monkeypatch):
-    from barbellcalc.presentations import distinguish_brunnian_modules
     import barbellcalc.scenarios as scenarios
 
     sweep = THEOREMS["linked-6crit"].sweep
@@ -507,7 +589,7 @@ def test_genus1_hd_single_barbell_variant():
     # identity regluing: the attaching sphere is the vertical sphere
     # itself, whose horizontal pairing occupies offsets -1 and 0,
     # giving dimension 2k + 1
-    closed, engine = genus1_hd_dim({-1: 1, 0: 1}, {}, {}, k=110, l=110)
+    closed, engine = genus1_hd_dims(h={-1: 1, 0: 1}, v={}, b={}, k=110, l=110)
     assert closed == engine == 221
 
 
