@@ -31,13 +31,11 @@ from .deckgroup import (
 from .equivariant import (
     BarbellSpec,
     EquivClass,
-    GeneratorLabel,
     Geometry,
     GeometryError,
     action_sequence,
     barbell_action,
     equivariant_pairing,
-    intersection_polynomial,
     pair_classes,
     render_class,
     summand_membership,

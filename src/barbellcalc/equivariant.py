@@ -32,6 +32,13 @@ commutes with deck translations, so the k-th iterate of the lift with
 offset o is x -> o^k (x + k C(x)) for every integer k, the inverse
 included.  barbell_action checks the vanishing pairings before it
 applies that closed form and raises GeometryError when they fail.
+
+The cover arguments end in summand membership: is a moved class, modulo
+the meridians, supported on a chosen summand?  A meridian's class is one
+basis term, so the formal answer is a test on x's terms, and the one
+witness argument (a single meridian, nothing allowed) compares x's
+pairings with those of 0 and of the meridian; summand_membership
+decides both in closed form and refuses every other configuration.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .deckgroup import CYCLIC, DeckElement, DeckGroup, format_element
 from .groupring import F2, RingElement, join_signed, render
-from .intlinalg import solve_mod2
 
 SPHERE = "sphere"
 DISK = "disk"
@@ -50,16 +56,6 @@ MERIDIAN = "meridian"
 
 class GeometryError(ValueError):
     """Unknown label, undefined pairing kind, or malformed geometry."""
-
-
-@dataclass(frozen=True)
-class GeneratorLabel:
-    name: str
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (SPHERE, DISK, MERIDIAN):
-            raise GeometryError(f"unknown generator kind {self.kind!r}")
 
 
 @dataclass
@@ -85,17 +81,20 @@ class Geometry:
     name: str
     group: DeckGroup
     coeffs: str
-    labels: dict[str, GeneratorLabel]
+    labels: dict[str, str]
     pairings: dict[tuple[str, str], RingElement]
     attaching: list[str] = field(default_factory=list)
     disks: list[str] = field(default_factory=list)
     aliases: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, kind in self.labels.items():
+            if kind not in (SPHERE, DISK, MERIDIAN):
+                raise GeometryError(f"label {name} has unknown generator kind {kind!r}")
         for (a, b), elem in self.pairings.items():
             if a not in self.labels or b not in self.labels:
                 raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
-            if self.labels[a].kind == DISK and self.labels[b].kind == DISK:
+            if self.labels[a] == DISK and self.labels[b] == DISK:
                 raise GeometryError("disk-disk pairings are not part of the data")
             if self._meridian(a, b) and any(not g.is_identity() for g in elem.terms):
                 raise GeometryError(f"meridian row ({a}, {b}) must be stored as its augmentation, got {render(elem)}")
@@ -106,9 +105,10 @@ class Geometry:
             raise GeometryError(f"geometry {self.name}: meridians need a cyclic deck group, not {self.group!r}")
 
     def meridians(self) -> list[str]:
-        return [name for name, label in self.labels.items() if label.kind == MERIDIAN]
+        return [name for name, kind in self.labels.items() if kind == MERIDIAN]
 
-    def label(self, name: str) -> GeneratorLabel:
+    def label(self, name: str) -> str:
+        """The kind of a declared label."""
         if name not in self.labels:
             raise GeometryError(f"unknown label {name!r} in geometry {self.name}")
         return self.labels[name]
@@ -117,10 +117,10 @@ class Geometry:
         return self.group.identity()
 
     def _meridian(self, a: str, b: str) -> bool:
-        return MERIDIAN in (self.labels[a].kind, self.labels[b].kind)
+        return MERIDIAN in (self.labels[a], self.labels[b])
 
     def _stored(self, a: str, b: str) -> RingElement | None:
-        if self.labels[a].kind == DISK and self.labels[b].kind == DISK:
+        if self.labels[a] == DISK and self.labels[b] == DISK:
             raise GeometryError(f"pairing of two disks ({a}, {b}) is undefined")
         if (a, b) in self.pairings:
             return self.pairings[(a, b)]
@@ -139,21 +139,18 @@ class Geometry:
         row = self._stored(a, b)
         return 0 if row is None else row.coefficient(self.identity() if self._meridian(a, b) else g)
 
-    def zero_class(self) -> "EquivClass":
-        return EquivClass(self, {})
-
     def basis_class(self, label: str, deck: DeckElement | None = None, coeff: int = 1) -> "EquivClass":
         self.label(label)
         deck = deck if deck is not None else self.identity()
         return EquivClass(self, {(label, deck): coeff})
 
-    def extend(self, label: GeneratorLabel, pairings: Mapping[str, RingElement]) -> "Geometry":
+    def extend(self, name: str, kind: str, pairings: Mapping[str, RingElement]) -> "Geometry":
         """A copy with one extra generator and its pairing rows; used for
         synthetic classes with prescribed intersection data."""
         entries = dict(self.pairings)
         for other, elem in pairings.items():
-            entries[(label.name, other)] = elem
-        return replace(self, labels={**self.labels, label.name: label}, pairings=entries)
+            entries[(name, other)] = elem
+        return replace(self, labels={**self.labels, name: kind}, pairings=entries)
 
 
 class EquivClass:
@@ -173,9 +170,6 @@ class EquivClass:
                 clean[(label, deck)] = c
         self.geometry = geometry
         self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def support(self):
         return sorted(self.terms, key=lambda k: (k[0], k[1].sort_key()))
@@ -293,7 +287,7 @@ def _check_spec(geo: Geometry, spec: BarbellSpec):
     and disjoint cuffs, i.e. P[c1,c1], P[c1,c2] and P[c2,c2] vanish.
     The last makes the correction square to zero."""
     for cuff in (spec.cuff1, spec.cuff2):
-        if geo.label(cuff).kind != SPHERE:
+        if geo.label(cuff) != SPHERE:
             raise GeometryError(f"cuff {cuff} must be a sphere label")
     if spec.holonomy.group != geo.group:
         raise GeometryError("holonomy lives in the wrong deck group")
@@ -348,14 +342,8 @@ def action_sequence(x: EquivClass, specs: Sequence[BarbellSpec]) -> EquivClass:
     return out
 
 
-def intersection_polynomial(x: EquivClass, disk_labels: Sequence[str]) -> list[RingElement]:
-    """Componentwise equivariant pairing against each disk generator;
-    one column's worth of the presentation matrix."""
-    return [equivariant_pairing(x, d) for d in disk_labels]
-
-
 # ---------------------------------------------------------------------------
-# Summand membership, formally and through pairing witnesses.
+# Summand membership, in closed form.
 
 
 def _aliased(x: EquivClass) -> EquivClass:
@@ -369,14 +357,6 @@ def _aliased(x: EquivClass) -> EquivClass:
     return EquivClass(x.geometry, terms)
 
 
-def _solve(matrix, rhs):
-    # summand_membership refuses meridians and probes over Z, so
-    # a system with unknowns is always over F2
-    if not rhs or not matrix[0]:
-        return [] if all(v == 0 for v in rhs) else None
-    return solve_mod2(matrix, rhs)
-
-
 def summand_membership(
     x: EquivClass,
     allowed: Iterable[tuple[str, DeckElement]],
@@ -385,46 +365,40 @@ def summand_membership(
     """Is x congruent, modulo the span of the geometry's meridians, to
     a class supported only on the allowed (label, deck) pairs?
 
-    Formal congruence on the joint support certifies yes in any
-    geometry (the formal module maps onto homology).  A no answer is
-    returned directly when the geometry has no meridian, its lifted
-    generators then being a free basis; otherwise it must be certified
-    by pairing witnesses: if no choice of meridian coefficients and
-    allowed-supported class reproduces x's pairings against the probes,
-    x cannot be congruent.  Configurations this cannot decide raise
-    rather than guess; over Z that includes any meridian or probe, since
-    no argument here needs an integer solve.
+    Decided in closed form, after parallel copies are identified.  A
+    meridian's class is the single term (mu, 1), so x is formally
+    congruent exactly when each of its terms is allowed or a meridian
+    at the identity; that certifies yes in any geometry (the formal
+    module maps onto homology).  A no answer is returned directly when
+    the geometry has no meridian, its lifted generators then being a
+    free basis.  With one meridian mu and nothing allowed, the only
+    candidates are 0 and mu, so x is refuted when its pairings against
+    the probes are neither all zero nor those of mu.  Everything else
+    raises rather than guesses: no probes, pairings that refute nothing,
+    witnesses with allowed pairs or several meridians, and over Z any
+    meridian or probe.
     """
     geo = x.geometry
-    gens = [_aliased(geo.basis_class(name)) for name in geo.meridians()]
-    if geo.coeffs != F2 and (gens or probes):
+    meridians = [_aliased(geo.basis_class(name)) for name in geo.meridians()]
+    if geo.coeffs != F2 and (meridians or probes):
         raise GeometryError("over Z, membership takes no kernel generators or probes")
     x = _aliased(x)
     allowed_keys = {(geo.aliases.get(label, label), deck) for label, deck in allowed}
-
-    outside = sorted(
-        {key for key in x.terms if key not in allowed_keys}
-        | {key for g in gens for key in g.terms if key not in allowed_keys},
-        key=lambda k: (k[0], k[1].sort_key()),
-    )
-    matrix = [[g.terms.get(key, 0) for g in gens] for key in outside]
-    rhs = [x.terms.get(key, 0) for key in outside]
-    if _solve(matrix, rhs) is not None:
+    if allowed_keys.union(*(mu.terms for mu in meridians)).issuperset(x.terms):
         return True
-    if not gens:
+    if not meridians:
         return False
 
     if not probes:
         raise GeometryError(
             "membership in a non-free geometry needs pairing witnesses; pass probe classes"
         )
-    # Unknowns: meridian coefficients plus one coefficient per allowed
-    # basis pair; equations: pairings against each probe.
-    allowed_list = sorted(allowed_keys, key=lambda k: (k[0], k[1].sort_key()))
-    columns = gens + [EquivClass(geo, {key: 1}) for key in allowed_list]
-    w_matrix = [[pair_classes(col, z) for col in columns] for z in probes]
-    w_rhs = [pair_classes(x, z) for z in probes]
-    if _solve(w_matrix, w_rhs) is None:
+    if allowed_keys or len(meridians) > 1:
+        raise GeometryError(
+            "pairing witnesses are read only modulo one meridian with nothing allowed; undecided"
+        )
+    witnesses = [pair_classes(x, z) for z in probes]
+    if any(witnesses) and witnesses != [pair_classes(meridians[0], z) for z in probes]:
         return False
     raise GeometryError(
         "pairing witnesses do not refute membership and the basis is not free; undecided"

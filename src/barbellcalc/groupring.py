@@ -118,9 +118,6 @@ class RingElement:
                 terms[gh] = terms.get(gh, 0) + a * b
         return RingElement(self.group, self.coeffs, terms)
 
-    def scale(self, c: int) -> "RingElement":
-        return RingElement(self.group, self.coeffs, {e: c * v for e, v in self.terms.items()})
-
     def translate(self, g: DeckElement) -> "RingElement":
         """Left multiplication by the group element g."""
         if g.group != self.group:

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .deckgroup import DeckElement, DeckGroup, brunnian_word, free_abelian, free_group
-from .equivariant import (
-    BarbellSpec,
-    Geometry,
-    action_sequence,
-    intersection_polynomial,
-)
+from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
 from .groupring import (
     F2,
     RingElement,
@@ -74,7 +69,7 @@ def present_from_scenario(
     columns = []
     for name in attaching:
         moved = action_sequence(geometry.basis_class(name), barbells)
-        columns.append(intersection_polynomial(moved, disks))
+        columns.append([equivariant_pairing(moved, d) for d in disks])
     entries = [[columns[s][r] for s in range(len(attaching))] for r in range(len(disks))]
     return PresentationMatrix(geometry.group, geometry.coeffs, entries)
 

@@ -26,6 +26,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 from .deckgroup import (
+    CYCLIC,
+    FREE,
+    FREE_ABELIAN,
+    DeckGroup,
     GroupError,
     brunnian_word,
     cyclic,
@@ -40,7 +44,6 @@ from .equivariant import (
     SPHERE,
     BarbellSpec,
     EquivClass,
-    GeneratorLabel,
     Geometry,
     GeometryError,
     action_sequence,
@@ -80,14 +83,11 @@ class HypothesisError(ValueError):
 
 
 def _labels(spheres=(), disks=(), meridians=()):
-    out = {}
-    for name in spheres:
-        out[name] = GeneratorLabel(name, SPHERE)
-    for name in disks:
-        out[name] = GeneratorLabel(name, DISK)
-    for name in meridians:
-        out[name] = GeneratorLabel(name, MERIDIAN)
-    return out
+    return {
+        **dict.fromkeys(spheres, SPHERE),
+        **dict.fromkeys(disks, DISK),
+        **dict.fromkeys(meridians, MERIDIAN),
+    }
 
 
 def _torus_complement() -> Geometry:
@@ -683,7 +683,7 @@ def _run_genus1_hd(name: str, k: int, l: int, h=None, v=None, b=None) -> Report:
 
     base = builtin_geometry("torus_complement")
     row = lambda data: from_term_list(data.items(), base.group, F2)
-    geo = base.extend(GeneratorLabel("phi", SPHERE), {"S_h": row(h), "S_v": row(v), "D_h": row(b)})
+    geo = base.extend("phi", SPHERE, {"S_h": row(h), "S_v": row(v), "D_h": row(b)})
     # vertical barbell acts first here; the horizontal one is applied last
     t = geo.group.generator
     moved = action_sequence(
@@ -1004,15 +1004,10 @@ def _custom_geometry(spec: Mapping) -> Geometry:
     actual embedded configuration."""
     group_spec = spec["group"]
     kind = group_spec["kind"]
-    if kind == "free":
-        group = free_group(group_spec["rank"])
-    elif kind == "free_abelian":
-        rank = group_spec["rank"]
-        if rank > MAX_FREE_ABELIAN_RANK:
-            raise HypothesisError(f"free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {rank}")
-        group = free_abelian(rank)
-    else:
-        group = cyclic(group_spec["modulus"])
+    size = group_spec[_GROUP_SIZE[kind]]
+    if kind == FREE_ABELIAN and size > MAX_FREE_ABELIAN_RANK:
+        raise HypothesisError(f"free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {size}")
+    group = DeckGroup(kind, size)
     coeffs = _field(spec.get("field", "f2"))
     entries = {}
     for i, (a, b, terms) in enumerate(spec.get("pairings", [])):
@@ -1021,7 +1016,7 @@ def _custom_geometry(spec: Mapping) -> Geometry:
         name=str(spec.get("name", "custom")),
         group=group,
         coeffs=coeffs,
-        labels={name: GeneratorLabel(name, label_kind) for name, label_kind in spec["labels"].items()},
+        labels=dict(spec["labels"]),
         pairings=entries,
         attaching=list(spec.get("attaching", [])),
         disks=list(spec.get("disks", [])),
@@ -1050,7 +1045,7 @@ def _is_pairing_row(row) -> bool:
 
 _LABELS = (lambda v: v is None or _is_list(v, lambda name: isinstance(name, str)), "a list of label strings")
 _ELEMENT = (_is_element, "an integer, a word string or a list of integers")
-_GROUP_SIZE = {"free": "rank", "free_abelian": "rank", "cyclic": "modulus"}
+_GROUP_SIZE = {FREE: "rank", FREE_ABELIAN: "rank", CYCLIC: "modulus"}
 # where -> ({field: (check, what the field must be)}, required fields)
 _SCHEMA = {
     "scenario": ({
@@ -1141,18 +1136,15 @@ def run_scenario(data: Mapping) -> Report:
     geometry_spec = data["geometry"]
     if isinstance(geometry_spec, str):
         geo = builtin_geometry(geometry_spec)
-        geo_name = geometry_spec
     elif "labels" in geometry_spec:
         geo = _custom_geometry(geometry_spec)
-        geo_name = geo.name
     else:
         geo_params = {key: value for key, value in geometry_spec.items() if key != "name"}
-        geo_name = geometry_spec["name"]
-        geo = builtin_geometry(geo_name, **geo_params)
+        geo = builtin_geometry(geometry_spec["name"], **geo_params)
 
     if "field" in data and _field(data["field"]) != geo.coeffs:
         raise HypothesisError(
-            f"geometry {geo_name} is defined over {geo.coeffs}, not {_field(data['field'])}"
+            f"geometry {geo.name} is defined over {geo.coeffs}, not {_field(data['field'])}"
         )
 
     barbells = []
@@ -1181,7 +1173,7 @@ def run_scenario(data: Mapping) -> Report:
     computed: dict = {
         "matrix": [[_poly_json(matrix.entry(r, s)) for s in range(cols)] for r in range(rows)],
     }
-    if matrix.shape == (1, 1) and geo.coeffs == F2 and geo.group.kind == "free_abelian" and geo.group.n == 1:
+    if matrix.shape == (1, 1) and geo.coeffs == F2 and geo.group.kind == FREE_ABELIAN and geo.group.n == 1:
         computed["dim"] = f2_quotient_dim(matrix)
 
     passed = True

@@ -15,12 +15,16 @@ in their place, and the tests compare the two.
 * apply_hom, which pushes a ring element through either map (colliding
   images add), are_associates, and distinguish_brunnian_modules, the
   pairwise oracle of the brunnian sweep's verdicts.
+* solve_mod2, textbook Gaussian elimination over F2, and
+  summand_membership, which decides membership modulo the meridians by
+  solving the general linear systems with it: the oracle of the closed
+  form in equivariant.summand_membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from barbellcalc.deckgroup import (
     FREE,
@@ -33,7 +37,8 @@ from barbellcalc.deckgroup import (
     free_abelian,
     reduce_letters,
 )
-from barbellcalc.groupring import RingElement, RingError, is_monomial_unit, normalize_monomial
+from barbellcalc.equivariant import EquivClass, GeometryError, pair_classes
+from barbellcalc.groupring import F2, RingElement, RingError, is_monomial_unit, normalize_monomial
 from barbellcalc.presentations import brunnian_image
 
 # ---------------------------------------------------------------------------
@@ -194,3 +199,110 @@ def distinguish_brunnian_modules(k: int, l: int, kp: int, lp: int, n: int) -> bo
         # would contradict nontriviality of the modules; refuse to distinguish
         return False
     return not are_associates(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Summand membership through general F2 linear systems.
+
+Matrix = list[list[int]]
+
+
+def solve_mod2(a: Matrix, b: list[int]) -> list[int] | None:
+    """One solution x of A x = b over F2, or None if inconsistent."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    aug = [[v % 2 for v in row] + [b[i] % 2] for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                aug[i] = [(x + y) % 2 for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if aug[i][cols]:
+            return None
+    x = [0] * cols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][cols]
+    return x
+
+
+def _aliased(x: EquivClass) -> EquivClass:
+    aliases = x.geometry.aliases
+    if not aliases:
+        return x
+    terms: dict[tuple[str, DeckElement], int] = {}
+    for (label, deck), c in x.terms.items():
+        key = (aliases.get(label, label), deck)
+        terms[key] = terms.get(key, 0) + c
+    return EquivClass(x.geometry, terms)
+
+
+def _solve(matrix, rhs):
+    # summand_membership refuses meridians and probes over Z, so
+    # a system with unknowns is always over F2
+    if not rhs or not matrix[0]:
+        return [] if all(v == 0 for v in rhs) else None
+    return solve_mod2(matrix, rhs)
+
+
+def summand_membership(
+    x: EquivClass,
+    allowed: Iterable[tuple[str, DeckElement]],
+    probes: Sequence[EquivClass] = (),
+) -> bool:
+    """Is x congruent, modulo the span of the geometry's meridians, to
+    a class supported only on the allowed (label, deck) pairs?
+
+    Formal congruence on the joint support certifies yes in any
+    geometry (the formal module maps onto homology).  A no answer is
+    returned directly when the geometry has no meridian, its lifted
+    generators then being a free basis; otherwise it must be certified
+    by pairing witnesses: if no choice of meridian coefficients and
+    allowed-supported class reproduces x's pairings against the probes,
+    x cannot be congruent.  Configurations this cannot decide raise
+    rather than guess; over Z that includes any meridian or probe, since
+    no argument here needs an integer solve.
+    """
+    geo = x.geometry
+    gens = [_aliased(geo.basis_class(name)) for name in geo.meridians()]
+    if geo.coeffs != F2 and (gens or probes):
+        raise GeometryError("over Z, membership takes no kernel generators or probes")
+    x = _aliased(x)
+    allowed_keys = {(geo.aliases.get(label, label), deck) for label, deck in allowed}
+
+    outside = sorted(
+        {key for key in x.terms if key not in allowed_keys}
+        | {key for g in gens for key in g.terms if key not in allowed_keys},
+        key=lambda k: (k[0], k[1].sort_key()),
+    )
+    matrix = [[g.terms.get(key, 0) for g in gens] for key in outside]
+    rhs = [x.terms.get(key, 0) for key in outside]
+    if _solve(matrix, rhs) is not None:
+        return True
+    if not gens:
+        return False
+
+    if not probes:
+        raise GeometryError(
+            "membership in a non-free geometry needs pairing witnesses; pass probe classes"
+        )
+    # Unknowns: meridian coefficients plus one coefficient per allowed
+    # basis pair; equations: pairings against each probe.
+    allowed_list = sorted(allowed_keys, key=lambda k: (k[0], k[1].sort_key()))
+    columns = gens + [EquivClass(geo, {key: 1}) for key in allowed_list]
+    w_matrix = [[pair_classes(col, z) for col in columns] for z in probes]
+    w_rhs = [pair_classes(x, z) for z in probes]
+    if _solve(w_matrix, w_rhs) is None:
+        return False
+    raise GeometryError(
+        "pairing witnesses do not refute membership and the basis is not free; undecided"
+    )

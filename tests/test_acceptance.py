@@ -15,7 +15,6 @@ from barbellcalc.deckgroup import DeckElement, brunnian_word, cyclic
 from barbellcalc.equivariant import (
     BarbellSpec,
     EquivClass,
-    GeneratorLabel,
     Geometry,
     SPHERE,
     DISK,
@@ -211,8 +210,7 @@ def test_criterion_10_per_lift_oracle():
     rng = random.Random(20240817)
 
     def random_geometry(m, coeffs):
-        labels = {name: GeneratorLabel(name, SPHERE) for name in ("A", "B", "C1", "C2")}
-        labels["P"] = GeneratorLabel("P", DISK)
+        labels = {**dict.fromkeys(("A", "B", "C1", "C2"), SPHERE), "P": DISK}
         group = cyclic(m)
 
         def poly():

@@ -13,19 +13,18 @@ from barbellcalc.equivariant import (
     SPHERE,
     BarbellSpec,
     EquivClass,
-    GeneratorLabel,
     Geometry,
     GeometryError,
     action_sequence,
     barbell_action,
     equivariant_pairing,
-    intersection_polynomial,
     pair_classes,
     summand_membership,
 )
 from barbellcalc.groupring import F2, INT, RingElement
 from barbellcalc.scenarios import builtin_geometry
 from oracles import apply_hom, cyclic_project
+from oracles import summand_membership as solved_membership
 
 Z1 = free_abelian(1)
 
@@ -81,7 +80,8 @@ def slow_pairing(x, b):
     for (a, u), c in x.terms.items():
         p = geo.pairing(a, b)
         if not p.is_zero():
-            out = out.add(p.translate(u).scale(c))
+            scaled = {g: c * d for g, d in p.translate(u).terms.items()}
+            out = out.add(RingElement(geo.group, geo.coeffs, scaled))
     return out
 
 
@@ -266,7 +266,7 @@ def reference_correction(x, spec):
     one step, from the repeated-add pairing."""
     geo = x.geometry
     s1, s2 = spec.signs
-    out = geo.zero_class()
+    out = EquivClass(geo, {})
     for u, c in slow_pairing(x, spec.cuff1).terms.items():
         out = out.add(geo.basis_class(spec.cuff2, u.mul(spec.holonomy), s1 * c))
     for g, c in slow_pairing(x, spec.cuff2).terms.items():
@@ -289,7 +289,7 @@ def stepwise_action(x, spec):
             out = out.translate(spec.offset.inv())
         term = reference_correction(out, spec).scale(-1)
         for _ in range(1000):
-            if term.is_zero():
+            if not term.terms:
                 break
             out = out.add(term)
             term = reference_correction(term, spec).scale(-1)
@@ -308,7 +308,7 @@ ITERATE_GEOMETRIES = {
 
 
 def disjoint_cuff_pairs(geo):
-    spheres = sorted(name for name, label in geo.labels.items() if label.kind == SPHERE)
+    spheres = sorted(name for name, kind in geo.labels.items() if kind == SPHERE)
     zero = lambda a, b: geo.pairing(a, b).is_zero()
     return [(a, b) for a in spheres for b in spheres if zero(a, a) and zero(a, b) and zero(b, b)]
 
@@ -336,18 +336,18 @@ def test_crossing_cuffs_are_refused(cuff1, cuff2):
     geo = builtin_geometry("torus_complement")
     spec = BarbellSpec(cuff1, cuff2, geo.identity())
     message = rf"barbell cuffs {cuff1} and {cuff2} are not disjoint: P\[S_h,S_v\] = 1 \+ t is nonzero"
-    for x in (geo.basis_class("S_v"), geo.zero_class()):
+    for x in (geo.basis_class("S_v"), EquivClass(geo, {})):
         with pytest.raises(GeometryError, match=message):
             barbell_action(x, spec)
 
 
 def test_a_self_intersecting_cuff_is_refused():
     base = builtin_geometry("genus2_complement")
-    geo = base.extend(GeneratorLabel("T", SPHERE), {"T": tpoly(base, {1: 2})})
+    geo = base.extend("T", SPHERE, {"T": tpoly(base, {1: 2})})
     with pytest.raises(GeometryError, match=r"cuffs S_h_1 and T are not disjoint: P\[T,T\] = 2t is nonzero"):
         barbell_action(geo.basis_class("S_v_1"), BarbellSpec("S_h_1", "T", geo.identity()))
     # stored zero entries are no intersection
-    geo = base.extend(GeneratorLabel("Z", SPHERE), {"Z": tpoly(base, {}), "S_h_1": tpoly(base, {})})
+    geo = base.extend("Z", SPHERE, {"Z": tpoly(base, {}), "S_h_1": tpoly(base, {})})
     moved = barbell_action(geo.basis_class("S_v_1"), BarbellSpec("S_h_1", "Z", geo.identity(), iterate=-2))
     assert moved == cls(geo, ("S_v_1", 0, 1), ("Z", 0, -2), ("Z", -1, 2))
 
@@ -364,13 +364,13 @@ def test_cuff_kind_is_checked_before_disjointness():
 def test_intersection_polynomial_of_the_acted_sphere():
     geo = builtin_geometry("torus_complement")
     moved = action_sequence(geo.basis_class("S_v"), [horizontal(geo, 1), vertical(geo, 1)])
-    [f] = intersection_polynomial(moved, ["D_v"])
+    f = equivariant_pairing(moved, "D_v")
     assert f == tpoly(geo, {-3: 1, -1: 1, 0: 1, 1: 1, 3: 1})
 
 
 def test_intersection_polynomial_of_the_plain_sphere():
     geo = builtin_geometry("torus_complement")
-    assert intersection_polynomial(geo.basis_class("S_v"), ["D_v"]) == [tpoly(geo, {0: 1})]
+    assert equivariant_pairing(geo.basis_class("S_v"), "D_v") == tpoly(geo, {0: 1})
 
 
 def test_intersection_polynomial_genus2_column():
@@ -381,7 +381,7 @@ def test_intersection_polynomial_genus2_column():
     moved = barbell_action(
         geo.basis_class("S_v_1"), BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=k)
     )
-    column = intersection_polynomial(moved, ["D_h_1", "D_h_2"])
+    column = [equivariant_pairing(moved, d) for d in ("D_h_1", "D_h_2")]
     assert column == [tpoly(geo, {}), tpoly(geo, {-1: k, 0: -k})]
 
 
@@ -445,14 +445,14 @@ def test_meridian_row_is_never_expanded():
 
 def test_meridian_row_is_stored_as_its_augmentation():
     group = cyclic(5)
-    labels = {"mu": GeneratorLabel("mu", MERIDIAN), "D": GeneratorLabel("D", DISK)}
+    labels = {"mu": MERIDIAN, "D": DISK}
     row = RingElement(group, F2, {DeckElement(group, 0): 1, DeckElement(group, 1): 1})
     with pytest.raises(GeometryError, match=r"meridian row \(mu, D\) must be stored as its augmentation"):
         Geometry("z", group, F2, labels, {("mu", "D"): row})
 
 
 def test_meridian_needs_a_cyclic_deck_group():
-    labels = {"mu": GeneratorLabel("mu", MERIDIAN)}
+    labels = {"mu": MERIDIAN}
     with pytest.raises(GeometryError, match="cyclic deck group"):
         Geometry("z", Z1, F2, labels, {})
 
@@ -517,10 +517,86 @@ def test_membership_over_z_takes_no_kernel_generators_or_probes(extra):
     geo = builtin_geometry("cyclic_cover", m=205)
     probes = [geo.basis_class("S", t_elt(geo, 3))]
     if extra == "kernel_gens":
-        geo, probes = geo.extend(GeneratorLabel("mu", MERIDIAN), {}), []
+        geo, probes = geo.extend("mu", MERIDIAN, {}), []
     x = cls(geo, ("D", 0, 1), ("S", 3, 1))
     with pytest.raises(GeometryError, match="over Z"):
         summand_membership(x, identity_summand(geo, ["D"]), probes=probes)
+
+
+def test_an_unknown_generator_kind_is_refused_by_name():
+    with pytest.raises(GeometryError, match="label T has unknown generator kind 'torus'"):
+        Geometry("z", Z1, F2, {"S": SPHERE, "T": "torus"}, {})
+
+
+def with_second_meridian(geo):
+    """The branched cover with a second meridian nu, pairing 1 with D."""
+    return geo.extend("nu", MERIDIAN, {"D": RingElement.one(geo.group, geo.coeffs)})
+
+
+MEMBERSHIP_GEOMETRIES = {
+    "cyclic_cover": lambda m: builtin_geometry("cyclic_cover", m=m),
+    "circles_complement": lambda m: builtin_geometry("circles_complement"),
+    "branched_cover": lambda m: builtin_geometry("branched_cover", m=m),
+    "two_meridians": lambda m: with_second_meridian(builtin_geometry("branched_cover", m=m)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MEMBERSHIP_GEOMETRIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closed_form_membership_matches_the_linear_solve(key, data):
+    geo = MEMBERSHIP_GEOMETRIES[key](data.draw(st.integers(1, 50)))
+    # deck elements near the identity, so that supports meet
+    pair = st.tuples(st.sampled_from(sorted(geo.labels)), st.integers(0, 3).map(lambda i: t_elt(geo, i)))
+
+    def classes(size):
+        terms = st.dictionaries(pair, st.sampled_from((-1, 1, 2)), min_size=1, max_size=size)
+        return terms.map(partial(EquivClass, geo))
+
+    x = data.draw(classes(5))
+    allowed = data.draw(st.just(set()) | st.sets(pair, max_size=3))
+    probes = data.draw(st.lists(classes(3), max_size=3))
+    try:
+        expected = solved_membership(x, allowed, probes)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            summand_membership(x, allowed, probes)
+        return
+    try:
+        got = summand_membership(x, allowed, probes)
+    except GeometryError as exc:
+        # the configurations the closed form leaves out: pairing witnesses
+        # with allowed pairs, or modulo several meridians
+        assert "undecided" in str(exc)
+        assert expected is False and probes and (allowed or len(geo.meridians()) > 1)
+        return
+    assert got == expected
+
+
+def refutable_class(geo, k=1):
+    """S at t^k plus S_prime at t^-k, refuted modulo mu by the probes
+    (rho^k D, D) with witnesses (1, 0)."""
+    x = cls(geo, ("S", k, 1), ("S_prime", -k, 1))
+    return x, [geo.basis_class("D", t_elt(geo, k)), geo.basis_class("D")]
+
+
+def test_membership_witnesses_with_allowed_pairs_are_undecided():
+    geo = builtin_geometry("branched_cover", m=205)
+    x, probes = refutable_class(geo)
+    allowed = {("S", t_elt(geo, 5))}
+    assert solved_membership(x, allowed, probes) is False
+    with pytest.raises(GeometryError, match="undecided"):
+        summand_membership(x, allowed, probes)
+
+
+def test_membership_witnesses_modulo_two_meridians_are_undecided():
+    geo = with_second_meridian(builtin_geometry("branched_cover", m=205))
+    x, probes = refutable_class(geo)
+    assert solved_membership(x, set(), probes) is False
+    with pytest.raises(GeometryError, match="undecided"):
+        summand_membership(x, set(), probes)
+    # the formal answer still holds modulo both meridians
+    assert summand_membership(geo.basis_class("mu").add(geo.basis_class("nu")), set())
 
 
 # -- brute-force per-lift oracle ----------------------------------------------------
@@ -531,10 +607,7 @@ def random_cyclic_geometry(rng, m, coeffs):
     spheres C1, C2, and a probe disk; cuff-vs-cuff pairings vanish, as
     they do for genuinely disjoint embedded cuffs."""
     group = cyclic(m)
-    labels = {
-        name: GeneratorLabel(name, SPHERE) for name in ("A", "B", "C1", "C2")
-    }
-    labels["P"] = GeneratorLabel("P", DISK)
+    labels = {**dict.fromkeys(("A", "B", "C1", "C2"), SPHERE), "P": DISK}
 
     def random_poly():
         return RingElement(
@@ -614,8 +687,7 @@ def random_free_geometries(n, coeffs):
     """F_n geometries in the shape of random_cyclic_geometry: cuffs A, B
     that pair to zero, bystander spheres C1, C2, and a probe disk P."""
     group = free_group(n)
-    labels = {name: GeneratorLabel(name, SPHERE) for name in ("A", "B", "C1", "C2")}
-    labels["P"] = GeneratorLabel("P", DISK)
+    labels = {**dict.fromkeys(("A", "B", "C1", "C2"), SPHERE), "P": DISK}
     coeff = st.sampled_from([-2, -1, 1, 2] if coeffs == INT else [1])
     row = st.dictionaries(deck_elements(group), coeff, max_size=3).map(lambda terms: RingElement(group, coeffs, terms))
     keys = [(c, cuff) for c in ("C1", "C2") for cuff in ("A", "B")] + [("P", a) for a in ("A", "B", "C1", "C2")]

@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from barbellcalc.intlinalg import solve_mod2
+from oracles import solve_mod2
 
 
 def test_mod2_solver_against_enumeration():

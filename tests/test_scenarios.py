@@ -91,7 +91,10 @@ def test_geometry_roles_are_declared():
     geo2 = builtin_geometry("genus2_complement")
     assert geo2.attaching == ["S_v_1", "S_v_2"] and geo2.disks == ["D_h_1", "D_h_2"]
     branched = builtin_geometry("branched_cover", m=7)
-    assert branched.labels["mu"].kind == MERIDIAN and branched.meridians() == ["mu"]
+    assert branched.labels["mu"] == MERIDIAN and branched.meridians() == ["mu"]
+    # every builder names its geometry by its registry key
+    for name in GEOMETRY_BUILDERS:
+        assert builtin_geometry(name, **GEOMETRY_PARAMS.get(name, {})).name == name
 
 
 # -- theorem runners ---------------------------------------------------------
@@ -345,19 +348,35 @@ def test_registry_keys_name_their_reports():
         assert report.name == key and report.passed, key
 
 
-# Public functions of the package that no CLI path enters, and why each
-# stays.  Anything else the CLI never reaches is library code without a
-# caller, or an oracle that belongs in tests/oracles.py.
+# Public functions and methods of the package that no CLI path enters,
+# and why each stays.  Anything else the CLI never reaches is library
+# code without a caller, or an oracle that belongs in tests/oracles.py.
 UNREACHED_BY_THE_CLI = {
     "groupring.render": "renders ring elements in error messages and reprs",
     "groupring.to_term_list": "the library's serializer; reports use term_list_and_render",
 }
 
+# An inline geometry (the torus complement's data) moved by a lift with
+# an offset and a negative iterate: the deck translation of a class.
+INLINE_SCENARIO = {
+    "geometry": {
+        "name": "inline_torus",
+        "group": {"kind": "free_abelian", "rank": 1},
+        "labels": {"S_h": "sphere", "S_v": "sphere", "D_v": "disk"},
+        "pairings": [["S_h", "S_v", [[[0], 1], [[1], 1]]], ["D_v", "S_v", [[[0], 1]]]],
+        "attaching": ["S_v"],
+        "disks": ["D_v"],
+    },
+    "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": [2], "offset": [1], "iterate": -2}],
+}
 
-def cli_corpus():
-    """Every theorem at its sample parameters, every sweep and the
-    committed scenario, in both output formats."""
+
+def cli_corpus(tmp_path):
+    """Every theorem at its sample parameters, every sweep, the committed
+    scenario and an inline-geometry scenario, in both output formats."""
     scenario = Path(__file__).resolve().parents[1] / "scenarios" / "torus_k2_l3.json"
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(INLINE_SCENARIO))
     sweeps = [record.sweep.name for record in THEOREMS.values() if record.sweep]
     for fmt in ("table", "machine"):
         for key in sorted(THEOREMS):
@@ -367,20 +386,37 @@ def cli_corpus():
         # included, has a job
         for name in sweeps:
             yield ["sweep", name, "--max", "3", "--format", fmt]
-        yield ["scenario", str(scenario), "--format", fmt]
+        for path in (scenario, inline):
+            yield ["scenario", str(path), "--format", fmt]
 
 
-def test_every_public_function_is_reached_by_the_cli(capsys):
+def public_code(module):
+    """name -> code object of each public function the module defines and
+    each public method of its public classes.  Dunders, hand-written or
+    generated by dataclass, are protocol hooks rather than API."""
+    layer = module.__name__.rsplit(".", 1)[-1]
+    found = {}
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, type):
+            for attr, member in vars(obj).items():
+                func = member.__func__ if isinstance(member, staticmethod) else member
+                func = func.fget if isinstance(func, property) else func
+                if not attr.startswith("_") and inspect.isfunction(func):
+                    found[f"{layer}.{name}.{attr}"] = func.__code__
+        elif callable(obj) and inspect.isfunction(inspect.unwrap(obj)):
+            found[f"{layer}.{name}"] = inspect.unwrap(obj).__code__
+    return found
+
+
+def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
     import barbellcalc
     from barbellcalc import cli
 
     public = {}
     for info in pkgutil.iter_modules(barbellcalc.__path__):
-        module = importlib.import_module(f"barbellcalc.{info.name}")
-        for name, obj in vars(module).items():
-            func = inspect.unwrap(obj) if callable(obj) else None
-            if not name.startswith("_") and inspect.isfunction(func) and func.__module__ == module.__name__:
-                public[f"{info.name}.{name}"] = func.__code__
+        public.update(public_code(importlib.import_module(f"barbellcalc.{info.name}")))
     entered = set()
 
     def profile(frame, event, arg):
@@ -392,11 +428,12 @@ def test_every_public_function_is_reached_by_the_cli(capsys):
     cli.build_parser.cache_clear()
     sys.setprofile(profile)
     try:
-        codes = {tuple(argv): cli.main(argv) for argv in cli_corpus()}
+        codes = {tuple(argv): cli.main(argv) for argv in cli_corpus(tmp_path)}
     finally:
         sys.setprofile(None)
     capsys.readouterr()
     assert all(code == 0 for code in codes.values()), codes
+    assert "equivariant.EquivClass.translate" in public
     unreached = sorted(name for name, code in public.items() if code not in entered)
     assert unreached == sorted(UNREACHED_BY_THE_CLI)
 
