@@ -21,9 +21,11 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import itertools
 import json
 import os
 import sys
+from typing import Iterable, Iterator
 
 from .scenarios import (
     GEOMETRY_BUILDERS,
@@ -43,9 +45,10 @@ _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
 # count before any job is built.  On a 2-vCPU Xeon host 10**4 jobs of
 # morsesimple --max 100 took 5.2 s and 21 MB.  A brunnian job reuses
 # the one linked-6crit report of its (k, l): --max 16 (9,180 jobs, 136
-# reports) took 0.36 s at the default n and 0.54 s at --n 4 in table
-# format; in machine format --n 4 took 2.6 s and 330 MB, because every
-# job line repeats its report (320 MB of output).
+# reports) at --n 4 took 0.29 s in table format; in machine format,
+# where every job line repeats its report (318 MB of output), it took
+# 1.8 s.  Each line is written as its report is yielded, so both peak
+# at 22 MB (machine format peaked at 326 MB while the lines were kept).
 MAX_SWEEP_JOBS = 10_000
 
 # every package error subclasses ValueError; TypeError covers bad
@@ -54,14 +57,19 @@ MAX_SWEEP_JOBS = 10_000
 USER_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
 
-def _emit(lines: list[str], out_path: str | None):
-    """Write each line and a newline to out_path, or to stdout; one line
-    at a time, so a large sweep's output is never joined into one string."""
+def _emit(lines: Iterable[str], out_path: str | None):
+    """Write each line and a newline to out_path, or to stdout, as lines
+    yields it, so a sweep's output is never held in memory.  The first
+    line is drawn before out_path is opened: a run refused before its
+    first line leaves the file untouched."""
+    lines = iter(lines)
+    head = list(itertools.islice(lines, 1))
+    text = (f"{line}\n" for line in itertools.chain(head, lines))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.writelines(f"{line}\n" for line in lines)
+            handle.writelines(text)
     else:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        sys.stdout.writelines(text)
 
 
 def _render(report: Report, fmt: str) -> str:
@@ -121,18 +129,25 @@ def _cmd_sweep(args) -> int:
         raise HypothesisError(f"sweep {args.name} --max {top} has no jobs")
     if jobs > MAX_SWEEP_JOBS:
         raise HypothesisError(f"sweep {args.name} --max {top} has up to {jobs} jobs, more than {MAX_SWEEP_JOBS}")
-    lines = []
     failed = 0
-    for report in theorem.sweep.reports(theorem.name, theorem.sweep.grid(top, args.n)):
-        status = "PASS" if report.passed else "FAIL"
-        failed += 0 if report.passed else 1
-        if args.format == "machine":
-            lines.append(render_machine(report))
-        else:
-            summary = ", ".join(f"{key}={report.params[key]}" for key in sorted(report.params))
-            lines.append(f"{status} {report.name} {summary}")
-    lines.append(f"{len(lines) - failed}/{len(lines)} passed")
-    _emit(lines, args.out)
+
+    def lines() -> Iterator[str]:
+        # one line per report as the sweep yields it, the summary last;
+        # a sweep refuses before its first report (see Sweep)
+        nonlocal failed
+        done = 0
+        for report in theorem.sweep.reports(theorem.name, theorem.sweep.grid(top, args.n)):
+            done += 1
+            failed += 0 if report.passed else 1
+            if args.format == "machine":
+                yield render_machine(report)
+            else:
+                status = "PASS" if report.passed else "FAIL"
+                summary = ", ".join(f"{key}={report.params[key]}" for key in sorted(report.params))
+                yield f"{status} {report.name} {summary}"
+        yield f"{done - failed}/{done} passed"
+
+    _emit(lines(), args.out)
     return 0 if failed == 0 else 1
 
 

@@ -28,9 +28,15 @@ the product of two words can only cancel where they meet:
 DeckElement.mul walks inward from that seam while letters cancel,
 merges at most one pair of letters on the same generator, and joins
 the two remaining slices, in O(cancelled letters) interpreted steps
-plus C-level tuple slicing.  reduce_letters, a full pass over every
-letter, is kept for raw letter sequences (generators, word powers and
-parsing).
+plus C-level tuple slicing.  A word power whose first and last
+letters lie on different generators is |k| plain copies, already
+freely reduced, so DeckElement.pow builds it by tuple repetition;
+reduce_letters, a full pass over every letter, is kept for raw letter
+sequences (generators, parsing, and powers of words whose two ends
+share a generator).  format_element renders a word with one C-level
+join over a letter table that formats each (generator, exponent)
+letter on first use and keeps it while both are at most
+_LETTER_TABLE_BOUND in size.
 """
 
 from __future__ import annotations
@@ -257,10 +263,13 @@ class DeckElement:
         """x^k in time linear in the result: k*v for exponent vectors,
         k*r mod m for residues, and for words one free reduction of |k|
         copies of x (of x^-1 when k < 0), which cancels each letter at
-        most once.  k = 0 gives the identity.  A word power is refused
-        before it is built when its |k| copies, an upper bound on the
-        result's length, have more than MAX_POWER_LETTERS letters.  Every
-        result is canonical, so it is built unchecked (_canonical)."""
+        most once; when the word's first and last letters lie on
+        different generators no letter cancels at a seam, so the copies
+        are the result and that pass is skipped.  k = 0 gives the
+        identity.  A word power is refused before it is built when its
+        |k| copies, an upper bound on the result's length, have more
+        than MAX_POWER_LETTERS letters.  Every result is canonical, so
+        it is built unchecked (_canonical)."""
         kind = self.group.kind
         if kind == FREE_ABELIAN:
             return _canonical(self.group, tuple(k * a for a in self.value))
@@ -272,8 +281,10 @@ class DeckElement:
                 f"power {k} of a {len(self.value)}-letter word has {letters} letters, "
                 f"more than {MAX_POWER_LETTERS}"
             )
-        base = self if k > 0 else self.inv()
-        return _canonical(self.group, reduce_letters(base.value * abs(k)))
+        value = (self if k > 0 else self.inv()).value * abs(k)
+        if value and value[0][0] == value[-1][0]:
+            value = reduce_letters(value)
+        return _canonical(self.group, value)
 
     def sort_key(self):
         """Deterministic total order: residues and exponent vectors
@@ -289,11 +300,19 @@ def _canonical(group: DeckGroup, value) -> DeckElement:
     canonical in group by construction, built without _check_value.
     Only the group operations (mul, inv, pow) use it; everything else
     goes through the validating DeckElement(group, value)."""
-    elt = object.__new__(DeckElement)
-    object.__setattr__(elt, "group", group)
-    object.__setattr__(elt, "value", value)
-    object.__setattr__(elt, "_hash", _value_hash(value))
+    elt = _new_element(DeckElement)
+    _set_group(elt, group)
+    _set_value(elt, value)
+    _set_hash(elt, _value_hash(value))
     return elt
+
+
+# The slots' own setters, bound once: a frozen dataclass refuses
+# setattr, and these skip object.__setattr__'s lookup by name.
+_new_element = object.__new__
+_set_group = DeckElement.__dict__["group"].__set__
+_set_value = DeckElement.__dict__["value"].__set__
+_set_hash = DeckElement.__dict__["_hash"].__set__
 
 
 def commutator(a: DeckElement, b: DeckElement) -> DeckElement:
@@ -344,6 +363,28 @@ def parse_word(text: str, group: DeckGroup) -> DeckElement:
     return DeckElement(group, tuple(vec))
 
 
+# Largest generator index and exponent size whose letter the table keeps.
+_LETTER_TABLE_BOUND = 64
+
+
+class _LetterTable(dict):
+    """(generator, exponent) -> "x{g}" or "x{g}^{e}".  A missing letter
+    is formatted on lookup and kept only while g and |e| are at most
+    _LETTER_TABLE_BOUND, so the table holds at most 64 * 128 strings."""
+
+    __slots__ = ()
+
+    def __missing__(self, letter: tuple[int, int]) -> str:
+        g, e = letter
+        text = f"x{g}" if e == 1 else f"x{g}^{e}"
+        if g <= _LETTER_TABLE_BOUND and -_LETTER_TABLE_BOUND <= e <= _LETTER_TABLE_BOUND:
+            self[letter] = text
+        return text
+
+
+_LETTERS = _LetterTable()
+
+
 def format_element(elt: DeckElement) -> str:
     """Canonical x-notation (words / exponent vectors) or the residue."""
     if elt.group.kind == CYCLIC:
@@ -354,7 +395,7 @@ def format_element(elt: DeckElement) -> str:
         letters = tuple((i + 1, e) for i, e in enumerate(elt.value) if e != 0)
     if not letters:
         return "1"
-    return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in letters)
+    return " ".join(map(_LETTERS.__getitem__, letters))
 
 
 def element_to_json(elt: DeckElement):

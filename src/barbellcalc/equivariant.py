@@ -67,7 +67,11 @@ class Geometry:
 
     pairings holds P[a,b] for the stored direction; the reverse pairing
     is derived by the involution g -> g^-1 (the intersection form on
-    middle-dimensional classes here is symmetric).  Disk-disk pairings
+    middle-dimensional classes here is symmetric), once, at
+    construction: the private _rows table holds both directions, a
+    stored entry winning over the reverse of its mirror, so a changed
+    table is built with extend or dataclasses.replace, never by
+    mutating pairings in place.  Disk-disk pairings
     are deliberately absent and asking for one is an error; any other
     absent entry counts as zero.
 
@@ -86,6 +90,7 @@ class Geometry:
     attaching: list[str] = field(default_factory=list)
     disks: list[str] = field(default_factory=list)
     aliases: dict[str, str] = field(default_factory=dict)
+    _rows: dict[tuple[str, str], RingElement] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, kind in self.labels.items():
@@ -103,6 +108,8 @@ class Geometry:
                 raise GeometryError(f"role label {name} is not declared")
         if self.meridians() and self.group.kind != CYCLIC:
             raise GeometryError(f"geometry {self.name}: meridians need a cyclic deck group, not {self.group!r}")
+        self._rows = {(b, a): elem.reverse() for (a, b), elem in self.pairings.items()}
+        self._rows.update(self.pairings)
 
     def meridians(self) -> list[str]:
         return [name for name, kind in self.labels.items() if kind == MERIDIAN]
@@ -120,11 +127,10 @@ class Geometry:
         return MERIDIAN in (self.labels[a], self.labels[b])
 
     def _stored(self, a: str, b: str) -> RingElement | None:
-        if self.labels[a] == DISK and self.labels[b] == DISK:
+        row = self._rows.get((a, b))
+        if row is None and self.labels[a] == DISK and self.labels[b] == DISK:
             raise GeometryError(f"pairing of two disks ({a}, {b}) is undefined")
-        if (a, b) in self.pairings:
-            return self.pairings[(a, b)]
-        return self.pairings[(b, a)].reverse() if (b, a) in self.pairings else None
+        return row
 
     def pairing(self, a: str, b: str) -> RingElement:
         """P[a,b]; a meridian row is never expanded, so asking for a
@@ -160,9 +166,11 @@ class EquivClass:
 
     def __init__(self, geometry: Geometry, terms: Mapping[tuple[str, DeckElement], int]):
         clean: dict[tuple[str, DeckElement], int] = {}
+        labels, group = geometry.labels, geometry.group
         for (label, deck), c in terms.items():
-            geometry.label(label)
-            if deck.group != geometry.group:
+            if label not in labels:
+                geometry.label(label)  # raises, naming the label
+            if deck.group is not group and deck.group != group:
                 raise GeometryError("deck element from the wrong group")
             if geometry.coeffs == F2:
                 c %= 2
@@ -235,8 +243,12 @@ def equivariant_pairing(x: EquivClass, b: str) -> RingElement:
     geo = x.geometry
     geo.label(b)
     acc: dict[DeckElement, int] = {}
+    rows: dict[str, dict[DeckElement, int]] = {}
     for (a, u), c in x.terms.items():
-        for g, d in geo.pairing(a, b).terms.items():
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = geo.pairing(a, b).terms
+        for g, d in row.items():
             key = u.mul(g)
             acc[key] = acc.get(key, 0) + c * d
     return RingElement(geo.group, geo.coeffs, acc)

@@ -51,7 +51,7 @@ class RingElement:
             raise RingError(f"unknown coefficient ring {coeffs!r}")
         clean: dict[DeckElement, int] = {}
         for elt, c in terms.items():
-            if elt.group != group:
+            if elt.group is not group and elt.group != group:
                 raise RingError("term from a different deck group")
             c = _normalize_coeff(c, coeffs)
             if c:

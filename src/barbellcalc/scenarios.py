@@ -419,19 +419,24 @@ def _run_unknots(name: str, k: int = 1, l: int = 1) -> Report:
 MAX_LINKED_WORD_LETTERS = 10_000
 
 
-def _linked_6crit(name: str, n: int, k: int, l: int) -> tuple[Report, RingElement]:
-    """The linked-6crit report for one winding pair (k, l), and the
-    relator's image in F2[s^±1, t^±1], whose nontriviality it reports."""
+def _check_linked(n: int, k: int, l: int):
+    """The linked-6crit hypotheses, checked before any word is built."""
     _require(n >= 2, f"need n >= 2 components, got {n}")
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
-    # |w_n| = 3 * 2^(n-2) - 2, checked before any word is built; the
-    # shift is capped so that a huge n stays cheap to refuse
+    # |w_n| = 3 * 2^(n-2) - 2; the shift is capped so that a huge n
+    # stays cheap to refuse
     top = max(k, l)
     _require(
         ((3 << min(n - 2, 64)) - 2) * top <= MAX_LINKED_WORD_LETTERS,
         f"bar words w_n^k must have <= {MAX_LINKED_WORD_LETTERS} letters "
         f"(|w_n| = 3 * 2^(n-2) - 2), got n={n} and winding number {top}",
     )
+
+
+def _linked_6crit(name: str, n: int, k: int, l: int) -> tuple[Report, RingElement]:
+    """The linked-6crit report for one winding pair (k, l), and the
+    relator's image in F2[s^±1, t^±1], whose nontriviality it reports."""
+    _check_linked(n, k, l)
     geo = builtin_geometry("sphere_torus_link", n=n)
     w = brunnian_word(n)
     specs = [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))]
@@ -857,7 +862,10 @@ class Sweep:
     candidates before the coprimality filter, an upper bound), so a
     sweep can be sized before any job is built; `reports(name, grid)`
     yields one report per job, in grid order (by default the theorem
-    run on each job's parameters)."""
+    run on each job's parameters), and raises any refusal before it
+    yields its first report, so the CLI, which writes each report's
+    line as it is yielded, writes nothing for a refused sweep.  Every
+    default-runner grid has only jobs its theorem accepts."""
 
     name: str
     default_max: int
@@ -911,7 +919,16 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
     when the pairs differ as unordered pairs, neither image is a
     monomial unit, and the normalized images differ: the images are
     non-associate.  The tests compare each verdict with a pairwise
-    oracle that rebuilds both images (tests/oracles.py)."""
+    oracle that rebuilds both images (tests/oracles.py).
+
+    Every job's hypotheses are checked before the first report is
+    built, in increasing winding number, so a refused sweep yields
+    nothing and names the smallest winding number the letter cap
+    refuses, the one its grid order would reach first."""
+    windings = sorted({job[key] for job in grid for key in ("k", "l", "kp", "lp")})
+    for n in sorted({job["n"] for job in grid}):
+        for winding in windings:
+            _check_linked(n, 1, winding)
     decided: dict[tuple[int, int, int], tuple[Report, RingElement | None]] = {}
 
     def decide(n: int, k: int, l: int) -> tuple[Report, RingElement | None]:

@@ -19,6 +19,11 @@ in their place, and the tests compare the two.
   summand_membership, which decides membership modulo the meridians by
   solving the general linear systems with it: the oracle of the closed
   form in equivariant.summand_membership.
+* The plain versions of the word-path kernels: format_letters, the
+  per-letter join of deckgroup.format_element; slow_pow, a power as
+  |k| - 1 products, for DeckElement.pow; and stored_row, a pairing row
+  read from the stored table or reversed on demand, for the two-way
+  table Geometry derives at construction.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from barbellcalc.deckgroup import (
     free_abelian,
     reduce_letters,
 )
-from barbellcalc.equivariant import EquivClass, GeometryError, pair_classes
+from barbellcalc.equivariant import EquivClass, Geometry, GeometryError, pair_classes
 from barbellcalc.groupring import F2, RingElement, RingError, is_monomial_unit, normalize_monomial
 from barbellcalc.presentations import brunnian_image
 
@@ -306,3 +311,41 @@ def summand_membership(
     raise GeometryError(
         "pairing witnesses do not refute membership and the basis is not free; undecided"
     )
+
+
+# ---------------------------------------------------------------------------
+# The word-path kernels, one letter, one product and one row at a time.
+
+
+def format_letters(elt: DeckElement) -> str:
+    """x-notation through one f-string per letter: the oracle of
+    format_element's letter table."""
+    if elt.group.kind == FREE:
+        letters = elt.value
+    else:
+        letters = tuple((i + 1, e) for i, e in enumerate(elt.value) if e != 0)
+    if not letters:
+        return "1"
+    return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in letters)
+
+
+def slow_pow(x: DeckElement, k: int) -> DeckElement:
+    """k-fold product of x (of x^-1 when k < 0), one mul at a time."""
+    if k == 0:
+        return x.group.identity()
+    base = x if k > 0 else x.inv()
+    out = base
+    for _ in range(abs(k) - 1):
+        out = out.mul(base)
+    return out
+
+
+def stored_row(geo: Geometry, a: str, b: str) -> RingElement | None:
+    """P[a,b] as the geometry's table stores it, or else its mirror
+    P[b,a] reversed on demand (g -> g^-1 on the support); None when
+    neither direction is stored."""
+    if (a, b) in geo.pairings:
+        return geo.pairings[(a, b)]
+    if (b, a) in geo.pairings:
+        return geo.pairings[(b, a)].reverse()
+    return None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -195,6 +196,78 @@ def test_brunnian_sweep_is_refused_before_its_jobs_are_built():
     result = run_cli("sweep", "brunnian", "--max", "100", timeout=30)
     assert result.returncode == 2 and result.stdout == ""
     assert "sweep brunnian --max 100 has up to 12748725 jobs, more than 10000" in result.stderr
+
+
+# bench/digests.json pins the stdout sha256 of the benchmark's CLI calls,
+# keyed by their argument list; it pins this sweep in machine format.
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+SMALL_SWEEP = ["sweep", "brunnian", "--n", "3", "--max", "4"]
+
+
+def pinned_digest(argv):
+    key = hashlib.sha256(json.dumps({"argv": argv, "scenario": None}, sort_keys=True).encode()).hexdigest()[:32]
+    return json.loads(DIGESTS.read_text())[key]
+
+
+def streamed_sweep(monkeypatch, argv):
+    """Run a brunnian sweep in process with its reports handed over one
+    at a time; return its stdout, and for each report the number of
+    lines written before that report was built."""
+    import dataclasses
+    import io
+
+    from barbellcalc import cli
+
+    record = THEOREMS["linked-6crit"]
+    build = record.sweep.reports
+    out = io.StringIO()
+    written = []
+
+    def reports(name, grid):
+        for report in build(name, grid):
+            written.append(out.getvalue().count("\n"))
+            yield report
+
+    sweep = dataclasses.replace(record.sweep, reports=reports)
+    monkeypatch.setitem(THEOREMS, "linked-6crit", dataclasses.replace(record, sweep=sweep))
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == 0
+    return out.getvalue(), written
+
+
+def test_a_sweep_writes_each_line_before_the_next_report_is_built(monkeypatch):
+    machine, written = streamed_sweep(monkeypatch, SMALL_SWEEP + ["--format", "machine"])
+    # report i is built after lines 0 .. i-1 are out, the last one included
+    assert written == list(range(45))
+    assert hashlib.sha256(machine.encode()).hexdigest() == pinned_digest(SMALL_SWEEP + ["--format", "machine"])
+    # the table form is pinned through the machine records it summarizes
+    records = [json.loads(line) for line in machine.splitlines()[:-1]]
+    expected = [
+        f"{'PASS' if r['passed'] else 'FAIL'} {r['theorem']} "
+        + ", ".join(f"{key}={r['params'][key]}" for key in sorted(r["params"]))
+        for r in records
+    ]
+    table, written = streamed_sweep(monkeypatch, SMALL_SWEEP)
+    assert written == list(range(45))
+    assert table == "\n".join(expected + ["45/45 passed"]) + "\n"
+
+
+def test_a_refused_sweep_writes_nothing(monkeypatch, capsys, tmp_path):
+    # n = 10 words have 766 letters: the letter cap refuses winding number
+    # 14, which the grid reaches on its 13th job; no report is built
+    from barbellcalc import cli, scenarios
+
+    built = []
+    monkeypatch.setattr(scenarios, "_linked_6crit", lambda *args: built.append(args))
+    target = tmp_path / "out.txt"
+    target.write_text("kept\n")
+    argv = ["sweep", "brunnian", "--n", "10", "--max", "16"]
+    for extra in ([], ["--format", "machine"], ["--out", str(target)]):
+        assert cli.main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "got n=10 and winding number 14" in captured.err
+    assert built == [] and target.read_text() == "kept\n"
 
 
 def test_sweep_job_cap_boundary():

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from barbellcalc import deckgroup
 from barbellcalc.deckgroup import (
     FREE,
+    _LETTER_TABLE_BOUND,
+    _LETTERS,
     _check_value,
     MAX_POWER_LETTERS,
     DeckElement,
@@ -24,7 +27,7 @@ from barbellcalc.deckgroup import (
     parse_word,
     reduce_letters,
 )
-from oracles import UniTriMatrix, cyclic_project, nilpotent_times_z, unitriangular_rep
+from oracles import UniTriMatrix, cyclic_project, format_letters, nilpotent_times_z, slow_pow, unitriangular_rep
 
 F3 = free_group(3)
 
@@ -53,17 +56,6 @@ def slow_reduce(letters):
         else:
             merged.append([gen, step])
     return tuple((g, e) for g, e in merged if e)
-
-
-def slow_pow(x, k):
-    """k-fold product of x (of x^-1 when k < 0), one mul at a time."""
-    if k == 0:
-        return x.group.identity()
-    base = x if k > 0 else x.inv()
-    out = base
-    for _ in range(abs(k) - 1):
-        out = out.mul(base)
-    return out
 
 
 def slow_rep(w, n):
@@ -327,6 +319,78 @@ def test_word_power_is_capped_before_it_is_built():
     # only words are capped: other kinds have fixed-size values
     assert DeckElement(free_abelian(2), (1, 2)).pow(10**12).value == (10**12, 2 * 10**12)
     assert DeckElement(cyclic(7), 3).pow(10**12).value == 3 * 10**12 % 7
+
+
+# A word's two ends decide how pow builds it: copies of a word whose
+# first and last letters lie on different generators never cancel, so
+# they are the power as they stand; only words whose ends share a
+# generator go through reduce_letters.
+DISTINCT_ENDS = REDUCED.filter(lambda w: len(w) >= 2 and w[0][0] != w[-1][0])
+SHARED_ENDS = REDUCED.filter(lambda w: w and w[0][0] == w[-1][0])
+
+
+@pytest.mark.parametrize("words", [DISTINCT_ENDS, SHARED_ENDS], ids=["distinct-ends", "shared-ends"])
+@given(data=st.data())
+def test_word_power_matches_slow_pow_for_either_kind_of_end(words, data):
+    x = DeckElement(F3, data.draw(words))
+    k = data.draw(EXPONENTS)
+    power = x.pow(k)
+    assert power == slow_pow(x, k)
+    _check_value(F3, power.value)
+
+
+def test_word_power_with_distinct_ends_skips_the_reduction_pass(monkeypatch):
+    w = brunnian_word(4)  # starts with x1^-1 x2^-1, ends with x3
+    shared = word(F3, (1, 1), (2, 1), (1, 1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduce_letters called")
+
+    monkeypatch.setattr(deckgroup, "reduce_letters", refuse)
+    assert w.pow(-7).value == w.inv().value * 7
+    with pytest.raises(AssertionError, match="reduce_letters called"):
+        shared.pow(2)
+
+
+# -- rendering --------------------------------------------------------------------
+#
+# format_element looks each letter up in a table that keeps the strings
+# of letters with generator index and |exponent| up to the bound; beyond
+# it, letters are formatted on every lookup and never stored.
+
+BOUND = _LETTER_TABLE_BOUND
+WIDE_LETTERS = st.lists(
+    st.tuples(st.integers(1, BOUND + 6), st.integers(-BOUND - 200, BOUND + 200)), max_size=12
+)
+
+
+def beyond_bound(letters):
+    return [(g, e) for g, e in letters if g > BOUND or abs(e) > BOUND]
+
+
+@given(WIDE_LETTERS)
+def test_format_element_matches_the_per_letter_join(letters):
+    x = DeckElement(free_group(BOUND + 6), reduce_letters(letters))
+    assert format_element(x) == format_letters(x)
+    assert not any(letter in _LETTERS for letter in beyond_bound(x.value))
+    assert len(_LETTERS) <= BOUND * 2 * BOUND
+
+
+@given(st.lists(st.integers(-BOUND - 200, BOUND + 200), min_size=1, max_size=BOUND + 6))
+def test_format_element_of_a_vector_matches_the_per_letter_join(vec):
+    x = DeckElement(free_abelian(len(vec)), tuple(vec))
+    assert format_element(x) == format_letters(x)
+    letters = [(i + 1, e) for i, e in enumerate(vec) if e]
+    assert not any(letter in _LETTERS for letter in beyond_bound(letters))
+
+
+def test_format_element_keeps_only_small_letters():
+    big = word(free_group(BOUND + 1), (BOUND + 1, 1), (1, BOUND + 1), (2, -BOUND - 1), (3, 10**30))
+    assert format_element(big) == f"x{BOUND + 1} x1^{BOUND + 1} x2^{-BOUND - 1} x3^{10**30}"
+    assert not any(letter in _LETTERS for letter in big.value)
+    small = word(F3, (1, BOUND), (2, -BOUND), (3, 1))
+    assert format_element(small) == f"x1^{BOUND} x2^{-BOUND} x3"
+    assert all(letter in _LETTERS for letter in small.value)
 
 
 # -- the trusted constructor -----------------------------------------------------

@@ -22,8 +22,8 @@ from barbellcalc.equivariant import (
     summand_membership,
 )
 from barbellcalc.groupring import F2, INT, RingElement
-from barbellcalc.scenarios import builtin_geometry
-from oracles import apply_hom, cyclic_project
+from barbellcalc.scenarios import GEOMETRY_BUILDERS, builtin_geometry
+from oracles import apply_hom, cyclic_project, stored_row
 from oracles import summand_membership as solved_membership
 
 Z1 = free_abelian(1)
@@ -461,6 +461,75 @@ def test_disk_disk_pairing_is_undefined():
     geo = builtin_geometry("torus_complement")
     with pytest.raises(GeometryError):
         pair_classes(geo.basis_class("D_v"), geo.basis_class("D_h"))
+
+
+# -- the two-way pairing table ------------------------------------------------------
+#
+# Geometry derives the reverse of every stored row once, at construction;
+# each row it reads must be the stored one or its mirror reversed on demand.
+
+BUILDER_PARAMS = {"sphere_torus_link": {"n": 4}, "genus_g_complement": {"g": 3},
+                  "cyclic_cover": {"m": 7}, "branched_cover": {"m": 7}}
+
+
+def extended_geometry():
+    geo = builtin_geometry("sphere_torus_link", n=3)
+    x1, x2 = geo.group.generator(1), geo.group.generator(2)
+    rows = {
+        "D_v": RingElement(geo.group, F2, {x1: 1, x1.mul(x2): 1, x2.pow(-2): 1}),
+        "S_h": RingElement(geo.group, F2, {geo.identity(): 1, x2.mul(x1.inv()): 1}),
+    }
+    return geo.extend("X", SPHERE, rows)
+
+
+TABLE_GEOMETRIES = {
+    **{name: partial(builtin_geometry, name, **BUILDER_PARAMS.get(name, {})) for name in GEOMETRY_BUILDERS},
+    "extended": extended_geometry,
+}
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_GEOMETRIES))
+def test_every_pairing_row_is_the_stored_row_or_its_reverse(key):
+    geo = TABLE_GEOMETRIES[key]()
+    deck = geo.group.generator(1)
+    for a in geo.labels:
+        for b in geo.labels:
+            if geo.labels[a] == DISK and geo.labels[b] == DISK:
+                with pytest.raises(GeometryError, match="pairing of two disks"):
+                    geo.pairing(a, b)
+                with pytest.raises(GeometryError, match="pairing of two disks"):
+                    geo.coefficient(a, b, deck)
+                continue
+            row = stored_row(geo, a, b)
+            if MERIDIAN in (geo.labels[a], geo.labels[b]) and row is not None and row.terms:
+                with pytest.raises(GeometryError, match="is a meridian row"):
+                    geo.pairing(a, b)
+                # deck-invariant: read at the identity wherever it is asked
+                assert geo.coefficient(a, b, deck) == row.coefficient(geo.identity())
+                continue
+            expected = row if row is not None else RingElement.zero(geo.group, geo.coeffs)
+            assert geo.pairing(a, b) == expected
+            assert geo.coefficient(a, b, deck) == expected.coefficient(deck)
+
+
+def test_the_extended_rows_are_read_in_both_directions():
+    geo = extended_geometry()
+    forward = geo.pairing("X", "D_v")
+    assert len(forward.terms) == 3
+    assert geo.pairing("D_v", "X") == forward.reverse() != forward
+    assert geo.pairing("S_h", "X") == geo.pairing("X", "S_h").reverse()
+
+
+def test_a_class_term_on_an_undeclared_label_or_a_foreign_group_is_refused():
+    geo = builtin_geometry("torus_complement")
+    with pytest.raises(GeometryError, match="unknown label 'S_w' in geometry torus_complement"):
+        EquivClass(geo, {("S_v", geo.identity()): 1, ("S_w", geo.identity()): 1})
+    with pytest.raises(GeometryError, match="deck element from the wrong group"):
+        EquivClass(geo, {("S_v", DeckElement(cyclic(3), 1)): 1})
+    # an equal group built separately is the same group
+    again = DeckElement(free_abelian(1), (2,))
+    assert again.group is not geo.group
+    assert EquivClass(geo, {("S_v", again): 1}).terms == {("S_v", again): 1}
 
 
 # -- summand membership -----------------------------------------------------------

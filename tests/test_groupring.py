@@ -89,6 +89,18 @@ def test_mixed_ring_operations_raise():
         tpoly(F2, {0: 1}).add(stpoly(F2, {(0, 0): 1}))
 
 
+def test_a_term_from_a_foreign_group_is_refused():
+    x1 = F2GRP.generator(1)
+    with pytest.raises(RingError, match="term from a different deck group"):
+        RingElement(Z2, F2, {x1: 1})
+    with pytest.raises(RingError, match="term from a different deck group"):
+        RingElement(free_group(3), INT, {free_group(3).identity(): 1, x1: 1})
+    # an equal group built separately is the same group
+    again = free_group(2)
+    assert again is not F2GRP
+    assert RingElement(again, F2, {x1: 1}).terms == {x1: 1}
+
+
 def test_ring_axioms_on_random_triples():
     rng = random.Random(11)
     for group in (F2GRP, Z2, cyclic(6)):
