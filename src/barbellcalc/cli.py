@@ -3,7 +3,12 @@ Command-line front door: single theorems, grid sweeps, scenario files.
 
 Exit codes: 0 = every check passed, 1 = a computed value mismatched an
 expectation, 2 = invalid input or a hypothesis violation (an empty sweep
-included: it checks nothing, so it does not pass).  Output is
+included: it checks nothing, so it does not pass).  Every refusal of the
+package is a ValueError, printed as one `error:` line; any other
+exception is a fault and keeps its traceback.  The CLI has no parameter
+rule of its own: it hands the flags it was given to run_theorem, which
+refuses a missing or unexpected one with the HypothesisError a library
+call gets (builtin_geometry makes the same check).  Output is
 byte-deterministic for fixed arguments (every term order is sorted);
 sweeps run in process, one job after another in grid order.  If the
 reader closes the output before all of it is written (`| head`), the
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import itertools
 import json
 import os
@@ -32,7 +36,7 @@ from .scenarios import (
     THEOREMS,
     HypothesisError,
     Report,
-    Theorem,
+    parameters,
     render_machine,
     render_table,
     run_scenario,
@@ -51,10 +55,10 @@ _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
 # at 22 MB (machine format peaked at 326 MB while the lines were kept).
 MAX_SWEEP_JOBS = 10_000
 
-# every package error subclasses ValueError; TypeError covers bad
-# parameter combinations, KeyError malformed scenario files, OSError a
-# path that cannot be read or written (main catches BrokenPipeError first)
-USER_ERRORS = (ValueError, TypeError, KeyError, OSError)
+# every package error subclasses ValueError, as do json's; OSError is a
+# path that cannot be read or written (main catches BrokenPipeError
+# first).  Anything else is a fault of the engine and keeps its traceback.
+USER_ERRORS = (ValueError, OSError)
 
 
 def _emit(lines: Iterable[str], out_path: str | None):
@@ -76,37 +80,9 @@ def _render(report: Report, fmt: str) -> str:
     return render_machine(report) if fmt == "machine" else render_table(report)
 
 
-@functools.cache
-def _flags(theorem: Theorem) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The parameter flags a theorem's runner accepts, and those it
-    requires, read from its signature (the first parameter is the
-    registry key) once per process."""
-    params = list(inspect.signature(theorem.runner).parameters.values())[1:]
-    accepted = tuple(p.name for p in params if p.name in _PARAM_FLAGS)
-    required = tuple(p.name for p in params if p.default is p.empty)
-    return accepted, required
-
-
-def _dashed(names) -> str:
-    return " ".join(f"--{name}" for name in names)
-
-
-def _theorem_params(args) -> dict:
-    params = {key: getattr(args, key) for key in _PARAM_FLAGS if getattr(args, key) is not None}
-    if args.name not in THEOREMS:
-        return params  # run_theorem lists the known theorems
-    accepted, required = _flags(THEOREMS[args.name])
-    extra = [key for key in params if key not in accepted]
-    missing = [key for key in required if key not in params]
-    if extra or missing:
-        problem = f"unexpected {_dashed(extra)}" if extra else f"missing {_dashed(missing)}"
-        note = f" (required: {_dashed(required)})" if required else ""
-        raise HypothesisError(f"theorem {args.name} takes {_dashed(accepted)}{note}; {problem}")
-    return params
-
-
 def _cmd_theorem(args) -> int:
-    report = run_theorem(args.name, **_theorem_params(args))
+    params = {key: getattr(args, key) for key in _PARAM_FLAGS if getattr(args, key) is not None}
+    report = run_theorem(args.name, **params)
     _emit([_render(report, args.format)], args.out)
     return 0 if report.passed else 1
 
@@ -116,8 +92,8 @@ def _cmd_sweep(args) -> int:
     if args.name not in sweeps:
         raise HypothesisError(f"unknown sweep {args.name!r}; choose from {', '.join(sweeps)}")
     theorem = sweeps[args.name]
-    if args.n is not None and "n" not in _flags(theorem)[0]:
-        takes_n = [name for name, record in sweeps.items() if "n" in _flags(record)[0]]
+    if args.n is not None and "n" not in parameters(theorem.runner, keyed=True)[0]:
+        takes_n = [name for name, record in sweeps.items() if "n" in parameters(record.runner, keyed=True)[0]]
         raise HypothesisError(f"sweep {args.name} takes no --n; only {', '.join(takes_n)} does")
     top = theorem.sweep.default_max if args.max is None else args.max
     if top < 1:
@@ -151,11 +127,21 @@ def _cmd_sweep(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _nested(path: str, read, *args):
+    """read(*args), where the RecursionError json raises when it reads
+    or writes a scenario nested deeper than the interpreter's recursion
+    limit is refused, naming the file."""
+    try:
+        return read(*args)
+    except RecursionError:
+        raise HypothesisError(f"scenario file {path} is nested too deeply") from None
+
+
 def _cmd_scenario(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = _nested(args.file, json.load, handle)
     report = run_scenario(data)
-    _emit([_render(report, args.format)], args.out)
+    _emit([_nested(args.file, _render, report, args.format)], args.out)
     return 0 if report.passed else 1
 
 

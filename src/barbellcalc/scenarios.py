@@ -261,10 +261,24 @@ GEOMETRY_BUILDERS: dict[str, Callable[..., Geometry]] = {
 
 
 @functools.cache
-def _builder_params(name: str) -> tuple[str, ...]:
-    """The parameters a built-in geometry takes, read from its builder's
-    signature once per process; every one is required."""
-    return tuple(inspect.signature(GEOMETRY_BUILDERS[name]).parameters)
+def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names a registry entry takes, and those it requires, read
+    from its signature once per process.  A keyed entry (a theorem
+    runner) takes its registry key first; that parameter does not count."""
+    params = list(inspect.signature(entry).parameters.values())[keyed:]
+    return tuple(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
+
+
+def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool = False):
+    """Refuse params that do not fit the entry's signature, naming the
+    entry (what) and the unexpected or missing names."""
+    takes, required = parameters(entry, keyed)
+    extra = sorted(key for key in params if key not in takes)
+    missing = [key for key in required if key not in params]
+    if extra or missing:
+        problem = f"unexpected {', '.join(extra)}" if extra else f"missing {', '.join(missing)}"
+        note = f" (required: {', '.join(required)})" if 0 < len(required) < len(takes) else ""
+        raise HypothesisError(f"{what} takes {', '.join(takes) or 'no parameters'}{note}; {problem}")
 
 
 def builtin_geometry(name: str, **params) -> Geometry:
@@ -272,12 +286,7 @@ def builtin_geometry(name: str, **params) -> Geometry:
         raise GeometryError(
             f"unknown geometry {name!r}; available: {', '.join(sorted(GEOMETRY_BUILDERS))}"
         )
-    takes = _builder_params(name)
-    extra = sorted(key for key in params if key not in takes)
-    missing = [key for key in takes if key not in params]
-    if extra or missing:
-        problem = f"unexpected {', '.join(extra)}" if extra else f"missing {', '.join(missing)}"
-        raise HypothesisError(f"geometry {name} takes {', '.join(takes) or 'no parameters'}; {problem}")
+    _check_parameters(f"geometry {name}", GEOMETRY_BUILDERS[name], params)
     return GEOMETRY_BUILDERS[name](**params)
 
 
@@ -400,8 +409,9 @@ def _run_unknots(name: str, k: int = 1, l: int = 1) -> Report:
     for variant, specs in variants.items():
         matrix = present_from_scenario(geo, specs)
         f = matrix.entry(0, 0)
-        computed[variant] = {"f": _poly_json(f), "dim": f2_quotient_dim(matrix)}
-        passed = passed and f == one
+        dim = f2_quotient_dim(matrix)
+        computed[variant] = {"f": _poly_json(f), "dim": dim}
+        passed = passed and f == one and dim == 0
     return Report(
         name=name,
         params={"k": k, "l": l},
@@ -990,7 +1000,9 @@ def run_theorem(name: str, **params) -> Report:
         raise HypothesisError(
             f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}"
         )
-    return THEOREMS[name].runner(name, **params)
+    runner = THEOREMS[name].runner
+    _check_parameters(f"theorem {name}", runner, params, keyed=True)
+    return runner(name, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import barbellcalc
-from barbellcalc.scenarios import THEOREMS
+from barbellcalc.scenarios import THEOREMS, parameters
 
 CLI = [sys.executable, "-m", "barbellcalc.cli"]
 # the child interpreter imports the same package as the tests
@@ -123,11 +123,11 @@ def test_brunnian_sweep_output_is_the_oracle_byte_for_byte(fmt):
 
 
 def test_linked_6crit_decides_one_winding_pair():
-    from barbellcalc.scenarios import run_theorem
+    from barbellcalc.scenarios import HypothesisError, run_theorem
 
     report = run_theorem("linked-6crit", n=3, k=1, l=2)
     assert report.params == {"n": 3, "k": 1, "l": 2} and "distinguished" not in report.computed
-    with pytest.raises(TypeError):
+    with pytest.raises(HypothesisError, match="theorem linked-6crit takes n, k, l; unexpected kp, lp"):
         run_theorem("linked-6crit", n=3, k=1, l=2, kp=1, lp=3)
 
 
@@ -157,15 +157,15 @@ def test_cover_runners_reject_negative_second_winding(name):
 def test_theorem_rejects_a_flag_it_does_not_take():
     result = run_cli("theorem", "morsesimple-s3", "--k", "1", "--l", "1", "--m", "5")
     assert result.returncode == 2 and result.stdout == ""
-    assert "theorem morsesimple-s3 takes --k --l" in result.stderr
-    assert "unexpected --m" in result.stderr and "_run" not in result.stderr
+    assert "theorem morsesimple-s3 takes k, l; unexpected m" in result.stderr
+    assert "_run" not in result.stderr and "Traceback" not in result.stderr
 
 
 def test_theorem_names_its_missing_flags():
     result = run_cli("theorem", "morsesimple-s3")
     assert result.returncode == 2 and result.stdout == ""
-    assert "theorem morsesimple-s3 takes --k --l" in result.stderr
-    assert "missing --k --l" in result.stderr and "positional" not in result.stderr
+    assert "theorem morsesimple-s3 takes k, l; missing k, l" in result.stderr
+    assert "positional" not in result.stderr
 
 
 def test_sweep_rejects_n_outside_brunnian():
@@ -342,6 +342,24 @@ def test_scenario_missing_file_exit_two(tmp_path):
     assert run_cli("scenario", str(tmp_path / "nope.json")).returncode == 2
 
 
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_scenarios_nested_near_the_recursion_limit_exit_cleanly(fmt, tmp_path, capsys):
+    # an unchecked field nested just shallower than json.load's limit
+    # used to pass the load and end in a RecursionError traceback when
+    # json.dumps rendered it back
+    from barbellcalc import cli
+
+    path = tmp_path / "nested.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 80, limit + 5, 3):
+        doc = {"geometry": "torus_complement", "attaching": ["S_v"], "disks": ["D_v"]}
+        path.write_text(json.dumps(doc)[:-1] + ', "zz": ' + "[" * depth + "]" * depth + "}")
+        code = cli.main(["scenario", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code in (0, 2), depth
+        assert one_error_line(captured.err) if code == 2 else captured.err == "", depth
+
+
 def test_scenario_malformed_payload_exit_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"geometry": "torus_complement", "barbells": [{"cuff2": "S_h"}]}')
@@ -392,13 +410,16 @@ def _inline(fields):
         ('{"geometry": "cyclic_cover", "barbells": []}', "geometry cyclic_cover takes m; missing m"),
         ('{"geometry": {"name": "torus_complement", "m": 3}, "barbells": []}',
          "geometry torus_complement takes no parameters; unexpected m"),
+        # json.load used to end in a RecursionError traceback (exit 1)
+        ("[" * 200_000 + "]" * 200_000, "is nested too deeply"),
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
          "inline-meridian", "inline-short-pairing", "inline-bare-pairing-terms",
          "string-dim", "float-dim", "boolean-dim",
          "long-holonomy", "long-offset", "long-expected-term", "short-inline-pairing-term",
-         "builtin-missing-parameter", "builtin-name-missing-parameter", "builtin-unexpected-parameter"],
+         "builtin-missing-parameter", "builtin-name-missing-parameter", "builtin-unexpected-parameter",
+         "deep-nesting"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -629,7 +650,8 @@ def test_theorem_flags_pass_or_are_refused(key, data, capsys):
     # error: line, and no call takes more than a few seconds
     from barbellcalc import cli
 
-    accepted, required = cli._flags(THEOREMS[key])
+    takes, required = parameters(THEOREMS[key].runner, keyed=True)
+    accepted = [name for name in takes if name in cli._PARAM_FLAGS]
     argv = ["theorem", key]
     for flag in accepted:
         values = st.sampled_from(FLAG_VALUES)
@@ -644,6 +666,47 @@ def test_theorem_flags_pass_or_are_refused(key, data, capsys):
     assert code in (0, 2), argv
     assert err == "" if code == 0 else one_error_line(err)
     assert elapsed < 5, argv
+
+
+# every CLI flag, g (a runner takes it, no flag reaches it), and three
+# names no runner takes
+LIBRARY_KEYWORDS = ["k", "l", "n", "m", "p", "q", "g", "kp", "lp", "zz"]
+
+
+@pytest.mark.parametrize("key", sorted(THEOREMS))
+@settings(max_examples=60, deadline=None)
+@given(params=st.dictionaries(st.sampled_from(LIBRARY_KEYWORDS), st.sampled_from(FLAG_VALUES), max_size=5))
+def test_library_calls_pass_or_are_refused(key, params):
+    # the library takes the CLI's rule: any keywords, drawn from the
+    # flag values, either PASS or raise a ValueError subclass (the CLI's
+    # exit 2) that names no private runner; a bad parameter set used to
+    # raise a TypeError naming _run_torus_knot()
+    from barbellcalc.scenarios import Report, run_theorem
+
+    try:
+        report = run_theorem(key, **params)
+    except ValueError as exc:
+        assert "_run" not in str(exc), params
+    else:
+        assert isinstance(report, Report) and report.passed, params
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ({"k": 1}, "theorem morsesimple-s3 takes k, l; missing l"),
+        ({"k": 1, "l": 1, "m": 5}, "theorem morsesimple-s3 takes k, l; unexpected m"),
+        ({"k": 1, "g": 2, "zz": 0}, "theorem circle-splittingspheres takes k, l (required: k); unexpected g, zz"),
+        ({"p": 3, "n": 2}, "theorem morsesimple3mfd takes p, q; unexpected n"),
+    ],
+)
+def test_library_call_names_the_theorem_and_its_parameters(call, message):
+    from barbellcalc.scenarios import HypothesisError, run_theorem
+
+    name = message.split()[1]
+    with pytest.raises(HypothesisError) as info:
+        run_theorem(name, **call)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,132 @@
+"""
+A mutation matrix: single-point faults planted in the engine by
+monkeypatch, each run against every registry key at its sample
+parameters and against the committed scenario.  A check that no fault
+can turn from PASS to FAIL or refusal checks nothing, so every key must
+catch some mutation and every mutation must be caught by some key,
+unless it is named in UNCATCHABLE or UNCAUGHT with its reason.  Both
+lists are checked both ways: an entry that starts to be caught must
+leave its list.
+"""
+
+import dataclasses
+import functools
+import json
+from pathlib import Path
+
+import pytest
+
+from barbellcalc import deckgroup, equivariant, groupring, scenarios
+from barbellcalc.scenarios import THEOREMS, run_scenario, run_theorem
+
+from test_scenarios import SAMPLE_PARAMS
+
+SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "torus_k2_l3.json"
+SCENARIO_KEY = "scenario torus_k2_l3.json"
+
+
+def _respec(change):
+    """barbell_action applied to the spec as change rewrites it, under
+    both names the engine calls it by."""
+    real = equivariant.barbell_action
+    mutant = lambda x, spec: real(x, change(spec))
+    return [(equivariant, "barbell_action", mutant), (scenarios, "barbell_action", mutant)]
+
+
+def _seam_merge_first_exponent(a, b):
+    # _seam_product with the merged letter keeping a's exponent only
+    i, j, stop = len(a), 0, len(b)
+    while i and j < stop:
+        gen, exp = a[i - 1]
+        other_gen, other_exp = b[j]
+        if gen != other_gen:
+            break
+        if exp + other_exp:
+            return a[: i - 1] + ((gen, exp),) + b[j + 1 :]
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
+def _meridian_read_as_zero(self, a, b, g):
+    # Geometry.coefficient with a meridian row's augmentation dropped
+    row = self._stored(a, b)
+    return 0 if row is None or self._meridian(a, b) else row.coefficient(g)
+
+
+def _bezout_sign(a, b):
+    g, x, y = _real_extended_gcd(a, b)
+    return g, x, -y
+
+
+_real_extended_gcd = scenarios._extended_gcd
+_real_dim = scenarios.f2_quotient_dim
+
+# name -> [(module or class, attribute, replacement)]
+MUTATIONS = {
+    "correction sign": _respec(lambda spec: dataclasses.replace(spec, signs=(spec.signs[0], -spec.signs[1]))),
+    "iterate off by one": _respec(lambda spec: dataclasses.replace(spec, iterate=spec.iterate + 1)),
+    "holonomy inverted": _respec(lambda spec: dataclasses.replace(spec, holonomy=spec.holonomy.inv())),
+    "reverse involution skipped": [(groupring.RingElement, "reverse", lambda self: self)],
+    "seam merge exponent": [(deckgroup, "_seam_product", _seam_merge_first_exponent)],
+    "membership always yes": [(scenarios, "summand_membership", lambda *args, **kwargs: True)],
+    "quotient dimension plus one": [(scenarios, "f2_quotient_dim", lambda matrix: _real_dim(matrix) + 1)],
+    "meridian augmentation dropped": [(equivariant.Geometry, "coefficient", _meridian_read_as_zero)],
+    "Bezout sign": [(scenarios, "_extended_gcd", _bezout_sign)],
+}
+
+
+def outcome(key: str) -> str:
+    """PASS, FAIL, or refused (a ValueError: the CLI's exit 2)."""
+    try:
+        if key == SCENARIO_KEY:
+            report = run_scenario(json.loads(SCENARIO.read_text()))
+        else:
+            report = run_theorem(key, **SAMPLE_PARAMS[key])
+    except ValueError:
+        return "refused"
+    return "PASS" if report.passed else "FAIL"
+
+
+KEYS = sorted(THEOREMS) + [SCENARIO_KEY]
+
+
+@functools.cache
+def matrix() -> dict[str, dict[str, str]]:
+    """mutation -> key -> outcome."""
+    out = {}
+    for name, patches in MUTATIONS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, attr, replacement in patches:
+                patch.setattr(owner, attr, replacement)
+            out[name] = {key: outcome(key) for key in KEYS}
+    return out
+
+
+# keys no mutation can turn from PASS, and why
+UNCATCHABLE = {
+    "no-brunnian-2disk": "its computed and its expected value are the same closed form, n >= 3; no engine code runs",
+}
+
+# mutations no key catches, and why
+UNCAUGHT = {
+    "seam merge exponent": "linked-6crit, the one key on free-group words, builds its expected relator with the "
+    "engine's own word product and reads nontriviality off the closed-form image; at n = 3 no product merges "
+    "letters, and at n = 2 both sides merge alike",
+}
+
+
+def test_every_key_passes_unmutated():
+    assert {key: outcome(key) for key in KEYS} == dict.fromkeys(KEYS, "PASS")
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_each_mutation_is_caught_by_a_key(mutation):
+    caught = sorted(key for key, result in matrix()[mutation].items() if result != "PASS")
+    assert bool(caught) != (mutation in UNCAUGHT), caught
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_each_key_catches_a_mutation(key):
+    catches = sorted(name for name, row in matrix().items() if row[key] != "PASS")
+    assert bool(catches) != (key in UNCATCHABLE), catches

@@ -123,6 +123,17 @@ def test_unknot_variants_present_the_unit():
         assert report.computed[variant]["dim"] == 0
 
 
+def test_unknots_fails_when_a_dimension_is_not_zero(monkeypatch):
+    # the report shows "expected dim: 0"; its verdict used to read only f
+    from barbellcalc import scenarios
+
+    real = scenarios.f2_quotient_dim
+    monkeypatch.setattr(scenarios, "f2_quotient_dim", lambda matrix: real(matrix) + 1)
+    report = run_theorem("unknots", k=1, l=1)
+    assert all(report.computed[variant]["dim"] == 1 for variant in ("v-only", "h-only", "h-after-v"))
+    assert not report.passed
+
+
 def test_less_simple_enforces_the_cover_bound():
     with pytest.raises(HypothesisError):
         run_theorem("less-simple", m=100, k=1)
@@ -412,7 +423,7 @@ def public_code(module):
 
 def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
     import barbellcalc
-    from barbellcalc import cli
+    from barbellcalc import cli, scenarios
 
     public = {}
     for info in pkgutil.iter_modules(barbellcalc.__path__):
@@ -423,9 +434,11 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
         if event == "call":
             entered.add(frame.f_code)
 
-    # the parser is cached per process: build it again so that this
-    # call sequence enters build_parser whatever ran before it
+    # the parser and the registry signatures are cached per process:
+    # clear both so that this call sequence enters build_parser and
+    # parameters whatever ran before it
     cli.build_parser.cache_clear()
+    scenarios.parameters.cache_clear()
     sys.setprofile(profile)
     try:
         codes = {tuple(argv): cli.main(argv) for argv in cli_corpus(tmp_path)}
