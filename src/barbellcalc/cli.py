@@ -60,6 +60,10 @@ MAX_SWEEP_JOBS = 10_000
 # first).  Anything else is a fault of the engine and keeps its traceback.
 USER_ERRORS = (ValueError, OSError)
 
+# the characters str.splitlines breaks at, escaped in a refusal so that
+# one quoting a label or a name from the input stays one error: line
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 
 def _emit(lines: Iterable[str], out_path: str | None):
     """Write each line and a newline to out_path, or to stdout, as lines
@@ -127,21 +131,17 @@ def _cmd_sweep(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _nested(path: str, read, *args):
-    """read(*args), where the RecursionError json raises when it reads
-    or writes a scenario nested deeper than the interpreter's recursion
-    limit is refused, naming the file."""
-    try:
-        return read(*args)
-    except RecursionError:
-        raise HypothesisError(f"scenario file {path} is nested too deeply") from None
-
-
 def _cmd_scenario(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        data = _nested(args.file, json.load, handle)
-    report = run_scenario(data)
-    _emit([_nested(args.file, _render, report, args.format)], args.out)
+    try:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        report = run_scenario(data)
+        text = _render(report, args.format)
+    except RecursionError:
+        # json reads and writes recursively: a file nested deeper than
+        # the interpreter's recursion limit fails here
+        raise HypothesisError(f"scenario file {args.file} is nested too deeply") from None
+    _emit([text], args.out)
     return 0 if report.passed else 1
 
 
@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 1
     except USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
 
 

@@ -1047,8 +1047,8 @@ def _custom_geometry(spec: Mapping) -> Geometry:
         coeffs=coeffs,
         labels=dict(spec["labels"]),
         pairings=entries,
-        attaching=list(spec.get("attaching", [])),
-        disks=list(spec.get("disks", [])),
+        attaching=list(spec.get("attaching") or []),
+        disks=list(spec.get("disks") or []),
     )
 
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import barbellcalc
-from barbellcalc.scenarios import THEOREMS, parameters
+from barbellcalc.scenarios import GEOMETRY_BUILDERS, THEOREMS, parameters
 
 CLI = [sys.executable, "-m", "barbellcalc.cli"]
 # the child interpreter imports the same package as the tests
@@ -412,6 +412,12 @@ def _inline(fields):
          "geometry torus_complement takes no parameters; unexpected m"),
         # json.load used to end in a RecursionError traceback (exit 1)
         ("[" * 200_000 + "]" * 200_000, "is nested too deeply"),
+        # null roles of an inline geometry are none: list(None) raised a TypeError
+        (_inline('"group": {"kind": "free", "rank": 1}, "labels": {"S": "sphere", "D": "disk"}, '
+                 '"attaching": null, "disks": null'), "scenario needs attaching spheres and belt disks"),
+        # a line break quoted from the input used to split the error: line in two
+        *[(_inline(f'"group": {{"kind": "free", "rank": 1}}, "labels": {{"S": "sphere"}}, "attaching": ["{label}"]'),
+           f"role label {label} is not declared") for label in ("x\\ny", "x\\ry", "x\\u2028y")],
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
@@ -419,7 +425,7 @@ def _inline(fields):
          "string-dim", "float-dim", "boolean-dim",
          "long-holonomy", "long-offset", "long-expected-term", "short-inline-pairing-term",
          "builtin-missing-parameter", "builtin-name-missing-parameter", "builtin-unexpected-parameter",
-         "deep-nesting"],
+         "deep-nesting", "inline-null-roles", "newline-label", "return-label", "separator-label"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -432,6 +438,18 @@ def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
+
+
+def test_inline_geometry_null_roles_leave_them_to_the_scenario(tmp_path, capsys):
+    # an inline geometry's null attaching is no attaching sphere; the
+    # scenario's own roles then decide (this ended in a TypeError traceback)
+    from barbellcalc import cli
+
+    path = tmp_path / "scenario.json"
+    geometry = {"group": {"kind": "free", "rank": 1}, "labels": {"S": "sphere", "D": "disk"}, "attaching": None}
+    path.write_text(json.dumps({"geometry": geometry, "attaching": ["S"], "disks": ["D"]}))
+    assert cli.main(["scenario", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def one_error_line(err: str) -> bool:
@@ -620,7 +638,78 @@ def plant(doc, slot, junk):
 
 
 SCENARIO_DOCUMENTS = st.sampled_from(sorted(FUZZ_GEOMETRIES)).flatmap(well_typed_documents)
-FUZZED_DOCUMENTS = SCENARIO_DOCUMENTS | st.builds(plant, SCENARIO_DOCUMENTS, st.sampled_from(JUNK_SLOTS), JUNK)
+
+# Inline and parameterized geometries, in every shape the schema
+# accepts: labels that are not declared or play the wrong role, elements
+# of the wrong kind for the group, null roles, boundary group sizes.
+INLINE_LABELS = ["S", "T", "D", "E"]
+GROUP_SIZES = [-1, 0, 1, 2, 3, 10**12]
+INLINE_ELEMENTS = st.integers(-3, 3) | st.sampled_from(["", "1", "x1", "x2^-2 x1", "x1 x1^-1", "y"]) | st.lists(
+    st.integers(-3, 3), max_size=3
+)
+INLINE_TERMS = st.lists(st.tuples(INLINE_ELEMENTS, st.integers(-2, 2)).map(list), max_size=3)
+INLINE_ROLES = st.none() | st.lists(st.sampled_from(INLINE_LABELS), max_size=3)
+INLINE_GEOMETRIES = st.fixed_dictionaries(
+    {
+        "group": st.sampled_from(["free", "free_abelian", "cyclic"]).flatmap(
+            lambda kind: st.fixed_dictionaries(
+                {"kind": st.just(kind), "modulus" if kind == "cyclic" else "rank": st.sampled_from(GROUP_SIZES)}
+            )
+        ),
+        "labels": st.dictionaries(st.sampled_from(INLINE_LABELS), st.sampled_from(["sphere", "disk"]), min_size=1),
+    },
+    optional={
+        "name": st.text(max_size=4),
+        "field": st.sampled_from(["f2", "int", "Z"]),
+        "pairings": st.lists(
+            st.tuples(st.sampled_from(INLINE_LABELS), st.sampled_from(INLINE_LABELS), INLINE_TERMS).map(list),
+            max_size=4,
+        ),
+        "attaching": INLINE_ROLES,
+        "disks": INLINE_ROLES,
+    },
+)
+PARAMETERIZED_GEOMETRIES = st.fixed_dictionaries(
+    {"name": st.sampled_from(sorted(GEOMETRY_BUILDERS))},
+    optional={name: st.sampled_from(GROUP_SIZES) for name in ("m", "g", "n")},
+)
+GEOMETRY_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "geometry": INLINE_GEOMETRIES | PARAMETERIZED_GEOMETRIES,
+        "barbells": st.lists(
+            st.fixed_dictionaries(
+                {"cuff1": st.sampled_from(INLINE_LABELS + ["S_h", "S_prime"]),
+                 "cuff2": st.sampled_from(INLINE_LABELS + ["S_h", "S_prime"])},
+                optional={"holonomy": INLINE_ELEMENTS, "offset": INLINE_ELEMENTS,
+                          "iterate": st.integers(-3, 3).filter(bool)},
+            ),
+            max_size=2,
+        ),
+    },
+    optional={
+        "attaching": INLINE_ROLES,
+        "disks": INLINE_ROLES,
+        "field": st.sampled_from(["f2", "int"]),
+        "expected": st.fixed_dictionaries(
+            {}, optional={"matrix": st.lists(st.lists(INLINE_TERMS, max_size=2), max_size=2),
+                          "dim": st.none() | st.integers(0, 3)}
+        ),
+    },
+)
+GEOMETRY_SLOTS = [("geometry", name) for name in ("group", "labels", "pairings", "attaching", "disks", "field", "m")]
+
+
+def plant_in_geometry(doc, slot, junk):
+    """The document with junk in one field of its geometry object."""
+    return {**doc, "geometry": {**doc["geometry"], slot[1]: junk}}
+
+
+FUZZED_DOCUMENTS = (
+    SCENARIO_DOCUMENTS
+    | st.builds(plant, SCENARIO_DOCUMENTS, st.sampled_from(JUNK_SLOTS), JUNK)
+    | GEOMETRY_DOCUMENTS
+    | st.builds(plant_in_geometry, GEOMETRY_DOCUMENTS, st.sampled_from(GEOMETRY_SLOTS), JUNK)
+)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -698,6 +787,9 @@ def test_library_calls_pass_or_are_refused(key, params):
         ({"k": 1, "l": 1, "m": 5}, "theorem morsesimple-s3 takes k, l; unexpected m"),
         ({"k": 1, "g": 2, "zz": 0}, "theorem circle-splittingspheres takes k, l (required: k); unexpected g, zz"),
         ({"p": 3, "n": 2}, "theorem morsesimple3mfd takes p, q; unexpected n"),
+        # every parameter is listed, flag or not: h, v, b are mappings
+        # only a library call gives, and the CLI prints the same text
+        ({"k": 100}, "theorem genus1-hd takes k, l, h, v, b (required: k, l); missing l"),
     ],
 )
 def test_library_call_names_the_theorem_and_its_parameters(call, message):
