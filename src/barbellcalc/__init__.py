@@ -70,6 +70,7 @@ from .scenarios import (
     render_machine,
     render_table,
     run_scenario,
+    run_sweep,
     run_theorem,
 )
 

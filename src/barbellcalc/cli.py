@@ -6,13 +6,14 @@ expectation, 2 = invalid input or a hypothesis violation (an empty sweep
 included: it checks nothing, so it does not pass).  Every refusal of the
 package is a ValueError, printed as one `error:` line; any other
 exception is a fault and keeps its traceback.  The CLI has no parameter
-rule of its own: it hands the flags it was given to run_theorem, which
-refuses a missing or unexpected one with the HypothesisError a library
-call gets (builtin_geometry makes the same check).  Output is
-byte-deterministic for fixed arguments (every term order is sorted);
-sweeps run in process, one job after another in grid order.  If the
-reader closes the output before all of it is written (`| head`), the
-run exits 1 without a traceback.
+or sweep rule of its own: it hands the flags it was given to
+run_theorem or run_sweep, which refuse a missing or unexpected one, or a
+sweep size out of range, with the HypothesisError a library call gets
+(builtin_geometry makes the same check).  Output is byte-deterministic
+for fixed arguments (every term order is sorted); sweeps run in
+process, one job after another in grid order, and each report's line is
+written as the sweep yields it.  If the reader closes the output before
+all of it is written (`| head`), the run exits 1 without a traceback.
 
 One parser per process: `build_parser()` builds it on first use and
 every later `main` call parses with that same parser, so only the first
@@ -36,24 +37,14 @@ from .scenarios import (
     THEOREMS,
     HypothesisError,
     Report,
-    parameters,
     render_machine,
     render_table,
     run_scenario,
+    run_sweep,
     run_theorem,
 )
 
 _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
-
-# Most jobs one sweep runs, checked against the grid's closed-form job
-# count before any job is built.  On a 2-vCPU Xeon host 10**4 jobs of
-# morsesimple --max 100 took 5.2 s and 21 MB.  A brunnian job reuses
-# the one linked-6crit report of its (k, l): --max 16 (9,180 jobs, 136
-# reports) at --n 4 took 0.29 s in table format; in machine format,
-# where every job line repeats its report (318 MB of output), it took
-# 1.8 s.  Each line is written as its report is yielded, so both peak
-# at 22 MB (machine format peaked at 326 MB while the lines were kept).
-MAX_SWEEP_JOBS = 10_000
 
 # every package error subclasses ValueError, as do json's; OSError is a
 # path that cannot be read or written (main catches BrokenPipeError
@@ -92,31 +83,15 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sweeps = {record.sweep.name: record for record in THEOREMS.values() if record.sweep}
-    if args.name not in sweeps:
-        raise HypothesisError(f"unknown sweep {args.name!r}; choose from {', '.join(sweeps)}")
-    theorem = sweeps[args.name]
-    if args.n is not None and "n" not in parameters(theorem.runner, keyed=True)[0]:
-        takes_n = [name for name, record in sweeps.items() if "n" in parameters(record.runner, keyed=True)[0]]
-        raise HypothesisError(f"sweep {args.name} takes no --n; only {', '.join(takes_n)} does")
-    top = theorem.sweep.default_max if args.max is None else args.max
-    if top < 1:
-        raise HypothesisError(f"sweep size must satisfy --max >= 1, got {top}")
-    jobs = theorem.sweep.jobs(top)
-    if jobs == 0:
-        # a grid is empty exactly when its job count is 0: refuse it
-        # rather than pass it vacuously
-        raise HypothesisError(f"sweep {args.name} --max {top} has no jobs")
-    if jobs > MAX_SWEEP_JOBS:
-        raise HypothesisError(f"sweep {args.name} --max {top} has up to {jobs} jobs, more than {MAX_SWEEP_JOBS}")
+    reports = run_sweep(args.name, args.max, **({} if args.n is None else {"n": args.n}))
     failed = 0
 
     def lines() -> Iterator[str]:
         # one line per report as the sweep yields it, the summary last;
-        # a sweep refuses before its first report (see Sweep)
+        # a sweep refuses before its first report (see run_sweep)
         nonlocal failed
         done = 0
-        for report in theorem.sweep.reports(theorem.name, theorem.sweep.grid(top, args.n)):
+        for report in reports:
             done += 1
             failed += 0 if report.passed else 1
             if args.format == "machine":

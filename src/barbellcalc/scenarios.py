@@ -11,9 +11,9 @@ analogue has the torus complement's pairing data and runs on it.  Each
 theorem runner drives the barbell engine through one argument, compares
 against the closed-form value when there is one, and reports pass/fail;
 hypothesis bounds (winding numbers >= 1, cover order m large enough)
-are enforced up front, not silently accepted.  `THEOREMS` holds one
-record per reproduction, under one name: its runner and parameter
-sweep.
+are enforced up front, not silently accepted.  `THEOREMS` maps each
+reproduction's name to its runner and `SWEEPS` each sweep's name to its
+parameter grid; `run_theorem` and `run_sweep` hold every parameter rule.
 """
 
 from __future__ import annotations
@@ -262,9 +262,9 @@ GEOMETRY_BUILDERS: dict[str, Callable[..., Geometry]] = {
 
 @functools.cache
 def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The names a registry entry takes, and those it requires, read
-    from its signature once per process.  A keyed entry (a theorem
-    runner) takes its registry key first; that parameter does not count."""
+    """The names a registry entry takes, and those it requires, read from
+    its signature once per process.  A keyed entry's first parameter (a
+    theorem runner's registry key, a sweep grid's size) does not count."""
     params = list(inspect.signature(entry).parameters.values())[keyed:]
     return tuple(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
 
@@ -375,8 +375,8 @@ def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Theorem runners.  Each takes the key of its registry record first and
-# names its report by it.
+# Theorem runners.  Each takes its registry key first and names its
+# report by it.
 
 
 def _run_torus_knot(name: str, k: int, l: int) -> Report:
@@ -443,9 +443,9 @@ def _check_linked(n: int, k: int, l: int):
     )
 
 
-def _linked_6crit(name: str, n: int, k: int, l: int) -> tuple[Report, RingElement]:
-    """The linked-6crit report for one winding pair (k, l), and the
-    relator's image in F2[s^±1, t^±1], whose nontriviality it reports."""
+def _run_linked_6crit(name: str, n: int, k: int, l: int) -> Report:
+    """One winding pair (k, l): the engine's relator against the closed
+    form, and the nontriviality of its image in F2[s^±1, t^±1]."""
     _check_linked(n, k, l)
     geo = builtin_geometry("sphere_torus_link", n=n)
     w = brunnian_word(n)
@@ -457,7 +457,7 @@ def _linked_6crit(name: str, n: int, k: int, l: int) -> tuple[Report, RingElemen
     nontrivial = not is_monomial_unit(image)
     relator = _poly_json(engine_f)
     agrees = engine_f == formula_f
-    report = Report(
+    return Report(
         name=name,
         params={"n": n, "k": k, "l": l},
         computed={"relator": relator, "image_in_st": _poly_json(image), "nontrivial": nontrivial},
@@ -465,11 +465,6 @@ def _linked_6crit(name: str, n: int, k: int, l: int) -> tuple[Report, RingElemen
         passed=agrees and nontrivial,
         notes=["sublink triviality is a geometric input here, not a computation"],
     )
-    return report, image
-
-
-def _run_linked_6crit(name: str, n: int, k: int, l: int) -> Report:
-    return _linked_6crit(name, n, k, l)[0]
 
 
 def _run_simple_5d(name: str, k: int) -> Report:
@@ -854,7 +849,34 @@ def _run_no_brunnian_2disk(name: str, n: int) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# The theorem registry: one record per reproduction.
+# The registries: each reproduction's runner, and the sweeps over them.
+
+
+THEOREMS: dict[str, Callable[..., Report]] = {
+    "morsesimple-s3": _run_torus_knot,
+    "higher-dim-knots": _run_torus_knot,
+    "unknots": _run_unknots,
+    "linked-6crit": _run_linked_6crit,
+    "simple-5d": _run_simple_5d,
+    # two results of the paper that share one argument
+    "circle-splittingspheres": _run_circle_splitting,
+    "simple-splitting": _run_circle_splitting,
+    "simple-knotted-handlebody": _run_simple_knotted_handlebody,
+    "disks-5dlinked": _run_disks_linked,
+    "less-simple": _run_less_simple,
+    "simple-splitting-spheres": _run_splitting_spheres_mixed,
+    "genus1-handlebody": _run_branched,
+    "genus1-hd": _run_genus1_hd,
+    "morsesimple3mfd": _run_morsesimple3mfd,
+    "no-brunnian-2disk": _run_no_brunnian_2disk,
+}
+
+
+def run_theorem(name: str, **params) -> Report:
+    if name not in THEOREMS:
+        raise HypothesisError(f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}")
+    _check_parameters(f"theorem {name}", THEOREMS[name], params, keyed=True)
+    return THEOREMS[name](name, **params)
 
 
 def _run_grid(name: str, grid: list[dict]) -> Iterator[Report]:
@@ -865,35 +887,22 @@ def _run_grid(name: str, grid: list[dict]) -> Iterator[Report]:
 
 @dataclass(frozen=True)
 class Sweep:
-    """A parameter grid over one theorem: `grid(top, n)` lists the jobs'
-    parameters in the order they run, for sizes up to `top` (`n`: the
-    component count, or None for the default); `jobs(top)` is the
-    grid's job count in closed form (for montesinos the (p, q)
-    candidates before the coprimality filter, an upper bound), so a
-    sweep can be sized before any job is built; `reports(name, grid)`
-    yields one report per job, in grid order (by default the theorem
-    run on each job's parameters), and raises any refusal before it
-    yields its first report, so the CLI, which writes each report's
-    line as it is yielded, writes nothing for a refused sweep.  Every
-    default-runner grid has only jobs its theorem accepts."""
+    """A parameter grid over the theorem registered as `theorem`:
+    `grid(top, **params)` lists the jobs' parameters in the order they
+    run, for sizes up to `top`; `jobs(top)` is the grid's job count in
+    closed form (for montesinos an upper bound: the (p, q) candidates
+    before the coprimality filter); `reports(theorem, grid)` yields one
+    report per job in grid order (by default the theorem run on the
+    job's parameters), and raises any refusal before its first report."""
 
-    name: str
+    theorem: str
     default_max: int
-    grid: Callable[[int, int | None], list[dict]]
+    grid: Callable[..., list[dict]]
     jobs: Callable[[int], int]
     reports: Callable[[str, list[dict]], Iterator[Report]] = _run_grid
 
 
-@dataclass(frozen=True)
-class Theorem:
-    """A reproduction: its runner and its parameter sweep."""
-
-    name: str
-    runner: Callable[..., Report]
-    sweep: Sweep | None = None
-
-
-def _square_grid(top: int, n: int | None) -> list[dict]:
+def _square_grid(top: int) -> list[dict]:
     return [{"k": k, "l": l} for k in range(1, top + 1) for l in range(1, top + 1)]
 
 
@@ -910,9 +919,8 @@ def _montesinos_jobs(top: int) -> int:
     return (top - 1) * (top - 2) // 2
 
 
-def _brunnian_grid(top: int, n: int | None) -> list[dict]:
+def _brunnian_grid(top: int, n: int = 2) -> list[dict]:
     # every two distinct unordered winding pairs {k, l}, {kp, lp}
-    n = 2 if n is None else n
     pairs = [(k, l) for k in range(1, top + 1) for l in range(k, top + 1)]
     return [
         {"n": n, "k": k, "l": l, "kp": kp, "lp": lp}
@@ -924,8 +932,9 @@ def _brunnian_grid(top: int, n: int | None) -> list[dict]:
 def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
     """The brunnian sweep's jobs, each deciding two winding pairs
     {k, l} and {kp, lp}.  Each (n, k, l) is run once, as one linked-6crit
-    report, and its image is normalized once; a job is that report with
-    its `distinguished` verdict added.  The two modules are distinguished
+    report, and its image is normalized once; a job is the {k, l}
+    report with its `distinguished` verdict added, and it passes only
+    when both pairs' reports pass.  The two modules are distinguished
     when the pairs differ as unordered pairs, neither image is a
     monomial unit, and the normalized images differ: the images are
     non-associate.  The tests compare each verdict with a pairwise
@@ -943,66 +952,62 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
 
     def decide(n: int, k: int, l: int) -> tuple[Report, RingElement | None]:
         if (n, k, l) not in decided:
-            report, image = _linked_6crit(name, n, k, l)
             # a unit image would contradict the module's nontriviality:
             # such a pair distinguishes nothing
-            decided[n, k, l] = report, None if is_monomial_unit(image) else normalize_monomial(image)
+            image = brunnian_image(k, l, n)
+            normal = None if is_monomial_unit(image) else normalize_monomial(image)
+            decided[n, k, l] = _run_linked_6crit(name, n, k, l), normal
         return decided[n, k, l]
 
     for job in grid:
         n, k, l, kp, lp = job["n"], job["k"], job["l"], job["kp"], job["lp"]
-        report, image = decide(n, k, l)
-        other = decide(n, kp, lp)[1]
+        (report, image), (other_report, other) = decide(n, k, l), decide(n, kp, lp)
         verdict = {k, l} != {kp, lp} and image is not None and other is not None and image != other
         yield Report(
             name=report.name,
             params={**report.params, "kp": kp, "lp": lp},
             computed={**report.computed, "distinguished": verdict},
             expected=report.expected,
-            passed=report.passed and verdict == ({k, l} != {kp, lp}),
+            passed=report.passed and other_report.passed and verdict == ({k, l} != {kp, lp}),
             notes=report.notes,
         )
 
 
-def _montesinos_grid(top: int, n: int | None) -> list[dict]:
+def _montesinos_grid(top: int) -> list[dict]:
     return [
         {"p": p, "q": q} for p in range(2, top + 1) for q in range(p + 1, top + 1) if math.gcd(p, q) == 1
     ]
 
 
-THEOREMS: dict[str, Theorem] = {
-    record.name: record
-    for record in (
-        Theorem("morsesimple-s3", _run_torus_knot, sweep=Sweep("morsesimple", 10, _square_grid, _square_jobs)),
-        Theorem("higher-dim-knots", _run_torus_knot, sweep=Sweep("higher-dim", 10, _square_grid, _square_jobs)),
-        Theorem("unknots", _run_unknots),
-        Theorem("linked-6crit", _run_linked_6crit,
-                sweep=Sweep("brunnian", 4, _brunnian_grid, _brunnian_jobs, _brunnian_reports)),
-        Theorem("simple-5d", _run_simple_5d),
-        # two results of the paper that share one argument
-        Theorem("circle-splittingspheres", _run_circle_splitting),
-        Theorem("simple-splitting", _run_circle_splitting),
-        Theorem("simple-knotted-handlebody", _run_simple_knotted_handlebody),
-        Theorem("disks-5dlinked", _run_disks_linked),
-        Theorem("less-simple", _run_less_simple),
-        Theorem("simple-splitting-spheres", _run_splitting_spheres_mixed),
-        Theorem("genus1-handlebody", _run_branched),
-        Theorem("genus1-hd", _run_genus1_hd),
-        Theorem("morsesimple3mfd", _run_morsesimple3mfd,
-                sweep=Sweep("montesinos", 30, _montesinos_grid, _montesinos_jobs)),
-        Theorem("no-brunnian-2disk", _run_no_brunnian_2disk),
-    )
+SWEEPS: dict[str, Sweep] = {
+    "morsesimple": Sweep("morsesimple-s3", 10, _square_grid, _square_jobs),
+    "higher-dim": Sweep("higher-dim-knots", 10, _square_grid, _square_jobs),
+    "brunnian": Sweep("linked-6crit", 4, _brunnian_grid, _brunnian_jobs, _brunnian_reports),
+    "montesinos": Sweep("morsesimple3mfd", 30, _montesinos_grid, _montesinos_jobs),
 }
 
+# Most jobs one sweep runs, checked against the grid's closed-form job
+# count.  On a 2-vCPU Xeon host morsesimple --max 100 (10**4 jobs) took
+# 5.2 s and 21 MB; brunnian --n 4 --max 16 (9,180 jobs, 136 reports)
+# took 0.29 s in table format and 1.8 s in machine format, at 22 MB.
+MAX_SWEEP_JOBS = 10_000
 
-def run_theorem(name: str, **params) -> Report:
-    if name not in THEOREMS:
-        raise HypothesisError(
-            f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}"
-        )
-    runner = THEOREMS[name].runner
-    _check_parameters(f"theorem {name}", runner, params, keyed=True)
-    return runner(name, **params)
+
+def run_sweep(name: str, top: int | None = None, **params) -> Iterator[Report]:
+    """The sweep's reports, one per job in grid order, for sizes up to
+    top (None: the sweep's default).  The sweep's own rules are checked
+    before the iterator is returned, the theorem's hypotheses before it
+    yields its first report: a refused sweep builds no report."""
+    _require(name in SWEEPS, f"unknown sweep {name!r}; choose from {', '.join(SWEEPS)}")
+    sweep = SWEEPS[name]
+    _check_parameters(f"sweep {name}", sweep.grid, params, keyed=True)
+    top = sweep.default_max if top is None else top
+    _require(top >= 1, f"sweep size must satisfy --max >= 1, got {top}")
+    jobs = sweep.jobs(top)
+    # an empty grid checks nothing, so it does not pass vacuously
+    _require(jobs > 0, f"sweep {name} --max {top} has no jobs")
+    _require(jobs <= MAX_SWEEP_JOBS, f"sweep {name} --max {top} has up to {jobs} jobs, more than {MAX_SWEEP_JOBS}")
+    return sweep.reports(sweep.theorem, sweep.grid(top, **params))
 
 
 # ---------------------------------------------------------------------------
@@ -1074,8 +1079,12 @@ def _is_pairing_row(row) -> bool:
 
 _LABELS = (lambda v: v is None or _is_list(v, lambda name: isinstance(name, str)), "a list of label strings")
 _ELEMENT = (_is_element, "an integer, a word string or a list of integers")
+# a field whose value is checked where it is read (by _field, or by the
+# inline geometry's check of its group)
+_ANY = (lambda v: True, None)
 _GROUP_SIZE = {FREE: "rank", FREE_ABELIAN: "rank", CYCLIC: "modulus"}
-# where -> ({field: (check, what the field must be)}, required fields)
+# where -> ({field: (check, what the field must be)}, required fields);
+# a field that is not listed is refused, unless "*" lists every other
 _SCHEMA = {
     "scenario": ({
         "geometry": (lambda v: isinstance(v, (str, Mapping)), "a geometry name or object"),
@@ -1083,6 +1092,7 @@ _SCHEMA = {
         "attaching": _LABELS,
         "disks": _LABELS,
         "expected": (lambda v: isinstance(v, Mapping), "an object"),
+        "field": _ANY,
     }, ("geometry",)),
     "barbell": ({
         "cuff1": (lambda v: isinstance(v, str), "a label string"),
@@ -1107,15 +1117,17 @@ _SCHEMA = {
     # since a meridian row is read as its augmentation
     "inline geometry": ({
         "name": (lambda v: isinstance(v, str), "a geometry name"),
-        "group": (lambda v: isinstance(v, Mapping) and v.get("kind") in _GROUP_SIZE,
+        "group": (lambda v: isinstance(v, Mapping) and isinstance(v.get("kind"), str) and v["kind"] in _GROUP_SIZE,
                   "an object whose kind is free, free_abelian or cyclic"),
         "labels": (lambda v: isinstance(v, Mapping) and all(kind in (SPHERE, DISK) for kind in v.values()),
                    'an object mapping each label to "sphere" or "disk"'),
         "pairings": (lambda v: _is_list(v, _is_pairing_row), "a list of [label, label, term list] rows"),
         "attaching": _LABELS,
         "disks": _LABELS,
+        "field": _ANY,
     }, ("group", "labels")),
     "group": ({
+        "kind": _ANY,
         "rank": (_is_int, "a JSON integer"),
         "modulus": (_is_int, "a JSON integer"),
     }, ()),
@@ -1128,8 +1140,10 @@ def _check(where: str, data: Mapping, required=()):
         if name not in data:
             raise HypothesisError(f"{where} field {name!r} is required")
     for name, value in data.items():
-        ok, wanted = fields.get(name, fields.get("*", (None, None)))
-        if ok is not None and not ok(value):
+        if name not in fields and "*" not in fields:
+            raise HypothesisError(f"{where} field {name!r} is unknown; the fields are {', '.join(fields)}")
+        ok, wanted = fields.get(name, fields.get("*"))
+        if not ok(value):
             raise HypothesisError(f"{where} field {name!r} must be {wanted}, got {value!r}")
 
 

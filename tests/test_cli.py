@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import barbellcalc
-from barbellcalc.scenarios import GEOMETRY_BUILDERS, THEOREMS, parameters
+from barbellcalc.scenarios import GEOMETRY_BUILDERS, SWEEPS, THEOREMS, parameters
 
 CLI = [sys.executable, "-m", "barbellcalc.cli"]
 # the child interpreter imports the same package as the tests
@@ -169,9 +169,10 @@ def test_theorem_names_its_missing_flags():
 
 
 def test_sweep_rejects_n_outside_brunnian():
+    # --n is a parameter of the brunnian grid alone
     result = run_cli("sweep", "morsesimple", "--max", "2", "--n", "9")
     assert result.returncode == 2 and result.stdout == ""
-    assert "sweep morsesimple takes no --n" in result.stderr
+    assert result.stderr == "error: sweep morsesimple takes no parameters; unexpected n\n"
 
 
 def test_branched_cover_order_costs_nothing():
@@ -218,8 +219,8 @@ def streamed_sweep(monkeypatch, argv):
 
     from barbellcalc import cli
 
-    record = THEOREMS["linked-6crit"]
-    build = record.sweep.reports
+    sweep = SWEEPS["brunnian"]
+    build = sweep.reports
     out = io.StringIO()
     written = []
 
@@ -228,8 +229,7 @@ def streamed_sweep(monkeypatch, argv):
             written.append(out.getvalue().count("\n"))
             yield report
 
-    sweep = dataclasses.replace(record.sweep, reports=reports)
-    monkeypatch.setitem(THEOREMS, "linked-6crit", dataclasses.replace(record, sweep=sweep))
+    monkeypatch.setitem(SWEEPS, "brunnian", dataclasses.replace(sweep, reports=reports))
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(argv) == 0
     return out.getvalue(), written
@@ -258,7 +258,7 @@ def test_a_refused_sweep_writes_nothing(monkeypatch, capsys, tmp_path):
     from barbellcalc import cli, scenarios
 
     built = []
-    monkeypatch.setattr(scenarios, "_linked_6crit", lambda *args: built.append(args))
+    monkeypatch.setattr(scenarios, "_run_linked_6crit", lambda *args: built.append(args))
     target = tmp_path / "out.txt"
     target.write_text("kept\n")
     argv = ["sweep", "brunnian", "--n", "10", "--max", "16"]
@@ -279,13 +279,67 @@ def test_sweep_job_cap_boundary():
 
 
 def test_sweep_job_cap_admits_a_grid_of_exactly_the_cap(monkeypatch, capsys):
-    from barbellcalc import cli
+    from barbellcalc import cli, scenarios
 
-    monkeypatch.setattr(cli, "MAX_SWEEP_JOBS", 9)
+    monkeypatch.setattr(scenarios, "MAX_SWEEP_JOBS", 9)
     assert cli.main(["sweep", "morsesimple", "--max", "3"]) == 0
     assert capsys.readouterr().out.endswith("9/9 passed\n")
     assert cli.main(["sweep", "morsesimple", "--max", "4"]) == 2
     assert "has up to 16 jobs, more than 9" in capsys.readouterr().err
+
+
+def test_a_brunnian_job_checks_both_of_its_winding_pairs(monkeypatch, capsys):
+    # a relator wrong at (3, 3) alone: that pair only ever comes second in
+    # a job, and its report used to be built but never counted (15/15 passed)
+    from barbellcalc import cli, scenarios
+
+    relator = scenarios.brunnian_relator
+    monkeypatch.setattr(
+        scenarios, "brunnian_relator", lambda k, l, n: relator(1, 1, n) if (k, l) == (3, 3) else relator(k, l, n)
+    )
+    assert cli.main(["theorem", "linked-6crit", "--n", "3", "--k", "3", "--l", "3"]) == 1
+    capsys.readouterr()
+    assert cli.main(["sweep", "brunnian", "--n", "3", "--max", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 5 and all("kp=3, " in line and "lp=3, " in line for line in failed)
+    assert lines[-1] == "10/15 passed"
+
+
+def sweep_argv(name, top, params):
+    """The CLI call of run_sweep(name, top, **params)."""
+    argv = ["sweep", name] + ([] if top is None else ["--max", str(top)])
+    return argv + [token for key, value in params.items() for token in (f"--{key}", str(value))]
+
+
+def cli_refusal(argv, capsys) -> str:
+    """The stderr of a CLI call that must exit 2 with one error: line."""
+    from barbellcalc import cli
+
+    capsys.readouterr()
+    assert cli.main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and one_error_line(captured.err), argv
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "name,top,params,message",
+    [
+        ("brunnian", 100, {}, "sweep brunnian --max 100 has up to 12748725 jobs, more than 10000"),
+        ("morsesimple", 2, {"n": 9}, "sweep morsesimple takes no parameters; unexpected n"),
+        ("montesinos", 2, {}, "sweep montesinos --max 2 has no jobs"),
+        ("nope", None, {}, "unknown sweep 'nope'; choose from morsesimple, higher-dim, brunnian, montesinos"),
+    ],
+)
+def test_run_sweep_refuses_before_it_returns(name, top, params, message, capsys):
+    # the library call raises, before any report is built, the text the CLI prints
+    from barbellcalc.scenarios import HypothesisError, run_sweep
+
+    with pytest.raises(HypothesisError) as info:
+        run_sweep(name, top, **params)
+    assert str(info.value) == message
+    assert cli_refusal(sweep_argv(name, top, params), capsys) == f"error: {message}\n"
 
 
 def test_scenario_genus_is_bounded(tmp_path):
@@ -369,6 +423,9 @@ def test_scenario_malformed_payload_exit_two(tmp_path):
     assert run_cli("scenario", str(path)).returncode == 2
 
 
+SCENARIO_TEXT = (Path(__file__).resolve().parents[1] / "scenarios" / "torus_k2_l3.json").read_text()
+
+
 def _inline(fields):
     return '{"geometry": {"name": "x", ' + fields + '}, "barbells": []}'
 
@@ -418,6 +475,17 @@ def _inline(fields):
         # a line break quoted from the input used to split the error: line in two
         *[(_inline(f'"group": {{"kind": "free", "rank": 1}}, "labels": {{"S": "sphere"}}, "attaching": ["{label}"]'),
            f"role label {label} is not declared") for label in ("x\\ny", "x\\ry", "x\\u2028y")],
+        # a misspelt field used to be ignored, and its check with it (PASS, exit 0)
+        (SCENARIO_TEXT.replace('"expected"', '"expectd"'),
+         "scenario field 'expectd' is unknown; the fields are geometry, barbells, attaching, disks, expected, field"),
+        (SCENARIO_TEXT.replace('"dim"', '"dimm"'), "expected field 'dimm' is unknown; the fields are matrix, dim"),
+        (SCENARIO_TEXT.replace('"holonomy": [2]', '"holonomy": [2], "iterat": 5'), "barbell field 'iterat' is unknown"),
+        (_inline('"group": {"kind": "free", "rank": 1}, "labels": {"S": "sphere"}, "pairing": []'),
+         "inline geometry field 'pairing' is unknown"),
+        (_inline('"group": {"kind": "free", "rank": 1, "modulo": 3}, "labels": {"S": "sphere"}'),
+         "group field 'modulo' is unknown; the fields are kind, rank, modulus"),
+        # an unhashable kind ended in a TypeError traceback
+        (_inline('"group": {"kind": ["free"], "rank": 1}, "labels": {"S": "sphere"}'), "field 'group'"),
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
@@ -425,7 +493,9 @@ def _inline(fields):
          "string-dim", "float-dim", "boolean-dim",
          "long-holonomy", "long-offset", "long-expected-term", "short-inline-pairing-term",
          "builtin-missing-parameter", "builtin-name-missing-parameter", "builtin-unexpected-parameter",
-         "deep-nesting", "inline-null-roles", "newline-label", "return-label", "separator-label"],
+         "deep-nesting", "inline-null-roles", "newline-label", "return-label", "separator-label",
+         "misspelt-expected", "misspelt-dim", "misspelt-iterate", "misspelt-pairings", "misspelt-modulus",
+         "list-kind"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -704,11 +774,44 @@ def plant_in_geometry(doc, slot, junk):
     return {**doc, "geometry": {**doc["geometry"], slot[1]: junk}}
 
 
+def plant_in_group(doc, slot, junk):
+    """The document with junk in one field of its inline geometry's group."""
+    geometry = doc["geometry"]
+    return {**doc, "geometry": {**geometry, "group": {**geometry["group"], slot[1]: junk}}}
+
+
+# each field of a closed schema with its last letter dropped, a name that
+# schema does not declare, planted in a document the schema accepts
+ACCEPTED_DOCUMENTS = SCENARIO_DOCUMENTS.filter(
+    lambda doc: doc["expected"].get("dim") is None or type(doc["expected"]["dim"]) is int
+)
+INLINE_DOCUMENTS = GEOMETRY_DOCUMENTS.filter(lambda doc: "labels" in doc["geometry"])
+MISSPELT_SLOTS = [
+    *[(name[:-1],) for name in ("geometry", "barbells", "attaching", "disks", "expected", "field")],
+    *[("barbells", name[:-1]) for name in ("cuff1", "cuff2", "holonomy", "offset", "signs", "iterate")],
+    *[("expected", name[:-1]) for name in ("matrix", "dim")],
+]
+MISSPELT_GEOMETRY_SLOTS = [
+    ("geometry", name[:-1]) for name in ("name", "group", "labels", "pairings", "attaching", "disks", "field")
+]
+MISSPELT_GROUP_SLOTS = [("group", name[:-1]) for name in ("kind", "rank", "modulus")]
+MISSPELT_DOCUMENTS = st.one_of(
+    st.tuples(st.just(planter), documents, st.sampled_from(slots), JUNK).map(
+        lambda drawn: (drawn[0](*drawn[1:]), drawn[2][-1])
+    )
+    for planter, documents, slots in (
+        (plant, ACCEPTED_DOCUMENTS, MISSPELT_SLOTS),
+        (plant_in_geometry, INLINE_DOCUMENTS, MISSPELT_GEOMETRY_SLOTS),
+        (plant_in_group, INLINE_DOCUMENTS, MISSPELT_GROUP_SLOTS),
+    )
+)
+
 FUZZED_DOCUMENTS = (
     SCENARIO_DOCUMENTS
     | st.builds(plant, SCENARIO_DOCUMENTS, st.sampled_from(JUNK_SLOTS), JUNK)
     | GEOMETRY_DOCUMENTS
     | st.builds(plant_in_geometry, GEOMETRY_DOCUMENTS, st.sampled_from(GEOMETRY_SLOTS), JUNK)
+    | MISSPELT_DOCUMENTS.map(lambda planted: planted[0])
 )
 
 
@@ -727,6 +830,17 @@ def test_scenario_documents_never_raise(doc, tmp_path, capsys):
     assert one_error_line(err) if code == 2 else err == ""
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(planted=MISSPELT_DOCUMENTS)
+def test_misspelt_scenario_fields_are_refused(planted, tmp_path, capsys):
+    # any value under a misspelt name exits 2 naming that name; it used
+    # to be ignored, and a misspelt expected value passed unchecked
+    doc, name = planted
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    assert f"field {name!r} is unknown; the fields are " in cli_refusal(["scenario", str(path)], capsys)
+
+
 FLAG_VALUES = [-10**12, -1, 0, 1, 2, 3, 5, 205, 10**12]
 
 
@@ -739,7 +853,7 @@ def test_theorem_flags_pass_or_are_refused(key, data, capsys):
     # error: line, and no call takes more than a few seconds
     from barbellcalc import cli
 
-    takes, required = parameters(THEOREMS[key].runner, keyed=True)
+    takes, required = parameters(THEOREMS[key], keyed=True)
     accepted = [name for name in takes if name in cli._PARAM_FLAGS]
     argv = ["theorem", key]
     for flag in accepted:
@@ -778,6 +892,30 @@ def test_library_calls_pass_or_are_refused(key, params):
         assert "_run" not in str(exc), params
     else:
         assert isinstance(report, Report) and report.passed, params
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    top=st.none() | st.sampled_from(FLAG_VALUES),
+    params=st.fixed_dictionaries({}, optional={"n": st.sampled_from(FLAG_VALUES)}),
+)
+def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
+    # a sweep's iterator yields only passing reports, or the sweep raises
+    # a ValueError before its first report, the text of the CLI's error:
+    # line; either way within a few seconds
+    from barbellcalc.scenarios import run_sweep
+
+    start = time.perf_counter()
+    done = 0
+    try:
+        for report in run_sweep(name, top, **params):
+            assert report.passed, (top, params, report.params)
+            done += 1
+    except ValueError as exc:
+        assert done == 0, (top, params)
+        assert cli_refusal(sweep_argv(name, top, params), capsys) == f"error: {exc}\n"
+    assert time.perf_counter() - start < 5, (top, params)
 
 
 @pytest.mark.parametrize(

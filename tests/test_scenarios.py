@@ -16,6 +16,7 @@ from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
     MAX_FREE_ABELIAN_RANK,
     MAX_GENUS,
+    SWEEPS,
     THEOREMS,
     GluingMatrix,
     HypothesisError,
@@ -353,8 +354,7 @@ SAMPLE_PARAMS = {
 
 def test_registry_keys_name_their_reports():
     assert set(SAMPLE_PARAMS) == set(THEOREMS)
-    for key, record in THEOREMS.items():
-        assert record.name == key
+    for key in THEOREMS:
         report = run_theorem(key, **SAMPLE_PARAMS[key])
         assert report.name == key and report.passed, key
 
@@ -388,14 +388,13 @@ def cli_corpus(tmp_path):
     scenario = Path(__file__).resolve().parents[1] / "scenarios" / "torus_k2_l3.json"
     inline = tmp_path / "inline.json"
     inline.write_text(json.dumps(INLINE_SCENARIO))
-    sweeps = [record.sweep.name for record in THEOREMS.values() if record.sweep]
     for fmt in ("table", "machine"):
         for key in sorted(THEOREMS):
             flags = [token for name, value in SAMPLE_PARAMS[key].items() for token in (f"--{name}", str(value))]
             yield ["theorem", key, *flags, "--format", fmt]
         # --max 3: the smallest size at which every sweep, montesinos
         # included, has a job
-        for name in sweeps:
+        for name in SWEEPS:
             yield ["sweep", name, "--max", "3", "--format", fmt]
         for path in (scenario, inline):
             yield ["scenario", str(path), "--format", fmt]
@@ -452,20 +451,22 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
 
 
 def test_sweep_grids_keep_their_job_counts():
-    sweeps = {record.sweep.name: record for record in THEOREMS.values() if record.sweep}
-    assert list(sweeps) == ["morsesimple", "higher-dim", "brunnian", "montesinos"]
-    assert len(sweeps["morsesimple"].sweep.grid(3, None)) == 9
-    assert len(sweeps["higher-dim"].sweep.grid(3, None)) == 9
-    assert len(sweeps["brunnian"].sweep.grid(4, 3)) == 45
-    montesinos = sweeps["montesinos"].sweep
-    assert len(montesinos.grid(montesinos.default_max, None)) == 248
-    assert sweeps["brunnian"].sweep.grid(2, None)[0] == {"n": 2, "k": 1, "l": 1, "kp": 1, "lp": 2}
+    assert list(SWEEPS) == ["morsesimple", "higher-dim", "brunnian", "montesinos"]
+    assert [sweep.theorem for sweep in SWEEPS.values()] == [
+        "morsesimple-s3", "higher-dim-knots", "linked-6crit", "morsesimple3mfd"
+    ]
+    assert len(SWEEPS["morsesimple"].grid(3)) == 9
+    assert len(SWEEPS["higher-dim"].grid(3)) == 9
+    assert len(SWEEPS["brunnian"].grid(4, n=3)) == 45
+    montesinos = SWEEPS["montesinos"]
+    assert len(montesinos.grid(montesinos.default_max)) == 248
+    assert SWEEPS["brunnian"].grid(2)[0] == {"n": 2, "k": 1, "l": 1, "kp": 1, "lp": 2}
 
 
 def test_brunnian_reports_apply_the_pair_rules(monkeypatch):
     import barbellcalc.scenarios as scenarios
 
-    sweep = THEOREMS["linked-6crit"].sweep
+    sweep = SWEEPS["brunnian"]
     # order-swapped and equal pairs are never distinguished; distinct ones are
     grid = [
         {"n": 3, "k": 1, "l": 2, "kp": 2, "lp": 1},
@@ -490,12 +491,11 @@ def test_brunnian_reports_apply_the_pair_rules(monkeypatch):
 @pytest.mark.parametrize("top", range(1, 13))
 def test_sweep_job_counts_match_their_grids(top):
     # the closed forms size a sweep before any job is built
-    sweeps = {record.sweep.name: record.sweep for record in THEOREMS.values() if record.sweep}
     for name in ("morsesimple", "higher-dim", "brunnian"):
-        assert sweeps[name].jobs(top) == len(sweeps[name].grid(top, None)), (name, top)
-    montesinos = sweeps["montesinos"]
+        assert SWEEPS[name].jobs(top) == len(SWEEPS[name].grid(top)), (name, top)
+    montesinos = SWEEPS["montesinos"]
     candidates = [(p, q) for p in range(2, top + 1) for q in range(p + 1, top + 1)]
-    assert montesinos.jobs(top) == len(candidates) >= len(montesinos.grid(top, None))
+    assert montesinos.jobs(top) == len(candidates) >= len(montesinos.grid(top))
 
 
 # -- scenario files ----------------------------------------------------------------
