@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 from .deckgroup import (
@@ -264,14 +267,23 @@ GEOMETRY_BUILDERS: dict[str, Callable[..., Geometry]] = {
 def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The names a registry entry takes, and those it requires, read from
     its signature once per process.  A keyed entry's first parameter (a
-    theorem runner's registry key, a sweep grid's size) does not count."""
+    sweep grid's size, top) does not count."""
     params = list(inspect.signature(entry).parameters.values())[keyed:]
     return tuple(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the values each alternative of a parameter's annotation admits
+_KINDS = {"int": _is_int, "Mapping": lambda v: isinstance(v, Mapping), "None": lambda v: v is None}
+
+
 def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool = False):
     """Refuse params that do not fit the entry's signature, naming the
-    entry (what) and the unexpected or missing names."""
+    entry (what) and the unexpected or missing names, or the first
+    parameter whose value its annotation does not admit."""
     takes, required = parameters(entry, keyed)
     extra = sorted(key for key in params if key not in takes)
     missing = [key for key in required if key not in params]
@@ -279,6 +291,10 @@ def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool =
         problem = f"unexpected {', '.join(extra)}" if extra else f"missing {', '.join(missing)}"
         note = f" (required: {', '.join(required)})" if 0 < len(required) < len(takes) else ""
         raise HypothesisError(f"{what} takes {', '.join(takes) or 'no parameters'}{note}; {problem}")
+    for key, value in params.items():
+        annotation = entry.__annotations__[key]
+        if not any(_KINDS[kind](value) for kind in annotation.split(" | ")):
+            raise HypothesisError(f"{what} parameter {key} must be {annotation}, got {value!r}")
 
 
 def builtin_geometry(name: str, **params) -> Geometry:
@@ -296,12 +312,12 @@ def builtin_geometry(name: str, **params) -> Geometry:
 
 @dataclass
 class Report:
-    name: str
     params: dict
     computed: dict
     expected: dict = field(default_factory=dict)
     passed: bool = True
     notes: list[str] = field(default_factory=list)
+    name: str = ""
 
     def to_machine(self) -> dict:
         return {
@@ -375,11 +391,11 @@ def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Theorem runners.  Each takes its registry key first and names its
-# report by it.
+# Theorem runners.  Each takes only its parameters; run_theorem names
+# the report by the registry key it ran.
 
 
-def _run_torus_knot(name: str, k: int, l: int) -> Report:
+def _run_torus_knot(k: int, l: int) -> Report:
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
     geo = builtin_geometry("torus_complement")
     matrix = present_from_scenario(geo, _torus_barbells(geo, k, l))
@@ -388,7 +404,6 @@ def _run_torus_knot(name: str, k: int, l: int) -> Report:
     expected_f = morsesimple_f(k, l)
     expected_dim = 2 * k + 2 * l + 2
     return Report(
-        name=name,
         params={"k": k, "l": l},
         computed={"f": _poly_json(f), "dim": dim},
         expected={"f": _poly_json(expected_f), "dim": expected_dim},
@@ -396,7 +411,7 @@ def _run_torus_knot(name: str, k: int, l: int) -> Report:
     )
 
 
-def _run_unknots(name: str, k: int = 1, l: int = 1) -> Report:
+def _run_unknots(k: int = 1, l: int = 1) -> Report:
     _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
     geo = builtin_geometry("torus_complement")
     vertical = BarbellSpec("S_v", "S_v", geo.group.generator(1, l))
@@ -413,7 +428,6 @@ def _run_unknots(name: str, k: int = 1, l: int = 1) -> Report:
         computed[variant] = {"f": _poly_json(f), "dim": dim}
         passed = passed and f == one and dim == 0
     return Report(
-        name=name,
         params={"k": k, "l": l},
         computed=computed,
         expected={"f": "1", "dim": 0},
@@ -443,7 +457,7 @@ def _check_linked(n: int, k: int, l: int):
     )
 
 
-def _run_linked_6crit(name: str, n: int, k: int, l: int) -> Report:
+def _run_linked_6crit(n: int, k: int, l: int) -> Report:
     """One winding pair (k, l): the engine's relator against the closed
     form, and the nontriviality of its image in F2[s^±1, t^±1]."""
     _check_linked(n, k, l)
@@ -457,17 +471,21 @@ def _run_linked_6crit(name: str, n: int, k: int, l: int) -> Report:
     nontrivial = not is_monomial_unit(image)
     relator = _poly_json(engine_f)
     agrees = engine_f == formula_f
+    # the relator pushed through F_n -> Z, every generator to t, needs no
+    # word product: w is x1 for n = 2, and a commutator (image 1) otherwise
+    pushed = Counter(sum(map(itemgetter(1), g.value)) for g in engine_f.terms)
+    closed = {g.value for g in morsesimple_f(k, l).terms} if n == 2 else {(0,)}
+    abelian = {(e,) for e, c in pushed.items() if c % 2} == closed
     return Report(
-        name=name,
         params={"n": n, "k": k, "l": l},
         computed={"relator": relator, "image_in_st": _poly_json(image), "nontrivial": nontrivial},
         expected={"relator": relator if agrees else _poly_json(formula_f)},
-        passed=agrees and nontrivial,
+        passed=agrees and abelian and nontrivial,
         notes=["sublink triviality is a geometric input here, not a computation"],
     )
 
 
-def _run_simple_5d(name: str, k: int) -> Report:
+def _run_simple_5d(k: int) -> Report:
     _require(k >= 1, f"iteration count must be >= 1, got k={k}")
     geo = builtin_geometry("genus2_complement")
     spec = BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=k)
@@ -481,7 +499,6 @@ def _run_simple_5d(name: str, k: int) -> Report:
     expected_factor = from_term_list([[1, k], [0, -k]], geo.group, INT)  # k(t - 1)
     matches = all(matrix.entry(r, s) == expected[r][s] for r in range(2) for s in range(2))
     return Report(
-        name=name,
         params={"k": k},
         computed={
             "matrix": [[_poly_json(matrix.entry(r, s)) for s in range(2)] for r in range(2)],
@@ -509,7 +526,7 @@ def _iterated(geo: Geometry, start: str, cuff1: str, cuff2: str, power: int) -> 
     return moved
 
 
-def _run_circle_splitting(name: str, k: int, l: int = 0) -> Report:
+def _run_circle_splitting(k: int, l: int = 0) -> Report:
     diff = k - l
     geo = builtin_geometry("circles_complement")
     d_r = geo.basis_class("D_R")
@@ -518,7 +535,6 @@ def _run_circle_splitting(name: str, k: int, l: int = 0) -> Report:
     member = summand_membership(moved, _identity_summand(geo, ["D_R", "S_R"]))
     distinguished = not member
     return Report(
-        name=name,
         params={"k": k, "l": l},
         computed={
             "class": _class_json(moved),
@@ -532,7 +548,7 @@ def _run_circle_splitting(name: str, k: int, l: int = 0) -> Report:
     )
 
 
-def _run_simple_knotted_handlebody(name: str, k: int, l: int = 0, g: int = 2) -> Report:
+def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
     _require(g >= 2, f"the two-cuff argument needs genus g >= 2, got {g}")
     geo = builtin_geometry("genus_g_complement", g=g)
     d_h = geo.basis_class("D_h")
@@ -541,7 +557,6 @@ def _run_simple_knotted_handlebody(name: str, k: int, l: int = 0, g: int = 2) ->
     member = summand_membership(class_k.sub(class_l), _identity_summand(geo, ["D_h"]))
     distinguished = not member
     return Report(
-        name=name,
         params={"k": k, "l": l, "g": g},
         computed={
             "class": _class_json(class_k),
@@ -553,7 +568,7 @@ def _run_simple_knotted_handlebody(name: str, k: int, l: int = 0, g: int = 2) ->
     )
 
 
-def _run_disks_linked(name: str, k: int, l: int) -> Report:
+def _run_disks_linked(k: int, l: int) -> Report:
     geo = builtin_geometry("circles_complement")
     # the glued 2-sphere's class in the complement of the other component
     # is the difference of the two disk classes; only the meridian
@@ -562,7 +577,6 @@ def _run_disks_linked(name: str, k: int, l: int) -> Report:
     mu_coefficient = class_k.sub(class_l).terms.get(("S_L", geo.identity()), 0)
     linked = mu_coefficient != 0
     return Report(
-        name=name,
         params={"k": k, "l": l},
         computed={"mu_L_coefficient": mu_coefficient, "linked": linked},
         expected={"mu_L_coefficient": l - k, "linked": k != l},
@@ -588,7 +602,7 @@ def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivC
     return geo, moved
 
 
-def _run_less_simple(name: str, m: int, k: int, l: int = 0) -> Report:
+def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
     geo, moved = _cover_move("cyclic_cover", m, k, l)
     member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
     distinguished = not member
@@ -599,7 +613,6 @@ def _run_less_simple(name: str, m: int, k: int, l: int = 0) -> Report:
             expected_class = expected_class.add(geo.basis_class("S", t(1, power), sign))
             expected_class = expected_class.add(geo.basis_class("S_prime", t(1, -power), -sign))
     return Report(
-        name=name,
         params={"m": m, "k": k, "l": l},
         computed={
             "class": _class_json(moved),
@@ -612,7 +625,7 @@ def _run_less_simple(name: str, m: int, k: int, l: int = 0) -> Report:
     )
 
 
-def _run_splitting_spheres_mixed(name: str, m: int, k: int, l: int = 0) -> Report:
+def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
     # The finite cover comes from quotienting the rank-2 meridian lattice
     # by (m, 0) and (0, 1): weights (1, 0) mod m.  A bar winding p times
     # around the first meridian projects to p * 1 + 0 mod m, so its
@@ -621,7 +634,6 @@ def _run_splitting_spheres_mixed(name: str, m: int, k: int, l: int = 0) -> Repor
     member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
     distinguished = not member
     return Report(
-        name=name,
         params={"m": m, "k": k, "l": l},
         computed={
             "bar_residues": {str(p): p % m for p in (k, l)},
@@ -635,7 +647,7 @@ def _run_splitting_spheres_mixed(name: str, m: int, k: int, l: int = 0) -> Repor
     )
 
 
-def _run_branched(name: str, m: int, k: int, l: int = 0) -> Report:
+def _run_branched(m: int, k: int, l: int = 0) -> Report:
     geo, moved = _cover_move("branched_cover", m, k, l)
     d = geo.basis_class("D")
     x = moved.sub(d)
@@ -653,7 +665,6 @@ def _run_branched(name: str, m: int, k: int, l: int = 0) -> Report:
     if not degenerate:
         passed = passed and witnesses == expected_witnesses
     return Report(
-        name=name,
         params={"m": m, "k": k, "l": l},
         computed={
             "class": _class_json(x),
@@ -680,7 +691,8 @@ def _coeff_map(data: Mapping) -> dict[int, int]:
     return out
 
 
-def _run_genus1_hd(name: str, k: int, l: int, h=None, v=None, b=None) -> Report:
+def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None = None,
+                   b: Mapping | None = None) -> Report:
     """The twisted genus-1 scenario with prescribed intersection data
     (h, v, b), default h = 1: the dimension of its mod-2 second homology
     by the piecewise closed form and by driving the engine on a
@@ -711,7 +723,6 @@ def _run_genus1_hd(name: str, k: int, l: int, h=None, v=None, b=None) -> Report:
         branch, closed = "vertical present (2k + 2l + 1 + span v)", 2 * k + 2 * l + 1 + max(v) - min(v)
     as_param = lambda coeffs: {str(i): c for i, c in coeffs.items()}
     return Report(
-        name=name,
         params={"k": k, "l": l, "h": as_param(h), "v": as_param(v), "b": as_param(b)},
         computed={"dim_engine": engine, "dim_closed_form": closed, "branch": branch},
         expected={"dim": closed},
@@ -795,7 +806,7 @@ def classify_gluing(matrix: GluingMatrix) -> str:
     return f"L({a},{c})"
 
 
-def _run_morsesimple3mfd(name: str, p: int | None = None, q: int | None = None) -> Report:
+def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
     if p is None and q is None:
         identity = GluingMatrix(1, 0, 0, 1)
         rotation = GluingMatrix(0, -1, 1, 0)
@@ -810,21 +821,19 @@ def _run_morsesimple3mfd(name: str, p: int | None = None, q: int | None = None) 
             and computed["quarter_turn"]["parity_even"]
         )
         return Report(
-            name=name,
             params={},
             computed=computed,
             expected={"identity": "S1xS2", "quarter_turn": "S3"},
             passed=passed,
         )
     _require(p is not None and q is not None,
-             f"theorem {name} takes --p and --q together or neither; got only --{'q' if p is None else 'p'}")
+             f"theorem morsesimple3mfd takes --p and --q together or neither; got only --{'q' if p is None else 'p'}")
     _require(p >= 2 and q >= 1, f"--p and --q must satisfy p >= 2 and q >= 1, got p={p}, q={q}")
     matrix = montesinos_matrix_for(p, q)
     substituted = (p + q) % 2 == 0
     target = f"L({p},{p + q})" if substituted else f"L({p},{q})"
     tag = classify_gluing(matrix)
     return Report(
-        name=name,
         params={"p": p, "q": q},
         computed={
             "matrix": list(matrix.entries()),
@@ -837,10 +846,9 @@ def _run_morsesimple3mfd(name: str, p: int | None = None, q: int | None = None) 
     )
 
 
-def _run_no_brunnian_2disk(name: str, n: int) -> Report:
+def _run_no_brunnian_2disk(n: int) -> Report:
     forced = brunnian_disk_obstruction(n)
     return Report(
-        name=name,
         params={"n": n},
         computed={"disks_forced_isotopic": forced},
         expected={"disks_forced_isotopic": n >= 3},
@@ -873,10 +881,13 @@ THEOREMS: dict[str, Callable[..., Report]] = {
 
 
 def run_theorem(name: str, **params) -> Report:
+    """The theorem's report, named by its registry key name."""
     if name not in THEOREMS:
         raise HypothesisError(f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}")
-    _check_parameters(f"theorem {name}", THEOREMS[name], params, keyed=True)
-    return THEOREMS[name](name, **params)
+    _check_parameters(f"theorem {name}", THEOREMS[name], params)
+    report = THEOREMS[name](**params)
+    report.name = name
+    return report
 
 
 def _run_grid(name: str, grid: list[dict]) -> Iterator[Report]:
@@ -888,45 +899,33 @@ def _run_grid(name: str, grid: list[dict]) -> Iterator[Report]:
 @dataclass(frozen=True)
 class Sweep:
     """A parameter grid over the theorem registered as `theorem`:
-    `grid(top, **params)` lists the jobs' parameters in the order they
-    run, for sizes up to `top`; `jobs(top)` is the grid's job count in
-    closed form (for montesinos an upper bound: the (p, q) candidates
-    before the coprimality filter); `reports(theorem, grid)` yields one
-    report per job in grid order (by default the theorem run on the
-    job's parameters), and raises any refusal before its first report."""
+    `grid(top, **params)` yields the jobs' parameters lazily, in the
+    order they run, for sizes up to `top`, so that run_sweep sizes a
+    sweep by drawing at most one job past its cap; `reports(theorem,
+    jobs)` yields one report per drawn job in grid order (by default the
+    theorem run on the job's parameters), and raises any refusal before
+    its first report."""
 
     theorem: str
     default_max: int
-    grid: Callable[..., list[dict]]
-    jobs: Callable[[int], int]
+    grid: Callable[..., Iterator[dict]]
     reports: Callable[[str, list[dict]], Iterator[Report]] = _run_grid
 
 
-def _square_grid(top: int) -> list[dict]:
-    return [{"k": k, "l": l} for k in range(1, top + 1) for l in range(1, top + 1)]
+def _square_grid(top: int) -> Iterator[dict]:
+    return ({"k": k, "l": l} for k in range(1, top + 1) for l in range(1, top + 1))
 
 
-def _square_jobs(top: int) -> int:
-    return top * top
-
-
-def _brunnian_jobs(top: int) -> int:
-    pairs = top * (top + 1) // 2
-    return pairs * (pairs - 1) // 2
-
-
-def _montesinos_jobs(top: int) -> int:
-    return (top - 1) * (top - 2) // 2
-
-
-def _brunnian_grid(top: int, n: int = 2) -> list[dict]:
+def _brunnian_grid(top: int, n: int = 2) -> Iterator[dict]:
     # every two distinct unordered winding pairs {k, l}, {kp, lp}
-    pairs = [(k, l) for k in range(1, top + 1) for l in range(k, top + 1)]
-    return [
+    # (k <= l, kp <= lp), the second after the first in lexicographic order
+    return (
         {"n": n, "k": k, "l": l, "kp": kp, "lp": lp}
-        for i, (k, l) in enumerate(pairs)
-        for kp, lp in pairs[i + 1 :]
-    ]
+        for k in range(1, top + 1)
+        for l in range(k, top + 1)
+        for kp in range(k, top + 1)
+        for lp in range(l + 1 if kp == k else kp, top + 1)
+    )
 
 
 def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
@@ -956,7 +955,7 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
             # such a pair distinguishes nothing
             image = brunnian_image(k, l, n)
             normal = None if is_monomial_unit(image) else normalize_monomial(image)
-            decided[n, k, l] = _run_linked_6crit(name, n, k, l), normal
+            decided[n, k, l] = _run_linked_6crit(n, k, l), normal
         return decided[n, k, l]
 
     for job in grid:
@@ -964,30 +963,28 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
         (report, image), (other_report, other) = decide(n, k, l), decide(n, kp, lp)
         verdict = {k, l} != {kp, lp} and image is not None and other is not None and image != other
         yield Report(
-            name=report.name,
             params={**report.params, "kp": kp, "lp": lp},
             computed={**report.computed, "distinguished": verdict},
             expected=report.expected,
             passed=report.passed and other_report.passed and verdict == ({k, l} != {kp, lp}),
             notes=report.notes,
+            name=name,
         )
 
 
-def _montesinos_grid(top: int) -> list[dict]:
-    return [
-        {"p": p, "q": q} for p in range(2, top + 1) for q in range(p + 1, top + 1) if math.gcd(p, q) == 1
-    ]
+def _montesinos_grid(top: int) -> Iterator[dict]:
+    return ({"p": p, "q": q} for p in range(2, top + 1) for q in range(p + 1, top + 1) if math.gcd(p, q) == 1)
 
 
 SWEEPS: dict[str, Sweep] = {
-    "morsesimple": Sweep("morsesimple-s3", 10, _square_grid, _square_jobs),
-    "higher-dim": Sweep("higher-dim-knots", 10, _square_grid, _square_jobs),
-    "brunnian": Sweep("linked-6crit", 4, _brunnian_grid, _brunnian_jobs, _brunnian_reports),
-    "montesinos": Sweep("morsesimple3mfd", 30, _montesinos_grid, _montesinos_jobs),
+    "morsesimple": Sweep("morsesimple-s3", 10, _square_grid),
+    "higher-dim": Sweep("higher-dim-knots", 10, _square_grid),
+    "brunnian": Sweep("linked-6crit", 4, _brunnian_grid, _brunnian_reports),
+    "montesinos": Sweep("morsesimple3mfd", 30, _montesinos_grid),
 }
 
-# Most jobs one sweep runs, checked against the grid's closed-form job
-# count.  On a 2-vCPU Xeon host morsesimple --max 100 (10**4 jobs) took
+# Most jobs one sweep runs: run_sweep draws at most one more from the
+# grid.  On a 2-vCPU Xeon host morsesimple --max 100 (10**4 jobs) took
 # 5.2 s and 21 MB; brunnian --n 4 --max 16 (9,180 jobs, 136 reports)
 # took 0.29 s in table format and 1.8 s in machine format, at 22 MB.
 MAX_SWEEP_JOBS = 10_000
@@ -996,18 +993,23 @@ MAX_SWEEP_JOBS = 10_000
 def run_sweep(name: str, top: int | None = None, **params) -> Iterator[Report]:
     """The sweep's reports, one per job in grid order, for sizes up to
     top (None: the sweep's default).  The sweep's own rules are checked
-    before the iterator is returned, the theorem's hypotheses before it
-    yields its first report: a refused sweep builds no report."""
+    before the iterator is returned: the grid's parameters, top, and a
+    draw of 1 to MAX_SWEEP_JOBS jobs, so that a grid of any size is
+    refused after at most MAX_SWEEP_JOBS + 1 jobs.  The theorem's
+    hypotheses are checked before the first report is yielded: a
+    refused sweep builds no report."""
     _require(name in SWEEPS, f"unknown sweep {name!r}; choose from {', '.join(SWEEPS)}")
     sweep = SWEEPS[name]
     _check_parameters(f"sweep {name}", sweep.grid, params, keyed=True)
     top = sweep.default_max if top is None else top
+    # top by its annotation, as a parameter of the grid
+    _check_parameters(f"sweep {name}", sweep.grid, {"top": top})
     _require(top >= 1, f"sweep size must satisfy --max >= 1, got {top}")
-    jobs = sweep.jobs(top)
+    jobs = list(itertools.islice(sweep.grid(top, **params), MAX_SWEEP_JOBS + 1))
     # an empty grid checks nothing, so it does not pass vacuously
-    _require(jobs > 0, f"sweep {name} --max {top} has no jobs")
-    _require(jobs <= MAX_SWEEP_JOBS, f"sweep {name} --max {top} has up to {jobs} jobs, more than {MAX_SWEEP_JOBS}")
-    return sweep.reports(sweep.theorem, sweep.grid(top, **params))
+    _require(jobs, f"sweep {name} --max {top} has no jobs")
+    _require(len(jobs) <= MAX_SWEEP_JOBS, f"sweep {name} --max {top} has more than {MAX_SWEEP_JOBS} jobs")
+    return sweep.reports(sweep.theorem, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,10 +1057,6 @@ def _custom_geometry(spec: Mapping) -> Geometry:
         attaching=list(spec.get("attaching") or []),
         disks=list(spec.get("disks") or []),
     )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_list(value, item=lambda _: True) -> bool:

@@ -196,7 +196,7 @@ def test_brunnian_sweep_is_refused_before_its_jobs_are_built():
     # --max 100 is 12.7 million jobs; the grid used to be listed in full first
     result = run_cli("sweep", "brunnian", "--max", "100", timeout=30)
     assert result.returncode == 2 and result.stdout == ""
-    assert "sweep brunnian --max 100 has up to 12748725 jobs, more than 10000" in result.stderr
+    assert "sweep brunnian --max 100 has more than 10000 jobs" in result.stderr
 
 
 # bench/digests.json pins the stdout sha256 of the benchmark's CLI calls,
@@ -271,11 +271,13 @@ def test_a_refused_sweep_writes_nothing(monkeypatch, capsys, tmp_path):
 
 
 def test_sweep_job_cap_boundary():
-    # montesinos --max 142 has 9,870 (p, q) candidates, --max 143 has 10,011
-    assert run_cli("sweep", "montesinos", "--max", "142", timeout=30).returncode == 0
-    result = run_cli("sweep", "montesinos", "--max", "143", timeout=30)
+    # montesinos --max 182 has 9,950 coprime (p, q) jobs, --max 183 has
+    # 10,069: the cap counts jobs, not (p, q) candidates
+    result = run_cli("sweep", "montesinos", "--max", "182", timeout=30)
+    assert result.returncode == 0 and result.stdout.endswith("\n9950/9950 passed\n")
+    result = run_cli("sweep", "montesinos", "--max", "183", timeout=30)
     assert result.returncode == 2 and result.stdout == ""
-    assert "has up to 10011 jobs, more than 10000" in result.stderr
+    assert result.stderr == "error: sweep montesinos --max 183 has more than 10000 jobs\n"
 
 
 def test_sweep_job_cap_admits_a_grid_of_exactly_the_cap(monkeypatch, capsys):
@@ -285,7 +287,7 @@ def test_sweep_job_cap_admits_a_grid_of_exactly_the_cap(monkeypatch, capsys):
     assert cli.main(["sweep", "morsesimple", "--max", "3"]) == 0
     assert capsys.readouterr().out.endswith("9/9 passed\n")
     assert cli.main(["sweep", "morsesimple", "--max", "4"]) == 2
-    assert "has up to 16 jobs, more than 9" in capsys.readouterr().err
+    assert "sweep morsesimple --max 4 has more than 9 jobs" in capsys.readouterr().err
 
 
 def test_a_brunnian_job_checks_both_of_its_winding_pairs(monkeypatch, capsys):
@@ -326,18 +328,23 @@ def cli_refusal(argv, capsys) -> str:
 @pytest.mark.parametrize(
     "name,top,params,message",
     [
-        ("brunnian", 100, {}, "sweep brunnian --max 100 has up to 12748725 jobs, more than 10000"),
+        ("brunnian", 100, {}, "sweep brunnian --max 100 has more than 10000 jobs"),
         ("morsesimple", 2, {"n": 9}, "sweep morsesimple takes no parameters; unexpected n"),
         ("montesinos", 2, {}, "sweep montesinos --max 2 has no jobs"),
         ("nope", None, {}, "unknown sweep 'nope'; choose from morsesimple, higher-dim, brunnian, montesinos"),
+        # a grid is drawn, not listed: any size costs at most 10,001 jobs
+        *[(name, 10**18, {}, f"sweep {name} --max {10**18} has more than 10000 jobs") for name in SWEEPS],
     ],
 )
 def test_run_sweep_refuses_before_it_returns(name, top, params, message, capsys):
-    # the library call raises, before any report is built, the text the CLI prints
+    # the library call raises, before any report is built and within a
+    # second, the text the CLI prints
     from barbellcalc.scenarios import HypothesisError, run_sweep
 
+    start = time.perf_counter()
     with pytest.raises(HypothesisError) as info:
         run_sweep(name, top, **params)
+    assert time.perf_counter() - start < 1
     assert str(info.value) == message
     assert cli_refusal(sweep_argv(name, top, params), capsys) == f"error: {message}\n"
 
@@ -853,7 +860,7 @@ def test_theorem_flags_pass_or_are_refused(key, data, capsys):
     # error: line, and no call takes more than a few seconds
     from barbellcalc import cli
 
-    takes, required = parameters(THEOREMS[key], keyed=True)
+    takes, required = parameters(THEOREMS[key])
     accepted = [name for name in takes if name in cli._PARAM_FLAGS]
     argv = ["theorem", key]
     for flag in accepted:
@@ -874,16 +881,19 @@ def test_theorem_flags_pass_or_are_refused(key, data, capsys):
 # every CLI flag, g (a runner takes it, no flag reaches it), and three
 # names no runner takes
 LIBRARY_KEYWORDS = ["k", "l", "n", "m", "p", "q", "g", "kp", "lp", "zz"]
+# and values of types no flag gives
+LIBRARY_VALUES = FLAG_VALUES + [None, "3", 2.5, True]
 
 
 @pytest.mark.parametrize("key", sorted(THEOREMS))
 @settings(max_examples=60, deadline=None)
-@given(params=st.dictionaries(st.sampled_from(LIBRARY_KEYWORDS), st.sampled_from(FLAG_VALUES), max_size=5))
+@given(params=st.dictionaries(st.sampled_from(LIBRARY_KEYWORDS), st.sampled_from(LIBRARY_VALUES), max_size=5))
 def test_library_calls_pass_or_are_refused(key, params):
     # the library takes the CLI's rule: any keywords, drawn from the
-    # flag values, either PASS or raise a ValueError subclass (the CLI's
-    # exit 2) that names no private runner; a bad parameter set used to
-    # raise a TypeError naming _run_torus_knot()
+    # flag values and values of other types, either PASS or raise a
+    # ValueError subclass (the CLI's exit 2) that names no private
+    # runner; a bad parameter set used to raise a TypeError naming
+    # _run_torus_knot()
     from barbellcalc.scenarios import Report, run_theorem
 
     try:
@@ -897,13 +907,14 @@ def test_library_calls_pass_or_are_refused(key, params):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    top=st.none() | st.sampled_from(FLAG_VALUES),
-    params=st.fixed_dictionaries({}, optional={"n": st.sampled_from(FLAG_VALUES)}),
+    top=st.sampled_from(LIBRARY_VALUES),
+    params=st.fixed_dictionaries({}, optional={"n": st.sampled_from(LIBRARY_VALUES)}),
 )
 def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
     # a sweep's iterator yields only passing reports, or the sweep raises
-    # a ValueError before its first report, the text of the CLI's error:
-    # line; either way within a few seconds
+    # a ValueError before its first report: the text of the CLI's error:
+    # line, or for a value no flag gives, a refusal that names it; either
+    # way within a few seconds
     from barbellcalc.scenarios import run_sweep
 
     start = time.perf_counter()
@@ -914,7 +925,13 @@ def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
             done += 1
     except ValueError as exc:
         assert done == 0, (top, params)
-        assert cli_refusal(sweep_argv(name, top, params), capsys) == f"error: {exc}\n"
+        sized = {"top": 1 if top is None else top, **params}
+        odd = [key for key, value in sized.items() if type(value) is not int]
+        if odd:
+            # no flag gives it: refused as unexpected, or by its type
+            assert "unexpected n" in str(exc) or any(f"parameter {key} must be" in str(exc) for key in odd), exc
+        else:
+            assert cli_refusal(sweep_argv(name, top, params), capsys) == f"error: {exc}\n"
     assert time.perf_counter() - start < 5, (top, params)
 
 
@@ -928,14 +945,24 @@ def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
         # every parameter is listed, flag or not: h, v, b are mappings
         # only a library call gives, and the CLI prints the same text
         ({"k": 100}, "theorem genus1-hd takes k, l, h, v, b (required: k, l); missing l"),
+        # a value its annotation does not admit; each of these but True
+        # (taken as 1) used to raise a TypeError
+        ({"k": None, "l": 1}, "theorem morsesimple-s3 parameter k must be int, got None"),
+        ({"k": True, "l": 1}, "theorem morsesimple-s3 parameter k must be int, got True"),
+        ({"n": "3", "k": 1, "l": 1}, "theorem linked-6crit parameter n must be int, got '3'"),
+        ({"k": 100, "l": 100, "h": [1]}, "theorem genus1-hd parameter h must be Mapping | None, got [1]"),
+        ({"top": "3"}, "sweep morsesimple parameter top must be int, got '3'"),
+        ({"top": 3, "n": None}, "sweep brunnian parameter n must be int, got None"),
+        ({"m": "5"}, "geometry cyclic_cover parameter m must be int, got '5'"),
     ],
 )
 def test_library_call_names_the_theorem_and_its_parameters(call, message):
-    from barbellcalc.scenarios import HypothesisError, run_theorem
+    from barbellcalc.scenarios import HypothesisError, builtin_geometry, run_sweep, run_theorem
 
-    name = message.split()[1]
+    kind, name = message.split()[:2]
+    run = {"theorem": run_theorem, "sweep": run_sweep, "geometry": builtin_geometry}[kind]
     with pytest.raises(HypothesisError) as info:
-        run_theorem(name, **call)
+        run(name, **call)
     assert str(info.value) == message
 
 

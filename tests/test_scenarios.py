@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import sys
 from pathlib import Path
@@ -455,12 +456,12 @@ def test_sweep_grids_keep_their_job_counts():
     assert [sweep.theorem for sweep in SWEEPS.values()] == [
         "morsesimple-s3", "higher-dim-knots", "linked-6crit", "morsesimple3mfd"
     ]
-    assert len(SWEEPS["morsesimple"].grid(3)) == 9
-    assert len(SWEEPS["higher-dim"].grid(3)) == 9
-    assert len(SWEEPS["brunnian"].grid(4, n=3)) == 45
+    assert len(list(SWEEPS["morsesimple"].grid(3))) == 9
+    assert len(list(SWEEPS["higher-dim"].grid(3))) == 9
+    assert len(list(SWEEPS["brunnian"].grid(4, n=3))) == 45
     montesinos = SWEEPS["montesinos"]
-    assert len(montesinos.grid(montesinos.default_max)) == 248
-    assert SWEEPS["brunnian"].grid(2)[0] == {"n": 2, "k": 1, "l": 1, "kp": 1, "lp": 2}
+    assert len(list(montesinos.grid(montesinos.default_max))) == 248
+    assert next(SWEEPS["brunnian"].grid(2)) == {"n": 2, "k": 1, "l": 1, "kp": 1, "lp": 2}
 
 
 def test_brunnian_reports_apply_the_pair_rules(monkeypatch):
@@ -488,14 +489,25 @@ def test_brunnian_reports_apply_the_pair_rules(monkeypatch):
     assert [r.passed for r in reports] == [True, False, False, False]
 
 
+def totient(q: int) -> int:
+    return sum(math.gcd(p, q) == 1 for p in range(1, q + 1))
+
+
 @pytest.mark.parametrize("top", range(1, 13))
 def test_sweep_job_counts_match_their_grids(top):
-    # the closed forms size a sweep before any job is built
-    for name in ("morsesimple", "higher-dim", "brunnian"):
-        assert SWEEPS[name].jobs(top) == len(SWEEPS[name].grid(top)), (name, top)
-    montesinos = SWEEPS["montesinos"]
-    candidates = [(p, q) for p in range(2, top + 1) for q in range(p + 1, top + 1)]
-    assert montesinos.jobs(top) == len(candidates) >= len(montesinos.grid(top))
+    # the lazy grids against closed-form counts held here, as an oracle:
+    # top^2 winding pairs, every two of the top(top+1)/2 unordered ones,
+    # and for each q the phi(q) - 1 values 2 <= p < q coprime to it
+    pairs = top * (top + 1) // 2
+    counts = {
+        "morsesimple": top * top,
+        "higher-dim": top * top,
+        "brunnian": pairs * (pairs - 1) // 2,
+        "montesinos": sum(totient(q) - 1 for q in range(3, top + 1)),
+    }
+    assert {name: len(list(sweep.grid(top))) for name, sweep in SWEEPS.items()} == counts
+    jobs = [tuple(job.values()) for job in SWEEPS["brunnian"].grid(top)]
+    assert jobs == sorted(set(jobs)) and all(k <= l and kp <= lp and (k, l) < (kp, lp) for _, k, l, kp, lp in jobs)
 
 
 # -- scenario files ----------------------------------------------------------------
