@@ -30,7 +30,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .scenarios import (
     GEOMETRY_BUILDERS,

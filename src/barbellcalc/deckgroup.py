@@ -14,7 +14,8 @@ Elements are immutable values in canonical form: freely reduced words,
 exact integer exponent vectors, residues in [0, m).  Generator indices
 are 1-based throughout.
 
-Groups and elements are slotted values whose hash is computed once, at
+Groups and elements are immutable slotted values (setting or deleting
+an attribute raises AttributeError) whose hash is computed once, at
 construction; an element hashes by its value alone (equal elements
 share a group).  A value is validated where it enters: the public
 constructor DeckElement(group, value), and through it parse_word,
@@ -43,8 +44,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 
 class GroupError(ValueError):
@@ -65,20 +65,24 @@ CYCLIC = "cyclic"
 MAX_POWER_LETTERS = 100_000
 
 
-@dataclass(frozen=True, slots=True)
+def _immutable(self, name, *value):
+    raise AttributeError(f"cannot set or delete {name!r}: {self.__class__.__name__} values are immutable")
+
+
 class DeckGroup:
-    """A deck transformation group: F_n, Z^r, or Z/m."""
+    """A deck transformation group: F_n, Z^r, or Z/m (n is the rank or m)."""
 
-    kind: str
-    n: int  # rank for free / free_abelian, modulus for cyclic
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "n", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.kind not in (FREE, FREE_ABELIAN, CYCLIC):
-            raise GroupError(f"unknown group kind {self.kind!r}")
-        if self.n < 1:
-            raise GroupError(f"group parameter must be >= 1, got {self.n}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.n)))
+    def __init__(self, kind: str, n: int):
+        if kind not in (FREE, FREE_ABELIAN, CYCLIC):
+            raise GroupError(f"unknown group kind {kind!r}")
+        if n < 1:
+            raise GroupError(f"group parameter must be >= 1, got {n}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_hash", hash((kind, n)))
 
     def __eq__(self, other):
         if self is other:
@@ -205,7 +209,6 @@ def _value_hash(value) -> int:
     return value if value.__class__ is int and h == value else h
 
 
-@dataclass(frozen=True, slots=True)
 class DeckElement:
     """An element of a deck group, stored in canonical form.
 
@@ -213,13 +216,14 @@ class DeckElement:
     a residue in [0, m) (cyclic).
     """
 
-    group: DeckGroup
-    value: Union[Word, tuple[int, ...], int]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("group", "value", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        _check_value(self.group, self.value)
-        object.__setattr__(self, "_hash", _value_hash(self.value))
+    def __init__(self, group: DeckGroup, value: Word | tuple[int, ...] | int):
+        _check_value(group, value)
+        _set_group(self, group)
+        _set_value(self, value)
+        _set_hash(self, _value_hash(value))
 
     def __eq__(self, other):
         if self is other:
@@ -307,8 +311,8 @@ def _canonical(group: DeckGroup, value) -> DeckElement:
     return elt
 
 
-# The slots' own setters, bound once: a frozen dataclass refuses
-# setattr, and these skip object.__setattr__'s lookup by name.
+# The slots' own setters, bound once: DeckElement refuses setattr, and
+# these skip object.__setattr__'s lookup by name.
 _new_element = object.__new__
 _set_group = DeckElement.__dict__["group"].__set__
 _set_value = DeckElement.__dict__["value"].__set__

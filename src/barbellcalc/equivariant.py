@@ -43,8 +43,7 @@ decides both in closed form and refuses every other configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .deckgroup import CYCLIC, DeckElement, DeckGroup, format_element
 from .groupring import F2, RingElement, join_signed, render
@@ -58,7 +57,6 @@ class GeometryError(ValueError):
     """Unknown label, undefined pairing kind, or malformed geometry."""
 
 
-@dataclass
 class Geometry:
     """A cover's computational data: deck group, coefficients, labelled
     generators, the equivariant pairing table, and the handle roles
@@ -70,7 +68,7 @@ class Geometry:
     middle-dimensional classes here is symmetric), once, at
     construction: the private _rows table holds both directions, a
     stored entry winning over the reverse of its mirror, so a changed
-    table is built with extend or dataclasses.replace, never by
+    table is built as a new Geometry (extend builds one), never by
     mutating pairings in place.  Disk-disk pairings
     are deliberately absent and asking for one is an error; any other
     absent entry counts as zero.
@@ -82,34 +80,28 @@ class Geometry:
     labels that are parallel copies of the same homology class.
     """
 
-    name: str
-    group: DeckGroup
-    coeffs: str
-    labels: dict[str, str]
-    pairings: dict[tuple[str, str], RingElement]
-    attaching: list[str] = field(default_factory=list)
-    disks: list[str] = field(default_factory=list)
-    aliases: dict[str, str] = field(default_factory=dict)
-    _rows: dict[tuple[str, str], RingElement] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, kind in self.labels.items():
+    def __init__(self, name: str, group: DeckGroup, coeffs: str, labels: dict[str, str],
+                 pairings: dict[tuple[str, str], RingElement], attaching: list[str] | None = None,
+                 disks: list[str] | None = None, aliases: dict[str, str] | None = None):
+        self.name, self.group, self.coeffs, self.labels, self.pairings = name, group, coeffs, labels, pairings
+        self.attaching, self.disks, self.aliases = attaching or [], disks or [], aliases or {}
+        for label, kind in labels.items():
             if kind not in (SPHERE, DISK, MERIDIAN):
-                raise GeometryError(f"label {name} has unknown generator kind {kind!r}")
-        for (a, b), elem in self.pairings.items():
-            if a not in self.labels or b not in self.labels:
+                raise GeometryError(f"label {label} has unknown generator kind {kind!r}")
+        for (a, b), elem in pairings.items():
+            if a not in labels or b not in labels:
                 raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
-            if self.labels[a] == DISK and self.labels[b] == DISK:
+            if labels[a] == DISK and labels[b] == DISK:
                 raise GeometryError("disk-disk pairings are not part of the data")
             if self._meridian(a, b) and any(not g.is_identity() for g in elem.terms):
                 raise GeometryError(f"meridian row ({a}, {b}) must be stored as its augmentation, got {render(elem)}")
-        for name in self.attaching + self.disks:
-            if name not in self.labels:
-                raise GeometryError(f"role label {name} is not declared")
-        if self.meridians() and self.group.kind != CYCLIC:
-            raise GeometryError(f"geometry {self.name}: meridians need a cyclic deck group, not {self.group!r}")
-        self._rows = {(b, a): elem.reverse() for (a, b), elem in self.pairings.items()}
-        self._rows.update(self.pairings)
+        for label in self.attaching + self.disks:
+            if label not in labels:
+                raise GeometryError(f"role label {label} is not declared")
+        if self.meridians() and group.kind != CYCLIC:
+            raise GeometryError(f"geometry {name}: meridians need a cyclic deck group, not {group!r}")
+        self._rows = {(b, a): elem.reverse() for (a, b), elem in pairings.items()}
+        self._rows.update(pairings)
 
     def meridians(self) -> list[str]:
         return [name for name, kind in self.labels.items() if kind == MERIDIAN]
@@ -153,10 +145,9 @@ class Geometry:
     def extend(self, name: str, kind: str, pairings: Mapping[str, RingElement]) -> "Geometry":
         """A copy with one extra generator and its pairing rows; used for
         synthetic classes with prescribed intersection data."""
-        entries = dict(self.pairings)
-        for other, elem in pairings.items():
-            entries[(name, other)] = elem
-        return replace(self, labels={**self.labels, name: kind}, pairings=entries)
+        entries = {**self.pairings, **{(name, other): elem for other, elem in pairings.items()}}
+        labels = {**self.labels, name: kind}
+        return Geometry(self.name, self.group, self.coeffs, labels, entries, self.attaching, self.disks, self.aliases)
 
 
 class EquivClass:
@@ -269,7 +260,6 @@ def pair_classes(x: EquivClass, y: EquivClass) -> int:
 # The barbell action.
 
 
-@dataclass(frozen=True)
 class BarbellSpec:
     """A barbell in the base: two cuff labels, the bar's holonomy in the
     deck group, orientation signs for the cuffs, and an iteration count.
@@ -280,18 +270,14 @@ class BarbellSpec:
     transformation, exposed as the optional offset.
     """
 
-    cuff1: str
-    cuff2: str
-    holonomy: DeckElement
-    signs: tuple[int, int] = (1, 1)
-    iterate: int = 1
-    offset: DeckElement | None = None
-
-    def __post_init__(self):
-        if self.signs[0] not in (1, -1) or self.signs[1] not in (1, -1):
+    def __init__(self, cuff1: str, cuff2: str, holonomy: DeckElement, signs: tuple[int, int] = (1, 1),
+                 iterate: int = 1, offset: DeckElement | None = None):
+        if signs[0] not in (1, -1) or signs[1] not in (1, -1):
             raise GeometryError("cuff signs must be +1 or -1")
-        if self.iterate == 0:
+        if iterate == 0:
             raise GeometryError("iterate must be a nonzero integer")
+        self.cuff1, self.cuff2, self.holonomy = cuff1, cuff2, holonomy
+        self.signs, self.iterate, self.offset = signs, iterate, offset
 
 
 def _check_spec(geo: Geometry, spec: BarbellSpec):

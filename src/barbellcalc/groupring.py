@@ -17,7 +17,7 @@ No factorization, Groebner bases, or general ideal membership.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .deckgroup import (
     CYCLIC,

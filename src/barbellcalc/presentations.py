@@ -19,10 +19,11 @@ which the brunnian sweep tells two modules apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from collections import Counter
+from collections.abc import Sequence
 
-from .deckgroup import DeckElement, DeckGroup, brunnian_word, free_abelian, free_group
+from .deckgroup import DeckElement, DeckGroup, _canonical, brunnian_word, free_abelian, free_group
 from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
 from .groupring import (
     F2,
@@ -36,13 +37,11 @@ class PresentationError(ValueError):
     """Matrix shape or ring outside an operation's domain."""
 
 
-@dataclass
 class PresentationMatrix:
     """Rows indexed by belt disks, columns by attaching spheres."""
 
-    group: DeckGroup
-    coeffs: str
-    entries: list[list[RingElement]]
+    def __init__(self, group: DeckGroup, coeffs: str, entries: list[list[RingElement]]):
+        self.group, self.coeffs, self.entries = group, coeffs, entries
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,14 +107,17 @@ def antidiagonal_cokernel(matrix: PresentationMatrix) -> list[RingElement]:
 
 
 def symmetric_relator(vectors: Sequence[tuple[int, ...]]) -> RingElement:
-    """1 + prod_v (x^v + x^-v) in F2[Z^r], r the length of each vector."""
-    group = free_abelian(len(vectors[0]))
-    one = RingElement.one(group, F2)
-    product = one
+    """1 + prod_v (x^v + x^-v) in F2[Z^r], r the length of each vector,
+    expanded directly: the product is the sum over sign choices of
+    x^(±v_1 ± v_2 ...), and exponents that coincide (two equal vectors,
+    say) cancel mod 2.  The test suite checks it against the product of
+    the binomials (tests/oracles.py)."""
+    zero = (0,) * len(vectors[0])
+    sums = [zero]
     for v in vectors:
-        pair = {DeckElement(group, v): 1, DeckElement(group, tuple(-a for a in v)): 1}
-        product = product.mul(RingElement(group, F2, pair))
-    return one.add(product)
+        sums = [tuple(map(operator.add, e, v)) for e in sums] + [tuple(map(operator.sub, e, v)) for e in sums]
+    group = free_abelian(len(zero))
+    return RingElement(group, F2, {_canonical(group, e): count for e, count in Counter(sums + [zero]).items()})
 
 
 def _check_brunnian(k: int, l: int, n: int):

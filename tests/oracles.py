@@ -24,6 +24,8 @@ in their place, and the tests compare the two.
   |k| - 1 products, for DeckElement.pow; and stored_row, a pairing row
   read from the stored table or reversed on demand, for the two-way
   table Geometry derives at construction.
+* binomial_product, 1 + prod_v (x^v + x^-v) as a product of ring
+  elements, the oracle of the expanded presentations.symmetric_relator.
 """
 
 from __future__ import annotations
@@ -338,6 +340,19 @@ def slow_pow(x: DeckElement, k: int) -> DeckElement:
     for _ in range(abs(k) - 1):
         out = out.mul(base)
     return out
+
+
+def binomial_product(vectors: Sequence[tuple[int, ...]]) -> RingElement:
+    """1 + prod_v (x^v + x^-v) in F2[Z^r], one RingElement.mul per
+    binomial; each binomial is the sum of its two monomials, so a zero
+    vector's is 1 + 1 = 0."""
+    group = free_abelian(len(vectors[0]))
+    one = RingElement.one(group, F2)
+    product = one
+    for v in vectors:
+        plus, minus = (RingElement(group, F2, {DeckElement(group, e): 1}) for e in (v, tuple(-a for a in v)))
+        product = product.mul(plus.add(minus))
+    return one.add(product)
 
 
 def stored_row(geo: Geometry, a: str, b: str) -> RingElement | None:

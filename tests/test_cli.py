@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import barbellcalc
-from barbellcalc.scenarios import GEOMETRY_BUILDERS, SWEEPS, THEOREMS, parameters
+from barbellcalc.scenarios import GEOMETRY_BUILDERS, SWEEPS, THEOREMS, Sweep, parameters
 
 CLI = [sys.executable, "-m", "barbellcalc.cli"]
 # the child interpreter imports the same package as the tests
@@ -23,6 +23,29 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.enviro
 
 def run_cli(*args, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV, timeout=timeout)
+
+
+def test_cold_start_leaves_out_dataclasses_inspect_and_typing():
+    # without site (-S), nothing but the package and the parser can have
+    # imported them; dataclasses alone, with inspect, cost about 8 ms at
+    # every start
+    probe = ("import sys, barbellcalc.cli as cli; cli.build_parser(); "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_parameters_read_from_code_match_the_signature():
+    import inspect
+
+    entries = [*THEOREMS.values(), *GEOMETRY_BUILDERS.values(), *(sweep.grid for sweep in SWEEPS.values())]
+    for entry in entries:
+        for keyed in (False, True):
+            params = list(inspect.signature(entry).parameters.values())[keyed:]
+            names = tuple(p.name for p in params)
+            required = tuple(p.name for p in params if p.default is p.empty)
+            assert parameters(entry, keyed) == (names, required), entry.__name__
 
 
 def test_theorem_pass_exit_zero():
@@ -214,7 +237,6 @@ def streamed_sweep(monkeypatch, argv):
     """Run a brunnian sweep in process with its reports handed over one
     at a time; return its stdout, and for each report the number of
     lines written before that report was built."""
-    import dataclasses
     import io
 
     from barbellcalc import cli
@@ -229,7 +251,7 @@ def streamed_sweep(monkeypatch, argv):
             written.append(out.getvalue().count("\n"))
             yield report
 
-    monkeypatch.setitem(SWEEPS, "brunnian", dataclasses.replace(sweep, reports=reports))
+    monkeypatch.setitem(SWEEPS, "brunnian", Sweep(sweep.theorem, sweep.default_max, sweep.grid, reports))
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(argv) == 0
     return out.getvalue(), written

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from functools import partial
 
@@ -22,7 +21,7 @@ from barbellcalc.equivariant import (
     summand_membership,
 )
 from barbellcalc.groupring import F2, INT, RingElement
-from barbellcalc.scenarios import GEOMETRY_BUILDERS, builtin_geometry
+from barbellcalc.scenarios import GEOMETRY_BUILDERS, GluingMatrix, HypothesisError, builtin_geometry
 from oracles import apply_hom, cyclic_project, stored_row
 from oracles import summand_membership as solved_membership
 
@@ -87,7 +86,7 @@ def slow_pairing(x, b):
 
 def _over_integers(geo):
     entries = {key: RingElement(geo.group, INT, p.terms) for key, p in geo.pairings.items()}
-    return dataclasses.replace(geo, coeffs=INT, pairings=entries)
+    return Geometry(geo.name, geo.group, INT, geo.labels, entries, geo.attaching, geo.disks, geo.aliases)
 
 
 def deck_elements(group):
@@ -457,6 +456,42 @@ def test_meridian_needs_a_cyclic_deck_group():
         Geometry("z", Z1, F2, labels, {})
 
 
+def _one(group):
+    return RingElement(group, F2, {group.identity(): 1})
+
+
+# every kind of value the constructors refuse: (constructor, arguments,
+# error, message)
+REFUSED_VALUES = [
+    (BarbellSpec, ("S", "S", Z1.identity(), (1, 2)), GeometryError, "cuff signs must be"),
+    (BarbellSpec, ("S", "S", Z1.identity(), (0, 1)), GeometryError, "cuff signs must be"),
+    (BarbellSpec, ("S", "S", Z1.identity(), (1, 1), 0), GeometryError, "iterate must be a nonzero integer"),
+    (GluingMatrix, (1, 0, 0, -1), HypothesisError, "determinant"),
+    (GluingMatrix, (2, 1, 1, 2), HypothesisError, "determinant"),
+    (Geometry, ("z", Z1, F2, {"T": "torus"}, {}), GeometryError, "label T has unknown generator kind"),
+    (Geometry, ("z", Z1, F2, {"S": SPHERE}, {("S", "X"): _one(Z1)}), GeometryError, "undeclared label"),
+    (Geometry, ("z", Z1, F2, {"D": DISK, "E": DISK}, {("D", "E"): _one(Z1)}), GeometryError, "disk-disk"),
+    (Geometry, ("z", cyclic(3), F2, {"mu": MERIDIAN, "D": DISK},
+                {("mu", "D"): RingElement(cyclic(3), F2, {DeckElement(cyclic(3), 1): 1})}),
+     GeometryError, "stored as its augmentation"),
+    (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, ["S", "T"]), GeometryError, "role label T is not declared"),
+    (Geometry, ("z", Z1, F2, {"D": DISK}, {}, [], ["E"]), GeometryError, "role label E is not declared"),
+    (Geometry, ("z", Z1, F2, {"mu": MERIDIAN}, {}), GeometryError, "meridians need a cyclic deck group"),
+]
+
+
+@pytest.mark.parametrize("cls, args, error, message", REFUSED_VALUES)
+def test_value_class_constructors_refuse_invalid_values(cls, args, error, message):
+    with pytest.raises(error, match=message):
+        cls(*args)
+
+
+def test_geometry_lists_default_to_fresh_empty_ones():
+    first, second = (Geometry("z", Z1, F2, {"S": SPHERE}, {}) for _ in range(2))
+    assert first.attaching == first.disks == [] and first.aliases == {}
+    assert first.attaching is not second.attaching and first.aliases is not second.aliases
+
+
 def test_disk_disk_pairing_is_undefined():
     geo = builtin_geometry("torus_complement")
     with pytest.raises(GeometryError):
@@ -776,7 +811,7 @@ def push_geometry(geo, project, target):
     """The geometry of the cover that the covering map project: G -> target
     induces: every pairing row pushed through it."""
     entries = {key: apply_hom(p, target, project) for key, p in geo.pairings.items()}
-    return dataclasses.replace(geo, group=target, pairings=entries)
+    return Geometry(geo.name, target, geo.coeffs, geo.labels, entries, geo.attaching, geo.disks, geo.aliases)
 
 
 def push_class(x, project, pushed):
@@ -814,9 +849,12 @@ def test_action_and_pairing_are_natural_under_cyclic_covering_maps(coeffs, data)
         iterate=data.draw(st.integers(-12, 12).filter(bool)),
         offset=data.draw(st.none() | deck_elements(geo.group)),
     )
-    pushed_spec = dataclasses.replace(
-        spec,
-        holonomy=project(spec.holonomy),
+    pushed_spec = BarbellSpec(
+        spec.cuff1,
+        spec.cuff2,
+        project(spec.holonomy),
+        signs=spec.signs,
+        iterate=spec.iterate,
         offset=None if spec.offset is None else project(spec.offset),
     )
     x = data.draw(equiv_classes(geo))

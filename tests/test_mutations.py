@@ -10,7 +10,6 @@ lists are checked both ways: an entry that starts to be caught must
 leave its list.
 """
 
-import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -18,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from barbellcalc import deckgroup, equivariant, groupring, scenarios
+from barbellcalc.equivariant import BarbellSpec
 from barbellcalc.scenarios import THEOREMS, run_scenario, run_theorem
 
 from test_scenarios import SAMPLE_PARAMS
@@ -35,6 +35,13 @@ def _respec(change):
     real = equivariant.barbell_action
     mutant = lambda x, spec: real(x, change(spec))
     return [(equivariant, "barbell_action", mutant), (scenarios, "barbell_action", mutant)]
+
+
+def _with(spec, **fields):
+    """A new BarbellSpec: spec with the given fields replaced."""
+    old = {"cuff1": spec.cuff1, "cuff2": spec.cuff2, "holonomy": spec.holonomy,
+           "signs": spec.signs, "iterate": spec.iterate, "offset": spec.offset}
+    return BarbellSpec(**{**old, **fields})
 
 
 def _seam_merge_first_exponent(a, b):
@@ -58,6 +65,15 @@ def _meridian_read_as_zero(self, a, b, g):
     return 0 if row is None or self._meridian(a, b) else row.coefficient(g)
 
 
+def _disk_model_without_component_2(n):
+    # scenarios._disk_model with removing component 2 left out
+    coordinates = (1 << (n - 1)) - 1
+    forced = 0
+    for k in range(1, n - 1):
+        forced |= coordinates & ~(1 << k)
+    return forced == coordinates
+
+
 def _bezout_sign(a, b):
     g, x, y = _real_extended_gcd(a, b)
     return g, x, -y
@@ -68,15 +84,16 @@ _real_dim = scenarios.f2_quotient_dim
 
 # name -> [(module or class, attribute, replacement)]
 MUTATIONS = {
-    "correction sign": _respec(lambda spec: dataclasses.replace(spec, signs=(spec.signs[0], -spec.signs[1]))),
-    "iterate off by one": _respec(lambda spec: dataclasses.replace(spec, iterate=spec.iterate + 1)),
-    "holonomy inverted": _respec(lambda spec: dataclasses.replace(spec, holonomy=spec.holonomy.inv())),
+    "correction sign": _respec(lambda spec: _with(spec, signs=(spec.signs[0], -spec.signs[1]))),
+    "iterate off by one": _respec(lambda spec: _with(spec, iterate=spec.iterate + 1)),
+    "holonomy inverted": _respec(lambda spec: _with(spec, holonomy=spec.holonomy.inv())),
     "reverse involution skipped": [(groupring.RingElement, "reverse", lambda self: self)],
     "seam merge exponent": [(deckgroup, "_seam_product", _seam_merge_first_exponent)],
     "membership always yes": [(scenarios, "summand_membership", lambda *args, **kwargs: True)],
     "quotient dimension plus one": [(scenarios, "f2_quotient_dim", lambda matrix: _real_dim(matrix) + 1)],
     "meridian augmentation dropped": [(equivariant.Geometry, "coefficient", _meridian_read_as_zero)],
     "Bezout sign": [(scenarios, "_extended_gcd", _bezout_sign)],
+    "disk model skips a component": [(scenarios, "_disk_model", _disk_model_without_component_2)],
 }
 
 
@@ -109,9 +126,7 @@ def matrix() -> dict[str, dict[str, str]]:
 
 
 # keys no mutation can turn from PASS, and why
-UNCATCHABLE = {
-    "no-brunnian-2disk": "its computed and its expected value are the same closed form, n >= 3; no engine code runs",
-}
+UNCATCHABLE = {}
 
 # mutations no key catches, and why
 UNCAUGHT = {}

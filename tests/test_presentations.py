@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barbellcalc import scenarios
 from barbellcalc.deckgroup import DeckElement, brunnian_word, free_abelian
 from barbellcalc.equivariant import BarbellSpec
 from barbellcalc.groupring import F2, INT, RingElement
@@ -16,9 +17,10 @@ from barbellcalc.presentations import (
     brunnian_relator,
     f2_quotient_dim,
     present_from_scenario,
+    symmetric_relator,
 )
-from barbellcalc.scenarios import builtin_geometry, morsesimple_f
-from oracles import apply_hom, brunnian_coordinates, distinguish_brunnian_modules
+from barbellcalc.scenarios import builtin_geometry, morsesimple_f, run_theorem
+from oracles import apply_hom, binomial_product, brunnian_coordinates, distinguish_brunnian_modules
 
 Z1 = free_abelian(1)
 
@@ -223,6 +225,40 @@ def constraint_model(n: int) -> bool:
 @given(n=st.integers(2, 40))
 def test_closed_form_obstruction_matches_the_constraint_model(n):
     assert brunnian_disk_obstruction(n) == constraint_model(n)
+
+
+@given(n=st.integers(2, 40))
+def test_the_runners_bitmask_model_matches_the_constraint_model(n):
+    assert scenarios._disk_model(n) == constraint_model(n)
+
+
+def test_no_brunnian_2disk_evaluates_its_model_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(scenarios, "MAX_DISK_MODEL_COMPONENTS", 5)
+    modelled = []
+    real = scenarios._disk_model
+    monkeypatch.setattr(scenarios, "_disk_model", lambda n: modelled.append(n) or real(n))
+    reports = {n: run_theorem("no-brunnian-2disk", n=n) for n in (2, 3, 5, 6, 10**11)}
+    assert modelled == [2, 3, 5]
+    assert all(report.passed for report in reports.values())
+    assert [reports[n].computed["disks_forced_isotopic"] for n in reports] == [False, True, True, True, True]
+    assert all(not reports[n].notes for n in (2, 3, 5))
+    for n in (6, 10**11):
+        assert reports[n].notes == ["n > 5: the constraint model is not evaluated; computed is the closed form"]
+
+
+@settings(max_examples=200)
+@given(rank=st.integers(1, 2), k=st.integers(1, 12), l=st.integers(1, 12))
+def test_symmetric_relator_matches_the_product_of_binomials(rank, k, l):
+    # the vectors of morsesimple_f (rank 1) and brunnian_image (rank 2);
+    # k = l, and k = 1 or l = 1 at rank 1, make exponents coincide
+    vectors = [(1,), (k,), (l,)] if rank == 1 else [(0, 1), (k, 0), (l, 0)]
+    assert symmetric_relator(vectors) == binomial_product(vectors)
+
+
+@given(st.integers(1, 2).flatmap(
+    lambda rank: st.lists(st.tuples(*[st.integers(-4, 4)] * rank), min_size=1, max_size=4)))
+def test_symmetric_relator_matches_the_product_of_binomials_on_any_vectors(vectors):
+    assert symmetric_relator(vectors) == binomial_product(vectors)
 
 
 @pytest.mark.parametrize("n", [1, 0, -5])

@@ -403,8 +403,8 @@ def cli_corpus(tmp_path):
 
 def public_code(module):
     """name -> code object of each public function the module defines and
-    each public method of its public classes.  Dunders, hand-written or
-    generated by dataclass, are protocol hooks rather than API."""
+    each public method of its public classes.  Dunders are protocol
+    hooks rather than API."""
     layer = module.__name__.rsplit(".", 1)[-1]
     found = {}
     for name, obj in vars(module).items():
@@ -449,6 +449,18 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
     assert "equivariant.EquivClass.translate" in public
     unreached = sorted(name for name, code in public.items() if code not in entered)
     assert unreached == sorted(UNREACHED_BY_THE_CLI)
+
+
+def test_brunnian_sweep_builds_each_image_once(monkeypatch):
+    from barbellcalc import scenarios
+
+    built = []
+    real = scenarios.brunnian_image
+    monkeypatch.setattr(scenarios, "brunnian_image", lambda k, l, n: built.append((n, k, l)) or real(k, l, n))
+    reports = list(scenarios.run_sweep("brunnian", 4, n=3))
+    # 45 pair jobs over the 10 winding pairs k <= l <= 4
+    assert len(reports) == 45 and all(report.passed for report in reports)
+    assert sorted(built) == sorted({(3, k, l) for k in range(1, 5) for l in range(k, 5)})
 
 
 def test_sweep_grids_keep_their_job_counts():
