@@ -34,10 +34,13 @@ letters lie on different generators is |k| plain copies, already
 freely reduced, so DeckElement.pow builds it by tuple repetition;
 reduce_letters, a full pass over every letter, is kept for raw letter
 sequences (generators, parsing, and powers of words whose two ends
-share a generator).  format_element renders a word with one C-level
-join over a letter table that formats each (generator, exponent)
-letter on first use and keeps it while both are at most
-_LETTER_TABLE_BOUND in size.
+share a generator).  A product with the empty word returns the other
+factor itself, so its cached hash is kept, and is_identity reads the
+value without building an identity to compare with.  format_element
+renders a word with one operator.itemgetter call and one C-level join
+over a letter table that formats each (generator, exponent) letter on
+first use and keeps it while both are at most _LETTER_TABLE_BOUND in
+size.
 """
 
 from __future__ import annotations
@@ -236,7 +239,11 @@ class DeckElement:
         return self._hash
 
     def is_identity(self) -> bool:
-        return self == self.group.identity()
+        """Read off the value: the empty word, the zero vector or residue."""
+        kind = self.group.kind
+        if kind == FREE_ABELIAN:
+            return not any(self.value)
+        return not self.value if kind == FREE else self.value == 0
 
     def mul(self, other: "DeckElement") -> "DeckElement":
         """Group law; for words, left-to-right concatenation (self first),
@@ -250,7 +257,10 @@ class DeckElement:
             raise GroupError(f"cannot multiply across groups {group} and {other.group}")
         kind = group.kind
         if kind == FREE:
-            return _canonical(group, _seam_product(self.value, other.value))
+            a, b = self.value, other.value
+            if not (a and b):  # a factor is the empty word: the other keeps its hash
+                return self if a else other
+            return _canonical(group, _seam_product(a, b))
         if kind == FREE_ABELIAN:
             return _canonical(group, tuple(map(operator.add, self.value, other.value)))
         return _canonical(group, (self.value + other.value) % group.n)
@@ -399,7 +409,8 @@ def format_element(elt: DeckElement) -> str:
         letters = tuple((i + 1, e) for i, e in enumerate(elt.value) if e != 0)
     if not letters:
         return "1"
-    return " ".join(map(_LETTERS.__getitem__, letters))
+    text = operator.itemgetter(*letters)(_LETTERS)
+    return text if len(letters) == 1 else " ".join(text)
 
 
 def element_to_json(elt: DeckElement):

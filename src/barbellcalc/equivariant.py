@@ -39,6 +39,14 @@ basis term, so the formal answer is a test on x's terms, and the one
 witness argument (a single meridian, nothing allowed) compares x's
 pairings with those of 0 and of the meridian; summand_membership
 decides both in closed form and refuses every other configuration.
+
+A class is validated where it enters: EquivClass(...), and through it
+basis_class, refuses an undeclared label and a deck element of another
+group.  add, sub, scale, translate and the barbell correction combine
+checked classes, and equivariant_pairing checked table rows, so their
+results go through the trusted constructors _equiv_class and
+_ring_element, which only reduce the coefficients mod 2 over F2 and
+drop zeros.  A barbell whose two cuffs are one label pairs once.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from .deckgroup import CYCLIC, DeckElement, DeckGroup, format_element
-from .groupring import F2, RingElement, join_signed, render
+from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
 
 SPHERE = "sphere"
 DISK = "disk"
@@ -156,19 +164,13 @@ class EquivClass:
     __slots__ = ("geometry", "terms")
 
     def __init__(self, geometry: Geometry, terms: Mapping[tuple[str, DeckElement], int]):
-        clean: dict[tuple[str, DeckElement], int] = {}
         labels, group = geometry.labels, geometry.group
-        for (label, deck), c in terms.items():
+        for label, deck in terms:
             if label not in labels:
                 geometry.label(label)  # raises, naming the label
             if deck.group is not group and deck.group != group:
                 raise GeometryError("deck element from the wrong group")
-            if geometry.coeffs == F2:
-                c %= 2
-            if c:
-                clean[(label, deck)] = c
-        self.geometry = geometry
-        self.terms = clean
+        self.geometry, self.terms = geometry, _reduced(geometry.coeffs, terms)
 
     def support(self):
         return sorted(self.terms, key=lambda k: (k[0], k[1].sort_key()))
@@ -186,19 +188,17 @@ class EquivClass:
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) + c
-        return EquivClass(self.geometry, terms)
+        return _equiv_class(self.geometry, terms)
 
     def sub(self, other: "EquivClass") -> "EquivClass":
         return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "EquivClass":
-        return EquivClass(self.geometry, {k: c * v for k, v in self.terms.items()})
+        return _equiv_class(self.geometry, {k: c * v for k, v in self.terms.items()})
 
     def translate(self, g: DeckElement) -> "EquivClass":
         """The deck transformation g applied to every lift."""
-        return EquivClass(
-            self.geometry, {(label, g.mul(u)): c for (label, u), c in self.terms.items()}
-        )
+        return _equiv_class(self.geometry, {(label, g.mul(u)): c for (label, u), c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -211,6 +211,14 @@ class EquivClass:
 
     def __repr__(self):
         return f"<EquivClass {render_class(self)}>"
+
+
+def _equiv_class(geometry: Geometry, terms: dict[tuple[str, DeckElement], int]) -> EquivClass:
+    """The trusted constructor: terms that an operation built from
+    checked classes or pairings, kept without EquivClass's checks."""
+    x = object.__new__(EquivClass)
+    x.geometry, x.terms = geometry, _reduced(geometry.coeffs, terms)
+    return x
 
 
 def render_class(x: EquivClass) -> str:
@@ -242,7 +250,7 @@ def equivariant_pairing(x: EquivClass, b: str) -> RingElement:
         for g, d in row.items():
             key = u.mul(g)
             acc[key] = acc.get(key, 0) + c * d
-    return RingElement(geo.group, geo.coeffs, acc)
+    return _ring_element(geo.group, geo.coeffs, acc)
 
 
 def pair_classes(x: EquivClass, y: EquivClass) -> int:
@@ -310,11 +318,11 @@ def _barbell_correction(x: EquivClass, spec: BarbellSpec) -> EquivClass:
     for u, c in p1.terms.items():
         key = (spec.cuff2, u.mul(hol))
         terms[key] = terms.get(key, 0) + s1 * c
-    p2 = equivariant_pairing(x, spec.cuff2)
+    p2 = p1 if spec.cuff2 == spec.cuff1 else equivariant_pairing(x, spec.cuff2)
     for g, c in p2.terms.items():
         key = (spec.cuff1, g.mul(hol_inv))
         terms[key] = terms.get(key, 0) - s2 * c
-    return EquivClass(x.geometry, terms)
+    return _equiv_class(x.geometry, terms)
 
 
 def barbell_action(x: EquivClass, spec: BarbellSpec) -> EquivClass:

@@ -13,6 +13,13 @@ F2[s^{±1}, t^{±1}] and Z[t^{±1}], and the degree span of a
 single-variable Laurent polynomial, which equals the F2-dimension of
 its quotient ring because F2[t, t^{-1}] is Euclidean under that span.
 No factorization, Groebner bases, or general ideal membership.
+
+An element is validated where it enters: RingElement(...), and through
+it zero, one and from_term_list, refuses an unknown coefficient ring
+and a term of another group.  add, neg, mul, translate, reverse and the
+equivariant pairing combine checked elements, so their results go
+through the trusted constructor _ring_element, which only reduces the
+coefficients mod 2 over F2 and drops zeros.
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ class RingError(ValueError):
     """Coefficient/group mismatch or an operation outside its domain."""
 
 
-def _normalize_coeff(c: int, coeffs: str) -> int:
-    return c % 2 if coeffs == F2 else c
+def _reduced(coeffs: str, terms: Mapping) -> dict:
+    """terms with every coefficient reduced mod 2 over F2, zeros dropped."""
+    return {e: 1 for e, c in terms.items() if c % 2} if coeffs == F2 else {e: c for e, c in terms.items() if c}
 
 
 class RingElement:
@@ -49,16 +57,10 @@ class RingElement:
     def __init__(self, group: DeckGroup, coeffs: str, terms: Mapping[DeckElement, int]):
         if coeffs not in (F2, INT):
             raise RingError(f"unknown coefficient ring {coeffs!r}")
-        clean: dict[DeckElement, int] = {}
-        for elt, c in terms.items():
+        for elt in terms:
             if elt.group is not group and elt.group != group:
                 raise RingError("term from a different deck group")
-            c = _normalize_coeff(c, coeffs)
-            if c:
-                clean[elt] = c
-        self.group = group
-        self.coeffs = coeffs
-        self.terms = clean
+        self.group, self.coeffs, self.terms = group, coeffs, _reduced(coeffs, terms)
 
     # -- constructors -------------------------------------------------
 
@@ -104,10 +106,10 @@ class RingElement:
         terms = dict(self.terms)
         for elt, c in other.terms.items():
             terms[elt] = terms.get(elt, 0) + c
-        return RingElement(self.group, self.coeffs, terms)
+        return _ring_element(self.group, self.coeffs, terms)
 
     def neg(self) -> "RingElement":
-        return RingElement(self.group, self.coeffs, {e: -c for e, c in self.terms.items()})
+        return _ring_element(self.group, self.coeffs, {e: -c for e, c in self.terms.items()})
 
     def mul(self, other: "RingElement") -> "RingElement":
         self._check(other)
@@ -116,20 +118,28 @@ class RingElement:
             for h, b in other.terms.items():
                 gh = g.mul(h)
                 terms[gh] = terms.get(gh, 0) + a * b
-        return RingElement(self.group, self.coeffs, terms)
+        return _ring_element(self.group, self.coeffs, terms)
 
     def translate(self, g: DeckElement) -> "RingElement":
         """Left multiplication by the group element g."""
         if g.group != self.group:
             raise RingError("translation by an element of a different group")
-        return RingElement(self.group, self.coeffs, {g.mul(e): c for e, c in self.terms.items()})
+        return _ring_element(self.group, self.coeffs, {g.mul(e): c for e, c in self.terms.items()})
 
     def reverse(self) -> "RingElement":
         """Apply g -> g^-1 to the support (the pairing-table involution)."""
-        return RingElement(self.group, self.coeffs, {e.inv(): c for e, c in self.terms.items()})
+        return _ring_element(self.group, self.coeffs, {e.inv(): c for e, c in self.terms.items()})
 
     def __repr__(self):
         return f"<{render(self)} over {self.coeffs}[{self.group}]>"
+
+
+def _ring_element(group: DeckGroup, coeffs: str, terms: dict[DeckElement, int]) -> RingElement:
+    """The trusted constructor: terms that an operation built from
+    checked elements of group, kept without RingElement's checks."""
+    elem = object.__new__(RingElement)
+    elem.group, elem.coeffs, elem.terms = group, coeffs, _reduced(coeffs, terms)
+    return elem
 
 
 # ---------------------------------------------------------------------------

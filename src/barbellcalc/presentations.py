@@ -23,7 +23,7 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 
-from .deckgroup import DeckElement, DeckGroup, _canonical, brunnian_word, free_abelian, free_group
+from .deckgroup import FREE, DeckElement, DeckGroup, _canonical, free_abelian
 from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
 from .groupring import (
     F2,
@@ -120,29 +120,23 @@ def symmetric_relator(vectors: Sequence[tuple[int, ...]]) -> RingElement:
     return RingElement(group, F2, {_canonical(group, e): count for e, count in Counter(sums + [zero]).items()})
 
 
-def _check_brunnian(k: int, l: int, n: int):
-    if k < 1 or l < 1:
-        raise PresentationError(f"winding numbers must be >= 1, got k={k}, l={l}")
-    if n < 2:
-        raise PresentationError(f"need n >= 2 components, got n={n}")
-
-
-def brunnian_relator(k: int, l: int, n: int) -> RingElement:
+def brunnian_relator(wk: DeckElement, wl: DeckElement) -> RingElement:
     """The single relator 1 + (xn^-1 + 1)(w^-k + w^k)(1 + xn)(w^-l + w^l)
-    of the n-component Brunnian link module, in F2[F_n], where w is the
-    iterated commutator word."""
-    _check_brunnian(k, l, n)
-    group = free_group(n)
-    w = brunnian_word(n)
-    rho_n = group.generator(n)
+    of the n-component Brunnian link module, in F2[F_n], from its bar
+    words w^k and w^l, w the iterated commutator word brunnian_word(n):
+    the words the linked-6crit barbells carry."""
+    group = wk.group
+    if group.kind != FREE or group.n < 2 or wl.group != group:
+        raise PresentationError(f"bar words must lie in one free group F_n, n >= 2, got {group!r} and {wl.group!r}")
+    rho_n = group.generator(group.n)
 
     def binom(a: DeckElement, b: DeckElement) -> RingElement:
         return RingElement(group, F2, {a: 1, b: 1})
 
     product = binom(rho_n.inv(), group.identity())
-    product = product.mul(binom(w.pow(-k), w.pow(k)))
+    product = product.mul(binom(wk.inv(), wk))
     product = product.mul(binom(group.identity(), rho_n))
-    product = product.mul(binom(w.pow(-l), w.pow(l)))
+    product = product.mul(binom(wl.inv(), wl))
     return RingElement.one(group, F2).add(product)
 
 
@@ -155,7 +149,8 @@ def brunnian_image(k: int, l: int, n: int) -> RingElement:
     n it is 1 + (t + t^-1)(s^k + s^-k)(s^l + s^-l).  The test suite
     checks it against brunnian_relator pushed through the unitriangular
     coordinates term by term (tests/oracles.py)."""
-    _check_brunnian(k, l, n)
+    if k < 1 or l < 1 or n < 2:
+        raise PresentationError(f"need winding numbers k, l >= 1 and n >= 2 components, got k={k}, l={l}, n={n}")
     return symmetric_relator([(0, 1), (k, 0), (l, 0)])
 
 

@@ -467,10 +467,10 @@ def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     _check_linked(n, k, l)
     geo = builtin_geometry("sphere_torus_link", n=n)
     w = brunnian_word(n)
-    specs = [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))]
-    matrix = present_from_scenario(geo, specs)
+    wk, wl = w.pow(k), w.pow(l)
+    matrix = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])
     engine_f = matrix.entry(0, 0)
-    formula_f = brunnian_relator(k, l, n)
+    formula_f = brunnian_relator(wk, wl)
     image = brunnian_image(k, l, n)
     nontrivial = not is_monomial_unit(image)
     relator = _poly_json(engine_f)

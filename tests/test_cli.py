@@ -318,8 +318,9 @@ def test_a_brunnian_job_checks_both_of_its_winding_pairs(monkeypatch, capsys):
     from barbellcalc import cli, scenarios
 
     relator = scenarios.brunnian_relator
+    w = scenarios.brunnian_word(3)
     monkeypatch.setattr(
-        scenarios, "brunnian_relator", lambda k, l, n: relator(1, 1, n) if (k, l) == (3, 3) else relator(k, l, n)
+        scenarios, "brunnian_relator", lambda wk, wl: relator(w, w) if wk == wl == w.pow(3) else relator(wk, wl)
     )
     assert cli.main(["theorem", "linked-6crit", "--n", "3", "--k", "3", "--l", "3"]) == 1
     capsys.readouterr()

@@ -436,6 +436,21 @@ def test_residue_operations_return_canonical_residues(residues, k):
     check_operations(DeckElement(cyclic(m), r), DeckElement(cyclic(m), s), k)
 
 
+@given(REDUCED, st.lists(st.integers(-3, 3), min_size=2, max_size=2), st.integers(-12, 12))
+def test_is_identity_agrees_with_comparing_to_the_identity(letters, vec, r):
+    for group, value in ((F3, letters), (free_abelian(2), tuple(vec)), (cyclic(5), r % 5)):
+        x = DeckElement(group, value)
+        for elt in (x, x.mul(x.inv()), group.identity()):
+            assert elt.is_identity() == (elt == group.identity())
+
+
+@given(REDUCED.filter(bool))
+def test_a_word_times_the_empty_word_is_the_word_itself(letters):
+    x, one = DeckElement(F3, letters), F3.identity()
+    assert x.mul(one) is x and one.mul(x) is x
+    check_trusted(one.mul(one))
+
+
 def test_public_constructor_refuses_non_canonical_values():
     for letters in (((1, 1), (1, 2)), ((2, 0),), ((4, 1),)):
         with pytest.raises(GroupError, match="is not freely reduced"):

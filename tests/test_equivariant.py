@@ -866,3 +866,90 @@ def test_action_and_pairing_are_natural_under_cyclic_covering_maps(coeffs, data)
         except GeometryError:  # a disk paired with a disk
             continue
         assert apply_hom(upstairs, pushed.group, project) == equivariant_pairing(down, b)
+
+
+# -- trusted results ----------------------------------------------------------
+#
+# The ring and class operations, the pairing and the barbell action
+# build their results without the public constructors' checks; each
+# result must still be what those constructors build from its terms.
+
+
+def assert_checked(result):
+    if isinstance(result, RingElement):
+        coeffs, again = result.coeffs, RingElement(result.group, result.coeffs, result.terms)
+    else:
+        coeffs, again = result.geometry.coeffs, EquivClass(result.geometry, result.terms)
+    assert again == result
+    assert all(result.terms.values())
+    assert coeffs != F2 or set(result.terms.values()) <= {1}
+
+
+def ring_elements(group, coeffs):
+    def build(drawn):
+        terms = {}
+        for elt, c in drawn:
+            terms[elt] = terms.get(elt, 0) + c
+        return RingElement(group, coeffs, terms)
+
+    return st.lists(st.tuples(deck_elements(group), st.integers(-3, 3)), max_size=6).map(build)
+
+
+@pytest.mark.parametrize("coeffs", [F2, INT])
+@pytest.mark.parametrize("group", [free_group(3), Z1, cyclic(6)], ids=repr)
+@given(data=st.data())
+def test_ring_operations_build_what_the_checking_constructor_builds(group, coeffs, data):
+    a, b = data.draw(ring_elements(group, coeffs)), data.draw(ring_elements(group, coeffs))
+    g = data.draw(deck_elements(group))
+    for result in (a.add(b), a.mul(b), b.mul(a), a.neg(), a.translate(g), a.reverse()):
+        assert_checked(result)
+
+
+@pytest.mark.parametrize("key", sorted(ITERATE_GEOMETRIES))
+@given(data=st.data())
+def test_class_operations_build_what_the_checking_constructor_builds(key, data):
+    geo = ITERATE_GEOMETRIES[key]
+    x, y = data.draw(equiv_classes(geo)), data.draw(equiv_classes(geo))
+    cuff1, cuff2 = data.draw(st.sampled_from(disjoint_cuff_pairs(geo)))
+    spec = BarbellSpec(cuff1, cuff2, data.draw(deck_elements(geo.group)),
+                       iterate=data.draw(st.integers(-12, 12).filter(bool)),
+                       offset=data.draw(st.none() | deck_elements(geo.group)))
+    results = [x.add(y), x.sub(y), x.scale(data.draw(st.integers(-3, 3))),
+               x.translate(data.draw(deck_elements(geo.group))), barbell_action(x, spec)]
+    for b in sorted(geo.labels):
+        try:
+            results.append(equivariant_pairing(x, b))
+        except GeometryError:  # a disk paired with a disk, or a meridian row
+            pass
+    for result in results:
+        assert_checked(result)
+
+
+def pairing_spy(monkeypatch):
+    """The cuff or disk label of every equivariant_pairing call, under
+    each name the engine calls it by."""
+    from barbellcalc import equivariant, presentations, scenarios
+
+    labels = []
+    real = equivariant.equivariant_pairing
+    spy = lambda x, b: labels.append(b) or real(x, b)
+    for module in (equivariant, presentations, scenarios):
+        monkeypatch.setattr(module, "equivariant_pairing", spy)
+    return labels
+
+
+def test_an_equal_cuff_barbell_pairs_once(monkeypatch):
+    from barbellcalc.scenarios import run_theorem
+
+    labels = pairing_spy(monkeypatch)
+    assert run_theorem("morsesimple-s3", k=2, l=3).passed
+    # one pairing per barbell, then the acted sphere against D_v
+    assert labels == ["S_h", "S_v", "D_v"]
+
+
+def test_a_distinct_cuff_barbell_pairs_with_both_cuffs(monkeypatch):
+    from barbellcalc.scenarios import run_theorem
+
+    labels = pairing_spy(monkeypatch)
+    assert run_theorem("less-simple", m=1000, k=3, l=5).passed
+    assert labels == ["S_prime", "S", "S_prime", "S"]

@@ -122,9 +122,11 @@ def test_ring_axioms_on_random_triples():
 def brunnian_relator_image(k, l, n):
     # term by term through the unitriangular coordinates: the oracle for
     # the closed form brunnian_image
+    from barbellcalc.deckgroup import brunnian_word
     from barbellcalc.presentations import brunnian_relator
 
-    return apply_hom(brunnian_relator(k, l, n), Z2, partial(brunnian_coordinates, n=n))
+    w = brunnian_word(n)
+    return apply_hom(brunnian_relator(w.pow(k), w.pow(l)), Z2, partial(brunnian_coordinates, n=n))
 
 
 def test_identity_maps_to_one_under_any_hom():

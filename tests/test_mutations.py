@@ -2,10 +2,11 @@
 A mutation matrix: single-point faults planted in the engine by
 monkeypatch, each run against every registry key at its sample
 parameters, against linked-6crit at n = 2 (where word products merge
-letters) and against the committed scenario.  A check that no fault
-can turn from PASS to FAIL or refusal checks nothing, so every key must
-catch some mutation and every mutation must be caught by some key,
-unless it is named in UNCATCHABLE or UNCAUGHT with its reason.  Both
+letters) and at n = 3 with k = l = 2 (where the relator's products
+cancel in pairs), and against the committed scenario.  A check that no
+fault can turn from PASS to FAIL or refusal checks nothing, so every
+key must catch some mutation and every mutation must be caught by some
+key, unless it is named in UNCATCHABLE or UNCAUGHT with its reason.  Both
 lists are checked both ways: an entry that starts to be caught must
 leave its list.
 """
@@ -27,6 +28,7 @@ SCENARIO_KEY = "scenario torus_k2_l3.json"
 # row name -> (registry key, parameters)
 ROWS = {key: (key, SAMPLE_PARAMS[key]) for key in sorted(THEOREMS)}
 ROWS["linked-6crit n=2"] = ("linked-6crit", {"n": 2, "k": 1, "l": 2})
+ROWS["linked-6crit n=3 k=l=2"] = ("linked-6crit", {"n": 3, "k": 2, "l": 2})
 
 
 def _respec(change):
@@ -74,6 +76,13 @@ def _disk_model_without_component_2(n):
     return forced == coordinates
 
 
+def _ring_element_keeping_even_coefficients(group, coeffs, terms):
+    # groupring._ring_element with the F2 reduction skipped: only zeros drop
+    elem = object.__new__(groupring.RingElement)
+    elem.group, elem.coeffs, elem.terms = group, coeffs, {e: c for e, c in terms.items() if c}
+    return elem
+
+
 def _bezout_sign(a, b):
     g, x, y = _real_extended_gcd(a, b)
     return g, x, -y
@@ -94,6 +103,9 @@ MUTATIONS = {
     "meridian augmentation dropped": [(equivariant.Geometry, "coefficient", _meridian_read_as_zero)],
     "Bezout sign": [(scenarios, "_extended_gcd", _bezout_sign)],
     "disk model skips a component": [(scenarios, "_disk_model", _disk_model_without_component_2)],
+    "ring result skips F2 reduction": [
+        (module, "_ring_element", _ring_element_keeping_even_coefficients) for module in (groupring, equivariant)
+    ],
 }
 
 

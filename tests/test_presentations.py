@@ -127,7 +127,7 @@ def test_engine_and_formula_agree_on_the_relator():
                 geo,
                 [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))],
             )
-            assert matrix.entry(0, 0) == brunnian_relator(k, l, n)
+            assert matrix.entry(0, 0) == brunnian_relator(w.pow(k), w.pow(l))
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,6 +140,13 @@ def test_engine_relator_pushes_forward_to_the_closed_form_image(n, k, l):
     specs = [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))]
     relator = present_from_scenario(geo, specs).entry(0, 0)
     assert apply_hom(relator, free_abelian(2), partial(brunnian_coordinates, n=n)) == brunnian_image(k, l, n)
+
+
+def test_brunnian_relator_takes_words_of_one_free_group():
+    w = brunnian_word(3)
+    for wk, wl in ((w, brunnian_word(4)), (free_abelian(1).generator(1), free_abelian(1).generator(1))):
+        with pytest.raises(PresentationError, match="one free group"):
+            brunnian_relator(wk, wl)
 
 
 @pytest.mark.parametrize("k,l,n", [(0, 1, 3), (1, 0, 3), (-2, 1, 2), (1, 1, 1)])
