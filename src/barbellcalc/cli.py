@@ -15,28 +15,28 @@ process, one job after another in grid order, and each report's line is
 written as the sweep yields it.  If the reader closes the output before
 all of it is written (`| head`), the run exits 1 without a traceback.
 
-One parser per process: `build_parser()` builds it on first use and
-every later `main` call parses with that same parser, so only the first
-call pays for its construction.  Nothing may mutate it after it is
-built; argparse keeps no state between `parse_args` calls, and the
-tests compare a sequence of in-process calls with fresh interpreters.
+One command table, no argparse: `_COMMANDS` gives each command's
+positional, options, help line and runner, and `_parse` reads a line by
+argparse's rules (an option by full name or unique prefix, `--opt=value`,
+the last of a repeated option wins), so it accepts exactly the lines
+argparse accepted; a malformed one exits 2 with one `error:` line, and
+`-h` prints help made from the same table.  Nothing is built per call.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
 
 from .scenarios import (
     GEOMETRY_BUILDERS,
     THEOREMS,
     HypothesisError,
-    Report,
     render_machine,
     render_table,
     run_scenario,
@@ -71,14 +71,13 @@ def _emit(lines: Iterable[str], out_path: str | None):
         sys.stdout.writelines(text)
 
 
-def _render(report: Report, fmt: str) -> str:
-    return render_machine(report) if fmt == "machine" else render_table(report)
+_RENDER = {"table": render_table, "machine": render_machine}  # the first is the default
 
 
 def _cmd_theorem(args) -> int:
     params = {key: getattr(args, key) for key in _PARAM_FLAGS if getattr(args, key) is not None}
     report = run_theorem(args.name, **params)
-    _emit([_render(report, args.format)], args.out)
+    _emit([_RENDER[args.format](report)], args.out)
     return 0 if report.passed else 1
 
 
@@ -111,7 +110,7 @@ def _cmd_scenario(args) -> int:
         with open(args.file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         report = run_scenario(data)
-        text = _render(report, args.format)
+        text = _RENDER[args.format](report)
     except RecursionError:
         # json reads and writes recursively: a file nested deeper than
         # the interpreter's recursion limit fails here
@@ -121,64 +120,104 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    lines = ["theorems:"]
-    lines += [f"  {name}" for name in sorted(THEOREMS)]
-    lines.append("geometries:")
-    lines += [f"  {name}" for name in sorted(GEOMETRY_BUILDERS)]
-    _emit(lines, args.out)
+    lines = ["theorems:", *(f"  {name}" for name in sorted(THEOREMS))]
+    _emit([*lines, "geometries:", *(f"  {name}" for name in sorted(GEOMETRY_BUILDERS))], args.out)
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first call and returned
-    by every later one; callers must not mutate it."""
-    parser = argparse.ArgumentParser(
-        prog="barbellcalc",
-        description="equivariant barbell-action computations and their module invariants",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMAT = {"format": tuple(_RENDER), "out": str}
+# command -> (its positional, its options, its help line, its runner); an option's value
+# goes through int or str, or is one of a tuple whose first is the default (else None)
+_COMMANDS = {
+    "theorem": ("name", {**dict.fromkeys(_PARAM_FLAGS, int), **_FORMAT}, "run one theorem reproduction", _cmd_theorem),
+    "sweep": ("name", {"n": int, "max": int, **_FORMAT}, "run a parameter grid", _cmd_sweep),
+    "scenario": ("file", _FORMAT, "run a JSON scenario file", _cmd_scenario),
+    "list": (None, {"out": str}, "list theorems and geometries", _cmd_list),
+}
 
-    def out(p):
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    def common(p):
-        p.add_argument("--format", choices=("table", "machine"), default="table")
-        out(p)
+def build_parser() -> dict:
+    """The command table main parses with, built once at import."""
+    return _COMMANDS
 
-    theorem = sub.add_parser("theorem", help="run one theorem reproduction")
-    theorem.add_argument("name")
-    for flag in _PARAM_FLAGS:
-        theorem.add_argument(f"--{flag}", type=int, default=None)
-    common(theorem)
-    theorem.set_defaults(func=_cmd_theorem)
 
-    sweep = sub.add_parser("sweep", help="run a parameter grid")
-    sweep.add_argument("name")
-    sweep.add_argument("--n", type=int, default=None)
-    sweep.add_argument("--max", type=int, default=None)
-    common(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
+def _option(token: str, names) -> tuple[str | None, str | None] | None:
+    """None for a value, else (the name of names token gives in full or as a unique prefix, or None; its '=' value)."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[:2] == "-h":
+        return "help", token[2:] or None
+    key, eq, value = token[2:].partition("=")
+    found = [] if token[1] != "-" else [key] if key in names else [name for name in names if name.startswith(key)]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option {token}: it could be --{', --'.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    negative = re.match(r"^-\d+$|^-\d*\.\d+$", token)  # argparse's test
+    return None if negative or " " in token else (None, None)
 
-    scenario = sub.add_parser("scenario", help="run a JSON scenario file")
-    scenario.add_argument("file")
-    common(scenario)
-    scenario.set_defaults(func=_cmd_scenario)
 
-    listing = sub.add_parser("list", help="list theorems and geometries")
-    out(listing)
-    listing.set_defaults(func=_cmd_list)
-    return parser
+def _parse(table: dict, argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """(command, its arguments), or (command or None, None) for help, for exactly the
+    lines argparse accepted.  As there, an unknown option, a surplus value and a missing
+    positional are refused last, so that a later -h still prints help."""
+    command = slot = filled = None
+    names, values, late, dashes, i = {"help": None}, {}, [], False, 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        found = None if dashes else _option(token, names)
+        if token == "--" and command and not dashes:
+            dashes = True  # later tokens are values; argparse kept this one only beside the positional
+            late += [token] if not slot or slot in values and filled != i - 1 else []
+        elif found is None and command is None:
+            if token not in table:
+                raise ValueError(f"invalid command {token!r} (choose from {', '.join(table)})")
+            command, (slot, options, _, _) = token, table[token]
+            names = {"help": None, **options}
+            values = {name: kind[0] if type(kind) is tuple else None for name, kind in options.items()}
+        elif found is None and slot and slot not in values:
+            values[slot], filled = token, i
+        elif found is None or found[0] is None:
+            late.append(token)
+        elif found[0] == "help":
+            if found[1] is not None:
+                raise ValueError(f"-h/--help takes no value, got {found[1]!r}")
+            for token in itertools.takewhile("--".__ne__, argv[i:]):
+                _option(token, names)  # argparse refused an ambiguous one first
+            return command, None
+        else:
+            (name, value), kind = found, names[found[0]]
+            if value is None:
+                if i == len(argv) or argv[i] == "--" or _option(argv[i], names):
+                    raise ValueError(f"--{name} takes one value")
+                value, i = argv[i], i + 1
+            try:
+                values[name] = kind[kind.index(value)] if type(kind) is tuple else kind(value)
+            except ValueError:
+                raise ValueError(f"--{name}: {value!r} is not {'an int' if kind is int else ' or '.join(kind)}")
+    if command is None or slot and slot not in values:
+        raise ValueError(f"{command}: the {slot} is required" if command else "a command is required")
+    if late:
+        raise ValueError(f"{command}: unrecognized arguments: {' '.join(late)}")
+    return command, SimpleNamespace(**values)
+
+
+def _help(table: dict, command: str | None) -> str:
+    if command is None:
+        rows = "".join(f"\n  {name:<10}{row[2]}" for name, row in table.items())
+        return f"usage: barbellcalc [-h] {{{','.join(table)}}} ...\n{rows}"
+    slot, options, text, _ = table[command]
+    flags = " ".join(f"[--{n} {'{%s}' % ','.join(k) if type(k) is tuple else n.upper()}]" for n, k in options.items())
+    return f"usage: barbellcalc {command} [-h] {flags}{f' {slot}' if slot else ''}\n\n{text}"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    table = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
-        code = args.func(args)
+        command, args = _parse(table, sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help(table, command))
+        code = 0 if args is None else table[command][3](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

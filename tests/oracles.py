@@ -26,10 +26,13 @@ in their place, and the tests compare the two.
   table Geometry derives at construction.
 * binomial_product, 1 + prod_v (x^v + x^-v) as a product of ring
   elements, the oracle of the expanded presentations.symmetric_relator.
+* build_parser, the argparse parser the CLI parsed with before its
+  command table, the oracle of cli._parse.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -364,3 +367,40 @@ def stored_row(geo: Geometry, a: str, b: str) -> RingElement | None:
     if (b, a) in geo.pairings:
         return geo.pairings[(b, a)].reverse()
     return None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser as it was, verbatim but for the runners
+    it set as defaults (the command names the runner)."""
+    parser = argparse.ArgumentParser(
+        prog="barbellcalc",
+        description="equivariant barbell-action computations and their module invariants",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def out(p):
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+    def common(p):
+        p.add_argument("--format", choices=("table", "machine"), default="table")
+        out(p)
+
+    theorem = sub.add_parser("theorem", help="run one theorem reproduction")
+    theorem.add_argument("name")
+    for flag in ("k", "l", "n", "m", "p", "q"):
+        theorem.add_argument(f"--{flag}", type=int, default=None)
+    common(theorem)
+
+    sweep = sub.add_parser("sweep", help="run a parameter grid")
+    sweep.add_argument("name")
+    sweep.add_argument("--n", type=int, default=None)
+    sweep.add_argument("--max", type=int, default=None)
+    common(sweep)
+
+    scenario = sub.add_parser("scenario", help="run a JSON scenario file")
+    scenario.add_argument("file")
+    common(scenario)
+
+    listing = sub.add_parser("list", help="list theorems and geometries")
+    out(listing)
+    return parser

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import barbellcalc
@@ -25,12 +25,16 @@ def run_cli(*args, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV, timeout=timeout)
 
 
+COLD_START_EXCLUDED = {"argparse", "gettext", "locale", "dataclasses", "inspect", "typing"}
+
+
 def test_cold_start_leaves_out_dataclasses_inspect_and_typing():
-    # without site (-S), nothing but the package and the parser can have
-    # imported them; dataclasses alone, with inspect, cost about 8 ms at
-    # every start
+    # without site (-S), nothing but the package and its command table can
+    # have imported them; dataclasses alone, with inspect, cost about 8 ms
+    # at every start, and argparse (with gettext and locale) and building
+    # its parser about 7 ms
     probe = ("import sys, barbellcalc.cli as cli; cli.build_parser(); "
-             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+             f"print(sorted({COLD_START_EXCLUDED!r} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
@@ -585,7 +589,7 @@ def test_paths_that_cannot_be_read_or_written_are_user_errors(tmp_path, capsys):
     assert one_error_line(capsys.readouterr().err)
 
 
-# One in-process sequence through the process's one parser: every call
+# One in-process sequence through the one command table: every call
 # type, each error exit and --help, each followed by a valid theorem call.
 REUSE_SEQUENCE = [
     ["theorem", "morsesimple-s3", "--k", "2", "--l", "3"],
@@ -612,30 +616,34 @@ def test_reused_parser_matches_fresh_interpreters(monkeypatch, capsys):
 
     root = README.parent
     monkeypatch.chdir(root)
-    monkeypatch.setenv("COLUMNS", "100")  # usage lines wrap alike in both runs
-    fresh_env = {**ENV, "COLUMNS": "100"}
     for argv in REUSE_SEQUENCE:
         code = cli.main(argv)
         captured = capsys.readouterr()
-        fresh = subprocess.run(CLI + argv, capture_output=True, text=True, env=fresh_env, cwd=root)
+        fresh = subprocess.run(CLI + argv, capture_output=True, text=True, env=ENV, cwd=root)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):
-    # a parser tree is one ArgumentParser plus one per subcommand; after
-    # the first call no call may construct any
+    # the command table is built once, at import: every call parses with
+    # that same table, and none constructs an argparse parser
     import argparse
 
     from barbellcalc import cli
 
-    built = []
+    built, tables = [], []
     init = argparse.ArgumentParser.__init__
+    build = cli.build_parser
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
+    def recording_build():
+        tables.append(build())
+        return tables[-1]
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "build_parser", recording_build)
     monkeypatch.chdir(README.parent)
     cli.main(["list"])
     first = len(built)
@@ -643,8 +651,9 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     for argv in REUSE_SEQUENCE:
         cli.main(argv)
     capsys.readouterr()
-    assert len(built) == first
-    assert cli.build_parser() is cli.build_parser()
+    assert len(built) == first == 0
+    assert len(tables) == 1 + len(REUSE_SEQUENCE)
+    assert all(table is cli._COMMANDS for table in tables)
 
 
 @pytest.mark.parametrize(
@@ -661,6 +670,135 @@ def test_removed_options_are_refused(argv, capsys):
 
     assert cli.main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# -- the command-line parser against argparse -----------------------------------
+
+PARSE_COMMANDS = ["theorem", "sweep", "scenario", "list", "theo"]  # "theo": no command, nor a prefix of one
+PARSE_POSITIONALS = ["morsesimple-s3", "brunnian", "scenarios/torus_k2_l3.json"]
+# every option in full and as a unique prefix (in some command: --m is
+# theorem's in full and sweep's --max by prefix); "--" before "=value"
+# is the empty prefix, ambiguous among every option of a command
+PARSE_OPTIONS = ["--k", "--l", "--n", "--m", "--p", "--q", "--max", "--format", "--out", "--ma", "--form", "--f", "--o"]
+PARSE_VALUES = ["-1", "0", "7", str(10**12), "1_0", " 4", "9" * 5000, "x", "table", "machine"]
+PARSE_BARE = ["--", "-h", "--help", "--he"]
+PARSE_ATOMS = PARSE_COMMANDS + PARSE_POSITIONALS + PARSE_OPTIONS + PARSE_VALUES + PARSE_BARE
+PARSE_EQUALS = st.builds(
+    "{}={}".format, st.sampled_from([*PARSE_OPTIONS, "--", "--help", "--he"]), st.sampled_from(PARSE_VALUES)
+)
+_PARSE_PIECE = st.one_of(
+    st.tuples(st.sampled_from(PARSE_POSITIONALS)),
+    st.tuples(st.sampled_from(PARSE_OPTIONS), st.sampled_from(PARSE_VALUES)),
+    st.tuples(PARSE_EQUALS),
+    st.tuples(st.sampled_from(PARSE_ATOMS)),
+)
+# mostly a command and pieces after it, sometimes anything in any order
+COMMAND_LINES = st.one_of(
+    st.builds(
+        lambda head, command, pieces: [*head, command, *(token for piece in pieces for token in piece)],
+        st.lists(st.sampled_from(PARSE_OPTIONS + PARSE_BARE), max_size=1),
+        st.sampled_from(PARSE_COMMANDS),
+        st.lists(_PARSE_PIECE, max_size=6),
+    ),
+    st.lists(st.sampled_from(PARSE_ATOMS), max_size=5),
+)
+
+
+def table_parse(argv):
+    """cli._parse's reading: "refused", "help", or the command and its arguments."""
+    from barbellcalc import cli
+
+    try:
+        command, args = cli._parse(cli.build_parser(), argv)
+    except ValueError:
+        return "refused"
+    return "help" if args is None else {"command": command, **vars(args)}
+
+
+def argparse_parse(argv):
+    """The same reading by the argparse parser the CLI used before."""
+    import contextlib
+    import io
+
+    from oracles import build_parser
+
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return "refused" if exc.code else "help"
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=COMMAND_LINES)
+def test_table_parser_reads_a_line_as_argparse_did(argv):
+    # argparse reworked its reading of a bare "--" within the 3.12 and 3.13
+    # maintenance series, so a line with one has no single reading to match
+    assume("--" not in argv)
+    assert table_parse(argv) == argparse_parse(argv), argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=COMMAND_LINES)
+def test_a_refused_command_line_is_one_error_line(argv, capsys):
+    from barbellcalc import cli
+
+    assume(table_parse(argv) == "refused")
+    capsys.readouterr()
+    assert cli.main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and one_error_line(captured.err) and "Traceback" not in captured.err, argv
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, "theorem", "sweep", "scenario", "list"])
+def test_help_names_every_option_of_the_table(command, flag, capsys):
+    from barbellcalc import cli
+
+    table = cli.build_parser()
+    assert cli.main([command, flag] if command else [flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: barbellcalc ")
+    names = [f"--{name} " for name in table[command][1]] if command else list(table)
+    assert names and all(name in captured.out for name in names), captured.out
+
+
+@pytest.mark.parametrize(
+    "argv,reading",
+    [
+        # a bare "--" makes every later token a value; as argparse 3.10 to
+        # 3.13.0 read it, it is dropped only beside the positional
+        (["theorem", "--k", "1", "--", "--l"], {"name": "--l", "k": 1}),
+        (["theorem", "x", "--"], {"name": "x"}),
+        (["theorem", "--", "-h"], {"name": "-h"}),
+        (["theorem", "x", "--k", "1", "--"], "refused"),
+        (["list", "--"], "refused"),
+        (["--", "theorem", "x"], "refused"),
+        # argparse read every token before it acted on --help
+        (["theorem", "x", "--help", "--=7"], "refused"),
+        # a token with a space, or a negative number, is a value
+        (["theorem", "--k x"], {"name": "--k x"}),
+        (["theorem", "x", "--out", "- 4"], {"out": "- 4"}),
+        (["theorem", "x", "--out", "-1.5"], {"out": "-1.5"}),
+    ],
+)
+def test_readings_the_drawn_lines_miss(argv, reading):
+    # each checked against argparse 3.10.13, 3.11.7, 3.12.1 and 3.13.0
+    parsed = table_parse(argv)
+    if reading == "refused":
+        assert parsed == "refused"
+    else:
+        assert {key: parsed[key] for key in reading} == reading
+
+
+def test_an_ambiguous_prefix_is_refused_and_an_exact_name_wins():
+    from barbellcalc import cli
+
+    table = {"sweep": ("name", {"m": int, "max": int, "mid": int}, "", None)}
+    _, args = cli._parse(table, ["sweep", "x", "--m", "1", "--ma", "2"])
+    assert vars(args) == {"name": "x", "m": 1, "max": 2, "mid": None}
+    with pytest.raises(ValueError, match="ambiguous option --mi=3: it could be --mid"):
+        cli._parse({"sweep": ("name", {"mid": int, "mind": int}, "", None)}, ["sweep", "x", "--mi=3"])
 
 
 # -- scenario fuzzer -----------------------------------------------------------------

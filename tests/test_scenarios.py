@@ -434,10 +434,8 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
         if event == "call":
             entered.add(frame.f_code)
 
-    # the parser and the registry signatures are cached per process:
-    # clear both so that this call sequence enters build_parser and
-    # parameters whatever ran before it
-    cli.build_parser.cache_clear()
+    # the registry signatures are cached per process: clear them so that
+    # this call sequence enters parameters whatever ran before it
     scenarios.parameters.cache_clear()
     sys.setprofile(profile)
     try:
