@@ -51,7 +51,6 @@ from .groupring import (
 )
 from .presentations import (
     PresentationError,
-    PresentationMatrix,
     antidiagonal_cokernel,
     brunnian_disk_obstruction,
     brunnian_image,

@@ -205,13 +205,6 @@ def _check_value(group: DeckGroup, value) -> None:
         raise GroupError(f"residue {value} not normalized mod {group.n}")
 
 
-def _value_hash(value) -> int:
-    # An int residue below 2**61 - 1 is its own hash; keeping the
-    # residue object itself spares one int per cyclic element.
-    h = hash(value)
-    return value if value.__class__ is int and h == value else h
-
-
 class DeckElement:
     """An element of a deck group, stored in canonical form.
 
@@ -226,7 +219,7 @@ class DeckElement:
         _check_value(group, value)
         _set_group(self, group)
         _set_value(self, value)
-        _set_hash(self, _value_hash(value))
+        _set_hash(self, hash(value))
 
     def __eq__(self, other):
         if self is other:
@@ -317,7 +310,7 @@ def _canonical(group: DeckGroup, value) -> DeckElement:
     elt = _new_element(DeckElement)
     _set_group(elt, group)
     _set_value(elt, value)
-    _set_hash(elt, _value_hash(value))
+    _set_hash(elt, hash(value))
     return elt
 
 

@@ -42,11 +42,12 @@ decides both in closed form and refuses every other configuration.
 
 A class is validated where it enters: EquivClass(...), and through it
 basis_class, refuses an undeclared label and a deck element of another
-group.  add, sub, scale, translate and the barbell correction combine
-checked classes, and equivariant_pairing checked table rows, so their
-results go through the trusted constructors _equiv_class and
-_ring_element, which only reduce the coefficients mod 2 over F2 and
-drop zeros.  A barbell whose two cuffs are one label pairs once.
+group.  add, sub, scale, translate and barbell_action combine checked
+classes, and equivariant_pairing checked table rows, so their results
+go through the trusted constructors _equiv_class and _ring_element,
+which only reduce the coefficients mod 2 over F2 and drop zeros.
+barbell_action adds k C(x) into a copy of x's terms and builds one
+class; a barbell whose two cuffs are one label pairs once.
 """
 
 from __future__ import annotations
@@ -307,35 +308,31 @@ def _check_spec(geo: Geometry, spec: BarbellSpec):
             )
 
 
-def _barbell_correction(x: EquivClass, spec: BarbellSpec) -> EquivClass:
-    """k C(x) for k = spec.iterate, where
-    C(x) = sum_u [ s1 <x, u c1~> (u c) c2~  -  s2 <x, u c c2~> u c1~ ]."""
-    s1, s2 = spec.iterate * spec.signs[0], spec.iterate * spec.signs[1]
-    hol = spec.holonomy
-    hol_inv = hol.inv()
-    terms: dict[tuple[str, DeckElement], int] = {}
-    p1 = equivariant_pairing(x, spec.cuff1)
-    for u, c in p1.terms.items():
-        key = (spec.cuff2, u.mul(hol))
-        terms[key] = terms.get(key, 0) + s1 * c
-    p2 = p1 if spec.cuff2 == spec.cuff1 else equivariant_pairing(x, spec.cuff2)
-    for g, c in p2.terms.items():
-        key = (spec.cuff1, g.mul(hol_inv))
-        terms[key] = terms.get(key, 0) - s2 * c
-    return _equiv_class(x.geometry, terms)
-
-
 def barbell_action(x: EquivClass, spec: BarbellSpec) -> EquivClass:
     """Homology action of the iterate-th power of the lifted barbell
     diffeomorphism (the inverse's power for negative iterate).
 
     With disjoint cuffs C o C = 0, and C commutes with deck
     translations, so f = o (1 + C) has f^k = o^k (1 + k C) for every
-    integer k: one correction, whatever the iterate."""
+    integer k: one correction, whatever the iterate, where
+    C(x) = sum_u [ s1 <x, u c1~> (u c) c2~  -  s2 <x, u c c2~> u c1~ ].
+    k C(x) is added straight into a copy of x's terms."""
     _check_spec(x.geometry, spec)
-    out = x.add(_barbell_correction(x, spec))
+    k = spec.iterate
+    s1, s2 = k * spec.signs[0], k * spec.signs[1]
+    hol = spec.holonomy
+    terms = dict(x.terms)
+    p1 = equivariant_pairing(x, spec.cuff1)
+    for u, c in p1.terms.items():
+        key = (spec.cuff2, u.mul(hol))
+        terms[key] = terms.get(key, 0) + s1 * c
+    p2 = p1 if spec.cuff2 == spec.cuff1 else equivariant_pairing(x, spec.cuff2)
+    hol_inv = hol.inv()
+    for g, c in p2.terms.items():
+        key = (spec.cuff1, g.mul(hol_inv))
+        terms[key] = terms.get(key, 0) - s2 * c
+    out = _equiv_class(x.geometry, terms)
     if spec.offset is not None:
-        k = spec.iterate
         out = out.translate(spec.offset if k == 1 else spec.offset.pow(k))
     return out
 

@@ -3,8 +3,10 @@ Module presentations of pi_2 of complements and their invariants.
 
 The handle data of a geometry (attaching spheres of 3-handles, belt
 disks of 2-handles) turns a barbell scenario into a presentation matrix
-over the deck group ring: entry (r, s) is the equivariant intersection
-polynomial of the barbell-acted attaching sphere s against disk r.
+over the deck group ring, kept as its list of rows: rows[r][s] is the
+equivariant intersection polynomial of the barbell-acted attaching
+sphere s against disk r.  The invariants read the shape from the rows
+and the coefficient ring from an entry.
 Heegaard-genus-1 scenarios give the 1x1 matrix (f); the genus-2 family
 gives a zero-diagonal 2x2 over Z[t, t^-1].
 
@@ -23,7 +25,7 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 
-from .deckgroup import FREE, DeckElement, DeckGroup, _canonical, free_abelian
+from .deckgroup import FREE, DeckElement, _canonical, free_abelian
 from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
 from .groupring import (
     F2,
@@ -37,30 +39,17 @@ class PresentationError(ValueError):
     """Matrix shape or ring outside an operation's domain."""
 
 
-class PresentationMatrix:
-    """Rows indexed by belt disks, columns by attaching spheres."""
-
-    def __init__(self, group: DeckGroup, coeffs: str, entries: list[list[RingElement]]):
-        self.group, self.coeffs, self.entries = group, coeffs, entries
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
-    def entry(self, r: int, s: int) -> RingElement:
-        return self.entries[r][s]
-
-
 def present_from_scenario(
     geometry: Geometry,
     barbells: list[BarbellSpec],
     attaching: list[str] | None = None,
     disks: list[str] | None = None,
-) -> PresentationMatrix:
+) -> list[list[RingElement]]:
     """Presentation of pi_2 (tensored with the geometry's coefficients)
     for the complement built from the geometry's handle roles: push each
     attaching sphere through the barbell actions, then pair against each
-    belt disk."""
+    belt disk, one sphere at a time.  The matrix is its rows:
+    rows[r][s] pairs attaching sphere s with disk r."""
     attaching = attaching if attaching is not None else geometry.attaching
     disks = disks if disks is not None else geometry.disks
     if not attaching or not disks:
@@ -69,22 +58,25 @@ def present_from_scenario(
     for name in attaching:
         moved = action_sequence(geometry.basis_class(name), barbells)
         columns.append([equivariant_pairing(moved, d) for d in disks])
-    entries = [[columns[s][r] for s in range(len(attaching))] for r in range(len(disks))]
-    return PresentationMatrix(geometry.group, geometry.coeffs, entries)
+    return [list(row) for row in zip(*columns)]
 
 
-def f2_quotient_dim(matrix: PresentationMatrix) -> int | None:
+def _shape(rows: list[list[RingElement]]) -> tuple[int, int]:
+    return (len(rows), len(rows[0]) if rows else 0)
+
+
+def f2_quotient_dim(rows: list[list[RingElement]]) -> int | None:
     """dim_F2 of the cokernel of a 1x1 matrix over F2[t, t^-1]: the
     degree span of the single entry (None = infinite).  F2[t, t^-1] is
     Euclidean for the span, which justifies reading the dimension off."""
-    if matrix.shape != (1, 1):
-        raise PresentationError(f"expected a 1x1 matrix, got shape {matrix.shape}")
-    if matrix.coeffs != F2:
+    if _shape(rows) != (1, 1):
+        raise PresentationError(f"expected a 1x1 matrix, got shape {_shape(rows)}")
+    if rows[0][0].coeffs != F2:
         raise PresentationError("quotient dimension is computed over F2")
-    return laurent_span(matrix.entry(0, 0))
+    return laurent_span(rows[0][0])
 
 
-def antidiagonal_cokernel(matrix: PresentationMatrix) -> list[RingElement]:
+def antidiagonal_cokernel(rows: list[list[RingElement]]) -> list[RingElement]:
     """Cyclic factors of the cokernel of a zero-diagonal 2x2 matrix over
     Z[t, t^-1], normalized by monomial units and sign.
 
@@ -92,11 +84,11 @@ def antidiagonal_cokernel(matrix: PresentationMatrix) -> list[RingElement]:
     expected to produce exactly this matrix, so a violation means the
     computation went somewhere new.
     """
-    if matrix.shape != (2, 2):
-        raise PresentationError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-    if not matrix.entry(0, 0).is_zero() or not matrix.entry(1, 1).is_zero():
+    if _shape(rows) != (2, 2):
+        raise PresentationError(f"expected a 2x2 matrix, got shape {_shape(rows)}")
+    (a, g1), (g2, d) = rows
+    if not a.is_zero() or not d.is_zero():
         raise PresentationError("diagonal entries are nonzero; not the expected shape")
-    g1, g2 = matrix.entry(0, 1), matrix.entry(1, 0)
     if g1.is_zero() or g2.is_zero():
         raise PresentationError("antidiagonal entries vanish; not the expected shape")
     return [normalize_monomial(g1), normalize_monomial(g2)]

@@ -61,6 +61,28 @@ def _seam_merge_first_exponent(a, b):
     return a[:i] + b[j:]
 
 
+def _second_cuff_at_holonomy(x, spec):
+    # barbell_action with the second cuff's correction placed at g hol,
+    # not g hol^-1
+    equivariant._check_spec(x.geometry, spec)
+    k = spec.iterate
+    s1, s2 = k * spec.signs[0], k * spec.signs[1]
+    hol = spec.holonomy
+    terms = dict(x.terms)
+    p1 = equivariant.equivariant_pairing(x, spec.cuff1)
+    for u, c in p1.terms.items():
+        key = (spec.cuff2, u.mul(hol))
+        terms[key] = terms.get(key, 0) + s1 * c
+    p2 = p1 if spec.cuff2 == spec.cuff1 else equivariant.equivariant_pairing(x, spec.cuff2)
+    for g, c in p2.terms.items():
+        key = (spec.cuff1, g.mul(hol))
+        terms[key] = terms.get(key, 0) - s2 * c
+    out = equivariant._equiv_class(x.geometry, terms)
+    if spec.offset is not None:
+        out = out.translate(spec.offset if k == 1 else spec.offset.pow(k))
+    return out
+
+
 def _meridian_read_as_zero(self, a, b, g):
     # Geometry.coefficient with a meridian row's augmentation dropped
     row = self._stored(a, b)
@@ -96,6 +118,9 @@ MUTATIONS = {
     "correction sign": _respec(lambda spec: _with(spec, signs=(spec.signs[0], -spec.signs[1]))),
     "iterate off by one": _respec(lambda spec: _with(spec, iterate=spec.iterate + 1)),
     "holonomy inverted": _respec(lambda spec: _with(spec, holonomy=spec.holonomy.inv())),
+    "second cuff at holonomy": [
+        (module, "barbell_action", _second_cuff_at_holonomy) for module in (equivariant, scenarios)
+    ],
     "reverse involution skipped": [(groupring.RingElement, "reverse", lambda self: self)],
     "seam merge exponent": [(deckgroup, "_seam_product", _seam_merge_first_exponent)],
     "membership always yes": [(scenarios, "summand_membership", lambda *args, **kwargs: True)],

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import pytest
@@ -6,11 +7,10 @@ from hypothesis import strategies as st
 
 from barbellcalc import scenarios
 from barbellcalc.deckgroup import DeckElement, brunnian_word, free_abelian
-from barbellcalc.equivariant import BarbellSpec
-from barbellcalc.groupring import F2, INT, RingElement
+from barbellcalc.equivariant import BarbellSpec, action_sequence, equivariant_pairing
+from barbellcalc.groupring import F2, INT, RingElement, render
 from barbellcalc.presentations import (
     PresentationError,
-    PresentationMatrix,
     antidiagonal_cokernel,
     brunnian_disk_obstruction,
     brunnian_image,
@@ -48,37 +48,59 @@ def genus2_matrix(k):
 def test_torus_presentation_is_one_by_one_with_the_right_span():
     for k in (1, 2):
         for l in (1, 3):
-            matrix = torus_matrix(k, l)
-            assert matrix.shape == (1, 1)
-            assert f2_quotient_dim(matrix) == 2 * k + 2 * l + 2
+            rows = torus_matrix(k, l)
+            assert len(rows) == len(rows[0]) == 1
+            assert f2_quotient_dim(rows) == 2 * k + 2 * l + 2
 
 
 def test_genus2_presentation_matrix():
     for k in (1, 2, 3):
-        matrix = genus2_matrix(k)
-        assert matrix.entry(0, 0).is_zero() and matrix.entry(1, 1).is_zero()
-        assert matrix.entry(0, 1) == tpoly(INT, {0: k, -1: -k})
-        assert matrix.entry(1, 0) == tpoly(INT, {-1: k, 0: -k})
+        (a, b), (c, d) = genus2_matrix(k)
+        assert a.is_zero() and d.is_zero()
+        assert b == tpoly(INT, {0: k, -1: -k})
+        assert c == tpoly(INT, {-1: k, 0: -k})
 
 
 def test_no_barbells_presents_the_trivial_module():
     geo = builtin_geometry("torus_complement")
-    matrix = present_from_scenario(geo, [])
-    assert matrix.entry(0, 0) == tpoly(F2, {0: 1})
-    assert f2_quotient_dim(matrix) == 0
+    rows = present_from_scenario(geo, [])
+    assert rows == [[tpoly(F2, {0: 1})]]
+    assert f2_quotient_dim(rows) == 0
 
 
 def test_quotient_dim_grid_matches_closed_form():
     for k in range(1, 11):
         for l in range(1, 11):
-            matrix = torus_matrix(k, l)
-            assert matrix.entry(0, 0) == morsesimple_f(k, l)
-            assert f2_quotient_dim(matrix) == 2 * k + 2 * l + 2
+            rows = torus_matrix(k, l)
+            assert rows == [[morsesimple_f(k, l)]]
+            assert f2_quotient_dim(rows) == 2 * k + 2 * l + 2
 
 
 def test_quotient_dim_shape_check():
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=re.escape("expected a 1x1 matrix, got shape (2, 2)")):
         f2_quotient_dim(genus2_matrix(1))
+    f = tpoly(F2, {0: 1, 1: 1})
+    with pytest.raises(PresentationError, match=re.escape("expected a 1x1 matrix, got shape (1, 2)")):
+        f2_quotient_dim([[f, f]])
+    with pytest.raises(PresentationError, match=re.escape("expected a 1x1 matrix, got shape (0, 0)")):
+        f2_quotient_dim([])
+    with pytest.raises(PresentationError, match="quotient dimension is computed over F2"):
+        f2_quotient_dim([[tpoly(INT, {0: 1})]])
+
+
+@pytest.mark.parametrize("attaching, disks", [(["S_v", "S_h"], ["D_v"]), (["S_v"], ["D_v", "D_h"])])
+def test_rows_are_disks_and_columns_attaching_spheres(attaching, disks):
+    # the 1x2 and 2x1 torus_complement shapes of the scenario files
+    geo = builtin_geometry("torus_complement")
+    hol = lambda e: DeckElement(geo.group, (e,))
+    specs = [BarbellSpec("S_h", "S_h", hol(2), iterate=-3, offset=hol(1)), BarbellSpec("S_v", "S_v", hol(-5))]
+    rows = present_from_scenario(geo, specs, attaching, disks)
+    assert len(rows) == len(disks) and all(len(row) == len(attaching) for row in rows)
+    for r, disk in enumerate(disks):
+        for s, sphere in enumerate(attaching):
+            moved = action_sequence(geo.basis_class(sphere), specs)
+            assert rows[r][s] == equivariant_pairing(moved, disk)
+    assert len({render(entry) for row in rows for entry in row}) == 2
 
 
 # -- cokernel normal form ---------------------------------------------------------
@@ -94,15 +116,16 @@ def test_antidiagonal_cokernel_normalizes_to_k_t_minus_1():
 def test_antidiagonal_cokernel_unit_case():
     one = tpoly(INT, {0: 1})
     zero = tpoly(INT, {})
-    matrix = PresentationMatrix(Z1, INT, [[zero, one], [one, zero]])
-    assert antidiagonal_cokernel(matrix) == [one, one]
+    assert antidiagonal_cokernel([[zero, one], [one, zero]]) == [one, one]
 
 
 def test_antidiagonal_cokernel_rejects_other_shapes():
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=re.escape("expected a 2x2 matrix, got shape (1, 1)")):
         antidiagonal_cokernel(torus_matrix(1, 1))
-    bad = PresentationMatrix(Z1, INT, [[tpoly(INT, {0: 1}), tpoly(INT, {0: 1})],
-                                       [tpoly(INT, {0: 1}), tpoly(INT, {})]])
+    f = tpoly(INT, {0: 1})
+    with pytest.raises(PresentationError, match=re.escape("expected a 2x2 matrix, got shape (2, 1)")):
+        antidiagonal_cokernel([[f], [f]])
+    bad = [[tpoly(INT, {0: 1}), tpoly(INT, {0: 1})], [tpoly(INT, {0: 1}), tpoly(INT, {})]]
     with pytest.raises(PresentationError):
         antidiagonal_cokernel(bad)
 
@@ -123,11 +146,11 @@ def test_engine_and_formula_agree_on_the_relator():
         geo = builtin_geometry("sphere_torus_link", n=n)
         w = brunnian_word(n)
         for k, l in ((1, 1), (1, 2), (2, 2)):
-            matrix = present_from_scenario(
+            rows = present_from_scenario(
                 geo,
                 [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))],
             )
-            assert matrix.entry(0, 0) == brunnian_relator(w.pow(k), w.pow(l))
+            assert rows == [[brunnian_relator(w.pow(k), w.pow(l))]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,7 +161,7 @@ def test_engine_relator_pushes_forward_to_the_closed_form_image(n, k, l):
     geo = builtin_geometry("sphere_torus_link", n=n)
     w = brunnian_word(n)
     specs = [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))]
-    relator = present_from_scenario(geo, specs).entry(0, 0)
+    relator = present_from_scenario(geo, specs)[0][0]
     assert apply_hom(relator, free_abelian(2), partial(brunnian_coordinates, n=n)) == brunnian_image(k, l, n)
 
 
@@ -200,11 +223,11 @@ def test_higher_dim_polynomial_grid():
     hol = lambda e: DeckElement(geo.group, (e,))
     for k in range(1, 11):
         for l in range(1, 11):
-            matrix = present_from_scenario(
+            rows = present_from_scenario(
                 geo, [BarbellSpec("S_h", "S_h", hol(k)), BarbellSpec("S_v", "S_v", hol(l))]
             )
-            assert matrix.entry(0, 0) == morsesimple_f(k, l)
-            assert f2_quotient_dim(matrix) == 2 * k + 2 * l + 2
+            assert rows == [[morsesimple_f(k, l)]]
+            assert f2_quotient_dim(rows) == 2 * k + 2 * l + 2
 
 
 # -- Brunnian disk constraints -----------------------------------------------------

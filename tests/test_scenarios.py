@@ -160,8 +160,23 @@ def test_branched_runner_witnesses():
 
 
 def test_branched_runner_degenerate_pair():
-    report = run_theorem("genus1-handlebody", m=505, k=2, l=2)
-    assert report.passed and not report.computed["refuted"]
+    for m, k in ((505, 2), (205, 2), (505, 1), (1001, 7)):
+        report = run_theorem("genus1-handlebody", m=m, k=k, l=k)
+        assert report.passed and not report.computed["refuted"]
+        # equal powers move D back to itself: x = 0 pairs to 0 with both probes
+        assert report.computed["witnesses"] == {"x_dot_rho_k_D": 0, "x_dot_D": 0, "mu_dot_D": 1}
+        assert report.expected["witnesses"] == report.computed["witnesses"]
+
+
+def test_degenerate_branched_runner_fails_on_a_nonzero_witness(monkeypatch):
+    from barbellcalc import scenarios
+
+    real = scenarios.pair_classes
+    # the zero class reads 1 against every probe
+    monkeypatch.setattr(scenarios, "pair_classes", lambda x, z: real(x, z) or int(not x.terms))
+    report = run_theorem("genus1-handlebody", m=205, k=2, l=2)
+    assert report.computed["witnesses"]["x_dot_rho_k_D"] == 1
+    assert not report.computed["refuted"] and not report.passed
 
 
 def test_splitting_spheres_mixed_reports_residues():
