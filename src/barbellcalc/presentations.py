@@ -26,7 +26,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 from .deckgroup import FREE, DeckElement, _canonical, free_abelian
-from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
+from .equivariant import DISK, SPHERE, BarbellSpec, Geometry, action_sequence, equivariant_pairing
 from .groupring import (
     F2,
     RingElement,
@@ -46,14 +46,24 @@ def present_from_scenario(
     disks: list[str] | None = None,
 ) -> list[list[RingElement]]:
     """Presentation of pi_2 (tensored with the geometry's coefficients)
-    for the complement built from the geometry's handle roles: push each
-    attaching sphere through the barbell actions, then pair against each
-    belt disk, one sphere at a time.  The matrix is its rows:
-    rows[r][s] pairs attaching sphere s with disk r."""
+    for the complement built from the handle roles (the geometry's own
+    unless attaching or disks overrides them): push each attaching sphere
+    through the barbell actions, then pair against each belt disk, one
+    sphere at a time.  The matrix is its rows: rows[r][s] pairs
+    attaching sphere s with disk r.  A role that names a label of
+    another kind, or one label twice, is refused before a barbell acts."""
     attaching = attaching if attaching is not None else geometry.attaching
     disks = disks if disks is not None else geometry.disks
     if not attaching or not disks:
         raise PresentationError("scenario needs attaching spheres and belt disks")
+    for role, names, kind in (("attaching", attaching, SPHERE), ("belt disk", disks, DISK)):
+        seen = set()
+        for name in names:
+            if geometry.label(name) != kind:
+                raise PresentationError(f"{role} label {name} is a {geometry.labels[name]}, not a {kind}")
+            if name in seen:
+                raise PresentationError(f"{role} label {name} is listed twice")
+            seen.add(name)
     columns = []
     for name in attaching:
         moved = action_sequence(geometry.basis_class(name), barbells)

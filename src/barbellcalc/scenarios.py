@@ -11,9 +11,12 @@ analogue has the torus complement's pairing data and runs on it.  Each
 theorem runner drives the barbell engine through one argument, compares
 against the closed-form value when there is one, and reports pass/fail;
 hypothesis bounds (winding numbers >= 1, cover order m large enough)
-are enforced up front, not silently accepted.  `THEOREMS` maps each
-reproduction's name to its runner and `SWEEPS` each sweep's name to its
-parameter grid; `run_theorem` and `run_sweep` hold every parameter rule.
+are enforced up front, not silently accepted.  The six cover
+arguments share one disk move (`_move`), one report of the moved class
+(`_class_fields`) and one test for membership in an identity summand
+(`_in_identity_summand`).  `THEOREMS` maps each reproduction's name to
+its runner and `SWEEPS` each sweep's name to its parameter grid;
+`run_theorem` and `run_sweep` hold every parameter rule.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .deckgroup import (
     CYCLIC,
     FREE,
     FREE_ABELIAN,
+    DeckElement,
     DeckGroup,
     GroupError,
     brunnian_word,
@@ -48,7 +52,6 @@ from .equivariant import (
     Geometry,
     GeometryError,
     action_sequence,
-    barbell_action,
     equivariant_pairing,
     pair_classes,
     render_class,
@@ -375,6 +378,10 @@ def _require(cond: bool, message: str):
         raise HypothesisError(message)
 
 
+def _require_windings(k: int, l: int):
+    _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
+
+
 def morsesimple_f(k: int, l: int) -> RingElement:
     """The closed-form mod-2 intersection polynomial of both torus-knot
     runners, 1 + sum over signs of t^(±k ± l ± 1), which factors as
@@ -395,7 +402,7 @@ def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
 
 
 def _run_torus_knot(k: int, l: int) -> Report:
-    _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
+    _require_windings(k, l)
     geo = builtin_geometry("torus_complement")
     rows = present_from_scenario(geo, _torus_barbells(geo, k, l))
     f = rows[0][0]
@@ -412,26 +419,21 @@ def _run_torus_knot(k: int, l: int) -> Report:
 
 
 def _run_unknots(k: int = 1, l: int = 1) -> Report:
-    _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
+    _require_windings(k, l)
     geo = builtin_geometry("torus_complement")
-    vertical = BarbellSpec("S_v", "S_v", geo.group.generator(1, l))
-    horizontal = BarbellSpec("S_h", "S_h", geo.group.generator(1, k))
+    horizontal, vertical = _torus_barbells(geo, k, l)
     # h-after-v: the horizontal diffeomorphism composed after the vertical one
     variants = {"v-only": [vertical], "h-only": [horizontal], "h-after-v": [vertical, horizontal]}
     computed = {}
-    passed = True
-    one = RingElement.one(geo.group, geo.coeffs)
     for variant, specs in variants.items():
         rows = present_from_scenario(geo, specs)
-        f = rows[0][0]
-        dim = f2_quotient_dim(rows)
-        computed[variant] = {"f": _poly_json(f), "dim": dim}
-        passed = passed and f == one and dim == 0
+        computed[variant] = {"f": _poly_json(rows[0][0]), "dim": f2_quotient_dim(rows)}
+    trivial = {"f": _poly_json(RingElement.one(geo.group, geo.coeffs)), "dim": 0}
     return Report(
         params={"k": k, "l": l},
         computed=computed,
         expected={"f": "1", "dim": 0},
-        passed=passed,
+        passed=all(variant == trivial for variant in computed.values()),
         notes=["trivial module: the complement presentation is a unit"],
     )
 
@@ -446,7 +448,7 @@ MAX_LINKED_WORD_LETTERS = 10_000
 def _check_linked(n: int, k: int, l: int):
     """The linked-6crit hypotheses, checked before any word is built."""
     _require(n >= 2, f"need n >= 2 components, got {n}")
-    _require(k >= 1 and l >= 1, f"winding numbers must satisfy k, l >= 1, got k={k}, l={l}")
+    _require_windings(k, l)
     # |w_n| = 3 * 2^(n-2) - 2; the shift is capped so that a huge n
     # stays cheap to refuse
     top = max(k, l)
@@ -515,36 +517,33 @@ def _run_simple_5d(k: int) -> Report:
     )
 
 
-def _identity_summand(geo: Geometry, names: list[str]):
-    ident = geo.identity()
-    return {(name, ident) for name in names}
+def _move(geo: Geometry, start: str, cuff1: str, cuff2: str, *bars: tuple[DeckElement, int]) -> EquivClass:
+    """The basis class `start` moved by the barbells with cuffs (cuff1,
+    cuff2), one per (holonomy, iterate) bar in the order they act; a bar
+    iterated 0 times does not move it."""
+    barbells = [BarbellSpec(cuff1, cuff2, holonomy, iterate=power) for holonomy, power in bars if power]
+    return action_sequence(geo.basis_class(start), barbells)
 
 
-def _iterated(geo: Geometry, start: str, cuff1: str, cuff2: str, power: int) -> EquivClass:
-    """The basis class `start` moved by the power-th iterate of the
-    barbell with cuffs (cuff1, cuff2) and a trivial bar."""
-    moved = geo.basis_class(start)
-    if power:
-        moved = barbell_action(moved, BarbellSpec(cuff1, cuff2, geo.identity(), iterate=power))
-    return moved
+def _class_fields(x: EquivClass) -> dict:
+    """A moved class's report fields: its terms and its rendered form."""
+    return {"class": _class_json(x), "class_rendered": render_class(x)}
+
+
+def _in_identity_summand(x: EquivClass, *labels: str) -> bool:
+    """Is x, modulo the meridians, supported on the identity lifts of labels?"""
+    return summand_membership(x, {(label, x.geometry.identity()) for label in labels})
 
 
 def _run_circle_splitting(k: int, l: int = 0) -> Report:
-    diff = k - l
     geo = builtin_geometry("circles_complement")
-    d_r = geo.basis_class("D_R")
-    moved = _iterated(geo, "D_R", "S_L", "S_R", diff)
-    expected_class = d_r.add(geo.basis_class("S_L", coeff=-diff)) if diff else d_r
-    member = summand_membership(moved, _identity_summand(geo, ["D_R", "S_R"]))
+    moved = _move(geo, "D_R", "S_L", "S_R", (geo.identity(), k - l))
+    expected_class = geo.basis_class("D_R").add(geo.basis_class("S_L", coeff=l - k))
+    member = _in_identity_summand(moved, "D_R", "S_R")
     distinguished = not member
     return Report(
         params={"k": k, "l": l},
-        computed={
-            "class": _class_json(moved),
-            "class_rendered": render_class(moved),
-            "in_right_summand": member,
-            "distinguished": distinguished,
-        },
+        computed={**_class_fields(moved), "in_right_summand": member, "distinguished": distinguished},
         expected={"class": _class_json(expected_class), "distinguished": k != l},
         passed=(moved == expected_class and distinguished == (k != l)),
         notes=[] if k != l else ["equal powers: not distinguished (the test is inconclusive)"],
@@ -554,18 +553,12 @@ def _run_circle_splitting(k: int, l: int = 0) -> Report:
 def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
     _require(g >= 2, f"the two-cuff argument needs genus g >= 2, got {g}")
     geo = builtin_geometry("genus_g_complement", g=g)
-    d_h = geo.basis_class("D_h")
-    class_k, class_l = (_iterated(geo, "D_h", "S_h_1", "S_h_2", power) for power in (k, l))
-    expected_k = d_h.add(geo.basis_class("S_h_2", coeff=k)) if k else d_h
-    member = summand_membership(class_k.sub(class_l), _identity_summand(geo, ["D_h"]))
-    distinguished = not member
+    class_k, class_l = (_move(geo, "D_h", "S_h_1", "S_h_2", (geo.identity(), power)) for power in (k, l))
+    expected_k = geo.basis_class("D_h").add(geo.basis_class("S_h_2", coeff=k))
+    distinguished = not _in_identity_summand(class_k.sub(class_l), "D_h")
     return Report(
         params={"k": k, "l": l, "g": g},
-        computed={
-            "class": _class_json(class_k),
-            "class_rendered": render_class(class_k),
-            "distinguished": distinguished,
-        },
+        computed={**_class_fields(class_k), "distinguished": distinguished},
         expected={"class": _class_json(expected_k), "distinguished": k != l},
         passed=(class_k == expected_k and distinguished == (k != l)),
     )
@@ -574,10 +567,10 @@ def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
 def _run_disks_linked(k: int, l: int) -> Report:
     geo = builtin_geometry("circles_complement")
     # the glued 2-sphere's class in the complement of the other component
-    # is the difference of the two disk classes; only the meridian
-    # coefficient survives
-    class_k, class_l = (_iterated(geo, "D_R", "S_L", "S_R", power) for power in (k, l))
-    mu_coefficient = class_k.sub(class_l).terms.get(("S_L", geo.identity()), 0)
+    # is f^k(D_R) - f^l(D_R), for a trivial bar f^(k-l)(D_R) - D_R: only
+    # the meridian coefficient survives
+    moved = _move(geo, "D_R", "S_L", "S_R", (geo.identity(), k - l))
+    mu_coefficient = moved.terms.get(("S_L", geo.identity()), 0)
     linked = mu_coefficient != 0
     return Report(
         params={"k": k, "l": l},
@@ -591,23 +584,20 @@ def _run_disks_linked(k: int, l: int) -> Report:
 def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivClass]:
     """Check the cover hypotheses, then move the disk D of the m-fold
     cover by the barbell (S_prime, S) whose bar winds k times, followed
-    by the inverse of the one winding l times.  Returns the cover and
-    the moved class."""
+    by the inverse of the one winding l times (none when l = 0).
+    Returns the cover and the moved class."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
     geo = builtin_geometry(geometry, m=m)
     t = geo.group.generator
-    moved = barbell_action(geo.basis_class("D"), BarbellSpec("S_prime", "S", t(1, k)))
-    if l:
-        moved = barbell_action(moved, BarbellSpec("S_prime", "S", t(1, l), iterate=-1))
-    return geo, moved
+    return geo, _move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
 
 
 def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
     geo, moved = _cover_move("cyclic_cover", m, k, l)
-    member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
+    member = _in_identity_summand(moved, "D", "S", "S_prime")
     distinguished = not member
     t = geo.group.generator
     expected_class = geo.basis_class("D")
@@ -617,12 +607,7 @@ def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
             expected_class = expected_class.add(geo.basis_class("S_prime", t(1, -power), -sign))
     return Report(
         params={"m": m, "k": k, "l": l},
-        computed={
-            "class": _class_json(moved),
-            "class_rendered": render_class(moved),
-            "in_chosen_summand": member,
-            "distinguished": distinguished,
-        },
+        computed={**_class_fields(moved), "in_chosen_summand": member, "distinguished": distinguished},
         expected={"class": _class_json(expected_class), "distinguished": k != l},
         passed=(moved == expected_class and distinguished == (k != l)),
     )
@@ -634,16 +619,11 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
     # around the first meridian projects to p * 1 + 0 mod m, so its
     # residue is p mod m.
     geo, moved = _cover_move("cyclic_cover", m, k, l)
-    member = summand_membership(moved, _identity_summand(geo, ["D", "S", "S_prime"]))
-    distinguished = not member
+    distinguished = not _in_identity_summand(moved, "D", "S", "S_prime")
     return Report(
         params={"m": m, "k": k, "l": l},
-        computed={
-            "bar_residues": {str(p): p % m for p in (k, l)},
-            "class": _class_json(moved),
-            "class_rendered": render_class(moved),
-            "distinguished": distinguished,
-        },
+        computed={"bar_residues": {str(p): p % m for p in (k, l)}, **_class_fields(moved),
+                  "distinguished": distinguished},
         expected={"distinguished": k != l},
         passed=(distinguished == (k != l)),
         notes=["no closed-form class is on record for this cover; reporting the computed one"],
@@ -665,23 +645,27 @@ def _run_branched(m: int, k: int, l: int = 0) -> Report:
     degenerate = k == l
     # equal powers move D back to itself: x = 0 pairs to 0 with every probe
     expected_witnesses = {"x_dot_rho_k_D": 0 if degenerate else 1, "x_dot_D": 0, "mu_dot_D": 1}
-    passed = refuted == (not degenerate) and witnesses == expected_witnesses
     return Report(
         params={"m": m, "k": k, "l": l},
-        computed={
-            "class": _class_json(x),
-            "class_rendered": render_class(x),
-            "witnesses": witnesses,
-            "in_meridian_span": member,
-            "refuted": refuted,
-        },
+        computed={**_class_fields(x), "witnesses": witnesses, "in_meridian_span": member, "refuted": refuted},
         expected={"witnesses": expected_witnesses, "refuted": not degenerate},
-        passed=passed,
+        passed=refuted == (not degenerate) and witnesses == expected_witnesses,
         notes=[] if not degenerate else ["equal powers: the class collapses to zero, nothing to refute"],
     )
 
 
 # -- Heegaard-genus-1 generalization ---------------------------------------
+
+
+def _odd_entries(name: str, data: Mapping) -> dict[int, int]:
+    """The genus1-hd intersection map name read mod 2: its positions, an
+    integer or a decimal string each, whose JSON-integer value is odd."""
+    for key, c in data.items():
+        digits = key.removeprefix("-") if isinstance(key, str) else ""
+        if not (_is_int(key) or digits.isascii() and digits.isdecimal()) or not _is_int(c):
+            raise HypothesisError(f"theorem genus1-hd parameter {name} must map integers or decimal strings "
+                                  f"to JSON integers, got entry {key!r}: {c!r}")
+    return {int(key): 1 for key, c in data.items() if c % 2}
 
 
 def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None = None,
@@ -690,8 +674,7 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     (h, v, b), default h = 1: the dimension of its mod-2 second homology
     by the piecewise closed form and by driving the engine on a
     synthetic class (None = infinite)."""
-    mod2 = lambda data: {int(i): 1 for i, c in data.items() if int(c) % 2}
-    h, v, b = mod2({0: 1} if h is None else h), mod2(v or {}), mod2(b or {})
+    h, v, b = _odd_entries("h", {0: 1} if h is None else h), _odd_entries("v", v or {}), _odd_entries("b", b or {})
     radius = lambda data: max((abs(i) for i in data), default=0)
     m_b, m_h, m_v = radius(b), radius(h), radius(v)
     _require(k >= m_b + m_h + 100, f"need k >= {m_b + m_h + 100}, got k={k}")
@@ -701,10 +684,7 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     row = lambda data: from_term_list(data.items(), base.group, F2)
     geo = base.extend("phi", SPHERE, {"S_h": row(h), "S_v": row(v), "D_h": row(b)})
     # vertical barbell acts first here; the horizontal one is applied last
-    t = geo.group.generator
-    moved = action_sequence(
-        geo.basis_class("phi"), [BarbellSpec("S_v", "S_v", t(1, l)), BarbellSpec("S_h", "S_h", t(1, k))]
-    )
+    moved = action_sequence(geo.basis_class("phi"), _torus_barbells(geo, k, l)[::-1])
     engine = laurent_span(equivariant_pairing(moved, "D_h"))
 
     if not h and not v:
@@ -797,23 +777,17 @@ def classify_gluing(matrix: GluingMatrix) -> str:
 
 def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
     if p is None and q is None:
-        identity = GluingMatrix(1, 0, 0, 1)
-        rotation = GluingMatrix(0, -1, 1, 0)
+        # row -> (gluing matrix, the manifold it must give)
+        rows = {"identity": (GluingMatrix(1, 0, 0, 1), "S1xS2"), "quarter_turn": (GluingMatrix(0, -1, 1, 0), "S3")}
         computed = {
-            "identity": {"parity_even": montesinos_parity(identity), "manifold": classify_gluing(identity)},
-            "quarter_turn": {"parity_even": montesinos_parity(rotation), "manifold": classify_gluing(rotation)},
+            name: {"parity_even": montesinos_parity(matrix), "manifold": classify_gluing(matrix)}
+            for name, (matrix, _) in rows.items()
         }
-        passed = (
-            computed["identity"]["manifold"] == "S1xS2"
-            and computed["quarter_turn"]["manifold"] == "S3"
-            and computed["identity"]["parity_even"]
-            and computed["quarter_turn"]["parity_even"]
-        )
         return Report(
             params={},
             computed=computed,
-            expected={"identity": "S1xS2", "quarter_turn": "S3"},
-            passed=passed,
+            expected={name: tag for name, (_, tag) in rows.items()},
+            passed=all(computed[name] == {"parity_even": True, "manifold": tag} for name, (_, tag) in rows.items()),
         )
     _require(p is not None and q is not None,
              f"theorem morsesimple3mfd takes --p and --q together or neither; got only --{'q' if p is None else 'p'}")
@@ -1178,14 +1152,10 @@ def _check_scenario(data) -> None:
 
 def run_scenario(data: Mapping) -> Report:
     _check_scenario(data)
-    geometry_spec = data["geometry"]
-    if isinstance(geometry_spec, str):
-        geo = builtin_geometry(geometry_spec)
-    elif "labels" in geometry_spec:
-        geo = _custom_geometry(geometry_spec)
-    else:
-        geo_params = {key: value for key, value in geometry_spec.items() if key != "name"}
-        geo = builtin_geometry(geometry_spec["name"], **geo_params)
+    geometry = data["geometry"]
+    geometry = {"name": geometry} if isinstance(geometry, str) else geometry
+    # a parameterized built-in is its name and its builder's parameters
+    geo = _custom_geometry(geometry) if "labels" in geometry else builtin_geometry(**geometry)
 
     if "field" in data and _field(data["field"]) != geo.coeffs:
         raise HypothesisError(
@@ -1194,32 +1164,23 @@ def run_scenario(data: Mapping) -> Report:
 
     barbells = []
     for i, spec in enumerate(data.get("barbells", [])):
-        holonomy = geo.identity()
-        if "holonomy" in spec:
-            holonomy = _in_field(f"barbells[{i}].holonomy", element_from_json, spec["holonomy"], geo.group)
-        offset = None
-        if "offset" in spec:
-            offset = _in_field(f"barbells[{i}].offset", element_from_json, spec["offset"], geo.group)
-        barbells.append(
-            BarbellSpec(
-                cuff1=spec["cuff1"],
-                cuff2=spec["cuff2"],
-                holonomy=holonomy,
-                signs=tuple(spec.get("signs", (1, 1))),
-                iterate=spec.get("iterate", 1),
-                offset=offset,
-            )
-        )
+        # the deck elements are read; every other field is BarbellSpec's
+        elements = {
+            name: _in_field(f"barbells[{i}].{name}", element_from_json, spec[name], geo.group)
+            for name in ("holonomy", "offset") if name in spec
+        }
+        barbells.append(BarbellSpec(**{"holonomy": geo.identity(), **spec, **elements}))
 
-    attaching = data.get("attaching")
-    disks = data.get("disks")
-    rows = present_from_scenario(geo, barbells, attaching, disks)
+    rows = present_from_scenario(geo, barbells, data.get("attaching"), data.get("disks"))
     computed: dict = {"matrix": [[_poly_json(entry) for entry in row] for row in rows]}
+    expected = data.get("expected", {})
     if len(rows) == len(rows[0]) == 1 and geo.coeffs == F2 and geo.group.kind == FREE_ABELIAN and geo.group.n == 1:
         computed["dim"] = f2_quotient_dim(rows)
+    elif "dim" in expected:  # no dimension is computed, so an expected one would pass vacuously
+        raise HypothesisError(f"expected field 'dim' needs a 1x1 presentation over F2[t, t^-1], got a "
+                              f"{len(rows)}x{len(rows[0])} matrix over {geo.coeffs}[{geo.group!r}]")
 
-    passed = True
-    expected = data.get("expected", {})
+    passed = "dim" not in expected or computed["dim"] == expected["dim"]
     if "matrix" in expected:
         # the whole matrix: an expected matrix of another shape fails
         wanted = [
@@ -1227,9 +1188,7 @@ def run_scenario(data: Mapping) -> Report:
              for c, terms in enumerate(row)]
             for r, row in enumerate(expected["matrix"])
         ]
-        passed = wanted == rows
-    if "dim" in expected:
-        passed = passed and computed.get("dim") == expected["dim"]
+        passed = passed and wanted == rows
 
     return Report(
         name="scenario",

@@ -209,14 +209,15 @@ def test_branched_cover_order_costs_nothing():
 
 
 def test_meridian_is_not_an_attaching_sphere(tmp_path):
-    # its row is the norm element, which is never expanded into a matrix entry
+    # its row is the norm element, which is never expanded into a matrix
+    # entry; the role check refuses it before any pairing is asked for
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(
         {"geometry": {"name": "branched_cover", "m": 5}, "attaching": ["mu"], "disks": ["D"]}
     ))
     result = run_cli("scenario", str(path))
     assert result.returncode == 2 and result.stdout == ""
-    assert "(mu, D) is a meridian row" in result.stderr and "Traceback" not in result.stderr
+    assert result.stderr == "error: attaching label mu is a meridian, not a sphere\n"
 
 
 def test_brunnian_sweep_is_refused_before_its_jobs_are_built():
@@ -520,6 +521,23 @@ def _inline(fields):
          "group field 'modulo' is unknown; the fields are kind, rank, modulus"),
         # an unhashable kind ended in a TypeError traceback
         (_inline('"group": {"kind": ["free"], "rank": 1}, "labels": {"S": "sphere"}'), "field 'group'"),
+        # an expected dim where none is computed compared None with null (PASS, exit 0)
+        (SCENARIO_TEXT.replace('"attaching": ["S_v"]', '"attaching": ["S_v", "S_h"]'),
+         "expected field 'dim' needs a 1x1 presentation over F2[t, t^-1], got a 1x2 matrix over F2[Z^1]"),
+        ('{"geometry": {"name": "cyclic_cover", "m": 7}, "attaching": ["S"], "disks": ["D"], '
+         '"expected": {"dim": null}}',
+         "expected field 'dim' needs a 1x1 presentation over F2[t, t^-1], got a 1x1 matrix over Z[Z/7]"),
+        ('{"geometry": {"name": "sphere_torus_link", "n": 3}, "expected": {"dim": null}}',
+         "expected field 'dim' needs a 1x1 presentation over F2[t, t^-1], got a 1x1 matrix over F2[F_3]"),
+        # a role of the wrong kind, or listed twice, was paired like any other (PASS, exit 0)
+        (SCENARIO_TEXT.replace('"disks": ["D_v"]', '"disks": ["S_h"]'), "belt disk label S_h is a sphere, not a disk"),
+        (SCENARIO_TEXT.replace('"attaching": ["S_v"]', '"attaching": ["D_h"]')
+         .replace('"disks": ["D_v"]', '"disks": ["S_h"]'), "attaching label D_h is a disk, not a sphere"),
+        (SCENARIO_TEXT.replace('"attaching": ["S_v"]', '"attaching": ["S_v", "S_v"]')
+         .replace('"disks": ["D_v"]', '"disks": ["D_v", "D_v"]'), "attaching label S_v is listed twice"),
+        (SCENARIO_TEXT.replace('"disks": ["D_v"]', '"disks": ["D_v", "D_v"]'), "belt disk label D_v is listed twice"),
+        (_inline('"group": {"kind": "free", "rank": 1}, "labels": {"S": "sphere", "D": "disk"}, '
+                 '"attaching": ["D"], "disks": ["D"]'), "attaching label D is a disk, not a sphere"),
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
@@ -529,7 +547,8 @@ def _inline(fields):
          "builtin-missing-parameter", "builtin-name-missing-parameter", "builtin-unexpected-parameter",
          "deep-nesting", "inline-null-roles", "newline-label", "return-label", "separator-label",
          "misspelt-expected", "misspelt-dim", "misspelt-iterate", "misspelt-pairings", "misspelt-modulus",
-         "list-kind"],
+         "list-kind", "dim-on-1x2", "dim-over-z", "dim-over-free-group", "sphere-as-disk", "disk-as-sphere",
+         "attaching-twice", "disk-twice", "inline-disk-as-attaching"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -1115,6 +1134,14 @@ def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
         ({"top": "3"}, "sweep morsesimple parameter top must be int, got '3'"),
         ({"top": 3, "n": None}, "sweep brunnian parameter n must be int, got None"),
         ({"m": "5"}, "geometry cyclic_cover parameter m must be int, got '5'"),
+        # an intersection map's entries: a TypeError traceback, or truncated by int() and PASS
+        *[({"k": 100, "l": 100, name: data},
+           f"theorem genus1-hd parameter {name} must map integers or decimal strings to JSON integers, "
+           f"got entry {entry}")
+          for name, data, entry in [
+              ("h", {"0": None}, "'0': None"), ("h", {(1,): 1}, "(1,): 1"), ("h", {0.5: 1}, "0.5: 1"),
+              ("h", {"0": 1.5}, "'0': 1.5"), ("h", {"0": True}, "'0': True"), ("h", {"a": 1}, "'a': 1"),
+              ("v", {" 3": 1}, "' 3': 1"), ("b", {"+1": 1}, "'+1': 1"), ("b", {True: 1}, "True: 1")]],
     ],
 )
 def test_library_call_names_the_theorem_and_its_parameters(call, message):

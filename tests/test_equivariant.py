@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import partial
 
@@ -22,7 +23,7 @@ from barbellcalc.equivariant import (
 )
 from barbellcalc.groupring import F2, INT, RingElement
 from barbellcalc.scenarios import GEOMETRY_BUILDERS, GluingMatrix, HypothesisError, builtin_geometry
-from oracles import apply_hom, cyclic_project, stored_row
+from oracles import apply_hom, cyclic_project, solve_mod2, stored_row
 from oracles import summand_membership as solved_membership
 
 Z1 = free_abelian(1)
@@ -675,6 +676,23 @@ def test_closed_form_membership_matches_the_linear_solve(key, data):
         assert expected is False and probes and (allowed or len(geo.meridians()) > 1)
         return
     assert got == expected
+
+
+def test_mod2_solver_against_enumeration():
+    # solve_mod2 is the linear solve behind the membership oracle
+    rng = random.Random(13)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
+        b = [rng.randint(0, 1) for _ in range(rows)]
+        got = solve_mod2(a, b)
+        solvable = any(
+            all(sum(a[i][j] * x[j] for j in range(cols)) % 2 == b[i] for i in range(rows))
+            for x in itertools.product((0, 1), repeat=cols)
+        )
+        assert (got is not None) == solvable
+        if got is not None:
+            assert all(sum(a[i][j] * got[j] for j in range(cols)) % 2 == b[i] for i in range(rows))
 
 
 def refutable_class(geo, k=1):

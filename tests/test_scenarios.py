@@ -262,6 +262,13 @@ def test_genus1_hd_hypothesis_bounds():
         genus1_hd_dims(h={}, v={5: 1}, b={}, k=110, l=100)
 
 
+def test_genus1_hd_reads_decimal_string_positions_as_integers():
+    # the parameters' JSON form: positions are decimal strings
+    by_int = run_theorem("genus1-hd", k=120, l=120, h={-2: 1, 3: 3}, v={}, b={1: 1})
+    by_text = run_theorem("genus1-hd", k=120, l=120, h={"-2": 1, "3": 3}, v={}, b={"1": 1})
+    assert by_int.passed and by_text.to_machine() == by_int.to_machine()
+
+
 # -- Montesinos --------------------------------------------------------------------
 
 
@@ -344,6 +351,17 @@ def test_obstruction_verdicts_flip_on_equal_powers():
         assert report.passed, name
         key = "linked" if name == "disks-5dlinked" else "distinguished"
         assert not report.computed[key], name
+
+
+@pytest.mark.parametrize("k, l, iterates", [(5, 2, [3]), (2, 5, [-3]), (4, 4, [])])
+def test_disks_5dlinked_moves_its_disk_once(k, l, iterates, monkeypatch):
+    # f^k(D_R) - f^l(D_R) = f^(k-l)(D_R) - D_R for a trivial bar: one move
+    from barbellcalc import equivariant
+
+    real, seen = equivariant.barbell_action, []
+    monkeypatch.setattr(equivariant, "barbell_action", lambda x, spec: seen.append(spec.iterate) or real(x, spec))
+    report = run_theorem("disks-5dlinked", k=k, l=l)
+    assert report.passed and report.computed["mu_L_coefficient"] == l - k and seen == iterates
 
 
 # -- the theorem registry ------------------------------------------------------
