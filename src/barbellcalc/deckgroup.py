@@ -351,7 +351,7 @@ _LETTER_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 def parse_word(text: str, group: DeckGroup) -> DeckElement:
     """Parse whitespace-separated caret-exponent notation, e.g. "x1^-1 x2"."""
     if group.kind == CYCLIC:
-        return DeckElement(group, int(text) % group.n)
+        return element_from_json(text, group)
     text = text.strip()
     letters: list[tuple[int, int]] = []
     if text not in ("", "1"):
@@ -359,7 +359,10 @@ def parse_word(text: str, group: DeckGroup) -> DeckElement:
             match = _LETTER_RE.match(tok)
             if not match:
                 raise GroupError(f"cannot parse letter {tok!r}")
-            letters.append((int(match.group(1)), int(match.group(2) or 1)))
+            try:
+                letters.append((int(match.group(1)), int(match.group(2) or 1)))
+            except ValueError:  # more digits than the interpreter converts
+                raise GroupError(f"cannot parse a letter of {len(tok)} characters: a number is too long") from None
     if group.kind == FREE:
         return DeckElement(group, reduce_letters(letters, group.n))
     vec = [0] * group.n

@@ -62,6 +62,10 @@ DISK = "disk"
 MERIDIAN = "meridian"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class GeometryError(ValueError):
     """Unknown label, undefined pairing kind, or malformed geometry."""
 
@@ -281,10 +285,14 @@ class BarbellSpec:
 
     def __init__(self, cuff1: str, cuff2: str, holonomy: DeckElement, signs: tuple[int, int] = (1, 1),
                  iterate: int = 1, offset: DeckElement | None = None):
-        if signs[0] not in (1, -1) or signs[1] not in (1, -1):
-            raise GeometryError("cuff signs must be +1 or -1")
-        if iterate == 0:
+        if not (isinstance(signs, (tuple, list)) and len(signs) == 2 and signs[0] in (1, -1) and signs[1] in (1, -1)
+                and _is_int(signs[0]) and _is_int(signs[1])):
+            raise GeometryError(f"cuff signs must be two integers, each +1 or -1, got {signs!r}")
+        if not _is_int(iterate) or iterate == 0:
             raise GeometryError("iterate must be a nonzero integer")
+        if not isinstance(holonomy, DeckElement) or not isinstance(offset, (DeckElement, type(None))):
+            raise GeometryError(f"holonomy must be a deck group element and offset one or None, "
+                                f"got {holonomy!r} and {offset!r}")
         self.cuff1, self.cuff2, self.holonomy = cuff1, cuff2, holonomy
         self.signs, self.iterate, self.offset = signs, iterate, offset
 

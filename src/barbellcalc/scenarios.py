@@ -6,17 +6,18 @@ Each geometry packages the finite intersection data of a specific
 cover: the unknotted-torus complement and its universal cover, the
 genus-2 surface complement, the n-component sphere/torus link
 complement with free deck group, the two-circle complement, and m-fold
-cyclic and branched cyclic covers; the higher-dimensional torus
-analogue has the torus complement's pairing data and runs on it.  Each
-theorem runner drives the barbell engine through one argument, compares
-against the closed-form value when there is one, and reports pass/fail;
-hypothesis bounds (winding numbers >= 1, cover order m large enough)
-are enforced up front, not silently accepted.  The six cover
-arguments share one disk move (`_move`), one report of the moved class
-(`_class_fields`) and one test for membership in an identity summand
+cyclic and branched cyclic covers (one builder, `_cover`); the
+higher-dimensional torus analogue has the torus complement's pairing
+data and runs on it.  Each theorem runner drives the barbell engine
+through one argument, compares against the closed-form value when there
+is one, and returns what it computed and its verdict; hypothesis bounds
+(winding numbers >= 1, cover order m large enough) are enforced up
+front.  The six cover arguments share one disk move (`_move`), one
+report of the moved class (`_class_fields`) and one summand test
 (`_in_identity_summand`).  `THEOREMS` maps each reproduction's name to
 its runner and `SWEEPS` each sweep's name to its parameter grid;
-`run_theorem` and `run_sweep` hold every parameter rule.
+`run_theorem` and `run_sweep` hold every parameter rule, and
+`run_theorem` names each report and records its parameters.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .equivariant import (
     EquivClass,
     Geometry,
     GeometryError,
+    _is_int,
     action_sequence,
     equivariant_pairing,
     pair_classes,
@@ -206,51 +208,36 @@ def _circles_complement() -> Geometry:
     )
 
 
-def _cyclic_cover(m: int) -> Geometry:
+def _cover(kind: str, coeffs: str, meridians: tuple[str, ...], m: int) -> Geometry:
     # m-fold cyclic cover unwinding one meridian: one chosen summand
     # carries the disk D and the parallel sphere copies S, S' (the same
-    # homology class, recorded as an alias).  Lifted classes form a free
-    # basis across the m summands.
+    # homology class, recorded as an alias).  Unbranched, the lifted
+    # classes form a free basis across the m summands.  Branched along
+    # the torus, every deck translate of the lifted disk shares one
+    # boundary circle, so each meridian pairs 1 with each translate: its
+    # row, the norm element, is stored as its augmentation 1, never
+    # expanded, so nothing costs O(m); the lifted classes are no basis.
     if m < 1:
-        raise HypothesisError(f"cyclic cover order must be >= 1, got {m}")
+        raise HypothesisError(f"{kind} cover order must be >= 1, got {m}")
     group = cyclic(m)
+    one = RingElement.one(group, coeffs)
     return Geometry(
-        name="cyclic_cover",
+        name=f"{kind}_cover",
         group=group,
-        coeffs=INT,
-        labels=_labels(spheres=("S", "S_prime"), disks=("D",)),
-        pairings={
-            ("D", "S"): from_term_list([[0, 1]], group, INT),
-            ("D", "S_prime"): from_term_list([[0, 1]], group, INT),
-        },
+        coeffs=coeffs,
+        labels=_labels(spheres=("S", "S_prime"), disks=("D",), meridians=meridians),
+        pairings={("D", "S"): one, ("D", "S_prime"): one, **{(mu, "D"): one for mu in meridians}},
         disks=["D"],
         aliases={"S_prime": "S"},
     )
+
+
+def _cyclic_cover(m: int) -> Geometry:
+    return _cover("cyclic", INT, (), m)
 
 
 def _branched_cover(m: int) -> Geometry:
-    # m-fold branched cyclic cover along the torus, mod-2 coefficients.
-    # Every deck translate of the lifted compressing disk shares the
-    # same boundary circle (the branch locus is fixed), so the meridian
-    # sphere mu pairs 1 with each translate: its row, the norm element,
-    # is stored as its augmentation 1 and never expanded, so nothing
-    # costs O(m).  The lifted classes do not form a free basis here.
-    if m < 1:
-        raise HypothesisError(f"branched cover order must be >= 1, got {m}")
-    group = cyclic(m)
-    return Geometry(
-        name="branched_cover",
-        group=group,
-        coeffs=F2,
-        labels=_labels(spheres=("S", "S_prime"), disks=("D",), meridians=("mu",)),
-        pairings={
-            ("D", "S"): from_term_list([[0, 1]], group, F2),
-            ("D", "S_prime"): from_term_list([[0, 1]], group, F2),
-            ("mu", "D"): from_term_list([[0, 1]], group, F2),
-        },
-        disks=["D"],
-        aliases={"S_prime": "S"},
-    )
+    return _cover("branched", F2, ("mu",), m)
 
 
 GEOMETRY_BUILDERS: dict[str, Callable[..., Geometry]] = {
@@ -272,10 +259,6 @@ def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], t
     code = entry.__code__
     required = code.co_argcount - len(entry.__defaults__ or ())
     return code.co_varnames[keyed : code.co_argcount], code.co_varnames[keyed:required]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # the values each alternative of a parameter's annotation admits
@@ -313,13 +296,14 @@ def builtin_geometry(name: str, **params) -> Geometry:
 
 
 class Report:
-    """One run's parameters, computed and expected values, verdict and
-    notes, named by the registry key it ran ("" until one is set)."""
+    """One run's computed and expected values, verdict and notes; a
+    theorem runner returns these, and run_theorem names the report by
+    the registry key it ran ("" until then) and records its params."""
 
-    def __init__(self, params: dict, computed: dict, expected: dict | None = None, passed: bool = True,
-                 notes: list[str] | None = None, name: str = ""):
-        self.params, self.computed, self.expected = params, computed, expected or {}
-        self.passed, self.notes, self.name = passed, notes or [], name
+    def __init__(self, computed: dict, expected: dict | None = None, passed: bool = True,
+                 notes: list[str] | None = None, name: str = "", params: dict | None = None):
+        self.computed, self.expected, self.passed = computed, expected or {}, passed
+        self.notes, self.name, self.params = notes or [], name, params or {}
 
     def to_machine(self) -> dict:
         return {
@@ -398,7 +382,7 @@ def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
 
 # ---------------------------------------------------------------------------
 # Theorem runners.  Each takes only its parameters; run_theorem names
-# the report by the registry key it ran.
+# the report by the registry key it ran and records its parameters.
 
 
 def _run_torus_knot(k: int, l: int) -> Report:
@@ -411,7 +395,6 @@ def _run_torus_knot(k: int, l: int) -> Report:
     expected_dim = 2 * k + 2 * l + 2
     f_json = _poly_json(f)
     return Report(
-        params={"k": k, "l": l},
         computed={"f": f_json, "dim": dim},
         expected={"f": f_json if f == expected_f else _poly_json(expected_f), "dim": expected_dim},
         passed=(f == expected_f and dim == expected_dim),
@@ -430,7 +413,6 @@ def _run_unknots(k: int = 1, l: int = 1) -> Report:
         computed[variant] = {"f": _poly_json(rows[0][0]), "dim": f2_quotient_dim(rows)}
     trivial = {"f": _poly_json(RingElement.one(geo.group, geo.coeffs)), "dim": 0}
     return Report(
-        params={"k": k, "l": l},
         computed=computed,
         expected={"f": "1", "dim": 0},
         passed=all(variant == trivial for variant in computed.values()),
@@ -483,7 +465,6 @@ def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     closed = {g.value for g in morsesimple_f(k, l).terms} if n == 2 else {(0,)}
     abelian = {(e,) for e, c in pushed.items() if c % 2} == closed
     return Report(
-        params={"n": n, "k": k, "l": l},
         computed={"relator": relator, "image_in_st": _poly_json(image), "nontrivial": nontrivial},
         expected={"relator": relator if agrees else _poly_json(formula_f)},
         passed=agrees and abelian and nontrivial,
@@ -504,7 +485,6 @@ def _run_simple_5d(k: int) -> Report:
     factors = antidiagonal_cokernel(rows)
     expected_factor = from_term_list([[1, k], [0, -k]], geo.group, INT)  # k(t - 1)
     return Report(
-        params={"k": k},
         computed={
             "matrix": [[_poly_json(entry) for entry in row] for row in rows],
             "cokernel": [_poly_json(g) for g in factors],
@@ -542,7 +522,6 @@ def _run_circle_splitting(k: int, l: int = 0) -> Report:
     member = _in_identity_summand(moved, "D_R", "S_R")
     distinguished = not member
     return Report(
-        params={"k": k, "l": l},
         computed={**_class_fields(moved), "in_right_summand": member, "distinguished": distinguished},
         expected={"class": _class_json(expected_class), "distinguished": k != l},
         passed=(moved == expected_class and distinguished == (k != l)),
@@ -557,7 +536,6 @@ def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
     expected_k = geo.basis_class("D_h").add(geo.basis_class("S_h_2", coeff=k))
     distinguished = not _in_identity_summand(class_k.sub(class_l), "D_h")
     return Report(
-        params={"k": k, "l": l, "g": g},
         computed={**_class_fields(class_k), "distinguished": distinguished},
         expected={"class": _class_json(expected_k), "distinguished": k != l},
         passed=(class_k == expected_k and distinguished == (k != l)),
@@ -573,7 +551,6 @@ def _run_disks_linked(k: int, l: int) -> Report:
     mu_coefficient = moved.terms.get(("S_L", geo.identity()), 0)
     linked = mu_coefficient != 0
     return Report(
-        params={"k": k, "l": l},
         computed={"mu_L_coefficient": mu_coefficient, "linked": linked},
         expected={"mu_L_coefficient": l - k, "linked": k != l},
         passed=(mu_coefficient == l - k and linked == (k != l)),
@@ -606,7 +583,6 @@ def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
             expected_class = expected_class.add(geo.basis_class("S", t(1, power), sign))
             expected_class = expected_class.add(geo.basis_class("S_prime", t(1, -power), -sign))
     return Report(
-        params={"m": m, "k": k, "l": l},
         computed={**_class_fields(moved), "in_chosen_summand": member, "distinguished": distinguished},
         expected={"class": _class_json(expected_class), "distinguished": k != l},
         passed=(moved == expected_class and distinguished == (k != l)),
@@ -621,7 +597,6 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
     geo, moved = _cover_move("cyclic_cover", m, k, l)
     distinguished = not _in_identity_summand(moved, "D", "S", "S_prime")
     return Report(
-        params={"m": m, "k": k, "l": l},
         computed={"bar_residues": {str(p): p % m for p in (k, l)}, **_class_fields(moved),
                   "distinguished": distinguished},
         expected={"distinguished": k != l},
@@ -646,7 +621,6 @@ def _run_branched(m: int, k: int, l: int = 0) -> Report:
     # equal powers move D back to itself: x = 0 pairs to 0 with every probe
     expected_witnesses = {"x_dot_rho_k_D": 0 if degenerate else 1, "x_dot_D": 0, "mu_dot_D": 1}
     return Report(
-        params={"m": m, "k": k, "l": l},
         computed={**_class_fields(x), "witnesses": witnesses, "in_meridian_span": member, "refuted": refuted},
         expected={"witnesses": expected_witnesses, "refuted": not degenerate},
         passed=refuted == (not degenerate) and witnesses == expected_witnesses,
@@ -665,7 +639,10 @@ def _odd_entries(name: str, data: Mapping) -> dict[int, int]:
         if not (_is_int(key) or digits.isascii() and digits.isdecimal()) or not _is_int(c):
             raise HypothesisError(f"theorem genus1-hd parameter {name} must map integers or decimal strings "
                                   f"to JSON integers, got entry {key!r}: {c!r}")
-    return {int(key): 1 for key, c in data.items() if c % 2}
+    try:
+        return {int(key): 1 for key, c in data.items() if c % 2}
+    except ValueError:  # more digits than the interpreter converts
+        raise HypothesisError(f"theorem genus1-hd parameter {name} has a position too long to read") from None
 
 
 def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None = None,
@@ -697,7 +674,7 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
         branch, closed = "vertical present (2k + 2l + 1 + span v)", 2 * k + 2 * l + 1 + max(v) - min(v)
     as_param = lambda coeffs: {str(i): c for i, c in coeffs.items()}
     return Report(
-        params={"k": k, "l": l, "h": as_param(h), "v": as_param(v), "b": as_param(b)},
+        params={"h": as_param(h), "v": as_param(v), "b": as_param(b)},
         computed={"dim_engine": engine, "dim_closed_form": closed, "branch": branch},
         expected={"dim": closed},
         passed=closed == engine,
@@ -784,7 +761,6 @@ def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
             for name, (matrix, _) in rows.items()
         }
         return Report(
-            params={},
             computed=computed,
             expected={name: tag for name, (_, tag) in rows.items()},
             passed=all(computed[name] == {"parity_even": True, "manifold": tag} for name, (_, tag) in rows.items()),
@@ -797,7 +773,6 @@ def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
     target = f"L({p},{p + q})" if substituted else f"L({p},{q})"
     tag = classify_gluing(matrix)
     return Report(
-        params={"p": p, "q": q},
         computed={
             "matrix": list(matrix.entries()),
             "entry_sum_even": montesinos_parity(matrix),
@@ -829,7 +804,6 @@ def _run_no_brunnian_2disk(n: int) -> Report:
     forced = _disk_model(n) if modelled else expected
     note = f"n > {MAX_DISK_MODEL_COMPONENTS}: the constraint model is not evaluated; computed is the closed form"
     return Report(
-        params={"n": n},
         computed={"disks_forced_isotopic": forced},
         expected={"disks_forced_isotopic": expected},
         passed=(forced == expected),
@@ -862,12 +836,17 @@ THEOREMS: dict[str, Callable[..., Report]] = {
 
 
 def run_theorem(name: str, **params) -> Report:
-    """The theorem's report, named by its registry key name."""
+    """The theorem's report, named by its registry key name, with the
+    call's parameters and the runner's defaults, None dropped, as its
+    params; a parameter the runner reports itself (normalized) wins."""
     if name not in THEOREMS:
         raise HypothesisError(f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}")
-    _check_parameters(f"theorem {name}", THEOREMS[name], params)
-    report = THEOREMS[name](**params)
-    report.name = name
+    runner = THEOREMS[name]
+    _check_parameters(f"theorem {name}", runner, params)
+    report = runner(**params)
+    takes, required = parameters(runner)
+    ran = {**dict(zip(takes[len(required):], runner.__defaults__ or ())), **params, **report.params}
+    report.name, report.params = name, {key: value for key, value in ran.items() if value is not None}
     return report
 
 
@@ -941,7 +920,7 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
         (report, image), (other_report, other) = decide(n, k, l), decide(n, kp, lp)
         verdict = {k, l} != {kp, lp} and image is not None and other is not None and image != other
         yield Report(
-            params={**report.params, "kp": kp, "lp": lp},
+            params=job,
             computed={**report.computed, "distinguished": verdict},
             expected=report.expected,
             passed=report.passed and other_report.passed and verdict == ({k, l} != {kp, lp}),
@@ -1013,7 +992,7 @@ MAX_FREE_ABELIAN_RANK = 10**4
 
 def _custom_geometry(spec: Mapping) -> Geometry:
     """An inline geometry: deck group, field, labelled spheres and
-    disks, and a serialized pairing table, in the shape _check_scenario
+    disks, and a serialized pairing table, in the shape run_scenario
     has checked.  Accepted as data; nothing checks that it comes from an
     actual embedded configuration."""
     group_spec = spec["group"]
@@ -1133,9 +1112,11 @@ def _in_field(where: str, build, *args):
         raise GroupError(f"scenario field {where!r}: {exc}") from None
 
 
-def _check_scenario(data) -> None:
-    """The scenario schema, checked before anything is built: a field of
-    the wrong shape is a HypothesisError that names it."""
+def run_scenario(data: Mapping) -> Report:
+    """The scenario's report.  Its schema is checked before anything is
+    built: a field of the wrong shape is a HypothesisError that names it.
+    A geometry with labels is inline; any other is a built-in's name and
+    its builder's parameters."""
     if not isinstance(data, Mapping):
         raise HypothesisError(f"a scenario must be a JSON object, got {type(data).__name__}")
     _check("scenario", data)
@@ -1143,19 +1124,14 @@ def _check_scenario(data) -> None:
         _check("barbell", spec)
     _check("expected", data.get("expected", {}))
     geometry = data["geometry"]
-    if isinstance(geometry, Mapping) and "labels" in geometry:
+    geometry = {"name": geometry} if isinstance(geometry, str) else geometry
+    if "labels" in geometry:
         _check("inline geometry", geometry)
         _check("group", geometry["group"], (_GROUP_SIZE[geometry["group"]["kind"]],))
-    elif isinstance(geometry, Mapping):
+        geo = _custom_geometry(geometry)
+    else:
         _check("geometry", geometry)
-
-
-def run_scenario(data: Mapping) -> Report:
-    _check_scenario(data)
-    geometry = data["geometry"]
-    geometry = {"name": geometry} if isinstance(geometry, str) else geometry
-    # a parameterized built-in is its name and its builder's parameters
-    geo = _custom_geometry(geometry) if "labels" in geometry else builtin_geometry(**geometry)
+        geo = builtin_geometry(**geometry)
 
     if "field" in data and _field(data["field"]) != geo.coeffs:
         raise HypothesisError(

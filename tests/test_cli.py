@@ -538,6 +538,13 @@ def _inline(fields):
         (SCENARIO_TEXT.replace('"disks": ["D_v"]', '"disks": ["D_v", "D_v"]'), "belt disk label D_v is listed twice"),
         (_inline('"group": {"kind": "free", "rank": 1}, "labels": {"S": "sphere", "D": "disk"}, '
                  '"attaching": ["D"], "disks": ["D"]'), "attaching label D is a disk, not a sphere"),
+        # an integer string past the interpreter's digit limit leaked its message, naming no field
+        ('{"geometry": {"name": "sphere_torus_link", "n": 2}, '
+         f'"barbells": [{{"cuff1": "S_h", "cuff2": "S_h", "holonomy": "x1^{"9" * 5000}"}}]}}',
+         "field 'barbells[0].holonomy': cannot parse a letter of 5003 characters"),
+        ('{"geometry": {"name": "sphere_torus_link", "n": 2}, '
+         f'"barbells": [{{"cuff1": "S_h", "cuff2": "S_h", "offset": "x{"1" * 5000}"}}]}}',
+         "field 'barbells[0].offset': cannot parse a letter of 5001 characters"),
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
@@ -548,7 +555,7 @@ def _inline(fields):
          "deep-nesting", "inline-null-roles", "newline-label", "return-label", "separator-label",
          "misspelt-expected", "misspelt-dim", "misspelt-iterate", "misspelt-pairings", "misspelt-modulus",
          "list-kind", "dim-on-1x2", "dim-over-z", "dim-over-free-group", "sphere-as-disk", "disk-as-sphere",
-         "attaching-twice", "disk-twice", "inline-disk-as-attaching"],
+         "attaching-twice", "disk-twice", "inline-disk-as-attaching", "long-exponent", "long-generator"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -1142,6 +1149,10 @@ def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
               ("h", {"0": None}, "'0': None"), ("h", {(1,): 1}, "(1,): 1"), ("h", {0.5: 1}, "0.5: 1"),
               ("h", {"0": 1.5}, "'0': 1.5"), ("h", {"0": True}, "'0': True"), ("h", {"a": 1}, "'a': 1"),
               ("v", {" 3": 1}, "' 3': 1"), ("b", {"+1": 1}, "'+1': 1"), ("b", {True: 1}, "True: 1")]],
+        # a position past the interpreter's digit limit raised a plain ValueError
+        ({"k": 100, "l": 100, "h": {"1" * 5000: 1}}, "theorem genus1-hd parameter h has a position too long to read"),
+        ({"k": 100, "l": 100, "b": {"-" + "7" * 5000: 1}},
+         "theorem genus1-hd parameter b has a position too long to read"),
     ],
 )
 def test_library_call_names_the_theorem_and_its_parameters(call, message):

@@ -478,6 +478,15 @@ REFUSED_VALUES = [
     (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, ["S", "T"]), GeometryError, "role label T is not declared"),
     (Geometry, ("z", Z1, F2, {"D": DISK}, {}, [], ["E"]), GeometryError, "role label E is not declared"),
     (Geometry, ("z", Z1, F2, {"mu": MERIDIAN}, {}), GeometryError, "meridians need a cyclic deck group"),
+    # each of these raised an IndexError or an AttributeError later, or was accepted
+    (BarbellSpec, ("S", "S", Z1.identity(), (1,)), GeometryError, "cuff signs must be"),
+    (BarbellSpec, ("S", "S", Z1.identity(), (True, 1)), GeometryError, "cuff signs must be"),
+    (BarbellSpec, ("S", "S", Z1.identity(), 1), GeometryError, "cuff signs must be"),
+    (BarbellSpec, ("S", "S", Z1.identity(), (1, 1), 1.5), GeometryError, "iterate must be a nonzero integer"),
+    (BarbellSpec, ("S", "S", Z1.identity(), (1, 1), True), GeometryError, "iterate must be a nonzero integer"),
+    (BarbellSpec, ("S", "S", None), GeometryError, "holonomy must be a deck group element"),
+    (BarbellSpec, ("S", "S", (1,)), GeometryError, "holonomy must be a deck group element"),
+    (BarbellSpec, ("S", "S", Z1.identity(), (1, 1), 1, 3), GeometryError, "offset one or None, got .* and 3$"),
 ]
 
 

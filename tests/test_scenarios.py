@@ -80,6 +80,13 @@ def test_builtin_pairing_tables_are_locked(name):
     assert table == GOLDEN_TABLES[name]
 
 
+@pytest.mark.parametrize("name", ["cyclic_cover", "branched_cover"])
+def test_cover_builders_refuse_order_zero(name):
+    kind = name.removesuffix("_cover")
+    with pytest.raises(HypothesisError, match=f"^{kind} cover order must be >= 1, got 0$"):
+        builtin_geometry(name, m=0)
+
+
 def test_unknown_geometry_name():
     from barbellcalc.equivariant import GeometryError
 
@@ -391,6 +398,39 @@ def test_registry_keys_name_their_reports():
     for key in THEOREMS:
         report = run_theorem(key, **SAMPLE_PARAMS[key])
         assert report.name == key and report.passed, key
+
+
+def runner_defaults(key: str) -> dict:
+    """The defaults of a theorem's runner, read from its signature, None dropped."""
+    signature = inspect.signature(THEOREMS[key])
+    return {name: p.default for name, p in signature.parameters.items() if p.default not in (p.empty, None)}
+
+
+# the intersection maps genus1-hd reports in place of its None defaults
+GENUS1_HD_MAPS = {"h": {"0": 1}, "v": {}, "b": {}}
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLE_PARAMS))
+def test_reports_record_the_call_and_the_runner_defaults(key):
+    maps = GENUS1_HD_MAPS if key == "genus1-hd" else {}
+    assert run_theorem(key, **SAMPLE_PARAMS[key]).params == {**runner_defaults(key), **SAMPLE_PARAMS[key], **maps}
+
+
+@pytest.mark.parametrize(
+    "key,call,params",
+    [
+        ("unknots", {}, {"k": 1, "l": 1}),
+        ("simple-knotted-handlebody", {"k": 2, "l": 1}, {"k": 2, "l": 1, "g": 2}),
+        ("circle-splittingspheres", {"k": 3}, {"k": 3, "l": 0}),
+        ("morsesimple3mfd", {}, {}),
+        ("genus1-hd", {"k": 100, "l": 100}, {"k": 100, "l": 100, **GENUS1_HD_MAPS}),
+        # the maps a runner normalizes replace the call's: even entries drop, positions are strings
+        ("genus1-hd", {"k": 120, "l": 120, "h": {-2: 3, 1: 2}, "v": {}, "b": {"1": 1}},
+         {"k": 120, "l": 120, "h": {"-2": 1}, "v": {}, "b": {"1": 1}}),
+    ],
+)
+def test_reports_record_omitted_defaults(key, call, params):
+    assert run_theorem(key, **call).params == params
 
 
 # Public functions and methods of the package that no CLI path enters,
