@@ -22,7 +22,6 @@ from .deckgroup import (
     GroupError,
     brunnian_word,
     commutator,
-    cyclic,
     free_abelian,
     free_group,
     parse_word,

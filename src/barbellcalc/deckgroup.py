@@ -134,10 +134,6 @@ def free_abelian(r: int) -> DeckGroup:
     return DeckGroup(FREE_ABELIAN, r)
 
 
-def cyclic(m: int) -> DeckGroup:
-    return DeckGroup(CYCLIC, m)
-
-
 def reduce_letters(letters: Iterable[tuple[int, int]], rank: int | None = None) -> Word:
     """Freely reduce a raw letter sequence into canonical Word form.
 
@@ -423,6 +419,8 @@ def element_from_json(data, group: DeckGroup) -> DeckElement:
         try:
             return DeckElement(group, int(data) % group.n)
         except (TypeError, ValueError, OverflowError):
+            if isinstance(data, str) and re.fullmatch(r"\s*[+-]?\d+\s*", data):  # past the interpreter's digit limit
+                raise GroupError(f"cannot parse a residue of {len(data)} characters: a number is too long") from None
             raise GroupError(f"{data!r} is not an element of {group!r}; give an integer residue") from None
     if group.kind == FREE_ABELIAN and isinstance(data, (list, tuple)):
         return DeckElement(group, tuple(int(a) for a in data))

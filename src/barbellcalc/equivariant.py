@@ -81,10 +81,9 @@ class Geometry:
     middle-dimensional classes here is symmetric), once, at
     construction: the private _rows table holds both directions, a
     stored entry winning over the reverse of its mirror, so a changed
-    table is built as a new Geometry (extend builds one), never by
-    mutating pairings in place.  Disk-disk pairings
-    are deliberately absent and asking for one is an error; any other
-    absent entry counts as zero.
+    table is built as a new Geometry, never by mutating pairings in
+    place.  Disk-disk pairings are deliberately absent and asking for
+    one is an error; any other absent entry counts as zero.
 
     A meridian label is a deck-invariant kernel class, its rows stored as
     augmentations (cyclic deck groups only, never expanded); the lifted
@@ -154,13 +153,6 @@ class Geometry:
         self.label(label)
         deck = deck if deck is not None else self.identity()
         return EquivClass(self, {(label, deck): coeff})
-
-    def extend(self, name: str, kind: str, pairings: Mapping[str, RingElement]) -> "Geometry":
-        """A copy with one extra generator and its pairing rows; used for
-        synthetic classes with prescribed intersection data."""
-        entries = {**self.pairings, **{(name, other): elem for other, elem in pairings.items()}}
-        labels = {**self.labels, name: kind}
-        return Geometry(self.name, self.group, self.coeffs, labels, entries, self.attaching, self.disks, self.aliases)
 
 
 class EquivClass:

@@ -8,8 +8,10 @@ genus-2 surface complement, the n-component sphere/torus link
 complement with free deck group, the two-circle complement, and m-fold
 cyclic and branched cyclic covers (one builder, `_cover`); the
 higher-dimensional torus analogue has the torus complement's pairing
-data and runs on it.  Each theorem runner drives the barbell engine
-through one argument, compares against the closed-form value when there
+data and runs on it.  A builder returns its cover's description in the
+inline form of a scenario file, and one reader, `_read_geometry`, builds
+every Geometry.  Each theorem runner drives the barbell engine through
+one argument, compares against the closed-form value when there
 is one, and returns what it computed and its verdict; hypothesis bounds
 (winding numbers >= 1, cover order m large enough) are enforced up
 front.  The six cover arguments share one disk move (`_move`), one
@@ -38,11 +40,8 @@ from .deckgroup import (
     DeckGroup,
     GroupError,
     brunnian_word,
-    cyclic,
     element_from_json,
     element_to_json,
-    free_abelian,
-    free_group,
 )
 from .equivariant import (
     DISK,
@@ -85,81 +84,50 @@ class HypothesisError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Built-in geometries.
+# Geometries: each builder returns a description, which _read_geometry reads.
 
 
-def _labels(spheres=(), disks=(), meridians=()):
-    return {
-        **dict.fromkeys(spheres, SPHERE),
-        **dict.fromkeys(disks, DISK),
-        **dict.fromkeys(meridians, MERIDIAN),
-    }
-
-
-def _torus_complement() -> Geometry:
+def _torus_complement() -> dict:
     # Universal cover of the unknotted-torus complement in the 4-sphere.
     # The horizontal sphere meets deck translates 0 and 1 of the vertical
     # sphere once each; each compressing disk meets its dual sphere once.
     # Its one belt disk is D_v, so the 2n-dimensional analogue presents
     # the same matrix term for term.
-    group = free_abelian(1)
-    return Geometry(
-        name="torus_complement",
-        group=group,
-        coeffs=F2,
-        labels=_labels(spheres=("S_h", "S_v"), disks=("D_v", "D_h")),
-        pairings={
-            ("S_h", "S_v"): from_term_list([[0, 1], [1, 1]], group, F2),
-            ("D_v", "S_v"): from_term_list([[0, 1]], group, F2),
-            ("D_h", "S_h"): from_term_list([[0, 1]], group, F2),
-        },
-        attaching=["S_v"],
-        disks=["D_v"],
-    )
+    return {
+        "group": {"kind": FREE_ABELIAN, "rank": 1}, "field": "f2",
+        "labels": {"S_h": SPHERE, "S_v": SPHERE, "D_v": DISK, "D_h": DISK},
+        "pairings": [["S_h", "S_v", [[0, 1], [1, 1]]], ["D_v", "S_v", [[0, 1]]], ["D_h", "S_h", [[0, 1]]]],
+        "attaching": ["S_v"], "disks": ["D_v"],
+    }
 
 
-def _sphere_torus_link(n: int) -> Geometry:
+def _sphere_torus_link(n: int) -> dict:
     # Complement of (n-1) split 2-spheres and a torus; the deck group of
     # the universal cover is free on the n meridians, the torus meridian
     # being the last generator.
     if n < 2:
         raise HypothesisError(f"sphere_torus_link needs n >= 2, got {n}")
-    group = free_group(n)
-    return Geometry(
-        name="sphere_torus_link",
-        group=group,
-        coeffs=F2,
-        labels=_labels(spheres=("S_h", "S_v"), disks=("D_v",)),
-        pairings={
-            ("S_h", "S_v"): from_term_list([["1", 1], [f"x{n}", 1]], group, F2),
-            ("D_v", "S_v"): from_term_list([["1", 1]], group, F2),
-        },
-        attaching=["S_v"],
-        disks=["D_v"],
-    )
+    return {
+        "group": {"kind": FREE, "rank": n}, "field": "f2",
+        "labels": {"S_h": SPHERE, "S_v": SPHERE, "D_v": DISK},
+        "pairings": [["S_h", "S_v", [["1", 1], [f"x{n}", 1]]], ["D_v", "S_v", [["1", 1]]]],
+        "attaching": ["S_v"], "disks": ["D_v"],
+    }
 
 
-def _genus2_complement() -> Geometry:
+def _genus2_complement() -> dict:
     # Universal cover of the genus-2 surface complement, integer
     # coefficients.  The two intersection points of S_h,s with S_v,s
     # carry opposite signs and land in adjacent deck translates (1 - t);
     # disk orientations are pinned by the golden presentation matrix
     # (see the acceptance tests), which forces <D_h,s, S_h,s> = -1.
-    group = free_abelian(1)
-    return Geometry(
-        name="genus2_complement",
-        group=group,
-        coeffs=INT,
-        labels=_labels(spheres=("S_h_1", "S_h_2", "S_v_1", "S_v_2"), disks=("D_h_1", "D_h_2")),
-        pairings={
-            ("S_h_1", "S_v_1"): from_term_list([[0, 1], [1, -1]], group, INT),
-            ("S_h_2", "S_v_2"): from_term_list([[0, 1], [1, -1]], group, INT),
-            ("D_h_1", "S_h_1"): from_term_list([[0, -1]], group, INT),
-            ("D_h_2", "S_h_2"): from_term_list([[0, -1]], group, INT),
-        },
-        attaching=["S_v_1", "S_v_2"],
-        disks=["D_h_1", "D_h_2"],
-    )
+    return {
+        "group": {"kind": FREE_ABELIAN, "rank": 1}, "field": "int",
+        "labels": {**dict.fromkeys(("S_h_1", "S_h_2", "S_v_1", "S_v_2"), SPHERE), "D_h_1": DISK, "D_h_2": DISK},
+        "pairings": [["S_h_1", "S_v_1", [[0, 1], [1, -1]]], ["S_h_2", "S_v_2", [[0, 1], [1, -1]]],
+                     ["D_h_1", "S_h_1", [[0, -1]]], ["D_h_2", "S_h_2", [[0, -1]]]],
+        "attaching": ["S_v_1", "S_v_2"], "disks": ["D_h_1", "D_h_2"],
+    }
 
 
 # The geometry has 2g + 1 generators; on a 2-vCPU Xeon host a scenario
@@ -168,7 +136,7 @@ def _genus2_complement() -> Geometry:
 MAX_GENUS = 10**4
 
 
-def _genus_g_complement(g: int) -> Geometry:
+def _genus_g_complement(g: int) -> dict:
     # The genus-g surface complement itself (no cover): homology classes
     # of the 2g spheres and the compressing disk dual to S_h_1.  The two
     # points of S_h_i against S_v_i cancel algebraically here.
@@ -176,39 +144,27 @@ def _genus_g_complement(g: int) -> Geometry:
         raise HypothesisError(f"genus_g_complement needs g >= 1, got {g}")
     if g > MAX_GENUS:
         raise HypothesisError(f"genus_g_complement needs g <= {MAX_GENUS}, got {g}")
-    group = cyclic(1)
-    spheres = tuple(f"S_h_{i}" for i in range(1, g + 1)) + tuple(
-        f"S_v_{i}" for i in range(1, g + 1)
-    )
-    return Geometry(
-        name="genus_g_complement",
-        group=group,
-        coeffs=INT,
-        labels=_labels(spheres=spheres, disks=("D_h",)),
-        pairings={("D_h", "S_h_1"): from_term_list([[0, 1]], group, INT)},
-        attaching=[f"S_v_{i}" for i in range(1, g + 1)],
-        disks=["D_h"],
-    )
+    spheres = [f"S_h_{i}" for i in range(1, g + 1)] + [f"S_v_{i}" for i in range(1, g + 1)]
+    return {
+        "group": {"kind": CYCLIC, "modulus": 1}, "field": "int",
+        "labels": {**dict.fromkeys(spheres, SPHERE), "D_h": DISK},
+        "pairings": [["D_h", "S_h_1", [[0, 1]]]],
+        "attaching": spheres[g:], "disks": ["D_h"],
+    }
 
 
-def _circles_complement() -> Geometry:
+def _circles_complement() -> dict:
     # Complement of two split circles: meridian spheres S_L, S_R and the
     # disks they are dual to.  No cover is taken in these arguments.
-    group = cyclic(1)
-    return Geometry(
-        name="circles_complement",
-        group=group,
-        coeffs=INT,
-        labels=_labels(spheres=("S_L", "S_R"), disks=("D_L", "D_R")),
-        pairings={
-            ("D_R", "S_R"): from_term_list([[0, 1]], group, INT),
-            ("D_L", "S_L"): from_term_list([[0, 1]], group, INT),
-        },
-        disks=["D_R", "D_L"],
-    )
+    return {
+        "group": {"kind": CYCLIC, "modulus": 1}, "field": "int",
+        "labels": {"S_L": SPHERE, "S_R": SPHERE, "D_L": DISK, "D_R": DISK},
+        "pairings": [["D_R", "S_R", [[0, 1]]], ["D_L", "S_L", [[0, 1]]]],
+        "disks": ["D_R", "D_L"],
+    }
 
 
-def _cover(kind: str, coeffs: str, meridians: tuple[str, ...], m: int) -> Geometry:
+def _cover(kind: str, field: str, meridians: tuple[str, ...], m: int) -> dict:
     # m-fold cyclic cover unwinding one meridian: one chosen summand
     # carries the disk D and the parallel sphere copies S, S' (the same
     # homology class, recorded as an alias).  Unbranched, the lifted
@@ -219,28 +175,23 @@ def _cover(kind: str, coeffs: str, meridians: tuple[str, ...], m: int) -> Geomet
     # expanded, so nothing costs O(m); the lifted classes are no basis.
     if m < 1:
         raise HypothesisError(f"{kind} cover order must be >= 1, got {m}")
-    group = cyclic(m)
-    one = RingElement.one(group, coeffs)
-    return Geometry(
-        name=f"{kind}_cover",
-        group=group,
-        coeffs=coeffs,
-        labels=_labels(spheres=("S", "S_prime"), disks=("D",), meridians=meridians),
-        pairings={("D", "S"): one, ("D", "S_prime"): one, **{(mu, "D"): one for mu in meridians}},
-        disks=["D"],
-        aliases={"S_prime": "S"},
-    )
+    return {
+        "group": {"kind": CYCLIC, "modulus": m}, "field": field,
+        "labels": {"S": SPHERE, "S_prime": SPHERE, "D": DISK, **dict.fromkeys(meridians, MERIDIAN)},
+        "pairings": [["D", "S", [[0, 1]]], ["D", "S_prime", [[0, 1]]], *([mu, "D", [[0, 1]]] for mu in meridians)],
+        "disks": ["D"], "aliases": {"S_prime": "S"},
+    }
 
 
-def _cyclic_cover(m: int) -> Geometry:
-    return _cover("cyclic", INT, (), m)
+def _cyclic_cover(m: int) -> dict:
+    return _cover("cyclic", "int", (), m)
 
 
-def _branched_cover(m: int) -> Geometry:
-    return _cover("branched", F2, ("mu",), m)
+def _branched_cover(m: int) -> dict:
+    return _cover("branched", "f2", ("mu",), m)
 
 
-GEOMETRY_BUILDERS: dict[str, Callable[..., Geometry]] = {
+GEOMETRY_BUILDERS: dict[str, Callable[..., dict]] = {
     "torus_complement": _torus_complement,
     "sphere_torus_link": _sphere_torus_link,
     "genus2_complement": _genus2_complement,
@@ -259,6 +210,19 @@ def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], t
     code = entry.__code__
     required = code.co_argcount - len(entry.__defaults__ or ())
     return code.co_varnames[keyed : code.co_argcount], code.co_varnames[keyed:required]
+
+
+# Most digits an integer parameter or a genus1-hd position may have: a
+# report prints it, and the interpreter converts at most 4,300 to text.
+_MAX_DIGITS = 4000
+_TOO_MANY_DIGITS = 10**_MAX_DIGITS
+
+
+def _too_long(value: int | str) -> bool:
+    """More than _MAX_DIGITS digits?  An integer is not converted to text."""
+    if isinstance(value, str):
+        return len(value.removeprefix("-")) > _MAX_DIGITS
+    return abs(value) >= _TOO_MANY_DIGITS
 
 
 # the values each alternative of a parameter's annotation admits
@@ -280,15 +244,62 @@ def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool =
         annotation = entry.__annotations__[key]
         if not any(_KINDS[kind](value) for kind in annotation.split(" | ")):
             raise HypothesisError(f"{what} parameter {key} must be {annotation}, got {value!r}")
+        if _is_int(value) and _too_long(value):
+            raise HypothesisError(f"{what} parameter {key} has more than {_MAX_DIGITS} digits")
+
+
+_FIELD_NAMES = {"f2": F2, "int": INT}
+
+
+def _field(name) -> str:
+    wanted = _FIELD_NAMES.get(str(name).lower())
+    if wanted is None:
+        raise HypothesisError(f"unknown field {name!r}; use 'f2' or 'int'")
+    return wanted
+
+
+# Every element of Z^r is an r-tuple; on a 2-vCPU Xeon host a
+# one-barbell scenario over Z^r took under 0.01 s and 15 MB at r = 10**4
+# and 1.1 s and 244 MB at r = 10**7 (the paper's groups have rank <= 2).
+MAX_FREE_ABELIAN_RANK = 10**4
+_GROUP_SIZE = {FREE: "rank", FREE_ABELIAN: "rank", CYCLIC: "modulus"}
+
+
+def _in_field(where: str, build, *args):
+    """build(*args), where the GroupError of a deck-group value that
+    does not fit the geometry's group (a word over a missing generator,
+    an exponent vector of another rank) names the scenario field."""
+    try:
+        return build(*args)
+    except GroupError as exc:
+        raise GroupError(f"scenario field {where!r}: {exc}") from None
+
+
+def _read_geometry(spec: Mapping) -> Geometry:
+    """The geometry a description gives (deck group, field, labels, pairing
+    rows, roles and a built-in's aliases) in the shape run_scenario has
+    checked or a builder returned.  Accepted as data; nothing checks that
+    it comes from an actual embedded configuration."""
+    group_spec = spec["group"]
+    kind = group_spec["kind"]
+    size = group_spec[_GROUP_SIZE[kind]]
+    if kind == FREE_ABELIAN and size > MAX_FREE_ABELIAN_RANK:
+        raise HypothesisError(f"free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {size}")
+    group = DeckGroup(kind, size)
+    coeffs = _field(spec.get("field", "f2"))
+    pairings = {
+        (a, b): _in_field(f"geometry.pairings[{i}]", from_term_list, terms, group, coeffs)
+        for i, (a, b, terms) in enumerate(spec.get("pairings", ()))
+    }
+    return Geometry(str(spec.get("name", "custom")), group, coeffs, dict(spec["labels"]), pairings,
+                    list(spec.get("attaching") or []), list(spec.get("disks") or []), spec.get("aliases"))
 
 
 def builtin_geometry(name: str, **params) -> Geometry:
     if name not in GEOMETRY_BUILDERS:
-        raise GeometryError(
-            f"unknown geometry {name!r}; available: {', '.join(sorted(GEOMETRY_BUILDERS))}"
-        )
+        raise GeometryError(f"unknown geometry {name!r}; available: {', '.join(sorted(GEOMETRY_BUILDERS))}")
     _check_parameters(f"geometry {name}", GEOMETRY_BUILDERS[name], params)
-    return GEOMETRY_BUILDERS[name](**params)
+    return _read_geometry({"name": name, **GEOMETRY_BUILDERS[name](**params)})
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +650,9 @@ def _odd_entries(name: str, data: Mapping) -> dict[int, int]:
         if not (_is_int(key) or digits.isascii() and digits.isdecimal()) or not _is_int(c):
             raise HypothesisError(f"theorem genus1-hd parameter {name} must map integers or decimal strings "
                                   f"to JSON integers, got entry {key!r}: {c!r}")
-    try:
-        return {int(key): 1 for key, c in data.items() if c % 2}
-    except ValueError:  # more digits than the interpreter converts
-        raise HypothesisError(f"theorem genus1-hd parameter {name} has a position too long to read") from None
+    if any(map(_too_long, data)):
+        raise HypothesisError(f"theorem genus1-hd parameter {name} has a position too long to read")
+    return {int(key): 1 for key, c in data.items() if c % 2}
 
 
 def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None = None,
@@ -657,9 +667,10 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     _require(k >= m_b + m_h + 100, f"need k >= {m_b + m_h + 100}, got k={k}")
     _require(l >= m_b + m_h + m_v + 100, f"need l >= {m_b + m_h + m_v + 100}, got l={l}")
 
-    base = builtin_geometry("torus_complement")
-    row = lambda data: from_term_list(data.items(), base.group, F2)
-    geo = base.extend("phi", SPHERE, {"S_h": row(h), "S_v": row(v), "D_h": row(b)})
+    torus = _torus_complement()
+    rows = [["phi", label, data.items()] for label, data in (("S_h", h), ("S_v", v), ("D_h", b))]
+    geo = _read_geometry({**torus, "name": "torus_complement", "labels": {**torus["labels"], "phi": SPHERE},
+                          "pairings": torus["pairings"] + rows})
     # vertical barbell acts first here; the horizontal one is applied last
     moved = action_sequence(geo.basis_class("phi"), _torus_barbells(geo, k, l)[::-1])
     engine = laurent_span(equivariant_pairing(moved, "D_h"))
@@ -667,7 +678,7 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     if not h and not v:
         # the class meets no cuff, so neither barbell moves it and its
         # disk pairing is b itself: infinite when b = 0
-        branch, closed = "degenerate (span b)", laurent_span(row(b))
+        branch, closed = "degenerate (span b)", laurent_span(geo.pairing("phi", "D_h"))
     elif not v:
         branch, closed = "horizontal only (2k + span h)", 2 * k + max(h) - min(h)
     else:
@@ -974,48 +985,6 @@ def run_sweep(name: str, top: int | None = None, **params) -> Iterator[Report]:
 # expected?} as JSON-compatible structured text.
 
 
-_FIELD_NAMES = {"f2": F2, "int": INT}
-
-
-def _field(name) -> str:
-    wanted = _FIELD_NAMES.get(str(name).lower())
-    if wanted is None:
-        raise HypothesisError(f"unknown field {name!r}; use 'f2' or 'int'")
-    return wanted
-
-
-# Every element of Z^r is an r-tuple; on a 2-vCPU Xeon host a
-# one-barbell scenario over Z^r took under 0.01 s and 15 MB at r = 10**4
-# and 1.1 s and 244 MB at r = 10**7 (the paper's groups have rank <= 2).
-MAX_FREE_ABELIAN_RANK = 10**4
-
-
-def _custom_geometry(spec: Mapping) -> Geometry:
-    """An inline geometry: deck group, field, labelled spheres and
-    disks, and a serialized pairing table, in the shape run_scenario
-    has checked.  Accepted as data; nothing checks that it comes from an
-    actual embedded configuration."""
-    group_spec = spec["group"]
-    kind = group_spec["kind"]
-    size = group_spec[_GROUP_SIZE[kind]]
-    if kind == FREE_ABELIAN and size > MAX_FREE_ABELIAN_RANK:
-        raise HypothesisError(f"free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {size}")
-    group = DeckGroup(kind, size)
-    coeffs = _field(spec.get("field", "f2"))
-    entries = {}
-    for i, (a, b, terms) in enumerate(spec.get("pairings", [])):
-        entries[(a, b)] = _in_field(f"geometry.pairings[{i}]", from_term_list, terms, group, coeffs)
-    return Geometry(
-        name=str(spec.get("name", "custom")),
-        group=group,
-        coeffs=coeffs,
-        labels=dict(spec["labels"]),
-        pairings=entries,
-        attaching=list(spec.get("attaching") or []),
-        disks=list(spec.get("disks") or []),
-    )
-
-
 def _is_list(value, item=lambda _: True) -> bool:
     return isinstance(value, (list, tuple)) and all(map(item, value))
 
@@ -1037,7 +1006,6 @@ _ELEMENT = (_is_element, "an integer, a word string or a list of integers")
 # a field whose value is checked where it is read (by _field, or by the
 # inline geometry's check of its group)
 _ANY = (lambda v: True, None)
-_GROUP_SIZE = {FREE: "rank", FREE_ABELIAN: "rank", CYCLIC: "modulus"}
 # where -> ({field: (check, what the field must be)}, required fields);
 # a field that is not listed is refused, unless "*" lists every other
 _SCHEMA = {
@@ -1102,16 +1070,6 @@ def _check(where: str, data: Mapping, required=()):
             raise HypothesisError(f"{where} field {name!r} must be {wanted}, got {value!r}")
 
 
-def _in_field(where: str, build, *args):
-    """build(*args), where the GroupError of a deck-group value that
-    does not fit the geometry's group (a word over a missing generator,
-    an exponent vector of another rank) names the scenario field."""
-    try:
-        return build(*args)
-    except GroupError as exc:
-        raise GroupError(f"scenario field {where!r}: {exc}") from None
-
-
 def run_scenario(data: Mapping) -> Report:
     """The scenario's report.  Its schema is checked before anything is
     built: a field of the wrong shape is a HypothesisError that names it.
@@ -1128,7 +1086,7 @@ def run_scenario(data: Mapping) -> Report:
     if "labels" in geometry:
         _check("inline geometry", geometry)
         _check("group", geometry["group"], (_GROUP_SIZE[geometry["group"]["kind"]],))
-        geo = _custom_geometry(geometry)
+        geo = _read_geometry(geometry)
     else:
         _check("geometry", geometry)
         geo = builtin_geometry(**geometry)

@@ -37,12 +37,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from barbellcalc.deckgroup import (
+    CYCLIC,
     FREE,
     FREE_ABELIAN,
     DeckElement,
     DeckGroup,
     GroupError,
-    cyclic,
     format_element,
     free_abelian,
     reduce_letters,
@@ -140,7 +140,7 @@ def cyclic_project(word: DeckElement, weights: Sequence[int], m: int) -> DeckEle
     survive the quotient defining the cyclic cover."""
     if m < 1:
         raise GroupError(f"modulus must be >= 1, got {m}")
-    target = cyclic(m)
+    target = DeckGroup(CYCLIC, m)
     if word.group.kind == FREE:
         total = sum(weights[g - 1] * e for g, e in word.value)
     elif word.group.kind == FREE_ABELIAN:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from barbellcalc.deckgroup import DeckElement, brunnian_word, cyclic
+from barbellcalc.deckgroup import CYCLIC, DeckElement, DeckGroup, brunnian_word
 from barbellcalc.equivariant import (
     BarbellSpec,
     EquivClass,
@@ -208,7 +208,7 @@ def test_criterion_10_per_lift_oracle():
 
     def random_geometry(m, coeffs):
         labels = {**dict.fromkeys(("A", "B", "C1", "C2"), SPHERE), "P": DISK}
-        group = cyclic(m)
+        group = DeckGroup(CYCLIC, m)
 
         def poly():
             support = rng.sample(range(m), rng.randint(0, min(3, m)))

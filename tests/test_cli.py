@@ -545,6 +545,10 @@ def _inline(fields):
         ('{"geometry": {"name": "sphere_torus_link", "n": 2}, '
          f'"barbells": [{{"cuff1": "S_h", "cuff2": "S_h", "offset": "x{"1" * 5000}"}}]}}',
          "field 'barbells[0].offset': cannot parse a letter of 5001 characters"),
+        # a residue string past the digit limit was called no integer residue, echoed whole
+        ('{"geometry": {"name": "cyclic_cover", "m": 7}, '
+         f'"barbells": [{{"cuff1": "S_prime", "cuff2": "S", "holonomy": "{"9" * 5000}"}}]}}',
+         "field 'barbells[0].holonomy': cannot parse a residue of 5000 characters: a number is too long"),
     ],
     ids=["short-signs", "top-level-list", "infinite-holonomy", "string-genus", "bare-matrix-entry", "missing-cuff2",
          "inline-label-list", "inline-missing-group", "inline-missing-rank", "inline-string-rank",
@@ -555,7 +559,8 @@ def _inline(fields):
          "deep-nesting", "inline-null-roles", "newline-label", "return-label", "separator-label",
          "misspelt-expected", "misspelt-dim", "misspelt-iterate", "misspelt-pairings", "misspelt-modulus",
          "list-kind", "dim-on-1x2", "dim-over-z", "dim-over-free-group", "sphere-as-disk", "disk-as-sphere",
-         "attaching-twice", "disk-twice", "inline-disk-as-attaching", "long-exponent", "long-generator"],
+         "attaching-twice", "disk-twice", "inline-disk-as-attaching", "long-exponent", "long-generator",
+         "long-residue"],
 )
 def test_ill_typed_scenarios_name_their_field(text, field, tmp_path, capsys):
     # each of these used to end in a traceback or a bare Python message, or was accepted
@@ -1153,6 +1158,13 @@ def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
         ({"k": 100, "l": 100, "h": {"1" * 5000: 1}}, "theorem genus1-hd parameter h has a position too long to read"),
         ({"k": 100, "l": 100, "b": {"-" + "7" * 5000: 1}},
          "theorem genus1-hd parameter b has a position too long to read"),
+        # an integer of more than 4,000 digits: the interpreter's digit-limit message, naming nothing
+        ({"k": 100, "l": 100, "h": {10**5000: 1}}, "theorem genus1-hd parameter h has a position too long to read"),
+        ({"k": 100, "l": 100, "v": {-(10**4000): 1}}, "theorem genus1-hd parameter v has a position too long to read"),
+        ({"k": int("9" * 4300), "l": 1}, "theorem morsesimple-s3 parameter k has more than 4000 digits"),
+        ({"m": 10, "k": int("9" * 4300)}, "theorem less-simple parameter k has more than 4000 digits"),
+        ({"m": -(10**4000)}, "geometry cyclic_cover parameter m has more than 4000 digits"),
+        ({"top": 10**4000}, "sweep morsesimple parameter top has more than 4000 digits"),
     ],
 )
 def test_library_call_names_the_theorem_and_its_parameters(call, message):
@@ -1163,6 +1175,17 @@ def test_library_call_names_the_theorem_and_its_parameters(call, message):
     with pytest.raises(HypothesisError) as info:
         run(name, **call)
     assert str(info.value) == message
+
+
+def test_parameters_of_up_to_4000_digits_are_read():
+    from barbellcalc.scenarios import render_table, run_theorem
+
+    k = 10**4000 - 1
+    report = run_theorem("morsesimple-s3", k=k, l=1)
+    assert report.passed and report.computed["dim"] == 2 * k + 4
+    assert f"k={k}" in render_table(report)
+    # positions of 4,000 digits, as a decimal string and as an integer
+    assert run_theorem("genus1-hd", k=k, l=k, h={str(-(10**3999)): 1}, v={10**3999: 1}).passed
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from barbellcalc import deckgroup
 from barbellcalc.deckgroup import (
+    CYCLIC,
     FREE,
     _LETTER_TABLE_BOUND,
     _LETTERS,
@@ -18,7 +19,6 @@ from barbellcalc.deckgroup import (
     GroupError,
     brunnian_word,
     commutator,
-    cyclic,
     element_from_json,
     element_to_json,
     format_element,
@@ -110,7 +110,7 @@ def test_multiply_inverse_is_identity():
 
 
 def test_cyclic_multiplication_mod_5():
-    g = cyclic(5)
+    g = DeckGroup(CYCLIC, 5)
     assert DeckElement(g, 3).mul(DeckElement(g, 4)) == DeckElement(g, 2)
 
 
@@ -140,7 +140,7 @@ def test_free_abelian_and_cyclic_inverses(letters):
         vec[gen - 1] += exp
     a = DeckElement(za, tuple(vec))
     assert a.mul(a.inv()).is_identity()
-    zc = cyclic(7)
+    zc = DeckGroup(CYCLIC, 7)
     c = DeckElement(zc, sum(e for _, e in letters) % 7)
     assert c.mul(c.inv()).is_identity()
 
@@ -254,17 +254,18 @@ def test_equal_vectors_and_residues_are_equal_and_hash_equal_however_built(vec, 
     ])
     # residues below and beyond 2**61 - 1, where hash(r) != r
     m = 2**71
-    c = DeckElement(cyclic(m), r)
-    assert_all_equal([c, element_from_json(r, cyclic(m)), c.pow(3).mul(c.pow(-2)), parse_word(str(r), cyclic(m))])
+    zm = DeckGroup(CYCLIC, m)
+    c = DeckElement(zm, r)
+    assert_all_equal([c, element_from_json(r, zm), c.pow(3).mul(c.pow(-2)), parse_word(str(r), zm)])
 
 
 def test_values_of_different_groups_differ():
-    assert DeckElement(cyclic(5), 1) != DeckElement(cyclic(7), 1)
+    assert DeckElement(DeckGroup(CYCLIC, 5), 1) != DeckElement(DeckGroup(CYCLIC, 7), 1)
     assert free_group(2).identity() != free_group(3).identity()
-    assert free_group(2) != free_abelian(2) and free_group(2) != cyclic(2)
-    assert DeckElement(cyclic(5), 1) != 1 and free_group(2) != "free"
+    assert free_group(2) != free_abelian(2) and free_group(2) != DeckGroup(CYCLIC, 2)
+    assert DeckElement(DeckGroup(CYCLIC, 5), 1) != 1 and free_group(2) != "free"
     with pytest.raises(GroupError, match="cannot multiply across groups"):
-        DeckElement(cyclic(5), 1).mul(DeckElement(cyclic(7), 1))
+        DeckElement(DeckGroup(CYCLIC, 5), 1).mul(DeckElement(DeckGroup(CYCLIC, 7), 1))
 
 
 def test_values_are_slotted_and_frozen():
@@ -299,7 +300,7 @@ def test_free_abelian_power_matches_repeated_product(vec, k):
 
 @given(st.integers(1, 12), st.integers(0, 11), EXPONENTS)
 def test_cyclic_power_matches_repeated_product(m, r, k):
-    x = DeckElement(cyclic(m), r % m)
+    x = DeckElement(DeckGroup(CYCLIC, m), r % m)
     assert x.pow(k) == slow_pow(x, k)
     assert x.pow(-k) == x.pow(k).inv()
 
@@ -318,7 +319,7 @@ def test_word_power_is_capped_before_it_is_built():
             w.pow(k)
     # only words are capped: other kinds have fixed-size values
     assert DeckElement(free_abelian(2), (1, 2)).pow(10**12).value == (10**12, 2 * 10**12)
-    assert DeckElement(cyclic(7), 3).pow(10**12).value == 3 * 10**12 % 7
+    assert DeckElement(DeckGroup(CYCLIC, 7), 3).pow(10**12).value == 3 * 10**12 % 7
 
 
 # A word's two ends decide how pow builds it: copies of a word whose
@@ -433,12 +434,12 @@ def test_vector_operations_return_canonical_vectors(vectors, k):
 def test_residue_operations_return_canonical_residues(residues, k):
     # residues beyond 2**61 - 1 hash differently from their value
     m, r, s = residues
-    check_operations(DeckElement(cyclic(m), r), DeckElement(cyclic(m), s), k)
+    check_operations(DeckElement(DeckGroup(CYCLIC, m), r), DeckElement(DeckGroup(CYCLIC, m), s), k)
 
 
 @given(REDUCED, st.lists(st.integers(-3, 3), min_size=2, max_size=2), st.integers(-12, 12))
 def test_is_identity_agrees_with_comparing_to_the_identity(letters, vec, r):
-    for group, value in ((F3, letters), (free_abelian(2), tuple(vec)), (cyclic(5), r % 5)):
+    for group, value in ((F3, letters), (free_abelian(2), tuple(vec)), (DeckGroup(CYCLIC, 5), r % 5)):
         x = DeckElement(group, value)
         for elt in (x, x.mul(x.inv()), group.identity()):
             assert elt.is_identity() == (elt == group.identity())
@@ -459,9 +460,9 @@ def test_public_constructor_refuses_non_canonical_values():
         DeckElement(free_abelian(3), (1, 2))
     for residue in (5, -1):
         with pytest.raises(GroupError, match="not normalized mod 5"):
-            DeckElement(cyclic(5), residue)
+            DeckElement(DeckGroup(CYCLIC, 5), residue)
     with pytest.raises(GroupError, match="not normalized"):
-        DeckElement(cyclic(2**70), 2**70)
+        DeckElement(DeckGroup(CYCLIC, 2**70), 2**70)
 
 
 # -- brunnian words -------------------------------------------------------------

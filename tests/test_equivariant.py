@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import DeckElement, cyclic, free_abelian, free_group, reduce_letters
+from barbellcalc.deckgroup import CYCLIC, DeckElement, DeckGroup, free_abelian, free_group, reduce_letters
 from barbellcalc.equivariant import (
     DISK,
     MERIDIAN,
@@ -37,6 +37,13 @@ def t_elt(geo, i):
 
 def tpoly(geo, powers):
     return RingElement(geo.group, geo.coeffs, {t_elt(geo, e): c for e, c in powers.items()})
+
+
+def with_generator(geo, name, kind, rows):
+    """geo with one more generator, name, and its pairing rows (name, other)."""
+    pairings = {**geo.pairings, **{(name, other): row for other, row in rows.items()}}
+    return Geometry(geo.name, geo.group, geo.coeffs, {**geo.labels, name: kind}, pairings,
+                    geo.attaching, geo.disks, geo.aliases)
 
 
 def cls(geo, *terms):
@@ -343,11 +350,11 @@ def test_crossing_cuffs_are_refused(cuff1, cuff2):
 
 def test_a_self_intersecting_cuff_is_refused():
     base = builtin_geometry("genus2_complement")
-    geo = base.extend("T", SPHERE, {"T": tpoly(base, {1: 2})})
+    geo = with_generator(base, "T", SPHERE, {"T": tpoly(base, {1: 2})})
     with pytest.raises(GeometryError, match=r"cuffs S_h_1 and T are not disjoint: P\[T,T\] = 2t is nonzero"):
         barbell_action(geo.basis_class("S_v_1"), BarbellSpec("S_h_1", "T", geo.identity()))
     # stored zero entries are no intersection
-    geo = base.extend("Z", SPHERE, {"Z": tpoly(base, {}), "S_h_1": tpoly(base, {})})
+    geo = with_generator(base, "Z", SPHERE, {"Z": tpoly(base, {}), "S_h_1": tpoly(base, {})})
     moved = barbell_action(geo.basis_class("S_v_1"), BarbellSpec("S_h_1", "Z", geo.identity(), iterate=-2))
     assert moved == cls(geo, ("S_v_1", 0, 1), ("Z", 0, -2), ("Z", -1, 2))
 
@@ -444,7 +451,7 @@ def test_meridian_row_is_never_expanded():
 
 
 def test_meridian_row_is_stored_as_its_augmentation():
-    group = cyclic(5)
+    group = DeckGroup(CYCLIC, 5)
     labels = {"mu": MERIDIAN, "D": DISK}
     row = RingElement(group, F2, {DeckElement(group, 0): 1, DeckElement(group, 1): 1})
     with pytest.raises(GeometryError, match=r"meridian row \(mu, D\) must be stored as its augmentation"):
@@ -472,8 +479,8 @@ REFUSED_VALUES = [
     (Geometry, ("z", Z1, F2, {"T": "torus"}, {}), GeometryError, "label T has unknown generator kind"),
     (Geometry, ("z", Z1, F2, {"S": SPHERE}, {("S", "X"): _one(Z1)}), GeometryError, "undeclared label"),
     (Geometry, ("z", Z1, F2, {"D": DISK, "E": DISK}, {("D", "E"): _one(Z1)}), GeometryError, "disk-disk"),
-    (Geometry, ("z", cyclic(3), F2, {"mu": MERIDIAN, "D": DISK},
-                {("mu", "D"): RingElement(cyclic(3), F2, {DeckElement(cyclic(3), 1): 1})}),
+    (Geometry, ("z", DeckGroup(CYCLIC, 3), F2, {"mu": MERIDIAN, "D": DISK},
+                {("mu", "D"): RingElement(DeckGroup(CYCLIC, 3), F2, {DeckElement(DeckGroup(CYCLIC, 3), 1): 1})}),
      GeometryError, "stored as its augmentation"),
     (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, ["S", "T"]), GeometryError, "role label T is not declared"),
     (Geometry, ("z", Z1, F2, {"D": DISK}, {}, [], ["E"]), GeometryError, "role label E is not declared"),
@@ -524,7 +531,7 @@ def extended_geometry():
         "D_v": RingElement(geo.group, F2, {x1: 1, x1.mul(x2): 1, x2.pow(-2): 1}),
         "S_h": RingElement(geo.group, F2, {geo.identity(): 1, x2.mul(x1.inv()): 1}),
     }
-    return geo.extend("X", SPHERE, rows)
+    return with_generator(geo, "X", SPHERE, rows)
 
 
 TABLE_GEOMETRIES = {
@@ -570,7 +577,7 @@ def test_a_class_term_on_an_undeclared_label_or_a_foreign_group_is_refused():
     with pytest.raises(GeometryError, match="unknown label 'S_w' in geometry torus_complement"):
         EquivClass(geo, {("S_v", geo.identity()): 1, ("S_w", geo.identity()): 1})
     with pytest.raises(GeometryError, match="deck element from the wrong group"):
-        EquivClass(geo, {("S_v", DeckElement(cyclic(3), 1)): 1})
+        EquivClass(geo, {("S_v", DeckElement(DeckGroup(CYCLIC, 3), 1)): 1})
     # an equal group built separately is the same group
     again = DeckElement(free_abelian(1), (2,))
     assert again.group is not geo.group
@@ -631,7 +638,7 @@ def test_membership_over_z_takes_no_kernel_generators_or_probes(extra):
     geo = builtin_geometry("cyclic_cover", m=205)
     probes = [geo.basis_class("S", t_elt(geo, 3))]
     if extra == "kernel_gens":
-        geo, probes = geo.extend("mu", MERIDIAN, {}), []
+        geo, probes = with_generator(geo, "mu", MERIDIAN, {}), []
     x = cls(geo, ("D", 0, 1), ("S", 3, 1))
     with pytest.raises(GeometryError, match="over Z"):
         summand_membership(x, identity_summand(geo, ["D"]), probes=probes)
@@ -644,7 +651,7 @@ def test_an_unknown_generator_kind_is_refused_by_name():
 
 def with_second_meridian(geo):
     """The branched cover with a second meridian nu, pairing 1 with D."""
-    return geo.extend("nu", MERIDIAN, {"D": RingElement.one(geo.group, geo.coeffs)})
+    return with_generator(geo, "nu", MERIDIAN, {"D": RingElement.one(geo.group, geo.coeffs)})
 
 
 MEMBERSHIP_GEOMETRIES = {
@@ -737,7 +744,7 @@ def random_cyclic_geometry(rng, m, coeffs):
     """A finite cyclic cover with barbell cuff labels A, B, bystander
     spheres C1, C2, and a probe disk; cuff-vs-cuff pairings vanish, as
     they do for genuinely disjoint embedded cuffs."""
-    group = cyclic(m)
+    group = DeckGroup(CYCLIC, m)
     labels = {**dict.fromkeys(("A", "B", "C1", "C2"), SPHERE), "P": DISK}
 
     def random_poly():
@@ -864,7 +871,7 @@ def test_action_and_pairing_are_natural_under_cyclic_covering_maps(coeffs, data)
     m = data.draw(st.integers(1, 9))
     weights = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
     project = partial(cyclic_project, weights=weights, m=m)
-    pushed = push_geometry(geo, project, cyclic(m))
+    pushed = push_geometry(geo, project, DeckGroup(CYCLIC, m))
 
     cuff1, cuff2 = data.draw(st.sampled_from(disjoint_cuff_pairs(geo)))
     sign = st.sampled_from((1, -1))
@@ -923,7 +930,7 @@ def ring_elements(group, coeffs):
 
 
 @pytest.mark.parametrize("coeffs", [F2, INT])
-@pytest.mark.parametrize("group", [free_group(3), Z1, cyclic(6)], ids=repr)
+@pytest.mark.parametrize("group", [free_group(3), Z1, DeckGroup(CYCLIC, 6)], ids=repr)
 @given(data=st.data())
 def test_ring_operations_build_what_the_checking_constructor_builds(group, coeffs, data):
     a, b = data.draw(ring_elements(group, coeffs)), data.draw(ring_elements(group, coeffs))

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import (
+    CYCLIC,
     DeckElement,
+    DeckGroup,
     brunnian_word,
-    cyclic,
     free_abelian,
     free_group,
     reduce_letters,
@@ -103,7 +104,7 @@ def test_a_term_from_a_foreign_group_is_refused():
 
 def test_ring_axioms_on_random_triples():
     rng = random.Random(11)
-    for group in (F2GRP, Z2, cyclic(6)):
+    for group in (F2GRP, Z2, DeckGroup(CYCLIC, 6)):
         for coeffs in (F2, INT):
             for _ in range(1000):
                 a = random_element(rng, group, coeffs)
@@ -133,7 +134,7 @@ def test_identity_maps_to_one_under_any_hom():
     one = RingElement.one(F3GRP, F2)
     assert apply_hom(one, Z2, partial(brunnian_coordinates, n=3)) == RingElement.one(Z2, F2)
     cyc = partial(cyclic_project, weights=(1, 1, 1), m=5)
-    assert apply_hom(one, cyclic(5), cyc) == RingElement.one(cyclic(5), F2)
+    assert apply_hom(one, DeckGroup(CYCLIC, 5), cyc) == RingElement.one(DeckGroup(CYCLIC, 5), F2)
 
 
 def test_brunnian_coordinates_of_relator():
@@ -182,7 +183,7 @@ def test_homs_are_multiplicative_on_their_domains():
         return out
 
     hom = partial(apply_hom, target=Z2, image=partial(brunnian_coordinates, n=n))
-    cyc = partial(apply_hom, target=cyclic(7), image=partial(cyclic_project, weights=(1, 2, 3), m=7))
+    cyc = partial(apply_hom, target=DeckGroup(CYCLIC, 7), image=partial(cyclic_project, weights=(1, 2, 3), m=7))
     for _ in range(200):
         terms_a = {random_subgroup_element(): 1 for _ in range(rng.randint(1, 3))}
         terms_b = {random_subgroup_element(): 1 for _ in range(rng.randint(1, 3))}
@@ -296,7 +297,7 @@ def test_render_integer_signs():
 
 def test_term_list_round_trip():
     rng = random.Random(9)
-    for group in (F2GRP, Z1, Z2, cyclic(5)):
+    for group in (F2GRP, Z1, Z2, DeckGroup(CYCLIC, 5)):
         for coeffs in (F2, INT):
             elem = random_element(rng, group, coeffs, size=6)
             assert from_term_list(to_term_list(elem), group, coeffs) == elem

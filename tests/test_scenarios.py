@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import GroupError, free_group
-from barbellcalc.equivariant import MERIDIAN
+from barbellcalc.equivariant import MERIDIAN, SPHERE
 from barbellcalc.groupring import to_term_list
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
@@ -710,6 +710,52 @@ def test_scenario_with_inline_custom_geometry():
     }
     report = run_scenario(payload)
     assert report.passed and report.computed["dim"] == 6
+
+
+# Each built-in whose description the inline schema admits (no meridian
+# label, no alias), its parameters, and barbells that move its classes.
+INLINE_BUILTINS = {
+    "torus_complement": ({}, [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": [2]},
+                              {"cuff1": "S_v", "cuff2": "S_v", "holonomy": [3]}], {}),
+    "sphere_torus_link": ({"n": 3}, [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": "x1 x2^-1 x3"}], {}),
+    "genus2_complement": ({}, [{"cuff1": "S_h_1", "cuff2": "S_h_2", "iterate": 3}], {}),
+    "genus_g_complement": ({"g": 3}, [{"cuff1": "S_h_1", "cuff2": "S_h_3", "iterate": -2}], {}),
+    "circles_complement": ({}, [{"cuff1": "S_L", "cuff2": "S_R", "iterate": 2}], {"attaching": ["S_L", "S_R"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_BUILTINS))
+def test_a_builtin_written_inline_computes_what_its_name_does(name):
+    params, barbells, roles = INLINE_BUILTINS[name]
+    description = json.loads(json.dumps(GEOMETRY_BUILDERS[name](**params)))  # plain JSON
+    by_name = run_scenario({"geometry": {"name": name, **params}, "barbells": barbells, **roles})
+    inline = run_scenario({"geometry": description, "barbells": barbells, **roles})
+    assert inline.computed == by_name.computed and inline.passed
+
+
+@pytest.mark.parametrize("name,field", [("cyclic_cover", "field 'aliases' is unknown"),
+                                        ("branched_cover", "field 'labels' must be")])
+def test_the_inline_schema_refuses_what_only_builtins_use(name, field):
+    # an alias and a meridian label are read for the built-ins, never from a file
+    with pytest.raises(HypothesisError, match=field):
+        run_scenario({"geometry": json.loads(json.dumps(GEOMETRY_BUILDERS[name](7))), "barbells": []})
+
+
+def test_genus1_hd_builds_the_torus_table_plus_phi_once(monkeypatch):
+    from barbellcalc import scenarios
+
+    built = []
+    real = scenarios._read_geometry
+    monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: built.append(real(spec)) or built[-1])
+    assert run_theorem("genus1-hd", k=300, l=400, h={1: 1, -2: 3, 4: 2}, v={"5": 1}, b={"3": -1}).passed
+    [geo] = built
+    table = {pair: to_term_list(elem) for pair, elem in geo.pairings.items()}
+    rows = {("phi", "S_h"): [[[-2], 1], [[1], 1]], ("phi", "S_v"): [[[5], 1]], ("phi", "D_h"): [[[3], 1]]}
+    assert table == {**GOLDEN_TABLES["torus_complement"], **rows}
+    torus = builtin_geometry("torus_complement")
+    assert geo.labels == {**torus.labels, "phi": SPHERE}
+    fields = lambda g: [g.name, g.group, g.coeffs, g.attaching, g.disks, g.aliases]
+    assert fields(geo) == fields(torus)
 
 
 def test_inline_cyclic_holonomy_must_be_a_residue():
