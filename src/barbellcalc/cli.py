@@ -9,11 +9,14 @@ exception is a fault and keeps its traceback.  The CLI has no parameter
 or sweep rule of its own: it hands the flags it was given to
 run_theorem or run_sweep, which refuse a missing or unexpected one, or a
 sweep size out of range, with the HypothesisError a library call gets
-(builtin_geometry makes the same check).  Output is byte-deterministic
-for fixed arguments (every term order is sorted); sweeps run in
-process, one job after another in grid order, and each report's line is
-written as the sweep yields it.  If the reader closes the output before
-all of it is written (`| head`), the run exits 1 without a traceback.
+(builtin_geometry makes the same check).  It applies one limit of the
+package's, _MAX_DIGITS, before a number is read: an integer flag of
+more digits is refused by its name, and a scenario file's integer of
+more digits by the file's name.  Output is byte-deterministic for fixed
+arguments (every term order is sorted); sweeps run in process, one job
+after another in grid order, and each report's line is written as the
+sweep yields it.  If the reader closes the output before all of it is
+written (`| head`), the run exits 1 without a traceback.
 
 One command table, no argparse: `_COMMANDS` gives each command's
 positional, options, help line and runner, and `_parse` reads a line by
@@ -34,9 +37,12 @@ from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 
 from .scenarios import (
+    _MAX_DIGITS,
     GEOMETRY_BUILDERS,
     THEOREMS,
     HypothesisError,
+    _echo,
+    _too_long,
     render_machine,
     render_table,
     run_scenario,
@@ -106,9 +112,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    def read_int(digits: str) -> int:
+        # json.load's reading of each integer, refusing one the package could not report
+        if _too_long(digits):
+            raise HypothesisError(f"scenario file {args.file} has an integer of more than {_MAX_DIGITS} digits")
+        return int(digits)
+
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=read_int)
         report = run_scenario(data)
         text = _RENDER[args.format](report)
     except RecursionError:
@@ -191,10 +203,12 @@ def _parse(table: dict, argv: list[str]) -> tuple[str | None, SimpleNamespace | 
                 if i == len(argv) or argv[i] == "--" or _option(argv[i], names):
                     raise ValueError(f"--{name} takes one value")
                 value, i = argv[i], i + 1
+            if kind is int and _too_long(value) and value.removeprefix("-").isdecimal():
+                raise ValueError(f"parameter {name} has more than {_MAX_DIGITS} digits")
             try:
                 values[name] = kind[kind.index(value)] if type(kind) is tuple else kind(value)
             except ValueError:
-                raise ValueError(f"--{name}: {value!r} is not {'an int' if kind is int else ' or '.join(kind)}")
+                raise ValueError(f"--{name}: {_echo(value)} is not {'an int' if kind is int else ' or '.join(kind)}")
     if command is None or slot and slot not in values:
         raise ValueError(f"{command}: the {slot} is required" if command else "a command is required")
     if late:

@@ -74,7 +74,8 @@ class Geometry:
     """A cover's computational data: deck group, coefficients, labelled
     generators, the equivariant pairing table, and the handle roles
     (which spheres are attaching spheres, which disks are belt-sphere
-    disks).
+    disks).  The roles are checked here, once: each names a declared
+    label of its kind, and no label is listed twice in one role.
 
     pairings holds P[a,b] for the stored direction; the reverse pairing
     is derived by the involution g -> g^-1 (the intersection form on
@@ -107,9 +108,16 @@ class Geometry:
                 raise GeometryError("disk-disk pairings are not part of the data")
             if self._meridian(a, b) and any(not g.is_identity() for g in elem.terms):
                 raise GeometryError(f"meridian row ({a}, {b}) must be stored as its augmentation, got {render(elem)}")
-        for label in self.attaching + self.disks:
-            if label not in labels:
-                raise GeometryError(f"role label {label} is not declared")
+        for role, names, kind in (("attaching", self.attaching, SPHERE), ("belt disk", self.disks, DISK)):
+            seen = set()
+            for label in names:
+                if label not in labels:
+                    raise GeometryError(f"role label {label} is not declared")
+                if labels[label] != kind:
+                    raise GeometryError(f"{role} label {label} is a {labels[label]}, not a {kind}")
+                if label in seen:
+                    raise GeometryError(f"{role} label {label} is listed twice")
+                seen.add(label)
         if self.meridians() and group.kind != CYCLIC:
             raise GeometryError(f"geometry {name}: meridians need a cyclic deck group, not {group!r}")
         self._rows = {(b, a): elem.reverse() for (a, b), elem in pairings.items()}

@@ -5,8 +5,11 @@ The handle data of a geometry (attaching spheres of 3-handles, belt
 disks of 2-handles) turns a barbell scenario into a presentation matrix
 over the deck group ring, kept as its list of rows: rows[r][s] is the
 equivariant intersection polynomial of the barbell-acted attaching
-sphere s against disk r.  The invariants read the shape from the rows
-and the coefficient ring from an entry.
+sphere s against disk r.  The roles are the geometry's own, set in the
+description it is read from and checked when it is built, and
+present_from_scenario, which takes only a geometry and its barbells, is
+the one function that builds a matrix.  The invariants read the shape
+from the rows and the coefficient ring from an entry.
 Heegaard-genus-1 scenarios give the 1x1 matrix (f); the genus-2 family
 gives a zero-diagonal 2x2 over Z[t, t^-1].
 
@@ -26,7 +29,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 from .deckgroup import FREE, DeckElement, _canonical, free_abelian
-from .equivariant import DISK, SPHERE, BarbellSpec, Geometry, action_sequence, equivariant_pairing
+from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
 from .groupring import (
     F2,
     RingElement,
@@ -39,35 +42,19 @@ class PresentationError(ValueError):
     """Matrix shape or ring outside an operation's domain."""
 
 
-def present_from_scenario(
-    geometry: Geometry,
-    barbells: list[BarbellSpec],
-    attaching: list[str] | None = None,
-    disks: list[str] | None = None,
-) -> list[list[RingElement]]:
+def present_from_scenario(geometry: Geometry, barbells: list[BarbellSpec]) -> list[list[RingElement]]:
     """Presentation of pi_2 (tensored with the geometry's coefficients)
-    for the complement built from the handle roles (the geometry's own
-    unless attaching or disks overrides them): push each attaching sphere
+    for the complement built from the geometry's handle roles, which
+    Geometry checked when it was built: push each attaching sphere
     through the barbell actions, then pair against each belt disk, one
     sphere at a time.  The matrix is its rows: rows[r][s] pairs
-    attaching sphere s with disk r.  A role that names a label of
-    another kind, or one label twice, is refused before a barbell acts."""
-    attaching = attaching if attaching is not None else geometry.attaching
-    disks = disks if disks is not None else geometry.disks
-    if not attaching or not disks:
+    attaching sphere s with disk r."""
+    if not geometry.attaching or not geometry.disks:
         raise PresentationError("scenario needs attaching spheres and belt disks")
-    for role, names, kind in (("attaching", attaching, SPHERE), ("belt disk", disks, DISK)):
-        seen = set()
-        for name in names:
-            if geometry.label(name) != kind:
-                raise PresentationError(f"{role} label {name} is a {geometry.labels[name]}, not a {kind}")
-            if name in seen:
-                raise PresentationError(f"{role} label {name} is listed twice")
-            seen.add(name)
     columns = []
-    for name in attaching:
+    for name in geometry.attaching:
         moved = action_sequence(geometry.basis_class(name), barbells)
-        columns.append([equivariant_pairing(moved, d) for d in disks])
+        columns.append([equivariant_pairing(moved, d) for d in geometry.disks])
     return [list(row) for row in zip(*columns)]
 
 

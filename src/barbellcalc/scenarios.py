@@ -10,11 +10,14 @@ cyclic and branched cyclic covers (one builder, `_cover`); the
 higher-dimensional torus analogue has the torus complement's pairing
 data and runs on it.  A builder returns its cover's description in the
 inline form of a scenario file, and one reader, `_read_geometry`, builds
-every Geometry.  Each theorem runner drives the barbell engine through
-one argument, compares against the closed-form value when there
-is one, and returns what it computed and its verdict; hypothesis bounds
-(winding numbers >= 1, cover order m large enough) are enforced up
-front.  The six cover arguments share one disk move (`_move`), one
+every Geometry; a scenario file's own attaching spheres and belt disks
+replace the roles in the description before it is read, so the roles
+are checked once, by Geometry.  Every presentation matrix, genus1-hd's
+included, comes from `present_from_scenario`.  Each theorem runner
+drives the barbell engine through one argument, compares against the
+closed-form value when there is one, and returns what it computed and
+its verdict; hypothesis bounds (winding numbers >= 1, cover order m
+large enough) are enforced up front.  The six cover arguments share one disk move (`_move`), one
 report of the moved class (`_class_fields`) and one summand test
 (`_in_identity_summand`).  `THEOREMS` maps each reproduction's name to
 its runner and `SWEEPS` each sweep's name to its parameter grid;
@@ -28,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import reprlib
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
 from operator import itemgetter
@@ -53,7 +57,6 @@ from .equivariant import (
     GeometryError,
     _is_int,
     action_sequence,
-    equivariant_pairing,
     pair_classes,
     render_class,
     summand_membership,
@@ -225,6 +228,17 @@ def _too_long(value: int | str) -> bool:
     return abs(value) >= _TOO_MANY_DIGITS
 
 
+class _Echo(reprlib.Repr):
+    """repr for quoting a refused value: bounded in length and depth, and
+    an integer of more than _MAX_DIGITS digits is never converted to text."""
+
+    def repr_int(self, value, level):
+        return f"<integer of more than {_MAX_DIGITS} digits>" if _too_long(value) else super().repr_int(value, level)
+
+
+_echo = _Echo().repr
+
+
 # the values each alternative of a parameter's annotation admits
 _KINDS = {"int": _is_int, "Mapping": lambda v: isinstance(v, Mapping), "None": lambda v: v is None}
 
@@ -243,7 +257,7 @@ def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool =
     for key, value in params.items():
         annotation = entry.__annotations__[key]
         if not any(_KINDS[kind](value) for kind in annotation.split(" | ")):
-            raise HypothesisError(f"{what} parameter {key} must be {annotation}, got {value!r}")
+            raise HypothesisError(f"{what} parameter {key} must be {annotation}, got {_echo(value)}")
         if _is_int(value) and _too_long(value):
             raise HypothesisError(f"{what} parameter {key} has more than {_MAX_DIGITS} digits")
 
@@ -252,9 +266,9 @@ _FIELD_NAMES = {"f2": F2, "int": INT}
 
 
 def _field(name) -> str:
-    wanted = _FIELD_NAMES.get(str(name).lower())
+    wanted = _FIELD_NAMES.get(name.lower()) if isinstance(name, str) else None
     if wanted is None:
-        raise HypothesisError(f"unknown field {name!r}; use 'f2' or 'int'")
+        raise HypothesisError(f"unknown field {_echo(name)}; use 'f2' or 'int'")
     return wanted
 
 
@@ -284,7 +298,7 @@ def _read_geometry(spec: Mapping) -> Geometry:
     kind = group_spec["kind"]
     size = group_spec[_GROUP_SIZE[kind]]
     if kind == FREE_ABELIAN and size > MAX_FREE_ABELIAN_RANK:
-        raise HypothesisError(f"free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {size}")
+        raise HypothesisError(f"free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {_echo(size)}")
     group = DeckGroup(kind, size)
     coeffs = _field(spec.get("field", "f2"))
     pairings = {
@@ -295,11 +309,16 @@ def _read_geometry(spec: Mapping) -> Geometry:
                     list(spec.get("attaching") or []), list(spec.get("disks") or []), spec.get("aliases"))
 
 
-def builtin_geometry(name: str, **params) -> Geometry:
-    if name not in GEOMETRY_BUILDERS:
-        raise GeometryError(f"unknown geometry {name!r}; available: {', '.join(sorted(GEOMETRY_BUILDERS))}")
+def _builtin_description(name, params: Mapping) -> dict:
+    """The named built-in's description, its name and parameters checked."""
+    if not isinstance(name, str) or name not in GEOMETRY_BUILDERS:
+        raise GeometryError(f"unknown geometry {_echo(name)}; available: {', '.join(sorted(GEOMETRY_BUILDERS))}")
     _check_parameters(f"geometry {name}", GEOMETRY_BUILDERS[name], params)
-    return _read_geometry({"name": name, **GEOMETRY_BUILDERS[name](**params)})
+    return {"name": name, **GEOMETRY_BUILDERS[name](**params)}
+
+
+def builtin_geometry(name: str, **params) -> Geometry:
+    return _read_geometry(_builtin_description(name, params))
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +668,7 @@ def _odd_entries(name: str, data: Mapping) -> dict[int, int]:
         digits = key.removeprefix("-") if isinstance(key, str) else ""
         if not (_is_int(key) or digits.isascii() and digits.isdecimal()) or not _is_int(c):
             raise HypothesisError(f"theorem genus1-hd parameter {name} must map integers or decimal strings "
-                                  f"to JSON integers, got entry {key!r}: {c!r}")
+                                  f"to JSON integers, got entry {_echo(key)}: {_echo(c)}")
     if any(map(_too_long, data)):
         raise HypothesisError(f"theorem genus1-hd parameter {name} has a position too long to read")
     return {int(key): 1 for key, c in data.items() if c % 2}
@@ -670,10 +689,9 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     torus = _torus_complement()
     rows = [["phi", label, data.items()] for label, data in (("S_h", h), ("S_v", v), ("D_h", b))]
     geo = _read_geometry({**torus, "name": "torus_complement", "labels": {**torus["labels"], "phi": SPHERE},
-                          "pairings": torus["pairings"] + rows})
+                          "pairings": torus["pairings"] + rows, "attaching": ["phi"], "disks": ["D_h"]})
     # vertical barbell acts first here; the horizontal one is applied last
-    moved = action_sequence(geo.basis_class("phi"), _torus_barbells(geo, k, l)[::-1])
-    engine = laurent_span(equivariant_pairing(moved, "D_h"))
+    engine = f2_quotient_dim(present_from_scenario(geo, _torus_barbells(geo, k, l)[::-1]))
 
     if not h and not v:
         # the class meets no cuff, so neither barbell moves it and its
@@ -1007,7 +1025,7 @@ _ELEMENT = (_is_element, "an integer, a word string or a list of integers")
 # inline geometry's check of its group)
 _ANY = (lambda v: True, None)
 # where -> ({field: (check, what the field must be)}, required fields);
-# a field that is not listed is refused, unless "*" lists every other
+# a field that is not listed is refused
 _SCHEMA = {
     "scenario": ({
         "geometry": (lambda v: isinstance(v, (str, Mapping)), "a geometry name or object"),
@@ -1031,11 +1049,6 @@ _SCHEMA = {
                    "rows of term lists ([element, coefficient] pairs)"),
         "dim": (lambda v: v is None or _is_int(v), "a JSON integer or null"),
     }, ()),
-    # a parameterized built-in: its name, then integer parameters ("*")
-    "geometry": ({
-        "name": (lambda v: isinstance(v, str), "a geometry name"),
-        "*": (_is_int, "a JSON integer"),
-    }, ("name",)),
     # an inline geometry (one with labels); meridians are built-in only,
     # since a meridian row is read as its augmentation
     "inline geometry": ({
@@ -1063,18 +1076,20 @@ def _check(where: str, data: Mapping, required=()):
         if name not in data:
             raise HypothesisError(f"{where} field {name!r} is required")
     for name, value in data.items():
-        if name not in fields and "*" not in fields:
-            raise HypothesisError(f"{where} field {name!r} is unknown; the fields are {', '.join(fields)}")
-        ok, wanted = fields.get(name, fields.get("*"))
+        if name not in fields:
+            raise HypothesisError(f"{where} field {_echo(name)} is unknown; the fields are {', '.join(fields)}")
+        ok, wanted = fields[name]
         if not ok(value):
-            raise HypothesisError(f"{where} field {name!r} must be {wanted}, got {value!r}")
+            raise HypothesisError(f"{where} field {name!r} must be {wanted}, got {_echo(value)}")
 
 
 def run_scenario(data: Mapping) -> Report:
     """The scenario's report.  Its schema is checked before anything is
     built: a field of the wrong shape is a HypothesisError that names it.
     A geometry with labels is inline; any other is a built-in's name and
-    its builder's parameters."""
+    its builder's parameters, checked as builtin_geometry checks them.
+    The file's own attaching and disks, when not null, replace the
+    geometry's roles before its one Geometry is built."""
     if not isinstance(data, Mapping):
         raise HypothesisError(f"a scenario must be a JSON object, got {type(data).__name__}")
     _check("scenario", data)
@@ -1086,10 +1101,11 @@ def run_scenario(data: Mapping) -> Report:
     if "labels" in geometry:
         _check("inline geometry", geometry)
         _check("group", geometry["group"], (_GROUP_SIZE[geometry["group"]["kind"]],))
-        geo = _read_geometry(geometry)
     else:
-        _check("geometry", geometry)
-        geo = builtin_geometry(**geometry)
+        params = dict(geometry)
+        geometry = _builtin_description(params.pop("name", None), params)
+    roles = {role: data[role] for role in ("attaching", "disks") if data.get(role) is not None}
+    geo = _read_geometry({**geometry, **roles})
 
     if "field" in data and _field(data["field"]) != geo.coeffs:
         raise HypothesisError(
@@ -1105,7 +1121,12 @@ def run_scenario(data: Mapping) -> Report:
         }
         barbells.append(BarbellSpec(**{"holonomy": geo.identity(), **spec, **elements}))
 
-    rows = present_from_scenario(geo, barbells, data.get("attaching"), data.get("disks"))
+    rows = present_from_scenario(geo, barbells)
+    for r, row in enumerate(rows):
+        for c, entry in enumerate(row):
+            if any(map(_too_long, entry.terms.values())):
+                raise HypothesisError(f"computed entry matrix[{r}][{c}] has a coefficient of more than "
+                                      f"{_MAX_DIGITS} digits, too long to report")
     computed: dict = {"matrix": [[_poly_json(entry) for entry in row] for row in rows]}
     expected = data.get("expected", {})
     if len(rows) == len(rows[0]) == 1 and geo.coeffs == F2 and geo.group.kind == FREE_ABELIAN and geo.group.n == 1:

@@ -210,14 +210,17 @@ def test_branched_cover_order_costs_nothing():
 
 def test_meridian_is_not_an_attaching_sphere(tmp_path):
     # its row is the norm element, which is never expanded into a matrix
-    # entry; the role check refuses it before any pairing is asked for
+    # entry; the role check refuses it where the geometry is built
+    from barbellcalc import GeometryError, run_scenario
+
+    scenario = {"geometry": {"name": "branched_cover", "m": 5}, "attaching": ["mu"], "disks": ["D"]}
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(
-        {"geometry": {"name": "branched_cover", "m": 5}, "attaching": ["mu"], "disks": ["D"]}
-    ))
+    path.write_text(json.dumps(scenario))
     result = run_cli("scenario", str(path))
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == "error: attaching label mu is a meridian, not a sphere\n"
+    with pytest.raises(GeometryError, match="^attaching label mu is a meridian, not a sphere$"):
+        run_scenario(scenario)
 
 
 def test_brunnian_sweep_is_refused_before_its_jobs_are_built():
@@ -473,7 +476,8 @@ def _inline(fields):
         ('[{"geometry": "torus_complement"}]', "JSON object"),
         ('{"geometry": "torus_complement", "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": [1e400]}]}',
          "field 'holonomy'"),
-        ('{"geometry": {"name": "genus_g_complement", "g": "3"}, "barbells": []}', "field 'g'"),
+        ('{"geometry": {"name": "genus_g_complement", "g": "3"}, "barbells": []}',
+         "geometry genus_g_complement parameter g must be int, got '3'"),
         ('{"geometry": "torus_complement", "barbells": [], "expected": {"matrix": [[5]]}}', "field 'matrix'"),
         ('{"geometry": "torus_complement", "barbells": [{"cuff1": "S_h"}]}', "field 'cuff2'"),
         (_inline('"group": {"kind": "free", "rank": 2}, "labels": ["S_h"]'), "field 'labels'"),
@@ -1186,6 +1190,63 @@ def test_parameters_of_up_to_4000_digits_are_read():
     assert f"k={k}" in render_table(report)
     # positions of 4,000 digits, as a decimal string and as an integer
     assert run_theorem("genus1-hd", k=k, l=k, h={str(-(10**3999)): 1}, v={10**3999: 1}).passed
+
+
+def _coefficient_scenario(row: int, iterate: int) -> dict:
+    # an attaching sphere A meeting the cuff S, and a belt disk D meeting T
+    # row times: barbell (S, T) iterated gives matrix[0][0] = row * iterate
+    labels = {"A": "sphere", "S": "sphere", "T": "sphere", "D": "disk"}
+    pairings = [["D", "T", [[[0], row]]], ["A", "S", [[[0], 1]]]]
+    geometry = {"group": {"kind": "free_abelian", "rank": 1}, "field": "int", "labels": labels,
+                "pairings": pairings, "attaching": ["A"], "disks": ["D"]}
+    return {"geometry": geometry, "barbells": [{"cuff1": "S", "cuff2": "T", "iterate": iterate}]}
+
+
+_NINES = "9" * 5000  # an integer of 5,000 digits, past the interpreter's 4,300
+
+
+@pytest.mark.parametrize(
+    "call,message,cli,cli_message",
+    [
+        # a refused value quoting an integer of more than 4,300 digits: repr raised the interpreter's ValueError
+        (lambda run_theorem, run_scenario: run_theorem("morsesimple-s3", k={10**5000: 1}, l=1),
+         "theorem morsesimple-s3 parameter k must be int, got {<integer of more than 4000 digits>: 1}", None, None),
+        (lambda run_theorem, run_scenario: run_theorem("genus1-hd", k=100, l=100, h={0.5: 10**5000}),
+         "theorem genus1-hd parameter h must map integers", None, None),
+        (lambda run_theorem, run_scenario: run_scenario(
+            {"geometry": "torus_complement", "barbells": [{"cuff1": 10**5000, "cuff2": "S_h"}]}),
+         "barbell field 'cuff1' must be a label string, got <integer of more than 4000 digits>", None, None),
+        # a flag of 5,000 digits was echoed whole (a 5,029-byte line) and called not an int
+        (lambda run_theorem, run_scenario: run_theorem("morsesimple-s3", k=int(_NINES[:4001]), l=1),
+         "theorem morsesimple-s3 parameter k has more than 4000 digits",
+         ["theorem", "morsesimple-s3", "--k", _NINES, "--l", "1"], "error: parameter k has more than 4000 digits"),
+        # a file's integer of 5,000 digits: json.load's digit-limit message, naming nothing
+        (lambda run_theorem, run_scenario: run_scenario({"geometry": {"name": "cyclic_cover", "m": 10**5000 - 1}}),
+         "geometry cyclic_cover parameter m has more than 4000 digits",
+         '{"geometry": {"name": "cyclic_cover", "m": ' + _NINES + "}}",
+         "error: scenario file {file} has an integer of more than 4000 digits"),
+        # a computed coefficient of more than 4,300 digits ended in the interpreter's message at rendering
+        (lambda run_theorem, run_scenario: run_scenario(_coefficient_scenario(10**200, 10**4200)),
+         "computed entry matrix[0][0] has a coefficient of more than 4000 digits",
+         json.dumps(_coefficient_scenario(10**3000, 10**3000)),
+         "error: computed entry matrix[0][0] has a coefficient of more than 4000 digits"),
+    ],
+    ids=["echo-mapping-key", "echo-entry-value", "echo-barbell-field", "cli-flag", "json-file", "computed-coefficient"],
+)
+def test_integers_past_the_digit_limit_are_refused_by_name(call, message, cli, cli_message, tmp_path, capsys):
+    from barbellcalc.scenarios import HypothesisError, run_scenario, run_theorem
+
+    with pytest.raises(HypothesisError) as info:
+        call(run_theorem, run_scenario)
+    assert str(info.value).startswith(message)
+    if cli is None:
+        return  # no command line reaches it: flags and files of that many digits are refused first
+    path = tmp_path / "scenario.json"
+    if isinstance(cli, str):
+        path.write_text(cli)
+        cli = ["scenario", str(path)]
+    err = cli_refusal(cli, capsys)
+    assert err.startswith(cli_message.format(file=path)) and len(err.encode()) < 300 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

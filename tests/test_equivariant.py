@@ -494,6 +494,12 @@ REFUSED_VALUES = [
     (BarbellSpec, ("S", "S", None), GeometryError, "holonomy must be a deck group element"),
     (BarbellSpec, ("S", "S", (1,)), GeometryError, "holonomy must be a deck group element"),
     (BarbellSpec, ("S", "S", Z1.identity(), (1, 1), 1, 3), GeometryError, "offset one or None, got .* and 3$"),
+    # a role of another kind, or a label listed twice, is refused where the geometry is built
+    (Geometry, ("z", DeckGroup(CYCLIC, 3), F2, {"mu": MERIDIAN, "D": DISK}, {}, ["mu"], ["D"]), GeometryError,
+     "^attaching label mu is a meridian, not a sphere$"),
+    (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, [], ["S"]), GeometryError, "^belt disk label S is a sphere, not a disk$"),
+    (Geometry, ("z", Z1, F2, {"S": SPHERE, "D_v": DISK}, {}, ["S"], ["D_v", "D_v"]), GeometryError,
+     "^belt disk label D_v is listed twice$"),
 ]
 
 
@@ -962,12 +968,12 @@ def test_class_operations_build_what_the_checking_constructor_builds(key, data):
 def pairing_spy(monkeypatch):
     """The cuff or disk label of every equivariant_pairing call, under
     each name the engine calls it by."""
-    from barbellcalc import equivariant, presentations, scenarios
+    from barbellcalc import equivariant, presentations
 
     labels = []
     real = equivariant.equivariant_pairing
     spy = lambda x, b: labels.append(b) or real(x, b)
-    for module in (equivariant, presentations, scenarios):
+    for module in (equivariant, presentations):
         monkeypatch.setattr(module, "equivariant_pairing", spy)
     return labels
 

@@ -90,11 +90,13 @@ def test_quotient_dim_shape_check():
 
 @pytest.mark.parametrize("attaching, disks", [(["S_v", "S_h"], ["D_v"]), (["S_v"], ["D_v", "D_h"])])
 def test_rows_are_disks_and_columns_attaching_spheres(attaching, disks):
-    # the 1x2 and 2x1 torus_complement shapes of the scenario files
-    geo = builtin_geometry("torus_complement")
+    # the 1x2 and 2x1 torus_complement shapes of the scenario files: the
+    # roles are part of the description the geometry is read from
+    description = scenarios.GEOMETRY_BUILDERS["torus_complement"]()
+    geo = scenarios._read_geometry({**description, "attaching": attaching, "disks": disks})
     hol = lambda e: DeckElement(geo.group, (e,))
     specs = [BarbellSpec("S_h", "S_h", hol(2), iterate=-3, offset=hol(1)), BarbellSpec("S_v", "S_v", hol(-5))]
-    rows = present_from_scenario(geo, specs, attaching, disks)
+    rows = present_from_scenario(geo, specs)
     assert len(rows) == len(disks) and all(len(row) == len(attaching) for row in rows)
     for r, disk in enumerate(disks):
         for s, sphere in enumerate(attaching):

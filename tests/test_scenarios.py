@@ -248,18 +248,30 @@ def test_genus1_hd_degenerate_branch_has_an_expected_value(b, dim):
 @pytest.mark.parametrize("b", [{0: 1}, {}])
 def test_genus1_hd_degenerate_branch_fails_on_a_wrong_engine(b, monkeypatch):
     # an engine whose disk pairing gains a stray term t^5 must FAIL
-    import barbellcalc.scenarios as scenarios
+    import barbellcalc.presentations as presentations
     from barbellcalc.groupring import from_term_list
 
-    pairing = scenarios.equivariant_pairing
+    pairing = presentations.equivariant_pairing
 
     def mutated(x, label):
         p = pairing(x, label)
         return p.add(from_term_list([[[5], 1]], p.group, p.coeffs))
 
-    monkeypatch.setattr(scenarios, "equivariant_pairing", mutated)
+    monkeypatch.setattr(presentations, "equivariant_pairing", mutated)
     report = run_theorem("genus1-hd", k=100, l=100, h={}, v={}, b=b)
     assert not report.passed and report.expected == {"dim": 0 if b else None}
+
+
+def test_genus1_hd_presents_its_matrix_once(monkeypatch):
+    # its engine value is read off one presentation, built by the function every other matrix comes from
+    import barbellcalc.scenarios as scenarios
+
+    calls = []
+    real = scenarios.present_from_scenario
+    spy = lambda geo, barbells: calls.append((geo.attaching, geo.disks)) or real(geo, barbells)
+    monkeypatch.setattr(scenarios, "present_from_scenario", spy)
+    assert run_theorem("genus1-hd", k=100, l=100).passed
+    assert calls == [(["phi"], ["D_h"])]
 
 
 def test_genus1_hd_hypothesis_bounds():
@@ -754,8 +766,9 @@ def test_genus1_hd_builds_the_torus_table_plus_phi_once(monkeypatch):
     assert table == {**GOLDEN_TABLES["torus_complement"], **rows}
     torus = builtin_geometry("torus_complement")
     assert geo.labels == {**torus.labels, "phi": SPHERE}
-    fields = lambda g: [g.name, g.group, g.coeffs, g.attaching, g.disks, g.aliases]
+    fields = lambda g: [g.name, g.group, g.coeffs, g.aliases]
     assert fields(geo) == fields(torus)
+    assert (geo.attaching, geo.disks) == (["phi"], ["D_h"])
 
 
 def test_inline_cyclic_holonomy_must_be_a_residue():
