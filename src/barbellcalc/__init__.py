@@ -57,16 +57,13 @@ from .presentations import (
     f2_quotient_dim,
     present_from_scenario,
 )
+from .report import HypothesisError, Report, render_machine, render_table
 from .scenarios import (
     GluingMatrix,
-    HypothesisError,
-    Report,
     builtin_geometry,
     classify_gluing,
     montesinos_matrix_for,
     montesinos_parity,
-    render_machine,
-    render_table,
     run_scenario,
     run_sweep,
     run_theorem,

@@ -9,14 +9,15 @@ exception is a fault and keeps its traceback.  The CLI has no parameter
 or sweep rule of its own: it hands the flags it was given to
 run_theorem or run_sweep, which refuse a missing or unexpected one, or a
 sweep size out of range, with the HypothesisError a library call gets
-(builtin_geometry makes the same check).  It applies one limit of the
-package's, _MAX_DIGITS, before a number is read: an integer flag of
-more digits is refused by its name, and a scenario file's integer of
-more digits by the file's name.  Output is byte-deterministic for fixed
-arguments (every term order is sorted); sweeps run in process, one job
-after another in grid order, and each report's line is written as the
-sweep yields it.  If the reader closes the output before all of it is
-written (`| head`), the run exits 1 without a traceback.
+(builtin_geometry makes the same check).  It applies one limit of
+barbellcalc.report's, _MAX_DIGITS, before a number is read: an integer
+flag of more digits is refused by its name, and a scenario file's
+integer of more digits by the file's name.  barbellcalc.report renders
+every report line, byte-deterministic for fixed arguments (every term
+order is sorted); sweeps run in process, one job after another in grid
+order, each report's line written as the sweep yields it.  If the
+reader closes the output before all of it is written (`| head`), the
+run exits 1 without a traceback.
 
 One command table, no argparse: `_COMMANDS` gives each command's
 positional, options, help line and runner, and `_parse` reads a line by
@@ -36,19 +37,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 
-from .scenarios import (
-    _MAX_DIGITS,
-    GEOMETRY_BUILDERS,
-    THEOREMS,
-    HypothesisError,
-    _echo,
-    _too_long,
-    render_machine,
-    render_table,
-    run_scenario,
-    run_sweep,
-    run_theorem,
-)
+from .report import _MAX_DIGITS, HypothesisError, _echo, _too_long, render_line, render_machine, render_table
+from .scenarios import GEOMETRY_BUILDERS, THEOREMS, run_scenario, run_sweep, run_theorem
 
 _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
 
@@ -89,26 +79,19 @@ def _cmd_theorem(args) -> int:
 
 def _cmd_sweep(args) -> int:
     reports = run_sweep(args.name, args.max, **({} if args.n is None else {"n": args.n}))
-    failed = 0
+    verdicts = []
 
     def lines() -> Iterator[str]:
         # one line per report as the sweep yields it, the summary last;
         # a sweep refuses before its first report (see run_sweep)
-        nonlocal failed
-        done = 0
+        render = render_machine if args.format == "machine" else render_line
         for report in reports:
-            done += 1
-            failed += 0 if report.passed else 1
-            if args.format == "machine":
-                yield render_machine(report)
-            else:
-                status = "PASS" if report.passed else "FAIL"
-                summary = ", ".join(f"{key}={report.params[key]}" for key in sorted(report.params))
-                yield f"{status} {report.name} {summary}"
-        yield f"{done - failed}/{done} passed"
+            verdicts.append(report.passed)
+            yield render(report)
+        yield f"{sum(verdicts)}/{len(verdicts)} passed"
 
     _emit(lines(), args.out)
-    return 0 if failed == 0 else 1
+    return 0 if all(verdicts) else 1
 
 
 def _cmd_scenario(args) -> int:

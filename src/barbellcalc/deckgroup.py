@@ -426,4 +426,7 @@ def element_from_json(data, group: DeckGroup) -> DeckElement:
         return DeckElement(group, tuple(int(a) for a in data))
     if isinstance(data, int) and group.kind == FREE_ABELIAN and group.n == 1:
         return DeckElement(group, (data,))
+    if isinstance(data, int) and not isinstance(data, bool) and data != 1:
+        # 1 is the one integer word; no other is converted to text, which may fail
+        raise GroupError(f"an integer element of {group!r} must be 1, the identity; give a word string")
     return parse_word(str(data), group)

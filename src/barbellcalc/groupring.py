@@ -255,11 +255,6 @@ def render(elem: RingElement) -> str:
     return term_list_and_render(elem)[1]
 
 
-def to_term_list(elem: RingElement) -> list[list]:
-    """Machine form: sorted [(element, coefficient)] pairs."""
-    return term_list_and_render(elem)[0]
-
-
 def from_term_list(data: Iterable, group: DeckGroup, coeffs: str) -> RingElement:
     terms: dict[DeckElement, int] = {}
     for raw, c in data:

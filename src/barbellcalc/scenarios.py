@@ -15,23 +15,21 @@ replace the roles in the description before it is read, so the roles
 are checked once, by Geometry.  Every presentation matrix, genus1-hd's
 included, comes from `present_from_scenario`.  Each theorem runner
 drives the barbell engine through one argument, compares against the
-closed-form value when there is one, and returns what it computed and
-its verdict; hypothesis bounds (winding numbers >= 1, cover order m
-large enough) are enforced up front.  The six cover arguments share one disk move (`_move`), one
-report of the moved class (`_class_fields`) and one summand test
-(`_in_identity_summand`).  `THEOREMS` maps each reproduction's name to
-its runner and `SWEEPS` each sweep's name to its parameter grid;
-`run_theorem` and `run_sweep` hold every parameter rule, and
-`run_theorem` names each report and records its parameters.
+closed-form value when there is one, and hands the engine values and
+its verdict to a Report (barbellcalc.report); hypothesis bounds
+(winding numbers >= 1, cover order m large enough) are enforced up
+front.  The six cover arguments share one disk move (`_move`) and one
+summand test (`_in_identity_summand`).  `THEOREMS` maps each
+reproduction's name to its runner and `SWEEPS` each sweep's name to
+its parameter grid; `run_theorem` and `run_sweep` hold every parameter
+rule, and `run_theorem` names each report and records its parameters.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-import reprlib
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
 from operator import itemgetter
@@ -45,7 +43,6 @@ from .deckgroup import (
     GroupError,
     brunnian_word,
     element_from_json,
-    element_to_json,
 )
 from .equivariant import (
     DISK,
@@ -58,7 +55,6 @@ from .equivariant import (
     _is_int,
     action_sequence,
     pair_classes,
-    render_class,
     summand_membership,
 )
 from .groupring import (
@@ -69,7 +65,6 @@ from .groupring import (
     is_monomial_unit,
     laurent_span,
     normalize_monomial,
-    term_list_and_render,
 )
 from .presentations import (
     antidiagonal_cokernel,
@@ -80,10 +75,7 @@ from .presentations import (
     present_from_scenario,
     symmetric_relator,
 )
-
-
-class HypothesisError(ValueError):
-    """Scenario parameters violate the hypotheses the argument needs."""
+from .report import _MAX_DIGITS, HypothesisError, Report, _echo, _too_long
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +207,6 @@ def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], t
     return code.co_varnames[keyed : code.co_argcount], code.co_varnames[keyed:required]
 
 
-# Most digits an integer parameter or a genus1-hd position may have: a
-# report prints it, and the interpreter converts at most 4,300 to text.
-_MAX_DIGITS = 4000
-_TOO_MANY_DIGITS = 10**_MAX_DIGITS
-
-
-def _too_long(value: int | str) -> bool:
-    """More than _MAX_DIGITS digits?  An integer is not converted to text."""
-    if isinstance(value, str):
-        return len(value.removeprefix("-")) > _MAX_DIGITS
-    return abs(value) >= _TOO_MANY_DIGITS
-
-
-class _Echo(reprlib.Repr):
-    """repr for quoting a refused value: bounded in length and depth, and
-    an integer of more than _MAX_DIGITS digits is never converted to text."""
-
-    def repr_int(self, value, level):
-        return f"<integer of more than {_MAX_DIGITS} digits>" if _too_long(value) else super().repr_int(value, level)
-
-
-_echo = _Echo().repr
-
-
 # the values each alternative of a parameter's annotation admits
 _KINDS = {"int": _is_int, "Mapping": lambda v: isinstance(v, Mapping), "None": lambda v: v is None}
 
@@ -322,68 +290,6 @@ def builtin_geometry(name: str, **params) -> Geometry:
 
 
 # ---------------------------------------------------------------------------
-# Reports.
-
-
-class Report:
-    """One run's computed and expected values, verdict and notes; a
-    theorem runner returns these, and run_theorem names the report by
-    the registry key it ran ("" until then) and records its params."""
-
-    def __init__(self, computed: dict, expected: dict | None = None, passed: bool = True,
-                 notes: list[str] | None = None, name: str = "", params: dict | None = None):
-        self.computed, self.expected, self.passed = computed, expected or {}, passed
-        self.notes, self.name, self.params = notes or [], name, params or {}
-
-    def to_machine(self) -> dict:
-        return {
-            "theorem": self.name,
-            "params": self.params,
-            "computed": self.computed,
-            "expected": self.expected,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
-
-
-def _class_json(x: EquivClass) -> list[list]:
-    return [[label, element_to_json(deck), x.terms[(label, deck)]] for label, deck in x.support()]
-
-
-def _poly_json(p: RingElement) -> dict:
-    terms, rendered = term_list_and_render(p)
-    return {"terms": terms, "rendered": rendered}
-
-
-def render_table(report: Report) -> str:
-    lines = [f"theorem: {report.name}"]
-    if report.params:
-        lines.append("params: " + ", ".join(f"{k}={report.params[k]}" for k in sorted(report.params)))
-    for key in sorted(report.computed):
-        lines.append(f"  {key}: {_fmt(report.computed[key])}")
-    for key in sorted(report.expected):
-        lines.append(f"  expected {key}: {_fmt(report.expected[key])}")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    lines.append("PASS" if report.passed else "FAIL")
-    return "\n".join(lines)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "infinite"
-    if isinstance(value, dict) and "rendered" in value:
-        return value["rendered"]
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True)
-    return str(value)
-
-
-def render_machine(report: Report) -> str:
-    return json.dumps(report.to_machine(), sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
 # Closed-form expectations.
 
 
@@ -423,10 +329,9 @@ def _run_torus_knot(k: int, l: int) -> Report:
     dim = f2_quotient_dim(rows)
     expected_f = morsesimple_f(k, l)
     expected_dim = 2 * k + 2 * l + 2
-    f_json = _poly_json(f)
     return Report(
-        computed={"f": f_json, "dim": dim},
-        expected={"f": f_json if f == expected_f else _poly_json(expected_f), "dim": expected_dim},
+        computed={"f": f, "dim": dim},
+        expected={"f": expected_f, "dim": expected_dim},
         passed=(f == expected_f and dim == expected_dim),
     )
 
@@ -440,8 +345,8 @@ def _run_unknots(k: int = 1, l: int = 1) -> Report:
     computed = {}
     for variant, specs in variants.items():
         rows = present_from_scenario(geo, specs)
-        computed[variant] = {"f": _poly_json(rows[0][0]), "dim": f2_quotient_dim(rows)}
-    trivial = {"f": _poly_json(RingElement.one(geo.group, geo.coeffs)), "dim": 0}
+        computed[variant] = {"f": rows[0][0], "dim": f2_quotient_dim(rows)}
+    trivial = {"f": RingElement.one(geo.group, geo.coeffs), "dim": 0}
     return Report(
         computed=computed,
         expected={"f": "1", "dim": 0},
@@ -487,17 +392,15 @@ def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     formula_f = brunnian_relator(wk, wl)
     image = brunnian_image(k, l, n)
     nontrivial = not is_monomial_unit(image)
-    relator = _poly_json(engine_f)
-    agrees = engine_f == formula_f
     # the relator pushed through F_n -> Z, every generator to t, needs no
     # word product: w is x1 for n = 2, and a commutator (image 1) otherwise
     pushed = Counter(sum(map(itemgetter(1), g.value)) for g in engine_f.terms)
     closed = {g.value for g in morsesimple_f(k, l).terms} if n == 2 else {(0,)}
     abelian = {(e,) for e, c in pushed.items() if c % 2} == closed
     return Report(
-        computed={"relator": relator, "image_in_st": _poly_json(image), "nontrivial": nontrivial},
-        expected={"relator": relator if agrees else _poly_json(formula_f)},
-        passed=agrees and abelian and nontrivial,
+        computed={"relator": engine_f, "image_in_st": image, "nontrivial": nontrivial},
+        expected={"relator": formula_f},
+        passed=engine_f == formula_f and abelian and nontrivial,
         notes=["sublink triviality is a geometric input here, not a computation"],
     ), image
 
@@ -515,14 +418,8 @@ def _run_simple_5d(k: int) -> Report:
     factors = antidiagonal_cokernel(rows)
     expected_factor = from_term_list([[1, k], [0, -k]], geo.group, INT)  # k(t - 1)
     return Report(
-        computed={
-            "matrix": [[_poly_json(entry) for entry in row] for row in rows],
-            "cokernel": [_poly_json(g) for g in factors],
-        },
-        expected={
-            "matrix": [[_poly_json(entry) for entry in row] for row in expected],
-            "cokernel": [_poly_json(expected_factor)] * 2,
-        },
+        computed={"matrix": rows, "cokernel": factors},
+        expected={"matrix": expected, "cokernel": [expected_factor] * 2},
         passed=rows == expected and factors == [expected_factor, expected_factor],
     )
 
@@ -533,11 +430,6 @@ def _move(geo: Geometry, start: str, cuff1: str, cuff2: str, *bars: tuple[DeckEl
     iterated 0 times does not move it."""
     barbells = [BarbellSpec(cuff1, cuff2, holonomy, iterate=power) for holonomy, power in bars if power]
     return action_sequence(geo.basis_class(start), barbells)
-
-
-def _class_fields(x: EquivClass) -> dict:
-    """A moved class's report fields: its terms and its rendered form."""
-    return {"class": _class_json(x), "class_rendered": render_class(x)}
 
 
 def _in_identity_summand(x: EquivClass, *labels: str) -> bool:
@@ -552,8 +444,8 @@ def _run_circle_splitting(k: int, l: int = 0) -> Report:
     member = _in_identity_summand(moved, "D_R", "S_R")
     distinguished = not member
     return Report(
-        computed={**_class_fields(moved), "in_right_summand": member, "distinguished": distinguished},
-        expected={"class": _class_json(expected_class), "distinguished": k != l},
+        computed={"class": moved, "in_right_summand": member, "distinguished": distinguished},
+        expected={"class": expected_class, "distinguished": k != l},
         passed=(moved == expected_class and distinguished == (k != l)),
         notes=[] if k != l else ["equal powers: not distinguished (the test is inconclusive)"],
     )
@@ -566,8 +458,8 @@ def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
     expected_k = geo.basis_class("D_h").add(geo.basis_class("S_h_2", coeff=k))
     distinguished = not _in_identity_summand(class_k.sub(class_l), "D_h")
     return Report(
-        computed={**_class_fields(class_k), "distinguished": distinguished},
-        expected={"class": _class_json(expected_k), "distinguished": k != l},
+        computed={"class": class_k, "distinguished": distinguished},
+        expected={"class": expected_k, "distinguished": k != l},
         passed=(class_k == expected_k and distinguished == (k != l)),
     )
 
@@ -613,8 +505,8 @@ def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
             expected_class = expected_class.add(geo.basis_class("S", t(1, power), sign))
             expected_class = expected_class.add(geo.basis_class("S_prime", t(1, -power), -sign))
     return Report(
-        computed={**_class_fields(moved), "in_chosen_summand": member, "distinguished": distinguished},
-        expected={"class": _class_json(expected_class), "distinguished": k != l},
+        computed={"class": moved, "in_chosen_summand": member, "distinguished": distinguished},
+        expected={"class": expected_class, "distinguished": k != l},
         passed=(moved == expected_class and distinguished == (k != l)),
     )
 
@@ -627,8 +519,7 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
     geo, moved = _cover_move("cyclic_cover", m, k, l)
     distinguished = not _in_identity_summand(moved, "D", "S", "S_prime")
     return Report(
-        computed={"bar_residues": {str(p): p % m for p in (k, l)}, **_class_fields(moved),
-                  "distinguished": distinguished},
+        computed={"bar_residues": {str(p): p % m for p in (k, l)}, "class": moved, "distinguished": distinguished},
         expected={"distinguished": k != l},
         passed=(distinguished == (k != l)),
         notes=["no closed-form class is on record for this cover; reporting the computed one"],
@@ -651,7 +542,7 @@ def _run_branched(m: int, k: int, l: int = 0) -> Report:
     # equal powers move D back to itself: x = 0 pairs to 0 with every probe
     expected_witnesses = {"x_dot_rho_k_D": 0 if degenerate else 1, "x_dot_D": 0, "mu_dot_D": 1}
     return Report(
-        computed={**_class_fields(x), "witnesses": witnesses, "in_meridian_span": member, "refuted": refuted},
+        computed={"class": x, "witnesses": witnesses, "in_meridian_span": member, "refuted": refuted},
         expected={"witnesses": expected_witnesses, "refuted": not degenerate},
         passed=refuted == (not degenerate) and witnesses == expected_witnesses,
         notes=[] if not degenerate else ["equal powers: the class collapses to zero, nothing to refute"],
@@ -948,14 +839,11 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
         n, k, l, kp, lp = job["n"], job["k"], job["l"], job["kp"], job["lp"]
         (report, image), (other_report, other) = decide(n, k, l), decide(n, kp, lp)
         verdict = {k, l} != {kp, lp} and image is not None and other is not None and image != other
-        yield Report(
-            params=job,
-            computed={**report.computed, "distinguished": verdict},
-            expected=report.expected,
-            passed=report.passed and other_report.passed and verdict == ({k, l} != {kp, lp}),
-            notes=report.notes,
-            name=name,
-        )
+        job_report = Report({"distinguished": verdict}, notes=report.notes, name=name, params=job,
+                            passed=report.passed and other_report.passed and verdict == ({k, l} != {kp, lp}))
+        # the decided report's fields are in their JSON forms already
+        job_report.computed, job_report.expected = {**report.computed, **job_report.computed}, report.expected
+        yield job_report
 
 
 def _montesinos_grid(top: int) -> Iterator[dict]:
@@ -1122,12 +1010,7 @@ def run_scenario(data: Mapping) -> Report:
         barbells.append(BarbellSpec(**{"holonomy": geo.identity(), **spec, **elements}))
 
     rows = present_from_scenario(geo, barbells)
-    for r, row in enumerate(rows):
-        for c, entry in enumerate(row):
-            if any(map(_too_long, entry.terms.values())):
-                raise HypothesisError(f"computed entry matrix[{r}][{c}] has a coefficient of more than "
-                                      f"{_MAX_DIGITS} digits, too long to report")
-    computed: dict = {"matrix": [[_poly_json(entry) for entry in row] for row in rows]}
+    computed: dict = {"matrix": rows}
     expected = data.get("expected", {})
     if len(rows) == len(rows[0]) == 1 and geo.coeffs == F2 and geo.group.kind == FREE_ABELIAN and geo.group.n == 1:
         computed["dim"] = f2_quotient_dim(rows)
@@ -1149,6 +1032,6 @@ def run_scenario(data: Mapping) -> Report:
         name="scenario",
         params={key: data[key] for key in data if key != "expected"},
         computed=computed,
-        expected=dict(expected),
+        expected=expected,
         passed=passed,
     )

@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import barbellcalc
+from barbellcalc.deckgroup import GroupError
+from barbellcalc.report import HypothesisError
 from barbellcalc.scenarios import GEOMETRY_BUILDERS, SWEEPS, THEOREMS, Sweep, parameters
 
 CLI = [sys.executable, "-m", "barbellcalc.cli"]
@@ -99,7 +101,8 @@ def brunnian_oracle_reports(n, top):
     """The brunnian sweep's jobs rebuilt one at a time: every two distinct
     unordered winding pairs, the linked-6crit report of the first, and
     the verdict of distinguish_brunnian_modules on both."""
-    from barbellcalc.scenarios import Report, run_theorem
+    from barbellcalc.report import Report
+    from barbellcalc.scenarios import run_theorem
     from oracles import distinguish_brunnian_modules
 
     pairs = [(k, l) for k in range(1, top + 1) for l in range(k, top + 1)]
@@ -135,7 +138,7 @@ def test_brunnian_sweep_verdicts_match_the_pairwise_oracle(n, top, capsys):
 
 @pytest.mark.parametrize("fmt", ["table", "machine"])
 def test_brunnian_sweep_output_is_the_oracle_byte_for_byte(fmt):
-    from barbellcalc.scenarios import render_machine
+    from barbellcalc.report import render_machine
 
     result = run_cli("sweep", "brunnian", "--n", "3", "--max", "4", "--format", fmt)
     lines = []
@@ -1090,7 +1093,8 @@ def test_library_calls_pass_or_are_refused(key, params):
     # ValueError subclass (the CLI's exit 2) that names no private
     # runner; a bad parameter set used to raise a TypeError naming
     # _run_torus_knot()
-    from barbellcalc.scenarios import Report, run_theorem
+    from barbellcalc.report import Report
+    from barbellcalc.scenarios import run_theorem
 
     try:
         report = run_theorem(key, **params)
@@ -1182,7 +1186,8 @@ def test_library_call_names_the_theorem_and_its_parameters(call, message):
 
 
 def test_parameters_of_up_to_4000_digits_are_read():
-    from barbellcalc.scenarios import render_table, run_theorem
+    from barbellcalc.report import render_table
+    from barbellcalc.scenarios import run_theorem
 
     k = 10**4000 - 1
     report = run_theorem("morsesimple-s3", k=k, l=1)
@@ -1205,40 +1210,58 @@ def _coefficient_scenario(row: int, iterate: int) -> dict:
 _NINES = "9" * 5000  # an integer of 5,000 digits, past the interpreter's 4,300
 
 
+def _exponent_scenario(digits: int) -> dict:
+    # a torus barbell whose lift is offset by t^N and iterated N times,
+    # N of digits nines: the matrix entry's exponents have about 2 * digits
+    nines = int("9" * digits)
+    return {"geometry": "torus_complement",
+            "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "offset": [nines], "iterate": nines}]}
+
+
 @pytest.mark.parametrize(
-    "call,message,cli,cli_message",
+    "call,error,message,cli,cli_message",
     [
         # a refused value quoting an integer of more than 4,300 digits: repr raised the interpreter's ValueError
-        (lambda run_theorem, run_scenario: run_theorem("morsesimple-s3", k={10**5000: 1}, l=1),
+        (lambda run_theorem, run_scenario: run_theorem("morsesimple-s3", k={10**5000: 1}, l=1), HypothesisError,
          "theorem morsesimple-s3 parameter k must be int, got {<integer of more than 4000 digits>: 1}", None, None),
-        (lambda run_theorem, run_scenario: run_theorem("genus1-hd", k=100, l=100, h={0.5: 10**5000}),
+        (lambda run_theorem, run_scenario: run_theorem("genus1-hd", k=100, l=100, h={0.5: 10**5000}), HypothesisError,
          "theorem genus1-hd parameter h must map integers", None, None),
         (lambda run_theorem, run_scenario: run_scenario(
-            {"geometry": "torus_complement", "barbells": [{"cuff1": 10**5000, "cuff2": "S_h"}]}),
+            {"geometry": "torus_complement", "barbells": [{"cuff1": 10**5000, "cuff2": "S_h"}]}), HypothesisError,
          "barbell field 'cuff1' must be a label string, got <integer of more than 4000 digits>", None, None),
         # a flag of 5,000 digits was echoed whole (a 5,029-byte line) and called not an int
-        (lambda run_theorem, run_scenario: run_theorem("morsesimple-s3", k=int(_NINES[:4001]), l=1),
+        (lambda run_theorem, run_scenario: run_theorem("morsesimple-s3", k=int(_NINES[:4001]), l=1), HypothesisError,
          "theorem morsesimple-s3 parameter k has more than 4000 digits",
          ["theorem", "morsesimple-s3", "--k", _NINES, "--l", "1"], "error: parameter k has more than 4000 digits"),
         # a file's integer of 5,000 digits: json.load's digit-limit message, naming nothing
         (lambda run_theorem, run_scenario: run_scenario({"geometry": {"name": "cyclic_cover", "m": 10**5000 - 1}}),
-         "geometry cyclic_cover parameter m has more than 4000 digits",
+         HypothesisError, "geometry cyclic_cover parameter m has more than 4000 digits",
          '{"geometry": {"name": "cyclic_cover", "m": ' + _NINES + "}}",
          "error: scenario file {file} has an integer of more than 4000 digits"),
         # a computed coefficient of more than 4,300 digits ended in the interpreter's message at rendering
-        (lambda run_theorem, run_scenario: run_scenario(_coefficient_scenario(10**200, 10**4200)),
-         "computed entry matrix[0][0] has a coefficient of more than 4000 digits",
+        (lambda run_theorem, run_scenario: run_scenario(_coefficient_scenario(10**200, 10**4200)), HypothesisError,
+         "computed.matrix[0][0] has an integer of more than",
          json.dumps(_coefficient_scenario(10**3000, 10**3000)),
-         "error: computed entry matrix[0][0] has a coefficient of more than 4000 digits"),
+         "error: computed.matrix[0][0] has an integer of more than"),
+        # a computed exponent of about 8,000 digits, from integers of 4,000: the same
+        (lambda run_theorem, run_scenario: run_scenario(_exponent_scenario(4000)), HypothesisError,
+         "computed.matrix[0][0] has an integer of more than",
+         json.dumps(_exponent_scenario(4000)), "error: computed.matrix[0][0] has an integer of more than"),
+        # an integer word of a free group was read through str, which failed with a plain ValueError
+        (lambda run_theorem, run_scenario: run_scenario(
+            {"geometry": {"name": "sphere_torus_link", "n": 2},
+             "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": 10**5000}]}), GroupError,
+         "scenario field 'barbells[0].holonomy': an integer element of F_2 must be 1", None, None),
     ],
-    ids=["echo-mapping-key", "echo-entry-value", "echo-barbell-field", "cli-flag", "json-file", "computed-coefficient"],
+    ids=["echo-mapping-key", "echo-entry-value", "echo-barbell-field", "cli-flag", "json-file", "computed-coefficient",
+         "computed-exponent", "integer-word"],
 )
-def test_integers_past_the_digit_limit_are_refused_by_name(call, message, cli, cli_message, tmp_path, capsys):
-    from barbellcalc.scenarios import HypothesisError, run_scenario, run_theorem
+def test_integers_past_the_digit_limit_are_refused_by_name(call, error, message, cli, cli_message, tmp_path, capsys):
+    from barbellcalc.scenarios import run_scenario, run_theorem
 
-    with pytest.raises(HypothesisError) as info:
+    with pytest.raises(error) as info:
         call(run_theorem, run_scenario)
-    assert str(info.value).startswith(message)
+    assert type(info.value) is error and str(info.value).startswith(message)
     if cli is None:
         return  # no command line reaches it: flags and files of that many digits are refused first
     path = tmp_path / "scenario.json"

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -463,6 +464,18 @@ def test_public_constructor_refuses_non_canonical_values():
             DeckElement(DeckGroup(CYCLIC, 5), residue)
     with pytest.raises(GroupError, match="not normalized"):
         DeckElement(DeckGroup(CYCLIC, 2**70), 2**70)
+
+
+@pytest.mark.parametrize("group", [free_group(2), free_abelian(2)], ids=["free", "free-abelian-rank-2"])
+def test_an_integer_word_is_the_identity_or_refused(group):
+    # the integer 1 reads as the word "1" does; any other integer is
+    # refused, one of 5,000 digits too, without being converted to text
+    assert element_from_json(1, group) == element_from_json("1", group) == group.identity()
+    for number in (0, 5, -1, 10**5000):
+        with pytest.raises(GroupError, match=re.escape(f"an integer element of {group!r} must be 1, the identity")):
+            element_from_json(number, group)
+    with pytest.raises(GroupError, match="cannot parse letter 'True'"):
+        element_from_json(True, group)
 
 
 # -- brunnian words -------------------------------------------------------------

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import GroupError, free_group
 from barbellcalc.equivariant import MERIDIAN, SPHERE
-from barbellcalc.groupring import to_term_list
+from barbellcalc.groupring import term_list_and_render
+from barbellcalc.report import render_machine
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
     MAX_FREE_ABELIAN_RANK,
@@ -25,7 +26,6 @@ from barbellcalc.scenarios import (
     classify_gluing,
     montesinos_matrix_for,
     montesinos_parity,
-    render_machine,
     run_scenario,
     run_theorem,
 )
@@ -76,7 +76,7 @@ GEOMETRY_PARAMS = {
 @pytest.mark.parametrize("name", sorted(GEOMETRY_BUILDERS))
 def test_builtin_pairing_tables_are_locked(name):
     geo = builtin_geometry(name, **GEOMETRY_PARAMS.get(name, {}))
-    table = {pair: to_term_list(elem) for pair, elem in geo.pairings.items()}
+    table = {pair: term_list_and_render(elem)[0] for pair, elem in geo.pairings.items()}
     assert table == GOLDEN_TABLES[name]
 
 
@@ -450,7 +450,6 @@ def test_reports_record_omitted_defaults(key, call, params):
 # code without a caller, or an oracle that belongs in tests/oracles.py.
 UNREACHED_BY_THE_CLI = {
     "groupring.render": "renders ring elements in error messages and reprs",
-    "groupring.to_term_list": "the library's serializer; reports use term_list_and_render",
 }
 
 # An inline geometry (the torus complement's data) moved by a lift with
@@ -761,7 +760,7 @@ def test_genus1_hd_builds_the_torus_table_plus_phi_once(monkeypatch):
     monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: built.append(real(spec)) or built[-1])
     assert run_theorem("genus1-hd", k=300, l=400, h={1: 1, -2: 3, 4: 2}, v={"5": 1}, b={"3": -1}).passed
     [geo] = built
-    table = {pair: to_term_list(elem) for pair, elem in geo.pairings.items()}
+    table = {pair: term_list_and_render(elem)[0] for pair, elem in geo.pairings.items()}
     rows = {("phi", "S_h"): [[[-2], 1], [[1], 1]], ("phi", "S_v"): [[[5], 1]], ("phi", "D_h"): [[[3], 1]]}
     assert table == {**GOLDEN_TABLES["torus_complement"], **rows}
     torus = builtin_geometry("torus_complement")
@@ -806,7 +805,7 @@ def test_machine_report_is_json_and_reruns_identically():
 
 
 def test_empty_report_renders_header_only():
-    from barbellcalc.scenarios import Report, render_table
+    from barbellcalc.report import Report, render_table
 
     text = render_table(Report(name="empty", params={}, computed={}))
     assert text.splitlines() == ["theorem: empty", "PASS"]
