@@ -14,6 +14,13 @@ Elements are immutable values in canonical form: freely reduced words,
 exact integer exponent vectors, residues in [0, m).  Generator indices
 are 1-based throughout.
 
+A word is a str of one code point per letter, chr(2g + 1) for x_g and
+chr(2g) for x_g^-1 ("" is the identity), which caches its hash, compares
+by memcmp, and is sliced, joined and translated in C.  reduce_letters is
+the one entry from raw (generator, exponent) pairs, and syllables reads
+them back.  A word of more than MAX_POWER_LETTERS letters, parsed or a
+power, and a free group of rank above MAX_FREE_RANK are refused.
+
 Groups and elements are immutable slotted values (setting or deleting
 an attribute raises AttributeError) whose hash is computed once, at
 construction; an element hashes by its value alone (equal elements
@@ -24,23 +31,15 @@ freely reduced, an exponent vector of the wrong length and a residue
 outside [0, m).  The group operations mul, inv and pow return values
 that are canonical by construction, so they build their results
 through the private trusted constructor _canonical, which skips that
-check.  Both factors of a product are therefore freely reduced, and
-the product of two words can only cancel where they meet:
-DeckElement.mul walks inward from that seam while letters cancel,
-merges at most one pair of letters on the same generator, and joins
-the two remaining slices, in O(cancelled letters) interpreted steps
-plus C-level tuple slicing.  A word power whose first and last
-letters lie on different generators is |k| plain copies, already
-freely reduced, so DeckElement.pow builds it by tuple repetition;
-reduce_letters, a full pass over every letter, is kept for raw letter
-sequences (generators, parsing, and powers of words whose two ends
-share a generator).  A product with the empty word returns the other
-factor itself, so its cached hash is kept, and is_identity reads the
-value without building an identity to compare with.  format_element
-renders a word with one operator.itemgetter call and one C-level join
-over a letter table that formats each (generator, exponent) letter on
-first use and keeps it while both are at most _LETTER_TABLE_BOUND in
-size.
+check.  Two reduced words only cancel where they meet, and mul bisects
+that seam with C-level slice comparisons (_seam); pow writes a word as
+u v u^-1, v cyclically reduced, and repeats v.  A product with the
+empty word returns the other factor itself, so its cached hash is kept,
+and is_identity reads the value without building an identity.
+
+A word's _runs flag is False only when no letter repeats its neighbour
+(x1^2 does).  Such a word sorts as its pairs do, so it is its own
+sort_key, and format_element joins its letters' strings in C.
 """
 
 from __future__ import annotations
@@ -54,9 +53,7 @@ class GroupError(ValueError):
     """Invalid element, mixed groups, or out-of-range generator index."""
 
 
-# A freely reduced word: tuple of (generator index, nonzero exponent),
-# adjacent entries having distinct indices.  Empty tuple = identity.
-Word = tuple[tuple[int, int], ...]
+Word = str  # freely reduced: chr(2g + 1) for x_g, chr(2g) for x_g^-1
 
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
@@ -66,6 +63,10 @@ CYCLIC = "cyclic"
 # scenario whose offset power had 10**5 letters took 0.5 s and 38 MB end
 # to end, one with 4 * 10**5 letters 1.8 s and 107 MB.
 MAX_POWER_LETTERS = 100_000
+
+# Code points above every letter that mark a run in a sort key (_run_key).
+_POSITIVE_RUN, _NEGATIVE_RUN = "\U0010fffe", "\U0010ffff"
+MAX_FREE_RANK = (ord(_POSITIVE_RUN) - 2) // 2
 
 
 def _immutable(self, name, *value):
@@ -83,6 +84,8 @@ class DeckGroup:
             raise GroupError(f"unknown group kind {kind!r}")
         if n < 1:
             raise GroupError(f"group parameter must be >= 1, got {n}")
+        if kind == FREE and n > MAX_FREE_RANK:
+            raise GroupError(f"free group rank must be <= {MAX_FREE_RANK}, so that each letter is one code point")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_hash", hash((kind, n)))
@@ -106,7 +109,7 @@ class DeckGroup:
 
     def identity(self) -> "DeckElement":
         if self.kind == FREE:
-            return DeckElement(self, ())
+            return DeckElement(self, "")
         if self.kind == FREE_ABELIAN:
             return DeckElement(self, (0,) * self.n)
         return DeckElement(self, 0)
@@ -135,15 +138,15 @@ def free_abelian(r: int) -> DeckGroup:
 
 
 def reduce_letters(letters: Iterable[tuple[int, int]], rank: int | None = None) -> Word:
-    """Freely reduce a raw letter sequence into canonical Word form.
-
-    Merges adjacent letters with equal generator index and drops zero
-    exponents; idempotent on already-reduced words.
-    """
+    """Freely reduce raw (generator, exponent) pairs into a Word: merge
+    adjacent pairs on one generator, drop zero exponents.  A generator
+    outside 1..rank (1..MAX_FREE_RANK) and a result of more than
+    MAX_POWER_LETTERS letters are refused before a letter is built."""
+    top = MAX_FREE_RANK if rank is None else rank
     stack: list[tuple[int, int]] = []
     for gen, exp in letters:
-        if rank is not None and not 1 <= gen <= rank:
-            raise GroupError(f"generator index {gen} out of range 1..{rank}")
+        if not 1 <= gen <= top:
+            raise GroupError(f"generator index {gen} out of range 1..{top}")
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
@@ -154,28 +157,59 @@ def reduce_letters(letters: Iterable[tuple[int, int]], rank: int | None = None) 
                 stack.pop()
         else:
             stack.append((gen, exp))
-    return tuple(stack)
+    if sum(abs(exp) for _, exp in stack) > MAX_POWER_LETTERS:
+        raise GroupError(f"word has more than {MAX_POWER_LETTERS} letters")
+    return "".join(chr(2 * gen + 1) * exp if exp > 0 else chr(2 * gen) * -exp for gen, exp in stack)
 
 
-def _seam_product(a: Word, b: Word) -> Word:
-    """The free reduction of a followed by b, for freely reduced a and b.
+_RUNS = r"(?s)(.)\1*"  # one run of a letter; re compiles it on first use, not at import
 
-    Letters can only cancel where the two words meet, so walk back from
-    the end of a and forward from the start of b while they cancel, then
-    merge at most one pair of letters on the same generator: O(cancelled
-    letters) interpreted steps, and the result is joined from two slices.
-    """
-    i, j, stop = len(a), 0, len(b)
-    while i and j < stop:
-        gen, exp = a[i - 1]
-        other_gen, other_exp = b[j]
-        if gen != other_gen:
-            break
-        if exp + other_exp:
-            return a[: i - 1] + ((gen, exp + other_exp),) + b[j + 1 :]
-        i -= 1
-        j += 1
-    return a[:i] + b[j:]
+
+def syllables(word: Word) -> tuple[tuple[int, int], ...]:
+    r"""The word's (generator, exponent) pairs: "\x02\x05\x05" is ((1, -1), (2, 2))."""
+    runs = re.finditer(_RUNS, word)
+    return tuple((ord(run[1]) >> 1, len(run[0]) if ord(run[1]) & 1 else -len(run[0])) for run in runs)
+
+
+def _seam(a: Word, b: Word) -> tuple[int, int]:
+    """(i, j) such that a[:i] + b[j:] is the product of nonempty freely
+    reduced a and b: b's longest prefix that inverts a suffix of a cancels,
+    found past its first letter by bisecting C-level slice comparisons."""
+    size = len(a)
+    if ord(a[-1]) ^ 1 != ord(b[0]):
+        return size, 0
+    low, high = 1, min(size, len(b))  # the first low letters cancel, the first high + 1 do not
+    inverse = a[size - high :][::-1].translate(_SWAP)
+    while low < high:
+        mid = (low + high + 1) // 2
+        low, high = (mid, high) if inverse[low:mid] == b[low:mid] else (low, mid - 1)
+    return size - low, low
+
+
+class _LetterTable(dict):
+    """Letter (a code point for str.translate, or a one-letter string) ->
+    rule(code point), kept while the generator is at most _LETTER_TABLE_BOUND."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, letter: int | str):
+        code = letter if isinstance(letter, int) else ord(letter)
+        out = self.rule(code)
+        if code >> 1 <= _LETTER_TABLE_BOUND:
+            self[letter] = out
+        return out
+
+
+_LETTER_TABLE_BOUND = 64  # the largest generator whose letters the tables keep
+_SWAP = _LetterTable(lambda code: code ^ 1)
+_TEXT = _LetterTable(lambda code: f"x{code >> 1}" if code & 1 else f"x{code >> 1}^-1")
+_POSITIVE = _LetterTable(lambda code: code if code & 1 else None)  # drops x_g^-1
+
+
+def exponent_sum(word: Word) -> int:
+    """The image of a word under F_n -> Z, every generator to 1."""
+    return 2 * len(word.translate(_POSITIVE)) - len(word)
 
 
 def _check_value(group: DeckGroup, value) -> None:
@@ -184,14 +218,11 @@ def _check_value(group: DeckGroup, value) -> None:
     in [0, m)."""
     kind = group.kind
     if kind == FREE:
-        # One interpreted pass: splitting the letters with zip(*value)
-        # for builtin min/max/any checks took 2.5x as long on CPython
-        # 3.10 and 3.11, over the words one brunnian-words pass builds.
-        prev, n = 0, group.n
-        for g, e in value:
-            if e == 0 or not 1 <= g <= n or g == prev:
-                raise GroupError(f"word {value} is not freely reduced")
-            prev = g
+        if not isinstance(value, str) or value and (
+            min(value) < "\x02" or max(value) > chr(2 * group.n + 1)
+            or any(map(operator.eq, value[1:], value[:-1].translate(_SWAP)))
+        ):
+            raise GroupError(f"word {value!r} is not freely reduced on x1..x{group.n}")
     elif kind == FREE_ABELIAN:
         if len(value) != group.n:
             raise GroupError(
@@ -204,11 +235,11 @@ def _check_value(group: DeckGroup, value) -> None:
 class DeckElement:
     """An element of a deck group, stored in canonical form.
 
-    value is a reduced Word (free), an exponent tuple (free abelian), or
-    a residue in [0, m) (cyclic).
+    value is a reduced Word (free, with its _runs flag), an exponent
+    tuple (free abelian), or a residue in [0, m) (cyclic).
     """
 
-    __slots__ = ("group", "value", "_hash")
+    __slots__ = ("group", "value", "_hash", "_runs")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, group: DeckGroup, value: Word | tuple[int, ...] | int):
@@ -216,13 +247,15 @@ class DeckElement:
         _set_group(self, group)
         _set_value(self, value)
         _set_hash(self, hash(value))
+        if group.kind == FREE:
+            _set_runs(self, any(map(operator.eq, value, value[1:])))
 
     def __eq__(self, other):
         if self is other:
             return True
         if other.__class__ is not DeckElement:
             return NotImplemented
-        return self.value == other.value and self.group == other.group
+        return self.value == other.value and (self.group is other.group or self.group == other.group)
 
     def __hash__(self):
         return self._hash
@@ -236,11 +269,9 @@ class DeckElement:
 
     def mul(self, other: "DeckElement") -> "DeckElement":
         """Group law; for words, left-to-right concatenation (self first),
-        reduced only at the seam where the two words meet (see
-        _seam_product).  Both factors are canonical, so the product is
-        too and is built unchecked (_canonical): O(cancelled letters)
-        interpreted steps in all, not a pass over |self| + |other|
-        letters."""
+        reduced only at the seam where the two words meet (see _seam).
+        Both factors are canonical, so the product is too and is built
+        unchecked (_canonical), without a pass over its letters."""
         group = self.group
         if other.group is not group and other.group != group:
             raise GroupError(f"cannot multiply across groups {group} and {other.group}")
@@ -249,7 +280,9 @@ class DeckElement:
             a, b = self.value, other.value
             if not (a and b):  # a factor is the empty word: the other keeps its hash
                 return self if a else other
-            return _canonical(group, _seam_product(a, b))
+            i, j = _seam(a, b)
+            runs = self._runs or other._runs or (0 < i and j < len(b) and a[i - 1] == b[j])
+            return _canonical(group, a[:i] + b[j:], runs)
         if kind == FREE_ABELIAN:
             return _canonical(group, tuple(map(operator.add, self.value, other.value)))
         return _canonical(group, (self.value + other.value) % group.n)
@@ -257,56 +290,58 @@ class DeckElement:
     def inv(self) -> "DeckElement":
         kind = self.group.kind
         if kind == FREE:
-            return _canonical(self.group, tuple((g, -e) for g, e in reversed(self.value)))
+            return _canonical(self.group, self.value[::-1].translate(_SWAP), self._runs)
         if kind == FREE_ABELIAN:
             return _canonical(self.group, tuple(-a for a in self.value))
         return _canonical(self.group, (-self.value) % self.group.n)
 
     def pow(self, k: int) -> "DeckElement":
-        """x^k in time linear in the result: k*v for exponent vectors,
-        k*r mod m for residues, and for words one free reduction of |k|
-        copies of x (of x^-1 when k < 0), which cancels each letter at
-        most once; when the word's first and last letters lie on
-        different generators no letter cancels at a seam, so the copies
-        are the result and that pass is skipped.  k = 0 gives the
-        identity.  A word power is refused before it is built when its
-        |k| copies, an upper bound on the result's length, have more
-        than MAX_POWER_LETTERS letters.  Every result is canonical, so
-        it is built unchecked (_canonical)."""
-        kind = self.group.kind
+        """x^k in time linear in the result: k*v, k*r mod m, or for a word
+        x = u v u^-1 (x^-1 when k < 0), v cyclically reduced, u v^|k| u^-1;
+        refused before it is built when |k| copies of x have more than
+        MAX_POWER_LETTERS letters.  Built unchecked (_canonical)."""
+        group = self.group
+        kind = group.kind
         if kind == FREE_ABELIAN:
-            return _canonical(self.group, tuple(k * a for a in self.value))
+            return _canonical(group, tuple(k * a for a in self.value))
         if kind == CYCLIC:
-            return _canonical(self.group, (k * self.value) % self.group.n)
-        letters = abs(k) * len(self.value)
+            return _canonical(group, (k * self.value) % group.n)
+        word, copies = self.value, abs(k)
+        letters = copies * len(word)
         if letters > MAX_POWER_LETTERS:
-            raise GroupError(
-                f"power {k} of a {len(self.value)}-letter word has {letters} letters, "
-                f"more than {MAX_POWER_LETTERS}"
-            )
-        value = (self if k > 0 else self.inv()).value * abs(k)
-        if value and value[0][0] == value[-1][0]:
-            value = reduce_letters(value)
-        return _canonical(self.group, value)
+            raise GroupError(f"power {k} of a {len(word)}-letter word has {letters} letters, "
+                             f"more than {MAX_POWER_LETTERS}")
+        if not letters:
+            return group.identity()
+        word, t = word[::-1].translate(_SWAP) if k < 0 else word, 0
+        while ord(word[t]) ^ 1 == ord(word[-1 - t]):
+            t += 1
+        core = word[t : len(word) - t]
+        runs = self._runs or (copies > 1 and core[0] == core[-1])
+        return _canonical(group, word[:t] + core * copies + word[len(word) - t :], runs)
 
     def sort_key(self):
         """Deterministic total order: residues and exponent vectors
-        numerically, words lexicographically on their letter sequence."""
-        return (self.value,) if self.group.kind == CYCLIC else self.value
+        numerically, words lexicographically on their (generator,
+        exponent) pairs: as strings once _run_key marks their runs."""
+        kind = self.group.kind
+        if kind == FREE:
+            return re.sub(_RUNS, _run_key, self.value) if self._runs else self.value
+        return (self.value,) if kind == CYCLIC else self.value
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.group}>"
 
 
-def _canonical(group: DeckGroup, value) -> DeckElement:
-    """The trusted constructor: a DeckElement from a value that is
-    canonical in group by construction, built without _check_value.
-    Only the group operations (mul, inv, pow) use it; everything else
-    goes through the validating DeckElement(group, value)."""
+def _canonical(group: DeckGroup, value, runs: bool | None = None) -> DeckElement:
+    """The trusted constructor: a DeckElement (and a word's _runs flag) from a value
+    canonical in group by construction, without _check_value; all else uses DeckElement()."""
     elt = _new_element(DeckElement)
     _set_group(elt, group)
     _set_value(elt, value)
     _set_hash(elt, hash(value))
+    if runs is not None:
+        _set_runs(elt, runs)
     return elt
 
 
@@ -316,6 +351,20 @@ _new_element = object.__new__
 _set_group = DeckElement.__dict__["group"].__set__
 _set_value = DeckElement.__dict__["value"].__set__
 _set_hash = DeckElement.__dict__["_hash"].__set__
+_set_runs = DeckElement.__dict__["_runs"].__set__
+
+
+def _run_key(run: re.Match) -> str:
+    """A run's part of a sort key that orders words as their pairs: x_g^e
+    (e >= 2) is x_g, _POSITIVE_RUN, e (after x_g x_h...), and x_g^-e is
+    x_(g-1), _NEGATIVE_RUN, 2^32 - 1 - e (after x_(g-1)^e..., before x_g^-1)."""
+    letter, size = run[1], len(run[0])
+    if size == 1:
+        return letter
+    if ord(letter) & 1:
+        return f"{letter}{_POSITIVE_RUN}{chr(size >> 16)}{chr(size & 0xFFFF)}"
+    size = 0xFFFFFFFF - size
+    return f"{chr(ord(letter) - 1)}{_NEGATIVE_RUN}{chr(size >> 16)}{chr(size & 0xFFFF)}"
 
 
 def commutator(a: DeckElement, b: DeckElement) -> DeckElement:
@@ -369,40 +418,15 @@ def parse_word(text: str, group: DeckGroup) -> DeckElement:
     return DeckElement(group, tuple(vec))
 
 
-# Largest generator index and exponent size whose letter the table keeps.
-_LETTER_TABLE_BOUND = 64
-
-
-class _LetterTable(dict):
-    """(generator, exponent) -> "x{g}" or "x{g}^{e}".  A missing letter
-    is formatted on lookup and kept only while g and |e| are at most
-    _LETTER_TABLE_BOUND, so the table holds at most 64 * 128 strings."""
-
-    __slots__ = ()
-
-    def __missing__(self, letter: tuple[int, int]) -> str:
-        g, e = letter
-        text = f"x{g}" if e == 1 else f"x{g}^{e}"
-        if g <= _LETTER_TABLE_BOUND and -_LETTER_TABLE_BOUND <= e <= _LETTER_TABLE_BOUND:
-            self[letter] = text
-        return text
-
-
-_LETTERS = _LetterTable()
-
-
 def format_element(elt: DeckElement) -> str:
     """Canonical x-notation (words / exponent vectors) or the residue."""
-    if elt.group.kind == CYCLIC:
+    kind = elt.group.kind
+    if kind == CYCLIC:
         return str(elt.value)
-    if elt.group.kind == FREE:
-        letters = elt.value
-    else:
-        letters = tuple((i + 1, e) for i, e in enumerate(elt.value) if e != 0)
-    if not letters:
-        return "1"
-    text = operator.itemgetter(*letters)(_LETTERS)
-    return text if len(letters) == 1 else " ".join(text)
+    if kind == FREE and not elt._runs:
+        return " ".join(map(_TEXT.__getitem__, elt.value)) or "1"
+    letters = syllables(elt.value) if kind == FREE else [(i + 1, e) for i, e in enumerate(elt.value) if e]
+    return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in letters) or "1"
 
 
 def element_to_json(elt: DeckElement):

@@ -5,7 +5,7 @@ JSON form of each, converted once when it is built: a ring element's
 term list and rendered sum, a class's term list (and under computed its
 rendered sum, as KEY_rendered).  An expected value equal to the computed
 value under its key reuses the computed form.  An integer too long to
-print is refused there by its field (computed.matrix[0][0]).
+print is refused there by its field (params.barbells[0].iterate).
 render_table, render_machine and render_line (a sweep job's line) lay
 the forms out; _echo quotes a refused input.
 """
@@ -99,6 +99,11 @@ class Report:
             for key, value in (expected or {}).items()
         }
         self.passed, self.notes, self.name, self.params = passed, notes or [], name, params or {}
+        try:  # the params' text in C; one too long to print is refused by its field, as _form names it
+            repr(self.params)
+        except ValueError:
+            _form(self.params, "params")
+            _printed(repr, self.params, "params")
 
     def to_machine(self) -> dict:
         return {"theorem": self.name, "params": self.params, "computed": self.computed,

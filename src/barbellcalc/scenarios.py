@@ -32,7 +32,6 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
-from operator import itemgetter
 
 from .deckgroup import (
     CYCLIC,
@@ -43,6 +42,7 @@ from .deckgroup import (
     GroupError,
     brunnian_word,
     element_from_json,
+    exponent_sum,
 )
 from .equivariant import (
     DISK,
@@ -394,7 +394,7 @@ def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     nontrivial = not is_monomial_unit(image)
     # the relator pushed through F_n -> Z, every generator to t, needs no
     # word product: w is x1 for n = 2, and a commutator (image 1) otherwise
-    pushed = Counter(sum(map(itemgetter(1), g.value)) for g in engine_f.terms)
+    pushed = Counter(exponent_sum(g.value) for g in engine_f.terms)
     closed = {g.value for g in morsesimple_f(k, l).terms} if n == 2 else {(0,)}
     abelian = {(e,) for e, c in pushed.items() if c % 2} == closed
     return Report(

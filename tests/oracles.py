@@ -19,8 +19,14 @@ in their place, and the tests compare the two.
   summand_membership, which decides membership modulo the meridians by
   solving the general linear systems with it: the oracle of the closed
   form in equivariant.summand_membership.
+* Free groups over (generator, exponent) pairs, the form words had
+  before they were strings of code points: reduce_pairs, free reduction
+  one letter at a time, with pairs_product, pairs_inverse, pairs_power
+  and pairs_text beside it, the reference of the word operations,
+  reduce_letters and format_element; pairs compare as Python tuples,
+  the reference of DeckElement.sort_key.
 * The plain versions of the word-path kernels: format_letters, the
-  per-letter join of deckgroup.format_element; slow_pow, a power as
+  per-syllable join of deckgroup.format_element; slow_pow, a power as
   |k| - 1 products, for DeckElement.pow; and stored_row, a pairing row
   read from the stored table or reversed on demand, for the two-way
   table Geometry derives at construction.
@@ -46,6 +52,7 @@ from barbellcalc.deckgroup import (
     format_element,
     free_abelian,
     reduce_letters,
+    syllables,
 )
 from barbellcalc.equivariant import EquivClass, Geometry, GeometryError, pair_classes
 from barbellcalc.groupring import F2, RingElement, RingError, is_monomial_unit, normalize_monomial
@@ -113,7 +120,7 @@ def unitriangular_rep(word: DeckElement, n: int) -> UniTriMatrix:
     if word.group.kind != FREE:
         raise GroupError("unitriangular_rep takes free-group elements")
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for gen, exp in word.value:
+    for gen, exp in syllables(word.value):
         if gen >= n:
             raise GroupError(f"generator x{gen} has no image in U_{n} (needs index < {n})")
         for row in rows[:gen]:
@@ -130,8 +137,9 @@ def nilpotent_times_z(word: DeckElement, n: int) -> tuple[UniTriMatrix, int]:
     """
     if word.group.kind != FREE or word.group.n != n:
         raise GroupError(f"expected an element of F_{n}")
-    dropped = reduce_letters((g, e) for g, e in word.value if g != n)
-    exponent = sum(e for g, e in word.value if g == n)
+    pairs = syllables(word.value)
+    dropped = reduce_letters((g, e) for g, e in pairs if g != n)
+    exponent = sum(e for g, e in pairs if g == n)
     return unitriangular_rep(DeckElement(word.group, dropped), n), exponent
 
 
@@ -142,7 +150,7 @@ def cyclic_project(word: DeckElement, weights: Sequence[int], m: int) -> DeckEle
         raise GroupError(f"modulus must be >= 1, got {m}")
     target = DeckGroup(CYCLIC, m)
     if word.group.kind == FREE:
-        total = sum(weights[g - 1] * e for g, e in word.value)
+        total = sum(weights[g - 1] * e for g, e in syllables(word.value))
     elif word.group.kind == FREE_ABELIAN:
         total = sum(w * e for w, e in zip(weights, word.value))
     else:
@@ -323,15 +331,55 @@ def summand_membership(
 
 
 def format_letters(elt: DeckElement) -> str:
-    """x-notation through one f-string per letter: the oracle of
+    """x-notation through one f-string per syllable: the oracle of
     format_element's letter table."""
     if elt.group.kind == FREE:
-        letters = elt.value
-    else:
-        letters = tuple((i + 1, e) for i, e in enumerate(elt.value) if e != 0)
-    if not letters:
-        return "1"
-    return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in letters)
+        return pairs_text(syllables(elt.value))
+    return pairs_text(tuple((i + 1, e) for i, e in enumerate(elt.value) if e != 0))
+
+
+# ---------------------------------------------------------------------------
+# Free groups over (generator, exponent) pairs.
+
+Pairs = tuple[tuple[int, int], ...]
+
+
+def reduce_pairs(letters: Iterable[tuple[int, int]]) -> Pairs:
+    """Free reduction one letter at a time: expand each pair into single
+    letters on a stack, pop a letter that meets its inverse, then merge
+    the runs back into pairs."""
+    stack = []
+    for gen, exp in letters:
+        step = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            if stack and stack[-1] == (gen, -step):
+                stack.pop()
+            else:
+                stack.append((gen, step))
+    merged = []
+    for gen, step in stack:
+        if merged and merged[-1][0] == gen:
+            merged[-1][1] += step
+        else:
+            merged.append([gen, step])
+    return tuple((g, e) for g, e in merged)
+
+
+def pairs_product(a: Pairs, b: Pairs) -> Pairs:
+    return reduce_pairs(a + b)
+
+
+def pairs_inverse(a: Pairs) -> Pairs:
+    return tuple((g, -e) for g, e in reversed(a))
+
+
+def pairs_power(a: Pairs, k: int) -> Pairs:
+    return reduce_pairs((a if k >= 0 else pairs_inverse(a)) * abs(k))
+
+
+def pairs_text(a: Pairs) -> str:
+    """x-notation: "x1^-1 x2^2", "1" for the empty word."""
+    return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in a) or "1"
 
 
 def slow_pow(x: DeckElement, k: int) -> DeckElement:

@@ -12,8 +12,10 @@ from barbellcalc.deckgroup import (
     CYCLIC,
     FREE,
     _LETTER_TABLE_BOUND,
-    _LETTERS,
+    _SWAP,
+    _TEXT,
     _check_value,
+    MAX_FREE_RANK,
     MAX_POWER_LETTERS,
     DeckElement,
     DeckGroup,
@@ -22,13 +24,27 @@ from barbellcalc.deckgroup import (
     commutator,
     element_from_json,
     element_to_json,
+    exponent_sum,
     format_element,
     free_abelian,
     free_group,
     parse_word,
     reduce_letters,
+    syllables,
 )
-from oracles import UniTriMatrix, cyclic_project, format_letters, nilpotent_times_z, slow_pow, unitriangular_rep
+from oracles import (
+    UniTriMatrix,
+    cyclic_project,
+    format_letters,
+    nilpotent_times_z,
+    pairs_inverse,
+    pairs_power,
+    pairs_product,
+    pairs_text,
+    reduce_pairs,
+    slow_pow,
+    unitriangular_rep,
+)
 
 F3 = free_group(3)
 
@@ -40,29 +56,10 @@ def word(group, *letters):
 # -- independent oracles -----------------------------------------------------
 
 
-def slow_reduce(letters):
-    """Single-letter stack reduction: the naive free-reduction oracle."""
-    stack = []
-    for gen, exp in letters:
-        step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            if stack and stack[-1] == (gen, -step):
-                stack.pop()
-            else:
-                stack.append((gen, step))
-    merged = []
-    for gen, step in stack:
-        if merged and merged[-1][0] == gen:
-            merged[-1][1] += step
-        else:
-            merged.append([gen, step])
-    return tuple((g, e) for g, e in merged if e)
-
-
 def slow_rep(w, n):
     """Dense product of elementary matrices, one per letter."""
     out = UniTriMatrix.identity(n)
-    for gen, exp in w.value:
+    for gen, exp in syllables(w.value):
         out = out.mul(UniTriMatrix.elementary(n, gen, gen + 1, exp))
     return out
 
@@ -78,28 +75,60 @@ def matmul3(a, b):
 
 
 def test_reduce_cancellation():
-    assert reduce_letters([(1, 1), (1, -1)]) == ()
+    assert reduce_letters([(1, 1), (1, -1)]) == ""
 
 
 def test_reduce_merges_exponents():
-    assert reduce_letters([(1, 1), (2, 1), (2, 1)]) == ((1, 1), (2, 2))
+    assert reduce_letters([(1, 1), (2, 1), (2, 1)]) == "\x03\x05\x05"
+    assert syllables(reduce_letters([(1, 1), (2, 1), (2, 1)])) == ((1, 1), (2, 2))
 
 
 def test_reduce_commutator_already_reduced():
     letters = [(1, -1), (2, -1), (1, 1), (2, 1)]
-    assert reduce_letters(letters) == tuple(letters)
+    assert reduce_letters(letters) == "\x02\x04\x03\x05"
+    assert syllables(reduce_letters(letters)) == tuple(letters)
 
 
 def test_reduce_rejects_out_of_range_index():
     with pytest.raises(GroupError):
         reduce_letters([(4, 1)], rank=3)
+    for gen in (0, MAX_FREE_RANK + 1):
+        with pytest.raises(GroupError, match="out of range"):
+            reduce_letters([(gen, 1)])
 
 
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)), max_size=30))
 def test_reduce_idempotent_and_matches_slow_oracle(letters):
     once = reduce_letters(letters)
-    assert reduce_letters(once) == once
-    assert once == slow_reduce(letters)
+    assert reduce_letters(syllables(once)) == once
+    assert syllables(once) == reduce_pairs(letters)
+    assert len(once) == sum(abs(e) for _, e in reduce_pairs(letters))
+
+
+def test_a_word_longer_than_the_cap_is_refused_before_it_is_built():
+    # the cap counts letters, and bounds the reduced word: an exponent of
+    # 4,000 digits is refused without expanding it, and one that cancels is not
+    assert len(reduce_letters([(1, MAX_POWER_LETTERS)])) == MAX_POWER_LETTERS
+    huge = int("9" * 4000)
+    for letters in ([(1, MAX_POWER_LETTERS + 1)], [(1, -huge)], [(1, MAX_POWER_LETTERS), (2, 1), (1, 1)]):
+        with pytest.raises(GroupError, match=f"word has more than {MAX_POWER_LETTERS} letters"):
+            reduce_letters(letters)
+    assert reduce_letters([(1, huge), (1, -huge), (2, 1)]) == "\x05"
+    with pytest.raises(GroupError, match=f"more than {MAX_POWER_LETTERS} letters"):
+        parse_word(f"x1^{MAX_POWER_LETTERS + 1}", F3)
+    with pytest.raises(GroupError, match=f"more than {MAX_POWER_LETTERS} letters"):
+        F3.generator(2, -huge)
+
+
+def test_a_free_group_whose_letters_do_not_fit_in_a_code_point_is_refused():
+    top = free_group(MAX_FREE_RANK)
+    x = top.generator(MAX_FREE_RANK, -2)
+    assert max(x.value) == chr(2 * MAX_FREE_RANK) < "\U0010fffe"
+    assert format_element(x) == f"x{MAX_FREE_RANK}^-2" and x.inv().mul(x).is_identity()
+    for rank in (MAX_FREE_RANK + 1, 10**5000):
+        with pytest.raises(GroupError, match=f"free group rank must be <= {MAX_FREE_RANK}"):
+            free_group(rank)
+    assert DeckGroup("free_abelian", MAX_FREE_RANK + 1).n == MAX_FREE_RANK + 1
 
 
 # -- group law ----------------------------------------------------------------
@@ -146,22 +175,78 @@ def test_free_abelian_and_cyclic_inverses(letters):
     assert c.mul(c.inv()).is_identity()
 
 
+# -- the pair oracle ------------------------------------------------------------
+#
+# Every word operation against free reduction over (generator, exponent)
+# pairs (tests/oracles.py), on words with runs (x1^2) and without.
+
+LETTERS = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=10)
+# reduced words as pairs, the oracle's form
+REDUCED = LETTERS.map(reduce_pairs)
+EXPONENTS = st.integers(-30, 30)
+
+
+def element(pairs, group=F3):
+    return DeckElement(group, reduce_letters(pairs, group.n))
+
+
+@given(REDUCED, REDUCED, EXPONENTS)
+def test_word_operations_match_the_pair_oracle(a, b, k):
+    x, y = element(a), element(b)
+    assert syllables(x.mul(y).value) == pairs_product(a, b)
+    assert syllables(x.inv().value) == pairs_inverse(a)
+    assert syllables(x.pow(k).value) == pairs_power(a, k)
+    assert len(x.value) == sum(abs(e) for _, e in a)
+    assert exponent_sum(x.value) == sum(e for _, e in a)
+
+
+@given(REDUCED)
+def test_parse_and_format_round_trip_through_the_pair_oracle(a):
+    x = element(a)
+    text = format_element(x)
+    assert text == pairs_text(a) == element_to_json(x)
+    assert parse_word(text, F3) == x and syllables(parse_word(text, F3).value) == a
+
+
+@given(st.lists(REDUCED, max_size=12))
+def test_sort_key_orders_words_as_their_pairs(words):
+    elements = [element(a) for a in words]
+    assert [syllables(x.value) for x in sorted(elements, key=DeckElement.sort_key)] == sorted(words)
+
+
+@pytest.mark.parametrize("smaller, larger", [
+    ("x1 x2", "x1^2"),
+    ("x1^-2", "x1^-1"),
+    ("x1^2", "x1^3"),
+    ("x1^-3 x2", "x1^-2"),
+    ("x1^2 x3", "x2^-5"),
+    ("x1^5", "x2^-2"),
+    ("x1 x3^-1", "x1^2"),
+    ("x2^-2 x1", "x2^-1"),
+    ("x1", "x1 x2"),
+], ids=lambda text: text.replace(" ", "_"))
+def test_pinned_word_orders(smaller, larger):
+    # string order on the code points puts x1^2 before x1 x2 and x1^-1
+    # before x1^-2; sort_key keeps the order of the pairs
+    a, b = parse_word(smaller, F3), parse_word(larger, F3)
+    assert syllables(a.value) < syllables(b.value)
+    assert a.sort_key() < b.sort_key()
+
+
+def test_sort_key_of_long_runs_keeps_the_pair_order():
+    runs = [F3.generator(1, e) for e in (-70_000, -65_537, -65_536, -2, -1, 1, 2, 65_536, 65_537, 70_000)]
+    runs += [F3.generator(2, -70_000), F3.generator(1, 2).mul(F3.generator(2))]
+    assert sorted(runs, key=DeckElement.sort_key) == sorted(runs, key=lambda x: syllables(x.value))
+
+
 # -- seam products, validation, equality -----------------------------------------
-
-REDUCED = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=10).map(
-    lambda letters: reduce_letters(letters, 3)
-)
-NONZERO = st.integers(-3, 3).filter(bool)
-
-
-def inverse_letters(w):
-    return tuple((g, -e) for g, e in reversed(w))
 
 
 def check_product(a, b):
-    """a.mul(b) against a full free reduction of the concatenation."""
-    product = DeckElement(F3, a).mul(DeckElement(F3, b)).value
-    assert product == reduce_letters(itertools.chain(a, b)) == slow_reduce(itertools.chain(a, b))
+    """a.mul(b), on words given as pairs, against the oracle's reduction
+    of the concatenation; returns the product as pairs."""
+    product = syllables(element(a).mul(element(b)).value)
+    assert product == syllables(reduce_letters(itertools.chain(a, b))) == reduce_pairs(itertools.chain(a, b))
     return product
 
 
@@ -169,17 +254,20 @@ def check_product(a, b):
 def test_seam_product_cancels_a_shared_middle(p, u, q):
     # a = p u, b = u^-1 q: u cancels, then p's last and q's first letters
     # may cancel further or merge (u = () gives two random words)
-    a = reduce_letters(p + u)
-    b = reduce_letters(inverse_letters(u) + q)
+    a = reduce_pairs(p + u)
+    b = reduce_pairs(pairs_inverse(u) + q)
     check_product(a, b)
-    assert check_product(a, inverse_letters(a)) == ()
+    assert check_product(a, pairs_inverse(a)) == ()
     assert check_product((), b) == b and check_product(a, ()) == a
+
+
+NONZERO = st.integers(-3, 3).filter(bool)
 
 
 @given(REDUCED, REDUCED, st.integers(1, 3), NONZERO, NONZERO)
 def test_seam_product_merges_one_letter_pair(p, q, gen, e, f):
-    a = reduce_letters(p + ((gen, e),))
-    b = reduce_letters(((gen, f),) + q)
+    a = reduce_pairs(p + ((gen, e),))
+    b = reduce_pairs(((gen, f),) + q)
     check_product(a, b)
 
 
@@ -192,27 +280,34 @@ def test_seam_product_examples():
 
 
 def builtin_valid(letters, n):
-    """The three word conditions in builtins: no zero exponent, every
-    generator in 1..n, no two adjacent letters on one generator."""
+    """The three word conditions on pairs, in builtins: no zero exponent,
+    every generator in 1..n, no two adjacent letters on one generator."""
     if not letters:
         return True
     gens, exps = zip(*letters)
     return not (0 in exps or min(gens) < 1 or max(gens) > n or any(map(operator.eq, gens, gens[1:])))
 
 
-@given(st.lists(st.tuples(st.integers(-1, 4), st.integers(-2, 2)), max_size=8))
+@given(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 1)), max_size=8))
 def test_word_validation_matches_builtin_conditions(letters):
-    letters = tuple(letters)
+    # one code point per letter; a code below 2 (generator 0) or above 7
+    # (x4) and a letter next to its inverse are refused
+    value = "".join(chr(max(2 * g + (e > 0), 0)) for g, e in letters if e)
     try:
-        DeckElement(F3, letters)
+        DeckElement(F3, value)
         accepted = True
     except GroupError as exc:
         assert "is not freely reduced" in str(exc)
         accepted = False
-    assert accepted == builtin_valid(letters, 3)
-    in_range = all(1 <= g <= 3 for g, _ in letters)
-    # a valid word is exactly a raw word that free reduction leaves alone
-    assert accepted == (in_range and reduce_letters(letters, 3) == letters)
+    codes = [ord(c) for c in value]
+    valid_letters = all(2 <= c <= 7 for c in codes)
+    no_inverse_pair = not any(c ^ 1 == d for c, d in zip(codes, codes[1:]))
+    assert accepted == (valid_letters and no_inverse_pair)
+    if valid_letters:
+        # a valid word is exactly one that free reduction leaves alone,
+        # and whose syllables keep the conditions on pairs
+        pairs = tuple((c >> 1, 1 if c & 1 else -1) for c in codes)
+        assert accepted == (reduce_letters(pairs, 3) == value) == builtin_valid(syllables(value), 3)
 
 
 def assert_all_equal(elements):
@@ -224,9 +319,10 @@ def assert_all_equal(elements):
 
 
 @given(REDUCED, st.data())
-def test_equal_words_are_equal_and_hash_equal_however_built(w, data):
+def test_equal_words_are_equal_and_hash_equal_however_built(pairs, data):
     f3 = DeckGroup(FREE, 3)
-    x = DeckElement(free_group(3), w)
+    x = element(pairs, free_group(3))
+    w = x.value
     cut = data.draw(st.integers(0, len(w)))
     built = [
         x,
@@ -273,15 +369,12 @@ def test_values_are_slotted_and_frozen():
     x = F3.generator(2)
     assert not hasattr(x, "__dict__") and not hasattr(F3, "__dict__")
     with pytest.raises(AttributeError):
-        x.value = ()
+        x.value = ""
     with pytest.raises(AttributeError):
         F3.n = 4
 
 
 # -- powers ---------------------------------------------------------------------
-
-LETTERS = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=10)
-EXPONENTS = st.integers(-30, 30)
 
 
 @given(LETTERS, EXPONENTS)
@@ -324,9 +417,9 @@ def test_word_power_is_capped_before_it_is_built():
 
 
 # A word's two ends decide how pow builds it: copies of a word whose
-# first and last letters lie on different generators never cancel, so
-# they are the power as they stand; only words whose ends share a
-# generator go through reduce_letters.
+# first and last letters lie on different generators meet on distinct
+# generators; a word whose ends share a generator either joins its copies
+# into a run (x1 x2 x1) or is a conjugate u v u^-1 whose u pow peels off.
 DISTINCT_ENDS = REDUCED.filter(lambda w: len(w) >= 2 and w[0][0] != w[-1][0])
 SHARED_ENDS = REDUCED.filter(lambda w: w and w[0][0] == w[-1][0])
 
@@ -334,80 +427,89 @@ SHARED_ENDS = REDUCED.filter(lambda w: w and w[0][0] == w[-1][0])
 @pytest.mark.parametrize("words", [DISTINCT_ENDS, SHARED_ENDS], ids=["distinct-ends", "shared-ends"])
 @given(data=st.data())
 def test_word_power_matches_slow_pow_for_either_kind_of_end(words, data):
-    x = DeckElement(F3, data.draw(words))
+    pairs = data.draw(words)
+    x = element(pairs)
     k = data.draw(EXPONENTS)
     power = x.pow(k)
     assert power == slow_pow(x, k)
+    assert syllables(power.value) == pairs_power(pairs, k)
     _check_value(F3, power.value)
 
 
 def test_word_power_with_distinct_ends_skips_the_reduction_pass(monkeypatch):
     w = brunnian_word(4)  # starts with x1^-1 x2^-1, ends with x3
     shared = word(F3, (1, 1), (2, 1), (1, 1))
+    conjugate = word(F3, (2, 1), (1, 1), (3, 1), (2, -1))
 
     def refuse(*args, **kwargs):
         raise AssertionError("reduce_letters called")
 
     monkeypatch.setattr(deckgroup, "reduce_letters", refuse)
     assert w.pow(-7).value == w.inv().value * 7
-    with pytest.raises(AssertionError, match="reduce_letters called"):
-        shared.pow(2)
+    # nor do words whose ends share a generator: a run, or a peeled conjugate
+    assert syllables(shared.pow(2).value) == ((1, 1), (2, 1), (1, 2), (2, 1), (1, 1))
+    assert syllables(conjugate.pow(-3).value) == ((2, 1), (3, -1), (1, -1), (3, -1), (1, -1), (3, -1), (1, -1), (2, -1))
 
 
 # -- rendering --------------------------------------------------------------------
 #
-# format_element looks each letter up in a table that keeps the strings
-# of letters with generator index and |exponent| up to the bound; beyond
-# it, letters are formatted on every lookup and never stored.
+# format_element joins the strings of a run-free word's letters from a
+# table that keeps the letters of generators up to the bound; beyond it,
+# letters are formatted on every lookup and never stored.  A word with
+# runs, and an exponent vector, are formatted one syllable at a time.
 
 BOUND = _LETTER_TABLE_BOUND
-WIDE_LETTERS = st.lists(
-    st.tuples(st.integers(1, BOUND + 6), st.integers(-BOUND - 200, BOUND + 200)), max_size=12
-)
+WIDE_LETTERS = st.lists(st.tuples(st.integers(1, BOUND + 6), st.integers(-3, 3)), max_size=12)
 
 
-def beyond_bound(letters):
-    return [(g, e) for g, e in letters if g > BOUND or abs(e) > BOUND]
+def beyond_bound(value):
+    return [letter for letter in value if ord(letter) >> 1 > BOUND]
 
 
 @given(WIDE_LETTERS)
 def test_format_element_matches_the_per_letter_join(letters):
     x = DeckElement(free_group(BOUND + 6), reduce_letters(letters))
     assert format_element(x) == format_letters(x)
-    assert not any(letter in _LETTERS for letter in beyond_bound(x.value))
-    assert len(_LETTERS) <= BOUND * 2 * BOUND
+    assert not any(letter in _TEXT or ord(letter) in _SWAP for letter in beyond_bound(x.inv().value))
+    assert len(_TEXT) <= 2 * BOUND and len(_SWAP) <= 2 * BOUND
 
 
 @given(st.lists(st.integers(-BOUND - 200, BOUND + 200), min_size=1, max_size=BOUND + 6))
 def test_format_element_of_a_vector_matches_the_per_letter_join(vec):
     x = DeckElement(free_abelian(len(vec)), tuple(vec))
     assert format_element(x) == format_letters(x)
-    letters = [(i + 1, e) for i, e in enumerate(vec) if e]
-    assert not any(letter in _LETTERS for letter in beyond_bound(letters))
 
 
 def test_format_element_keeps_only_small_letters():
-    big = word(free_group(BOUND + 1), (BOUND + 1, 1), (1, BOUND + 1), (2, -BOUND - 1), (3, 10**30))
-    assert format_element(big) == f"x{BOUND + 1} x1^{BOUND + 1} x2^{-BOUND - 1} x3^{10**30}"
-    assert not any(letter in _LETTERS for letter in big.value)
-    small = word(F3, (1, BOUND), (2, -BOUND), (3, 1))
-    assert format_element(small) == f"x1^{BOUND} x2^{-BOUND} x3"
-    assert all(letter in _LETTERS for letter in small.value)
+    big = word(free_group(BOUND + 1), (BOUND + 1, 1), (1, -1), (BOUND + 1, -1), (3, 1))
+    assert not big._runs
+    assert format_element(big) == f"x{BOUND + 1} x1^-1 x{BOUND + 1}^-1 x3"
+    assert not any(letter in _TEXT for letter in big.value[::2])
+    small = word(F3, (1, 1), (2, -1), (3, 1))
+    assert format_element(small) == "x1 x2^-1 x3"
+    assert all(letter in _TEXT for letter in small.value)
+    runs = word(free_group(BOUND + 1), (BOUND + 1, 3), (1, -BOUND - 1), (2, 10**4))
+    assert runs._runs
+    assert format_element(runs) == f"x{BOUND + 1}^3 x1^{-BOUND - 1} x2^{10**4}"
 
 
 # -- the trusted constructor -----------------------------------------------------
 #
 # mul, inv and pow build their results without the public constructor's
-# check; every value they return must still pass it.
+# check; every value they return must still pass it, and a word's run
+# flag may only err on the side of a run.
 
 
 def check_trusted(elt):
     """elt passes the public constructor's check and matches, value and
-    hash, the element the validating constructor builds from its value."""
+    hash, the element the validating constructor builds from its value;
+    a word flagged run-free has no run."""
     _check_value(elt.group, elt.value)
     validated = DeckElement(elt.group, elt.value)
     assert validated.value == elt.value and validated == elt
     assert hash(validated) == hash(elt)
+    if elt.group.kind == FREE:
+        assert elt._runs or not validated._runs
 
 
 def check_operations(x, y, k):
@@ -418,8 +520,8 @@ def check_operations(x, y, k):
 @given(REDUCED, REDUCED, REDUCED, EXPONENTS)
 def test_word_operations_return_canonical_words(p, u, q, k):
     # a = p u and b = u^-1 q cancel at their seam (u = () gives two random words)
-    a = DeckElement(F3, reduce_letters(p + u))
-    b = DeckElement(F3, reduce_letters(inverse_letters(u) + q))
+    a = element(reduce_pairs(p + u))
+    b = element(reduce_pairs(pairs_inverse(u) + q))
     check_operations(a, b, k)
 
 
@@ -439,24 +541,26 @@ def test_residue_operations_return_canonical_residues(residues, k):
 
 
 @given(REDUCED, st.lists(st.integers(-3, 3), min_size=2, max_size=2), st.integers(-12, 12))
-def test_is_identity_agrees_with_comparing_to_the_identity(letters, vec, r):
-    for group, value in ((F3, letters), (free_abelian(2), tuple(vec)), (DeckGroup(CYCLIC, 5), r % 5)):
+def test_is_identity_agrees_with_comparing_to_the_identity(pairs, vec, r):
+    for group, value in ((F3, reduce_letters(pairs)), (free_abelian(2), tuple(vec)), (DeckGroup(CYCLIC, 5), r % 5)):
         x = DeckElement(group, value)
         for elt in (x, x.mul(x.inv()), group.identity()):
             assert elt.is_identity() == (elt == group.identity())
 
 
 @given(REDUCED.filter(bool))
-def test_a_word_times_the_empty_word_is_the_word_itself(letters):
-    x, one = DeckElement(F3, letters), F3.identity()
+def test_a_word_times_the_empty_word_is_the_word_itself(pairs):
+    x, one = element(pairs), F3.identity()
     assert x.mul(one) is x and one.mul(x) is x
     check_trusted(one.mul(one))
 
 
 def test_public_constructor_refuses_non_canonical_values():
-    for letters in (((1, 1), (1, 2)), ((2, 0),), ((4, 1),)):
+    # x1 x1^-1, a code below x1^-1, x4 in F_3, and pairs (the old form)
+    for value in ("\x03\x02", "\x05\x04", "\x01", "\x03\x09", ((1, 1),)):
         with pytest.raises(GroupError, match="is not freely reduced"):
-            DeckElement(F3, letters)
+            DeckElement(F3, value)
+    assert DeckElement(F3, "\x03\x03").value == "\x03\x03"  # x1^2 is reduced
     with pytest.raises(GroupError, match=r"has length 2; Z\^3 has rank 3"):
         DeckElement(free_abelian(3), (1, 2))
     for residue in (5, -1):
@@ -494,12 +598,12 @@ def test_brunnian_word_rank_four_against_symbolic_expansion():
     w2 = [(1, -1), (2, -1), (1, 1), (2, 1)]
     w2_inv = [(g, -e) for g, e in reversed(w2)]
     expanded = w2_inv + [(3, -1)] + w2 + [(3, 1)]
-    expected = slow_reduce(expanded)
+    expected = reduce_pairs(expanded)
     got = brunnian_word(4)
-    assert got.value == expected
+    assert syllables(got.value) == expected
     assert len(got.value) == 10
     # lives in the subgroup generated by the first three letters
-    assert all(g < 4 for g, _ in got.value)
+    assert all(g < 4 for g, _ in syllables(got.value))
 
 
 def test_brunnian_word_needs_rank_two():

@@ -1,8 +1,8 @@
 """
 A mutation matrix: single-point faults planted in the engine by
 monkeypatch, each run against every registry key at its sample
-parameters, against linked-6crit at n = 2 (where word products merge
-letters) and at n = 3 with k = l = 2 (where the relator's products
+parameters, against linked-6crit at n = 2 (where word products join
+runs of x1) and at n = 3 with k = l = 2 (where the relator's products
 cancel in pairs), and against the committed scenario.  A check that no
 fault can turn from PASS to FAIL or refusal checks nothing, so every
 key must catch some mutation and every mutation must be caught by some
@@ -46,19 +46,18 @@ def _with(spec, **fields):
     return BarbellSpec(**{**old, **fields})
 
 
-def _seam_merge_first_exponent(a, b):
-    # _seam_product with the merged letter keeping a's exponent only
+def _seam_cancelling_equal_letters(a, b):
+    # deckgroup._seam with x_g cancelling against x_g as well as x_g^-1
     i, j, stop = len(a), 0, len(b)
-    while i and j < stop:
-        gen, exp = a[i - 1]
-        other_gen, other_exp = b[j]
-        if gen != other_gen:
-            break
-        if exp + other_exp:
-            return a[: i - 1] + ((gen, exp),) + b[j + 1 :]
+    while i and j < stop and ord(a[i - 1]) >> 1 == ord(b[j]) >> 1:
         i -= 1
         j += 1
-    return a[:i] + b[j:]
+    return i, j
+
+
+# deckgroup._SWAP with x1 and x1^-1 left as they are, so that a word's
+# inverse keeps its x1 letters
+_SWAP_MISSING_X1 = {code: code if code >> 1 == 1 else code ^ 1 for code in range(2, 130)}
 
 
 def _second_cuff_at_holonomy(x, spec):
@@ -120,7 +119,8 @@ MUTATIONS = {
     "holonomy inverted": _respec(lambda spec: _with(spec, holonomy=spec.holonomy.inv())),
     "second cuff at holonomy": [(equivariant, "barbell_action", _second_cuff_at_holonomy)],
     "reverse involution skipped": [(groupring.RingElement, "reverse", lambda self: self)],
-    "seam merge exponent": [(deckgroup, "_seam_product", _seam_merge_first_exponent)],
+    "seam cancels equal letters": [(deckgroup, "_seam", _seam_cancelling_equal_letters)],
+    "inverse table misses x1": [(deckgroup, "_SWAP", _SWAP_MISSING_X1)],
     "membership always yes": [(scenarios, "summand_membership", lambda *args, **kwargs: True)],
     "quotient dimension plus one": [(scenarios, "f2_quotient_dim", lambda matrix: _real_dim(matrix) + 1)],
     "meridian augmentation dropped": [(equivariant.Geometry, "coefficient", _meridian_read_as_zero)],

@@ -6,6 +6,7 @@ form, and an integer too long to print is refused by its field.
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -87,3 +88,21 @@ def test_the_refusal_threshold_is_the_interpreters_limit():
     big = 10**4100
     result = Report(computed={"f": from_term_list([[[big], big]], Z, INT), "dim": big}, expected={"dim": big})
     assert result.expected["dim"] == big and json.loads(render_machine(result))["computed"]["dim"] == big
+
+
+def test_a_scenario_param_too_long_to_print_is_refused_by_its_field():
+    # a library caller's scenario is not limited to 4,000 digits as a file is
+    scenario = {"geometry": "torus_complement",
+                "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": [1], "iterate": 10**5000}]}
+    limit = sys.get_int_max_str_digits()
+    message = f"params.barbells[0].iterate has an integer of more than {limit} digits, too long to print"
+    with pytest.raises(HypothesisError, match=f"^{re.escape(message)}$"):
+        scenarios.run_scenario(scenario)
+    with pytest.raises(HypothesisError, match=r"^params\.k has an integer of more than"):
+        Report(computed={"dim": 1}, params={"k": -(10**5000)})
+    # a container the JSON forms do not walk is refused as a whole
+    with pytest.raises(HypothesisError, match=r"^params has an integer of more than"):
+        Report(computed={"dim": 1}, params={"k": (1, 10**5000)})
+    printed = Report(computed={"dim": 1}, params={"barbells": [{"iterate": 10**4100}], "k": 3})
+    params_line = f"params: barbells=[{{'iterate': {10**4100}}}], k=3"
+    assert render_table(printed).splitlines()[0:2] == ["theorem: ", params_line]
