@@ -24,22 +24,18 @@ power, and a free group of rank above MAX_FREE_RANK are refused.
 Groups and elements are immutable slotted values (setting or deleting
 an attribute raises AttributeError) whose hash is computed once, at
 construction; an element hashes by its value alone (equal elements
-share a group).  A value is validated where it enters: the public
-constructor DeckElement(group, value), and through it parse_word,
-element_from_json and DeckGroup.generator, refuse a word that is not
-freely reduced, an exponent vector of the wrong length and a residue
-outside [0, m).  The group operations mul, inv and pow return values
-that are canonical by construction, so they build their results
-through the private trusted constructor _canonical, which skips that
-check.  Two reduced words only cancel where they meet, and mul bisects
-that seam with C-level slice comparisons (_seam); pow writes a word as
-u v u^-1, v cyclically reduced, and repeats v.  A product with the
-empty word returns the other factor itself, so its cached hash is kept,
-and is_identity reads the value without building an identity.
+share a group).  The public constructor DeckElement(group, value)
+refuses a word that is not freely reduced, an exponent vector of the
+wrong length and a residue outside [0, m).  Words from reduce_letters
+and the values of mul, inv and pow are canonical by construction and
+built unchecked (_canonical).  Two reduced words only cancel where they
+meet, and mul bisects that seam with C-level slice comparisons (_seam);
+pow writes a word as u v u^-1, v cyclically reduced, and repeats v.
 
 A word's _runs flag is False only when no letter repeats its neighbour
 (x1^2 does).  Such a word sorts as its pairs do, so it is its own
-sort_key, and format_element joins its letters' strings in C.
+sort_key, and format_element joins its letters' strings in C; others
+are cut at their runs, each found in C however long it is (_by_runs).
 """
 
 from __future__ import annotations
@@ -123,7 +119,7 @@ class DeckGroup:
         if not 1 <= i <= self.n:
             raise GroupError(f"generator index {i} out of range 1..{self.n}")
         if self.kind == FREE:
-            return DeckElement(self, reduce_letters([(i, exponent)], self.n))
+            return _canonical(self, word := reduce_letters([(i, exponent)], self.n), re.search(_RUN, word) is not None)
         vec = [0] * self.n
         vec[i - 1] = exponent
         return DeckElement(self, tuple(vec))
@@ -147,28 +143,33 @@ def reduce_letters(letters: Iterable[tuple[int, int]], rank: int | None = None) 
     for gen, exp in letters:
         if not 1 <= gen <= top:
             raise GroupError(f"generator index {gen} out of range 1..{top}")
-        if exp == 0:
-            continue
         if stack and stack[-1][0] == gen:
-            exp += stack[-1][1]
-            if exp:
-                stack[-1] = (gen, exp)
-            else:
-                stack.pop()
-        else:
+            exp += stack.pop()[1]
+        if exp:
             stack.append((gen, exp))
     if sum(abs(exp) for _, exp in stack) > MAX_POWER_LETTERS:
         raise GroupError(f"word has more than {MAX_POWER_LETTERS} letters")
     return "".join(chr(2 * gen + 1) * exp if exp > 0 else chr(2 * gen) * -exp for gen, exp in stack)
 
 
-_RUNS = r"(?s)(.)\1*"  # one run of a letter; re compiles it on first use, not at import
+_RUN = r"(?s)(.)\1"  # a letter that repeats its neighbour; re compiles it on first use, not at import
+
+
+def _by_runs(word: Word, stretch, run) -> list:
+    """The items of stretch(s) for each run-free stretch s of the word and
+    run(g, e) for each run x_g^e, |e| >= 2 (its end matched by _RUN_OF), in order."""
+    out, pos, search = [], 0, re.compile(_RUN).search
+    while match := search(word, pos):
+        out += stretch(word[pos : match.start()])
+        pos, code = _RUN_OF[match[1]](word, match.start()).end(), ord(match[1])
+        out.append(run(code >> 1, pos - match.start() if code & 1 else match.start() - pos))
+    out += stretch(word[pos:])
+    return out
 
 
 def syllables(word: Word) -> tuple[tuple[int, int], ...]:
     r"""The word's (generator, exponent) pairs: "\x02\x05\x05" is ((1, -1), (2, 2))."""
-    runs = re.finditer(_RUNS, word)
-    return tuple((ord(run[1]) >> 1, len(run[0]) if ord(run[1]) & 1 else -len(run[0])) for run in runs)
+    return tuple(_by_runs(word, lambda stretch: map(_PAIR.__getitem__, stretch), lambda *pair: pair))
 
 
 def _seam(a: Word, b: Word) -> tuple[int, int]:
@@ -205,6 +206,8 @@ _LETTER_TABLE_BOUND = 64  # the largest generator whose letters the tables keep
 _SWAP = _LetterTable(lambda code: code ^ 1)
 _TEXT = _LetterTable(lambda code: f"x{code >> 1}" if code & 1 else f"x{code >> 1}^-1")
 _POSITIVE = _LetterTable(lambda code: code if code & 1 else None)  # drops x_g^-1
+_PAIR = _LetterTable(lambda code: (code >> 1, 1 if code & 1 else -1))
+_RUN_OF = _LetterTable(lambda code: re.compile(f"{re.escape(chr(code))}+").match)
 
 
 def exponent_sum(word: Word) -> int:
@@ -248,7 +251,7 @@ class DeckElement:
         _set_value(self, value)
         _set_hash(self, hash(value))
         if group.kind == FREE:
-            _set_runs(self, any(map(operator.eq, value, value[1:])))
+            _set_runs(self, re.search(_RUN, value) is not None)
 
     def __eq__(self, other):
         if self is other:
@@ -326,7 +329,7 @@ class DeckElement:
         exponent) pairs: as strings once _run_key marks their runs."""
         kind = self.group.kind
         if kind == FREE:
-            return re.sub(_RUNS, _run_key, self.value) if self._runs else self.value
+            return "".join(_by_runs(self.value, lambda stretch: (stretch,), _run_key)) if self._runs else self.value
         return (self.value,) if kind == CYCLIC else self.value
 
     def __repr__(self):
@@ -354,17 +357,12 @@ _set_hash = DeckElement.__dict__["_hash"].__set__
 _set_runs = DeckElement.__dict__["_runs"].__set__
 
 
-def _run_key(run: re.Match) -> str:
+def _run_key(gen: int, exp: int) -> str:
     """A run's part of a sort key that orders words as their pairs: x_g^e
     (e >= 2) is x_g, _POSITIVE_RUN, e (after x_g x_h...), and x_g^-e is
     x_(g-1), _NEGATIVE_RUN, 2^32 - 1 - e (after x_(g-1)^e..., before x_g^-1)."""
-    letter, size = run[1], len(run[0])
-    if size == 1:
-        return letter
-    if ord(letter) & 1:
-        return f"{letter}{_POSITIVE_RUN}{chr(size >> 16)}{chr(size & 0xFFFF)}"
-    size = 0xFFFFFFFF - size
-    return f"{chr(ord(letter) - 1)}{_NEGATIVE_RUN}{chr(size >> 16)}{chr(size & 0xFFFF)}"
+    code, mark, size = (2 * gen + 1, _POSITIVE_RUN, exp) if exp > 0 else (2 * gen - 1, _NEGATIVE_RUN, 0xFFFFFFFF + exp)
+    return f"{chr(code)}{mark}{chr(size >> 16)}{chr(size & 0xFFFF)}"
 
 
 def commutator(a: DeckElement, b: DeckElement) -> DeckElement:
@@ -409,7 +407,7 @@ def parse_word(text: str, group: DeckGroup) -> DeckElement:
             except ValueError:  # more digits than the interpreter converts
                 raise GroupError(f"cannot parse a letter of {len(tok)} characters: a number is too long") from None
     if group.kind == FREE:
-        return DeckElement(group, reduce_letters(letters, group.n))
+        return _canonical(group, word := reduce_letters(letters, group.n), re.search(_RUN, word) is not None)
     vec = [0] * group.n
     for gen, exp in letters:
         if not 1 <= gen <= group.n:

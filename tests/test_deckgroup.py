@@ -12,6 +12,8 @@ from barbellcalc.deckgroup import (
     CYCLIC,
     FREE,
     _LETTER_TABLE_BOUND,
+    _PAIR,
+    _RUN_OF,
     _SWAP,
     _TEXT,
     _check_value,
@@ -196,6 +198,10 @@ def test_word_operations_match_the_pair_oracle(a, b, k):
     assert syllables(x.mul(y).value) == pairs_product(a, b)
     assert syllables(x.inv().value) == pairs_inverse(a)
     assert syllables(x.pow(k).value) == pairs_power(a, k)
+    # a clear _runs flag sends a word down the run-free paths of sort_key
+    # and format_element, so it must never be clear on a word with a run
+    for z, pairs in ((x.mul(y), pairs_product(a, b)), (x.inv(), pairs_inverse(a)), (x.pow(k), pairs_power(a, k))):
+        assert z._runs or all(e in (1, -1) for _, e in pairs)
     assert len(x.value) == sum(abs(e) for _, e in a)
     assert exponent_sum(x.value) == sum(e for _, e in a)
 
@@ -459,7 +465,9 @@ def test_word_power_with_distinct_ends_skips_the_reduction_pass(monkeypatch):
 # runs, and an exponent vector, are formatted one syllable at a time.
 
 BOUND = _LETTER_TABLE_BOUND
-WIDE_LETTERS = st.lists(st.tuples(st.integers(1, BOUND + 6), st.integers(-3, 3)), max_size=12)
+WIDE_LETTERS = st.lists(
+    st.tuples(st.integers(1, BOUND + 6), st.integers(-BOUND - 200, BOUND + 200)), max_size=12
+)
 
 
 def beyond_bound(value):
@@ -469,9 +477,10 @@ def beyond_bound(value):
 @given(WIDE_LETTERS)
 def test_format_element_matches_the_per_letter_join(letters):
     x = DeckElement(free_group(BOUND + 6), reduce_letters(letters))
-    assert format_element(x) == format_letters(x)
-    assert not any(letter in _TEXT or ord(letter) in _SWAP for letter in beyond_bound(x.inv().value))
-    assert len(_TEXT) <= 2 * BOUND and len(_SWAP) <= 2 * BOUND
+    assert format_element(x) == format_letters(x) == pairs_text(reduce_pairs(letters))
+    tables = (_TEXT, _PAIR, _RUN_OF)
+    assert not any(ord(letter) in _SWAP or any(letter in t for t in tables) for letter in beyond_bound(x.inv().value))
+    assert all(len(t) <= 2 * BOUND for t in (_SWAP, *tables))
 
 
 @given(st.lists(st.integers(-BOUND - 200, BOUND + 200), min_size=1, max_size=BOUND + 6))
