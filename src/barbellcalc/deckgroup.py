@@ -22,20 +22,20 @@ them back.  A word of more than MAX_POWER_LETTERS letters, parsed or a
 power, and a free group of rank above MAX_FREE_RANK are refused.
 
 Groups and elements are immutable slotted values (setting or deleting
-an attribute raises AttributeError) whose hash is computed once, at
-construction; an element hashes by its value alone (equal elements
-share a group).  The public constructor DeckElement(group, value)
-refuses a word that is not freely reduced, an exponent vector of the
-wrong length and a residue outside [0, m).  Words from reduce_letters
-and the values of mul, inv and pow are canonical by construction and
-built unchecked (_canonical).  Two reduced words only cancel where they
-meet, and mul bisects that seam with C-level slice comparisons (_seam);
+an attribute raises AttributeError).  A group carries its law on
+canonical values, chosen by kind when it is built: _product, _inverse
+and _order, its values' sort key (None: their natural order).  Ring and
+class terms are keyed by values, and DeckElement(group, value) is the
+checked public type where values enter and leave: it refuses a word
+that is not freely reduced, a vector of the wrong length and a residue
+outside [0, m).  Two reduced words only cancel where they meet, and
+their product bisects that seam with C-level slice comparisons (_seam);
 pow writes a word as u v u^-1, v cyclically reduced, and repeats v.
 
-A word's _runs flag is False only when no letter repeats its neighbour
-(x1^2 does).  Such a word sorts as its pairs do, so it is its own
-sort_key, and format_element joins its letters' strings in C; others
+A word in which no letter repeats its neighbour (x1^2 does) is its own
+sort key (_word_key), and _text joins its letters' strings in C; others
 are cut at their runs, each found in C however long it is (_by_runs).
+One re.search decides each sorted or rendered word; products never look.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _immutable(self, name, *value):
 class DeckGroup:
     """A deck transformation group: F_n, Z^r, or Z/m (n is the rank or m)."""
 
-    __slots__ = ("kind", "n", "_hash")
+    __slots__ = ("kind", "n", "_hash", "_product", "_inverse", "_order")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, kind: str, n: int):
@@ -82,9 +82,16 @@ class DeckGroup:
             raise GroupError(f"group parameter must be >= 1, got {n}")
         if kind == FREE and n > MAX_FREE_RANK:
             raise GroupError(f"free group rank must be <= {MAX_FREE_RANK}, so that each letter is one code point")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_hash", hash((kind, n)))
+        if kind == FREE:
+            law = _word_product, _word_inverse, _word_key
+        elif kind == FREE_ABELIAN and n == 1:  # Z, the commonest, without a map over one coordinate
+            law = (lambda u, v: (u[0] + v[0],)), (lambda u: (-u[0],)), None
+        elif kind == FREE_ABELIAN:
+            law = (lambda u, v: tuple(map(operator.add, u, v))), (lambda u: tuple(map(operator.neg, u))), None
+        else:
+            law = (lambda a, b: (a + b) % n), (lambda a: -a % n), None
+        for name, value in zip(self.__slots__, (kind, n, hash((kind, n)), *law)):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if self is other:
@@ -104,11 +111,7 @@ class DeckGroup:
         return f"Z/{self.n}"
 
     def identity(self) -> "DeckElement":
-        if self.kind == FREE:
-            return DeckElement(self, "")
-        if self.kind == FREE_ABELIAN:
-            return DeckElement(self, (0,) * self.n)
-        return DeckElement(self, 0)
+        return DeckElement(self, "" if self.kind == FREE else (0,) * self.n if self.kind == FREE_ABELIAN else 0)
 
     def generator(self, i: int, exponent: int = 1) -> "DeckElement":
         """The i-th generator (1-based), optionally raised to a power."""
@@ -119,7 +122,7 @@ class DeckGroup:
         if not 1 <= i <= self.n:
             raise GroupError(f"generator index {i} out of range 1..{self.n}")
         if self.kind == FREE:
-            return _canonical(self, word := reduce_letters([(i, exponent)], self.n), re.search(_RUN, word) is not None)
+            return DeckElement(self, reduce_letters([(i, exponent)], self.n))
         vec = [0] * self.n
         vec[i - 1] = exponent
         return DeckElement(self, tuple(vec))
@@ -215,16 +218,49 @@ def exponent_sum(word: Word) -> int:
     return 2 * len(word.translate(_POSITIVE)) - len(word)
 
 
+def _word_product(a: Word, b: Word) -> Word:
+    """a b, reduced only at the seam where the two words meet (_seam)."""
+    if not (a and b):
+        return a or b
+    i, j = _seam(a, b)
+    return a[:i] + b[j:]
+
+
+def _word_inverse(word: Word) -> Word:
+    return word[::-1].translate(_SWAP)
+
+
+def _word_key(word: Word) -> Word:
+    """A word's sort key, ordering words as their (generator, exponent)
+    pairs: the word itself when it has no run, else its runs marked (_run_key)."""
+    return "".join(_by_runs(word, lambda stretch: (stretch,), _run_key)) if re.search(_RUN, word) else word
+
+
+_ASCII_LETTERS = bytes(range(2, 128))  # x1^-1, x1, ..., x63
+
+
+def _is_word(value, n: int) -> bool:
+    """A freely reduced word on x1..xn: code points in [2, 2n + 1], no two
+    neighbours XOR to 1 (x_g, x_g^-1), read as bytes in C if all are ASCII?"""
+    if not isinstance(value, str):
+        return False
+    if value.isascii():
+        data = value.encode()
+        if data.translate(None, _ASCII_LETTERS[: 2 * n]):
+            return False
+        neighbours = int.from_bytes(data[1:], "big") ^ int.from_bytes(data[:-1], "big")
+        return b"\x01" not in neighbours.to_bytes(len(data), "big")
+    return "\x02" <= min(value) and max(value) <= chr(2 * n + 1) and not any(
+        map(operator.eq, value[1:], value[:-1].translate(_SWAP)))
+
+
 def _check_value(group: DeckGroup, value) -> None:
     """Raise GroupError unless value is canonical in group: a freely
     reduced word on x1..xn, an exponent vector of length r, or a residue
     in [0, m)."""
     kind = group.kind
     if kind == FREE:
-        if not isinstance(value, str) or value and (
-            min(value) < "\x02" or max(value) > chr(2 * group.n + 1)
-            or any(map(operator.eq, value[1:], value[:-1].translate(_SWAP)))
-        ):
+        if not _is_word(value, group.n):
             raise GroupError(f"word {value!r} is not freely reduced on x1..x{group.n}")
     elif kind == FREE_ABELIAN:
         if len(value) != group.n:
@@ -236,22 +272,15 @@ def _check_value(group: DeckGroup, value) -> None:
 
 
 class DeckElement:
-    """An element of a deck group, stored in canonical form.
+    """A deck group element: a canonical value, checked when it is built."""
 
-    value is a reduced Word (free, with its _runs flag), an exponent
-    tuple (free abelian), or a residue in [0, m) (cyclic).
-    """
-
-    __slots__ = ("group", "value", "_hash", "_runs")
+    __slots__ = ("group", "value")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, group: DeckGroup, value: Word | tuple[int, ...] | int):
         _check_value(group, value)
-        _set_group(self, group)
-        _set_value(self, value)
-        _set_hash(self, hash(value))
-        if group.kind == FREE:
-            _set_runs(self, re.search(_RUN, value) is not None)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "value", value)
 
     def __eq__(self, other):
         if self is other:
@@ -261,54 +290,34 @@ class DeckElement:
         return self.value == other.value and (self.group is other.group or self.group == other.group)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.value)
 
     def is_identity(self) -> bool:
-        """Read off the value: the empty word, the zero vector or residue."""
-        kind = self.group.kind
-        if kind == FREE_ABELIAN:
-            return not any(self.value)
-        return not self.value if kind == FREE else self.value == 0
+        return self.value == self.group.identity().value
 
     def mul(self, other: "DeckElement") -> "DeckElement":
-        """Group law; for words, left-to-right concatenation (self first),
-        reduced only at the seam where the two words meet (see _seam).
-        Both factors are canonical, so the product is too and is built
-        unchecked (_canonical), without a pass over its letters."""
+        """The group's law; for words, left-to-right concatenation (self
+        first).  A factor whose value is the product's is returned itself."""
         group = self.group
         if other.group is not group and other.group != group:
             raise GroupError(f"cannot multiply across groups {group} and {other.group}")
-        kind = group.kind
-        if kind == FREE:
-            a, b = self.value, other.value
-            if not (a and b):  # a factor is the empty word: the other keeps its hash
-                return self if a else other
-            i, j = _seam(a, b)
-            runs = self._runs or other._runs or (0 < i and j < len(b) and a[i - 1] == b[j])
-            return _canonical(group, a[:i] + b[j:], runs)
-        if kind == FREE_ABELIAN:
-            return _canonical(group, tuple(map(operator.add, self.value, other.value)))
-        return _canonical(group, (self.value + other.value) % group.n)
+        value = group._product(self.value, other.value)
+        return self if value is self.value else other if value is other.value else DeckElement(group, value)
 
     def inv(self) -> "DeckElement":
-        kind = self.group.kind
-        if kind == FREE:
-            return _canonical(self.group, self.value[::-1].translate(_SWAP), self._runs)
-        if kind == FREE_ABELIAN:
-            return _canonical(self.group, tuple(-a for a in self.value))
-        return _canonical(self.group, (-self.value) % self.group.n)
+        return DeckElement(self.group, self.group._inverse(self.value))
 
     def pow(self, k: int) -> "DeckElement":
         """x^k in time linear in the result: k*v, k*r mod m, or for a word
         x = u v u^-1 (x^-1 when k < 0), v cyclically reduced, u v^|k| u^-1;
         refused before it is built when |k| copies of x have more than
-        MAX_POWER_LETTERS letters.  Built unchecked (_canonical)."""
+        MAX_POWER_LETTERS letters."""
         group = self.group
         kind = group.kind
         if kind == FREE_ABELIAN:
-            return _canonical(group, tuple(k * a for a in self.value))
+            return DeckElement(group, tuple(k * a for a in self.value))
         if kind == CYCLIC:
-            return _canonical(group, (k * self.value) % group.n)
+            return DeckElement(group, (k * self.value) % group.n)
         word, copies = self.value, abs(k)
         letters = copies * len(word)
         if letters > MAX_POWER_LETTERS:
@@ -316,45 +325,19 @@ class DeckElement:
                              f"more than {MAX_POWER_LETTERS}")
         if not letters:
             return group.identity()
-        word, t = word[::-1].translate(_SWAP) if k < 0 else word, 0
+        word, t = _word_inverse(word) if k < 0 else word, 0
         while ord(word[t]) ^ 1 == ord(word[-1 - t]):
             t += 1
-        core = word[t : len(word) - t]
-        runs = self._runs or (copies > 1 and core[0] == core[-1])
-        return _canonical(group, word[:t] + core * copies + word[len(word) - t :], runs)
+        return DeckElement(group, word[:t] + word[t : len(word) - t] * copies + word[len(word) - t :])
 
     def sort_key(self):
         """Deterministic total order: residues and exponent vectors
         numerically, words lexicographically on their (generator,
-        exponent) pairs: as strings once _run_key marks their runs."""
-        kind = self.group.kind
-        if kind == FREE:
-            return "".join(_by_runs(self.value, lambda stretch: (stretch,), _run_key)) if self._runs else self.value
-        return (self.value,) if kind == CYCLIC else self.value
+        exponent) pairs (_word_key)."""
+        return _word_key(self.value) if self.group.kind == FREE else self.value
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.group}>"
-
-
-def _canonical(group: DeckGroup, value, runs: bool | None = None) -> DeckElement:
-    """The trusted constructor: a DeckElement (and a word's _runs flag) from a value
-    canonical in group by construction, without _check_value; all else uses DeckElement()."""
-    elt = _new_element(DeckElement)
-    _set_group(elt, group)
-    _set_value(elt, value)
-    _set_hash(elt, hash(value))
-    if runs is not None:
-        _set_runs(elt, runs)
-    return elt
-
-
-# The slots' own setters, bound once: DeckElement refuses setattr, and
-# these skip object.__setattr__'s lookup by name.
-_new_element = object.__new__
-_set_group = DeckElement.__dict__["group"].__set__
-_set_value = DeckElement.__dict__["value"].__set__
-_set_hash = DeckElement.__dict__["_hash"].__set__
-_set_runs = DeckElement.__dict__["_runs"].__set__
 
 
 def _run_key(gen: int, exp: int) -> str:
@@ -378,10 +361,11 @@ def brunnian_word(n: int) -> DeckElement:
     if n < 2:
         raise GroupError(f"brunnian_word needs rank n >= 2, got {n}")
     group = free_group(n)
-    w = group.generator(1)
-    for m in range(2, n):
-        w = commutator(w, group.generator(m))
-    return w
+    product, inverse = group._product, group._inverse
+    w = "\x03"  # x1
+    for x in map(chr, range(5, 2 * n, 2)):  # x2 .. x_(n-1)
+        w = product(product(inverse(w), inverse(x)), product(w, x))
+    return DeckElement(group, w)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +391,7 @@ def parse_word(text: str, group: DeckGroup) -> DeckElement:
             except ValueError:  # more digits than the interpreter converts
                 raise GroupError(f"cannot parse a letter of {len(tok)} characters: a number is too long") from None
     if group.kind == FREE:
-        return _canonical(group, word := reduce_letters(letters, group.n), re.search(_RUN, word) is not None)
+        return DeckElement(group, reduce_letters(letters, group.n))
     vec = [0] * group.n
     for gen, exp in letters:
         if not 1 <= gen <= group.n:
@@ -416,24 +400,29 @@ def parse_word(text: str, group: DeckGroup) -> DeckElement:
     return DeckElement(group, tuple(vec))
 
 
-def format_element(elt: DeckElement) -> str:
-    """Canonical x-notation (words / exponent vectors) or the residue."""
-    kind = elt.group.kind
+def _text(group: DeckGroup, value) -> str:
+    """A value in canonical x-notation (words / exponent vectors) or the residue."""
+    kind = group.kind
     if kind == CYCLIC:
-        return str(elt.value)
-    if kind == FREE and not elt._runs:
-        return " ".join(map(_TEXT.__getitem__, elt.value)) or "1"
-    letters = syllables(elt.value) if kind == FREE else [(i + 1, e) for i, e in enumerate(elt.value) if e]
+        return str(value)
+    if kind == FREE and not re.search(_RUN, value):
+        return " ".join(map(_TEXT.__getitem__, value)) or "1"
+    letters = syllables(value) if kind == FREE else [(i + 1, e) for i, e in enumerate(value) if e]
     return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in letters) or "1"
 
 
+def _json(group: DeckGroup, value):
+    """A value's JSON-compatible form: int (cyclic), list (free abelian), word string."""
+    kind = group.kind
+    return value if kind == CYCLIC else list(value) if kind == FREE_ABELIAN else _text(group, value)
+
+
+def format_element(elt: DeckElement) -> str:
+    return _text(elt.group, elt.value)
+
+
 def element_to_json(elt: DeckElement):
-    """JSON-compatible form: int (cyclic), list (free abelian), word string."""
-    if elt.group.kind == CYCLIC:
-        return elt.value
-    if elt.group.kind == FREE_ABELIAN:
-        return list(elt.value)
-    return format_element(elt)
+    return _json(elt.group, elt.value)
 
 
 def element_from_json(data, group: DeckGroup) -> DeckElement:

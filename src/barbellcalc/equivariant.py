@@ -41,20 +41,22 @@ pairings with those of 0 and of the meridian; summand_membership
 decides both in closed form and refuses every other configuration.
 
 A class is validated where it enters: EquivClass(...), and through it
-basis_class, refuses an undeclared label and a deck element of another
-group.  add, sub, scale, translate and barbell_action combine checked
-classes, and equivariant_pairing checked table rows, so their results
-go through the trusted constructors _equiv_class and _ring_element,
-which only reduce the coefficients mod 2 over F2 and drop zeros.
-barbell_action adds k C(x) into a copy of x's terms and builds one
-class; a barbell whose two cuffs are one label pairs once.
+basis_class, takes (label, DeckElement) keys, refusing an undeclared
+label and a deck element of another group, and keeps (label, value).
+add, sub, scale, translate and barbell_action combine checked classes,
+and equivariant_pairing checked table rows, with the group's law on
+values, so their results go through the trusted constructors
+_equiv_class and _ring_element, which only reduce the coefficients mod
+2 over F2 and drop zeros.  barbell_action adds k C(x) into a copy of
+x's terms and builds one class; a barbell whose two cuffs are one label
+pairs once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import CYCLIC, DeckElement, DeckGroup, format_element
+from .deckgroup import CYCLIC, DeckElement, DeckGroup, GroupError, _text
 from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
 
 SPHERE = "sphere"
@@ -106,7 +108,7 @@ class Geometry:
                 raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
             if labels[a] == DISK and labels[b] == DISK:
                 raise GeometryError("disk-disk pairings are not part of the data")
-            if self._meridian(a, b) and any(not g.is_identity() for g in elem.terms):
+            if self._meridian(a, b) and any(g != group.identity().value for g in elem.terms):
                 raise GeometryError(f"meridian row ({a}, {b}) must be stored as its augmentation, got {render(elem)}")
         for role, names, kind in (("attaching", self.attaching, SPHERE), ("belt disk", self.disks, DISK)):
             seen = set()
@@ -152,10 +154,10 @@ class Geometry:
             raise GeometryError(f"pairing ({a}, {b}) is a meridian row, a multiple of sum_g g, never expanded")
         return row if row is not None else RingElement.zero(self.group, self.coeffs)
 
-    def coefficient(self, a: str, b: str, g: DeckElement) -> int:
-        """<a~, g b~>; a meridian row is deck-invariant, read at the identity."""
+    def coefficient(self, a: str, b: str, g) -> int:
+        """<a~, g b~>, g a deck value; a meridian row is deck-invariant, read at the identity."""
         row = self._stored(a, b)
-        return 0 if row is None else row.coefficient(self.identity() if self._meridian(a, b) else g)
+        return 0 if row is None else row.terms.get(self.identity().value if self._meridian(a, b) else g, 0)
 
     def basis_class(self, label: str, deck: DeckElement | None = None, coeff: int = 1) -> "EquivClass":
         self.label(label)
@@ -175,10 +177,12 @@ class EquivClass:
                 geometry.label(label)  # raises, naming the label
             if deck.group is not group and deck.group != group:
                 raise GeometryError("deck element from the wrong group")
-        self.geometry, self.terms = geometry, _reduced(geometry.coeffs, terms)
+        self.geometry = geometry
+        self.terms = _reduced(geometry.coeffs, {(label, deck.value): c for (label, deck), c in terms.items()})
 
-    def support(self):
-        return sorted(self.terms, key=lambda k: (k[0], k[1].sort_key()))
+    def support(self) -> list[tuple[str, DeckElement]]:
+        group = self.geometry.group
+        return [(label, DeckElement(group, value)) for label, value in _sorted(self)]
 
     def _check(self, other: "EquivClass"):
         if self.geometry is not other.geometry and (
@@ -203,7 +207,11 @@ class EquivClass:
 
     def translate(self, g: DeckElement) -> "EquivClass":
         """The deck transformation g applied to every lift."""
-        return _equiv_class(self.geometry, {(label, g.mul(u)): c for (label, u), c in self.terms.items()})
+        group = self.geometry.group
+        if g.group is not group and g.group != group:
+            raise GroupError(f"cannot multiply across groups {g.group} and {group}")
+        product, v = group._product, g.value
+        return _equiv_class(self.geometry, {(label, product(v, u)): c for (label, u), c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -218,20 +226,28 @@ class EquivClass:
         return f"<EquivClass {render_class(self)}>"
 
 
-def _equiv_class(geometry: Geometry, terms: dict[tuple[str, DeckElement], int]) -> EquivClass:
-    """The trusted constructor: terms that an operation built from
-    checked classes or pairings, kept without EquivClass's checks."""
+def _equiv_class(geometry: Geometry, terms: dict) -> EquivClass:
+    """The trusted constructor: (label, value) terms that an operation built
+    from checked classes or pairings, kept without EquivClass's checks."""
     x = object.__new__(EquivClass)
     x.geometry, x.terms = geometry, _reduced(geometry.coeffs, terms)
     return x
 
 
+def _sorted(x: EquivClass) -> list:
+    """The class's (label, value) keys, by label, then in deck-element order."""
+    order = x.geometry.group._order
+    return sorted(x.terms, key=order and (lambda key: (key[0], order(key[1]))))
+
+
 def render_class(x: EquivClass) -> str:
     """Sorted human form, e.g. "S_v + x1^-1 S_h + ..."."""
+    group = x.geometry.group
+    one = group.identity().value
     parts = []
-    for label, deck in x.support():
-        c = x.terms[(label, deck)]
-        body = label if deck.is_identity() else f"({format_element(deck)}) {label}"
+    for label, value in _sorted(x):
+        c = x.terms[(label, value)]
+        body = label if value == one else f"({_text(group, value)}) {label}"
         if abs(c) != 1:
             body = f"{abs(c)} {body}"
         parts.append((c < 0, body))
@@ -246,14 +262,15 @@ def equivariant_pairing(x: EquivClass, b: str) -> RingElement:
     """sum_g <x, g b~> g: the term c (a, u) contributes c * u * P[a,b]."""
     geo = x.geometry
     geo.label(b)
-    acc: dict[DeckElement, int] = {}
-    rows: dict[str, dict[DeckElement, int]] = {}
+    product = geo.group._product
+    acc: dict = {}
+    rows: dict[str, dict] = {}
     for (a, u), c in x.terms.items():
         row = rows.get(a)
         if row is None:
             row = rows[a] = geo.pairing(a, b).terms
         for g, d in row.items():
-            key = u.mul(g)
+            key = product(u, g)
             acc[key] = acc.get(key, 0) + c * d
     return _ring_element(geo.group, geo.coeffs, acc)
 
@@ -262,10 +279,11 @@ def pair_classes(x: EquivClass, y: EquivClass) -> int:
     """Full bilinear pairing <x, y> at the identity offset."""
     x._check(y)
     geo = x.geometry
+    product, inverse = geo.group._product, geo.group._inverse
     total = 0
     for (a, u), c in x.terms.items():
         for (b, v), d in y.terms.items():
-            total += c * d * geo.coefficient(a, b, u.inv().mul(v))
+            total += c * d * geo.coefficient(a, b, product(inverse(u), v))
     return total % 2 if geo.coeffs == F2 else total
 
 
@@ -304,7 +322,7 @@ def _check_spec(geo: Geometry, spec: BarbellSpec):
     for cuff in (spec.cuff1, spec.cuff2):
         if geo.label(cuff) != SPHERE:
             raise GeometryError(f"cuff {cuff} must be a sphere label")
-    if spec.holonomy.group != geo.group:
+    if spec.holonomy.group is not geo.group and spec.holonomy.group != geo.group:
         raise GeometryError("holonomy lives in the wrong deck group")
     c1, c2 = spec.cuff1, spec.cuff2
     for key in ((c1, c1), (c1, c2), (c2, c1), (c2, c2)):
@@ -326,18 +344,20 @@ def barbell_action(x: EquivClass, spec: BarbellSpec) -> EquivClass:
     C(x) = sum_u [ s1 <x, u c1~> (u c) c2~  -  s2 <x, u c c2~> u c1~ ].
     k C(x) is added straight into a copy of x's terms."""
     _check_spec(x.geometry, spec)
+    group = x.geometry.group
+    product = group._product
     k = spec.iterate
     s1, s2 = k * spec.signs[0], k * spec.signs[1]
-    hol = spec.holonomy
+    hol = spec.holonomy.value
     terms = dict(x.terms)
     p1 = equivariant_pairing(x, spec.cuff1)
     for u, c in p1.terms.items():
-        key = (spec.cuff2, u.mul(hol))
+        key = (spec.cuff2, product(u, hol))
         terms[key] = terms.get(key, 0) + s1 * c
     p2 = p1 if spec.cuff2 == spec.cuff1 else equivariant_pairing(x, spec.cuff2)
-    hol_inv = hol.inv()
+    hol_inv = group._inverse(hol)
     for g, c in p2.terms.items():
-        key = (spec.cuff1, g.mul(hol_inv))
+        key = (spec.cuff1, product(g, hol_inv))
         terms[key] = terms.get(key, 0) - s2 * c
     out = _equiv_class(x.geometry, terms)
     if spec.offset is not None:
@@ -361,11 +381,11 @@ def _aliased(x: EquivClass) -> EquivClass:
     aliases = x.geometry.aliases
     if not aliases:
         return x
-    terms: dict[tuple[str, DeckElement], int] = {}
-    for (label, deck), c in x.terms.items():
-        key = (aliases.get(label, label), deck)
+    terms: dict = {}
+    for (label, value), c in x.terms.items():
+        key = (aliases.get(label, label), value)
         terms[key] = terms.get(key, 0) + c
-    return EquivClass(x.geometry, terms)
+    return _equiv_class(x.geometry, terms)
 
 
 def summand_membership(
@@ -394,7 +414,7 @@ def summand_membership(
     if geo.coeffs != F2 and (meridians or probes):
         raise GeometryError("over Z, membership takes no kernel generators or probes")
     x = _aliased(x)
-    allowed_keys = {(geo.aliases.get(label, label), deck) for label, deck in allowed}
+    allowed_keys = {(geo.aliases.get(label, label), deck.value) for label, deck in allowed}
     if allowed_keys.union(*(mu.terms for mu in meridians)).issuperset(x.terms):
         return True
     if not meridians:

@@ -14,27 +14,20 @@ single-variable Laurent polynomial, which equals the F2-dimension of
 its quotient ring because F2[t, t^{-1}] is Euclidean under that span.
 No factorization, Groebner bases, or general ideal membership.
 
-An element is validated where it enters: RingElement(...), and through
-it zero, one and from_term_list, refuses an unknown coefficient ring
-and a term of another group.  add, neg, mul, translate, reverse and the
-equivariant pairing combine checked elements, so their results go
-through the trusted constructor _ring_element, which only reduces the
-coefficients mod 2 over F2 and drops zeros.
+Terms map canonical deck values to nonzero coefficients.  An element is
+validated where it enters: RingElement(...), and through it zero and
+one, takes DeckElement keys and refuses an unknown coefficient ring and
+a term of another group.  add, neg, mul, translate, reverse and the
+equivariant pairing apply the group's law to values, so their results
+go through the trusted constructor _ring_element, which only reduces
+the coefficients mod 2 over F2 and drops zeros.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .deckgroup import (
-    CYCLIC,
-    FREE,
-    FREE_ABELIAN,
-    DeckElement,
-    DeckGroup,
-    element_from_json,
-    element_to_json,
-)
+from .deckgroup import CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _json, element_from_json
 
 F2 = "F2"
 INT = "Z"
@@ -50,7 +43,7 @@ def _reduced(coeffs: str, terms: Mapping) -> dict:
 
 
 class RingElement:
-    """A finite formal sum of deck elements over F2 or Z."""
+    """A finite formal sum of deck elements over F2 or Z, keyed by value."""
 
     __slots__ = ("group", "coeffs", "terms")
 
@@ -60,7 +53,8 @@ class RingElement:
         for elt in terms:
             if elt.group is not group and elt.group != group:
                 raise RingError("term from a different deck group")
-        self.group, self.coeffs, self.terms = group, coeffs, _reduced(coeffs, terms)
+        self.group, self.coeffs = group, coeffs
+        self.terms = _reduced(coeffs, {elt.value: c for elt, c in terms.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -78,13 +72,13 @@ class RingElement:
         return not self.terms
 
     def coefficient(self, elt: DeckElement) -> int:
-        return self.terms.get(elt, 0)
+        return self.terms.get(elt.value, 0) if elt.group is self.group or elt.group == self.group else 0
 
-    def support(self):
-        return sorted(self.terms, key=lambda e: e.sort_key())
+    def support(self) -> list[DeckElement]:
+        return [DeckElement(self.group, value) for value in sorted(self.terms, key=self.group._order)]
 
     def _check(self, other: "RingElement"):
-        if self.group != other.group or self.coeffs != other.coeffs:
+        if self.group is not other.group and self.group != other.group or self.coeffs != other.coeffs:
             raise RingError(
                 f"mismatched rings: {self.coeffs}[{self.group}] vs {other.coeffs}[{other.group}]"
             )
@@ -92,7 +86,7 @@ class RingElement:
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
-            and self.group == other.group
+            and (self.group is other.group or self.group == other.group)
             and self.coeffs == other.coeffs
             and self.terms == other.terms
         )
@@ -104,8 +98,8 @@ class RingElement:
     def add(self, other: "RingElement") -> "RingElement":
         self._check(other)
         terms = dict(self.terms)
-        for elt, c in other.terms.items():
-            terms[elt] = terms.get(elt, 0) + c
+        for value, c in other.terms.items():
+            terms[value] = terms.get(value, 0) + c
         return _ring_element(self.group, self.coeffs, terms)
 
     def neg(self) -> "RingElement":
@@ -113,30 +107,34 @@ class RingElement:
 
     def mul(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        terms: dict[DeckElement, int] = {}
+        product = self.group._product
+        terms: dict = {}
         for g, a in self.terms.items():
             for h, b in other.terms.items():
-                gh = g.mul(h)
+                gh = product(g, h)
                 terms[gh] = terms.get(gh, 0) + a * b
         return _ring_element(self.group, self.coeffs, terms)
 
     def translate(self, g: DeckElement) -> "RingElement":
         """Left multiplication by the group element g."""
-        if g.group != self.group:
+        group = self.group
+        if g.group is not group and g.group != group:
             raise RingError("translation by an element of a different group")
-        return _ring_element(self.group, self.coeffs, {g.mul(e): c for e, c in self.terms.items()})
+        product, u = group._product, g.value
+        return _ring_element(group, self.coeffs, {product(u, e): c for e, c in self.terms.items()})
 
     def reverse(self) -> "RingElement":
         """Apply g -> g^-1 to the support (the pairing-table involution)."""
-        return _ring_element(self.group, self.coeffs, {e.inv(): c for e, c in self.terms.items()})
+        inverse = self.group._inverse
+        return _ring_element(self.group, self.coeffs, {inverse(e): c for e, c in self.terms.items()})
 
     def __repr__(self):
         return f"<{render(self)} over {self.coeffs}[{self.group}]>"
 
 
-def _ring_element(group: DeckGroup, coeffs: str, terms: dict[DeckElement, int]) -> RingElement:
-    """The trusted constructor: terms that an operation built from
-    checked elements of group, kept without RingElement's checks."""
+def _ring_element(group: DeckGroup, coeffs: str, terms: dict) -> RingElement:
+    """The trusted constructor: terms keyed by values that an operation
+    built from checked elements of group, kept without RingElement's checks."""
     elem = object.__new__(RingElement)
     elem.group, elem.coeffs, elem.terms = group, coeffs, _reduced(coeffs, terms)
     return elem
@@ -157,11 +155,6 @@ def is_monomial_unit(elem: RingElement) -> bool:
     return c == 1 if elem.coeffs == F2 else c in (1, -1)
 
 
-def _support_min_vector(elem: RingElement) -> tuple[int, ...]:
-    rank = elem.group.n
-    return tuple(min(e.value[i] for e in elem.terms) for i in range(rank))
-
-
 def normalize_monomial(elem: RingElement) -> RingElement:
     """Canonical associate: translate the componentwise-minimal exponent
     vector to the origin; over Z also make the lexicographically-largest
@@ -170,10 +163,10 @@ def normalize_monomial(elem: RingElement) -> RingElement:
         raise RingError("normalization applies to Laurent polynomial rings")
     if elem.is_zero():
         return elem
-    shift = DeckElement(elem.group, tuple(-a for a in _support_min_vector(elem)))
+    shift = DeckElement(elem.group, tuple(-min(a) for a in zip(*elem.terms)))
     out = elem.translate(shift)
     if out.coeffs == INT:
-        lead = max(out.terms, key=lambda e: e.sort_key())
+        lead = max(out.terms)
         if out.terms[lead] < 0:
             out = out.neg()
     return out
@@ -190,7 +183,7 @@ def laurent_span(elem: RingElement) -> int | None:
         raise RingError("laurent_span takes rank-1 Laurent polynomials")
     if elem.is_zero():
         return None
-    degrees = [e.value[0] for e in elem.terms]
+    degrees = [e for e, in elem.terms]
     return max(degrees) - min(degrees)
 
 
@@ -200,14 +193,13 @@ def laurent_span(elem: RingElement) -> int | None:
 _VARIABLE_NAMES = {1: ("t",), 2: ("s", "t")}
 
 
-def _monomial_string(elt: DeckElement) -> str:
-    """A cyclic or free abelian element in t / s, t / x1, x2, ... notation."""
-    group = elt.group
+def _monomial_string(group: DeckGroup, value) -> str:
+    """A cyclic or free abelian value in t / s, t / x1, x2, ... notation."""
     if group.kind == CYCLIC:
-        return "1" if elt.value == 0 else ("t" if elt.value == 1 else f"t^{elt.value}")
+        return "1" if value == 0 else ("t" if value == 1 else f"t^{value}")
     names = _VARIABLE_NAMES.get(group.n)
     parts = []
-    for i, e in enumerate(elt.value):
+    for i, e in enumerate(value):
         if e == 0:
             continue
         name = names[i] if names else f"x{i + 1}"
@@ -231,15 +223,16 @@ def join_signed(parts: Iterable[tuple[bool, str]]) -> str:
 def term_list_and_render(elem: RingElement) -> tuple[list[list], str]:
     """The machine form (sorted [element, coefficient] pairs) and the
     human form (e.g. "t^-3 + t^-1 + 1 + t + t^3", increasing deck-element
-    order) from one pass over the support: each element is formatted
-    once, a free-group word's string serving both."""
+    order) from one pass over the sorted values: each is formatted once,
+    a free-group word's string serving both."""
+    group = elem.group
     terms = []
     parts = []
-    for elt in elem.support():
-        c = elem.terms[elt]
-        raw = element_to_json(elt)
+    for value in sorted(elem.terms, key=group._order):
+        c = elem.terms[value]
+        raw = _json(group, value)
         terms.append([raw, c])
-        mono = raw if elt.group.kind == FREE else _monomial_string(elt)
+        mono = raw if group.kind == FREE else _monomial_string(group, value)
         if mono == "1":
             body = str(abs(c)) if elem.coeffs == INT else "1"
         elif abs(c) == 1:
@@ -256,8 +249,10 @@ def render(elem: RingElement) -> str:
 
 
 def from_term_list(data: Iterable, group: DeckGroup, coeffs: str) -> RingElement:
-    terms: dict[DeckElement, int] = {}
+    elem = RingElement.zero(group, coeffs)  # refuses an unknown coefficient ring
+    terms = elem.terms
     for raw, c in data:
-        elt = element_from_json(raw, group)
-        terms[elt] = terms.get(elt, 0) + int(c)
-    return RingElement(group, coeffs, terms)
+        value = element_from_json(raw, group).value
+        terms[value] = terms.get(value, 0) + int(c)
+    elem.terms = _reduced(coeffs, terms)
+    return elem

@@ -28,14 +28,9 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 
-from .deckgroup import FREE, DeckElement, _canonical, free_abelian
+from .deckgroup import FREE, DeckElement, free_abelian
 from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
-from .groupring import (
-    F2,
-    RingElement,
-    laurent_span,
-    normalize_monomial,
-)
+from .groupring import F2, RingElement, _ring_element, laurent_span, normalize_monomial
 
 
 class PresentationError(ValueError):
@@ -105,8 +100,7 @@ def symmetric_relator(vectors: Sequence[tuple[int, ...]]) -> RingElement:
     sums = [zero]
     for v in vectors:
         sums = [tuple(map(operator.add, e, v)) for e in sums] + [tuple(map(operator.sub, e, v)) for e in sums]
-    group = free_abelian(len(zero))
-    return RingElement(group, F2, {_canonical(group, e): count for e, count in Counter(sums + [zero]).items()})
+    return _ring_element(free_abelian(len(zero)), F2, Counter(sums + [zero]))
 
 
 def brunnian_relator(wk: DeckElement, wl: DeckElement) -> RingElement:
@@ -115,17 +109,17 @@ def brunnian_relator(wk: DeckElement, wl: DeckElement) -> RingElement:
     words w^k and w^l, w the iterated commutator word brunnian_word(n):
     the words the linked-6crit barbells carry."""
     group = wk.group
-    if group.kind != FREE or group.n < 2 or wl.group != group:
+    if group.kind != FREE or group.n < 2 or wl.group is not group and wl.group != group:
         raise PresentationError(f"bar words must lie in one free group F_n, n >= 2, got {group!r} and {wl.group!r}")
-    rho_n = group.generator(group.n)
+    rho_n, inverse = group.generator(group.n).value, group._inverse
 
-    def binom(a: DeckElement, b: DeckElement) -> RingElement:
-        return RingElement(group, F2, {a: 1, b: 1})
+    def binom(a: str, b: str) -> RingElement:
+        return _ring_element(group, F2, {a: 1, b: 1})
 
-    product = binom(rho_n.inv(), group.identity())
-    product = product.mul(binom(wk.inv(), wk))
-    product = product.mul(binom(group.identity(), rho_n))
-    product = product.mul(binom(wl.inv(), wl))
+    product = binom(inverse(rho_n), "")
+    product = product.mul(binom(inverse(wk.value), wk.value))
+    product = product.mul(binom("", rho_n))
+    product = product.mul(binom(inverse(wl.value), wl.value))
     return RingElement.one(group, F2).add(product)
 
 

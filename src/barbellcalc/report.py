@@ -16,8 +16,8 @@ import json
 import reprlib
 import sys
 
-from .deckgroup import element_to_json
-from .equivariant import EquivClass, render_class
+from .deckgroup import _json
+from .equivariant import EquivClass, _sorted, render_class
 from .groupring import RingElement, term_list_and_render
 
 
@@ -59,7 +59,8 @@ def _printed(convert, value, where: str):
 
 
 def _class_json(x: EquivClass) -> list[list]:
-    return [[label, element_to_json(deck), x.terms[label, deck]] for label, deck in x.support()]
+    group = x.geometry.group
+    return [[label, _json(group, value), x.terms[label, value]] for label, value in _sorted(x)]
 
 
 def _form(value, where: str):

@@ -386,7 +386,7 @@ def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     with the report, for the brunnian sweep)."""
     _check_linked(n, k, l)
     geo = builtin_geometry("sphere_torus_link", n=n)
-    w = brunnian_word(n)
+    w = DeckElement(geo.group, brunnian_word(n).value)
     wk, wl = w.pow(k), w.pow(l)
     engine_f = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
     formula_f = brunnian_relator(wk, wl)
@@ -394,8 +394,8 @@ def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     nontrivial = not is_monomial_unit(image)
     # the relator pushed through F_n -> Z, every generator to t, needs no
     # word product: w is x1 for n = 2, and a commutator (image 1) otherwise
-    pushed = Counter(exponent_sum(g.value) for g in engine_f.terms)
-    closed = {g.value for g in morsesimple_f(k, l).terms} if n == 2 else {(0,)}
+    pushed = Counter(map(exponent_sum, engine_f.terms))
+    closed = set(morsesimple_f(k, l).terms) if n == 2 else {(0,)}
     abelian = {(e,) for e, c in pushed.items() if c % 2} == closed
     return Report(
         computed={"relator": engine_f, "image_in_st": image, "nontrivial": nontrivial},
@@ -470,7 +470,7 @@ def _run_disks_linked(k: int, l: int) -> Report:
     # is f^k(D_R) - f^l(D_R), for a trivial bar f^(k-l)(D_R) - D_R: only
     # the meridian coefficient survives
     moved = _move(geo, "D_R", "S_L", "S_R", (geo.identity(), k - l))
-    mu_coefficient = moved.terms.get(("S_L", geo.identity()), 0)
+    mu_coefficient = moved.terms.get(("S_L", geo.identity().value), 0)
     linked = mu_coefficient != 0
     return Report(
         computed={"mu_L_coefficient": mu_coefficient, "linked": linked},

@@ -169,8 +169,8 @@ def apply_hom(
     `image` from deck elements to elements of target (a ring map);
     colliding images add, mod 2 over F2."""
     terms: dict[DeckElement, int] = {}
-    for g, c in elem.terms.items():
-        h = image(g)
+    for value, c in elem.terms.items():
+        h = image(DeckElement(elem.group, value))
         terms[h] = terms.get(h, 0) + c
     return RingElement(target, elem.coeffs, terms)
 
@@ -258,8 +258,8 @@ def _aliased(x: EquivClass) -> EquivClass:
     if not aliases:
         return x
     terms: dict[tuple[str, DeckElement], int] = {}
-    for (label, deck), c in x.terms.items():
-        key = (aliases.get(label, label), deck)
+    for (label, value), c in x.terms.items():
+        key = (aliases.get(label, label), DeckElement(x.geometry.group, value))
         terms[key] = terms.get(key, 0) + c
     return EquivClass(x.geometry, terms)
 
@@ -295,12 +295,13 @@ def summand_membership(
     if geo.coeffs != F2 and (gens or probes):
         raise GeometryError("over Z, membership takes no kernel generators or probes")
     x = _aliased(x)
-    allowed_keys = {(geo.aliases.get(label, label), deck) for label, deck in allowed}
+    # class terms are keyed by (label, value)
+    allowed_keys = {(geo.aliases.get(label, label), deck.value) for label, deck in allowed}
 
     outside = sorted(
         {key for key in x.terms if key not in allowed_keys}
         | {key for g in gens for key in g.terms if key not in allowed_keys},
-        key=lambda k: (k[0], k[1].sort_key()),
+        key=lambda k: (k[0], DeckElement(geo.group, k[1]).sort_key()),
     )
     matrix = [[g.terms.get(key, 0) for g in gens] for key in outside]
     rhs = [x.terms.get(key, 0) for key in outside]
@@ -315,8 +316,8 @@ def summand_membership(
         )
     # Unknowns: meridian coefficients plus one coefficient per allowed
     # basis pair; equations: pairings against each probe.
-    allowed_list = sorted(allowed_keys, key=lambda k: (k[0], k[1].sort_key()))
-    columns = gens + [EquivClass(geo, {key: 1}) for key in allowed_list]
+    allowed_list = sorted(allowed_keys, key=lambda k: (k[0], DeckElement(geo.group, k[1]).sort_key()))
+    columns = gens + [EquivClass(geo, {(label, DeckElement(geo.group, value)): 1}) for label, value in allowed_list]
     w_matrix = [[pair_classes(col, z) for col in columns] for z in probes]
     w_rhs = [pair_classes(x, z) for z in probes]
     if _solve(w_matrix, w_rhs) is None:

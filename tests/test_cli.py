@@ -285,6 +285,43 @@ def test_a_sweep_writes_each_line_before_the_next_report_is_built(monkeypatch):
     assert table == "\n".join(expected + ["45/45 passed"]) + "\n"
 
 
+# No benchmark workload builds a word with a run (a letter repeating its
+# neighbour, as in x1^2), so these calls pin such words' sorting and
+# rendering: stdout sha256 per format, recorded before group-ring terms
+# were keyed by canonical values.
+RUNS_SCENARIO = {
+    "geometry": {"name": "sphere_torus_link", "n": 2},
+    "barbells": [
+        {"cuff1": "S_h", "cuff2": "S_h", "holonomy": "x1^50 x2^-70 x1^30", "offset": "x2^2 x1^-3", "iterate": 3},
+        {"cuff1": "S_v", "cuff2": "S_v", "holonomy": "x1^3 x2^-1 x1"},
+    ],
+}
+RUNS_DIGESTS = [  # (argv, table digest, machine digest); the scenario file is RUNS_SCENARIO
+    (["theorem", "linked-6crit", "--n", "2", "--k", "10", "--l", "12"],
+        "33bf95226ccacba1da20e063ea0780e5c00e08305650d3602ed3a8b494979ab7",
+        "ab3f9536792c13b5c79d7487eca1c65d1be40e93f24308b10ef1cf8e6f35debe"),
+    (["sweep", "brunnian", "--n", "2", "--max", "4"],
+        "777286b10b4ec97e0f5566a898bfd11c174bb2d01c4b585052c853f889d76b6b",
+        "1850081c479e939fc882b4f8adb70648c9ad290fc6b8c894fc547fde2509b0ac"),
+    (["scenario"],
+        "730d81332d6270e8041ad0cc28c282f11e137fe9100f10c16b78ce30452b5d31",
+        "ae82f424c2ac78d0886de5380d8ba6ae262d9ace711d9c1c9f48311cccbfad02"),
+]
+
+
+@pytest.mark.parametrize("argv,table,machine", RUNS_DIGESTS, ids=["linked-6crit", "brunnian", "scenario"])
+def test_words_with_runs_print_their_pinned_bytes(argv, table, machine, tmp_path, capsys):
+    from barbellcalc import cli
+
+    if argv == ["scenario"]:
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps(RUNS_SCENARIO))
+        argv = ["scenario", str(path)]
+    for fmt, digest in (("table", table), ("machine", machine)):
+        assert cli.main([*argv, "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
+
 def test_a_refused_sweep_writes_nothing(monkeypatch, capsys, tmp_path):
     # n = 10 words have 766 letters: the letter cap refuses winding number
     # 14, which the grid reaches on its 13th job; no report is built

@@ -13,6 +13,7 @@ from barbellcalc.deckgroup import (
     FREE,
     _LETTER_TABLE_BOUND,
     _PAIR,
+    _RUN,
     _RUN_OF,
     _SWAP,
     _TEXT,
@@ -198,10 +199,10 @@ def test_word_operations_match_the_pair_oracle(a, b, k):
     assert syllables(x.mul(y).value) == pairs_product(a, b)
     assert syllables(x.inv().value) == pairs_inverse(a)
     assert syllables(x.pow(k).value) == pairs_power(a, k)
-    # a clear _runs flag sends a word down the run-free paths of sort_key
-    # and format_element, so it must never be clear on a word with a run
+    # a word without a run takes the run-free paths of sort_key and
+    # format_element, so each result must render as its pairs do
     for z, pairs in ((x.mul(y), pairs_product(a, b)), (x.inv(), pairs_inverse(a)), (x.pow(k), pairs_power(a, k))):
-        assert z._runs or all(e in (1, -1) for _, e in pairs)
+        assert format_element(z) == pairs_text(pairs)
     assert len(x.value) == sum(abs(e) for _, e in a)
     assert exponent_sum(x.value) == sum(e for _, e in a)
 
@@ -491,39 +492,35 @@ def test_format_element_of_a_vector_matches_the_per_letter_join(vec):
 
 def test_format_element_keeps_only_small_letters():
     big = word(free_group(BOUND + 1), (BOUND + 1, 1), (1, -1), (BOUND + 1, -1), (3, 1))
-    assert not big._runs
+    assert not re.search(_RUN, big.value)
     assert format_element(big) == f"x{BOUND + 1} x1^-1 x{BOUND + 1}^-1 x3"
     assert not any(letter in _TEXT for letter in big.value[::2])
     small = word(F3, (1, 1), (2, -1), (3, 1))
     assert format_element(small) == "x1 x2^-1 x3"
     assert all(letter in _TEXT for letter in small.value)
     runs = word(free_group(BOUND + 1), (BOUND + 1, 3), (1, -BOUND - 1), (2, 10**4))
-    assert runs._runs
+    assert re.search(_RUN, runs.value)
     assert format_element(runs) == f"x{BOUND + 1}^3 x1^{-BOUND - 1} x2^{10**4}"
 
 
-# -- the trusted constructor -----------------------------------------------------
+# -- the group law on values -----------------------------------------------------
 #
-# mul, inv and pow build their results without the public constructor's
-# check; every value they return must still pass it, and a word's run
-# flag may only err on the side of a run.
+# mul, inv and pow apply the group's law to values and build their results
+# through the checking constructor; every value they return must pass it.
 
 
-def check_trusted(elt):
+def check_canonical(elt):
     """elt passes the public constructor's check and matches, value and
-    hash, the element the validating constructor builds from its value;
-    a word flagged run-free has no run."""
+    hash, the element the validating constructor builds from its value."""
     _check_value(elt.group, elt.value)
     validated = DeckElement(elt.group, elt.value)
     assert validated.value == elt.value and validated == elt
     assert hash(validated) == hash(elt)
-    if elt.group.kind == FREE:
-        assert elt._runs or not validated._runs
 
 
 def check_operations(x, y, k):
     for elt in (x.mul(y), y.mul(x), x.mul(x.inv()), x.inv(), y.inv(), x.pow(k), y.pow(-k), x.pow(0)):
-        check_trusted(elt)
+        check_canonical(elt)
 
 
 @given(REDUCED, REDUCED, REDUCED, EXPONENTS)
@@ -561,7 +558,7 @@ def test_is_identity_agrees_with_comparing_to_the_identity(pairs, vec, r):
 def test_a_word_times_the_empty_word_is_the_word_itself(pairs):
     x, one = element(pairs), F3.identity()
     assert x.mul(one) is x and one.mul(x) is x
-    check_trusted(one.mul(one))
+    check_canonical(one.mul(one))
 
 
 def test_public_constructor_refuses_non_canonical_values():

@@ -13,6 +13,7 @@ from barbellcalc.deckgroup import (
     free_abelian,
     free_group,
     reduce_letters,
+    syllables,
 )
 from barbellcalc.groupring import (
     F2,
@@ -25,7 +26,15 @@ from barbellcalc.groupring import (
     render,
     term_list_and_render,
 )
-from oracles import apply_hom, are_associates, brunnian_coordinates, cyclic_project
+from oracles import (
+    apply_hom,
+    are_associates,
+    brunnian_coordinates,
+    cyclic_project,
+    pairs_inverse,
+    pairs_product,
+    reduce_pairs,
+)
 
 Z1 = free_abelian(1)
 Z2 = free_abelian(2)
@@ -55,6 +64,70 @@ def random_element(rng, group, coeffs, size=4):
     return RingElement(group, coeffs, terms)
 
 
+# -- value-keyed operations against term-by-term references ------------------
+#
+# Terms are keyed by canonical values.  Each reference below keys them by
+# a form the engine does not use: a word by its (generator, exponent)
+# pairs, multiplied and inverted by tests/oracles.py, a vector or residue
+# by plain tuple or residue arithmetic.  Pairs compare as tuples in the
+# order DeckElement.sort_key has always given words.
+
+_LETTER = st.tuples(st.integers(1, 3), st.integers(-3, 3).filter(bool) | st.sampled_from([-70, 70]))
+
+
+def _residues(m):
+    return (DeckGroup(CYCLIC, m), st.integers(0, m - 1), lambda a, b: (a + b) % m, lambda a: -a % m, int, int)
+
+
+def _vectors(r):
+    vectors = st.lists(st.integers(-9, 9), min_size=r, max_size=r).map(tuple)
+    return (free_abelian(r), vectors, lambda u, v: tuple(a + b for a, b in zip(u, v)),
+            lambda u: tuple(-a for a in u), tuple, tuple)
+
+
+# group, reference keys, product, inverse, value -> key, key -> value
+REFERENCES = {
+    "F_3": (F3GRP, st.lists(_LETTER, max_size=5).map(reduce_pairs), pairs_product, pairs_inverse,
+            syllables, partial(reduce_letters, rank=3)),
+    "Z": _vectors(1),
+    "Z^3": _vectors(3),
+    "Z/7": _residues(7),
+    "Z/2^70+1": _residues(2**70 + 1),
+}
+
+
+def _combined(coeffs, terms):
+    """Summed term by term, reduced mod 2 over F2, zeros dropped."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    if coeffs == F2:
+        out = {key: c % 2 for key, c in out.items()}
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+@given(data=st.data())
+def test_value_keyed_operations_match_a_term_by_term_reference(name, data):
+    group, keys, product, inverse, key_of, value_of = REFERENCES[name]
+    coeffs = data.draw(st.sampled_from((F2, INT)))
+    a, b = (data.draw(st.dictionaries(keys, st.integers(-3, 3), max_size=5)) for _ in range(2))
+    g = data.draw(keys)
+    x, y = (RingElement(group, coeffs, {DeckElement(group, value_of(k)): c for k, c in t.items()}) for t in (a, b))
+    expected = {
+        "add": _combined(coeffs, [*a.items(), *b.items()]),
+        "mul": _combined(coeffs, [(product(p, q), c * d) for p, c in a.items() for q, d in b.items()]),
+        "translate": _combined(coeffs, [(product(g, p), c) for p, c in a.items()]),
+        "reverse": _combined(coeffs, [(inverse(p), c) for p, c in a.items()]),
+    }
+    results = {"add": x.add(y), "mul": x.mul(y), "translate": x.translate(DeckElement(group, value_of(g))),
+               "reverse": x.reverse()}
+    for op, result in results.items():
+        assert all(DeckElement(group, value).value == value for value in result.terms), op
+        assert {key_of(value): c for value, c in result.terms.items()} == expected[op], op
+        assert [key_of(elt.value) for elt in result.support()] == sorted(expected[op]), op
+
+
 # -- basic arithmetic ---------------------------------------------------------
 
 
@@ -70,10 +143,10 @@ def test_noncommutative_product_distributes():
     product = a.mul(b)
     x1x2 = F2GRP.generator(1).mul(F2GRP.generator(2))
     assert product.terms == {
-        one: 1,
-        F2GRP.generator(1): 1,
-        F2GRP.generator(2): 1,
-        x1x2: 1,
+        one.value: 1,
+        F2GRP.generator(1).value: 1,
+        F2GRP.generator(2).value: 1,
+        x1x2.value: 1,
     }
 
 
@@ -99,7 +172,7 @@ def test_a_term_from_a_foreign_group_is_refused():
     # an equal group built separately is the same group
     again = free_group(2)
     assert again is not F2GRP
-    assert RingElement(again, F2, {x1: 1}).terms == {x1: 1}
+    assert RingElement(again, F2, {x1: 1}).terms == {x1.value: 1}
 
 
 def test_ring_axioms_on_random_triples():

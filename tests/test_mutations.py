@@ -64,17 +64,18 @@ def _second_cuff_at_holonomy(x, spec):
     # barbell_action with the second cuff's correction placed at g hol,
     # not g hol^-1
     equivariant._check_spec(x.geometry, spec)
+    product = x.geometry.group._product
     k = spec.iterate
     s1, s2 = k * spec.signs[0], k * spec.signs[1]
-    hol = spec.holonomy
+    hol = spec.holonomy.value
     terms = dict(x.terms)
     p1 = equivariant.equivariant_pairing(x, spec.cuff1)
     for u, c in p1.terms.items():
-        key = (spec.cuff2, u.mul(hol))
+        key = (spec.cuff2, product(u, hol))
         terms[key] = terms.get(key, 0) + s1 * c
     p2 = p1 if spec.cuff2 == spec.cuff1 else equivariant.equivariant_pairing(x, spec.cuff2)
     for g, c in p2.terms.items():
-        key = (spec.cuff1, g.mul(hol))
+        key = (spec.cuff1, product(g, hol))
         terms[key] = terms.get(key, 0) - s2 * c
     out = equivariant._equiv_class(x.geometry, terms)
     if spec.offset is not None:
@@ -83,9 +84,19 @@ def _second_cuff_at_holonomy(x, spec):
 
 
 def _meridian_read_as_zero(self, a, b, g):
-    # Geometry.coefficient with a meridian row's augmentation dropped
+    # Geometry.coefficient (g a value) with a meridian row's augmentation dropped
     row = self._stored(a, b)
-    return 0 if row is None or self._meridian(a, b) else row.coefficient(g)
+    return 0 if row is None or self._meridian(a, b) else row.terms.get(g, 0)
+
+
+_real_group_init = deckgroup.DeckGroup.__init__
+
+
+def _group_with_unreduced_residue_sums(self, kind, n):
+    # a cyclic group's law on values with the product's "% m" left out
+    _real_group_init(self, kind, n)
+    if kind == deckgroup.CYCLIC:
+        object.__setattr__(self, "_product", lambda a, b: a + b)
 
 
 def _disk_model_without_component_2(n):
@@ -121,6 +132,7 @@ MUTATIONS = {
     "reverse involution skipped": [(groupring.RingElement, "reverse", lambda self: self)],
     "seam cancels equal letters": [(deckgroup, "_seam", _seam_cancelling_equal_letters)],
     "inverse table misses x1": [(deckgroup, "_SWAP", _SWAP_MISSING_X1)],
+    "residue sum not reduced mod m": [(deckgroup.DeckGroup, "__init__", _group_with_unreduced_residue_sums)],
     "membership always yes": [(scenarios, "summand_membership", lambda *args, **kwargs: True)],
     "quotient dimension plus one": [(scenarios, "f2_quotient_dim", lambda matrix: _real_dim(matrix) + 1)],
     "meridian augmentation dropped": [(equivariant.Geometry, "coefficient", _meridian_read_as_zero)],

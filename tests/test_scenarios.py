@@ -450,6 +450,18 @@ def test_reports_record_omitted_defaults(key, call, params):
 # code without a caller, or an oracle that belongs in tests/oracles.py.
 UNREACHED_BY_THE_CLI = {
     "groupring.render": "renders ring elements in error messages and reprs",
+    # the DeckElement API of library callers: the engine keys terms by
+    # values, applies the group's law to them, and sorts and renders them
+    "deckgroup.DeckElement.mul": "the group law on checked elements; the engine multiplies values",
+    "deckgroup.DeckElement.inv": "the group law on checked elements; the engine inverts values",
+    "deckgroup.DeckElement.is_identity": "reads one element; the engine compares values",
+    "deckgroup.DeckElement.sort_key": "orders elements; the engine sorts values",
+    "deckgroup.commutator": "brunnian_word builds its commutators on values",
+    "deckgroup.element_to_json": "one element's JSON form; reports convert values",
+    "deckgroup.format_element": "one element's x-notation; reports render values",
+    "groupring.RingElement.coefficient": "reads a term at a DeckElement; the engine reads values",
+    "groupring.RingElement.support": "hands DeckElements back; reports read sorted values",
+    "equivariant.EquivClass.support": "hands (label, DeckElement) pairs back; reports read sorted values",
 }
 
 # An inline geometry (the torus complement's data) moved by a lift with
@@ -577,7 +589,7 @@ def test_brunnian_reports_apply_the_pair_rules(monkeypatch):
     assert all(r.passed for r in reports) and reports[3].params["n"] == 4
     # a monomial-unit image distinguishes nothing, and its own report
     # fails: call every image of s-degree >= 4, here (2, 2) and (1, 3), a unit
-    monkeypatch.setattr(scenarios, "is_monomial_unit", lambda elem: max(e.value[0] for e in elem.terms) >= 4)
+    monkeypatch.setattr(scenarios, "is_monomial_unit", lambda elem: max(s for s, _ in elem.terms) >= 4)
     reports = list(sweep.reports("linked-6crit", grid))
     assert [r.computed["distinguished"] for r in reports] == [False] * 4
     assert [r.passed for r in reports] == [True, False, False, False]
