@@ -40,23 +40,25 @@ witness argument (a single meridian, nothing allowed) compares x's
 pairings with those of 0 and of the meridian; summand_membership
 decides both in closed form and refuses every other configuration.
 
-A class is validated where it enters: EquivClass(...), and through it
-basis_class, takes (label, DeckElement) keys, refusing an undeclared
-label and a deck element of another group, and keeps (label, value).
-add, sub, scale, translate and barbell_action combine checked classes,
-and equivariant_pairing checked table rows, with the group's law on
-values, so their results go through the trusted constructors
-_equiv_class and _ring_element, which only reduce the coefficients mod
-2 over F2 and drop zeros.  barbell_action adds k C(x) into a copy of
-x's terms and builds one class; a barbell whose two cuffs are one label
-pairs once.
+A class is validated where it enters.  Geometry._value is the one check
+on each (label, DeckElement) pair or deck element entering a class
+operation: EquivClass(...) and so basis_class, translate, a barbell's
+holonomy and offset, and summand_membership's allowed pairs.  It refuses
+an undeclared label and a foreign deck element with GeometryError.
+Classes share a geometry when it is one object or has an equal name,
+deck group and coefficients; ==, add, sub and pair_classes read that one
+test.  Operations on checked classes and table rows apply the group's
+law to values and build their results with the trusted constructors
+_equiv_class and _ring_element, which only reduce coefficients mod 2
+over F2 and drop zeros.  barbell_action adds k C(x) into a copy of x's
+terms, pairing once when both cuffs are one label.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import CYCLIC, DeckElement, DeckGroup, GroupError, _text
+from .deckgroup import CYCLIC, DeckElement, DeckGroup, _json, _text
 from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
 
 SPHERE = "sphere"
@@ -137,6 +139,14 @@ class Geometry:
     def identity(self) -> DeckElement:
         return self.group.identity()
 
+    def _value(self, deck: DeckElement, label: str | None = None):
+        """deck's value, refusing a deck element of another group and, given a label, an undeclared one."""
+        if label is not None and label not in self.labels:
+            self.label(label)  # raises, naming the label
+        if deck.group is not self.group and deck.group != self.group:
+            raise GeometryError("deck element from the wrong group")
+        return deck.value
+
     def _meridian(self, a: str, b: str) -> bool:
         return MERIDIAN in (self.labels[a], self.labels[b])
 
@@ -160,7 +170,6 @@ class Geometry:
         return 0 if row is None else row.terms.get(self.identity().value if self._meridian(a, b) else g, 0)
 
     def basis_class(self, label: str, deck: DeckElement | None = None, coeff: int = 1) -> "EquivClass":
-        self.label(label)
         deck = deck if deck is not None else self.identity()
         return EquivClass(self, {(label, deck): coeff})
 
@@ -171,25 +180,21 @@ class EquivClass:
     __slots__ = ("geometry", "terms")
 
     def __init__(self, geometry: Geometry, terms: Mapping[tuple[str, DeckElement], int]):
-        labels, group = geometry.labels, geometry.group
-        for label, deck in terms:
-            if label not in labels:
-                geometry.label(label)  # raises, naming the label
-            if deck.group is not group and deck.group != group:
-                raise GeometryError("deck element from the wrong group")
+        value = geometry._value
         self.geometry = geometry
-        self.terms = _reduced(geometry.coeffs, {(label, deck.value): c for (label, deck), c in terms.items()})
+        self.terms = _reduced(geometry.coeffs, {(label, value(deck, label)): c for (label, deck), c in terms.items()})
 
     def support(self) -> list[tuple[str, DeckElement]]:
         group = self.geometry.group
         return [(label, DeckElement(group, value)) for label, value in _sorted(self)]
 
+    def _same_geometry(self, other: "EquivClass") -> bool:
+        """The same geometry object, or an equal name, deck group and coefficients."""
+        a, b = self.geometry, other.geometry
+        return a is b or (a.name == b.name and a.group == b.group and a.coeffs == b.coeffs)
+
     def _check(self, other: "EquivClass"):
-        if self.geometry is not other.geometry and (
-            self.geometry.name != other.geometry.name
-            or self.geometry.group != other.geometry.group
-            or self.geometry.coeffs != other.geometry.coeffs
-        ):
+        if not self._same_geometry(other):
             raise GeometryError("classes live in different geometries")
 
     def add(self, other: "EquivClass") -> "EquivClass":
@@ -207,18 +212,11 @@ class EquivClass:
 
     def translate(self, g: DeckElement) -> "EquivClass":
         """The deck transformation g applied to every lift."""
-        group = self.geometry.group
-        if g.group is not group and g.group != group:
-            raise GroupError(f"cannot multiply across groups {g.group} and {group}")
-        product, v = group._product, g.value
+        product, v = self.geometry.group._product, self.geometry._value(g)
         return _equiv_class(self.geometry, {(label, product(v, u)): c for (label, u), c in self.terms.items()})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, EquivClass)
-            and self.geometry.name == other.geometry.name
-            and self.terms == other.terms
-        )
+        return isinstance(other, EquivClass) and self._same_geometry(other) and self.terms == other.terms
 
     __hash__ = None
 
@@ -252,6 +250,12 @@ def render_class(x: EquivClass) -> str:
             body = f"{abs(c)} {body}"
         parts.append((c < 0, body))
     return join_signed(parts)
+
+
+def class_term_list(x: EquivClass) -> list[list]:
+    """The JSON term list [label, deck element's JSON form, coefficient], in render_class's order."""
+    group = x.geometry.group
+    return [[label, _json(group, value), x.terms[label, value]] for label, value in _sorted(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +320,15 @@ class BarbellSpec:
 
 
 def _check_spec(geo: Geometry, spec: BarbellSpec):
-    """The barbell's hypotheses: sphere cuffs, a bar in the deck group,
-    and disjoint cuffs, i.e. P[c1,c1], P[c1,c2] and P[c2,c2] vanish.
-    The last makes the correction square to zero."""
+    """The barbell's hypotheses: sphere cuffs, a bar and an offset in the
+    deck group, and disjoint cuffs, i.e. P[c1,c1], P[c1,c2] and P[c2,c2]
+    vanish.  The last makes the correction square to zero."""
     for cuff in (spec.cuff1, spec.cuff2):
         if geo.label(cuff) != SPHERE:
             raise GeometryError(f"cuff {cuff} must be a sphere label")
-    if spec.holonomy.group is not geo.group and spec.holonomy.group != geo.group:
-        raise GeometryError("holonomy lives in the wrong deck group")
+    geo._value(spec.holonomy)
+    if spec.offset is not None:
+        geo._value(spec.offset)
     c1, c2 = spec.cuff1, spec.cuff2
     for key in ((c1, c1), (c1, c2), (c2, c1), (c2, c2)):
         elem = geo.pairings.get(key)
@@ -398,23 +403,23 @@ def summand_membership(
 
     Decided in closed form, after parallel copies are identified.  A
     meridian's class is the single term (mu, 1), so x is formally
-    congruent exactly when each of its terms is allowed or a meridian
-    at the identity; that certifies yes in any geometry (the formal
-    module maps onto homology).  A no answer is returned directly when
-    the geometry has no meridian, its lifted generators then being a
-    free basis.  With one meridian mu and nothing allowed, the only
-    candidates are 0 and mu, so x is refuted when its pairings against
-    the probes are neither all zero nor those of mu.  Everything else
-    raises rather than guesses: no probes, pairings that refute nothing,
-    witnesses with allowed pairs or several meridians, and over Z any
-    meridian or probe.
+    congruent exactly when each of its terms is allowed or a meridian at
+    the identity; that certifies yes in any geometry (the formal module
+    maps onto homology).  A no answer is returned directly when the
+    geometry has no meridian, its lifted generators then being a free
+    basis.  With one meridian mu and nothing allowed, the only candidates
+    are 0 and mu, so x is refuted when its pairings against the probes
+    are neither all zero nor those of mu.  Everything else raises rather
+    than guesses: an allowed label or deck element foreign to the
+    geometry, no probes, pairings that refute nothing, witnesses with
+    allowed pairs or several meridians, and over Z any meridian or probe.
     """
     geo = x.geometry
     meridians = [_aliased(geo.basis_class(name)) for name in geo.meridians()]
     if geo.coeffs != F2 and (meridians or probes):
         raise GeometryError("over Z, membership takes no kernel generators or probes")
     x = _aliased(x)
-    allowed_keys = {(geo.aliases.get(label, label), deck.value) for label, deck in allowed}
+    allowed_keys = {(geo.aliases.get(label, label), geo._value(deck, label)) for label, deck in allowed}
     if allowed_keys.union(*(mu.terms for mu in meridians)).issuperset(x.terms):
         return True
     if not meridians:

@@ -16,8 +16,7 @@ import json
 import reprlib
 import sys
 
-from .deckgroup import _json
-from .equivariant import EquivClass, _sorted, render_class
+from .equivariant import EquivClass, class_term_list, render_class
 from .groupring import RingElement, term_list_and_render
 
 
@@ -58,11 +57,6 @@ def _printed(convert, value, where: str):
                               "too long to print") from None
 
 
-def _class_json(x: EquivClass) -> list[list]:
-    group = x.geometry.group
-    return [[label, _json(group, value), x.terms[label, value]] for label, value in _sorted(x)]
-
-
 def _form(value, where: str):
     """The JSON form of one report value; where names its field."""
     kind = type(value)
@@ -70,7 +64,7 @@ def _form(value, where: str):
         terms, rendered = _printed(term_list_and_render, value, where)
         return {"terms": terms, "rendered": rendered}
     if kind is EquivClass:
-        value, kind = _class_json(value), list
+        value, kind = class_term_list(value), list
     if kind is list:
         return [_form(item, f"{where}[{i}]") for i, item in enumerate(value)]
     if kind is dict:
@@ -92,7 +86,7 @@ class Report:
         for key, value in computed.items():
             where = f"computed.{key}"
             if isinstance(value, EquivClass):
-                forms[key], forms[f"{key}_rendered"] = _class_json(value), _printed(render_class, value, where)
+                forms[key], forms[f"{key}_rendered"] = class_term_list(value), _printed(render_class, value, where)
             else:
                 forms[key] = _form(value, where)
         self.computed, self.expected = forms, {

@@ -841,7 +841,8 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
         verdict = {k, l} != {kp, lp} and image is not None and other is not None and image != other
         job_report = Report({"distinguished": verdict}, notes=report.notes, name=name, params=job,
                             passed=report.passed and other_report.passed and verdict == ({k, l} != {kp, lp}))
-        # the decided report's fields are in their JSON forms already
+        # the decided report's fields are JSON forms already; rebuilding through Report(...) walks each one again:
+        # `sweep brunnian --n 4 --max 16 --format machine` took twice as long so (in process, 2-vCPU Xeon)
         job_report.computed, job_report.expected = {**report.computed, **job_report.computed}, report.expected
         yield job_report
 

@@ -595,6 +595,48 @@ def test_a_class_term_on_an_undeclared_label_or_a_foreign_group_is_refused():
     assert EquivClass(geo, {("S_v", again): 1}).terms == {("S_v", again.value): 1}
 
 
+def one_sphere(group, coeffs=F2, name="custom"):
+    """An inline geometry: one sphere S over group, no pairings."""
+    return Geometry(name, group, coeffs, {"S": SPHERE}, {})
+
+
+def test_classes_over_another_group_or_field_are_unequal_and_never_combined():
+    pairs = [
+        (one_sphere(DeckGroup(CYCLIC, 5)), one_sphere(DeckGroup(CYCLIC, 7))),
+        (one_sphere(Z1, F2), one_sphere(Z1, INT)),
+        (one_sphere(Z1), one_sphere(Z1, name="other")),
+    ]
+    for a, b in pairs:
+        # equal terms {(S, identity): 1}, and the empty class, on both sides
+        for x, y in ((a.basis_class("S"), b.basis_class("S")), (EquivClass(a, {}), EquivClass(b, {}))):
+            assert x.terms == y.terms and x != y and y != x
+            for operation in (EquivClass.add, EquivClass.sub, pair_classes):
+                with pytest.raises(GeometryError, match="classes live in different geometries"):
+                    operation(x, y)
+    # an equal geometry built separately is the same geometry
+    x, y = one_sphere(DeckGroup(CYCLIC, 5)).basis_class("S"), one_sphere(DeckGroup(CYCLIC, 5)).basis_class("S")
+    assert x == y and x.add(y).terms == {}
+
+
+def test_equal_classes_can_always_be_added():
+    geometries = [
+        one_sphere(DeckGroup(CYCLIC, 5)),
+        one_sphere(DeckGroup(CYCLIC, 5)),
+        one_sphere(DeckGroup(CYCLIC, 7)),
+        one_sphere(Z1, F2),
+        one_sphere(Z1, INT),
+        one_sphere(Z1, name="other"),
+    ]
+    classes = [
+        EquivClass(geo, terms)
+        for geo in geometries
+        for terms in ({}, {("S", geo.identity()): 1}, {("S", geo.group.generator(1, 1)): 1})
+    ]
+    for x, y in itertools.product(classes, repeat=2):
+        if x == y:
+            assert x.add(y) == x.scale(2)
+
+
 # -- summand membership -----------------------------------------------------------
 
 
@@ -611,6 +653,15 @@ def test_membership_fails_off_the_chosen_summand():
 def test_membership_of_the_disk_itself():
     geo = builtin_geometry("cyclic_cover", m=205)
     assert summand_membership(geo.basis_class("D"), identity_summand(geo, ["D"]))
+
+
+def test_membership_refuses_an_allowed_pair_foreign_to_the_geometry():
+    geo = builtin_geometry("cyclic_cover", m=205)
+    d = geo.basis_class("D")
+    with pytest.raises(GeometryError, match="unknown label 'S_w' in geometry cyclic_cover"):
+        summand_membership(d, {("D", geo.identity()), ("S_w", geo.identity())})
+    with pytest.raises(GeometryError, match="deck element from the wrong group"):
+        summand_membership(d, {("D", geo.identity()), ("S", DeckElement(DeckGroup(CYCLIC, 11), 1))})
 
 
 def test_membership_respects_the_parallel_copy_alias():
@@ -1001,3 +1052,15 @@ def test_a_distinct_cuff_barbell_pairs_with_both_cuffs(monkeypatch):
     labels = pairing_spy(monkeypatch)
     assert run_theorem("less-simple", m=1000, k=3, l=5).passed
     assert labels == ["S_prime", "S", "S_prime", "S"]
+
+
+def test_a_foreign_offset_or_holonomy_is_refused_before_any_pairing(monkeypatch):
+    geo = builtin_geometry("torus_complement")
+    foreign = DeckElement(DeckGroup(CYCLIC, 3), 1)
+    labels = pairing_spy(monkeypatch)
+    for spec in (BarbellSpec("S_h", "S_h", t_elt(geo, 1), offset=foreign), BarbellSpec("S_h", "S_h", foreign)):
+        with pytest.raises(GeometryError, match="deck element from the wrong group"):
+            barbell_action(geo.basis_class("S_v"), spec)
+    assert labels == []
+    with pytest.raises(GeometryError, match="deck element from the wrong group"):
+        geo.basis_class("S_v").translate(foreign)
