@@ -46,12 +46,13 @@ operation: EquivClass(...) and so basis_class, translate, a barbell's
 holonomy and offset, and summand_membership's allowed pairs.  It refuses
 an undeclared label and a foreign deck element with GeometryError.
 Classes share a geometry when it is one object or has an equal name,
-deck group and coefficients; ==, add, sub and pair_classes read that one
-test.  Operations on checked classes and table rows apply the group's
-law to values and build their results with the trusted constructors
-_equiv_class and _ring_element, which only reduce coefficients mod 2
-over F2 and drop zeros.  barbell_action adds k C(x) into a copy of x's
-terms, pairing once when both cuffs are one label.
+deck group, coefficients, labels and pairing table; ==, add, sub and
+pair_classes read that one test.  Operations on checked classes and
+table rows apply the group's law to values and build their results
+with the trusted constructors _equiv_class and _ring_element, which
+only reduce coefficients mod 2 over F2 and drop zeros.  barbell_action
+adds k C(x) into a copy of x's terms, pairing once when both cuffs are
+one label.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ class Geometry:
     generators, the equivariant pairing table, and the handle roles
     (which spheres are attaching spheres, which disks are belt-sphere
     disks).  The roles are checked here, once: each names a declared
-    label of its kind, and no label is listed twice in one role.
+    label of its kind, and no label is listed twice in one role.  Each
+    pairing row must be a RingElement over the geometry's own deck group
+    and coefficients.
 
     pairings holds P[a,b] for the stored direction; the reverse pairing
     is derived by the involution g -> g^-1 (the intersection form on
@@ -108,6 +111,9 @@ class Geometry:
         for (a, b), elem in pairings.items():
             if a not in labels or b not in labels:
                 raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
+            if not isinstance(elem, RingElement) or elem.group != group or elem.coeffs != coeffs:
+                got = f"one of {elem.coeffs}[{elem.group!r}]" if isinstance(elem, RingElement) else type(elem).__name__
+                raise GeometryError(f"pairing row ({a}, {b}) must be an element of {coeffs}[{group!r}], got {got}")
             if labels[a] == DISK and labels[b] == DISK:
                 raise GeometryError("disk-disk pairings are not part of the data")
             if self._meridian(a, b) and any(g != group.identity().value for g in elem.terms):
@@ -189,9 +195,10 @@ class EquivClass:
         return [(label, DeckElement(group, value)) for label, value in _sorted(self)]
 
     def _same_geometry(self, other: "EquivClass") -> bool:
-        """The same geometry object, or an equal name, deck group and coefficients."""
+        """The same geometry object, or an equal name, deck group, coefficients, labels and pairing table."""
         a, b = self.geometry, other.geometry
-        return a is b or (a.name == b.name and a.group == b.group and a.coeffs == b.coeffs)
+        return a is b or (a.name == b.name and a.group == b.group and a.coeffs == b.coeffs
+                          and a.labels == b.labels and a._rows == b._rows)
 
     def _check(self, other: "EquivClass"):
         if not self._same_geometry(other):

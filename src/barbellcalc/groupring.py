@@ -17,17 +17,18 @@ No factorization, Groebner bases, or general ideal membership.
 Terms map canonical deck values to nonzero coefficients.  An element is
 validated where it enters: RingElement(...), and through it zero and
 one, takes DeckElement keys and refuses an unknown coefficient ring and
-a term of another group.  add, neg, mul, translate, reverse and the
-equivariant pairing apply the group's law to values, so their results
+a term of another group.  add, neg, mul, translate, reverse, pushforward
+and the equivariant pairing apply a group law to values, so their results
 go through the trusted constructor _ring_element, which only reduces
 the coefficients mod 2 over F2 and drops zeros.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _json, element_from_json
+from .deckgroup import CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _json, element_from_json, free_abelian
 
 F2 = "F2"
 INT = "Z"
@@ -185,6 +186,19 @@ def laurent_span(elem: RingElement) -> int | None:
         return None
     degrees = [e for e, in elem.terms]
     return max(degrees) - min(degrees)
+
+
+def pushforward(elem: RingElement, matrix: Sequence[Sequence[int]]) -> RingElement:
+    """elem, over Z^s, pushed along the group map Z^s -> Z^r whose i-th
+    coordinate is the dot product with matrix[i], a row of s integers;
+    terms whose images collide add (mod 2 over F2)."""
+    if elem.group.kind != FREE_ABELIAN or not matrix or any(len(row) != elem.group.n for row in matrix):
+        raise RingError(f"pushforward takes an element over Z^s and rows of s integers, got {elem.group!r}")
+    terms: dict = {}
+    for e, c in elem.terms.items():
+        image = tuple([sum(map(operator.mul, row, e)) for row in matrix])
+        terms[image] = terms.get(image, 0) + c
+    return _ring_element(free_abelian(len(matrix)), elem.coeffs, terms)
 
 
 # ---------------------------------------------------------------------------

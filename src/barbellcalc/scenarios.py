@@ -13,16 +13,17 @@ inline form of a scenario file, and one reader, `_read_geometry`, builds
 every Geometry; a scenario file's own attaching spheres and belt disks
 replace the roles in the description before it is read, so the roles
 are checked once, by Geometry.  Every presentation matrix, genus1-hd's
-included, comes from `present_from_scenario`.  Each theorem runner
-drives the barbell engine through one argument, compares against the
-closed-form value when there is one, and hands the engine values and
-its verdict to a Report (barbellcalc.report); hypothesis bounds
-(winding numbers >= 1, cover order m large enough) are enforced up
-front.  The six cover arguments share one disk move (`_move`) and one
-summand test (`_in_identity_summand`).  `THEOREMS` maps each
-reproduction's name to its runner and `SWEEPS` each sweep's name to
-its parameter grid; `run_theorem` and `run_sweep` hold every parameter
-rule, and `run_theorem` names each report and records its parameters.
+included, comes from `present_from_scenario`; the torus sweeps push one
+over Z^3 forward to each job.  Each theorem runner drives the barbell
+engine through one argument, compares against the closed-form value
+when there is one, and hands the engine values and its verdict to a
+Report (barbellcalc.report); hypothesis bounds (winding numbers >= 1,
+cover order m large enough) are enforced up front.  The six cover
+arguments share one disk move (`_move`) and one summand test
+(`_in_identity_summand`).  `THEOREMS` maps each reproduction's name to
+its runner and `SWEEPS` each sweep's name to its parameter grid;
+`run_theorem` and `run_sweep` hold every parameter rule, and
+`run_theorem` names each report and records its parameters.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .groupring import (
     is_monomial_unit,
     laurent_span,
     normalize_monomial,
+    pushforward,
 )
 from .presentations import (
     antidiagonal_cokernel,
@@ -324,7 +326,10 @@ def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
 def _run_torus_knot(k: int, l: int) -> Report:
     _require_windings(k, l)
     geo = builtin_geometry("torus_complement")
-    rows = present_from_scenario(geo, _torus_barbells(geo, k, l))
+    return _torus_report(k, l, present_from_scenario(geo, _torus_barbells(geo, k, l)))
+
+
+def _torus_report(k: int, l: int, rows: list[list[RingElement]]) -> Report:
     f = rows[0][0]
     dim = f2_quotient_dim(rows)
     expected_f = morsesimple_f(k, l)
@@ -763,7 +768,12 @@ def run_theorem(name: str, **params) -> Report:
         raise HypothesisError(f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}")
     runner = THEOREMS[name]
     _check_parameters(f"theorem {name}", runner, params)
-    report = runner(**params)
+    return _named(name, params, runner(**params))
+
+
+def _named(name: str, params: Mapping, report: Report) -> Report:
+    """report, run by theorem name on params, named and given its params as run_theorem records them."""
+    runner = THEOREMS[name]
     takes, required = parameters(runner)
     ran = {**dict(zip(takes[len(required):], runner.__defaults__ or ())), **params, **report.params}
     report.name, report.params = name, {key: value for key, value in ran.items() if value is not None}
@@ -782,8 +792,9 @@ class Sweep:
     order they run, for sizes up to `top` (`default_max` unless given),
     so that run_sweep sizes a sweep by drawing at most one job past its
     cap; `reports(theorem, jobs)` yields one report per drawn job in
-    grid order (by default the theorem run on the job's parameters),
-    and raises any refusal before its first report."""
+    grid order (by default the theorem run on the job's parameters; the
+    torus sweeps push one generic presentation forward to each job), and
+    raises any refusal before its first report."""
 
     def __init__(self, theorem: str, default_max: int, grid: Callable[..., Iterator[dict]],
                  reports: Callable[[str, list[dict]], Iterator[Report]] = _run_grid):
@@ -792,6 +803,23 @@ class Sweep:
 
 def _square_grid(top: int) -> Iterator[dict]:
     return ({"k": k, "l": l} for k in range(1, top + 1) for l in range(1, top + 1))
+
+
+def _torus_reports(name: str, grid: list[dict]) -> Iterator[Report]:
+    """The torus sweeps' jobs from one engine run: the torus complement
+    over Z^3 (bars x1, x2; each row's t^e at x3^e) presents the generic F,
+    and job (k, l)'s f is F pushed along (a, b, c) -> ak + bl + c, as the
+    engine's sums, products and translates commute with that ring map."""
+    for job in grid:
+        _require_windings(job["k"], job["l"])
+    torus = _torus_complement()
+    lifted = [[a, b, [[[0, 0, e], c] for e, c in terms]] for a, b, terms in torus["pairings"]]
+    geo = _read_geometry({**torus, "group": {"kind": FREE_ABELIAN, "rank": 3}, "pairings": lifted})
+    e = geo.group.generator
+    generic = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", e(1)), BarbellSpec("S_v", "S_v", e(2))])[0][0]
+    for job in grid:
+        k, l = job["k"], job["l"]
+        yield _named(name, job, _torus_report(k, l, [[pushforward(generic, [[k, l, 1]])]]))
 
 
 def _brunnian_grid(top: int, n: int = 2) -> Iterator[dict]:
@@ -852,16 +880,17 @@ def _montesinos_grid(top: int) -> Iterator[dict]:
 
 
 SWEEPS: dict[str, Sweep] = {
-    "morsesimple": Sweep("morsesimple-s3", 10, _square_grid),
-    "higher-dim": Sweep("higher-dim-knots", 10, _square_grid),
+    "morsesimple": Sweep("morsesimple-s3", 10, _square_grid, _torus_reports),
+    "higher-dim": Sweep("higher-dim-knots", 10, _square_grid, _torus_reports),
     "brunnian": Sweep("linked-6crit", 4, _brunnian_grid, _brunnian_reports),
     "montesinos": Sweep("morsesimple3mfd", 30, _montesinos_grid),
 }
 
 # Most jobs one sweep runs: run_sweep draws at most one more from the
 # grid.  On a 2-vCPU Xeon host morsesimple --max 100 (10**4 jobs) took
-# 5.2 s and 21 MB; brunnian --n 4 --max 16 (9,180 jobs, 136 reports)
-# took 0.29 s in table format and 1.8 s in machine format, at 22 MB.
+# 0.8 s in table format and 1.1 s in machine format from the shell, at
+# 18 and 24 MB; brunnian --n 4 --max 16 (9,180 jobs, 136 reports) took
+# 0.29 s in table format and 1.8 s in machine format, at 22 MB.
 MAX_SWEEP_JOBS = 10_000
 
 

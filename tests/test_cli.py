@@ -161,6 +161,23 @@ def test_linked_6crit_decides_one_winding_pair():
         run_theorem("linked-6crit", n=3, k=1, l=2, kp=1, lp=3)
 
 
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+@pytest.mark.parametrize("name", ["morsesimple", "higher-dim"])
+def test_torus_sweeps_print_the_per_instance_reports_byte_for_byte(name, fmt, capsys):
+    # a torus sweep pushes one generic presentation forward; run_theorem
+    # runs the engine on each job's own geometry
+    from barbellcalc import cli
+    from barbellcalc.report import render_line, render_machine
+    from barbellcalc.scenarios import run_theorem
+
+    render = render_machine if fmt == "machine" else render_line
+    sweep = SWEEPS[name]
+    for top in range(1, 11):
+        assert cli.main(["sweep", name, "--max", str(top), "--format", fmt]) == 0
+        lines = [render(run_theorem(sweep.theorem, **job)) for job in sweep.grid(top)]
+        assert capsys.readouterr().out == "\n".join(lines + [f"{top * top}/{top * top} passed"]) + "\n", top
+
+
 def test_sweep_runs_jobs_in_grid_order():
     first = run_cli("sweep", "morsesimple", "--max", "3")
     second = run_cli("sweep", "morsesimple", "--max", "3")

@@ -505,6 +505,14 @@ REFUSED_VALUES = [
     (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, [], ["S"]), GeometryError, "^belt disk label S is a sphere, not a disk$"),
     (Geometry, ("z", Z1, F2, {"S": SPHERE, "D_v": DISK}, {}, ["S"], ["D_v", "D_v"]), GeometryError,
      "^belt disk label D_v is listed twice$"),
+    # a pairing row over another group or ring, or no ring element at all
+    (Geometry, ("z", DeckGroup(CYCLIC, 5), F2, {"S": SPHERE, "D": DISK},
+                {("D", "S"): RingElement(DeckGroup(CYCLIC, 7), F2, {DeckElement(DeckGroup(CYCLIC, 7), 6): 1})}),
+     GeometryError, r"^pairing row \(D, S\) must be an element of F2\[Z/5\], got one of F2\[Z/7\]$"),
+    (Geometry, ("z", Z1, INT, {"S": SPHERE, "D": DISK}, {("D", "S"): _one(Z1)}), GeometryError,
+     r"^pairing row \(D, S\) must be an element of Z\[Z\^1\], got one of F2\[Z\^1\]$"),
+    (Geometry, ("z", Z1, F2, {"S": SPHERE, "D": DISK}, {("D", "S"): 1}), GeometryError,
+     r"^pairing row \(D, S\) must be an element of F2\[Z\^1\], got int$"),
 ]
 
 
@@ -616,6 +624,29 @@ def test_classes_over_another_group_or_field_are_unequal_and_never_combined():
     # an equal geometry built separately is the same geometry
     x, y = one_sphere(DeckGroup(CYCLIC, 5)).basis_class("S"), one_sphere(DeckGroup(CYCLIC, 5)).basis_class("S")
     assert x == y and x.add(y).terms == {}
+
+
+def test_classes_over_other_labels_or_pairing_rows_are_unequal_and_never_combined():
+    z5 = DeckGroup(CYCLIC, 5)
+    row = lambda *powers: RingElement(z5, F2, {DeckElement(z5, p): 1 for p in powers})
+    pairs = [
+        # one custom geometry declares S, the other T
+        (Geometry("custom", z5, F2, {"S": SPHERE}, {}), Geometry("custom", z5, F2, {"T": SPHERE}, {})),
+        # the same labels, another pairing row
+        (Geometry("custom", z5, F2, {"S": SPHERE, "D": DISK}, {("D", "S"): row(0)}),
+         Geometry("custom", z5, F2, {"S": SPHERE, "D": DISK}, {("D", "S"): row(0, 1)})),
+    ]
+    for a, b in pairs:
+        x, y = a.basis_class(next(iter(a.labels))), b.basis_class(next(iter(b.labels)))
+        assert x != y and y != x
+        for operation in (EquivClass.add, EquivClass.sub, pair_classes):
+            with pytest.raises(GeometryError, match="^classes live in different geometries$"):
+                operation(x, y)
+    # a table stored in the other direction is the same table
+    forward = Geometry("custom", z5, F2, {"S": SPHERE, "D": DISK}, {("D", "S"): row(1)})
+    backward = Geometry("custom", z5, F2, {"S": SPHERE, "D": DISK}, {("S", "D"): row(4)})
+    assert forward.basis_class("S") == backward.basis_class("S")
+    assert pair_classes(forward.basis_class("D", DeckElement(z5, 4)), backward.basis_class("S")) == 1
 
 
 def test_equal_classes_can_always_be_added():

@@ -23,6 +23,7 @@ from barbellcalc.groupring import (
     from_term_list,
     is_monomial_unit,
     laurent_span,
+    pushforward,
     render,
     term_list_and_render,
 )
@@ -266,6 +267,50 @@ def test_homs_are_multiplicative_on_their_domains():
         ra = random_element(rng, group, F2)
         rb = random_element(rng, group, F2)
         assert cyc(ra.mul(rb)) == cyc(ra).mul(cyc(rb))
+
+
+# -- pushforward along an integer matrix ----------------------------------------
+
+
+def test_matrix_pushforward_is_the_group_map_applied_term_by_term():
+    # oracle: apply_hom with the map written as plain dot products
+    rng = random.Random(17)
+    for _ in range(200):
+        s, r = rng.randint(1, 3), rng.randint(1, 3)
+        matrix = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(r)]
+        elem = random_element(rng, free_abelian(s), rng.choice([F2, INT]), size=6)
+        image = lambda g: DeckElement(free_abelian(r), tuple(sum(a * e for a, e in zip(row, g.value)) for row in matrix))
+        assert pushforward(elem, matrix) == apply_hom(elem, free_abelian(r), image)
+
+
+def test_matrix_pushforward_is_a_ring_map():
+    rng = random.Random(18)
+    for _ in range(100):
+        matrix = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(rng.randint(1, 2))]
+        coeffs = rng.choice([F2, INT])
+        a, b = (random_element(rng, Z2, coeffs) for _ in range(2))
+        push = partial(pushforward, matrix=matrix)
+        assert push(a.mul(b)) == push(a).mul(push(b)) and push(a.add(b)) == push(a).add(push(b))
+
+
+def test_matrix_pushforward_adds_colliding_terms():
+    # s t + s^-1 t^-1 + s^2 t^2 along (a, b) -> a - b: all three land on 1
+    elem = {(1, 1): 1, (-1, -1): 1, (2, 2): 1}
+    assert pushforward(stpoly(F2, elem), [[1, -1]]) == tpoly(F2, {0: 1})
+    assert pushforward(stpoly(INT, {**elem, (2, 2): -5}), [[1, -1]]) == tpoly(INT, {0: -3})
+    assert pushforward(stpoly(F2, {(1, 1): 1, (2, 2): 1}), [[1, -1]]).is_zero()
+
+
+@pytest.mark.parametrize("elem, matrix", [
+    (RingElement(F2GRP, F2, {F2GRP.generator(1): 1}), [[1, 0]]),
+    (RingElement(DeckGroup(CYCLIC, 5), F2, {DeckElement(DeckGroup(CYCLIC, 5), 1): 1}), [[1]]),
+    (stpoly(F2, {(1, 0): 1}), [[1, 0, 1]]),
+    (stpoly(F2, {(1, 0): 1}), [[1, 0], [1]]),
+    (stpoly(F2, {(1, 0): 1}), []),
+])
+def test_matrix_pushforward_refuses_a_map_it_cannot_apply(elem, matrix):
+    with pytest.raises(RingError, match="pushforward takes an element over Z\\^s and rows of s integers"):
+        pushforward(elem, matrix)
 
 
 # -- units and associates -------------------------------------------------------

@@ -3,7 +3,9 @@ A mutation matrix: single-point faults planted in the engine by
 monkeypatch, each run against every registry key at its sample
 parameters, against linked-6crit at n = 2 (where word products join
 runs of x1) and at n = 3 with k = l = 2 (where the relator's products
-cancel in pairs), and against the committed scenario.  A check that no
+cancel in pairs), against the committed scenario, and against the
+morsesimple sweep at --max 3, which pushes one generic presentation
+forward to its jobs and passes only when every job does.  A check that no
 fault can turn from PASS to FAIL or refusal checks nothing, so every
 key must catch some mutation and every mutation must be caught by some
 key, unless it is named in UNCATCHABLE or UNCAUGHT with its reason.  Both
@@ -19,12 +21,13 @@ import pytest
 
 from barbellcalc import deckgroup, equivariant, groupring, scenarios
 from barbellcalc.equivariant import BarbellSpec
-from barbellcalc.scenarios import THEOREMS, run_scenario, run_theorem
+from barbellcalc.scenarios import THEOREMS, run_scenario, run_sweep, run_theorem
 
 from test_scenarios import SAMPLE_PARAMS
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "torus_k2_l3.json"
 SCENARIO_KEY = "scenario torus_k2_l3.json"
+SWEEP_KEY = "sweep morsesimple --max 3"
 # row name -> (registry key, parameters)
 ROWS = {key: (key, SAMPLE_PARAMS[key]) for key in sorted(THEOREMS)}
 ROWS["linked-6crit n=2"] = ("linked-6crit", {"n": 2, "k": 1, "l": 2})
@@ -122,6 +125,7 @@ def _bezout_sign(a, b):
 
 _real_extended_gcd = scenarios._extended_gcd
 _real_dim = scenarios.f2_quotient_dim
+_real_pushforward = scenarios.pushforward
 
 # name -> [(module or class, attribute, replacement)]
 MUTATIONS = {
@@ -138,6 +142,10 @@ MUTATIONS = {
     "meridian augmentation dropped": [(equivariant.Geometry, "coefficient", _meridian_read_as_zero)],
     "Bezout sign": [(scenarios, "_extended_gcd", _bezout_sign)],
     "disk model skips a component": [(scenarios, "_disk_model", _disk_model_without_component_2)],
+    # the torus sweeps' map (a, b, c) -> ak + bl + c read as (a, b, c) -> ak + c
+    "pushforward drops l": [
+        (scenarios, "pushforward", lambda elem, matrix: _real_pushforward(elem, [[k, 0, c] for k, _, c in matrix]))
+    ],
     "ring result skips F2 reduction": [
         (module, "_ring_element", _ring_element_keeping_even_coefficients) for module in (groupring, equivariant)
     ],
@@ -149,6 +157,8 @@ def outcome(key: str) -> str:
     try:
         if key == SCENARIO_KEY:
             report = run_scenario(json.loads(SCENARIO.read_text()))
+        elif key == SWEEP_KEY:
+            return "PASS" if all(report.passed for report in run_sweep("morsesimple", 3)) else "FAIL"
         else:
             theorem, params = ROWS[key]
             report = run_theorem(theorem, **params)
@@ -157,7 +167,7 @@ def outcome(key: str) -> str:
     return "PASS" if report.passed else "FAIL"
 
 
-KEYS = list(ROWS) + [SCENARIO_KEY]
+KEYS = list(ROWS) + [SCENARIO_KEY, SWEEP_KEY]
 
 
 @functools.cache
@@ -193,3 +203,9 @@ def test_each_mutation_is_caught_by_a_key(mutation):
 def test_each_key_catches_a_mutation(key):
     catches = sorted(name for name, row in matrix().items() if row[key] != "PASS")
     assert bool(catches) != (key in UNCATCHABLE), catches
+
+
+def test_the_sweep_row_catches_the_pushforward_fault_and_what_the_theorem_row_catches():
+    caught = {name for name, row in matrix().items() if row[SWEEP_KEY] != "PASS"}
+    by_theorem = {name for name, row in matrix().items() if row["morsesimple-s3"] != "PASS"}
+    assert "pushforward drops l" in caught and by_theorem <= caught, (caught, by_theorem)

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import inspect
 import json
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import GroupError, free_group
-from barbellcalc.equivariant import MERIDIAN, SPHERE
-from barbellcalc.groupring import term_list_and_render
+from barbellcalc.deckgroup import GroupError, free_abelian, free_group
+from barbellcalc.equivariant import MERIDIAN, SPHERE, BarbellSpec
+from barbellcalc.groupring import pushforward, term_list_and_render
+from barbellcalc.presentations import present_from_scenario, symmetric_relator
 from barbellcalc.report import render_machine
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
@@ -26,7 +28,9 @@ from barbellcalc.scenarios import (
     classify_gluing,
     montesinos_matrix_for,
     montesinos_parity,
+    morsesimple_f,
     run_scenario,
+    run_sweep,
     run_theorem,
 )
 from oracles import cyclic_project, distinguish_brunnian_modules
@@ -614,6 +618,75 @@ def test_sweep_job_counts_match_their_grids(top):
     assert {name: len(list(sweep.grid(top))) for name, sweep in SWEEPS.items()} == counts
     jobs = [tuple(job.values()) for job in SWEEPS["brunnian"].grid(top)]
     assert jobs == sorted(set(jobs)) and all(k <= l and kp <= lp and (k, l) < (kp, lp) for _, k, l, kp, lp in jobs)
+
+
+# -- the torus sweeps: one generic presentation pushed forward ----------------------
+
+
+@functools.cache
+def generic_torus_f():
+    """The generic F over Z^3 a torus sweep presents, caught on its way to the sweep's first job."""
+    import barbellcalc.scenarios as scenarios
+
+    pushed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "pushforward", lambda elem, matrix: pushed.append(elem) or pushforward(elem, matrix))
+        next(SWEEPS["morsesimple"].reports("morsesimple-s3", [{"k": 1, "l": 1}]))
+    return pushed[0]
+
+
+def engine_f(k, l):
+    """f of winding pair (k, l) from the engine on the torus complement itself."""
+    geo = builtin_geometry("torus_complement")
+    t = geo.group.generator
+    return present_from_scenario(geo, [BarbellSpec("S_h", "S_h", t(1, k)), BarbellSpec("S_v", "S_v", t(1, l))])[0][0]
+
+
+def test_the_generic_torus_presentation_is_the_symmetric_relator_over_z3():
+    # 1 + (x1 + x1^-1)(x2 + x2^-1)(x3 + x3^-1): nine terms, none merged
+    f = generic_torus_f()
+    assert f.group == free_abelian(3) and len(f.terms) == 9
+    assert f == symmetric_relator([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def test_the_pushforward_is_the_engine_f_on_every_small_pair():
+    # terms merge under (a, b, c) -> ak + bl + c exactly on the lines
+    # k = 1, l = 1, k = l and |k - l| = 1, all of which this grid crosses
+    merged = set()
+    for k in range(1, 13):
+        for l in range(1, 13):
+            pushed = pushforward(generic_torus_f(), [[k, l, 1]])
+            assert pushed == engine_f(k, l) == morsesimple_f(k, l), (k, l)
+            if len(pushed.terms) < 9:
+                merged.add((k, l))
+    assert merged == {(k, l) for k in range(1, 13) for l in range(1, 13) if 1 in (k, l) or abs(k - l) <= 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(13, 10**12), st.integers(13, 10**12))
+def test_the_pushforward_is_the_engine_f_on_larger_pairs(k, l):
+    assert pushforward(generic_torus_f(), [[k, l, 1]]) == engine_f(k, l)
+
+
+@pytest.mark.parametrize("name", ["morsesimple", "higher-dim"])
+def test_a_torus_sweep_presents_once_and_pushes_that_matrix_to_every_job(name, monkeypatch):
+    import barbellcalc.scenarios as scenarios
+
+    presented, pushed = [], []
+    real = scenarios.present_from_scenario
+    monkeypatch.setattr(scenarios, "present_from_scenario", lambda *args: presented.append(real(*args)) or presented[-1])
+    monkeypatch.setattr(scenarios, "pushforward", lambda elem, matrix: pushed.append(elem) or pushforward(elem, matrix))
+    reports = list(run_sweep(name, 6))
+    assert len(reports) == 36 and all(report.passed for report in reports)
+    # the engine's own matrix over Z^3, built once, is what every job pushes forward
+    assert len(presented) == 1 and presented[0][0][0].group == free_abelian(3)
+    assert len(pushed) == 36 and all(elem is presented[0][0][0] for elem in pushed)
+
+
+def test_torus_sweep_reports_refuse_a_winding_number_below_one_before_the_first_report():
+    sweep = SWEEPS["morsesimple"]
+    with pytest.raises(HypothesisError, match="winding numbers must satisfy k, l >= 1, got k=0, l=2"):
+        next(sweep.reports("morsesimple-s3", [{"k": 1, "l": 1}, {"k": 0, "l": 2}]))
 
 
 # -- scenario files ----------------------------------------------------------------
