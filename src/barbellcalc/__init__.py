@@ -52,8 +52,6 @@ from .presentations import (
     PresentationError,
     antidiagonal_cokernel,
     brunnian_disk_obstruction,
-    brunnian_image,
-    brunnian_relator,
     f2_quotient_dim,
     present_from_scenario,
 )

@@ -21,16 +21,17 @@ the one entry from raw (generator, exponent) pairs, and syllables reads
 them back.  A word of more than MAX_POWER_LETTERS letters, parsed or a
 power, and a free group of rank above MAX_FREE_RANK are refused.
 
-Groups and elements are immutable slotted values (setting or deleting
-an attribute raises AttributeError).  A group carries its law on
-canonical values, chosen by kind when it is built: _product, _inverse
-and _order, its values' sort key (None: their natural order).  Ring and
-class terms are keyed by values, and DeckElement(group, value) is the
-checked public type where values enter and leave: it refuses a word
-that is not freely reduced, a vector of the wrong length and a residue
-outside [0, m).  Two reduced words only cancel where they meet, and
-their product bisects that seam with C-level slice comparisons (_seam);
-pow writes a word as u v u^-1, v cyclically reduced, and repeats v.
+Groups and elements are immutable slotted values (setting or deleting an
+attribute raises AttributeError); free_group and free_abelian share one
+a size.  A group carries its law on canonical values, chosen by kind
+when it is built: _product, _inverse and _order, its values' sort key
+(None: their natural order).  Ring and class terms are keyed by values,
+and DeckElement(group, value) is the checked public type where values
+enter and leave: it refuses a word that is not freely reduced, a vector
+of the wrong length and a residue outside [0, m).  Two reduced words
+only cancel where they meet, and their product bisects that seam with
+C-level slice comparisons (_seam); pow writes a word as u v u^-1, v
+cyclically reduced, and repeats v.
 
 A word in which no letter repeats its neighbour (x1^2 does) is its own
 sort key (_word_key), and _text joins its letters' strings in C; others
@@ -40,6 +41,7 @@ One re.search decides each sorted or rendered word; products never look.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from collections.abc import Iterable
@@ -86,6 +88,8 @@ class DeckGroup:
             law = _word_product, _word_inverse, _word_key
         elif kind == FREE_ABELIAN and n == 1:  # Z, the commonest, without a map over one coordinate
             law = (lambda u, v: (u[0] + v[0],)), (lambda u: (-u[0],)), None
+        elif kind == FREE_ABELIAN and n == 2:  # Z^2, whose ring holds the Brunnian images, likewise
+            law = (lambda u, v: (u[0] + v[0], u[1] + v[1])), (lambda u: (-u[0], -u[1])), None
         elif kind == FREE_ABELIAN:
             law = (lambda u, v: tuple(map(operator.add, u, v))), (lambda u: tuple(map(operator.neg, u))), None
         else:
@@ -128,10 +132,12 @@ class DeckGroup:
         return DeckElement(self, tuple(vec))
 
 
+@functools.cache
 def free_group(n: int) -> DeckGroup:
     return DeckGroup(FREE, n)
 
 
+@functools.cache
 def free_abelian(r: int) -> DeckGroup:
     return DeckGroup(FREE_ABELIAN, r)
 

@@ -17,14 +17,16 @@ No factorization, Groebner bases, or general ideal membership.
 Terms map canonical deck values to nonzero coefficients.  An element is
 validated where it enters: RingElement(...), and through it zero and
 one, takes DeckElement keys and refuses an unknown coefficient ring and
-a term of another group.  add, neg, mul, translate, reverse, pushforward
-and the equivariant pairing apply a group law to values, so their results
-go through the trusted constructor _ring_element, which only reduces
-the coefficients mod 2 over F2 and drops zeros.
+a term of another group.  add, neg, mul, translate, reverse, the ring
+maps pushforward and substitute, and the equivariant pairing apply a
+group law to values, so their results go through the trusted constructor
+_ring_element, which only reduces the coefficients mod 2 over F2 and
+drops zeros.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -199,6 +201,25 @@ def pushforward(elem: RingElement, matrix: Sequence[Sequence[int]]) -> RingEleme
         image = tuple([sum(map(operator.mul, row, e)) for row in matrix])
         terms[image] = terms.get(image, 0) + c
     return _ring_element(free_abelian(len(matrix)), elem.coeffs, terms)
+
+
+def substitute(elem: RingElement, target: DeckGroup, images: Sequence[DeckElement]) -> RingElement:
+    """elem, over F_s, pushed along the group map F_s -> target that
+    sends x_i to images[i - 1]: each word becomes the product in target of
+    its letters' images, x_i (letter chr(2i + 1)) to images[i - 1] and
+    x_i^-1 (chr(2i)) to its inverse; terms whose images collide add (mod 2
+    over F2)."""
+    if elem.group.kind != FREE or len(images) != elem.group.n:
+        raise RingError(f"substitute takes an element over F_s and s images, got {elem.group!r} and {len(images)}")
+    if any(h.group is not target and h.group != target for h in images):
+        raise RingError(f"substitute takes images in {target!r}")
+    product, inverse, identity = target._product, target._inverse, target.identity().value
+    letters = {chr(2 * i + j): h.value if j else inverse(h.value) for i, h in enumerate(images, 1) for j in (0, 1)}
+    terms: dict = {}
+    for word, c in elem.terms.items():
+        image = functools.reduce(product, map(letters.__getitem__, word)) if word else identity
+        terms[image] = terms.get(image, 0) + c
+    return _ring_element(target, elem.coeffs, terms)
 
 
 # ---------------------------------------------------------------------------

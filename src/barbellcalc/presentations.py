@@ -17,9 +17,9 @@ There is deliberately no Smith normal form over Z[t, t^-1] (not a PID):
 cokernel normal forms are computed only for the shapes that actually
 arise (1x1 and zero-diagonal 2x2).
 
-The n-component Brunnian-link module has one relator in F2[F_n];
-brunnian_image is its image in F2[s^{±1}, t^{±1}] in closed form, on
-which the brunnian sweep tells two modules apart.
+The n-component Brunnian-link relator in F2[F_n] and its image in
+F2[s^{±1}, t^{±1}] are one engine-built generic relator specialized by
+groupring.substitute (scenarios); their closed forms are test oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 
-from .deckgroup import FREE, DeckElement, free_abelian
+from .deckgroup import free_abelian
 from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
 from .groupring import F2, RingElement, _ring_element, laurent_span, normalize_monomial
 
@@ -86,10 +86,6 @@ def antidiagonal_cokernel(rows: list[list[RingElement]]) -> list[RingElement]:
     return [normalize_monomial(g1), normalize_monomial(g2)]
 
 
-# ---------------------------------------------------------------------------
-# The Brunnian-link module family.
-
-
 def symmetric_relator(vectors: Sequence[tuple[int, ...]]) -> RingElement:
     """1 + prod_v (x^v + x^-v) in F2[Z^r], r the length of each vector,
     expanded directly: the product is the sum over sign choices of
@@ -101,40 +97,6 @@ def symmetric_relator(vectors: Sequence[tuple[int, ...]]) -> RingElement:
     for v in vectors:
         sums = [tuple(map(operator.add, e, v)) for e in sums] + [tuple(map(operator.sub, e, v)) for e in sums]
     return _ring_element(free_abelian(len(zero)), F2, Counter(sums + [zero]))
-
-
-def brunnian_relator(wk: DeckElement, wl: DeckElement) -> RingElement:
-    """The single relator 1 + (xn^-1 + 1)(w^-k + w^k)(1 + xn)(w^-l + w^l)
-    of the n-component Brunnian link module, in F2[F_n], from its bar
-    words w^k and w^l, w the iterated commutator word brunnian_word(n):
-    the words the linked-6crit barbells carry."""
-    group = wk.group
-    if group.kind != FREE or group.n < 2 or wl.group is not group and wl.group != group:
-        raise PresentationError(f"bar words must lie in one free group F_n, n >= 2, got {group!r} and {wl.group!r}")
-    rho_n, inverse = group.generator(group.n).value, group._inverse
-
-    def binom(a: str, b: str) -> RingElement:
-        return _ring_element(group, F2, {a: 1, b: 1})
-
-    product = binom(inverse(rho_n), "")
-    product = product.mul(binom(inverse(wk.value), wk.value))
-    product = product.mul(binom("", rho_n))
-    product = product.mul(binom(inverse(wl.value), wl.value))
-    return RingElement.one(group, F2).add(product)
-
-
-def brunnian_image(k: int, l: int, n: int) -> RingElement:
-    """The relator pushed into F2[s^{±1}, t^{±1}] by the unitriangular
-    coordinates (s = image of w, t = image of xn), in closed form.
-
-    The coordinates are a ring map, so the image is the product of the
-    factors' images; over F2, (t^-1 + 1)(1 + t) = t + t^-1, so for every
-    n it is 1 + (t + t^-1)(s^k + s^-k)(s^l + s^-l).  The test suite
-    checks it against brunnian_relator pushed through the unitriangular
-    coordinates term by term (tests/oracles.py)."""
-    if k < 1 or l < 1 or n < 2:
-        raise PresentationError(f"need winding numbers k, l >= 1 and n >= 2 components, got k={k}, l={l}, n={n}")
-    return symmetric_relator([(0, 1), (k, 0), (l, 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@ r"""
 Test oracles: the maps the distinctness arguments push classes through,
 kept outside the package so that they stay independent of the engine.
 
-No theorem, sweep or scenario needs them: the engine uses closed forms
-in their place, and the tests compare the two.
+No theorem, sweep or scenario needs them: the engine computes each
+value its own way, and the tests compare the two.
 
+* brunnian_relator and brunnian_image, the closed forms of the
+  Brunnian-link module's relator in F2[F_n] and of its image in
+  F2[s^{±1}, t^{±1}]: the oracles of linked-6crit's two substitutions
+  into the generic relator the engine builds.
 * The unitriangular representation psi(x_i) = I + E_{i,i+1} of F_{n-1}
   into unit upper-triangular integer matrices, its extension
   nilpotent_times_z to F_n -> U_n x Z, and brunnian_coordinates,
-  F_n -> Z^2, the oracle of presentations.brunnian_image.
+  F_n -> Z^2, which pushes a relator to its image term by term.
 * cyclic_project, the weighted exponent sum mod m: the covering map
   onto an m-fold cyclic cover, under which the lifted barbell action
   and the equivariant pairing are natural.
@@ -56,7 +60,7 @@ from barbellcalc.deckgroup import (
 )
 from barbellcalc.equivariant import EquivClass, Geometry, GeometryError, pair_classes
 from barbellcalc.groupring import F2, RingElement, RingError, is_monomial_unit, normalize_monomial
-from barbellcalc.presentations import brunnian_image
+from barbellcalc.presentations import PresentationError
 
 # ---------------------------------------------------------------------------
 # Unit upper-triangular integer matrices and the representations through them.
@@ -189,6 +193,35 @@ def brunnian_coordinates(elt: DeckElement, n: int) -> DeckElement:
     if mat != UniTriMatrix.elementary(n, 1, n, a):
         raise RingError(f"term {format_element(elt)} maps outside the central rank-2 subgroup")
     return DeckElement(free_abelian(2), (a, exponent))
+
+
+def brunnian_relator(wk: DeckElement, wl: DeckElement) -> RingElement:
+    """The single relator 1 + (xn^-1 + 1)(w^-k + w^k)(1 + xn)(w^-l + w^l)
+    of the n-component Brunnian link module, in F2[F_n], from its bar
+    words w^k and w^l, w the iterated commutator word brunnian_word(n):
+    the words the linked-6crit barbells carry."""
+    group = wk.group
+    if group.kind != FREE or group.n < 2 or wl.group != group:
+        raise PresentationError(f"bar words must lie in one free group F_n, n >= 2, got {group!r} and {wl.group!r}")
+    xn, one = group.generator(group.n), group.identity()
+
+    def binomial(a: DeckElement, b: DeckElement) -> RingElement:
+        return RingElement(group, F2, {a: 1, b: 1})
+
+    product = binomial(xn.inv(), one).mul(binomial(wk.inv(), wk)).mul(binomial(one, xn)).mul(binomial(wl.inv(), wl))
+    return RingElement.one(group, F2).add(product)
+
+
+def brunnian_image(k: int, l: int, n: int) -> RingElement:
+    """The relator pushed into F2[s^{±1}, t^{±1}] by the unitriangular
+    coordinates (s = image of w, t = image of xn), in closed form.
+
+    The coordinates are a ring map, so the image is the product of the
+    factors' images; over F2, (t^-1 + 1)(1 + t) = t + t^-1, so for every
+    n it is 1 + (t + t^-1)(s^k + s^-k)(s^l + s^-l)."""
+    if k < 1 or l < 1 or n < 2:
+        raise PresentationError(f"need winding numbers k, l >= 1 and n >= 2 components, got k={k}, l={l}, n={n}")
+    return binomial_product([(0, 1), (k, 0), (l, 0)])
 
 
 def are_associates(a: RingElement, b: RingElement) -> bool:

@@ -25,7 +25,6 @@ from barbellcalc.equivariant import (
 from barbellcalc.groupring import F2, INT, RingElement, is_monomial_unit
 from barbellcalc.presentations import (
     antidiagonal_cokernel,
-    brunnian_image,
     f2_quotient_dim,
     present_from_scenario,
 )
@@ -37,7 +36,7 @@ from barbellcalc.scenarios import (
     morsesimple_f,
     run_theorem,
 )
-from oracles import UniTriMatrix, distinguish_brunnian_modules, unitriangular_rep
+from oracles import UniTriMatrix, brunnian_image, distinguish_brunnian_modules, unitriangular_rep
 
 
 def announce(number, text):

@@ -382,11 +382,15 @@ def test_a_brunnian_job_checks_both_of_its_winding_pairs(monkeypatch, capsys):
     # a job, and its report used to be built but never counted (15/15 passed)
     from barbellcalc import cli, scenarios
 
-    relator = scenarios.brunnian_relator
+    # the expected relator comes from substituting the bar words into
+    # the generic relator: substitute w, not w^3, at (3, 3)
+    substitute = scenarios.substitute
     w = scenarios.brunnian_word(3)
-    monkeypatch.setattr(
-        scenarios, "brunnian_relator", lambda wk, wl: relator(w, w) if wk == wl == w.pow(3) else relator(wk, wl)
-    )
+
+    def wrong_at_3_3(elem, target, images):
+        return substitute(elem, target, [w, w, images[2]] if images[0] == images[1] == w.pow(3) else images)
+
+    monkeypatch.setattr(scenarios, "substitute", wrong_at_3_3)
     assert cli.main(["theorem", "linked-6crit", "--n", "3", "--k", "3", "--l", "3"]) == 1
     capsys.readouterr()
     assert cli.main(["sweep", "brunnian", "--n", "3", "--max", "3"]) == 1

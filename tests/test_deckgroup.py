@@ -178,6 +178,15 @@ def test_free_abelian_and_cyclic_inverses(letters):
     assert c.mul(c.inv()).is_identity()
 
 
+@given(st.integers(1, 4), st.lists(st.integers(-5, 5), min_size=8, max_size=8))
+def test_free_abelian_laws_add_and_negate_coordinatewise(rank, entries):
+    # ranks 1 and 2 have laws of their own, written out per coordinate
+    group = free_abelian(rank)
+    u, v = tuple(entries[:rank]), tuple(entries[4 : 4 + rank])
+    assert group._product(u, v) == tuple(a + b for a, b in zip(u, v))
+    assert group._inverse(u) == tuple(-a for a in u)
+
+
 # -- the pair oracle ------------------------------------------------------------
 #
 # Every word operation against free reduction over (generator, exponent)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import (
     CYCLIC,
+    FREE,
     DeckElement,
     DeckGroup,
     brunnian_word,
@@ -25,16 +26,19 @@ from barbellcalc.groupring import (
     laurent_span,
     pushforward,
     render,
+    substitute,
     term_list_and_render,
 )
 from oracles import (
     apply_hom,
     are_associates,
     brunnian_coordinates,
+    brunnian_relator,
     cyclic_project,
     pairs_inverse,
     pairs_product,
     reduce_pairs,
+    slow_pow,
 )
 
 Z1 = free_abelian(1)
@@ -51,16 +55,19 @@ def stpoly(coeffs, terms):
     return RingElement(Z2, coeffs, {DeckElement(Z2, st_): c for st_, c in terms.items()})
 
 
+def random_deck_element(rng, group):
+    if group.kind == "free":
+        letters = [(rng.randint(1, group.n), rng.choice([-1, 1])) for _ in range(rng.randint(0, 4))]
+        return DeckElement(group, reduce_letters(letters, group.n))
+    if group.kind == "free_abelian":
+        return DeckElement(group, tuple(rng.randint(-3, 3) for _ in range(group.n)))
+    return DeckElement(group, rng.randrange(group.n))
+
+
 def random_element(rng, group, coeffs, size=4):
     terms = {}
     for _ in range(rng.randint(0, size)):
-        if group.kind == "free":
-            letters = [(rng.randint(1, group.n), rng.choice([-1, 1])) for _ in range(rng.randint(0, 4))]
-            elt = DeckElement(group, reduce_letters(letters, group.n))
-        elif group.kind == "free_abelian":
-            elt = DeckElement(group, tuple(rng.randint(-3, 3) for _ in range(group.n)))
-        else:
-            elt = DeckElement(group, rng.randrange(group.n))
+        elt = random_deck_element(rng, group)
         terms[elt] = terms.get(elt, 0) + rng.choice([-2, -1, 1, 2])
     return RingElement(group, coeffs, terms)
 
@@ -170,8 +177,8 @@ def test_a_term_from_a_foreign_group_is_refused():
         RingElement(Z2, F2, {x1: 1})
     with pytest.raises(RingError, match="term from a different deck group"):
         RingElement(free_group(3), INT, {free_group(3).identity(): 1, x1: 1})
-    # an equal group built separately is the same group
-    again = free_group(2)
+    # an equal group built separately (free_group shares one) is the same group
+    again = DeckGroup(FREE, 2)
     assert again is not F2GRP
     assert RingElement(again, F2, {x1: 1}).terms == {x1.value: 1}
 
@@ -197,9 +204,6 @@ def test_ring_axioms_on_random_triples():
 def brunnian_relator_image(k, l, n):
     # term by term through the unitriangular coordinates: the oracle for
     # the closed form brunnian_image
-    from barbellcalc.deckgroup import brunnian_word
-    from barbellcalc.presentations import brunnian_relator
-
     w = brunnian_word(n)
     return apply_hom(brunnian_relator(w.pow(k), w.pow(l)), Z2, partial(brunnian_coordinates, n=n))
 
@@ -267,6 +271,53 @@ def test_homs_are_multiplicative_on_their_domains():
         ra = random_element(rng, group, F2)
         rb = random_element(rng, group, F2)
         assert cyc(ra.mul(rb)) == cyc(ra).mul(cyc(rb))
+
+
+# -- substitution: the ring map of a group map out of F_s ---------------------
+
+
+def substitution_oracle(images):
+    """The group map F_s -> G sending x_i to images[i - 1], applied one
+    syllable at a time through repeated products (slow_pow)."""
+    def image(elt):
+        out = images[0].group.identity()
+        for gen, exp in syllables(elt.value):
+            out = out.mul(slow_pow(images[gen - 1], exp))
+        return out
+    return image
+
+
+@pytest.mark.parametrize("target", [free_group(3), free_abelian(2), DeckGroup(CYCLIC, 6)], ids=repr)
+def test_substitute_is_the_group_map_applied_term_by_term(target):
+    rng = random.Random(19)
+    for _ in range(300):
+        s = rng.randint(1, 3)
+        elem = random_element(rng, free_group(s), rng.choice([F2, INT]), size=6)
+        images = [random_deck_element(rng, target) for _ in range(s)]
+        assert substitute(elem, target, images) == apply_hom(elem, target, substitution_oracle(images))
+
+
+def test_substitute_adds_colliding_terms_and_sends_the_inverse_letter_to_the_inverse():
+    x1, x2 = F2GRP.generator(1), F2GRP.generator(2)
+    # x1 + x2 + x1^-1 x2^2 along x1, x2 -> t, t: t + t + t, so t over F2 and 3t over Z
+    terms = {x1: 1, x2: 1, x1.inv().mul(x2.pow(2)): 1}
+    t = Z1.generator(1)
+    assert substitute(RingElement(F2GRP, F2, terms), Z1, [t, t]) == tpoly(F2, {1: 1})
+    assert substitute(RingElement(F2GRP, INT, terms), Z1, [t, t]) == tpoly(INT, {1: 3})
+    # x1^-1 + x2 along x1, x2 -> t, t^-1: t^-1 twice, which cancel over F2
+    assert substitute(RingElement(F2GRP, F2, {x1.inv(): 1, x2: 1}), Z1, [t, t.inv()]).is_zero()
+
+
+def test_substitute_refuses_a_source_that_is_not_free_a_wrong_count_and_a_foreign_image():
+    elem = RingElement(F2GRP, F2, {F2GRP.generator(1): 1})
+    t = Z1.generator(1)
+    with pytest.raises(RingError, match="an element over F_s and s images"):
+        substitute(tpoly(F2, {1: 1}), Z1, [t])
+    for images in ([t], [t, t, t]):
+        with pytest.raises(RingError, match="an element over F_s and s images"):
+            substitute(elem, Z1, images)
+    with pytest.raises(RingError, match="images in Z\\^1"):
+        substitute(elem, Z1, [t, Z2.generator(1)])
 
 
 # -- pushforward along an integer matrix ----------------------------------------

@@ -1,16 +1,19 @@
 """
 A mutation matrix: single-point faults planted in the engine by
 monkeypatch, each run against every registry key at its sample
-parameters, against linked-6crit at n = 2 (where word products join
-runs of x1) and at n = 3 with k = l = 2 (where the relator's products
-cancel in pairs), against the committed scenario, and against the
-morsesimple sweep at --max 3, which pushes one generic presentation
-forward to its jobs and passes only when every job does.  A check that no
-fault can turn from PASS to FAIL or refusal checks nothing, so every
-key must catch some mutation and every mutation must be caught by some
-key, unless it is named in UNCATCHABLE or UNCAUGHT with its reason.  Both
-lists are checked both ways: an entry that starts to be caught must
-leave its list.
+parameters, against linked-6crit at n = 2 (where word products join runs
+of x1) and at n = 3 with k = l = 2 (where the relator's products cancel
+in pairs), against the committed scenario, and against the morsesimple
+sweep at --max 3, which pushes one generic presentation forward to its
+jobs and passes only when every job does.  linked-6crit specializes one
+generic relator, built once a process, by substitution; the harness
+clears that memo around every mutated run, so that a fault in the engine
+reaches the generic relator too and a relator built under a fault never
+outlives its run.  A check that no fault can turn from PASS to FAIL or
+refusal checks nothing, so every key must catch some mutation and every
+mutation must be caught by some key, unless it is named in UNCATCHABLE
+or UNCAUGHT with its reason.  Both lists are checked both ways: an entry
+that starts to be caught must leave its list.
 """
 
 import functools
@@ -118,6 +121,24 @@ def _ring_element_keeping_even_coefficients(group, coeffs, terms):
     return elem
 
 
+def _substitute_sending_inverse_letters_to_images(elem, target, images):
+    # groupring.substitute with x_i^-1 sent to x_i's image, not its inverse
+    product, terms = target._product, {}
+    for word, c in elem.terms.items():
+        image = target.identity().value
+        for letter in word:
+            image = product(image, images[(ord(letter) >> 1) - 1].value)
+        terms[image] = terms.get(image, 0) + c
+    return groupring._ring_element(target, elem.coeffs, terms)
+
+
+def _image_with_t_at_one(elem, target, images):
+    # the substitution into F2[s, t] with x3 -> 1, not t
+    if target.kind == deckgroup.FREE_ABELIAN:
+        images = [*images[:2], target.identity()]
+    return _real_substitute(elem, target, images)
+
+
 def _bezout_sign(a, b):
     g, x, y = _real_extended_gcd(a, b)
     return g, x, -y
@@ -126,6 +147,7 @@ def _bezout_sign(a, b):
 _real_extended_gcd = scenarios._extended_gcd
 _real_dim = scenarios.f2_quotient_dim
 _real_pushforward = scenarios.pushforward
+_real_substitute = scenarios.substitute
 
 # name -> [(module or class, attribute, replacement)]
 MUTATIONS = {
@@ -146,6 +168,10 @@ MUTATIONS = {
     "pushforward drops l": [
         (scenarios, "pushforward", lambda elem, matrix: _real_pushforward(elem, [[k, 0, c] for k, _, c in matrix]))
     ],
+    "substitution sends x_i^-1 to x_i's image": [
+        (scenarios, "substitute", _substitute_sending_inverse_letters_to_images)
+    ],
+    "image sends t to 1": [(scenarios, "substitute", _image_with_t_at_one)],
     "ring result skips F2 reduction": [
         (module, "_ring_element", _ring_element_keeping_even_coefficients) for module in (groupring, equivariant)
     ],
@@ -175,10 +201,14 @@ def matrix() -> dict[str, dict[str, str]]:
     """mutation -> key -> outcome."""
     out = {}
     for name, patches in MUTATIONS.items():
-        with pytest.MonkeyPatch.context() as patch:
-            for owner, attr, replacement in patches:
-                patch.setattr(owner, attr, replacement)
-            out[name] = {key: outcome(key) for key in KEYS}
+        scenarios._generic_brunnian_relator.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                for owner, attr, replacement in patches:
+                    patch.setattr(owner, attr, replacement)
+                out[name] = {key: outcome(key) for key in KEYS}
+        finally:
+            scenarios._generic_brunnian_relator.cache_clear()
     return out
 
 
@@ -203,6 +233,12 @@ def test_each_mutation_is_caught_by_a_key(mutation):
 def test_each_key_catches_a_mutation(key):
     catches = sorted(name for name, row in matrix().items() if row[key] != "PASS")
     assert bool(catches) != (key in UNCATCHABLE), catches
+
+
+@pytest.mark.parametrize("mutation", ["substitution sends x_i^-1 to x_i's image", "image sends t to 1"])
+def test_a_linked_6crit_row_catches_each_substitution_fault(mutation):
+    linked = sorted(row for row, (theorem, _) in ROWS.items() if theorem == "linked-6crit")
+    assert [row for row in linked if matrix()[mutation][row] != "PASS"], matrix()[mutation]
 
 
 def test_the_sweep_row_catches_the_pushforward_fault_and_what_the_theorem_row_catches():

@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 from barbellcalc import scenarios
 from barbellcalc.deckgroup import DeckElement, brunnian_word, free_abelian
 from barbellcalc.equivariant import BarbellSpec, action_sequence, equivariant_pairing
-from barbellcalc.groupring import F2, INT, RingElement, render
+from barbellcalc.groupring import F2, INT, RingElement, render, substitute
 from barbellcalc.presentations import (
     PresentationError,
     antidiagonal_cokernel,
     brunnian_disk_obstruction,
-    brunnian_image,
-    brunnian_relator,
     f2_quotient_dim,
     present_from_scenario,
     symmetric_relator,
 )
 from barbellcalc.scenarios import builtin_geometry, morsesimple_f, run_theorem
-from oracles import apply_hom, binomial_product, brunnian_coordinates, distinguish_brunnian_modules
+from oracles import (
+    apply_hom,
+    binomial_product,
+    brunnian_coordinates,
+    brunnian_image,
+    brunnian_relator,
+    distinguish_brunnian_modules,
+)
 
 Z1 = free_abelian(1)
 
@@ -165,6 +170,31 @@ def test_engine_relator_pushes_forward_to_the_closed_form_image(n, k, l):
     specs = [BarbellSpec("S_h", "S_h", w.pow(k)), BarbellSpec("S_v", "S_v", w.pow(l))]
     relator = present_from_scenario(geo, specs)[0][0]
     assert apply_hom(relator, free_abelian(2), partial(brunnian_coordinates, n=n)) == brunnian_image(k, l, n)
+
+
+@st.composite
+def linked_parameters(draw):
+    """n in 2..6 and winding numbers k, l up to the runner's letter cap."""
+    n = draw(st.integers(2, 6))
+    top = scenarios.MAX_LINKED_WORD_LETTERS // len(brunnian_word(n).value)
+    return n, draw(st.integers(1, top)), draw(st.integers(1, top))
+
+
+@settings(max_examples=25, deadline=None)
+@given(linked_parameters())
+def test_the_generic_relator_substituted_is_the_engine_relator_and_its_image(params):
+    # the engine's one generic relator over F_3 at x1, x2, x3 -> w^k, w^l,
+    # x_n is the per-instance relator, and at s^k, s^l, t its image
+    n, k, l = params
+    geo = builtin_geometry("sphere_torus_link", n=n)
+    w = brunnian_word(n)
+    wk, wl = w.pow(k), w.pow(l)
+    engine = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
+    generic, Z2 = scenarios._generic_brunnian_relator(), free_abelian(2)
+    relator = substitute(generic, geo.group, [wk, wl, geo.group.generator(n)])
+    assert relator == engine == brunnian_relator(wk, wl)
+    image = substitute(generic, Z2, [Z2.generator(1, k), Z2.generator(1, l), Z2.generator(2)])
+    assert image == brunnian_image(k, l, n) == apply_hom(engine, Z2, partial(brunnian_coordinates, n=n))
 
 
 def test_brunnian_relator_takes_words_of_one_free_group():

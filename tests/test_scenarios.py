@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import GroupError, free_abelian, free_group
+from barbellcalc.deckgroup import FREE_ABELIAN, GroupError, free_abelian, free_group
 from barbellcalc.equivariant import MERIDIAN, SPHERE, BarbellSpec
 from barbellcalc.groupring import pushforward, term_list_and_render
 from barbellcalc.presentations import present_from_scenario, symmetric_relator
@@ -464,6 +464,10 @@ UNREACHED_BY_THE_CLI = {
     "deckgroup.element_to_json": "one element's JSON form; reports convert values",
     "deckgroup.format_element": "one element's x-notation; reports render values",
     "groupring.RingElement.coefficient": "reads a term at a DeckElement; the engine reads values",
+    # the closed-form Brunnian relator, a product of binomials, was their
+    # last caller; it is a test oracle now
+    "groupring.RingElement.add": "the ring's sum for library callers; the engine adds terms on values",
+    "groupring.RingElement.mul": "the ring's product for library callers; the engine multiplies values",
     "groupring.RingElement.support": "hands DeckElements back; reports read sorted values",
     "equivariant.EquivClass.support": "hands (label, DeckElement) pairs back; reports read sorted values",
 }
@@ -534,9 +538,11 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
         if event == "call":
             entered.add(frame.f_code)
 
-    # the registry signatures are cached per process: clear them so that
-    # this call sequence enters parameters whatever ran before it
-    scenarios.parameters.cache_clear()
+    # the registry signatures, the shared groups and the generic Brunnian
+    # relator are cached per process: clear them so that this call
+    # sequence enters their builders whatever ran before it
+    for cached in (scenarios.parameters, free_group, free_abelian, scenarios._generic_brunnian_relator):
+        cached.cache_clear()
     sys.setprofile(profile)
     try:
         codes = {tuple(argv): cli.main(argv) for argv in cli_corpus(tmp_path)}
@@ -552,13 +558,49 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
 def test_brunnian_sweep_builds_each_image_once(monkeypatch):
     from barbellcalc import scenarios
 
+    # each image is the generic relator substituted into F2[s, t] at
+    # x1, x2, x3 -> s^k, s^l, t: record (k, l) of every such substitution
     built = []
-    real = scenarios.brunnian_image
-    monkeypatch.setattr(scenarios, "brunnian_image", lambda k, l, n: built.append((n, k, l)) or real(k, l, n))
+    real = scenarios.substitute
+
+    def recording(elem, target, images):
+        if target.kind == FREE_ABELIAN:
+            built.append((images[0].value[0], images[1].value[0]))
+        return real(elem, target, images)
+
+    monkeypatch.setattr(scenarios, "substitute", recording)
     reports = list(scenarios.run_sweep("brunnian", 4, n=3))
     # 45 pair jobs over the 10 winding pairs k <= l <= 4
     assert len(reports) == 45 and all(report.passed for report in reports)
-    assert sorted(built) == sorted({(3, k, l) for k in range(1, 5) for l in range(k, 5)})
+    assert sorted(built) == sorted({(k, l) for k in range(1, 5) for l in range(k, 5)})
+
+
+def test_the_generic_brunnian_relator_is_built_once_a_process():
+    from barbellcalc import scenarios
+
+    scenarios._generic_brunnian_relator.cache_clear()
+    assert all(report.passed for report in scenarios.run_sweep("brunnian", 3, n=2))
+    assert run_theorem("linked-6crit", n=5, k=2, l=1).passed
+    info = scenarios._generic_brunnian_relator.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 1
+
+
+def test_free_and_free_abelian_groups_are_built_once_a_size(monkeypatch):
+    # the torus sweep used to build two groups a job: 20,001 for --max 100
+    from barbellcalc import deckgroup
+
+    assert free_group(3) is free_group(3) and free_abelian(2) is free_abelian(2)
+    built = []
+    real = deckgroup.DeckGroup.__init__
+
+    def counted(self, kind, n):
+        built.append((kind, n))
+        real(self, kind, n)
+
+    monkeypatch.setattr(deckgroup.DeckGroup, "__init__", counted)
+    reports = list(run_sweep("morsesimple", 100))
+    assert len(reports) == 10_000 and all(report.passed for report in reports)
+    assert len(built) <= 3, built
 
 
 def test_sweep_grids_keep_their_job_counts():
