@@ -13,14 +13,15 @@ inline form of a scenario file, and one reader, `_read_geometry`, builds
 every Geometry; a scenario file's own attaching spheres and belt disks
 replace the roles in the description before it is read, so the roles are
 checked once, by Geometry.  Every presentation matrix, genus1-hd's
-included, comes from `present_from_scenario`; the torus sweeps push one
-over Z^3 forward to each job, and linked-6crit substitutes its bar words
-into one generic relator, built once a process.  Each theorem runner
-drives the barbell engine through one argument, compares against the
-closed-form or substituted value when there is one, and hands the engine
-values and its verdict to a Report (barbellcalc.report); hypothesis
-bounds (winding numbers >= 1, cover order m large enough) are enforced
-up front.  The six cover arguments share one disk move (`_move`) and one
+included, comes from `present_from_scenario`; one memo, `_generic_f`,
+holds the generic ones: the torus keys, in theorem calls and sweeps
+alike, push the torus complement's over Z^3 forward, and linked-6crit
+substitutes its bar words into the sphere/torus link's.  Each theorem
+runner drives the barbell engine through one argument, compares against
+the closed-form or substituted value when there is one, and hands the
+engine values and its verdict to a Report (barbellcalc.report);
+hypothesis bounds (winding numbers >= 1, cover order m large enough)
+are enforced up front.  The six cover arguments share one disk move (`_move`) and one
 summand test (`_in_identity_summand`).  `THEOREMS` maps each
 reproduction's name to its runner and `SWEEPS` each sweep's name to its
 parameter grid; `run_theorem` and `run_sweep` hold every parameter rule,
@@ -312,11 +313,26 @@ def morsesimple_f(k: int, l: int) -> RingElement:
     return symmetric_relator([(1,), (k,), (l,)])
 
 
-def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
-    """Horizontal barbell first, then vertical, matching the composition
-    in which the horizontal diffeomorphism is applied first."""
-    t = geometry.group.generator
-    return [BarbellSpec("S_h", "S_h", t(1, k)), BarbellSpec("S_v", "S_v", t(1, l))]
+def _lifted_torus_complement() -> dict:
+    # the torus complement over Z^3, each row's t^e at x3^e, so that the
+    # bars x1 and x2 stand for t^k and t^l
+    torus = _torus_complement()
+    lifted = [[a, b, [[[0, 0, e], c] for e, c in terms]] for a, b, terms in torus["pairings"]]
+    return {**torus, "group": {"kind": FREE_ABELIAN, "rank": 3}, "pairings": lifted}
+
+
+@functools.cache
+def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) -> RingElement:
+    """The engine's f of builder(*params)'s description under one barbell
+    (c, c) per cuff c, in the order they act, S_h's bar the generator x1
+    and S_v's x2; built once a process.  Its sums, products and translates
+    commute with group maps out of its deck group, so an instance's f is
+    this one pushed forward (torus: (a, b, c) -> ak + bl + c) or
+    substituted into (Brunnian)."""
+    geo = _read_geometry(builder(*params))
+    x = geo.group.generator
+    bars = {"S_h": x(1), "S_v": x(2)}
+    return present_from_scenario(geo, [BarbellSpec(cuff, cuff, bars[cuff]) for cuff in cuffs])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +342,9 @@ def _torus_barbells(geometry: Geometry, k: int, l: int) -> list[BarbellSpec]:
 
 def _run_torus_knot(k: int, l: int) -> Report:
     _require_windings(k, l)
-    geo = builtin_geometry("torus_complement")
-    return _torus_report(k, l, present_from_scenario(geo, _torus_barbells(geo, k, l)))
-
-
-def _torus_report(k: int, l: int, rows: list[list[RingElement]]) -> Report:
-    f = rows[0][0]
-    dim = f2_quotient_dim(rows)
+    # the horizontal diffeomorphism is applied first
+    f = pushforward(_generic_f(_lifted_torus_complement, ("S_h", "S_v")), [[k, l, 1]])
+    dim = f2_quotient_dim([[f]])
     expected_f = morsesimple_f(k, l)
     expected_dim = 2 * k + 2 * l + 2
     return Report(
@@ -344,15 +356,13 @@ def _torus_report(k: int, l: int, rows: list[list[RingElement]]) -> Report:
 
 def _run_unknots(k: int = 1, l: int = 1) -> Report:
     _require_windings(k, l)
-    geo = builtin_geometry("torus_complement")
-    horizontal, vertical = _torus_barbells(geo, k, l)
     # h-after-v: the horizontal diffeomorphism composed after the vertical one
-    variants = {"v-only": [vertical], "h-only": [horizontal], "h-after-v": [vertical, horizontal]}
+    variants = {"v-only": ("S_v",), "h-only": ("S_h",), "h-after-v": ("S_v", "S_h")}
     computed = {}
-    for variant, specs in variants.items():
-        rows = present_from_scenario(geo, specs)
-        computed[variant] = {"f": rows[0][0], "dim": f2_quotient_dim(rows)}
-    trivial = {"f": RingElement.one(geo.group, geo.coeffs), "dim": 0}
+    for variant, cuffs in variants.items():
+        f = pushforward(_generic_f(_lifted_torus_complement, cuffs), [[k, l, 1]])
+        computed[variant] = {"f": f, "dim": f2_quotient_dim([[f]])}
+    trivial = {"f": RingElement.one(free_abelian(1), F2), "dim": 0}
     return Report(
         computed=computed,
         expected={"f": "1", "dim": 0},
@@ -386,27 +396,17 @@ def _run_linked_6crit(n: int, k: int, l: int) -> Report:
     return _linked_6crit(n, k, l)[0]
 
 
-@functools.cache
-def _generic_brunnian_relator() -> RingElement:
-    """The engine's relator of sphere_torus_link at n = 3 with bars x1 and
-    x2, built once a process (a third of a linked-6crit call): its sums,
-    products and translates commute with group maps out of F_3, so every
-    Brunnian relator is this one with x1, x2, x3 substituted."""
-    geo = builtin_geometry("sphere_torus_link", n=3)
-    x = geo.group.generator
-    return present_from_scenario(geo, [BarbellSpec("S_h", "S_h", x(1)), BarbellSpec("S_v", "S_v", x(2))])[0][0]
-
-
 def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     """One winding pair (k, l): the engine's relator against the generic one
-    at x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image in
+    of sphere_torus_link at n = 3 (a third of a call to build) at
+    x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image in
     F2[s^±1, t^±1], the generic one at s^k, s^l, t (returned for the sweep)."""
     _check_linked(n, k, l)
     geo = builtin_geometry("sphere_torus_link", n=n)
     w = DeckElement(geo.group, brunnian_word(n).value)
     wk, wl = w.pow(k), w.pow(l)
     engine_f = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
-    generic, st = _generic_brunnian_relator(), free_abelian(2)
+    generic, st = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(2)
     expected_f = substitute(generic, geo.group, [wk, wl, geo.group.generator(n)])
     image = substitute(generic, st, [st.generator(1, k), st.generator(1, l), st.generator(2)])
     nontrivial = not is_monomial_unit(image)
@@ -600,7 +600,9 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     geo = _read_geometry({**torus, "name": "torus_complement", "labels": {**torus["labels"], "phi": SPHERE},
                           "pairings": torus["pairings"] + rows, "attaching": ["phi"], "disks": ["D_h"]})
     # vertical barbell acts first here; the horizontal one is applied last
-    engine = f2_quotient_dim(present_from_scenario(geo, _torus_barbells(geo, k, l)[::-1]))
+    t = geo.group.generator
+    barbells = [BarbellSpec("S_v", "S_v", t(1, l)), BarbellSpec("S_h", "S_h", t(1, k))]
+    engine = f2_quotient_dim(present_from_scenario(geo, barbells))
 
     if not h and not v:
         # the class meets no cuff, so neither barbell moves it and its
@@ -794,20 +796,24 @@ def _named(name: str, params: Mapping, report: Report) -> Report:
 
 
 def _run_grid(name: str, grid: list[dict]) -> Iterator[Report]:
-    """One report per job: the theorem run on the job's parameters."""
+    """One report per job: the theorem's runner on the job's parameters,
+    named as run_theorem names it.  The grid built each job and run_sweep
+    checked the sweep's parameters, so no job is checked again."""
+    runner = THEOREMS[name]
     for params in grid:
-        yield run_theorem(name, **params)
+        yield _named(name, params, runner(**params))
 
 
 class Sweep:
     """A parameter grid over the theorem registered as `theorem`:
     `grid(top, **params)` yields the jobs' parameters lazily, in the
     order they run, for sizes up to `top` (`default_max` unless given),
+    each within the theorem's hypotheses but for the Brunnian letter cap,
     so that run_sweep sizes a sweep by drawing at most one job past its
     cap; `reports(theorem, jobs)` yields one report per drawn job in
-    grid order (by default the theorem run on the job's parameters; the
-    torus sweeps push one generic presentation forward to each job), and
-    raises any refusal before its first report."""
+    grid order (by default the theorem's runner on the job's parameters;
+    the brunnian sweep decides each winding pair once), and raises any
+    refusal before its first report."""
 
     def __init__(self, theorem: str, default_max: int, grid: Callable[..., Iterator[dict]],
                  reports: Callable[[str, list[dict]], Iterator[Report]] = _run_grid):
@@ -816,23 +822,6 @@ class Sweep:
 
 def _square_grid(top: int) -> Iterator[dict]:
     return ({"k": k, "l": l} for k in range(1, top + 1) for l in range(1, top + 1))
-
-
-def _torus_reports(name: str, grid: list[dict]) -> Iterator[Report]:
-    """The torus sweeps' jobs from one engine run: the torus complement
-    over Z^3 (bars x1, x2; each row's t^e at x3^e) presents the generic F,
-    and job (k, l)'s f is F pushed along (a, b, c) -> ak + bl + c, as the
-    engine's sums, products and translates commute with that ring map."""
-    for job in grid:
-        _require_windings(job["k"], job["l"])
-    torus = _torus_complement()
-    lifted = [[a, b, [[[0, 0, e], c] for e, c in terms]] for a, b, terms in torus["pairings"]]
-    geo = _read_geometry({**torus, "group": {"kind": FREE_ABELIAN, "rank": 3}, "pairings": lifted})
-    e = geo.group.generator
-    generic = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", e(1)), BarbellSpec("S_v", "S_v", e(2))])[0][0]
-    for job in grid:
-        k, l = job["k"], job["l"]
-        yield _named(name, job, _torus_report(k, l, [[pushforward(generic, [[k, l, 1]])]]))
 
 
 def _brunnian_grid(top: int, n: int = 2) -> Iterator[dict]:
@@ -893,8 +882,8 @@ def _montesinos_grid(top: int) -> Iterator[dict]:
 
 
 SWEEPS: dict[str, Sweep] = {
-    "morsesimple": Sweep("morsesimple-s3", 10, _square_grid, _torus_reports),
-    "higher-dim": Sweep("higher-dim-knots", 10, _square_grid, _torus_reports),
+    "morsesimple": Sweep("morsesimple-s3", 10, _square_grid),
+    "higher-dim": Sweep("higher-dim-knots", 10, _square_grid),
     "brunnian": Sweep("linked-6crit", 4, _brunnian_grid, _brunnian_reports),
     "montesinos": Sweep("morsesimple3mfd", 30, _montesinos_grid),
 }
@@ -912,9 +901,10 @@ def run_sweep(name: str, top: int | None = None, **params) -> Iterator[Report]:
     top (None: the sweep's default).  The sweep's own rules are checked
     before the iterator is returned: the grid's parameters, top, and a
     draw of 1 to MAX_SWEEP_JOBS jobs, so that a grid of any size is
-    refused after at most MAX_SWEEP_JOBS + 1 jobs.  The theorem's
-    hypotheses are checked before the first report is yielded: a
-    refused sweep builds no report."""
+    refused after at most MAX_SWEEP_JOBS + 1 jobs.  Every grid yields
+    jobs within its theorem's hypotheses (k, l >= 1 for the torus sweeps,
+    since top >= 1), and the brunnian sweep checks its letter cap before
+    the first report is yielded: a refused sweep builds no report."""
     _require(name in SWEEPS, f"unknown sweep {name!r}; choose from {', '.join(SWEEPS)}")
     sweep = SWEEPS[name]
     _check_parameters(f"sweep {name}", sweep.grid, params, keyed=True)

@@ -164,17 +164,26 @@ def test_linked_6crit_decides_one_winding_pair():
 @pytest.mark.parametrize("fmt", ["table", "machine"])
 @pytest.mark.parametrize("name", ["morsesimple", "higher-dim"])
 def test_torus_sweeps_print_the_per_instance_reports_byte_for_byte(name, fmt, capsys):
-    # a torus sweep pushes one generic presentation forward; run_theorem
-    # runs the engine on each job's own geometry
+    # a torus sweep pushes one generic presentation forward; the expected
+    # reports run the engine on each job's own geometry (engine_f)
     from barbellcalc import cli
-    from barbellcalc.report import render_line, render_machine
-    from barbellcalc.scenarios import run_theorem
+    from barbellcalc.presentations import f2_quotient_dim
+    from barbellcalc.report import Report, render_line, render_machine
+    from barbellcalc.scenarios import morsesimple_f
+
+    from test_scenarios import engine_f
+
+    def per_instance(k, l):
+        f, expected_f = engine_f(k, l), morsesimple_f(k, l)
+        dim, expected_dim = f2_quotient_dim([[f]]), 2 * k + 2 * l + 2
+        return Report({"f": f, "dim": dim}, {"f": expected_f, "dim": expected_dim},
+                      passed=f == expected_f and dim == expected_dim, name=sweep.theorem, params={"k": k, "l": l})
 
     render = render_machine if fmt == "machine" else render_line
     sweep = SWEEPS[name]
     for top in range(1, 11):
         assert cli.main(["sweep", name, "--max", str(top), "--format", fmt]) == 0
-        lines = [render(run_theorem(sweep.theorem, **job)) for job in sweep.grid(top)]
+        lines = [render(per_instance(job["k"], job["l"])) for job in sweep.grid(top)]
         assert capsys.readouterr().out == "\n".join(lines + [f"{top * top}/{top * top} passed"]) + "\n", top
 
 

@@ -1069,8 +1069,11 @@ def pairing_spy(monkeypatch):
 
 
 def test_an_equal_cuff_barbell_pairs_once(monkeypatch):
-    from barbellcalc.scenarios import run_theorem
+    from barbellcalc.scenarios import _generic_f, run_theorem
 
+    # the theorem presents its generic f once a process: clear that memo
+    # so that this call presents it under the spy
+    _generic_f.cache_clear()
     labels = pairing_spy(monkeypatch)
     assert run_theorem("morsesimple-s3", k=2, l=3).passed
     # one pairing per barbell, then the acted sphere against D_v

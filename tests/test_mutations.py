@@ -4,11 +4,11 @@ monkeypatch, each run against every registry key at its sample
 parameters, against linked-6crit at n = 2 (where word products join runs
 of x1) and at n = 3 with k = l = 2 (where the relator's products cancel
 in pairs), against the committed scenario, and against the morsesimple
-sweep at --max 3, which pushes one generic presentation forward to its
-jobs and passes only when every job does.  linked-6crit specializes one
-generic relator, built once a process, by substitution; the harness
+sweep at --max 3, which passes only when every job does.  The torus keys
+push one generic presentation forward and linked-6crit substitutes into
+another, both built once a process by one memoized helper; the harness
 clears that memo around every mutated run, so that a fault in the engine
-reaches the generic relator too and a relator built under a fault never
+reaches the generic presentations too and one built under a fault never
 outlives its run.  A check that no fault can turn from PASS to FAIL or
 refusal checks nothing, so every key must catch some mutation and every
 mutation must be caught by some key, unless it is named in UNCATCHABLE
@@ -201,14 +201,14 @@ def matrix() -> dict[str, dict[str, str]]:
     """mutation -> key -> outcome."""
     out = {}
     for name, patches in MUTATIONS.items():
-        scenarios._generic_brunnian_relator.cache_clear()
+        scenarios._generic_f.cache_clear()
         try:
             with pytest.MonkeyPatch.context() as patch:
                 for owner, attr, replacement in patches:
                     patch.setattr(owner, attr, replacement)
                 out[name] = {key: outcome(key) for key in KEYS}
         finally:
-            scenarios._generic_brunnian_relator.cache_clear()
+            scenarios._generic_f.cache_clear()
     return out
 
 
@@ -245,3 +245,11 @@ def test_the_sweep_row_catches_the_pushforward_fault_and_what_the_theorem_row_ca
     caught = {name for name, row in matrix().items() if row[SWEEP_KEY] != "PASS"}
     by_theorem = {name for name, row in matrix().items() if row["morsesimple-s3"] != "PASS"}
     assert "pushforward drops l" in caught and by_theorem <= caught, (caught, by_theorem)
+    # a theorem call takes the sweep's route: both torus-knot rows push the generic f forward too
+    assert {key: matrix()["pushforward drops l"][key] for key in ("morsesimple-s3", "higher-dim-knots")} == {
+        "morsesimple-s3": "FAIL", "higher-dim-knots": "FAIL"}
+
+
+def test_the_unknots_row_catches_a_wrong_quotient_dimension():
+    # its three dimensions are read through scenarios.f2_quotient_dim, not the pushforward
+    assert matrix()["quotient dimension plus one"]["unknots"] == "FAIL"

@@ -1,4 +1,3 @@
-import functools
 import importlib
 import inspect
 import json
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import FREE_ABELIAN, GroupError, free_abelian, free_group
 from barbellcalc.equivariant import MERIDIAN, SPHERE, BarbellSpec
-from barbellcalc.groupring import pushforward, term_list_and_render
+from barbellcalc.groupring import F2, RingElement, pushforward, term_list_and_render
 from barbellcalc.presentations import present_from_scenario, symmetric_relator
 from barbellcalc.report import render_machine
 from barbellcalc.scenarios import (
@@ -538,10 +537,10 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
         if event == "call":
             entered.add(frame.f_code)
 
-    # the registry signatures, the shared groups and the generic Brunnian
-    # relator are cached per process: clear them so that this call
+    # the registry signatures, the shared groups and the generic
+    # presentations are cached per process: clear them so that this call
     # sequence enters their builders whatever ran before it
-    for cached in (scenarios.parameters, free_group, free_abelian, scenarios._generic_brunnian_relator):
+    for cached in (scenarios.parameters, free_group, free_abelian, scenarios._generic_f):
         cached.cache_clear()
     sys.setprofile(profile)
     try:
@@ -578,10 +577,11 @@ def test_brunnian_sweep_builds_each_image_once(monkeypatch):
 def test_the_generic_brunnian_relator_is_built_once_a_process():
     from barbellcalc import scenarios
 
-    scenarios._generic_brunnian_relator.cache_clear()
+    # the one memo of generic presentations holds it, keyed by its builder and bars
+    scenarios._generic_f.cache_clear()
     assert all(report.passed for report in scenarios.run_sweep("brunnian", 3, n=2))
     assert run_theorem("linked-6crit", n=5, k=2, l=1).passed
-    info = scenarios._generic_brunnian_relator.cache_info()
+    info = scenarios._generic_f.cache_info()
     assert (info.misses, info.currsize) == (1, 1) and info.hits > 1
 
 
@@ -662,26 +662,27 @@ def test_sweep_job_counts_match_their_grids(top):
     assert jobs == sorted(set(jobs)) and all(k <= l and kp <= lp and (k, l) < (kp, lp) for _, k, l, kp, lp in jobs)
 
 
-# -- the torus sweeps: one generic presentation pushed forward ----------------------
+# -- the torus keys: one generic presentation pushed forward -----------------------
 
 
-@functools.cache
-def generic_torus_f():
-    """The generic F over Z^3 a torus sweep presents, caught on its way to the sweep's first job."""
+# the orders of cuffs the torus keys act on: the torus knot's, then unknots' v-only, h-only and h-after-v
+CUFF_ORDERS = [("S_h", "S_v"), ("S_v",), ("S_h",), ("S_v", "S_h")]
+
+
+def generic_torus_f(cuffs=CUFF_ORDERS[0]):
+    """The generic F over Z^3 the torus keys present for cuffs, one bar each."""
     import barbellcalc.scenarios as scenarios
 
-    pushed = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenarios, "pushforward", lambda elem, matrix: pushed.append(elem) or pushforward(elem, matrix))
-        next(SWEEPS["morsesimple"].reports("morsesimple-s3", [{"k": 1, "l": 1}]))
-    return pushed[0]
+    return scenarios._generic_f(scenarios._lifted_torus_complement, cuffs)
 
 
-def engine_f(k, l):
-    """f of winding pair (k, l) from the engine on the torus complement itself."""
+def engine_f(k, l, cuffs=CUFF_ORDERS[0]):
+    """f of winding pair (k, l) from the engine on the torus complement
+    itself, one barbell per cuff in the order they act: S_h's bar t^k, S_v's t^l."""
     geo = builtin_geometry("torus_complement")
     t = geo.group.generator
-    return present_from_scenario(geo, [BarbellSpec("S_h", "S_h", t(1, k)), BarbellSpec("S_v", "S_v", t(1, l))])[0][0]
+    bars = {"S_h": t(1, k), "S_v": t(1, l)}
+    return present_from_scenario(geo, [BarbellSpec(cuff, cuff, bars[cuff]) for cuff in cuffs])[0][0]
 
 
 def test_the_generic_torus_presentation_is_the_symmetric_relator_over_z3():
@@ -692,43 +693,67 @@ def test_the_generic_torus_presentation_is_the_symmetric_relator_over_z3():
 
 
 def test_the_pushforward_is_the_engine_f_on_every_small_pair():
-    # terms merge under (a, b, c) -> ak + bl + c exactly on the lines
-    # k = 1, l = 1, k = l and |k - l| = 1, all of which this grid crosses
+    # for every cuff order; the torus knot's terms merge under
+    # (a, b, c) -> ak + bl + c exactly on the lines k = 1, l = 1, k = l
+    # and |k - l| = 1, all of which this grid crosses
     merged = set()
-    for k in range(1, 13):
-        for l in range(1, 13):
-            pushed = pushforward(generic_torus_f(), [[k, l, 1]])
-            assert pushed == engine_f(k, l) == morsesimple_f(k, l), (k, l)
-            if len(pushed.terms) < 9:
-                merged.add((k, l))
-    assert merged == {(k, l) for k in range(1, 13) for l in range(1, 13) if 1 in (k, l) or abs(k - l) <= 1}
+    for cuffs in CUFF_ORDERS:
+        for k in range(1, 13):
+            for l in range(1, 13):
+                pushed = pushforward(generic_torus_f(cuffs), [[k, l, 1]])
+                assert pushed == engine_f(k, l, cuffs), (cuffs, k, l)
+                if len(pushed.terms) < len(generic_torus_f(cuffs).terms):
+                    merged.add((cuffs, k, l))
+                if cuffs == CUFF_ORDERS[0]:
+                    assert pushed == morsesimple_f(k, l), (k, l)
+    assert merged == {(CUFF_ORDERS[0], k, l) for k in range(1, 13) for l in range(1, 13)
+                      if 1 in (k, l) or abs(k - l) <= 1}
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(13, 10**12), st.integers(13, 10**12))
-def test_the_pushforward_is_the_engine_f_on_larger_pairs(k, l):
-    assert pushforward(generic_torus_f(), [[k, l, 1]]) == engine_f(k, l)
+@given(st.integers(13, 10**12), st.integers(13, 10**12), st.sampled_from(CUFF_ORDERS))
+def test_the_pushforward_is_the_engine_f_on_larger_pairs(k, l, cuffs):
+    assert pushforward(generic_torus_f(cuffs), [[k, l, 1]]) == engine_f(k, l, cuffs)
+
+
+def test_the_three_unknots_presentations_are_the_unit_over_z3(monkeypatch):
+    import barbellcalc.scenarios as scenarios
+
+    pushed = []
+    monkeypatch.setattr(scenarios, "pushforward", lambda elem, matrix: pushed.append(elem) or pushforward(elem, matrix))
+    assert run_theorem("unknots", k=3, l=5).passed
+    one = RingElement.one(free_abelian(3), F2)
+    # v-only, h-only and h-after-v, in the order the report lists them
+    assert pushed == [one] * 3 and [generic_torus_f(cuffs) for cuffs in CUFF_ORDERS[1:]] == [one] * 3
 
 
 @pytest.mark.parametrize("name", ["morsesimple", "higher-dim"])
 def test_a_torus_sweep_presents_once_and_pushes_that_matrix_to_every_job(name, monkeypatch):
     import barbellcalc.scenarios as scenarios
 
+    scenarios._generic_f.cache_clear()
     presented, pushed = [], []
     real = scenarios.present_from_scenario
     monkeypatch.setattr(scenarios, "present_from_scenario", lambda *args: presented.append(real(*args)) or presented[-1])
     monkeypatch.setattr(scenarios, "pushforward", lambda elem, matrix: pushed.append(elem) or pushforward(elem, matrix))
     reports = list(run_sweep(name, 6))
     assert len(reports) == 36 and all(report.passed for report in reports)
-    # the engine's own matrix over Z^3, built once, is what every job pushes forward
+    # single theorem calls of both torus-knot keys take the same route
+    assert run_theorem("morsesimple-s3", k=7, l=2).passed and run_theorem("higher-dim-knots", k=2, l=9).passed
+    # the engine's own matrix over Z^3, built once, is what every job and call pushes forward
     assert len(presented) == 1 and presented[0][0][0].group == free_abelian(3)
-    assert len(pushed) == 36 and all(elem is presented[0][0][0] for elem in pushed)
+    assert len(pushed) == 38 and all(elem is presented[0][0][0] for elem in pushed)
 
 
-def test_torus_sweep_reports_refuse_a_winding_number_below_one_before_the_first_report():
-    sweep = SWEEPS["morsesimple"]
+def test_a_torus_sweep_reaches_no_winding_number_below_one():
+    # the grid starts at 1 and run_sweep refuses a size below 1 before
+    # drawing a job, so the runners' own refusal is never reached
+    assert all(min(job.values()) >= 1 for job in SWEEPS["morsesimple"].grid(7))
+    for top in (0, -3):
+        with pytest.raises(HypothesisError, match=f"sweep size must satisfy --max >= 1, got {top}"):
+            run_sweep("morsesimple", top)
     with pytest.raises(HypothesisError, match="winding numbers must satisfy k, l >= 1, got k=0, l=2"):
-        next(sweep.reports("morsesimple-s3", [{"k": 1, "l": 1}, {"k": 0, "l": 2}]))
+        run_theorem("morsesimple-s3", k=0, l=2)
 
 
 # -- scenario files ----------------------------------------------------------------
