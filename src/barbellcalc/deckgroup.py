@@ -22,13 +22,16 @@ them back.  A word of more than MAX_POWER_LETTERS letters, parsed or a
 power, and a free group of rank above MAX_FREE_RANK are refused.
 
 Groups and elements are immutable slotted values (setting or deleting an
-attribute raises AttributeError); free_group and free_abelian share one
-a size.  A group carries its law on canonical values, chosen by kind
-when it is built: _product, _inverse and _order, its values' sort key
+attribute raises AttributeError).  Groups compare by identity, one live
+a kind and size: DeckGroup(kind, n) refuses a size that is not an int,
+then takes the live group from a weak table or builds it (_law);
+free_group and free_abelian hold theirs.  A group carries its law on
+canonical values: _product, _inverse and _order, its values' sort key
 (None: their natural order).  Ring and class terms are keyed by values,
-and DeckElement(group, value) is the checked public type where values
-enter and leave: it refuses a word that is not freely reduced, a vector
-of the wrong length and a residue outside [0, m).  Two reduced words
+and DeckElement(group, value) (x in group tests one) is the checked
+public type where values enter and leave: it refuses a word that is not
+freely reduced, a vector that is not a tuple of r ints and a residue
+that is not an int in [0, m).  Two reduced words
 only cancel where they meet, and their product bisects that seam with
 C-level slice comparisons (_seam); pow writes a word as u v u^-1, v
 cyclically reduced, and repeats v.
@@ -44,6 +47,8 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import threading
+import weakref
 from collections.abc import Iterable
 
 
@@ -56,6 +61,7 @@ Word = str  # freely reduced: chr(2g + 1) for x_g, chr(2g) for x_g^-1
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
 CYCLIC = "cyclic"
+_INT = frozenset((int,))  # the one type an exponent-vector coordinate has: not bool, not float
 
 # Longest word power DeckElement.pow builds.  On a 2-vCPU Xeon host a
 # scenario whose offset power had 10**5 letters took 0.5 s and 38 MB end
@@ -72,40 +78,31 @@ def _immutable(self, name, *value):
 
 
 class DeckGroup:
-    """A deck transformation group: F_n, Z^r, or Z/m (n is the rank or m)."""
+    """A deck group F_n, Z^r or Z/m (n is the rank or m), the one live group of its kind and size."""
 
-    __slots__ = ("kind", "n", "_hash", "_product", "_inverse", "_order")
+    __slots__ = ("kind", "n", "_product", "_inverse", "_order", "__weakref__")
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, kind: str, n: int):
+    def __new__(cls, kind: str, n: int):
         if kind not in (FREE, FREE_ABELIAN, CYCLIC):
             raise GroupError(f"unknown group kind {kind!r}")
-        if n < 1:
-            raise GroupError(f"group parameter must be >= 1, got {n}")
-        if kind == FREE and n > MAX_FREE_RANK:
-            raise GroupError(f"free group rank must be <= {MAX_FREE_RANK}, so that each letter is one code point")
-        if kind == FREE:
-            law = _word_product, _word_inverse, _word_key
-        elif kind == FREE_ABELIAN and n == 1:  # Z, the commonest, without a map over one coordinate
-            law = (lambda u, v: (u[0] + v[0],)), (lambda u: (-u[0],)), None
-        elif kind == FREE_ABELIAN and n == 2:  # Z^2, whose ring holds the Brunnian images, likewise
-            law = (lambda u, v: (u[0] + v[0], u[1] + v[1])), (lambda u: (-u[0], -u[1])), None
-        elif kind == FREE_ABELIAN:
-            law = (lambda u, v: tuple(map(operator.add, u, v))), (lambda u: tuple(map(operator.neg, u))), None
-        else:
-            law = (lambda a, b: (a + b) % n), (lambda a: -a % n), None
-        for name, value in zip(self.__slots__, (kind, n, hash((kind, n)), *law)):
-            object.__setattr__(self, name, value)
+        if type(n) is not int:  # 5.0 and True hash as 5 and 1 do, and would alias their groups
+            raise GroupError(f"group parameter must be an int, not {type(n).__name__}")
+        with _INTERNING:
+            group = _GROUPS.get((kind, n))
+            if group is None:
+                if n < 1:
+                    raise GroupError(f"group parameter must be >= 1, got {n}")
+                if kind == FREE and n > MAX_FREE_RANK:
+                    raise GroupError(f"free group rank must be <= {MAX_FREE_RANK}, so that each letter is one code point")
+                group = object.__new__(cls)
+                for name, value in zip(cls.__slots__, (kind, n, *_law(kind, n))):
+                    object.__setattr__(group, name, value)
+                _GROUPS[kind, n] = group
+        return group
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not DeckGroup:
-            return NotImplemented
-        return self.n == other.n and self.kind == other.kind
-
-    def __hash__(self):
-        return self._hash
+    def __contains__(self, elt) -> bool:
+        return elt.__class__ is DeckElement and elt.group is self
 
     def __repr__(self):
         if self.kind == FREE:
@@ -132,12 +129,30 @@ class DeckGroup:
         return DeckElement(self, tuple(vec))
 
 
-@functools.cache
+# (kind, n) -> its live group, held weakly: a loop over cover orders keeps none it dropped
+_GROUPS = weakref.WeakValueDictionary()
+_INTERNING = threading.Lock()
+
+
+def _law(kind: str, n: int) -> tuple:
+    """The group's law on canonical values: product, inverse and sort key (None: their natural order)."""
+    if kind == FREE:
+        return _word_product, _word_inverse, _word_key
+    if kind == FREE_ABELIAN and n == 1:  # Z, the commonest, without a map over one coordinate
+        return (lambda u, v: (u[0] + v[0],)), (lambda u: (-u[0],)), None
+    if kind == FREE_ABELIAN and n == 2:  # Z^2, whose ring holds the Brunnian images, likewise
+        return (lambda u, v: (u[0] + v[0], u[1] + v[1])), (lambda u: (-u[0], -u[1])), None
+    if kind == FREE_ABELIAN:
+        return (lambda u, v: tuple(map(operator.add, u, v))), (lambda u: tuple(map(operator.neg, u))), None
+    return (lambda a, b: (a + b) % n), (lambda a: -a % n), None
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # typed: free_group(2.0) is refused, not F_2 once F_2 is cached
 def free_group(n: int) -> DeckGroup:
     return DeckGroup(FREE, n)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def free_abelian(r: int) -> DeckGroup:
     return DeckGroup(FREE_ABELIAN, r)
 
@@ -262,19 +277,20 @@ def _is_word(value, n: int) -> bool:
 
 def _check_value(group: DeckGroup, value) -> None:
     """Raise GroupError unless value is canonical in group: a freely
-    reduced word on x1..xn, an exponent vector of length r, or a residue
-    in [0, m)."""
+    reduced word on x1..xn, a tuple of r ints, or an int residue in [0, m)."""
     kind = group.kind
     if kind == FREE:
         if not _is_word(value, group.n):
             raise GroupError(f"word {value!r} is not freely reduced on x1..x{group.n}")
     elif kind == FREE_ABELIAN:
+        if value.__class__ is not tuple or not _INT.issuperset(map(type, value)):
+            raise GroupError(f"{value!r} is not an exponent vector of {group!r}: give a tuple of ints")
         if len(value) != group.n:
             raise GroupError(
                 f"exponent vector {list(value)} has length {len(value)}; {group!r} has rank {group.n}"
             )
-    elif not 0 <= value < group.n:
-        raise GroupError(f"residue {value} not normalized mod {group.n}")
+    elif value.__class__ is not int or not 0 <= value < group.n:
+        raise GroupError(f"residue {value!r} not normalized mod {group.n}")
 
 
 class DeckElement:
@@ -293,7 +309,7 @@ class DeckElement:
             return True
         if other.__class__ is not DeckElement:
             return NotImplemented
-        return self.value == other.value and (self.group is other.group or self.group == other.group)
+        return self.value == other.value and self.group is other.group
 
     def __hash__(self):
         return hash(self.value)
@@ -305,8 +321,8 @@ class DeckElement:
         """The group's law; for words, left-to-right concatenation (self
         first).  A factor whose value is the product's is returned itself."""
         group = self.group
-        if other.group is not group and other.group != group:
-            raise GroupError(f"cannot multiply across groups {group} and {other.group}")
+        if other not in group:
+            raise GroupError(f"cannot multiply across groups: {other!r} is not in {group}")
         value = group._product(self.value, other.value)
         return self if value is self.value else other if value is other.value else DeckElement(group, value)
 

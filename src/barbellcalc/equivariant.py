@@ -44,15 +44,15 @@ A class is validated where it enters.  Geometry._value is the one check
 on each (label, DeckElement) pair or deck element entering a class
 operation: EquivClass(...) and so basis_class, translate, a barbell's
 holonomy and offset, and summand_membership's allowed pairs.  It refuses
-an undeclared label and a foreign deck element with GeometryError.
-Classes share a geometry when it is one object or has an equal name,
-deck group, coefficients, labels and pairing table; ==, add, sub and
-pair_classes read that one test.  Operations on checked classes and
-table rows apply the group's law to values and build their results
-with the trusted constructors _equiv_class and _ring_element, which
-only reduce coefficients mod 2 over F2 and drop zeros.  barbell_action
-adds k C(x) into a copy of x's terms, pairing once when both cuffs are
-one label.
+an undeclared label and a value not in the geometry's deck group with
+GeometryError.  Classes share a geometry when it is one object or has
+the same deck group (groups compare by identity) and an equal name,
+coefficients, labels and pairing table; ==, add, sub and pair_classes
+read that one test.  Operations on checked classes and table rows apply
+the group's law to values and build their results with the trusted
+constructors _equiv_class and _ring_element, which only reduce
+coefficients mod 2 over F2 and drop zeros.  barbell_action adds k C(x)
+into a copy of x's terms, pairing once when both cuffs are one label.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class Geometry:
         for (a, b), elem in pairings.items():
             if a not in labels or b not in labels:
                 raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
-            if not isinstance(elem, RingElement) or elem.group != group or elem.coeffs != coeffs:
+            if not isinstance(elem, RingElement) or elem.group is not group or elem.coeffs != coeffs:
                 got = f"one of {elem.coeffs}[{elem.group!r}]" if isinstance(elem, RingElement) else type(elem).__name__
                 raise GeometryError(f"pairing row ({a}, {b}) must be an element of {coeffs}[{group!r}], got {got}")
             if labels[a] == DISK and labels[b] == DISK:
@@ -146,10 +146,10 @@ class Geometry:
         return self.group.identity()
 
     def _value(self, deck: DeckElement, label: str | None = None):
-        """deck's value, refusing a deck element of another group and, given a label, an undeclared one."""
+        """deck's value, refusing one not in the geometry's deck group and, given a label, an undeclared one."""
         if label is not None and label not in self.labels:
             self.label(label)  # raises, naming the label
-        if deck.group is not self.group and deck.group != self.group:
+        if deck not in self.group:
             raise GeometryError("deck element from the wrong group")
         return deck.value
 
@@ -195,9 +195,9 @@ class EquivClass:
         return [(label, DeckElement(group, value)) for label, value in _sorted(self)]
 
     def _same_geometry(self, other: "EquivClass") -> bool:
-        """The same geometry object, or an equal name, deck group, coefficients, labels and pairing table."""
+        """The same geometry object, or one deck group and an equal name, coefficients, labels and pairing table."""
         a, b = self.geometry, other.geometry
-        return a is b or (a.name == b.name and a.group == b.group and a.coeffs == b.coeffs
+        return a is b or (a.name == b.name and a.group is b.group and a.coeffs == b.coeffs
                           and a.labels == b.labels and a._rows == b._rows)
 
     def _check(self, other: "EquivClass"):

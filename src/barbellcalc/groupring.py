@@ -17,7 +17,8 @@ No factorization, Groebner bases, or general ideal membership.
 Terms map canonical deck values to nonzero coefficients.  An element is
 validated where it enters: RingElement(...), and through it zero and
 one, takes DeckElement keys and refuses an unknown coefficient ring and
-a term of another group.  add, neg, mul, translate, reverse, the ring
+a term not in the group (groups compare by identity), as translate and
+substitute refuse theirs.  add, neg, mul, translate, reverse, the ring
 maps pushforward and substitute, and the equivariant pairing apply a
 group law to values, so their results go through the trusted constructor
 _ring_element, which only reduces the coefficients mod 2 over F2 and
@@ -54,8 +55,8 @@ class RingElement:
         if coeffs not in (F2, INT):
             raise RingError(f"unknown coefficient ring {coeffs!r}")
         for elt in terms:
-            if elt.group is not group and elt.group != group:
-                raise RingError("term from a different deck group")
+            if elt not in group:
+                raise RingError(f"term from a different deck group: {elt.__class__.__name__} not in {group!r}")
         self.group, self.coeffs = group, coeffs
         self.terms = _reduced(coeffs, {elt.value: c for elt, c in terms.items()})
 
@@ -75,13 +76,13 @@ class RingElement:
         return not self.terms
 
     def coefficient(self, elt: DeckElement) -> int:
-        return self.terms.get(elt.value, 0) if elt.group is self.group or elt.group == self.group else 0
+        return self.terms.get(elt.value, 0) if elt in self.group else 0
 
     def support(self) -> list[DeckElement]:
         return [DeckElement(self.group, value) for value in sorted(self.terms, key=self.group._order)]
 
     def _check(self, other: "RingElement"):
-        if self.group is not other.group and self.group != other.group or self.coeffs != other.coeffs:
+        if self.group is not other.group or self.coeffs != other.coeffs:
             raise RingError(
                 f"mismatched rings: {self.coeffs}[{self.group}] vs {other.coeffs}[{other.group}]"
             )
@@ -89,7 +90,7 @@ class RingElement:
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
-            and (self.group is other.group or self.group == other.group)
+            and self.group is other.group
             and self.coeffs == other.coeffs
             and self.terms == other.terms
         )
@@ -121,7 +122,7 @@ class RingElement:
     def translate(self, g: DeckElement) -> "RingElement":
         """Left multiplication by the group element g."""
         group = self.group
-        if g.group is not group and g.group != group:
+        if g not in group:
             raise RingError("translation by an element of a different group")
         product, u = group._product, g.value
         return _ring_element(group, self.coeffs, {product(u, e): c for e, c in self.terms.items()})
@@ -211,7 +212,7 @@ def substitute(elem: RingElement, target: DeckGroup, images: Sequence[DeckElemen
     over F2)."""
     if elem.group.kind != FREE or len(images) != elem.group.n:
         raise RingError(f"substitute takes an element over F_s and s images, got {elem.group!r} and {len(images)}")
-    if any(h.group is not target and h.group != target for h in images):
+    if not all(h in target for h in images):
         raise RingError(f"substitute takes images in {target!r}")
     product, inverse, identity = target._product, target._inverse, target.identity().value
     letters = {chr(2 * i + j): h.value if j else inverse(h.value) for i, h in enumerate(images, 1) for j in (0, 1)}

@@ -24,13 +24,8 @@ groupring.substitute (scenarios); their closed forms are test oracles.
 
 from __future__ import annotations
 
-import operator
-from collections import Counter
-from collections.abc import Sequence
-
-from .deckgroup import free_abelian
 from .equivariant import BarbellSpec, Geometry, action_sequence, equivariant_pairing
-from .groupring import F2, RingElement, _ring_element, laurent_span, normalize_monomial
+from .groupring import F2, RingElement, laurent_span, normalize_monomial
 
 
 class PresentationError(ValueError):
@@ -84,19 +79,6 @@ def antidiagonal_cokernel(rows: list[list[RingElement]]) -> list[RingElement]:
     if g1.is_zero() or g2.is_zero():
         raise PresentationError("antidiagonal entries vanish; not the expected shape")
     return [normalize_monomial(g1), normalize_monomial(g2)]
-
-
-def symmetric_relator(vectors: Sequence[tuple[int, ...]]) -> RingElement:
-    """1 + prod_v (x^v + x^-v) in F2[Z^r], r the length of each vector,
-    expanded directly: the product is the sum over sign choices of
-    x^(±v_1 ± v_2 ...), and exponents that coincide (two equal vectors,
-    say) cancel mod 2.  The test suite checks it against the product of
-    the binomials (tests/oracles.py)."""
-    zero = (0,) * len(vectors[0])
-    sums = [zero]
-    for v in vectors:
-        sums = [tuple(map(operator.add, e, v)) for e in sums] + [tuple(map(operator.sub, e, v)) for e in sums]
-    return _ring_element(free_abelian(len(zero)), F2, Counter(sums + [zero]))
 
 
 # ---------------------------------------------------------------------------

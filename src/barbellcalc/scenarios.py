@@ -65,6 +65,7 @@ from .groupring import (
     F2,
     INT,
     RingElement,
+    _ring_element,
     from_term_list,
     is_monomial_unit,
     laurent_span,
@@ -77,7 +78,6 @@ from .presentations import (
     brunnian_disk_obstruction,
     f2_quotient_dim,
     present_from_scenario,
-    symmetric_relator,
 )
 from .report import _MAX_DIGITS, HypothesisError, Report, _echo, _too_long
 
@@ -309,8 +309,9 @@ def _require_windings(k: int, l: int):
 def morsesimple_f(k: int, l: int) -> RingElement:
     """The closed-form mod-2 intersection polynomial of both torus-knot
     runners, 1 + sum over signs of t^(±k ± l ± 1), which factors as
-    1 + (t + t^-1)(t^k + t^-k)(t^l + t^-l)."""
-    return symmetric_relator([(1,), (k,), (l,)])
+    1 + (t + t^-1)(t^k + t^-k)(t^l + t^-l); equal exponents cancel mod 2."""
+    sums = [(a + b + c,) for a in (1, -1) for b in (k, -k) for c in (l, -l)]
+    return _ring_element(free_abelian(1), F2, Counter(sums + [(0,)]))
 
 
 def _lifted_torus_complement() -> dict:
@@ -403,7 +404,7 @@ def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     F2[s^±1, t^±1], the generic one at s^k, s^l, t (returned for the sweep)."""
     _check_linked(n, k, l)
     geo = builtin_geometry("sphere_torus_link", n=n)
-    w = DeckElement(geo.group, brunnian_word(n).value)
+    w = brunnian_word(n)
     wk, wl = w.pow(k), w.pow(l)
     engine_f = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
     generic, st = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(2)

@@ -35,7 +35,7 @@ value its own way, and the tests compare the two.
   read from the stored table or reversed on demand, for the two-way
   table Geometry derives at construction.
 * binomial_product, 1 + prod_v (x^v + x^-v) as a product of ring
-  elements, the oracle of the expanded presentations.symmetric_relator.
+  elements, the oracle of the expanded scenarios.morsesimple_f.
 * build_parser, the argparse parser the CLI parsed with before its
   command table, the oracle of cli._parse.
 """

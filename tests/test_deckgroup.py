@@ -134,6 +134,42 @@ def test_a_free_group_whose_letters_do_not_fit_in_a_code_point_is_refused():
     assert DeckGroup("free_abelian", MAX_FREE_RANK + 1).n == MAX_FREE_RANK + 1
 
 
+@pytest.mark.parametrize("kind, n", [(FREE, 3), ("free_abelian", 2), (CYCLIC, 5), (CYCLIC, 2**70)])
+def test_one_live_group_a_kind_and_size(kind, n):
+    group = DeckGroup(kind, n)
+    assert DeckGroup(kind, n) is group and deckgroup._GROUPS[kind, n] is group
+    # groups compare by identity alone
+    assert "__eq__" not in vars(DeckGroup) and "__hash__" not in vars(DeckGroup)
+
+
+def test_free_group_and_free_abelian_hold_the_live_group():
+    assert free_group(3) is DeckGroup(FREE, 3) and free_abelian(2) is DeckGroup("free_abelian", 2)
+    # their memos tell 1 from True and 2 from 2.0, so these are refused however warm the memo is
+    assert free_group(1) is DeckGroup(FREE, 1) and free_abelian(2) is free_abelian(2)
+    for memo, n in ((free_group, True), (free_abelian, 2.0)):
+        with pytest.raises(GroupError, match="group parameter must be an int"):
+            memo(n)
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("free_abelian", 2.0, "group parameter must be an int, not float"),
+    ("free", 2.5, "group parameter must be an int, not float"),
+    ("cyclic", 5.0, "group parameter must be an int, not float"),
+    ("cyclic", True, "group parameter must be an int, not bool"),
+    ("cyclic", "5", "group parameter must be an int, not str"),
+    (["free"], 2, "unknown group kind"),
+    ({}, 2, "unknown group kind"),
+    ("Free", 2, "unknown group kind"),
+])
+def test_a_size_that_is_not_an_int_or_an_unknown_kind_is_refused_before_interning(kind, n, message):
+    # 5.0 and True hash as 5 and 1 do: taken, they would alias Z/5 and Z/1
+    five, one = DeckGroup(CYCLIC, 5), DeckGroup(CYCLIC, 1)
+    with pytest.raises(GroupError, match=re.escape(message)):
+        DeckGroup(kind, n)
+    assert DeckGroup(CYCLIC, 5) is five and five.n.__class__ is int and five.generator(1).value == 1
+    assert DeckGroup(CYCLIC, 1) is one and one.n.__class__ is int
+
+
 # -- group law ----------------------------------------------------------------
 
 
@@ -350,7 +386,7 @@ def test_equal_words_are_equal_and_hash_equal_however_built(pairs, data):
         parse_word(format_element(x), f3),
         element_from_json(element_to_json(x), free_group(3)),
     ]
-    assert f3 == free_group(3) and hash(f3) == hash(free_group(3))
+    assert f3 is free_group(3)
     assert_all_equal(built)
     assert_all_equal([x.mul(x.inv()), F3.identity(), parse_word("1", f3)])
 
@@ -578,11 +614,18 @@ def test_public_constructor_refuses_non_canonical_values():
     assert DeckElement(F3, "\x03\x03").value == "\x03\x03"  # x1^2 is reduced
     with pytest.raises(GroupError, match=r"has length 2; Z\^3 has rank 3"):
         DeckElement(free_abelian(3), (1, 2))
-    for residue in (5, -1):
+    # a bare int, a float coordinate (rendered x1^1.5 once), a bool, a list (unhashable)
+    for vector in (5, (1.5,), (True,), [1], None):
+        with pytest.raises(GroupError, match=r"is not an exponent vector of Z\^1: give a tuple of ints"):
+            DeckElement(free_abelian(1), vector)
+    for residue in (5, -1, 1.0, True, "1"):
         with pytest.raises(GroupError, match="not normalized mod 5"):
             DeckElement(DeckGroup(CYCLIC, 5), residue)
     with pytest.raises(GroupError, match="not normalized"):
         DeckElement(DeckGroup(CYCLIC, 2**70), 2**70)
+    for other in ((1,), "\x03", None):
+        with pytest.raises(GroupError, match="cannot multiply across groups: .* is not in F_3"):
+            F3.generator(1).mul(other)
 
 
 @pytest.mark.parametrize("group", [free_group(2), free_abelian(2)], ids=["free", "free-abelian-rank-2"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import CYCLIC, DeckElement, DeckGroup, free_abelian, free_group, reduce_letters
+from barbellcalc.deckgroup import CYCLIC, FREE_ABELIAN, DeckElement, DeckGroup, free_abelian, free_group, reduce_letters
 from barbellcalc.equivariant import (
     DISK,
     MERIDIAN,
@@ -595,11 +595,12 @@ def test_a_class_term_on_an_undeclared_label_or_a_foreign_group_is_refused():
     geo = builtin_geometry("torus_complement")
     with pytest.raises(GeometryError, match="unknown label 'S_w' in geometry torus_complement"):
         EquivClass(geo, {("S_v", geo.identity()): 1, ("S_w", geo.identity()): 1})
-    with pytest.raises(GeometryError, match="deck element from the wrong group"):
-        EquivClass(geo, {("S_v", DeckElement(DeckGroup(CYCLIC, 3), 1)): 1})
-    # an equal group built separately is the same group
-    again = DeckElement(free_abelian(1), (2,))
-    assert again.group is not geo.group
+    for foreign in (DeckElement(DeckGroup(CYCLIC, 3), 1), (2,), 2):
+        with pytest.raises(GeometryError, match="deck element from the wrong group"):
+            EquivClass(geo, {("S_v", foreign): 1})
+    # a group built again is the one live group of its kind and size
+    again = DeckElement(DeckGroup(FREE_ABELIAN, 1), (2,))
+    assert again.group is geo.group
     assert EquivClass(geo, {("S_v", again): 1}).terms == {("S_v", again.value): 1}
 
 

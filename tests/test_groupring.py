@@ -177,9 +177,16 @@ def test_a_term_from_a_foreign_group_is_refused():
         RingElement(Z2, F2, {x1: 1})
     with pytest.raises(RingError, match="term from a different deck group"):
         RingElement(free_group(3), INT, {free_group(3).identity(): 1, x1: 1})
-    # an equal group built separately (free_group shares one) is the same group
+    # a bare value is no term, and no translation
+    with pytest.raises(RingError, match="term from a different deck group: tuple not in Z\\^1"):
+        RingElement(Z1, F2, {(1,): 1})
+    for foreign in ((1,), x1):
+        with pytest.raises(RingError, match="translation by an element of a different group"):
+            RingElement.one(Z1, F2).translate(foreign)
+        assert RingElement.one(Z1, F2).coefficient(foreign) == 0
+    # a group built again is the one live group of its kind and size
     again = DeckGroup(FREE, 2)
-    assert again is not F2GRP
+    assert again is F2GRP
     assert RingElement(again, F2, {x1: 1}).terms == {x1.value: 1}
 
 
@@ -316,8 +323,9 @@ def test_substitute_refuses_a_source_that_is_not_free_a_wrong_count_and_a_foreig
     for images in ([t], [t, t, t]):
         with pytest.raises(RingError, match="an element over F_s and s images"):
             substitute(elem, Z1, images)
-    with pytest.raises(RingError, match="images in Z\\^1"):
-        substitute(elem, Z1, [t, Z2.generator(1)])
+    for images in ([t, Z2.generator(1)], [(1,), (2,)]):
+        with pytest.raises(RingError, match="images in Z\\^1"):
+            substitute(elem, Z1, images)
 
 
 # -- pushforward along an integer matrix ----------------------------------------

@@ -6,14 +6,16 @@ of x1) and at n = 3 with k = l = 2 (where the relator's products cancel
 in pairs), against the committed scenario, and against the morsesimple
 sweep at --max 3, which passes only when every job does.  The torus keys
 push one generic presentation forward and linked-6crit substitutes into
-another, both built once a process by one memoized helper; the harness
-clears that memo around every mutated run, so that a fault in the engine
-reaches the generic presentations too and one built under a fault never
-outlives its run.  A check that no fault can turn from PASS to FAIL or
-refusal checks nothing, so every key must catch some mutation and every
-mutation must be caught by some key, unless it is named in UNCATCHABLE
-or UNCAUGHT with its reason.  Both lists are checked both ways: an entry
-that starts to be caught must leave its list.
+another, both built once a process by one memoized helper, and each deck
+group is built once while it lives; every mutated run gets a group table
+of its own and empty memos (own_groups), so that a fault in the engine
+or a group law reaches the generic presentations and the groups the run
+builds, and nothing built under a fault outlives its run.  A check that
+no fault can turn from PASS to FAIL or refusal checks nothing, so every
+key must catch some mutation and every mutation must be caught by some
+key, unless it is named in UNCATCHABLE or UNCAUGHT with its reason.
+Both lists are checked both ways: an entry that starts to be caught must
+leave its list.
 """
 
 import functools
@@ -26,7 +28,7 @@ from barbellcalc import deckgroup, equivariant, groupring, scenarios
 from barbellcalc.equivariant import BarbellSpec
 from barbellcalc.scenarios import THEOREMS, run_scenario, run_sweep, run_theorem
 
-from test_scenarios import SAMPLE_PARAMS
+from test_scenarios import SAMPLE_PARAMS, own_groups
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "torus_k2_l3.json"
 SCENARIO_KEY = "scenario torus_k2_l3.json"
@@ -95,14 +97,13 @@ def _meridian_read_as_zero(self, a, b, g):
     return 0 if row is None or self._meridian(a, b) else row.terms.get(g, 0)
 
 
-_real_group_init = deckgroup.DeckGroup.__init__
+_real_law = deckgroup._law
 
 
-def _group_with_unreduced_residue_sums(self, kind, n):
+def _law_with_unreduced_residue_sums(kind, n):
     # a cyclic group's law on values with the product's "% m" left out
-    _real_group_init(self, kind, n)
-    if kind == deckgroup.CYCLIC:
-        object.__setattr__(self, "_product", lambda a, b: a + b)
+    product, inverse, order = _real_law(kind, n)
+    return (lambda a, b: a + b) if kind == deckgroup.CYCLIC else product, inverse, order
 
 
 def _disk_model_without_component_2(n):
@@ -158,7 +159,7 @@ MUTATIONS = {
     "reverse involution skipped": [(groupring.RingElement, "reverse", lambda self: self)],
     "seam cancels equal letters": [(deckgroup, "_seam", _seam_cancelling_equal_letters)],
     "inverse table misses x1": [(deckgroup, "_SWAP", _SWAP_MISSING_X1)],
-    "residue sum not reduced mod m": [(deckgroup.DeckGroup, "__init__", _group_with_unreduced_residue_sums)],
+    "residue sum not reduced mod m": [(deckgroup, "_law", _law_with_unreduced_residue_sums)],
     "membership always yes": [(scenarios, "summand_membership", lambda *args, **kwargs: True)],
     "quotient dimension plus one": [(scenarios, "f2_quotient_dim", lambda matrix: _real_dim(matrix) + 1)],
     "meridian augmentation dropped": [(equivariant.Geometry, "coefficient", _meridian_read_as_zero)],
@@ -201,14 +202,10 @@ def matrix() -> dict[str, dict[str, str]]:
     """mutation -> key -> outcome."""
     out = {}
     for name, patches in MUTATIONS.items():
-        scenarios._generic_f.cache_clear()
-        try:
-            with pytest.MonkeyPatch.context() as patch:
-                for owner, attr, replacement in patches:
-                    patch.setattr(owner, attr, replacement)
-                out[name] = {key: outcome(key) for key in KEYS}
-        finally:
-            scenarios._generic_f.cache_clear()
+        with own_groups(), pytest.MonkeyPatch.context() as patch:
+            for owner, attr, replacement in patches:
+                patch.setattr(owner, attr, replacement)
+            out[name] = {key: outcome(key) for key in KEYS}
     return out
 
 

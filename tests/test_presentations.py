@@ -15,7 +15,6 @@ from barbellcalc.presentations import (
     brunnian_disk_obstruction,
     f2_quotient_dim,
     present_from_scenario,
-    symmetric_relator,
 )
 from barbellcalc.scenarios import builtin_geometry, morsesimple_f, run_theorem
 from oracles import (
@@ -309,18 +308,16 @@ def test_no_brunnian_2disk_evaluates_its_model_up_to_the_cap(monkeypatch):
 
 
 @settings(max_examples=200)
-@given(rank=st.integers(1, 2), k=st.integers(1, 12), l=st.integers(1, 12))
-def test_symmetric_relator_matches_the_product_of_binomials(rank, k, l):
-    # the vectors of morsesimple_f (rank 1) and brunnian_image (rank 2);
-    # k = l, and k = 1 or l = 1 at rank 1, make exponents coincide
-    vectors = [(1,), (k,), (l,)] if rank == 1 else [(0, 1), (k, 0), (l, 0)]
-    assert symmetric_relator(vectors) == binomial_product(vectors)
+@given(k=st.integers(1, 12), l=st.integers(1, 12))
+def test_morsesimple_f_matches_the_product_of_binomials(k, l):
+    # k = l, k = 1 and l = 1 make exponents coincide
+    assert morsesimple_f(k, l) == binomial_product([(1,), (k,), (l,)])
 
 
-@given(st.integers(1, 2).flatmap(
-    lambda rank: st.lists(st.tuples(*[st.integers(-4, 4)] * rank), min_size=1, max_size=4)))
-def test_symmetric_relator_matches_the_product_of_binomials_on_any_vectors(vectors):
-    assert symmetric_relator(vectors) == binomial_product(vectors)
+@given(st.integers(-50, 50), st.integers(-50, 50))
+def test_morsesimple_f_matches_the_product_of_binomials_on_any_winding_numbers(k, l):
+    # zero, negative and opposite winding numbers, where more exponents coincide
+    assert morsesimple_f(k, l) == binomial_product([(1,), (k,), (l,)])
 
 
 @pytest.mark.parametrize("n", [1, 0, -5])

@@ -1,19 +1,23 @@
+import contextlib
+import gc
 import importlib
 import inspect
 import json
 import math
 import pkgutil
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import FREE_ABELIAN, GroupError, free_abelian, free_group
+from barbellcalc import deckgroup, scenarios
+from barbellcalc.deckgroup import CYCLIC, FREE_ABELIAN, GroupError, free_abelian, free_group
 from barbellcalc.equivariant import MERIDIAN, SPHERE, BarbellSpec
 from barbellcalc.groupring import F2, RingElement, pushforward, term_list_and_render
-from barbellcalc.presentations import present_from_scenario, symmetric_relator
+from barbellcalc.presentations import present_from_scenario
 from barbellcalc.report import render_machine
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
@@ -32,7 +36,7 @@ from barbellcalc.scenarios import (
     run_sweep,
     run_theorem,
 )
-from oracles import cyclic_project, distinguish_brunnian_modules
+from oracles import binomial_product, cyclic_project, distinguish_brunnian_modules
 
 # Golden pairing tables: the full finite intersection data of each
 # built-in geometry, locked term by term.
@@ -585,22 +589,44 @@ def test_the_generic_brunnian_relator_is_built_once_a_process():
     assert (info.misses, info.currsize) == (1, 1) and info.hits > 1
 
 
+@contextlib.contextmanager
+def own_groups():
+    """A deck group table of the block's own, and the memos that hold
+    groups (free_group, free_abelian, _generic_f) empty on entry and exit:
+    every group the block reaches is built in it, and none outlives it in
+    a memo or meets a group built outside."""
+    memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._generic_f)
+    table, deckgroup._GROUPS = deckgroup._GROUPS, weakref.WeakValueDictionary()
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        yield
+    finally:
+        deckgroup._GROUPS = table
+        for memo in memos:
+            memo.cache_clear()
+
+
 def test_free_and_free_abelian_groups_are_built_once_a_size(monkeypatch):
     # the torus sweep used to build two groups a job: 20,001 for --max 100
-    from barbellcalc import deckgroup
-
     assert free_group(3) is free_group(3) and free_abelian(2) is free_abelian(2)
     built = []
-    real = deckgroup.DeckGroup.__init__
-
-    def counted(self, kind, n):
-        built.append((kind, n))
-        real(self, kind, n)
-
-    monkeypatch.setattr(deckgroup.DeckGroup, "__init__", counted)
-    reports = list(run_sweep("morsesimple", 100))
+    real = deckgroup._law
+    monkeypatch.setattr(deckgroup, "_law", lambda kind, n: built.append((kind, n)) or real(kind, n))
+    with own_groups():
+        reports = list(run_sweep("morsesimple", 100))
     assert len(reports) == 10_000 and all(report.passed for report in reports)
-    assert len(built) <= 3, built
+    assert 1 <= len(built) <= 3, built
+
+
+def test_the_group_table_keeps_no_dropped_cover_group():
+    # a group costs about 600 B: a loop over many cover orders must not keep them all
+    orders = range(10**4 + 7, 2 * 10**4 + 7)
+    geometries = [builtin_geometry("cyclic_cover", m=m) for m in orders]
+    assert all(deckgroup._GROUPS[CYCLIC, m] is geo.group for m, geo in zip(orders, geometries))
+    del geometries
+    gc.collect()
+    assert not {(CYCLIC, m) for m in orders} & set(deckgroup._GROUPS.keys())
 
 
 def test_sweep_grids_keep_their_job_counts():
@@ -688,8 +714,8 @@ def engine_f(k, l, cuffs=CUFF_ORDERS[0]):
 def test_the_generic_torus_presentation_is_the_symmetric_relator_over_z3():
     # 1 + (x1 + x1^-1)(x2 + x2^-1)(x3 + x3^-1): nine terms, none merged
     f = generic_torus_f()
-    assert f.group == free_abelian(3) and len(f.terms) == 9
-    assert f == symmetric_relator([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert f.group is free_abelian(3) and len(f.terms) == 9
+    assert f == binomial_product([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_the_pushforward_is_the_engine_f_on_every_small_pair():
