@@ -10,7 +10,7 @@ or sweep rule of its own: it hands the flags it was given to
 run_theorem or run_sweep, which refuse a missing or unexpected one, or a
 sweep size out of range, with the HypothesisError a library call gets
 (builtin_geometry makes the same check).  It applies one limit of
-barbellcalc.report's, _MAX_DIGITS, before a number is read: an integer
+barbellcalc.deckgroup's, _MAX_DIGITS, before a number is read: an integer
 flag of more digits is refused by its name, and a scenario file's
 integer of more digits by the file's name.  barbellcalc.report renders
 every report line, byte-deterministic for fixed arguments (every term
@@ -37,7 +37,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 
-from .report import _MAX_DIGITS, HypothesisError, _echo, _too_long, render_line, render_machine, render_table
+from .deckgroup import _MAX_DIGITS, _echo, _too_long
+from .report import HypothesisError, render_line, render_machine, render_table
 from .scenarios import GEOMETRY_BUILDERS, THEOREMS, run_scenario, run_sweep, run_theorem
 
 _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
@@ -145,7 +146,7 @@ def _option(token: str, names) -> tuple[str | None, str | None] | None:
     key, eq, value = token[2:].partition("=")
     found = [] if token[1] != "-" else [key] if key in names else [name for name in names if name.startswith(key)]
     if len(found) > 1:
-        raise ValueError(f"ambiguous option {token}: it could be --{', --'.join(found)}")
+        raise ValueError(f"ambiguous option {_echo(token)}: it could be --{', --'.join(found)}")
     if found:
         return found[0], value if eq else None
     negative = re.match(r"^-\d+$|^-\d*\.\d+$", token)  # argparse's test
@@ -166,7 +167,7 @@ def _parse(table: dict, argv: list[str]) -> tuple[str | None, SimpleNamespace | 
             late += [token] if not slot or slot in values and filled != i - 1 else []
         elif found is None and command is None:
             if token not in table:
-                raise ValueError(f"invalid command {token!r} (choose from {', '.join(table)})")
+                raise ValueError(f"invalid command {_echo(token)} (choose from {', '.join(table)})")
             command, (slot, options, _, _) = token, table[token]
             names = {"help": None, **options}
             values = {name: kind[0] if type(kind) is tuple else None for name, kind in options.items()}
@@ -176,7 +177,7 @@ def _parse(table: dict, argv: list[str]) -> tuple[str | None, SimpleNamespace | 
             late.append(token)
         elif found[0] == "help":
             if found[1] is not None:
-                raise ValueError(f"-h/--help takes no value, got {found[1]!r}")
+                raise ValueError(f"-h/--help takes no value, got {_echo(found[1])}")
             for token in itertools.takewhile("--".__ne__, argv[i:]):
                 _option(token, names)  # argparse refused an ambiguous one first
             return command, None
@@ -195,7 +196,7 @@ def _parse(table: dict, argv: list[str]) -> tuple[str | None, SimpleNamespace | 
     if command is None or slot and slot not in values:
         raise ValueError(f"{command}: the {slot} is required" if command else "a command is required")
     if late:
-        raise ValueError(f"{command}: unrecognized arguments: {' '.join(late)}")
+        raise ValueError(f"{command}: unrecognized arguments: {_echo(' '.join(late))}")
     return command, SimpleNamespace(**values)
 
 
@@ -225,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 1
     except USER_ERRORS as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # as str(exc) reads, the path bounded
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename)}"
         print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
 

@@ -29,17 +29,22 @@ free_group and free_abelian hold theirs.  A group carries its law on
 canonical values: _product, _inverse and _order, its values' sort key
 (None: their natural order).  Ring and class terms are keyed by values,
 and DeckElement(group, value) (x in group tests one) is the checked
-public type where values enter and leave: it refuses a word that is not
-freely reduced, a vector that is not a tuple of r ints and a residue
-that is not an int in [0, m).  Two reduced words
-only cancel where they meet, and their product bisects that seam with
-C-level slice comparisons (_seam); pow writes a word as u v u^-1, v
+public type where values enter and leave: it refuses a group that is not
+a DeckGroup, a word that is not freely reduced, a vector that is not a
+tuple of r ints and a residue that is not an int in [0, m).  Two reduced
+words only cancel where they meet, and their product bisects that seam
+with C-level slice comparisons (_seam); pow writes a word as u v u^-1, v
 cyclically reduced, and repeats v.
 
 A word in which no letter repeats its neighbour (x1^2 does) is its own
 sort key (_word_key), and _text joins its letters' strings in C; others
 are cut at their runs, each found in C however long it is (_by_runs).
 One re.search decides each sorted or rendered word; products never look.
+
+Every layer reads outside values by this module's rules: _is_int (exactly
+an int: no bool, no float), _is_element (the JSON form element_from_json
+reads; parse_word reads text only; neither converts anything but text)
+and _echo, the one quote of a refused value, bounded in length.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import reprlib
 import threading
 import weakref
 from collections.abc import Iterable
@@ -61,7 +67,7 @@ Word = str  # freely reduced: chr(2g + 1) for x_g, chr(2g) for x_g^-1
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
 CYCLIC = "cyclic"
-_INT = frozenset((int,))  # the one type an exponent-vector coordinate has: not bool, not float
+_INT = frozenset((int,))  # _is_int over a list or tuple in C: the one type a vector coordinate has
 
 # Longest word power DeckElement.pow builds.  On a 2-vCPU Xeon host a
 # scenario whose offset power had 10**5 letters took 0.5 s and 38 MB end
@@ -71,6 +77,47 @@ MAX_POWER_LETTERS = 100_000
 # Code points above every letter that mark a run in a sort key (_run_key).
 _POSITIVE_RUN, _NEGATIVE_RUN = "\U0010fffe", "\U0010ffff"
 MAX_FREE_RANK = (ord(_POSITIVE_RUN) - 2) // 2
+
+
+# Most digits an integer parameter or a genus1-hd position may have: a
+# report prints it, and the interpreter converts at most 4,300 to text.
+_MAX_DIGITS = 4000
+_TOO_MANY_DIGITS = 10**_MAX_DIGITS
+
+
+def _too_long(value: int | str) -> bool:
+    """More than _MAX_DIGITS digits?  An integer is not converted to text."""
+    return len(value.removeprefix("-")) > _MAX_DIGITS if isinstance(value, str) else abs(value) >= _TOO_MANY_DIGITS
+
+
+class _Echo(reprlib.Repr):
+    """repr for quoting a refused value: at most 80 characters (a string of
+    up to 30 as repr prints it), and an integer of more than _MAX_DIGITS
+    digits is never converted to text."""
+
+    def repr(self, value):
+        text = super().repr(value)
+        return text if len(text) <= 80 else f"{text[:77]}..."
+
+    def repr_int(self, value, level):
+        return f"<integer of more than {_MAX_DIGITS} digits>" if _too_long(value) else super().repr_int(value, level)
+
+
+_echo = _Echo().repr
+
+
+def _is_int(value) -> bool:
+    """An integer from outside: exactly an int, so not a bool (True is 1) and not a float."""
+    return type(value) is int
+
+
+def _is_list(value, item=None) -> bool:
+    return isinstance(value, (list, tuple)) and (item is None or all(map(item, value)))
+
+
+def _is_element(value) -> bool:
+    """An element's JSON form: an integer, a string or a list of integers (element_from_json)."""
+    return _is_int(value) or isinstance(value, str) or _is_list(value) and _INT.issuperset(map(type, value))
 
 
 def _immutable(self, name, *value):
@@ -85,8 +132,8 @@ class DeckGroup:
 
     def __new__(cls, kind: str, n: int):
         if kind not in (FREE, FREE_ABELIAN, CYCLIC):
-            raise GroupError(f"unknown group kind {kind!r}")
-        if type(n) is not int:  # 5.0 and True hash as 5 and 1 do, and would alias their groups
+            raise GroupError(f"unknown group kind {_echo(kind)}")
+        if not _is_int(n):  # 5.0 and True hash as 5 and 1 do, and would alias their groups
             raise GroupError(f"group parameter must be an int, not {type(n).__name__}")
         with _INTERNING:
             group = _GROUPS.get((kind, n))
@@ -118,10 +165,10 @@ class DeckGroup:
         """The i-th generator (1-based), optionally raised to a power."""
         if self.kind == CYCLIC:
             if i != 1:
-                raise GroupError(f"cyclic group has a single generator, got index {i}")
+                raise GroupError(f"cyclic group has a single generator, got index {_echo(i)}")
             return DeckElement(self, exponent % self.n)
         if not 1 <= i <= self.n:
-            raise GroupError(f"generator index {i} out of range 1..{self.n}")
+            raise GroupError(f"generator index {_echo(i)} out of range 1..{self.n}")
         if self.kind == FREE:
             return DeckElement(self, reduce_letters([(i, exponent)], self.n))
         vec = [0] * self.n
@@ -166,7 +213,7 @@ def reduce_letters(letters: Iterable[tuple[int, int]], rank: int | None = None) 
     stack: list[tuple[int, int]] = []
     for gen, exp in letters:
         if not 1 <= gen <= top:
-            raise GroupError(f"generator index {gen} out of range 1..{top}")
+            raise GroupError(f"generator index {_echo(gen)} out of range 1..{top}")
         if stack and stack[-1][0] == gen:
             exp += stack.pop()[1]
         if exp:
@@ -278,19 +325,19 @@ def _is_word(value, n: int) -> bool:
 def _check_value(group: DeckGroup, value) -> None:
     """Raise GroupError unless value is canonical in group: a freely
     reduced word on x1..xn, a tuple of r ints, or an int residue in [0, m)."""
+    if group.__class__ is not DeckGroup:
+        raise GroupError(f"{_echo(group)} is not a deck group")
     kind = group.kind
     if kind == FREE:
         if not _is_word(value, group.n):
-            raise GroupError(f"word {value!r} is not freely reduced on x1..x{group.n}")
+            raise GroupError(f"word {_echo(value)} is not freely reduced on x1..x{group.n}")
     elif kind == FREE_ABELIAN:
         if value.__class__ is not tuple or not _INT.issuperset(map(type, value)):
-            raise GroupError(f"{value!r} is not an exponent vector of {group!r}: give a tuple of ints")
+            raise GroupError(f"{_echo(value)} is not an exponent vector of {group!r}: give a tuple of ints")
         if len(value) != group.n:
-            raise GroupError(
-                f"exponent vector {list(value)} has length {len(value)}; {group!r} has rank {group.n}"
-            )
+            raise GroupError(f"exponent vector {_echo([*value])} has length {len(value)}; {group!r} has rank {group.n}")
     elif value.__class__ is not int or not 0 <= value < group.n:
-        raise GroupError(f"residue {value!r} not normalized mod {group.n}")
+        raise GroupError(f"residue {_echo(value)} not normalized mod {group.n}")
 
 
 class DeckElement:
@@ -343,7 +390,7 @@ class DeckElement:
         word, copies = self.value, abs(k)
         letters = copies * len(word)
         if letters > MAX_POWER_LETTERS:
-            raise GroupError(f"power {k} of a {len(word)}-letter word has {letters} letters, "
+            raise GroupError(f"power {_echo(k)} of a {len(word)}-letter word has {_echo(letters)} letters, "
                              f"more than {MAX_POWER_LETTERS}")
         if not letters:
             return group.identity()
@@ -381,7 +428,7 @@ def brunnian_word(n: int) -> DeckElement:
     Lies in the subgroup generated by x1..x_{n-1}; requires n >= 2.
     """
     if n < 2:
-        raise GroupError(f"brunnian_word needs rank n >= 2, got {n}")
+        raise GroupError(f"brunnian_word needs rank n >= 2, got {_echo(n)}")
     group = free_group(n)
     product, inverse = group._product, group._inverse
     w = "\x03"  # x1
@@ -395,19 +442,28 @@ def brunnian_word(n: int) -> DeckElement:
 # exponent vectors as integer lists.
 
 _LETTER_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
+_FORMS = {FREE: "a word string", FREE_ABELIAN: "a word string or a list of integers", CYCLIC: "an integer residue"}
 
 
 def parse_word(text: str, group: DeckGroup) -> DeckElement:
-    """Parse whitespace-separated caret-exponent notation, e.g. "x1^-1 x2"."""
+    """Parse text: whitespace-separated caret-exponent notation, e.g.
+    "x1^-1 x2" ("" and "1" are the identity), or a residue's integer."""
+    if not isinstance(text, str):
+        raise GroupError(f"{_echo(text)} is not text; give a word string")
     if group.kind == CYCLIC:
-        return element_from_json(text, group)
+        try:
+            return DeckElement(group, int(text) % group.n)
+        except ValueError:  # not an integer, or one past the interpreter's digit limit
+            raise GroupError(f"cannot parse a residue of {len(text)} characters: a number is too long"
+                             if re.fullmatch(r"\s*[+-]?\d+\s*", text) else
+                             f"{_echo(text)} is not an element of {group!r}; give {_FORMS[CYCLIC]}") from None
     text = text.strip()
     letters: list[tuple[int, int]] = []
     if text not in ("", "1"):
         for tok in text.split():
             match = _LETTER_RE.match(tok)
             if not match:
-                raise GroupError(f"cannot parse letter {tok!r}")
+                raise GroupError(f"cannot parse letter {_echo(tok)}")
             try:
                 letters.append((int(match.group(1)), int(match.group(2) or 1)))
             except ValueError:  # more digits than the interpreter converts
@@ -417,7 +473,7 @@ def parse_word(text: str, group: DeckGroup) -> DeckElement:
     vec = [0] * group.n
     for gen, exp in letters:
         if not 1 <= gen <= group.n:
-            raise GroupError(f"generator index {gen} out of range 1..{group.n}")
+            raise GroupError(f"generator index {_echo(gen)} out of range 1..{group.n}")
         vec[gen - 1] += exp
     return DeckElement(group, tuple(vec))
 
@@ -448,18 +504,17 @@ def element_to_json(elt: DeckElement):
 
 
 def element_from_json(data, group: DeckGroup) -> DeckElement:
-    if group.kind == CYCLIC:
-        try:
-            return DeckElement(group, int(data) % group.n)
-        except (TypeError, ValueError, OverflowError):
-            if isinstance(data, str) and re.fullmatch(r"\s*[+-]?\d+\s*", data):  # past the interpreter's digit limit
-                raise GroupError(f"cannot parse a residue of {len(data)} characters: a number is too long") from None
-            raise GroupError(f"{data!r} is not an element of {group!r}; give an integer residue") from None
-    if group.kind == FREE_ABELIAN and isinstance(data, (list, tuple)):
-        return DeckElement(group, tuple(int(a) for a in data))
-    if isinstance(data, int) and group.kind == FREE_ABELIAN and group.n == 1:
-        return DeckElement(group, (data,))
-    if isinstance(data, int) and not isinstance(data, bool) and data != 1:
-        # 1 is the one integer word; no other is converted to text, which may fail
+    """The element data gives in its JSON form (_is_element): text through parse_word, an integer
+    residue, an exponent vector (a list of ints, or one int for Z), or the integer 1, the identity."""
+    kind = group.kind
+    if not _is_element(data) or kind != FREE_ABELIAN and _is_list(data):
+        raise GroupError(f"{_echo(data)} is not an element of {group!r}; give {_FORMS[kind]}")
+    if isinstance(data, str):
+        return parse_word(data, group)
+    if kind == CYCLIC:
+        return DeckElement(group, data % group.n)
+    if kind == FREE_ABELIAN and (group.n == 1 or not _is_int(data)):
+        return DeckElement(group, (data,) if _is_int(data) else tuple(data))
+    if data != 1:  # 1 is the one integer word; no other is converted to text, which may fail
         raise GroupError(f"an integer element of {group!r} must be 1, the identity; give a word string")
-    return parse_word(str(data), group)
+    return group.identity()

@@ -42,13 +42,13 @@ decides both in closed form and refuses every other configuration.
 
 A class is validated where it enters.  Geometry._value is the one check
 on each (label, DeckElement) pair or deck element entering a class
-operation: EquivClass(...) and so basis_class, translate, a barbell's
-holonomy and offset, and summand_membership's allowed pairs.  It refuses
-an undeclared label and a value not in the geometry's deck group with
-GeometryError.  Classes share a geometry when it is one object or has
-the same deck group (groups compare by identity) and an equal name,
-coefficients, labels and pairing table; ==, add, sub and pair_classes
-read that one test.  Operations on checked classes and table rows apply
+operation: EquivClass(...), basis_class, translate, a barbell's holonomy
+and offset, and summand_membership's allowed pairs.  It refuses an
+undeclared or unhashable label and a value not in the geometry's deck
+group with GeometryError.  Classes share a geometry when it is one object
+or has the same deck group and an equal name, coefficients, labels and
+pairing table; ==, add, sub and pair_classes read that one test, and
+refuse a non-class.  Operations on checked classes and table rows apply
 the group's law to values and build their results with the trusted
 constructors _equiv_class and _ring_element, which only reduce
 coefficients mod 2 over F2 and drop zeros.  barbell_action adds k C(x)
@@ -59,16 +59,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import CYCLIC, DeckElement, DeckGroup, _json, _text
+from .deckgroup import CYCLIC, DeckElement, DeckGroup, _echo, _is_int, _is_list, _json, _text
 from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
 
 SPHERE = "sphere"
 DISK = "disk"
 MERIDIAN = "meridian"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class GeometryError(ValueError):
@@ -107,29 +103,30 @@ class Geometry:
         self.attaching, self.disks, self.aliases = attaching or [], disks or [], aliases or {}
         for label, kind in labels.items():
             if kind not in (SPHERE, DISK, MERIDIAN):
-                raise GeometryError(f"label {label} has unknown generator kind {kind!r}")
+                raise GeometryError(f"label {_echo(label)} has unknown generator kind {_echo(kind)}")
         for (a, b), elem in pairings.items():
             if a not in labels or b not in labels:
-                raise GeometryError(f"pairing entry ({a}, {b}) references an undeclared label")
+                raise GeometryError(f"pairing entry {_echo((a, b))} references an undeclared label")
             if not isinstance(elem, RingElement) or elem.group is not group or elem.coeffs != coeffs:
                 got = f"one of {elem.coeffs}[{elem.group!r}]" if isinstance(elem, RingElement) else type(elem).__name__
-                raise GeometryError(f"pairing row ({a}, {b}) must be an element of {coeffs}[{group!r}], got {got}")
+                raise GeometryError(f"pairing row {_echo((a, b))} must be an element of {coeffs}[{group!r}], got {got}")
             if labels[a] == DISK and labels[b] == DISK:
                 raise GeometryError("disk-disk pairings are not part of the data")
             if self._meridian(a, b) and any(g != group.identity().value for g in elem.terms):
-                raise GeometryError(f"meridian row ({a}, {b}) must be stored as its augmentation, got {render(elem)}")
+                raise GeometryError(f"meridian row {_echo((a, b))} must be stored as its augmentation, "
+                                    f"got {render(elem)}")
         for role, names, kind in (("attaching", self.attaching, SPHERE), ("belt disk", self.disks, DISK)):
             seen = set()
             for label in names:
                 if label not in labels:
-                    raise GeometryError(f"role label {label} is not declared")
+                    raise GeometryError(f"role label {_echo(label)} is not declared")
                 if labels[label] != kind:
-                    raise GeometryError(f"{role} label {label} is a {labels[label]}, not a {kind}")
+                    raise GeometryError(f"{role} label {_echo(label)} is a {labels[label]}, not a {kind}")
                 if label in seen:
-                    raise GeometryError(f"{role} label {label} is listed twice")
+                    raise GeometryError(f"{role} label {_echo(label)} is listed twice")
                 seen.add(label)
         if self.meridians() and group.kind != CYCLIC:
-            raise GeometryError(f"geometry {name}: meridians need a cyclic deck group, not {group!r}")
+            raise GeometryError(f"geometry {_echo(name)}: meridians need a cyclic deck group, not {group!r}")
         self._rows = {(b, a): elem.reverse() for (a, b), elem in pairings.items()}
         self._rows.update(pairings)
 
@@ -138,17 +135,18 @@ class Geometry:
 
     def label(self, name: str) -> str:
         """The kind of a declared label."""
-        if name not in self.labels:
-            raise GeometryError(f"unknown label {name!r} in geometry {self.name}")
-        return self.labels[name]
+        try:
+            return self.labels[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable value, never a label
+            raise GeometryError(f"unknown label {_echo(name)} in geometry {_echo(self.name)}") from None
 
     def identity(self) -> DeckElement:
         return self.group.identity()
 
     def _value(self, deck: DeckElement, label: str | None = None):
         """deck's value, refusing one not in the geometry's deck group and, given a label, an undeclared one."""
-        if label is not None and label not in self.labels:
-            self.label(label)  # raises, naming the label
+        if label is not None:
+            self.label(label)
         if deck not in self.group:
             raise GeometryError("deck element from the wrong group")
         return deck.value
@@ -159,7 +157,7 @@ class Geometry:
     def _stored(self, a: str, b: str) -> RingElement | None:
         row = self._rows.get((a, b))
         if row is None and self.labels[a] == DISK and self.labels[b] == DISK:
-            raise GeometryError(f"pairing of two disks ({a}, {b}) is undefined")
+            raise GeometryError(f"pairing of two disks {_echo((a, b))} is undefined")
         return row
 
     def pairing(self, a: str, b: str) -> RingElement:
@@ -167,7 +165,7 @@ class Geometry:
         nonzero one is an error."""
         row = self._stored(a, b)
         if row is not None and row.terms and self._meridian(a, b):
-            raise GeometryError(f"pairing ({a}, {b}) is a meridian row, a multiple of sum_g g, never expanded")
+            raise GeometryError(f"pairing {_echo((a, b))} is a meridian row, a multiple of sum_g g, never expanded")
         return row if row is not None else RingElement.zero(self.group, self.coeffs)
 
     def coefficient(self, a: str, b: str, g) -> int:
@@ -176,8 +174,8 @@ class Geometry:
         return 0 if row is None else row.terms.get(self.identity().value if self._meridian(a, b) else g, 0)
 
     def basis_class(self, label: str, deck: DeckElement | None = None, coeff: int = 1) -> "EquivClass":
-        deck = deck if deck is not None else self.identity()
-        return EquivClass(self, {(label, deck): coeff})
+        value = self._value(self.identity() if deck is None else deck, label)  # checked before it keys a dict
+        return _equiv_class(self, {(label, value): coeff})
 
 
 class EquivClass:
@@ -201,6 +199,8 @@ class EquivClass:
                           and a.labels == b.labels and a._rows == b._rows)
 
     def _check(self, other: "EquivClass"):
+        if other.__class__ is not EquivClass:
+            raise GeometryError(f"{_echo(other)} is not a class")
         if not self._same_geometry(other):
             raise GeometryError("classes live in different geometries")
 
@@ -212,6 +212,7 @@ class EquivClass:
         return _equiv_class(self.geometry, terms)
 
     def sub(self, other: "EquivClass") -> "EquivClass":
+        self._check(other)
         return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "EquivClass":
@@ -314,14 +315,13 @@ class BarbellSpec:
 
     def __init__(self, cuff1: str, cuff2: str, holonomy: DeckElement, signs: tuple[int, int] = (1, 1),
                  iterate: int = 1, offset: DeckElement | None = None):
-        if not (isinstance(signs, (tuple, list)) and len(signs) == 2 and signs[0] in (1, -1) and signs[1] in (1, -1)
-                and _is_int(signs[0]) and _is_int(signs[1])):
-            raise GeometryError(f"cuff signs must be two integers, each +1 or -1, got {signs!r}")
+        if not (_is_list(signs, lambda sign: _is_int(sign) and sign in (1, -1)) and len(signs) == 2):
+            raise GeometryError(f"cuff signs must be two integers, each +1 or -1, got {_echo(signs)}")
         if not _is_int(iterate) or iterate == 0:
             raise GeometryError("iterate must be a nonzero integer")
         if not isinstance(holonomy, DeckElement) or not isinstance(offset, (DeckElement, type(None))):
             raise GeometryError(f"holonomy must be a deck group element and offset one or None, "
-                                f"got {holonomy!r} and {offset!r}")
+                                f"got {_echo(holonomy)} and {_echo(offset)}")
         self.cuff1, self.cuff2, self.holonomy = cuff1, cuff2, holonomy
         self.signs, self.iterate, self.offset = signs, iterate, offset
 
@@ -332,7 +332,7 @@ def _check_spec(geo: Geometry, spec: BarbellSpec):
     vanish.  The last makes the correction square to zero."""
     for cuff in (spec.cuff1, spec.cuff2):
         if geo.label(cuff) != SPHERE:
-            raise GeometryError(f"cuff {cuff} must be a sphere label")
+            raise GeometryError(f"cuff {_echo(cuff)} must be a sphere label")
     geo._value(spec.holonomy)
     if spec.offset is not None:
         geo._value(spec.offset)
@@ -341,8 +341,8 @@ def _check_spec(geo: Geometry, spec: BarbellSpec):
         elem = geo.pairings.get(key)
         if elem is not None and elem.terms:
             raise GeometryError(
-                f"barbell cuffs {c1} and {c2} are not disjoint: "
-                f"P[{key[0]},{key[1]}] = {render(elem)} is nonzero"
+                f"barbell cuffs {_echo(c1)} and {_echo(c2)} are not disjoint: "
+                f"P[{_echo(key[0])}, {_echo(key[1])}] = {render(elem)} is nonzero"
             )
 
 

@@ -16,13 +16,15 @@ No factorization, Groebner bases, or general ideal membership.
 
 Terms map canonical deck values to nonzero coefficients.  An element is
 validated where it enters: RingElement(...), and through it zero and
-one, takes DeckElement keys and refuses an unknown coefficient ring and
-a term not in the group (groups compare by identity), as translate and
-substitute refuse theirs.  add, neg, mul, translate, reverse, the ring
-maps pushforward and substitute, and the equivariant pairing apply a
-group law to values, so their results go through the trusted constructor
-_ring_element, which only reduces the coefficients mod 2 over F2 and
-drops zeros.
+one, takes DeckElement keys and refuses an unknown coefficient ring, a
+group that is not a DeckGroup and a term not in the group (groups compare
+by identity), as translate, substitute, add and mul refuse theirs.
+from_term_list reads a term list, its JSON form (_is_term_list), and
+refuses any other value: it converts no element and no coefficient.
+add, neg, mul, translate, reverse, the ring maps pushforward and
+substitute, and the equivariant pairing apply a group law to values, so
+their results go through the trusted constructor _ring_element, which
+only reduces the coefficients mod 2 over F2 and drops zeros.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import functools
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _json, element_from_json, free_abelian
+from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _echo, _is_element, _is_int, _is_list,
+                        _json, element_from_json, free_abelian)
 
 F2 = "F2"
 INT = "Z"
@@ -53,7 +56,9 @@ class RingElement:
 
     def __init__(self, group: DeckGroup, coeffs: str, terms: Mapping[DeckElement, int]):
         if coeffs not in (F2, INT):
-            raise RingError(f"unknown coefficient ring {coeffs!r}")
+            raise RingError(f"unknown coefficient ring {_echo(coeffs)}")
+        if group.__class__ is not DeckGroup:
+            raise RingError(f"{_echo(group)} is not a deck group")
         for elt in terms:
             if elt not in group:
                 raise RingError(f"term from a different deck group: {elt.__class__.__name__} not in {group!r}")
@@ -82,10 +87,10 @@ class RingElement:
         return [DeckElement(self.group, value) for value in sorted(self.terms, key=self.group._order)]
 
     def _check(self, other: "RingElement"):
+        if other.__class__ is not RingElement:
+            raise RingError(f"{_echo(other)} is not a ring element")
         if self.group is not other.group or self.coeffs != other.coeffs:
-            raise RingError(
-                f"mismatched rings: {self.coeffs}[{self.group}] vs {other.coeffs}[{other.group}]"
-            )
+            raise RingError(f"mismatched rings: {self.coeffs}[{self.group}] vs {other.coeffs}[{other.group}]")
 
     def __eq__(self, other):
         return (
@@ -213,7 +218,7 @@ def substitute(elem: RingElement, target: DeckGroup, images: Sequence[DeckElemen
     if elem.group.kind != FREE or len(images) != elem.group.n:
         raise RingError(f"substitute takes an element over F_s and s images, got {elem.group!r} and {len(images)}")
     if not all(h in target for h in images):
-        raise RingError(f"substitute takes images in {target!r}")
+        raise RingError(f"substitute takes images in {_echo(target)}")
     product, inverse, identity = target._product, target._inverse, target.identity().value
     letters = {chr(2 * i + j): h.value if j else inverse(h.value) for i, h in enumerate(images, 1) for j in (0, 1)}
     terms: dict = {}
@@ -284,11 +289,19 @@ def render(elem: RingElement) -> str:
     return term_list_and_render(elem)[1]
 
 
-def from_term_list(data: Iterable, group: DeckGroup, coeffs: str) -> RingElement:
+def _is_term_list(value) -> bool:
+    """A ring element's JSON form: [element, coefficient] pairs, an element (_is_element) and an int each."""
+    return _is_list(value, lambda pair: _is_list(pair) and len(pair) == 2 and _is_element(pair[0]) and _is_int(pair[1]))
+
+
+def from_term_list(data: Sequence, group: DeckGroup, coeffs: str) -> RingElement:
+    """The element a term list gives, each element read by element_from_json, colliding terms added."""
     elem = RingElement.zero(group, coeffs)  # refuses an unknown coefficient ring
+    if not _is_term_list(data):
+        raise RingError(f"{_echo(data)} is not a term list of {coeffs}[{group!r}]: give [element, coefficient] pairs")
     terms = elem.terms
     for raw, c in data:
         value = element_from_json(raw, group).value
-        terms[value] = terms.get(value, 0) + int(c)
+        terms[value] = terms.get(value, 0) + c
     elem.terms = _reduced(coeffs, terms)
     return elem

@@ -7,13 +7,13 @@ rendered sum, as KEY_rendered).  An expected value equal to the computed
 value under its key reuses the computed form.  An integer too long to
 print is refused there by its field (params.barbells[0].iterate).
 render_table, render_machine and render_line (a sweep job's line) lay
-the forms out; _echo quotes a refused input.
+the forms out.  Refused inputs are quoted where they are read, by
+barbellcalc.deckgroup's _echo, not here.
 """
 
 from __future__ import annotations
 
 import json
-import reprlib
 import sys
 
 from .equivariant import EquivClass, class_term_list, render_class
@@ -22,30 +22,6 @@ from .groupring import RingElement, term_list_and_render
 
 class HypothesisError(ValueError):
     """Scenario parameters violate the hypotheses the argument needs."""
-
-
-# Most digits an integer parameter or a genus1-hd position may have: a
-# report prints it, and the interpreter converts at most 4,300 to text.
-_MAX_DIGITS = 4000
-_TOO_MANY_DIGITS = 10**_MAX_DIGITS
-
-
-def _too_long(value: int | str) -> bool:
-    """More than _MAX_DIGITS digits?  An integer is not converted to text."""
-    if isinstance(value, str):
-        return len(value.removeprefix("-")) > _MAX_DIGITS
-    return abs(value) >= _TOO_MANY_DIGITS
-
-
-class _Echo(reprlib.Repr):
-    """repr for quoting a refused value: bounded in length and depth, and
-    an integer of more than _MAX_DIGITS digits is never converted to text."""
-
-    def repr_int(self, value, level):
-        return f"<integer of more than {_MAX_DIGITS} digits>" if _too_long(value) else super().repr_int(value, level)
-
-
-_echo = _Echo().repr
 
 
 def _printed(convert, value, where: str):

@@ -36,50 +36,15 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
 
-from .deckgroup import (
-    CYCLIC,
-    FREE,
-    FREE_ABELIAN,
-    DeckElement,
-    DeckGroup,
-    GroupError,
-    brunnian_word,
-    element_from_json,
-    exponent_sum,
-    free_abelian,
-)
-from .equivariant import (
-    DISK,
-    MERIDIAN,
-    SPHERE,
-    BarbellSpec,
-    EquivClass,
-    Geometry,
-    GeometryError,
-    _is_int,
-    action_sequence,
-    pair_classes,
-    summand_membership,
-)
-from .groupring import (
-    F2,
-    INT,
-    RingElement,
-    _ring_element,
-    from_term_list,
-    is_monomial_unit,
-    laurent_span,
-    normalize_monomial,
-    pushforward,
-    substitute,
-)
-from .presentations import (
-    antidiagonal_cokernel,
-    brunnian_disk_obstruction,
-    f2_quotient_dim,
-    present_from_scenario,
-)
-from .report import _MAX_DIGITS, HypothesisError, Report, _echo, _too_long
+from .deckgroup import (_MAX_DIGITS, CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, _echo,
+                        _is_element, _is_int, _is_list, _too_long, brunnian_word, element_from_json, exponent_sum,
+                        free_abelian)
+from .equivariant import (DISK, MERIDIAN, SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, action_sequence,
+                          pair_classes, summand_membership)
+from .groupring import (F2, INT, RingElement, _is_term_list, _ring_element, from_term_list, is_monomial_unit,
+                        laurent_span, normalize_monomial, pushforward, substitute)
+from .presentations import antidiagonal_cokernel, brunnian_disk_obstruction, f2_quotient_dim, present_from_scenario
+from .report import HypothesisError, Report
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +188,7 @@ def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool =
     extra = sorted(key for key in params if key not in takes)
     missing = [key for key in required if key not in params]
     if extra or missing:
-        problem = f"unexpected {', '.join(extra)}" if extra else f"missing {', '.join(missing)}"
+        problem = f"unexpected {_echo(', '.join(extra))}" if extra else f"missing {', '.join(missing)}"
         note = f" (required: {', '.join(required)})" if 0 < len(required) < len(takes) else ""
         raise HypothesisError(f"{what} takes {', '.join(takes) or 'no parameters'}{note}; {problem}")
     for key, value in params.items():
@@ -277,7 +242,7 @@ def _read_geometry(spec: Mapping) -> Geometry:
         (a, b): _in_field(f"geometry.pairings[{i}]", from_term_list, terms, group, coeffs)
         for i, (a, b, terms) in enumerate(spec.get("pairings", ()))
     }
-    return Geometry(str(spec.get("name", "custom")), group, coeffs, dict(spec["labels"]), pairings,
+    return Geometry(spec.get("name", "custom"), group, coeffs, dict(spec["labels"]), pairings,
                     list(spec.get("attaching") or []), list(spec.get("disks") or []), spec.get("aliases"))
 
 
@@ -581,7 +546,7 @@ def _odd_entries(name: str, data: Mapping) -> dict[int, int]:
                                   f"to JSON integers, got entry {_echo(key)}: {_echo(c)}")
     if any(map(_too_long, data)):
         raise HypothesisError(f"theorem genus1-hd parameter {name} has a position too long to read")
-    return {int(key): 1 for key, c in data.items() if c % 2}
+    return {int(key) if isinstance(key, str) else key: 1 for key, c in data.items() if c % 2}
 
 
 def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None = None,
@@ -597,7 +562,7 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     _require(l >= m_b + m_h + m_v + 100, f"need l >= {m_b + m_h + m_v + 100}, got l={l}")
 
     torus = _torus_complement()
-    rows = [["phi", label, data.items()] for label, data in (("S_h", h), ("S_v", v), ("D_h", b))]
+    rows = [["phi", label, [*data.items()]] for label, data in (("S_h", h), ("S_v", v), ("D_h", b))]
     geo = _read_geometry({**torus, "name": "torus_complement", "labels": {**torus["labels"], "phi": SPHERE},
                           "pairings": torus["pairings"] + rows, "attaching": ["phi"], "disks": ["D_h"]})
     # vertical barbell acts first here; the horizontal one is applied last
@@ -781,7 +746,7 @@ def run_theorem(name: str, **params) -> Report:
     call's parameters and the runner's defaults, None dropped, as its
     params; a parameter the runner reports itself (normalized) wins."""
     if name not in THEOREMS:
-        raise HypothesisError(f"unknown theorem {name!r}; available: {', '.join(sorted(THEOREMS))}")
+        raise HypothesisError(f"unknown theorem {_echo(name)}; `barbellcalc list` names them")
     runner = THEOREMS[name]
     _check_parameters(f"theorem {name}", runner, params)
     return _named(name, params, runner(**params))
@@ -906,7 +871,7 @@ def run_sweep(name: str, top: int | None = None, **params) -> Iterator[Report]:
     jobs within its theorem's hypotheses (k, l >= 1 for the torus sweeps,
     since top >= 1), and the brunnian sweep checks its letter cap before
     the first report is yielded: a refused sweep builds no report."""
-    _require(name in SWEEPS, f"unknown sweep {name!r}; choose from {', '.join(SWEEPS)}")
+    _require(name in SWEEPS, f"unknown sweep {_echo(name)}; choose from {', '.join(SWEEPS)}")
     sweep = SWEEPS[name]
     _check_parameters(f"sweep {name}", sweep.grid, params, keyed=True)
     top = sweep.default_max if top is None else top
@@ -923,18 +888,6 @@ def run_sweep(name: str, top: int | None = None, **params) -> Iterator[Report]:
 # ---------------------------------------------------------------------------
 # Scenario files: {geometry, barbells, attaching, disks, field, params,
 # expected?} as JSON-compatible structured text.
-
-
-def _is_list(value, item=lambda _: True) -> bool:
-    return isinstance(value, (list, tuple)) and all(map(item, value))
-
-
-def _is_element(value) -> bool:
-    return _is_int(value) or isinstance(value, str) or _is_list(value, _is_int)
-
-
-def _is_term_list(value) -> bool:
-    return _is_list(value, lambda pair: _is_list(pair) and len(pair) == 2 and _is_element(pair[0]) and _is_int(pair[1]))
 
 
 def _is_pairing_row(row) -> bool:
@@ -1031,7 +984,7 @@ def run_scenario(data: Mapping) -> Report:
 
     if "field" in data and _field(data["field"]) != geo.coeffs:
         raise HypothesisError(
-            f"geometry {geo.name} is defined over {geo.coeffs}, not {_field(data['field'])}"
+            f"geometry {_echo(geo.name)} is defined over {geo.coeffs}, not {_field(data['field'])}"
         )
 
     barbells = []

@@ -38,6 +38,10 @@ value its own way, and the tests compare the two.
   elements, the oracle of the expanded scenarios.morsesimple_f.
 * build_parser, the argparse parser the CLI parsed with before its
   command table, the oracle of cli._parse.
+* read_element and read_term_list, the JSON forms of an element and of
+  a ring element read by their written rules (caret notation through
+  reduce_pairs): the oracles of element_from_json, parse_word and
+  from_term_list, refusals included.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from barbellcalc.deckgroup import (
     CYCLIC,
     FREE,
     FREE_ABELIAN,
+    MAX_POWER_LETTERS,
     DeckElement,
     DeckGroup,
     GroupError,
@@ -486,3 +491,74 @@ def build_parser() -> argparse.ArgumentParser:
     listing = sub.add_parser("list", help="list theorems and geometries")
     out(listing)
     return parser
+
+
+# ---------------------------------------------------------------------------
+# The JSON forms of elements and term lists, read by their written rules.
+
+
+def read_letters(text: str) -> list[tuple[int, int]] | None:
+    """The (generator, exponent) pairs of caret notation, each token x<g>,
+    x<g>^<e> or x<g>^-<e> in decimal digits ("" and "1" alone are the
+    identity), or None when a token is none of these or a number has more
+    digits than the interpreter converts."""
+    tokens = text.split()
+    letters = []
+    for token in [] if tokens == ["1"] else tokens:
+        name, caret, power = token.partition("^")
+        if name[:1] != "x" or not name[1:].isdecimal() or caret and not power.removeprefix("-").isdecimal():
+            return None
+        try:
+            letters.append((int(name[1:]), int(power) if caret else 1))
+        except ValueError:
+            return None
+    return letters
+
+
+def read_element(data, group: DeckGroup):
+    """The value an element's JSON form gives in group, a word as its
+    reduced (generator, exponent) pairs, or None when it is refused.  Text
+    is a residue's integer or caret notation on the group's generators (a
+    word of at most MAX_POWER_LETTERS letters); an int, exactly, is a
+    residue, the exponent of Z, or else only 1, the identity; a list of
+    exactly ints is an exponent vector of the group's rank."""
+    kind, n = group.kind, group.n
+    if isinstance(data, str):
+        if kind == CYCLIC:
+            try:
+                return int(data) % n
+            except ValueError:
+                return None
+        letters = read_letters(data)
+        if letters is None or not all(1 <= g <= n for g, _ in letters):
+            return None
+        if kind == FREE:
+            pairs = reduce_pairs(letters)
+            return pairs if sum(abs(e) for _, e in pairs) <= MAX_POWER_LETTERS else None
+        return tuple(sum(e for g, e in letters if g == i) for i in range(1, n + 1))
+    if type(data) is int:
+        if kind == CYCLIC:
+            return data % n
+        if kind == FREE_ABELIAN and n == 1:
+            return (data,)
+        return ((0,) * n if kind == FREE_ABELIAN else ()) if data == 1 else None
+    if kind == FREE_ABELIAN and isinstance(data, (list, tuple)) and all(type(a) is int for a in data):
+        return tuple(data) if len(data) == n else None
+    return None
+
+
+def read_term_list(data, group: DeckGroup, coeffs: str) -> dict | None:
+    """{value: coefficient} of a term list, a list of [element, int]
+    pairs (values as read_element gives them, colliding terms added, mod 2
+    over F2, zeros dropped), or None when it is refused."""
+    if not isinstance(data, (list, tuple)):
+        return None
+    terms: dict = {}
+    for pair in data:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or type(pair[1]) is not int:
+            return None
+        value = read_element(pair[0], group)
+        if value is None:
+            return None
+        terms[value] = terms.get(value, 0) + pair[1]
+    return {value: c % 2 if coeffs == F2 else c for value, c in terms.items() if (c % 2 if coeffs == F2 else c)}

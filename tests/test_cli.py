@@ -157,7 +157,7 @@ def test_linked_6crit_decides_one_winding_pair():
 
     report = run_theorem("linked-6crit", n=3, k=1, l=2)
     assert report.params == {"n": 3, "k": 1, "l": 2} and "distinguished" not in report.computed
-    with pytest.raises(HypothesisError, match="theorem linked-6crit takes n, k, l; unexpected kp, lp"):
+    with pytest.raises(HypothesisError, match="theorem linked-6crit takes n, k, l; unexpected 'kp, lp'"):
         run_theorem("linked-6crit", n=3, k=1, l=2, kp=1, lp=3)
 
 
@@ -213,7 +213,7 @@ def test_cover_runners_reject_negative_second_winding(name):
 def test_theorem_rejects_a_flag_it_does_not_take():
     result = run_cli("theorem", "morsesimple-s3", "--k", "1", "--l", "1", "--m", "5")
     assert result.returncode == 2 and result.stdout == ""
-    assert "theorem morsesimple-s3 takes k, l; unexpected m" in result.stderr
+    assert "theorem morsesimple-s3 takes k, l; unexpected 'm'" in result.stderr
     assert "_run" not in result.stderr and "Traceback" not in result.stderr
 
 
@@ -228,7 +228,7 @@ def test_sweep_rejects_n_outside_brunnian():
     # --n is a parameter of the brunnian grid alone
     result = run_cli("sweep", "morsesimple", "--max", "2", "--n", "9")
     assert result.returncode == 2 and result.stdout == ""
-    assert result.stderr == "error: sweep morsesimple takes no parameters; unexpected n\n"
+    assert result.stderr == "error: sweep morsesimple takes no parameters; unexpected 'n'\n"
 
 
 def test_branched_cover_order_costs_nothing():
@@ -247,8 +247,8 @@ def test_meridian_is_not_an_attaching_sphere(tmp_path):
     path.write_text(json.dumps(scenario))
     result = run_cli("scenario", str(path))
     assert result.returncode == 2 and result.stdout == ""
-    assert result.stderr == "error: attaching label mu is a meridian, not a sphere\n"
-    with pytest.raises(GeometryError, match="^attaching label mu is a meridian, not a sphere$"):
+    assert result.stderr == "error: attaching label 'mu' is a meridian, not a sphere\n"
+    with pytest.raises(GeometryError, match="^attaching label 'mu' is a meridian, not a sphere$"):
         run_scenario(scenario)
 
 
@@ -430,7 +430,7 @@ def cli_refusal(argv, capsys) -> str:
     "name,top,params,message",
     [
         ("brunnian", 100, {}, "sweep brunnian --max 100 has more than 10000 jobs"),
-        ("morsesimple", 2, {"n": 9}, "sweep morsesimple takes no parameters; unexpected n"),
+        ("morsesimple", 2, {"n": 9}, "sweep morsesimple takes no parameters; unexpected 'n'"),
         ("montesinos", 2, {}, "sweep montesinos --max 2 has no jobs"),
         ("nope", None, {}, "unknown sweep 'nope'; choose from morsesimple, higher-dim, brunnian, montesinos"),
         # a grid is drawn, not listed: any size costs at most 10,001 jobs
@@ -575,7 +575,7 @@ def _inline(fields):
         ('{"geometry": {"name": "cyclic_cover"}, "barbells": []}', "geometry cyclic_cover takes m; missing m"),
         ('{"geometry": "cyclic_cover", "barbells": []}', "geometry cyclic_cover takes m; missing m"),
         ('{"geometry": {"name": "torus_complement", "m": 3}, "barbells": []}',
-         "geometry torus_complement takes no parameters; unexpected m"),
+         "geometry torus_complement takes no parameters; unexpected 'm'"),
         # json.load used to end in a RecursionError traceback (exit 1)
         ("[" * 200_000 + "]" * 200_000, "is nested too deeply"),
         # null roles of an inline geometry are none: list(None) raised a TypeError
@@ -583,7 +583,7 @@ def _inline(fields):
                  '"attaching": null, "disks": null'), "scenario needs attaching spheres and belt disks"),
         # a line break quoted from the input used to split the error: line in two
         *[(_inline(f'"group": {{"kind": "free", "rank": 1}}, "labels": {{"S": "sphere"}}, "attaching": ["{label}"]'),
-           f"role label {label} is not declared") for label in ("x\\ny", "x\\ry", "x\\u2028y")],
+           f"role label '{label}' is not declared") for label in ("x\\ny", "x\\ry", "x\\u2028y")],
         # a misspelt field used to be ignored, and its check with it (PASS, exit 0)
         (SCENARIO_TEXT.replace('"expected"', '"expectd"'),
          "scenario field 'expectd' is unknown; the fields are geometry, barbells, attaching, disks, expected, field"),
@@ -604,14 +604,14 @@ def _inline(fields):
         ('{"geometry": {"name": "sphere_torus_link", "n": 3}, "expected": {"dim": null}}',
          "expected field 'dim' needs a 1x1 presentation over F2[t, t^-1], got a 1x1 matrix over F2[F_3]"),
         # a role of the wrong kind, or listed twice, was paired like any other (PASS, exit 0)
-        (SCENARIO_TEXT.replace('"disks": ["D_v"]', '"disks": ["S_h"]'), "belt disk label S_h is a sphere, not a disk"),
+        (SCENARIO_TEXT.replace('"disks": ["D_v"]', '"disks": ["S_h"]'), "belt disk label 'S_h' is a sphere, not a disk"),
         (SCENARIO_TEXT.replace('"attaching": ["S_v"]', '"attaching": ["D_h"]')
-         .replace('"disks": ["D_v"]', '"disks": ["S_h"]'), "attaching label D_h is a disk, not a sphere"),
+         .replace('"disks": ["D_v"]', '"disks": ["S_h"]'), "attaching label 'D_h' is a disk, not a sphere"),
         (SCENARIO_TEXT.replace('"attaching": ["S_v"]', '"attaching": ["S_v", "S_v"]')
-         .replace('"disks": ["D_v"]', '"disks": ["D_v", "D_v"]'), "attaching label S_v is listed twice"),
-        (SCENARIO_TEXT.replace('"disks": ["D_v"]', '"disks": ["D_v", "D_v"]'), "belt disk label D_v is listed twice"),
+         .replace('"disks": ["D_v"]', '"disks": ["D_v", "D_v"]'), "attaching label 'S_v' is listed twice"),
+        (SCENARIO_TEXT.replace('"disks": ["D_v"]', '"disks": ["D_v", "D_v"]'), "belt disk label 'D_v' is listed twice"),
         (_inline('"group": {"kind": "free", "rank": 1}, "labels": {"S": "sphere", "D": "disk"}, '
-                 '"attaching": ["D"], "disks": ["D"]'), "attaching label D is a disk, not a sphere"),
+                 '"attaching": ["D"], "disks": ["D"]'), "attaching label 'D' is a disk, not a sphere"),
         # an integer string past the interpreter's digit limit leaked its message, naming no field
         ('{"geometry": {"name": "sphere_torus_link", "n": 2}, '
          f'"barbells": [{{"cuff1": "S_h", "cuff2": "S_h", "holonomy": "x1^{"9" * 5000}"}}]}}',
@@ -902,8 +902,56 @@ def test_an_ambiguous_prefix_is_refused_and_an_exact_name_wins():
     table = {"sweep": ("name", {"m": int, "max": int, "mid": int}, "", None)}
     _, args = cli._parse(table, ["sweep", "x", "--m", "1", "--ma", "2"])
     assert vars(args) == {"name": "x", "m": 1, "max": 2, "mid": None}
-    with pytest.raises(ValueError, match="ambiguous option --mi=3: it could be --mid"):
+    with pytest.raises(ValueError, match="ambiguous option '--mi=3': it could be --mid"):
         cli._parse({"sweep": ("name", {"mid": int, "mind": int}, "", None)}, ["sweep", "x", "--mi=3"])
+
+
+# -- a long value from outside is quoted, bounded ----------------------------------------
+
+LONG = "a" * 10**5
+LONG_SCENARIOS = {
+    "cyclic holonomy": {"geometry": {"name": "cyclic_cover", "m": 7},
+                        "barbells": [{"cuff1": "S_prime", "cuff2": "S", "holonomy": LONG}]},
+    "word holonomy": {"geometry": {"name": "sphere_torus_link", "n": 2},
+                      "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": LONG}]},
+    "role label": {"geometry": "torus_complement", "attaching": [LONG]},
+    "cuff": {"geometry": "torus_complement", "barbells": [{"cuff1": LONG, "cuff2": "S_h"}]},
+    "geometry parameter": {"geometry": {"name": "torus_complement", LONG: 1}},
+    "pairing label": {"geometry": {"group": {"kind": "free_abelian", "rank": 1}, "labels": {"S": "sphere"},
+                                   "pairings": [[LONG, "S", [[[0], 1]]]]}},
+    "label listed twice": {"geometry": {"group": {"kind": "free_abelian", "rank": 1},
+                                        "labels": {LONG: "sphere", "D": "disk"}, "attaching": [LONG, LONG]}},
+    "geometry name": {"geometry": {"name": LONG, "group": {"kind": "free_abelian", "rank": 1},
+                                   "labels": {"S": "sphere", "D": "disk"}}, "field": "int"},
+    "vector for a residue": {"geometry": {"name": "cyclic_cover", "m": 7},
+                             "barbells": [{"cuff1": "S_prime", "cuff2": "S", "holonomy": list(range(10**4))}]},
+}
+LONG_COMMANDS = {
+    "theorem": ["theorem", LONG],
+    "sweep": ["sweep", LONG],
+    "command": [LONG],
+    "surplus argument": ["list", LONG],
+    "help value": ["list", "-h" + LONG],
+    "ambiguous option": ["theorem", "x", "--=" + LONG],
+    "file name": ["scenario", "/" + LONG],
+    "output file name": ["list", "--out", "/" + LONG],
+}
+
+
+@pytest.mark.parametrize("case", [*LONG_SCENARIOS, *LONG_COMMANDS])
+def test_a_long_outside_value_is_refused_in_one_short_line(case, tmp_path, capsys):
+    # each wrote one error: line of 59 to 100 KB, quoting the value whole
+    from barbellcalc import cli
+
+    argv = LONG_COMMANDS.get(case)
+    if argv is None:
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(LONG_SCENARIOS[case]))
+        argv = ["scenario", str(path)]
+    capsys.readouterr()
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and one_error_line(err) and len(err.encode()) < 300, err[:400]
 
 
 # -- scenario fuzzer -----------------------------------------------------------------
@@ -1196,7 +1244,7 @@ def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
         odd = [key for key, value in sized.items() if type(value) is not int]
         if odd:
             # no flag gives it: refused as unexpected, or by its type
-            assert "unexpected n" in str(exc) or any(f"parameter {key} must be" in str(exc) for key in odd), exc
+            assert "unexpected 'n'" in str(exc) or any(f"parameter {key} must be" in str(exc) for key in odd), exc
         else:
             assert cli_refusal(sweep_argv(name, top, params), capsys) == f"error: {exc}\n"
     assert time.perf_counter() - start < 5, (top, params)
@@ -1206,9 +1254,9 @@ def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
     "call,message",
     [
         ({"k": 1}, "theorem morsesimple-s3 takes k, l; missing l"),
-        ({"k": 1, "l": 1, "m": 5}, "theorem morsesimple-s3 takes k, l; unexpected m"),
-        ({"k": 1, "g": 2, "zz": 0}, "theorem circle-splittingspheres takes k, l (required: k); unexpected g, zz"),
-        ({"p": 3, "n": 2}, "theorem morsesimple3mfd takes p, q; unexpected n"),
+        ({"k": 1, "l": 1, "m": 5}, "theorem morsesimple-s3 takes k, l; unexpected 'm'"),
+        ({"k": 1, "g": 2, "zz": 0}, "theorem circle-splittingspheres takes k, l (required: k); unexpected 'g, zz'"),
+        ({"p": 3, "n": 2}, "theorem morsesimple3mfd takes p, q; unexpected 'n'"),
         # every parameter is listed, flag or not: h, v, b are mappings
         # only a library call gives, and the CLI prints the same text
         ({"k": 100}, "theorem genus1-hd takes k, l, h, v, b (required: k, l); missing l"),
@@ -1423,7 +1471,7 @@ def test_scenario_crossing_cuffs_exit_two(tmp_path):
     # P[S_h, S_v] = 1 + t: these cuffs meet, so the barbell is not one
     result = run_cli("scenario", write_scenario(tmp_path, [{"cuff1": "S_h", "cuff2": "S_v"}]))
     assert result.returncode == 2 and result.stdout == ""
-    assert "barbell cuffs S_h and S_v are not disjoint: P[S_h,S_v] = 1 + t is nonzero" in result.stderr
+    assert "barbell cuffs 'S_h' and 'S_v' are not disjoint: P['S_h', 'S_v'] = 1 + t is nonzero" in result.stderr
 
 
 def test_scenario_word_power_is_bounded(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import CYCLIC, FREE_ABELIAN, DeckElement, DeckGroup, free_abelian, free_group, reduce_letters
+from barbellcalc.deckgroup import (CYCLIC, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, element_from_json,
+                                   free_abelian, free_group, parse_word, reduce_letters)
 from barbellcalc.equivariant import (
     DISK,
     MERIDIAN,
@@ -21,7 +22,7 @@ from barbellcalc.equivariant import (
     pair_classes,
     summand_membership,
 )
-from barbellcalc.groupring import F2, INT, RingElement
+from barbellcalc.groupring import F2, INT, RingElement, RingError, from_term_list
 from barbellcalc.scenarios import GEOMETRY_BUILDERS, GluingMatrix, HypothesisError, builtin_geometry
 from oracles import apply_hom, cyclic_project, solve_mod2, stored_row
 from oracles import summand_membership as solved_membership
@@ -347,7 +348,7 @@ def test_closed_form_iterate_matches_the_stepwise_action(key, data):
 def test_crossing_cuffs_are_refused(cuff1, cuff2):
     geo = builtin_geometry("torus_complement")
     spec = BarbellSpec(cuff1, cuff2, geo.identity())
-    message = rf"barbell cuffs {cuff1} and {cuff2} are not disjoint: P\[S_h,S_v\] = 1 \+ t is nonzero"
+    message = rf"barbell cuffs '{cuff1}' and '{cuff2}' are not disjoint: P\['S_h', 'S_v'\] = 1 \+ t is nonzero"
     for x in (geo.basis_class("S_v"), EquivClass(geo, {})):
         with pytest.raises(GeometryError, match=message):
             barbell_action(x, spec)
@@ -356,7 +357,7 @@ def test_crossing_cuffs_are_refused(cuff1, cuff2):
 def test_a_self_intersecting_cuff_is_refused():
     base = builtin_geometry("genus2_complement")
     geo = with_generator(base, "T", SPHERE, {"T": tpoly(base, {1: 2})})
-    with pytest.raises(GeometryError, match=r"cuffs S_h_1 and T are not disjoint: P\[T,T\] = 2t is nonzero"):
+    with pytest.raises(GeometryError, match=r"cuffs 'S_h_1' and 'T' are not disjoint: P\['T', 'T'\] = 2t is nonzero"):
         barbell_action(geo.basis_class("S_v_1"), BarbellSpec("S_h_1", "T", geo.identity()))
     # stored zero entries are no intersection
     geo = with_generator(base, "Z", SPHERE, {"Z": tpoly(base, {}), "S_h_1": tpoly(base, {})})
@@ -366,7 +367,7 @@ def test_a_self_intersecting_cuff_is_refused():
 
 def test_cuff_kind_is_checked_before_disjointness():
     geo = builtin_geometry("torus_complement")
-    with pytest.raises(GeometryError, match="cuff D_h must be a sphere label"):
+    with pytest.raises(GeometryError, match="cuff 'D_h' must be a sphere label"):
         barbell_action(geo.basis_class("S_v"), BarbellSpec("D_h", "S_h", geo.identity()))
 
 
@@ -449,9 +450,9 @@ def test_meridian_row_is_never_expanded():
     mu = geo.basis_class("mu")
     assert pair_classes(mu, geo.basis_class("D", t_elt(geo, 3))) == 1
     assert equivariant_pairing(mu, "S").is_zero()  # an absent row is zero
-    with pytest.raises(GeometryError, match=r"\(mu, D\) is a meridian row"):
+    with pytest.raises(GeometryError, match=r"\('mu', 'D'\) is a meridian row"):
         equivariant_pairing(mu, "D")
-    with pytest.raises(GeometryError, match=r"\(D, mu\) is a meridian row"):
+    with pytest.raises(GeometryError, match=r"\('D', 'mu'\) is a meridian row"):
         equivariant_pairing(geo.basis_class("D"), "mu")
 
 
@@ -459,7 +460,7 @@ def test_meridian_row_is_stored_as_its_augmentation():
     group = DeckGroup(CYCLIC, 5)
     labels = {"mu": MERIDIAN, "D": DISK}
     row = RingElement(group, F2, {DeckElement(group, 0): 1, DeckElement(group, 1): 1})
-    with pytest.raises(GeometryError, match=r"meridian row \(mu, D\) must be stored as its augmentation"):
+    with pytest.raises(GeometryError, match=r"meridian row \('mu', 'D'\) must be stored as its augmentation"):
         Geometry("z", group, F2, labels, {("mu", "D"): row})
 
 
@@ -481,14 +482,14 @@ REFUSED_VALUES = [
     (BarbellSpec, ("S", "S", Z1.identity(), (1, 1), 0), GeometryError, "iterate must be a nonzero integer"),
     (GluingMatrix, (1, 0, 0, -1), HypothesisError, "determinant"),
     (GluingMatrix, (2, 1, 1, 2), HypothesisError, "determinant"),
-    (Geometry, ("z", Z1, F2, {"T": "torus"}, {}), GeometryError, "label T has unknown generator kind"),
+    (Geometry, ("z", Z1, F2, {"T": "torus"}, {}), GeometryError, "label 'T' has unknown generator kind"),
     (Geometry, ("z", Z1, F2, {"S": SPHERE}, {("S", "X"): _one(Z1)}), GeometryError, "undeclared label"),
     (Geometry, ("z", Z1, F2, {"D": DISK, "E": DISK}, {("D", "E"): _one(Z1)}), GeometryError, "disk-disk"),
     (Geometry, ("z", DeckGroup(CYCLIC, 3), F2, {"mu": MERIDIAN, "D": DISK},
                 {("mu", "D"): RingElement(DeckGroup(CYCLIC, 3), F2, {DeckElement(DeckGroup(CYCLIC, 3), 1): 1})}),
      GeometryError, "stored as its augmentation"),
-    (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, ["S", "T"]), GeometryError, "role label T is not declared"),
-    (Geometry, ("z", Z1, F2, {"D": DISK}, {}, [], ["E"]), GeometryError, "role label E is not declared"),
+    (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, ["S", "T"]), GeometryError, "role label 'T' is not declared"),
+    (Geometry, ("z", Z1, F2, {"D": DISK}, {}, [], ["E"]), GeometryError, "role label 'E' is not declared"),
     (Geometry, ("z", Z1, F2, {"mu": MERIDIAN}, {}), GeometryError, "meridians need a cyclic deck group"),
     # each of these raised an IndexError or an AttributeError later, or was accepted
     (BarbellSpec, ("S", "S", Z1.identity(), (1,)), GeometryError, "cuff signs must be"),
@@ -501,18 +502,18 @@ REFUSED_VALUES = [
     (BarbellSpec, ("S", "S", Z1.identity(), (1, 1), 1, 3), GeometryError, "offset one or None, got .* and 3$"),
     # a role of another kind, or a label listed twice, is refused where the geometry is built
     (Geometry, ("z", DeckGroup(CYCLIC, 3), F2, {"mu": MERIDIAN, "D": DISK}, {}, ["mu"], ["D"]), GeometryError,
-     "^attaching label mu is a meridian, not a sphere$"),
-    (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, [], ["S"]), GeometryError, "^belt disk label S is a sphere, not a disk$"),
+     "^attaching label 'mu' is a meridian, not a sphere$"),
+    (Geometry, ("z", Z1, F2, {"S": SPHERE}, {}, [], ["S"]), GeometryError, "^belt disk label 'S' is a sphere, not a disk$"),
     (Geometry, ("z", Z1, F2, {"S": SPHERE, "D_v": DISK}, {}, ["S"], ["D_v", "D_v"]), GeometryError,
-     "^belt disk label D_v is listed twice$"),
+     "^belt disk label 'D_v' is listed twice$"),
     # a pairing row over another group or ring, or no ring element at all
     (Geometry, ("z", DeckGroup(CYCLIC, 5), F2, {"S": SPHERE, "D": DISK},
                 {("D", "S"): RingElement(DeckGroup(CYCLIC, 7), F2, {DeckElement(DeckGroup(CYCLIC, 7), 6): 1})}),
-     GeometryError, r"^pairing row \(D, S\) must be an element of F2\[Z/5\], got one of F2\[Z/7\]$"),
+     GeometryError, r"^pairing row \('D', 'S'\) must be an element of F2\[Z/5\], got one of F2\[Z/7\]$"),
     (Geometry, ("z", Z1, INT, {"S": SPHERE, "D": DISK}, {("D", "S"): _one(Z1)}), GeometryError,
-     r"^pairing row \(D, S\) must be an element of Z\[Z\^1\], got one of F2\[Z\^1\]$"),
+     r"^pairing row \('D', 'S'\) must be an element of Z\[Z\^1\], got one of F2\[Z\^1\]$"),
     (Geometry, ("z", Z1, F2, {"S": SPHERE, "D": DISK}, {("D", "S"): 1}), GeometryError,
-     r"^pairing row \(D, S\) must be an element of F2\[Z\^1\], got int$"),
+     r"^pairing row \('D', 'S'\) must be an element of F2\[Z\^1\], got int$"),
 ]
 
 
@@ -593,7 +594,7 @@ def test_the_extended_rows_are_read_in_both_directions():
 
 def test_a_class_term_on_an_undeclared_label_or_a_foreign_group_is_refused():
     geo = builtin_geometry("torus_complement")
-    with pytest.raises(GeometryError, match="unknown label 'S_w' in geometry torus_complement"):
+    with pytest.raises(GeometryError, match="unknown label 'S_w' in geometry 'torus_complement'"):
         EquivClass(geo, {("S_v", geo.identity()): 1, ("S_w", geo.identity()): 1})
     for foreign in (DeckElement(DeckGroup(CYCLIC, 3), 1), (2,), 2):
         with pytest.raises(GeometryError, match="deck element from the wrong group"):
@@ -690,7 +691,7 @@ def test_membership_of_the_disk_itself():
 def test_membership_refuses_an_allowed_pair_foreign_to_the_geometry():
     geo = builtin_geometry("cyclic_cover", m=205)
     d = geo.basis_class("D")
-    with pytest.raises(GeometryError, match="unknown label 'S_w' in geometry cyclic_cover"):
+    with pytest.raises(GeometryError, match="unknown label 'S_w' in geometry 'cyclic_cover'"):
         summand_membership(d, {("D", geo.identity()), ("S_w", geo.identity())})
     with pytest.raises(GeometryError, match="deck element from the wrong group"):
         summand_membership(d, {("D", geo.identity()), ("S", DeckElement(DeckGroup(CYCLIC, 11), 1))})
@@ -739,7 +740,7 @@ def test_membership_over_z_takes_no_kernel_generators_or_probes(extra):
 
 
 def test_an_unknown_generator_kind_is_refused_by_name():
-    with pytest.raises(GeometryError, match="label T has unknown generator kind 'torus'"):
+    with pytest.raises(GeometryError, match="label 'T' has unknown generator kind 'torus'"):
         Geometry("z", Z1, F2, {"S": SPHERE, "T": "torus"}, {})
 
 
@@ -1099,3 +1100,44 @@ def test_a_foreign_offset_or_holonomy_is_refused_before_any_pairing(monkeypatch)
     assert labels == []
     with pytest.raises(GeometryError, match="deck element from the wrong group"):
         geo.basis_class("S_v").translate(foreign)
+
+
+# -- outside values of another type or form ------------------------------------------
+#
+# Each of these was read by coercion (the first group) or failed with a
+# TypeError, AttributeError or unpacking ValueError traceback; each is now
+# refused by the check its reader or constructor already has.
+
+TORUS = builtin_geometry("torus_complement")
+Z5 = DeckGroup(CYCLIC, 5)
+REFUSED_OUTSIDE_VALUES = {
+    "vector [1.5] read as x1": (lambda: element_from_json([1.5], Z1), GroupError, r"^\[1\.5\] is not an element of Z\^1"),
+    "vector ['2'] read as x1^2": (lambda: element_from_json(["2"], Z1), GroupError, r"^\['2'\] is not an element"),
+    "residue 2.7 read as 2": (lambda: element_from_json(2.7, Z5), GroupError, "^2.7 is not an element of Z/5"),
+    "residue True read as 1": (lambda: element_from_json(True, Z5), GroupError, "^True is not an element of Z/5"),
+    "coefficient 2.7 read as 2": (lambda: from_term_list([[0, 2.7]], Z1, INT), RingError, "is not a term list"),
+    "coefficient '3' read as 3": (lambda: from_term_list([[0, "3"]], Z1, INT), RingError, "is not a term list"),
+    "coefficient True read as 1": (lambda: from_term_list([[0, True]], Z1, INT), RingError, "is not a term list"),
+    "coefficient None": (lambda: from_term_list([[0, None]], Z1, INT), RingError, "is not a term list"),
+    "nested vector": (lambda: element_from_json([1, [2]], free_abelian(2)), GroupError, "is not an element of Z\\^2"),
+    "term list 5": (lambda: from_term_list(5, Z1, INT), RingError, "^5 is not a term list of Z\\[Z\\^1\\]"),
+    "word 5": (lambda: parse_word(5, free_group(2)), GroupError, "^5 is not text"),
+    "one-item term": (lambda: from_term_list([[0]], Z1, INT), RingError, r"^\[\[0\]\] is not a term list"),
+    "ring element plus a tuple": (lambda: RingElement.one(Z1, F2).add((1,)), RingError,
+                                  r"^\(1,\) is not a ring element$"),
+    "class plus 5": (lambda: TORUS.basis_class("S_v").add(5), GeometryError, "^5 is not a class$"),
+    "class minus 5": (lambda: TORUS.basis_class("S_v").sub(5), GeometryError, "^5 is not a class$"),
+    "class paired with 5": (lambda: pair_classes(TORUS.basis_class("S_v"), 5), GeometryError, "^5 is not a class$"),
+    "element of the group 'Z'": (lambda: DeckElement("Z", (1,)), GroupError, "^'Z' is not a deck group$"),
+    "ring over the group 'Z'": (lambda: RingElement("Z", F2, {}), RingError, "^'Z' is not a deck group$"),
+    "unhashable label": (lambda: TORUS.basis_class(["S_v"]), GeometryError,
+                         r"^unknown label \['S_v'\] in geometry 'torus_complement'$"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_OUTSIDE_VALUES)
+def test_an_outside_value_of_another_type_or_form_is_refused(case):
+    call, error, message = REFUSED_OUTSIDE_VALUES[case]
+    with pytest.raises(error, match=message) as refused:
+        call()
+    assert len(str(refused.value).encode()) < 300

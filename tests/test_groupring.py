@@ -2,7 +2,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import (
@@ -10,9 +10,12 @@ from barbellcalc.deckgroup import (
     FREE,
     DeckElement,
     DeckGroup,
+    GroupError,
     brunnian_word,
+    element_from_json,
     free_abelian,
     free_group,
+    parse_word,
     reduce_letters,
     syllables,
 )
@@ -37,6 +40,8 @@ from oracles import (
     cyclic_project,
     pairs_inverse,
     pairs_product,
+    read_element,
+    read_term_list,
     reduce_pairs,
     slow_pow,
 )
@@ -478,3 +483,71 @@ def test_term_list_round_trip():
         for coeffs in (F2, INT):
             elem = random_element(rng, group, coeffs, size=6)
             assert from_term_list(term_list_and_render(elem)[0], group, coeffs) == elem
+
+
+# -- reading outside values: one JSON form each, nothing coerced ----------------------
+#
+# Valid forms and junk (None, floats, bools, bytes, dicts, nested lists,
+# 10**5-character strings) against the readers' written rules
+# (oracles.read_element, read_term_list): a form gives the oracle's value,
+# anything else is refused with the package's ValueError in under 300 bytes.
+
+READ_GROUPS = [free_group(3), Z1, Z2, DeckGroup(CYCLIC, 5)]
+CARET = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=6).map(
+    lambda letters: " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in letters))
+LONG_TEXT = (st.sampled_from(["x1 ", "x2^-1 ", "9", "a", " ", "x", "x9 ", "[", "\n"]) | st.text(min_size=1, max_size=3)).map(
+    lambda unit: (unit * 10**5)[:10**5])
+TEXTS = (CARET | st.integers(-10**6, 10**6).map(str) | LONG_TEXT | st.text(max_size=8)
+         | st.sampled_from(["", "1", " 1 ", "1 x1", "x1^+2", "x1^", "x1^2^3", "x0", "x4 x1", "y1", "x\u0661^\u0663", "1_0"]))
+INTEGERS = st.integers() | st.sampled_from([0, 1, -1, 10**5000])
+VECTORS = st.lists(st.integers(-4, 4), max_size=3) | st.tuples(INTEGERS, INTEGERS)
+JUNK_LEAVES = st.none() | st.floats() | st.booleans() | st.binary(max_size=4) | LONG_TEXT
+JUNK = st.recursive(
+    JUNK_LEAVES | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    lambda inner: st.lists(inner | INTEGERS, min_size=1, max_size=3),
+    max_leaves=6,
+)
+ELEMENT_DATA = TEXTS | INTEGERS | VECTORS | JUNK
+TERM_ELEMENTS = CARET | st.integers(-3, 3) | st.lists(st.integers(-3, 3), min_size=1, max_size=2) | ELEMENT_DATA
+COEFFICIENTS = st.integers(-3, 3) | (st.just(10**5000) | st.floats() | st.booleans() | st.sampled_from(["3", None]))
+TERM_LISTS = (
+    st.lists(st.tuples(st.integers(-3, 3) | CARET, st.integers(-3, 3)).map(list), max_size=3)
+    | st.lists(st.tuples(TERM_ELEMENTS, COEFFICIENTS).map(list), max_size=3)
+    | st.lists(st.lists(st.integers(-1, 1), max_size=3), min_size=1, max_size=2)
+    | JUNK
+)
+
+
+def read_form(group, value):
+    """An engine value in the oracle's form: a word as its (generator, exponent) pairs."""
+    return syllables(value) if group.kind == FREE else value
+
+
+def refused_briefly(exc):
+    return len(str(exc).encode()) < 300
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(READ_GROUPS), ELEMENT_DATA)
+def test_element_readers_read_the_json_form_and_refuse_anything_else(group, data):
+    expected = read_element(data, group)
+    for reader in (element_from_json, parse_word):
+        wanted = expected if reader is element_from_json or isinstance(data, str) else None
+        try:
+            got = reader(data, group)
+        except GroupError as exc:
+            assert wanted is None and refused_briefly(exc), (reader.__name__, str(exc)[:400])
+        else:
+            assert wanted is not None and read_form(group, got.value) == wanted, reader.__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(READ_GROUPS), st.sampled_from([F2, INT]), TERM_LISTS)
+def test_from_term_list_reads_the_json_form_and_refuses_anything_else(group, coeffs, data):
+    expected = read_term_list(data, group, coeffs)
+    try:
+        got = from_term_list(data, group, coeffs)
+    except (GroupError, RingError) as exc:
+        assert expected is None and refused_briefly(exc), str(exc)[:400]
+    else:
+        assert expected is not None and {read_form(group, v): c for v, c in got.terms.items()} == expected
