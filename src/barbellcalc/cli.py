@@ -99,7 +99,7 @@ def _cmd_scenario(args) -> int:
     def read_int(digits: str) -> int:
         # json.load's reading of each integer, refusing one the package could not report
         if _too_long(digits):
-            raise HypothesisError(f"scenario file {args.file} has an integer of more than {_MAX_DIGITS} digits")
+            raise HypothesisError(f"scenario file {_echo(args.file)} has an integer of more than {_MAX_DIGITS} digits")
         return int(digits)
 
     try:
@@ -110,7 +110,7 @@ def _cmd_scenario(args) -> int:
     except RecursionError:
         # json reads and writes recursively: a file nested deeper than
         # the interpreter's recursion limit fails here
-        raise HypothesisError(f"scenario file {args.file} is nested too deeply") from None
+        raise HypothesisError(f"scenario file {_echo(args.file)} is nested too deeply") from None
     _emit([text], args.out)
     return 0 if report.passed else 1
 

@@ -43,8 +43,10 @@ One re.search decides each sorted or rendered word; products never look.
 
 Every layer reads outside values by this module's rules: _is_int (exactly
 an int: no bool, no float), _is_element (the JSON form element_from_json
-reads; parse_word reads text only; neither converts anything but text)
-and _echo, the one quote of a refused value, bounded in length.
+reads; parse_word reads text only; neither converts anything but text;
+both refuse a group that is not a DeckGroup first, _check_group) and
+_echo, the one quote of a refused value, bounded in length by _cut,
+which bounds a rendered value in a refusal too.
 """
 
 from __future__ import annotations
@@ -90,14 +92,18 @@ def _too_long(value: int | str) -> bool:
     return len(value.removeprefix("-")) > _MAX_DIGITS if isinstance(value, str) else abs(value) >= _TOO_MANY_DIGITS
 
 
+def _cut(text: str) -> str:
+    """text cut to at most 80 characters, the bound of every quote in a refusal."""
+    return text if len(text) <= 80 else f"{text[:77]}..."
+
+
 class _Echo(reprlib.Repr):
     """repr for quoting a refused value: at most 80 characters (a string of
     up to 30 as repr prints it), and an integer of more than _MAX_DIGITS
     digits is never converted to text."""
 
     def repr(self, value):
-        text = super().repr(value)
-        return text if len(text) <= 80 else f"{text[:77]}..."
+        return _cut(super().repr(value))
 
     def repr_int(self, value, level):
         return f"<integer of more than {_MAX_DIGITS} digits>" if _too_long(value) else super().repr_int(value, level)
@@ -322,11 +328,16 @@ def _is_word(value, n: int) -> bool:
         map(operator.eq, value[1:], value[:-1].translate(_SWAP)))
 
 
+def _check_group(group: DeckGroup) -> None:
+    """Raise GroupError unless group is a DeckGroup, before anything reads its kind."""
+    if group.__class__ is not DeckGroup:
+        raise GroupError(f"{_echo(group)} is not a deck group")
+
+
 def _check_value(group: DeckGroup, value) -> None:
     """Raise GroupError unless value is canonical in group: a freely
     reduced word on x1..xn, a tuple of r ints, or an int residue in [0, m)."""
-    if group.__class__ is not DeckGroup:
-        raise GroupError(f"{_echo(group)} is not a deck group")
+    _check_group(group)
     kind = group.kind
     if kind == FREE:
         if not _is_word(value, group.n):
@@ -448,6 +459,7 @@ _FORMS = {FREE: "a word string", FREE_ABELIAN: "a word string or a list of integ
 def parse_word(text: str, group: DeckGroup) -> DeckElement:
     """Parse text: whitespace-separated caret-exponent notation, e.g.
     "x1^-1 x2" ("" and "1" are the identity), or a residue's integer."""
+    _check_group(group)
     if not isinstance(text, str):
         raise GroupError(f"{_echo(text)} is not text; give a word string")
     if group.kind == CYCLIC:
@@ -506,6 +518,7 @@ def element_to_json(elt: DeckElement):
 def element_from_json(data, group: DeckGroup) -> DeckElement:
     """The element data gives in its JSON form (_is_element): text through parse_word, an integer
     residue, an exponent vector (a list of ints, or one int for Z), or the integer 1, the identity."""
+    _check_group(group)
     kind = group.kind
     if not _is_element(data) or kind != FREE_ABELIAN and _is_list(data):
         raise GroupError(f"{_echo(data)} is not an element of {group!r}; give {_FORMS[kind]}")

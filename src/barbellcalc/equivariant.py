@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import CYCLIC, DeckElement, DeckGroup, _echo, _is_int, _is_list, _json, _text
+from .deckgroup import CYCLIC, DeckElement, DeckGroup, _cut, _echo, _is_int, _is_list, _json, _text
 from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
 
 SPHERE = "sphere"
@@ -76,9 +76,9 @@ class Geometry:
     generators, the equivariant pairing table, and the handle roles
     (which spheres are attaching spheres, which disks are belt-sphere
     disks).  The roles are checked here, once: each names a declared
-    label of its kind, and no label is listed twice in one role.  Each
-    pairing row must be a RingElement over the geometry's own deck group
-    and coefficients.
+    label of its kind, and no label is listed twice in one role.  The deck
+    group must be a DeckGroup, checked first, and each pairing row a
+    RingElement over it and the geometry's coefficients.
 
     pairings holds P[a,b] for the stored direction; the reverse pairing
     is derived by the involution g -> g^-1 (the intersection form on
@@ -99,6 +99,8 @@ class Geometry:
     def __init__(self, name: str, group: DeckGroup, coeffs: str, labels: dict[str, str],
                  pairings: dict[tuple[str, str], RingElement], attaching: list[str] | None = None,
                  disks: list[str] | None = None, aliases: dict[str, str] | None = None):
+        if group.__class__ is not DeckGroup:
+            raise GeometryError(f"{_echo(group)} is not a deck group")
         self.name, self.group, self.coeffs, self.labels, self.pairings = name, group, coeffs, labels, pairings
         self.attaching, self.disks, self.aliases = attaching or [], disks or [], aliases or {}
         for label, kind in labels.items():
@@ -114,7 +116,7 @@ class Geometry:
                 raise GeometryError("disk-disk pairings are not part of the data")
             if self._meridian(a, b) and any(g != group.identity().value for g in elem.terms):
                 raise GeometryError(f"meridian row {_echo((a, b))} must be stored as its augmentation, "
-                                    f"got {render(elem)}")
+                                    f"got {_cut(render(elem))}")
         for role, names, kind in (("attaching", self.attaching, SPHERE), ("belt disk", self.disks, DISK)):
             seen = set()
             for label in names:
@@ -342,7 +344,7 @@ def _check_spec(geo: Geometry, spec: BarbellSpec):
         if elem is not None and elem.terms:
             raise GeometryError(
                 f"barbell cuffs {_echo(c1)} and {_echo(c2)} are not disjoint: "
-                f"P[{_echo(key[0])}, {_echo(key[1])}] = {render(elem)} is nonzero"
+                f"P[{_echo(key[0])}, {_echo(key[1])}] = {_cut(render(elem))} is nonzero"
             )
 
 

@@ -12,17 +12,20 @@ data and runs on it.  A builder returns its cover's description in the
 inline form of a scenario file, and one reader, `_read_geometry`, builds
 every Geometry; a scenario file's own attaching spheres and belt disks
 replace the roles in the description before it is read, so the roles are
-checked once, by Geometry.  Every presentation matrix, genus1-hd's
-included, comes from `present_from_scenario`; one memo, `_generic_f`,
-holds the generic ones: the torus keys, in theorem calls and sweeps
-alike, push the torus complement's over Z^3 forward, and linked-6crit
-substitutes its bar words into the sphere/torus link's.  Each theorem
-runner drives the barbell engine through one argument, compares against
-the closed-form or substituted value when there is one, and hands the
-engine values and its verdict to a Report (barbellcalc.report);
-hypothesis bounds (winding numbers >= 1, cover order m large enough)
-are enforced up front.  The six cover arguments share one disk move (`_move`) and one
-summand test (`_in_identity_summand`).  `THEOREMS` maps each
+checked once, by Geometry.  Every presentation matrix comes from
+`present_from_scenario`; one memo, `_generic_f`, holds the generic ones:
+the torus keys, in theorem calls and sweeps alike, push the torus
+complement's over Z^3 forward; genus1-hd sums translates of four, its
+sphere phi meeting nothing or one label once (`_phi_torus`), as its
+intersection data give them, and pushes the sum forward; and
+linked-6crit substitutes its bar words into the sphere/torus link's.
+Each theorem runner drives the barbell engine through one argument,
+compares against the closed-form or substituted value when there is
+one, and hands the engine values and its verdict to a Report
+(barbellcalc.report); hypothesis bounds (winding numbers >= 1, cover
+order m large enough) are enforced up front.  The six cover arguments
+share one disk move (`_move`) and one summand test
+(`_in_identity_summand`).  `THEOREMS` maps each
 reproduction's name to its runner and `SWEEPS` each sweep's name to its
 parameter grid; `run_theorem` and `run_sweep` hold every parameter rule,
 and `run_theorem` names each report and records its parameters.
@@ -287,14 +290,25 @@ def _lifted_torus_complement() -> dict:
     return {**torus, "group": {"kind": FREE_ABELIAN, "rank": 3}, "pairings": lifted}
 
 
+def _phi_torus(row: str | None) -> dict:
+    # the lifted torus complement with genus1-hd's attaching sphere phi,
+    # paired against the belt disk D_h, meeting at most the label row,
+    # once at x3^0
+    torus = _lifted_torus_complement()
+    pairings = torus["pairings"] + ([["phi", row, [[[0, 0, 0], 1]]]] if row else [])
+    return {**torus, "labels": {**torus["labels"], "phi": SPHERE}, "pairings": pairings,
+            "attaching": ["phi"], "disks": ["D_h"]}
+
+
 @functools.cache
 def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) -> RingElement:
     """The engine's f of builder(*params)'s description under one barbell
     (c, c) per cuff c, in the order they act, S_h's bar the generator x1
     and S_v's x2; built once a process.  Its sums, products and translates
     commute with group maps out of its deck group, so an instance's f is
-    this one pushed forward (torus: (a, b, c) -> ak + bl + c) or
-    substituted into (Brunnian)."""
+    this one pushed forward (torus: (a, b, c) -> ak + bl + c), a sum of
+    translates of genus1-hd's four pushed forward, or substituted into
+    (Brunnian)."""
     geo = _read_geometry(builder(*params))
     x = geo.group.generator
     bars = {"S_h": x(1), "S_v": x(2)}
@@ -339,8 +353,11 @@ def _run_unknots(k: int = 1, l: int = 1) -> Report:
 
 # Longest bar word w_n^k the Brunnian runner accepts, k its largest
 # winding number.  Its cost grows linearly in the letters: on a 2-vCPU
-# Xeon host 10**4 letters (n = 5, k = l = 454) took 1.8 s and 64 MB,
-# 10**5 took 8.9 s and 312 MB.
+# Xeon host, from the shell, 10**4 letters (n = 5, k = l = 454) took
+# 0.10-0.17 s at 24 MB in table format and 0.12-0.16 s at 31 MB in
+# machine format, where starting the interpreter alone took 0.11 s and
+# 18 MB; in process, 10**5 letters (k = l = 4545) took 0.26 s at 81 MB
+# and 0.49 s at 120 MB.
 MAX_LINKED_WORD_LETTERS = 10_000
 
 
@@ -553,27 +570,32 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
                    b: Mapping | None = None) -> Report:
     """The twisted genus-1 scenario with prescribed intersection data
     (h, v, b), default h = 1: the dimension of its mod-2 second homology
-    by the piecewise closed form and by driving the engine on a
-    synthetic class (None = infinite)."""
+    by the piecewise closed form and by the engine (None = infinite).
+    The barbells act F2[Z^3]-linearly and f pairs the moved phi with D_h,
+    so f is affine in phi's rows: over Z^3 it is F_None plus, for each
+    row, lift(data) (F_row + F_None), where F_row is the generic f of phi
+    meeting row once at x3^0, F_None that of phi meeting nothing (0 for a
+    correct engine; computed, so that a fault not linear in phi shows)
+    and lift(data) the sum of x3^e over data's odd positions e.  The sum
+    is pushed forward along (a, b, c) -> ak + bl + c."""
     h, v, b = _odd_entries("h", {0: 1} if h is None else h), _odd_entries("v", v or {}), _odd_entries("b", b or {})
     radius = lambda data: max((abs(i) for i in data), default=0)
     m_b, m_h, m_v = radius(b), radius(h), radius(v)
     _require(k >= m_b + m_h + 100, f"need k >= {m_b + m_h + 100}, got k={k}")
     _require(l >= m_b + m_h + m_v + 100, f"need l >= {m_b + m_h + m_v + 100}, got l={l}")
 
-    torus = _torus_complement()
-    rows = [["phi", label, [*data.items()]] for label, data in (("S_h", h), ("S_v", v), ("D_h", b))]
-    geo = _read_geometry({**torus, "name": "torus_complement", "labels": {**torus["labels"], "phi": SPHERE},
-                          "pairings": torus["pairings"] + rows, "attaching": ["phi"], "disks": ["D_h"]})
     # vertical barbell acts first here; the horizontal one is applied last
-    t = geo.group.generator
-    barbells = [BarbellSpec("S_v", "S_v", t(1, l)), BarbellSpec("S_h", "S_h", t(1, k))]
-    engine = f2_quotient_dim(present_from_scenario(geo, barbells))
+    generic = {row: _generic_f(_phi_torus, ("S_v", "S_h"), row) for row in (None, "S_h", "S_v", "D_h")}
+    f = none = generic[None]
+    for row, data in (("S_h", h), ("S_v", v), ("D_h", b)):
+        lift = _ring_element(none.group, F2, {(0, 0, e): 1 for e in data})
+        f = f.add(lift.mul(generic[row].add(none)))
+    engine = f2_quotient_dim([[pushforward(f, [[k, l, 1]])]])
 
     if not h and not v:
         # the class meets no cuff, so neither barbell moves it and its
         # disk pairing is b itself: infinite when b = 0
-        branch, closed = "degenerate (span b)", laurent_span(geo.pairing("phi", "D_h"))
+        branch, closed = "degenerate (span b)", laurent_span(_ring_element(free_abelian(1), F2, {(e,): 1 for e in b}))
     elif not v:
         branch, closed = "horizontal only (2k + span h)", 2 * k + max(h) - min(h)
     else:

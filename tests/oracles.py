@@ -36,6 +36,9 @@ value its own way, and the tests compare the two.
   table Geometry derives at construction.
 * binomial_product, 1 + prod_v (x^v + x^-v) as a product of ring
   elements, the oracle of the expanded scenarios.morsesimple_f.
+* genus1_hd_dim, genus1-hd's engine dimension presented at the
+  instance itself (the torus complement's table plus phi's rows over Z):
+  the oracle of the runner's affine form in four generic presentations.
 * build_parser, the argparse parser the CLI parsed with before its
   command table, the oracle of cli._parse.
 * read_element and read_term_list, the JSON forms of an element and of
@@ -63,9 +66,10 @@ from barbellcalc.deckgroup import (
     reduce_letters,
     syllables,
 )
-from barbellcalc.equivariant import EquivClass, Geometry, GeometryError, pair_classes
-from barbellcalc.groupring import F2, RingElement, RingError, is_monomial_unit, normalize_monomial
-from barbellcalc.presentations import PresentationError
+from barbellcalc.equivariant import SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, pair_classes
+from barbellcalc.groupring import F2, RingElement, RingError, from_term_list, is_monomial_unit, normalize_monomial
+from barbellcalc.presentations import PresentationError, f2_quotient_dim, present_from_scenario
+from barbellcalc.scenarios import builtin_geometry
 
 # ---------------------------------------------------------------------------
 # Unit upper-triangular integer matrices and the representations through them.
@@ -443,6 +447,24 @@ def binomial_product(vectors: Sequence[tuple[int, ...]]) -> RingElement:
         plus, minus = (RingElement(group, F2, {DeckElement(group, e): 1}) for e in (v, tuple(-a for a in v)))
         product = product.mul(plus.add(minus))
     return one.add(product)
+
+
+def genus1_hd_dim(k: int, l: int, h: dict, v: dict, b: dict) -> int | None:
+    """dim_F2 of genus1-hd's module at one instance (None = infinite),
+    presented there: the torus complement's table plus a sphere phi whose
+    rows against S_h, S_v and D_h are the maps h, v and b over Z (a
+    position an integer or a decimal string, colliding ones added mod 2),
+    moved by the vertical barbell (bar t^l), then the horizontal one
+    (bar t^k), and paired with D_h."""
+    torus = builtin_geometry("torus_complement")
+    group = torus.group
+    rows = {("phi", label): from_term_list([[int(e), c] for e, c in data.items()], group, F2)
+            for label, data in (("S_h", h), ("S_v", v), ("D_h", b))}
+    labels = {**torus.labels, "phi": SPHERE}
+    geo = Geometry("genus1_hd", group, F2, labels, {**torus.pairings, **rows}, ["phi"], ["D_h"])
+    t = group.generator
+    return f2_quotient_dim(present_from_scenario(geo, [BarbellSpec("S_v", "S_v", t(1, l)),
+                                                      BarbellSpec("S_h", "S_h", t(1, k))]))
 
 
 def stored_row(geo: Geometry, a: str, b: str) -> RingElement | None:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import barbellcalc
-from barbellcalc.deckgroup import GroupError
+from barbellcalc.deckgroup import GroupError, _echo
 from barbellcalc.report import HypothesisError
 from barbellcalc.scenarios import GEOMETRY_BUILDERS, SWEEPS, THEOREMS, Sweep, parameters
 
@@ -925,6 +925,18 @@ LONG_SCENARIOS = {
                                    "labels": {"S": "sphere", "D": "disk"}}, "field": "int"},
     "vector for a residue": {"geometry": {"name": "cyclic_cover", "m": 7},
                              "barbells": [{"cuff1": "S_prime", "cuff2": "S", "holonomy": list(range(10**4))}]},
+    # the row of two cuffs that meet, rendered whole: an 88,960-byte line
+    "non-disjoint pairing row": {"geometry": {"group": {"kind": "free_abelian", "rank": 1},
+                                              "labels": {"S": "sphere", "T": "sphere", "D": "disk"},
+                                              "pairings": [["S", "T", [[[i], 1] for i in range(10**4)]],
+                                                           ["D", "S", [[[0], 1]]]],
+                                              "attaching": ["S"], "disks": ["D"]},
+                                 "barbells": [{"cuff1": "S", "cuff2": "T"}]},
+}
+# files the CLI refuses by their path, each at a path of about 3.6 KB: a 3,706-byte line
+LONG_PATH_FILES = {
+    "path of a file with a long integer": '{"geometry": {"name": "cyclic_cover", "m": ' + "9" * 5000 + "}}",
+    "path of a file nested too deeply": "[" * 200_000 + "]" * 200_000,
 }
 LONG_COMMANDS = {
     "theorem": ["theorem", LONG],
@@ -938,15 +950,18 @@ LONG_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("case", [*LONG_SCENARIOS, *LONG_COMMANDS])
+@pytest.mark.parametrize("case", [*LONG_SCENARIOS, *LONG_COMMANDS, *LONG_PATH_FILES])
 def test_a_long_outside_value_is_refused_in_one_short_line(case, tmp_path, capsys):
-    # each wrote one error: line of 59 to 100 KB, quoting the value whole
+    # each wrote one error: line of 3.7 to 100 KB, quoting the value whole
     from barbellcalc import cli
 
     argv = LONG_COMMANDS.get(case)
     if argv is None:
         path = tmp_path / "long.json"
-        path.write_text(json.dumps(LONG_SCENARIOS[case]))
+        if case in LONG_PATH_FILES:
+            path = tmp_path.joinpath(*["d" * 200] * 18, "long.json")
+            path.parent.mkdir(parents=True)
+        path.write_text(LONG_PATH_FILES[case] if case in LONG_PATH_FILES else json.dumps(LONG_SCENARIOS[case]))
         argv = ["scenario", str(path)]
     capsys.readouterr()
     code = cli.main(argv)
@@ -1384,7 +1399,8 @@ def test_integers_past_the_digit_limit_are_refused_by_name(call, error, message,
         path.write_text(cli)
         cli = ["scenario", str(path)]
     err = cli_refusal(cli, capsys)
-    assert err.startswith(cli_message.format(file=path)) and len(err.encode()) < 300 and "Traceback" not in err
+    assert err.startswith(cli_message.format(file=_echo(str(path))))
+    assert len(err.encode()) < 300 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

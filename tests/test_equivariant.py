@@ -1130,6 +1130,11 @@ REFUSED_OUTSIDE_VALUES = {
     "class paired with 5": (lambda: pair_classes(TORUS.basis_class("S_v"), 5), GeometryError, "^5 is not a class$"),
     "element of the group 'Z'": (lambda: DeckElement("Z", (1,)), GroupError, "^'Z' is not a deck group$"),
     "ring over the group 'Z'": (lambda: RingElement("Z", F2, {}), RingError, "^'Z' is not a deck group$"),
+    # these read the group's kind first: an AttributeError traceback, or a geometry accepted
+    "JSON element of the group 'Z'": (lambda: element_from_json(1, "Z"), GroupError, "^'Z' is not a deck group$"),
+    "word of the group 'Z'": (lambda: parse_word("x1", "Z"), GroupError, "^'Z' is not a deck group$"),
+    "geometry over the group 'Z'": (lambda: Geometry("x", "Z", F2, {"S": SPHERE}, {}), GeometryError,
+                                    "^'Z' is not a deck group$"),
     "unhashable label": (lambda: TORUS.basis_class(["S_v"]), GeometryError,
                          r"^unknown label \['S_v'\] in geometry 'torus_complement'$"),
 }

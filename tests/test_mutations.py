@@ -3,9 +3,10 @@ A mutation matrix: single-point faults planted in the engine by
 monkeypatch, each run against every registry key at its sample
 parameters, against linked-6crit at n = 2 (where word products join runs
 of x1) and at n = 3 with k = l = 2 (where the relator's products cancel
-in pairs), against the committed scenario, and against the morsesimple
+in pairs), against genus1-hd with vertical data (whose dimension, unlike
+the default's, depends on l), against the committed scenario, and against the morsesimple
 sweep at --max 3, which passes only when every job does.  The torus keys
-push one generic presentation forward and linked-6crit substitutes into
+push generic presentations forward and linked-6crit substitutes into
 another, both built once a process by one memoized helper, and each deck
 group is built once while it lives; every mutated run gets a group table
 of its own and empty memos (own_groups), so that a fault in the engine
@@ -37,6 +38,7 @@ SWEEP_KEY = "sweep morsesimple --max 3"
 ROWS = {key: (key, SAMPLE_PARAMS[key]) for key in sorted(THEOREMS)}
 ROWS["linked-6crit n=2"] = ("linked-6crit", {"n": 2, "k": 1, "l": 2})
 ROWS["linked-6crit n=3 k=l=2"] = ("linked-6crit", {"n": 3, "k": 2, "l": 2})
+ROWS["genus1-hd vertical"] = ("genus1-hd", {"k": 100, "l": 200, "h": {0: 1}, "v": {0: 1}})
 
 
 def _respec(change):
@@ -250,3 +252,10 @@ def test_the_sweep_row_catches_the_pushforward_fault_and_what_the_theorem_row_ca
 def test_the_unknots_row_catches_a_wrong_quotient_dimension():
     # its three dimensions are read through scenarios.f2_quotient_dim, not the pushforward
     assert matrix()["quotient dimension plus one"]["unknots"] == "FAIL"
+
+
+def test_the_vertical_genus1_hd_row_catches_the_pushforward_fault():
+    # the default data's branch, horizontal only, has no l; with vertical
+    # data the engine reads 200 against the closed form's 601
+    assert matrix()["pushforward drops l"]["genus1-hd"] == "PASS"
+    assert matrix()["pushforward drops l"]["genus1-hd vertical"] == "FAIL"

@@ -36,7 +36,7 @@ from barbellcalc.scenarios import (
     run_sweep,
     run_theorem,
 )
-from oracles import binomial_product, cyclic_project, distinguish_brunnian_modules
+from oracles import binomial_product, cyclic_project, distinguish_brunnian_modules, genus1_hd_dim
 
 # Golden pairing tables: the full finite intersection data of each
 # built-in geometry, locked term by term.
@@ -254,7 +254,10 @@ def test_genus1_hd_degenerate_branch_has_an_expected_value(b, dim):
 
 @pytest.mark.parametrize("b", [{0: 1}, {}])
 def test_genus1_hd_degenerate_branch_fails_on_a_wrong_engine(b, monkeypatch):
-    # an engine whose disk pairing gains a stray term t^5 must FAIL
+    # an engine whose disk pairing gains a stray term at the last
+    # generator (x3^5 in the generic group, t^5 once pushed forward) must
+    # FAIL: the term is no row's, so the generic f of phi meeting nothing
+    # carries it into every instance
     import barbellcalc.presentations as presentations
     from barbellcalc.groupring import from_term_list
 
@@ -262,23 +265,119 @@ def test_genus1_hd_degenerate_branch_fails_on_a_wrong_engine(b, monkeypatch):
 
     def mutated(x, label):
         p = pairing(x, label)
-        return p.add(from_term_list([[[5], 1]], p.group, p.coeffs))
+        return p.add(from_term_list([[[0] * (p.group.n - 1) + [5], 1]], p.group, p.coeffs))
 
     monkeypatch.setattr(presentations, "equivariant_pairing", mutated)
-    report = run_theorem("genus1-hd", k=100, l=100, h={}, v={}, b=b)
+    with own_groups():
+        report = run_theorem("genus1-hd", k=100, l=100, h={}, v={}, b=b)
     assert not report.passed and report.expected == {"dim": 0 if b else None}
+    # 1 + t^5, or t^5 alone
+    assert report.computed["dim_engine"] == (5 if b else 0)
+
+
+# phi's row in each of genus1-hd's generic presentations: none, or one label met once at x3^0
+GENUS1_HD_ROWS = (None, "S_h", "S_v", "D_h")
 
 
 def test_genus1_hd_presents_its_matrix_once(monkeypatch):
-    # its engine value is read off one presentation, built by the function every other matrix comes from
+    # four generic presentations a process, each built by the function
+    # every other matrix comes from; no later call reads a geometry or
+    # presents a matrix, whatever its data
     import barbellcalc.scenarios as scenarios
 
-    calls = []
-    real = scenarios.present_from_scenario
-    spy = lambda geo, barbells: calls.append((geo.attaching, geo.disks)) or real(geo, barbells)
-    monkeypatch.setattr(scenarios, "present_from_scenario", spy)
-    assert run_theorem("genus1-hd", k=100, l=100).passed
-    assert calls == [(["phi"], ["D_h"])]
+    presented, read = [], []
+    real_present, real_read = scenarios.present_from_scenario, scenarios._read_geometry
+    monkeypatch.setattr(scenarios, "present_from_scenario",
+                        lambda geo, barbells: presented.append(geo) or real_present(geo, barbells))
+    monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: read.append(spec) or real_read(spec))
+    with own_groups():
+        assert run_theorem("genus1-hd", k=100, l=100).passed
+        assert [(geo.attaching, geo.disks) for geo in presented] == [(["phi"], ["D_h"])] * 4 and len(read) == 4
+        assert scenarios._generic_f(scenarios._phi_torus, ("S_v", "S_h"), None).is_zero()
+        presented.clear()
+        read.clear()
+        assert run_theorem("genus1-hd", k=300, l=400, h={1: 1, -2: 3}, v={"5": 1}, b={"3": 1}).passed
+        assert run_theorem("genus1-hd", k=100, l=100, h={}, v={}, b={}).passed
+        assert presented == read == []
+        # the one memo holds the four, keyed by no winding number or intersection datum
+        assert scenarios._generic_f.cache_info().currsize == 4
+
+
+def test_genus1_hd_builds_the_torus_table_plus_phi_once(monkeypatch):
+    from barbellcalc import scenarios
+
+    built, labels = [], {**builtin_geometry("torus_complement").labels, "phi": SPHERE}
+    real = scenarios._read_geometry
+    monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: built.append(real(spec)) or built[-1])
+    with own_groups():
+        assert run_theorem("genus1-hd", k=300, l=400, h={1: 1, -2: 3, 4: 2}, v={"5": 1}, b={"3": -1}).passed
+        assert run_theorem("genus1-hd", k=100, l=100).passed
+    # the torus complement's table over Z^3, each t^e at x3^e, plus phi's row, if any, at x3^0
+    lifted = {pair: [[[0, 0, e], c] for [e], c in terms] for pair, terms in GOLDEN_TABLES["torus_complement"].items()}
+    tables = {}
+    for geo in built:
+        [row] = {b for a, b in geo.pairings if a == "phi"} or [None]
+        tables[row] = {pair: term_list_and_render(elem)[0] for pair, elem in geo.pairings.items()}
+        assert geo.labels == labels
+        assert (geo.group.kind, geo.group.n, geo.coeffs, geo.aliases) == (FREE_ABELIAN, 3, F2, {})
+        assert (geo.attaching, geo.disks) == (["phi"], ["D_h"])
+    assert len(built) == 4 and tables == {
+        row: {**lifted, **({("phi", row): [[[0, 0, 0], 1]]} if row else {})} for row in GENUS1_HD_ROWS}
+
+
+def genus1_hd_map(data, name, odd):
+    """An intersection map: positions in [-8, 8], some as decimal strings,
+    coefficients in [-3, 3] (an even one counts as absent), at least one
+    odd when odd is True and none when odd is False."""
+    coeffs = st.sampled_from([-2, 0, 2]) if odd is False else st.integers(-3, 3)
+    entries = data.draw(st.dictionaries(st.integers(-8, 8), coeffs, max_size=4), label=name)
+    if odd:
+        position = data.draw(st.integers(-8, 8), label=f"{name} odd position")
+        entries[position] = data.draw(st.sampled_from([-3, -1, 1, 3]), label=f"{name}[{position}]")
+    return {str(e) if data.draw(st.booleans(), label=f"{name}[{e}] as text") else e: c for e, c in entries.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_genus1_hd_is_the_engine_at_the_instance(data):
+    # the runner's four generic presentations against the engine run on
+    # the instance itself (tests/oracles.py), in every branch, at (k, l)
+    # from the hypothesis bounds upward
+    branch = data.draw(st.sampled_from(["degenerate", "horizontal only", "vertical present"]), label="branch")
+    h = None if branch == "horizontal only" and data.draw(st.booleans(), label="default h") else \
+        genus1_hd_map(data, "h", {"degenerate": False, "horizontal only": True}.get(branch))
+    v = genus1_hd_map(data, "v", branch == "vertical present")
+    b = genus1_hd_map(data, "b", None)
+    radius = lambda entries: max((abs(int(e)) for e, c in entries.items() if c % 2), default=0)
+    m_b, m_h, m_v = radius(b), radius({0: 1} if h is None else h), radius(v)
+    k = data.draw(st.integers(m_b + m_h + 100, m_b + m_h + 140), label="k")
+    l = data.draw(st.integers(m_b + m_h + m_v + 100, m_b + m_h + m_v + 140), label="l")
+    report = run_theorem("genus1-hd", k=k, l=l, h=h, v=v, b=b)
+    assert report.computed["branch"].startswith(branch) and report.passed
+    assert report.computed["dim_engine"] == genus1_hd_dim(k, l, {0: 1} if h is None else h, v, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 3), st.integers(1, 3), max_size=4),
+                min_size=3, max_size=3))
+def test_the_genus1_hd_engine_is_affine_in_phis_rows(rows):
+    # the engine over Z^3 with phi's rows any elements, not only sums of
+    # x3^e: f = F_None + sum over rows of row (F_row + F_None), the
+    # generic f of phi meeting nothing (F_None) or one label once at x3^0
+    from barbellcalc.groupring import from_term_list
+
+    group = free_abelian(3)
+    terms = {label: [[list(e), c] for e, c in row.items()] for label, row in zip(("S_h", "S_v", "D_h"), rows)}
+    description = scenarios._phi_torus(None)
+    description["pairings"] += [["phi", label, row] for label, row in terms.items()]
+    x = group.generator
+    engine = present_from_scenario(scenarios._read_geometry(description),
+                                   [BarbellSpec("S_v", "S_v", x(2)), BarbellSpec("S_h", "S_h", x(1))])[0][0]
+    generic = {row: scenarios._generic_f(scenarios._phi_torus, ("S_v", "S_h"), row) for row in GENUS1_HD_ROWS}
+    affine = generic[None]
+    for label, row in terms.items():
+        affine = affine.add(from_term_list(row, group, F2).mul(generic[label].add(generic[None])))
+    assert engine == affine
 
 
 def test_genus1_hd_hypothesis_bounds():
@@ -467,10 +566,6 @@ UNREACHED_BY_THE_CLI = {
     "deckgroup.element_to_json": "one element's JSON form; reports convert values",
     "deckgroup.format_element": "one element's x-notation; reports render values",
     "groupring.RingElement.coefficient": "reads a term at a DeckElement; the engine reads values",
-    # the closed-form Brunnian relator, a product of binomials, was their
-    # last caller; it is a test oracle now
-    "groupring.RingElement.add": "the ring's sum for library callers; the engine adds terms on values",
-    "groupring.RingElement.mul": "the ring's product for library callers; the engine multiplies values",
     "groupring.RingElement.support": "hands DeckElements back; reports read sorted values",
     "equivariant.EquivClass.support": "hands (label, DeckElement) pairs back; reports read sorted values",
 }
@@ -928,24 +1023,6 @@ def test_the_inline_schema_refuses_what_only_builtins_use(name, field):
     # an alias and a meridian label are read for the built-ins, never from a file
     with pytest.raises(HypothesisError, match=field):
         run_scenario({"geometry": json.loads(json.dumps(GEOMETRY_BUILDERS[name](7))), "barbells": []})
-
-
-def test_genus1_hd_builds_the_torus_table_plus_phi_once(monkeypatch):
-    from barbellcalc import scenarios
-
-    built = []
-    real = scenarios._read_geometry
-    monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: built.append(real(spec)) or built[-1])
-    assert run_theorem("genus1-hd", k=300, l=400, h={1: 1, -2: 3, 4: 2}, v={"5": 1}, b={"3": -1}).passed
-    [geo] = built
-    table = {pair: term_list_and_render(elem)[0] for pair, elem in geo.pairings.items()}
-    rows = {("phi", "S_h"): [[[-2], 1], [[1], 1]], ("phi", "S_v"): [[[5], 1]], ("phi", "D_h"): [[[3], 1]]}
-    assert table == {**GOLDEN_TABLES["torus_complement"], **rows}
-    torus = builtin_geometry("torus_complement")
-    assert geo.labels == {**torus.labels, "phi": SPHERE}
-    fields = lambda g: [g.name, g.group, g.coeffs, g.aliases]
-    assert fields(geo) == fields(torus)
-    assert (geo.attaching, geo.disks) == (["phi"], ["D_h"])
 
 
 def test_inline_cyclic_holonomy_must_be_a_residue():
