@@ -52,7 +52,7 @@ def _reduced(coeffs: str, terms: Mapping) -> dict:
 class RingElement:
     """A finite formal sum of deck elements over F2 or Z, keyed by value."""
 
-    __slots__ = ("group", "coeffs", "terms")
+    __slots__ = ("group", "coeffs", "terms", "_forms")
 
     def __init__(self, group: DeckGroup, coeffs: str, terms: Mapping[DeckElement, int]):
         if coeffs not in (F2, INT):
@@ -62,7 +62,7 @@ class RingElement:
         for elt in terms:
             if elt not in group:
                 raise RingError(f"term from a different deck group: {elt.__class__.__name__} not in {group!r}")
-        self.group, self.coeffs = group, coeffs
+        self.group, self.coeffs, self._forms = group, coeffs, None
         self.terms = _reduced(coeffs, {elt.value: c for elt, c in terms.items()})
 
     # -- constructors -------------------------------------------------
@@ -145,7 +145,7 @@ def _ring_element(group: DeckGroup, coeffs: str, terms: dict) -> RingElement:
     """The trusted constructor: terms keyed by values that an operation
     built from checked elements of group, kept without RingElement's checks."""
     elem = object.__new__(RingElement)
-    elem.group, elem.coeffs, elem.terms = group, coeffs, _reduced(coeffs, terms)
+    elem.group, elem.coeffs, elem.terms, elem._forms = group, coeffs, _reduced(coeffs, terms), None
     return elem
 
 
@@ -264,8 +264,10 @@ def join_signed(parts: Iterable[tuple[bool, str]]) -> str:
 def term_list_and_render(elem: RingElement) -> tuple[list[list], str]:
     """The machine form (sorted [element, coefficient] pairs) and the
     human form (e.g. "t^-3 + t^-1 + 1 + t + t^3", increasing deck-element
-    order) from one pass over the sorted values: each is formatted once,
-    a free-group word's string serving both."""
+    order) from one pass over the sorted values, a free-group word's string
+    serving both; kept on the element and shared by every later call, so not to be mutated."""
+    if elem._forms is not None:
+        return elem._forms
     group = elem.group
     terms = []
     parts = []
@@ -281,7 +283,8 @@ def term_list_and_render(elem: RingElement) -> tuple[list[list], str]:
         else:
             body = f"{abs(c)}{mono}"
         parts.append((c < 0, body))
-    return terms, join_signed(parts)
+    elem._forms = terms, join_signed(parts)
+    return elem._forms
 
 
 def render(elem: RingElement) -> str:

@@ -1,14 +1,13 @@
 r"""
-The reporting layer.  Runners hand Report engine values (RingElements,
-EquivClasses, lists and dicts of them, plain JSON), and Report keeps the
-JSON form of each, converted once when it is built: a ring element's
-term list and rendered sum, a class's term list (and under computed its
+The reporting layer.  Report holds the engine values a runner hands it
+(RingElements, EquivClasses, lists and dicts of them, plain JSON), and
+Report.to_machine converts them when a report is printed: a ring
+element's term list and rendered sum (kept on the element, so shared
+values convert once), a class's term list (and under computed its
 rendered sum, as KEY_rendered).  An expected value equal to the computed
-value under its key reuses the computed form.  An integer too long to
-print is refused there by its field (params.barbells[0].iterate).
-render_table, render_machine and render_line (a sweep job's line) lay
-the forms out.  Refused inputs are quoted where they are read, by
-barbellcalc.deckgroup's _echo, not here.
+one reuses its form; an integer too long to print is refused by its field
+(params.barbells[0].iterate).  render_table and render_machine lay that
+record out; render_line prints a sweep job's verdict, name and params.
 """
 
 from __future__ import annotations
@@ -51,38 +50,40 @@ def _form(value, where: str):
     return value
 
 
+def _checked(params: dict) -> dict:
+    try:  # the params' text in C; an integer too long to print is refused by its field, as _form names it
+        repr(params)
+    except ValueError:
+        _printed(repr, _form(params, "params"), "params")
+    return params
+
+
 class Report:
-    """One run's computed and expected values in their JSON forms, its verdict and
-    notes; run_theorem names it by the registry key it ran ("" until then) and
-    records its params."""
+    """One run's computed and expected engine values, unconverted, verdict and notes;
+    run_theorem names it by the registry key it ran ("" until then) and records its params."""
 
     def __init__(self, computed: dict, expected: dict | None = None, passed: bool = True,
                  notes: list[str] | None = None, name: str = "", params: dict | None = None):
-        forms = {}
-        for key, value in computed.items():
-            where = f"computed.{key}"
-            if isinstance(value, EquivClass):
-                forms[key], forms[f"{key}_rendered"] = class_term_list(value), _printed(render_class, value, where)
-            else:
-                forms[key] = _form(value, where)
-        self.computed, self.expected = forms, {
-            key: forms[key] if key in computed and value == computed[key] else _form(value, f"expected.{key}")
-            for key, value in (expected or {}).items()
-        }
+        self.computed, self.expected = computed, expected or {}
         self.passed, self.notes, self.name, self.params = passed, notes or [], name, params or {}
-        try:  # the params' text in C; one too long to print is refused by its field, as _form names it
-            repr(self.params)
-        except ValueError:
-            _form(self.params, "params")
-            _printed(repr, self.params, "params")
 
     def to_machine(self) -> dict:
-        return {"theorem": self.name, "params": self.params, "computed": self.computed,
-                "expected": self.expected, "passed": self.passed, "notes": self.notes}
+        """The report's record in JSON forms, converted here: computed, then expected, then params."""
+        computed = {}
+        for key, value in self.computed.items():
+            where = f"computed.{key}"
+            if isinstance(value, EquivClass):
+                computed[key], computed[f"{key}_rendered"] = class_term_list(value), _printed(render_class, value, where)
+            else:
+                computed[key] = _form(value, where)
+        expected = {key: computed[key] if key in self.computed and value == self.computed[key]
+                    else _form(value, f"expected.{key}") for key, value in self.expected.items()}
+        return {"theorem": self.name, "params": _checked(self.params), "computed": computed,
+                "expected": expected, "passed": self.passed, "notes": self.notes}
 
 
-def _params_text(report: Report) -> str:
-    return ", ".join(f"{key}={report.params[key]}" for key in sorted(report.params))
+def _params_text(params: dict) -> str:
+    return ", ".join(f"{key}={params[key]}" for key in sorted(params))
 
 
 def _fmt(value) -> str:
@@ -96,11 +97,12 @@ def _fmt(value) -> str:
 
 
 def render_table(report: Report) -> str:
+    record = report.to_machine()
     lines = [f"theorem: {report.name}"]
     if report.params:
-        lines.append(f"params: {_params_text(report)}")
-    lines += [f"  {key}: {_fmt(report.computed[key])}" for key in sorted(report.computed)]
-    lines += [f"  expected {key}: {_fmt(report.expected[key])}" for key in sorted(report.expected)]
+        lines.append(f"params: {_params_text(report.params)}")
+    lines += [f"  {key}: {_fmt(record['computed'][key])}" for key in sorted(record["computed"])]
+    lines += [f"  expected {key}: {_fmt(record['expected'][key])}" for key in sorted(record["expected"])]
     lines += [f"  note: {note}" for note in report.notes]
     lines.append("PASS" if report.passed else "FAIL")
     return "\n".join(lines)
@@ -111,5 +113,6 @@ def render_machine(report: Report) -> str:
 
 
 def render_line(report: Report) -> str:
-    """A sweep job's line in table format: verdict, theorem, parameters."""
-    return f"{'PASS' if report.passed else 'FAIL'} {report.name} {_params_text(report)}"
+    """A sweep job's line in table format: verdict, theorem, parameters.  It converts and checks
+    no computed or expected value; a params integer too long to print is refused by its field."""
+    return f"{'PASS' if report.passed else 'FAIL'} {report.name} {_params_text(_checked(report.params))}"

@@ -376,14 +376,10 @@ def _check_linked(n: int, k: int, l: int):
 
 
 def _run_linked_6crit(n: int, k: int, l: int) -> Report:
-    return _linked_6crit(n, k, l)[0]
-
-
-def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
     """One winding pair (k, l): the engine's relator against the generic one
     of sphere_torus_link at n = 3 (a third of a call to build) at
     x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image in
-    F2[s^±1, t^±1], the generic one at s^k, s^l, t (returned for the sweep)."""
+    F2[s^±1, t^±1], the generic one at s^k, s^l, t (the sweep's image_in_st)."""
     _check_linked(n, k, l)
     geo = builtin_geometry("sphere_torus_link", n=n)
     w = brunnian_word(n)
@@ -403,7 +399,7 @@ def _linked_6crit(n: int, k: int, l: int) -> tuple[Report, RingElement]:
         expected={"relator": expected_f},
         passed=engine_f == expected_f and abelian and nontrivial,
         notes=["sublink triviality is a geometric input here, not a computation"],
-    ), image
+    )
 
 
 def _run_simple_5d(k: int) -> Report:
@@ -554,8 +550,7 @@ def _run_branched(m: int, k: int, l: int = 0) -> Report:
 
 
 def _odd_entries(name: str, data: Mapping) -> dict[int, int]:
-    """The genus1-hd intersection map name read mod 2: its positions, an
-    integer or a decimal string each, whose JSON-integer value is odd."""
+    """genus1-hd's map name read mod 2: the positions (int or decimal string) whose entries add to an odd sum."""
     for key, c in data.items():
         digits = key.removeprefix("-") if isinstance(key, str) else ""
         if not (_is_int(key) or digits.isascii() and digits.isdecimal()) or not _is_int(c):
@@ -563,7 +558,10 @@ def _odd_entries(name: str, data: Mapping) -> dict[int, int]:
                                   f"to JSON integers, got entry {_echo(key)}: {_echo(c)}")
     if any(map(_too_long, data)):
         raise HypothesisError(f"theorem genus1-hd parameter {name} has a position too long to read")
-    return {int(key) if isinstance(key, str) else key: 1 for key, c in data.items() if c % 2}
+    odd = {}
+    for key, c in data.items():  # a position given both ways adds its two entries, as a term list does
+        odd[int(key)] = odd.get(int(key), 0) ^ c & 1
+    return {position: 1 for position, bit in odd.items() if bit}
 
 
 def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None = None,
@@ -827,7 +825,7 @@ def _brunnian_grid(top: int, n: int = 2) -> Iterator[dict]:
 def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
     """The brunnian sweep's jobs, each deciding two winding pairs
     {k, l} and {kp, lp}.  Each (n, k, l) is run once, as one linked-6crit
-    report, and the image it built is normalized once; a job is the {k, l}
+    report, and the image it reports is normalized once; a job is the {k, l}
     report with its `distinguished` verdict added, and it passes only
     when both pairs' reports pass.  The two modules are distinguished
     when the pairs differ as unordered pairs, neither image is a
@@ -847,9 +845,9 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
 
     def decide(n: int, k: int, l: int) -> tuple[Report, RingElement | None]:
         if (n, k, l) not in decided:
-            # a unit image would contradict the module's nontriviality:
-            # such a pair distinguishes nothing
-            report, image = _linked_6crit(n, k, l)
+            # a unit image would contradict the module's nontriviality: such a pair distinguishes nothing
+            report = _run_linked_6crit(n, k, l)
+            image = report.computed["image_in_st"]
             decided[n, k, l] = report, normalize_monomial(image) if report.computed["nontrivial"] else None
         return decided[n, k, l]
 
@@ -857,12 +855,8 @@ def _brunnian_reports(name: str, grid: list[dict]) -> Iterator[Report]:
         n, k, l, kp, lp = job["n"], job["k"], job["l"], job["kp"], job["lp"]
         (report, image), (other_report, other) = decide(n, k, l), decide(n, kp, lp)
         verdict = {k, l} != {kp, lp} and image is not None and other is not None and image != other
-        job_report = Report({"distinguished": verdict}, notes=report.notes, name=name, params=job,
-                            passed=report.passed and other_report.passed and verdict == ({k, l} != {kp, lp}))
-        # the decided report's fields are JSON forms already; rebuilding through Report(...) walks each one again:
-        # `sweep brunnian --n 4 --max 16 --format machine` took twice as long so (in process, 2-vCPU Xeon)
-        job_report.computed, job_report.expected = {**report.computed, **job_report.computed}, report.expected
-        yield job_report
+        yield Report({**report.computed, "distinguished": verdict}, report.expected, notes=report.notes, name=name,
+                     params=job, passed=report.passed and other_report.passed and verdict == ({k, l} != {kp, lp}))
 
 
 def _montesinos_grid(top: int) -> Iterator[dict]:
@@ -877,10 +871,10 @@ SWEEPS: dict[str, Sweep] = {
 }
 
 # Most jobs one sweep runs: run_sweep draws at most one more from the
-# grid.  On a 2-vCPU Xeon host morsesimple --max 100 (10**4 jobs) took
-# 0.8 s in table format and 1.1 s in machine format from the shell, at
-# 18 and 24 MB; brunnian --n 4 --max 16 (9,180 jobs, 136 reports) took
-# 0.29 s in table format and 1.8 s in machine format, at 22 MB.
+# grid.  On a 2-vCPU Xeon host, from the shell, morsesimple --max 100
+# (10**4 jobs) took 0.3 s in table format and 0.7 s in machine format, at
+# 18 MB; brunnian --n 4 --max 16 (9,180 jobs, 136 reports) took 0.2 s in
+# table format and 1.1-1.5 s in machine format, at 21 MB.
 MAX_SWEEP_JOBS = 10_000
 
 

@@ -129,9 +129,10 @@ def test_criterion_4_presentation_matrix():
 def test_criterion_5_unknot_variants():
     report = run_theorem("unknots", k=3, l=2)
     assert report.passed
+    record = report.to_machine()  # the printed forms
     for variant in ("v-only", "h-only", "h-after-v"):
-        assert report.computed[variant]["f"]["rendered"] == "1"
-        assert report.computed[variant]["dim"] == 0
+        assert record["computed"][variant]["f"]["rendered"] == "1"
+        assert record["computed"][variant]["dim"] == 0
     announce(5, "all three unknot variants present the unit relator (trivial module)")
 
 

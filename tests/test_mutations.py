@@ -120,7 +120,7 @@ def _disk_model_without_component_2(n):
 def _ring_element_keeping_even_coefficients(group, coeffs, terms):
     # groupring._ring_element with the F2 reduction skipped: only zeros drop
     elem = object.__new__(groupring.RingElement)
-    elem.group, elem.coeffs, elem.terms = group, coeffs, {e: c for e, c in terms.items() if c}
+    elem.group, elem.coeffs, elem.terms, elem._forms = group, coeffs, {e: c for e, c in terms.items() if c}, None
     return elem
 
 

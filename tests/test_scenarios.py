@@ -7,6 +7,7 @@ import math
 import pkgutil
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -134,9 +135,10 @@ def test_unknown_theorem_name():
 def test_unknot_variants_present_the_unit():
     report = run_theorem("unknots", k=2, l=3)
     assert report.passed
+    record = report.to_machine()  # the printed forms
     for variant in ("v-only", "h-only", "h-after-v"):
-        assert report.computed[variant]["f"]["rendered"] == "1"
-        assert report.computed[variant]["dim"] == 0
+        assert record["computed"][variant]["f"]["rendered"] == "1"
+        assert record["computed"][variant]["dim"] == 0
 
 
 def test_unknots_fails_when_a_dimension_is_not_zero(monkeypatch):
@@ -326,15 +328,32 @@ def test_genus1_hd_builds_the_torus_table_plus_phi_once(monkeypatch):
 
 
 def genus1_hd_map(data, name, odd):
-    """An intersection map: positions in [-8, 8], some as decimal strings,
-    coefficients in [-3, 3] (an even one counts as absent), at least one
-    odd when odd is True and none when odd is False."""
+    """An intersection map: positions in [-8, 8], some as decimal strings
+    and some given twice, as an integer and as a decimal string whose two
+    entries add up; coefficients in [-3, 3] (an even one counts as
+    absent), at least one odd when odd is True and none when odd is False."""
     coeffs = st.sampled_from([-2, 0, 2]) if odd is False else st.integers(-3, 3)
     entries = data.draw(st.dictionaries(st.integers(-8, 8), coeffs, max_size=4), label=name)
     if odd:
         position = data.draw(st.integers(-8, 8), label=f"{name} odd position")
         entries[position] = data.draw(st.sampled_from([-3, -1, 1, 3]), label=f"{name}[{position}]")
-    return {str(e) if data.draw(st.booleans(), label=f"{name}[{e}] as text") else e: c for e, c in entries.items()}
+    written = {}
+    for e, c in entries.items():
+        form = data.draw(st.sampled_from(["int", "text", "both"]), label=f"{name}[{e}] written as")
+        if form == "both":
+            part = data.draw(st.integers(-3, 3), label=f"{name}[{e}] text part")
+            written[e], written[str(e)] = c - part, part
+        else:
+            written[str(e) if form == "text" else e] = c
+    return written
+
+
+def odd_positions(entries) -> list[int]:
+    """The positions of an intersection map whose entries add to an odd sum."""
+    sums = Counter()
+    for e, c in entries.items():
+        sums[int(e)] += c
+    return [e for e, c in sums.items() if c % 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,13 +367,24 @@ def test_genus1_hd_is_the_engine_at_the_instance(data):
         genus1_hd_map(data, "h", {"degenerate": False, "horizontal only": True}.get(branch))
     v = genus1_hd_map(data, "v", branch == "vertical present")
     b = genus1_hd_map(data, "b", None)
-    radius = lambda entries: max((abs(int(e)) for e, c in entries.items() if c % 2), default=0)
+    radius = lambda entries: max(map(abs, odd_positions(entries)), default=0)
     m_b, m_h, m_v = radius(b), radius({0: 1} if h is None else h), radius(v)
     k = data.draw(st.integers(m_b + m_h + 100, m_b + m_h + 140), label="k")
     l = data.draw(st.integers(m_b + m_h + m_v + 100, m_b + m_h + m_v + 140), label="l")
     report = run_theorem("genus1-hd", k=k, l=l, h=h, v=v, b=b)
     assert report.computed["branch"].startswith(branch) and report.passed
     assert report.computed["dim_engine"] == genus1_hd_dim(k, l, {0: 1} if h is None else h, v, b)
+
+
+def test_genus1_hd_adds_the_entries_of_a_position_given_twice():
+    # both entries of h = {3: 1, "3": 1} are odd and their sum is even: no
+    # position of h is odd, so the class meets no cuff and b = 0 leaves it free
+    report = run_theorem("genus1-hd", k=120, l=120, h={3: 1, "3": 1})
+    assert report.params["h"] == {} and report.computed["branch"].startswith("degenerate") and report.passed
+    assert report.computed["dim_engine"] is None is genus1_hd_dim(120, 120, {3: 1, "3": 1}, {}, {})
+    report = run_theorem("genus1-hd", k=120, l=120, h={3: 1, "3": 2, "-1": 1})
+    assert report.params["h"] == {"-1": 1, "3": 1} and report.computed["dim_engine"] == 2 * 120 + 4
+    assert genus1_hd_dim(120, 120, {3: 1, "3": 2, "-1": 1}, {}, {}) == 2 * 120 + 4
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,7 +490,7 @@ def test_classification_normalizes_column_signs():
 def test_obstruction_names_route_to_theorems():
     report = run_theorem("circle-splittingspheres", k=4)
     assert report.name == "circle-splittingspheres"
-    assert report.computed["class_rendered"] == "D_R - 4 S_L"
+    assert report.to_machine()["computed"]["class_rendered"] == "D_R - 4 S_L"
     assert report.computed["distinguished"]
 
 
@@ -902,7 +932,7 @@ def test_scenario_run_passes_with_expected_dim():
 def test_scenario_expected_matrix_comparison():
     payload = scenario_payload()
     report = run_scenario(payload)
-    payload["expected"] = {"matrix": [[report.computed["matrix"][0][0]["terms"]]]}
+    payload["expected"] = {"matrix": [[report.to_machine()["computed"]["matrix"][0][0]["terms"]]]}
     assert run_scenario(payload).passed
     payload["expected"] = {"matrix": [[[[[0], 1]]]]}
     assert not run_scenario(payload).passed
