@@ -4,15 +4,18 @@ Command-line front door: single theorems, grid sweeps, scenario files.
 Exit codes: 0 = every check passed, 1 = a computed value mismatched an
 expectation, 2 = invalid input or a hypothesis violation (an empty sweep
 included: it checks nothing, so it does not pass).  Every refusal of the
-package is a ValueError, printed as one `error:` line; any other
-exception is a fault and keeps its traceback.  The CLI has no parameter
-or sweep rule of its own: it hands the flags it was given to
-run_theorem or run_sweep, which refuse a missing or unexpected one, or a
-sweep size out of range, with the HypothesisError a library call gets
-(builtin_geometry makes the same check).  It applies one limit of
-barbellcalc.deckgroup's, _MAX_DIGITS, before a number is read: an integer
-flag of more digits is refused by its name, and a scenario file's
-integer of more digits by the file's name.  barbellcalc.report renders
+package is a ValueError, printed as one `error:` line.  A MemoryError is
+printed as one `error:` line too, with exit 2: it is the last resort for
+an input that outgrows the process's memory before any bound of the
+package refuses it.  Any other exception is a fault and keeps its
+traceback.  The CLI has no parameter or sweep rule of its own: it hands
+the flags it was given to run_theorem or run_sweep, which refuse a
+missing or unexpected one, or a sweep size out of range, with the
+HypothesisError a library call gets (builtin_geometry makes the same
+check).  It applies one limit of barbellcalc.deckgroup's, _MAX_DIGITS,
+before a number is read: an integer flag of more digits is refused by
+its name, and a scenario file's integer of more digits by the file's
+name.  barbellcalc.report renders
 every report line, byte-deterministic for fixed arguments (every term
 order is sorted); sweeps run in process, one job after another in grid
 order, each report's line written as the sweep yields it.  If the
@@ -45,7 +48,8 @@ _PARAM_FLAGS = ("k", "l", "n", "m", "p", "q")
 
 # every package error subclasses ValueError, as do json's; OSError is a
 # path that cannot be read or written (main catches BrokenPipeError
-# first).  Anything else is a fault of the engine and keeps its traceback.
+# first).  Anything else but a MemoryError is a fault of the engine and
+# keeps its traceback.
 USER_ERRORS = (ValueError, OSError)
 
 # the characters str.splitlines breaks at, escaped in a refusal so that
@@ -225,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except MemoryError:
+        print("error: out of memory: the input needs more memory than this process may use", file=sys.stderr)
+        return 2
     except USER_ERRORS as exc:
         if isinstance(exc, OSError) and exc.filename is not None:  # as str(exc) reads, the path bounded
             exc = f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename)}"

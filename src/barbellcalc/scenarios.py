@@ -12,13 +12,16 @@ data and runs on it.  A builder returns its cover's description in the
 inline form of a scenario file, and one reader, `_read_geometry`, builds
 every Geometry; a scenario file's own attaching spheres and belt disks
 replace the roles in the description before it is read, so the roles are
-checked once, by Geometry.  Every presentation matrix comes from
-`present_from_scenario`; one memo, `_generic_f`, holds the generic ones:
+checked once, by Geometry.  One memo, `_geometry`, keeps the geometries
+whose parameters the runners bound, read once a process; a cover's and
+genus_g_complement's are read per call.  Every presentation matrix comes
+from `present_from_scenario`; one memo, `_generic_f`, holds the generic ones:
 the torus keys, in theorem calls and sweeps alike, push the torus
 complement's over Z^3 forward; genus1-hd sums translates of four, its
 sphere phi meeting nothing or one label once (`_phi_torus`), as its
 intersection data give them, and pushes the sum forward; and
-linked-6crit substitutes its bar words into the sphere/torus link's.
+linked-6crit substitutes its bar words into the sphere/torus link's, and
+pushes that one's abelianization forward to its image.
 Each theorem runner drives the barbell engine through one argument,
 compares against the closed-form or substituted value when there is
 one, and hands the engine values and its verdict to a Report
@@ -258,7 +261,23 @@ def _builtin_description(name, params: Mapping) -> dict:
 
 
 def builtin_geometry(name: str, **params) -> Geometry:
+    """The named built-in's Geometry, read afresh on every call (a
+    Geometry is mutable, so none is shared with a caller); the runners
+    read theirs through _geometry, but for the covers' and
+    genus_g_complement's."""
     return _read_geometry(_builtin_description(name, params))
+
+
+@functools.cache
+def _geometry(builder: Callable[..., dict], *params) -> Geometry:
+    """builder(*params)'s Geometry, named as its builder (a built-in's by
+    its registry key), read and checked once a process and shared, so no
+    caller may change it.  Only for parameters the runners bound:
+    sphere_torus_link's n (at most 12 values under
+    MAX_LINKED_WORD_LETTERS), the parameter-free built-ins and
+    _generic_f's descriptions; a cover's m and genus_g_complement's g are
+    unbounded, so those geometries are read per call."""
+    return _read_geometry({"name": builder.__name__.removeprefix("_"), **builder(*params)})
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +328,7 @@ def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) ->
     this one pushed forward (torus: (a, b, c) -> ak + bl + c), a sum of
     translates of genus1-hd's four pushed forward, or substituted into
     (Brunnian)."""
-    geo = _read_geometry(builder(*params))
+    geo = _geometry(builder, *params)
     x = geo.group.generator
     bars = {"S_h": x(1), "S_v": x(2)}
     return present_from_scenario(geo, [BarbellSpec(cuff, cuff, bars[cuff]) for cuff in cuffs])[0][0]
@@ -375,19 +394,31 @@ def _check_linked(n: int, k: int, l: int):
     )
 
 
+@functools.cache
+def _abelian_brunnian_f() -> RingElement:
+    """The generic Brunnian relator of sphere_torus_link at n = 3
+    abelianized: substituted into F2[Z^3] at x1, x2, x3 -> e1, e2, e3,
+    once a process.  Its image at s^k, s^l, t is this one pushed forward
+    along (a, b, c) -> (ak + bl, c)."""
+    generic, z3 = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(3)
+    return substitute(generic, z3, [z3.generator(i) for i in (1, 2, 3)])
+
+
 def _run_linked_6crit(n: int, k: int, l: int) -> Report:
     """One winding pair (k, l): the engine's relator against the generic one
     of sphere_torus_link at n = 3 (a third of a call to build) at
     x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image in
-    F2[s^±1, t^±1], the generic one at s^k, s^l, t (the sweep's image_in_st)."""
+    F2[s^±1, t^±1] (the sweep's image_in_st): the generic one at s^k,
+    s^l, t, pushed forward from its abelianization (_abelian_brunnian_f).
+    The geometry at each n is read once a process (_geometry)."""
     _check_linked(n, k, l)
-    geo = builtin_geometry("sphere_torus_link", n=n)
+    geo = _geometry(_sphere_torus_link, n)
     w = brunnian_word(n)
     wk, wl = w.pow(k), w.pow(l)
     engine_f = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
-    generic, st = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(2)
+    generic = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3)
     expected_f = substitute(generic, geo.group, [wk, wl, geo.group.generator(n)])
-    image = substitute(generic, st, [st.generator(1, k), st.generator(1, l), st.generator(2)])
+    image = pushforward(_abelian_brunnian_f(), [[k, l, 0], [0, 0, 1]])
     nontrivial = not is_monomial_unit(image)
     # the relator pushed through F_n -> Z, every generator to t, needs no
     # word product: w is x1 for n = 2, and a commutator (image 1) otherwise
@@ -404,7 +435,7 @@ def _run_linked_6crit(n: int, k: int, l: int) -> Report:
 
 def _run_simple_5d(k: int) -> Report:
     _require(k >= 1, f"iteration count must be >= 1, got k={k}")
-    geo = builtin_geometry("genus2_complement")
+    geo = _geometry(_genus2_complement)
     spec = BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=k)
     rows = present_from_scenario(geo, [spec])
     zero = RingElement.zero(geo.group, INT)
@@ -435,7 +466,7 @@ def _in_identity_summand(x: EquivClass, *labels: str) -> bool:
 
 
 def _run_circle_splitting(k: int, l: int = 0) -> Report:
-    geo = builtin_geometry("circles_complement")
+    geo = _geometry(_circles_complement)
     moved = _move(geo, "D_R", "S_L", "S_R", (geo.identity(), k - l))
     expected_class = geo.basis_class("D_R").add(geo.basis_class("S_L", coeff=l - k))
     member = _in_identity_summand(moved, "D_R", "S_R")
@@ -462,7 +493,7 @@ def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
 
 
 def _run_disks_linked(k: int, l: int) -> Report:
-    geo = builtin_geometry("circles_complement")
+    geo = _geometry(_circles_complement)
     # the glued 2-sphere's class in the complement of the other component
     # is f^k(D_R) - f^l(D_R), for a trivial bar f^(k-l)(D_R) - D_R: only
     # the meridian coefficient survives

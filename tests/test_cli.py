@@ -366,6 +366,23 @@ def test_a_refused_sweep_writes_nothing(monkeypatch, capsys, tmp_path):
     assert built == [] and target.read_text() == "kept\n"
 
 
+def test_running_out_of_memory_is_one_error_line_and_exit_2(monkeypatch, capsys):
+    # the last resort for an input no bound refuses first: no traceback
+    from barbellcalc import cli, scenarios
+
+    def exhausted(k: "int", l: "int"):
+        raise MemoryError
+
+    monkeypatch.setitem(scenarios.THEOREMS, "morsesimple-s3", exhausted)
+    for argv in (["theorem", "morsesimple-s3", "--k", "2", "--l", "3"],
+                 ["theorem", "morsesimple-s3", "--k", "2", "--l", "3", "--format", "machine"],
+                 ["sweep", "morsesimple", "--max", "3"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: the input needs more memory than this process may use\n"
+
+
 def test_sweep_job_cap_boundary():
     # montesinos --max 182 has 9,950 coprime (p, q) jobs, --max 183 has
     # 10,069: the cap counts jobs, not (p, q) candidates

@@ -18,6 +18,8 @@ from barbellcalc.deckgroup import (
     _SWAP,
     _TEXT,
     _check_value,
+    _has_run,
+    _text,
     MAX_FREE_RANK,
     MAX_POWER_LETTERS,
     DeckElement,
@@ -289,6 +291,27 @@ def test_sort_key_of_long_runs_keeps_the_pair_order():
     runs = [F3.generator(1, e) for e in (-70_000, -65_537, -65_536, -2, -1, 1, 2, 65_536, 65_537, 70_000)]
     runs += [F3.generator(2, -70_000), F3.generator(1, 2).mul(F3.generator(2))]
     assert sorted(runs, key=DeckElement.sort_key) == sorted(runs, key=lambda x: syllables(x.value))
+
+
+# generators on both sides of x63, the last ASCII letter (code point 127),
+# where the run test reads bytes; exponents of size 1 give run-free words
+RUN_LETTERS = st.lists(
+    st.tuples(st.one_of(st.integers(1, 3), st.integers(62, 66)), st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=10
+)
+
+
+@given(st.lists(RUN_LETTERS, max_size=8))
+def test_the_run_test_renders_and_orders_words_as_their_pairs(words):
+    # _has_run picks the run-free or the run-cut path of _text and sort_key;
+    # either way a word renders and sorts as its reduced pairs do
+    group = free_group(66)
+    elements = [DeckElement(group, reduce_letters(letters)) for letters in words]
+    pairs = [reduce_pairs(letters) for letters in words]
+    for x, a in zip(elements, pairs):
+        assert _has_run(x.value) == any(abs(e) > 1 for _, e in a)
+        assert _text(group, x.value) == format_letters(x) == pairs_text(a)
+    order = sorted(range(len(words)), key=lambda i: elements[i].sort_key())
+    assert [pairs[i] for i in order] == sorted(pairs)
 
 
 # -- seam products, validation, equality -----------------------------------------

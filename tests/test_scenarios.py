@@ -11,13 +11,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barbellcalc import deckgroup, scenarios
 from barbellcalc.deckgroup import CYCLIC, FREE_ABELIAN, GroupError, free_abelian, free_group
 from barbellcalc.equivariant import MERIDIAN, SPHERE, BarbellSpec
-from barbellcalc.groupring import F2, RingElement, pushforward, term_list_and_render
+from barbellcalc.groupring import F2, RingElement, pushforward, substitute, term_list_and_render
 from barbellcalc.presentations import present_from_scenario
 from barbellcalc.report import render_machine
 from barbellcalc.scenarios import (
@@ -37,7 +37,8 @@ from barbellcalc.scenarios import (
     run_sweep,
     run_theorem,
 )
-from oracles import binomial_product, cyclic_project, distinguish_brunnian_modules, genus1_hd_dim
+from oracles import (binomial_product, brunnian_image, cyclic_project, distinguish_brunnian_modules,
+                     genus1_hd_dim)
 
 # Golden pairing tables: the full finite intersection data of each
 # built-in geometry, locked term by term.
@@ -686,17 +687,16 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
 def test_brunnian_sweep_builds_each_image_once(monkeypatch):
     from barbellcalc import scenarios
 
-    # each image is the generic relator substituted into F2[s, t] at
-    # x1, x2, x3 -> s^k, s^l, t: record (k, l) of every such substitution
+    # each image is the abelianized generic relator pushed into F2[s, t]
+    # along (a, b, c) -> (ak + bl, c): record (k, l) of every such pushforward
     built = []
-    real = scenarios.substitute
+    real = scenarios.pushforward
 
-    def recording(elem, target, images):
-        if target.kind == FREE_ABELIAN:
-            built.append((images[0].value[0], images[1].value[0]))
-        return real(elem, target, images)
+    def recording(elem, matrix):
+        built.append((matrix[0][0], matrix[0][1]))
+        return real(elem, matrix)
 
-    monkeypatch.setattr(scenarios, "substitute", recording)
+    monkeypatch.setattr(scenarios, "pushforward", recording)
     reports = list(scenarios.run_sweep("brunnian", 4, n=3))
     # 45 pair jobs over the 10 winding pairs k <= l <= 4
     assert len(reports) == 45 and all(report.passed for report in reports)
@@ -714,13 +714,75 @@ def test_the_generic_brunnian_relator_is_built_once_a_process():
     assert (info.misses, info.currsize) == (1, 1) and info.hits > 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 50), st.integers(1, 50))
+@example(2, 1, 1)
+@example(2, 7, 7)
+@example(2, 3, 9)
+@example(5, 12, 12)
+def test_the_image_pushed_from_the_abelianized_relator_is_the_substituted_one(n, k, l):
+    # image_in_st is the generic relator substituted into F2[Z^3] once and
+    # pushed along (a, b, c) -> (ak + bl, c): it must equal the closed form
+    # and the generic relator substituted into F2[s, t] at s^k, s^l, t
+    report = run_theorem("linked-6crit", n=n, k=k, l=l)
+    generic, z2 = scenarios._generic_f(scenarios._sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(2)
+    direct = substitute(generic, z2, [z2.generator(1, k), z2.generator(1, l), z2.generator(2)])
+    assert report.computed["image_in_st"] == brunnian_image(k, l, n) == direct and report.passed
+
+
+def test_linked_6crit_reads_one_geometry_per_n_and_abelianizes_once(monkeypatch):
+    read, abelianized = [], []
+    real_read, real_substitute = scenarios._read_geometry, scenarios.substitute
+    monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: read.append(spec["name"]) or real_read(spec))
+
+    def recording(elem, target, images):
+        if target.kind == FREE_ABELIAN:
+            abelianized.append(target.n)
+        return real_substitute(elem, target, images)
+
+    monkeypatch.setattr(scenarios, "substitute", recording)
+    with own_groups():
+        # at n = 3 the runner's geometry is the generic relator's own
+        assert run_theorem("linked-6crit", n=3, k=1, l=2).passed
+        assert run_theorem("linked-6crit", n=3, k=5, l=4).passed
+        assert read == ["sphere_torus_link"] and abelianized == [3]
+        assert run_theorem("linked-6crit", n=5, k=2, l=2).passed
+        assert run_theorem("linked-6crit", n=5, k=3, l=1).passed
+        assert read == ["sphere_torus_link"] * 2 and abelianized == [3]
+        # builtin_geometry reads afresh: a caller may change what it gets
+        fresh = builtin_geometry("sphere_torus_link", n=3)
+        assert len(read) == 3 and fresh is not scenarios._geometry(scenarios._sphere_torus_link, 3)
+
+
+def test_the_geometry_memo_keeps_no_cover_or_genus_g_geometry():
+    # a cover's m and genus_g_complement's g are unbounded: read per call;
+    # the memo holds the parameter-free built-ins and sphere_torus_link at
+    # each n the letter cap admits, the generic relator's n = 3 among them
+    with own_groups():
+        for m in (105, 106, 107):
+            for key in ("less-simple", "simple-splitting-spheres", "genus1-handlebody"):
+                assert run_theorem(key, m=m, k=1).passed
+        for g in (2, 3, 4):
+            assert run_theorem("simple-knotted-handlebody", k=2, g=g).passed
+        assert scenarios._geometry.cache_info().currsize == 0
+        for key in ("simple-5d", "circle-splittingspheres", "disks-5dlinked"):
+            assert run_theorem(key, **SAMPLE_PARAMS[key]).passed
+        for n in range(2, 14):
+            assert run_theorem("linked-6crit", n=n, k=1, l=1).passed
+        with pytest.raises(HypothesisError, match="letters"):
+            run_theorem("linked-6crit", n=14, k=1, l=1)
+        assert scenarios._geometry.cache_info().currsize == 2 + 12
+
+
 @contextlib.contextmanager
 def own_groups():
     """A deck group table of the block's own, and the memos that hold
-    groups (free_group, free_abelian, _generic_f) empty on entry and exit:
-    every group the block reaches is built in it, and none outlives it in
-    a memo or meets a group built outside."""
-    memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._generic_f)
+    groups (free_group, free_abelian, _geometry, _generic_f,
+    _abelian_brunnian_f) empty on entry and exit: every group the block
+    reaches is built in it, and none outlives it in a memo or meets a
+    group built outside."""
+    memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._geometry, scenarios._generic_f,
+             scenarios._abelian_brunnian_f)
     table, deckgroup._GROUPS = deckgroup._GROUPS, weakref.WeakValueDictionary()
     for memo in memos:
         memo.cache_clear()
