@@ -39,9 +39,7 @@ cyclically reduced, and repeats v.
 A word in which no letter repeats its neighbour (x1^2 does) is its own
 sort key (_word_key), and _text joins its letters' strings in C; others
 are cut at their runs, each found in C however long it is (_by_runs).
-One test decides each sorted or rendered word, _has_run: a 0 among the
-XORs of neighbouring letters, read as bytes in C up to x63 (_is_word
-reads the same XORs); products never look.
+One re.search decides each sorted or rendered word; products never look.
 
 Every layer reads outside values by this module's rules: _is_int (exactly
 an int: no bool, no float), _is_element (the JSON form element_from_json
@@ -231,9 +229,7 @@ def reduce_letters(letters: Iterable[tuple[int, int]], rank: int | None = None) 
     return "".join(chr(2 * gen + 1) * exp if exp > 0 else chr(2 * gen) * -exp for gen, exp in stack)
 
 
-# _by_runs' pattern, a letter that repeats its neighbour, compiled by re on
-# first use, not at import; whether a word has a run at all is _has_run's test
-_RUN = r"(?s)(.)\1"
+_RUN = r"(?s)(.)\1"  # a letter that repeats its neighbour; re compiles it on first use, not at import
 
 
 def _by_runs(word: Word, stretch, run) -> list:
@@ -311,25 +307,10 @@ def _word_inverse(word: Word) -> Word:
 def _word_key(word: Word) -> Word:
     """A word's sort key, ordering words as their (generator, exponent)
     pairs: the word itself when it has no run, else its runs marked (_run_key)."""
-    return "".join(_by_runs(word, lambda stretch: (stretch,), _run_key)) if _has_run(word) else word
+    return "".join(_by_runs(word, lambda stretch: (stretch,), _run_key)) if re.search(_RUN, word) else word
 
 
 _ASCII_LETTERS = bytes(range(2, 128))  # x1^-1, x1, ..., x63
-
-
-def _neighbour_xors(data: bytes) -> bytes:
-    """data's first byte, then each later byte XOR the one before it, in C."""
-    x = int.from_bytes(data, "big")
-    return (x ^ x >> 8).to_bytes(len(data), "big")
-
-
-def _has_run(word: Word) -> bool:
-    """Does a letter of the word repeat its neighbour (x1^2 does)?  A 0
-    among its neighbours' XORs, read as bytes in C up to x63; the first
-    byte is a letter, never 0."""
-    if word.isascii():
-        return b"\x00" in _neighbour_xors(word.encode())
-    return any(map(operator.eq, word[1:], word[:-1]))
 
 
 def _is_word(value, n: int) -> bool:
@@ -339,8 +320,10 @@ def _is_word(value, n: int) -> bool:
         return False
     if value.isascii():
         data = value.encode()
-        # every byte a letter, so the first, at least 2, is no XOR of 1
-        return not data.translate(None, _ASCII_LETTERS[: 2 * n]) and b"\x01" not in _neighbour_xors(data)
+        if data.translate(None, _ASCII_LETTERS[: 2 * n]):
+            return False
+        neighbours = int.from_bytes(data[1:], "big") ^ int.from_bytes(data[:-1], "big")
+        return b"\x01" not in neighbours.to_bytes(len(data), "big")
     return "\x02" <= min(value) and max(value) <= chr(2 * n + 1) and not any(
         map(operator.eq, value[1:], value[:-1].translate(_SWAP)))
 
@@ -512,7 +495,7 @@ def _text(group: DeckGroup, value) -> str:
     kind = group.kind
     if kind == CYCLIC:
         return str(value)
-    if kind == FREE and not _has_run(value):
+    if kind == FREE and not re.search(_RUN, value):
         return " ".join(map(_TEXT.__getitem__, value)) or "1"
     letters = syllables(value) if kind == FREE else [(i + 1, e) for i, e in enumerate(value) if e]
     return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in letters) or "1"

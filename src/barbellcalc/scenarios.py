@@ -12,9 +12,9 @@ data and runs on it.  A builder returns its cover's description in the
 inline form of a scenario file, and one reader, `_read_geometry`, builds
 every Geometry; a scenario file's own attaching spheres and belt disks
 replace the roles in the description before it is read, so the roles are
-checked once, by Geometry.  One memo, `_geometry`, keeps the geometries
-whose parameters the runners bound, read once a process; a cover's and
-genus_g_complement's are read per call.  Every presentation matrix comes
+checked once, by Geometry.  One memo, `_link_geometry`, keeps the
+sphere/torus link's geometry at each n, read once a process; every other
+runner reads its geometry per call.  Every presentation matrix comes
 from `present_from_scenario`; one memo, `_generic_f`, holds the generic ones:
 the torus keys, in theorem calls and sweeps alike, push the torus
 complement's over Z^3 forward; genus1-hd sums translates of four, its
@@ -261,23 +261,19 @@ def _builtin_description(name, params: Mapping) -> dict:
 
 
 def builtin_geometry(name: str, **params) -> Geometry:
-    """The named built-in's Geometry, read afresh on every call (a
-    Geometry is mutable, so none is shared with a caller); the runners
-    read theirs through _geometry, but for the covers' and
-    genus_g_complement's."""
+    """The named built-in's Geometry, read afresh on every call: a
+    Geometry is mutable, so none is shared with a caller.  Only
+    linked-6crit reads its geometry through a memo (_link_geometry)."""
     return _read_geometry(_builtin_description(name, params))
 
 
 @functools.cache
-def _geometry(builder: Callable[..., dict], *params) -> Geometry:
-    """builder(*params)'s Geometry, named as its builder (a built-in's by
-    its registry key), read and checked once a process and shared, so no
-    caller may change it.  Only for parameters the runners bound:
-    sphere_torus_link's n (at most 12 values under
-    MAX_LINKED_WORD_LETTERS), the parameter-free built-ins and
-    _generic_f's descriptions; a cover's m and genus_g_complement's g are
-    unbounded, so those geometries are read per call."""
-    return _read_geometry({"name": builder.__name__.removeprefix("_"), **builder(*params)})
+def _link_geometry(n: int) -> Geometry:
+    """sphere_torus_link's Geometry at n, read once a process and shared
+    by linked-6crit and the generic Brunnian relator (_generic_f), neither
+    of which hands it to a caller.  MAX_LINKED_WORD_LETTERS admits
+    n <= 13, so it holds at most 12 entries."""
+    return builtin_geometry("sphere_torus_link", n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +323,8 @@ def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) ->
     commute with group maps out of its deck group, so an instance's f is
     this one pushed forward (torus: (a, b, c) -> ak + bl + c), a sum of
     translates of genus1-hd's four pushed forward, or substituted into
-    (Brunnian)."""
-    geo = _geometry(builder, *params)
+    (Brunnian).  The sphere/torus link's geometry is linked-6crit's own."""
+    geo = _link_geometry(*params) if builder is _sphere_torus_link else _read_geometry(builder(*params))
     x = geo.group.generator
     bars = {"S_h": x(1), "S_v": x(2)}
     return present_from_scenario(geo, [BarbellSpec(cuff, cuff, bars[cuff]) for cuff in cuffs])[0][0]
@@ -410,9 +406,9 @@ def _run_linked_6crit(n: int, k: int, l: int) -> Report:
     x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image in
     F2[s^±1, t^±1] (the sweep's image_in_st): the generic one at s^k,
     s^l, t, pushed forward from its abelianization (_abelian_brunnian_f).
-    The geometry at each n is read once a process (_geometry)."""
+    The geometry at each n is read once a process (_link_geometry)."""
     _check_linked(n, k, l)
-    geo = _geometry(_sphere_torus_link, n)
+    geo = _link_geometry(n)
     w = brunnian_word(n)
     wk, wl = w.pow(k), w.pow(l)
     engine_f = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
@@ -435,7 +431,7 @@ def _run_linked_6crit(n: int, k: int, l: int) -> Report:
 
 def _run_simple_5d(k: int) -> Report:
     _require(k >= 1, f"iteration count must be >= 1, got k={k}")
-    geo = _geometry(_genus2_complement)
+    geo = builtin_geometry("genus2_complement")
     spec = BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=k)
     rows = present_from_scenario(geo, [spec])
     zero = RingElement.zero(geo.group, INT)
@@ -466,7 +462,7 @@ def _in_identity_summand(x: EquivClass, *labels: str) -> bool:
 
 
 def _run_circle_splitting(k: int, l: int = 0) -> Report:
-    geo = _geometry(_circles_complement)
+    geo = builtin_geometry("circles_complement")
     moved = _move(geo, "D_R", "S_L", "S_R", (geo.identity(), k - l))
     expected_class = geo.basis_class("D_R").add(geo.basis_class("S_L", coeff=l - k))
     member = _in_identity_summand(moved, "D_R", "S_R")
@@ -493,7 +489,7 @@ def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
 
 
 def _run_disks_linked(k: int, l: int) -> Report:
-    geo = _geometry(_circles_complement)
+    geo = builtin_geometry("circles_complement")
     # the glued 2-sphere's class in the complement of the other component
     # is f^k(D_R) - f^l(D_R), for a trivial bar f^(k-l)(D_R) - D_R: only
     # the meridian coefficient survives

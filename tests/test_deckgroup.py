@@ -18,7 +18,6 @@ from barbellcalc.deckgroup import (
     _SWAP,
     _TEXT,
     _check_value,
-    _has_run,
     _text,
     MAX_FREE_RANK,
     MAX_POWER_LETTERS,
@@ -293,22 +292,21 @@ def test_sort_key_of_long_runs_keeps_the_pair_order():
     assert sorted(runs, key=DeckElement.sort_key) == sorted(runs, key=lambda x: syllables(x.value))
 
 
-# generators on both sides of x63, the last ASCII letter (code point 127),
-# where the run test reads bytes; exponents of size 1 give run-free words
+# generators on both sides of x63, the last ASCII letter (code point 127);
+# exponents of size 1 give words without runs
 RUN_LETTERS = st.lists(
     st.tuples(st.one_of(st.integers(1, 3), st.integers(62, 66)), st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=10
 )
 
 
 @given(st.lists(RUN_LETTERS, max_size=8))
-def test_the_run_test_renders_and_orders_words_as_their_pairs(words):
-    # _has_run picks the run-free or the run-cut path of _text and sort_key;
-    # either way a word renders and sorts as its reduced pairs do
+def test_words_with_and_without_runs_render_and_order_as_their_pairs(words):
+    # _text and sort_key take the run-free or the run-cut path; either way
+    # a word renders and sorts as its reduced pairs do
     group = free_group(66)
     elements = [DeckElement(group, reduce_letters(letters)) for letters in words]
     pairs = [reduce_pairs(letters) for letters in words]
     for x, a in zip(elements, pairs):
-        assert _has_run(x.value) == any(abs(e) > 1 for _, e in a)
         assert _text(group, x.value) == format_letters(x) == pairs_text(a)
     order = sorted(range(len(words)), key=lambda i: elements[i].sort_key())
     assert [pairs[i] for i in order] == sorted(pairs)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from barbellcalc import deckgroup, scenarios
 from barbellcalc.deckgroup import CYCLIC, FREE_ABELIAN, GroupError, free_abelian, free_group
-from barbellcalc.equivariant import MERIDIAN, SPHERE, BarbellSpec
+from barbellcalc.equivariant import DISK, MERIDIAN, SPHERE, BarbellSpec
 from barbellcalc.groupring import F2, RingElement, pushforward, substitute, term_list_and_render
 from barbellcalc.presentations import present_from_scenario
 from barbellcalc.report import render_machine
@@ -751,37 +751,47 @@ def test_linked_6crit_reads_one_geometry_per_n_and_abelianizes_once(monkeypatch)
         assert read == ["sphere_torus_link"] * 2 and abelianized == [3]
         # builtin_geometry reads afresh: a caller may change what it gets
         fresh = builtin_geometry("sphere_torus_link", n=3)
-        assert len(read) == 3 and fresh is not scenarios._geometry(scenarios._sphere_torus_link, 3)
+        assert len(read) == 3 and fresh is not scenarios._link_geometry(3)
 
 
-def test_the_geometry_memo_keeps_no_cover_or_genus_g_geometry():
-    # a cover's m and genus_g_complement's g are unbounded: read per call;
-    # the memo holds the parameter-free built-ins and sphere_torus_link at
-    # each n the letter cap admits, the generic relator's n = 3 among them
+def test_the_geometry_memo_keeps_only_the_sphere_torus_link_geometries():
+    # every other runner reads its geometry per call: a cover's m and
+    # genus_g_complement's g are unbounded, and the parameter-free runners
+    # return their geometry inside a class; the memo holds sphere_torus_link
+    # at each n the letter cap admits, the generic relator's n = 3 among them
     with own_groups():
         for m in (105, 106, 107):
             for key in ("less-simple", "simple-splitting-spheres", "genus1-handlebody"):
                 assert run_theorem(key, m=m, k=1).passed
         for g in (2, 3, 4):
             assert run_theorem("simple-knotted-handlebody", k=2, g=g).passed
-        assert scenarios._geometry.cache_info().currsize == 0
         for key in ("simple-5d", "circle-splittingspheres", "disks-5dlinked"):
             assert run_theorem(key, **SAMPLE_PARAMS[key]).passed
+        assert scenarios._link_geometry.cache_info().currsize == 0
         for n in range(2, 14):
             assert run_theorem("linked-6crit", n=n, k=1, l=1).passed
         with pytest.raises(HypothesisError, match="letters"):
             run_theorem("linked-6crit", n=14, k=1, l=1)
-        assert scenarios._geometry.cache_info().currsize == 2 + 12
+        assert scenarios._link_geometry.cache_info().currsize == 12
+
+
+def test_a_caller_who_changes_a_returned_geometry_changes_no_later_call():
+    # circle-splittingspheres returns its geometry inside its classes, and a
+    # caller may change it: every later run reads a geometry of its own
+    changed = run_theorem("circle-splittingspheres", k=2).computed["class"].geometry
+    changed.labels["S_L"] = changed.labels["S_R"] = DISK
+    for key in ("circle-splittingspheres", "simple-splitting", "disks-5dlinked", "simple-5d"):
+        assert run_theorem(key, **SAMPLE_PARAMS[key]).passed
 
 
 @contextlib.contextmanager
 def own_groups():
     """A deck group table of the block's own, and the memos that hold
-    groups (free_group, free_abelian, _geometry, _generic_f,
+    groups (free_group, free_abelian, _link_geometry, _generic_f,
     _abelian_brunnian_f) empty on entry and exit: every group the block
     reaches is built in it, and none outlives it in a memo or meets a
     group built outside."""
-    memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._geometry, scenarios._generic_f,
+    memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._link_geometry, scenarios._generic_f,
              scenarios._abelian_brunnian_f)
     table, deckgroup._GROUPS = deckgroup._GROUPS, weakref.WeakValueDictionary()
     for memo in memos:
