@@ -26,20 +26,23 @@ attribute raises AttributeError).  Groups compare by identity, one live
 a kind and size: DeckGroup(kind, n) refuses a size that is not an int,
 then takes the live group from a weak table or builds it (_law);
 free_group and free_abelian hold theirs.  A group carries its law on
-canonical values: _product, _inverse and _order, its values' sort key
-(None: their natural order).  Ring and class terms are keyed by values,
-and DeckElement(group, value) (x in group tests one) is the checked
-public type where values enter and leave: it refuses a group that is not
-a DeckGroup, a word that is not freely reduced, a vector that is not a
-tuple of r ints and a residue that is not an int in [0, m).  Two reduced
-words only cancel where they meet, and their product bisects that seam
-with C-level slice comparisons (_seam); pow writes a word as u v u^-1, v
-cyclically reduced, and repeats v.
+canonical values, _product and _inverse.  Ring and class terms are
+keyed by values, and DeckElement(group, value) (x in group tests one)
+is the checked public type where values enter and leave: it refuses a
+group that is not a DeckGroup, a word that is not freely reduced, a
+vector that is not a tuple of r ints and a residue that is not an int
+in [0, m).  Two reduced words only cancel where they meet, and their
+product bisects that seam with C-level slice comparisons (_seam); pow
+writes a word as u v u^-1, v cyclically reduced, and repeats v.
 
 A word in which no letter repeats its neighbour (x1^2 does) is its own
 sort key (_word_key), and _text joins its letters' strings in C; others
 are cut at their runs, each found in C however long it is (_by_runs).
-One re.search decides each sorted or rendered word; products never look.
+The words of a ring element or class are sorted and rendered together
+(_sorted_texts): one re.search over all of them joined, then, if none
+has a run and every letter is ASCII (x1..x63), one sort, one letter
+lookup, one join and one split.  DeckElement.sort_key and format_element
+run one re.search per word; products never look.
 
 Every layer reads outside values by this module's rules: _is_int (exactly
 an int: no bool, no float), _is_element (the JSON form element_from_json
@@ -133,7 +136,7 @@ def _immutable(self, name, *value):
 class DeckGroup:
     """A deck group F_n, Z^r or Z/m (n is the rank or m), the one live group of its kind and size."""
 
-    __slots__ = ("kind", "n", "_product", "_inverse", "_order", "__weakref__")
+    __slots__ = ("kind", "n", "_product", "_inverse", "__weakref__")
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, kind: str, n: int):
@@ -188,16 +191,16 @@ _INTERNING = threading.Lock()
 
 
 def _law(kind: str, n: int) -> tuple:
-    """The group's law on canonical values: product, inverse and sort key (None: their natural order)."""
+    """The group's law on canonical values: product and inverse."""
     if kind == FREE:
-        return _word_product, _word_inverse, _word_key
+        return _word_product, _word_inverse
     if kind == FREE_ABELIAN and n == 1:  # Z, the commonest, without a map over one coordinate
-        return (lambda u, v: (u[0] + v[0],)), (lambda u: (-u[0],)), None
+        return (lambda u, v: (u[0] + v[0],)), (lambda u: (-u[0],))
     if kind == FREE_ABELIAN and n == 2:  # Z^2, whose ring holds the Brunnian images, likewise
-        return (lambda u, v: (u[0] + v[0], u[1] + v[1])), (lambda u: (-u[0], -u[1])), None
+        return (lambda u, v: (u[0] + v[0], u[1] + v[1])), (lambda u: (-u[0], -u[1]))
     if kind == FREE_ABELIAN:
-        return (lambda u, v: tuple(map(operator.add, u, v))), (lambda u: tuple(map(operator.neg, u))), None
-    return (lambda a, b: (a + b) % n), (lambda a: -a % n), None
+        return (lambda u, v: tuple(map(operator.add, u, v))), (lambda u: tuple(map(operator.neg, u)))
+    return (lambda a, b: (a + b) % n), (lambda a: -a % n)
 
 
 @functools.lru_cache(maxsize=None, typed=True)  # typed: free_group(2.0) is refused, not F_2 once F_2 is cached
@@ -311,6 +314,31 @@ def _word_key(word: Word) -> Word:
 
 
 _ASCII_LETTERS = bytes(range(2, 128))  # x1^-1, x1, ..., x63
+
+# Joins the words of one element (_sorted_texts): below chr(2), so no letter
+# and never part of a run, it is its own text.  _ASCII_TEXT holds the ASCII
+# letters' texts in a plain dict, which operator.itemgetter reads in C.
+_SEPARATOR = "\x00"
+_ASCII_TEXT = {chr(code): _TEXT.rule(code) for code in _ASCII_LETTERS} | {_SEPARATOR: _SEPARATOR}
+
+
+def _sorted_texts(group: DeckGroup, words: Iterable[Word]) -> dict[Word, str]:
+    """A free group's words, in deck-element order, each to its text
+    (_text), decided for all of them at once.  The words other than the
+    identity are joined by _SEPARATOR and searched for a run once, before
+    anything is sorted.  Without a run, and with ASCII letters (x1..x63),
+    each word is its own sort key, and every text comes from one letter
+    lookup, one join and one split.  Otherwise, or with at most one letter
+    in all, each word is keyed (_word_key) and rendered (_text) alone."""
+    rest = set(words)
+    identity = "" in rest  # its text is "1", and it sorts first
+    rest.discard("")
+    letters = _SEPARATOR.join(rest)
+    if len(letters) < 2 or not letters.isascii() or re.search(_RUN, letters):  # itemgetter(one letter) is no tuple
+        return {word: _text(group, word) for word in sorted(words, key=_word_key)}
+    ordered = sorted(rest)
+    texts = " ".join(operator.itemgetter(*_SEPARATOR.join(ordered))(_ASCII_TEXT)).split(f" {_SEPARATOR} ")
+    return dict(zip(["", *ordered], ["1", *texts]) if identity else zip(ordered, texts))
 
 
 def _is_word(value, n: int) -> bool:

@@ -59,7 +59,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import CYCLIC, DeckElement, DeckGroup, _cut, _echo, _is_int, _is_list, _json, _text
+from .deckgroup import (CYCLIC, FREE, DeckElement, DeckGroup, _cut, _echo, _is_int, _is_list, _json, _sorted_texts,
+                        _text)
 from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
 
 SPHERE = "sphere"
@@ -192,7 +193,7 @@ class EquivClass:
 
     def support(self) -> list[tuple[str, DeckElement]]:
         group = self.geometry.group
-        return [(label, DeckElement(group, value)) for label, value in _sorted(self)]
+        return [(label, DeckElement(group, value)) for label, value in _sorted(self)[0]]
 
     def _same_geometry(self, other: "EquivClass") -> bool:
         """The same geometry object, or one deck group and an equal name, coefficients, labels and pairing table."""
@@ -242,20 +243,28 @@ def _equiv_class(geometry: Geometry, terms: dict) -> EquivClass:
     return x
 
 
-def _sorted(x: EquivClass) -> list:
-    """The class's (label, value) keys, by label, then in deck-element order."""
-    order = x.geometry.group._order
-    return sorted(x.terms, key=order and (lambda key: (key[0], order(key[1]))))
+def _sorted(x: EquivClass) -> tuple[list, dict | None]:
+    """The class's (label, value) keys, by label, then in deck-element
+    order, and over a free group each word's text, all of them sorted and
+    written at once (deckgroup._sorted_texts); other values are their own
+    sort keys, and are written one at a time (None)."""
+    group = x.geometry.group
+    if group.kind != FREE:
+        return sorted(x.terms), None
+    text = _sorted_texts(group, {value for _, value in x.terms})
+    place = dict(zip(text, range(len(text))))
+    return sorted(x.terms, key=lambda key: (key[0], place[key[1]])), text
 
 
 def render_class(x: EquivClass) -> str:
     """Sorted human form, e.g. "S_v + x1^-1 S_h + ..."."""
     group = x.geometry.group
     one = group.identity().value
+    keys, texts = _sorted(x)
     parts = []
-    for label, value in _sorted(x):
+    for label, value in keys:
         c = x.terms[(label, value)]
-        body = label if value == one else f"({_text(group, value)}) {label}"
+        body = label if value == one else f"({texts[value] if texts else _text(group, value)}) {label}"
         if abs(c) != 1:
             body = f"{abs(c)} {body}"
         parts.append((c < 0, body))
@@ -263,9 +272,11 @@ def render_class(x: EquivClass) -> str:
 
 
 def class_term_list(x: EquivClass) -> list[list]:
-    """The JSON term list [label, deck element's JSON form, coefficient], in render_class's order."""
+    """The JSON term list [label, deck element's JSON form, coefficient], in
+    render_class's order; a word's JSON form is its text."""
     group = x.geometry.group
-    return [[label, _json(group, value), x.terms[label, value]] for label, value in _sorted(x)]
+    keys, texts = _sorted(x)
+    return [[label, texts[value] if texts else _json(group, value), x.terms[label, value]] for label, value in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import operator
 from collections.abc import Iterable, Mapping, Sequence
 
 from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _echo, _is_element, _is_int, _is_list,
-                        _json, element_from_json, free_abelian)
+                        _json, _sorted_texts, element_from_json, free_abelian)
 
 F2 = "F2"
 INT = "Z"
@@ -84,7 +84,7 @@ class RingElement:
         return self.terms.get(elt.value, 0) if elt in self.group else 0
 
     def support(self) -> list[DeckElement]:
-        return [DeckElement(self.group, value) for value in sorted(self.terms, key=self.group._order)]
+        return sorted((DeckElement(self.group, value) for value in self.terms), key=DeckElement.sort_key)
 
     def _check(self, other: "RingElement"):
         if other.__class__ is not RingElement:
@@ -264,18 +264,20 @@ def join_signed(parts: Iterable[tuple[bool, str]]) -> str:
 def term_list_and_render(elem: RingElement) -> tuple[list[list], str]:
     """The machine form (sorted [element, coefficient] pairs) and the
     human form (e.g. "t^-3 + t^-1 + 1 + t + t^3", increasing deck-element
-    order) from one pass over the sorted values, a free-group word's string
-    serving both; kept on the element and shared by every later call, so not to be mutated."""
+    order) from one pass over the sorted values, a free-group word's text,
+    made with all the others (_sorted_texts), serving both; kept on the
+    element and shared by every later call, so not to be mutated."""
     if elem._forms is not None:
         return elem._forms
-    group = elem.group
+    group, free = elem.group, elem.group.kind == FREE
+    text = _sorted_texts(group, elem.terms) if free else None
     terms = []
     parts = []
-    for value in sorted(elem.terms, key=group._order):
+    for value in text if free else sorted(elem.terms):
         c = elem.terms[value]
-        raw = _json(group, value)
+        raw = text[value] if free else _json(group, value)
         terms.append([raw, c])
-        mono = raw if group.kind == FREE else _monomial_string(group, value)
+        mono = raw if free else _monomial_string(group, value)
         if mono == "1":
             body = str(abs(c)) if elem.coeffs == INT else "1"
         elif abs(c) == 1:

@@ -28,7 +28,10 @@ value its own way, and the tests compare the two.
   one letter at a time, with pairs_product, pairs_inverse, pairs_power
   and pairs_text beside it, the reference of the word operations,
   reduce_letters and format_element; pairs compare as Python tuples,
-  the reference of DeckElement.sort_key.
+  the reference of DeckElement.sort_key.  ring_forms and class_forms
+  write a free-group ring element or class from its words' pairs: the
+  oracles of groupring.term_list_and_render and of
+  equivariant.render_class and class_term_list.
 * The plain versions of the word-path kernels: format_letters, the
   per-syllable join of deckgroup.format_element; slow_pow, a power as
   |k| - 1 products, for DeckElement.pow; and stored_row, a pairing row
@@ -423,6 +426,49 @@ def pairs_power(a: Pairs, k: int) -> Pairs:
 def pairs_text(a: Pairs) -> str:
     """x-notation: "x1^-1 x2^2", "1" for the empty word."""
     return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in a) or "1"
+
+
+def signed_sum(parts: Iterable[tuple[int, str]]) -> str:
+    """(coefficient, body) pairs as a report writes a sum: " + " or " - "
+    between bodies, "-" before a negative first one, "0" for none."""
+    out = "".join(f" {'-' if c < 0 else '+'} {body}" for c, body in parts)
+    return out[3:] if out.startswith(" + ") else f"-{out[3:]}" if out else "0"
+
+
+def _collected(terms: Iterable[tuple], coeffs: str) -> dict:
+    """The coefficients of equal keys added, reduced mod 2 over F2, zeros dropped."""
+    out: dict = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c % 2 if coeffs == F2 else c for key, c in out.items() if (c % 2 if coeffs == F2 else c)}
+
+
+def ring_forms(terms: Iterable[tuple[Pairs, int]], coeffs: str) -> tuple[list[list], str]:
+    """The term list and rendering of the free-group ring element sum c w,
+    each word given by its reduced pairs: words sorted as pairs and written
+    as pairs_text, a coefficient of size above 1 before its word, and the
+    identity written as its coefficient's size."""
+    collected = _collected(terms, coeffs)
+    order = sorted(collected)
+    parts = []
+    for a in order:
+        c = collected[a]
+        parts.append((c, str(abs(c)) if not a else pairs_text(a) if abs(c) == 1 else f"{abs(c)}{pairs_text(a)}"))
+    return [[pairs_text(a), collected[a]] for a in order], signed_sum(parts)
+
+
+def class_forms(terms: Iterable[tuple[tuple[str, Pairs], int]], coeffs: str) -> tuple[list[list], str]:
+    """The term list and rendering of the free-group class sum c w S, each
+    key a label and a word's reduced pairs: sorted by label, then as pairs,
+    written "(w) S" ("S" at the identity), with "|c| " before it when |c| > 1."""
+    collected = _collected(terms, coeffs)
+    order = sorted(collected)
+    parts = []
+    for label, a in order:
+        c = collected[label, a]
+        body = f"({pairs_text(a)}) {label}" if a else label
+        parts.append((c, body if abs(c) == 1 else f"{abs(c)} {body}"))
+    return [[label, pairs_text(a), collected[label, a]] for label, a in order], signed_sum(parts)
 
 
 def slow_pow(x: DeckElement, k: int) -> DeckElement:

@@ -313,8 +313,10 @@ def test_a_sweep_writes_each_line_before_the_next_report_is_built(monkeypatch):
 
 # No benchmark workload builds a word with a run (a letter repeating its
 # neighbour, as in x1^2), so these calls pin such words' sorting and
-# rendering: stdout sha256 per format, recorded before group-ring terms
-# were keyed by canonical values.
+# rendering: stdout sha256 per format.  The first three were recorded
+# before group-ring terms were keyed by canonical values, the last two
+# before a ring element's or class's words were sorted and rendered
+# together; every word of an n = 2 relator is a run of x1 or has one.
 RUNS_SCENARIO = {
     "geometry": {"name": "sphere_torus_link", "n": 2},
     "barbells": [
@@ -322,26 +324,40 @@ RUNS_SCENARIO = {
         {"cuff1": "S_v", "cuff2": "S_v", "holonomy": "x1^3 x2^-1 x1"},
     ],
 }
-RUNS_DIGESTS = [  # (argv, table digest, machine digest); the scenario file is RUNS_SCENARIO
+LONG_RUN_SCENARIO = {
+    "geometry": {"name": "sphere_torus_link", "n": 2},
+    "barbells": [
+        {"cuff1": "S_h", "cuff2": "S_h", "holonomy": "x1^5000", "offset": "x2 x1^-3", "iterate": 3},
+        {"cuff1": "S_v", "cuff2": "S_v", "holonomy": "x2^-2 x1^5000"},
+    ],
+}
+RUNS_DIGESTS = [  # (argv, table digest, machine digest); a scenario's file holds the document argv names
     (["theorem", "linked-6crit", "--n", "2", "--k", "10", "--l", "12"],
         "33bf95226ccacba1da20e063ea0780e5c00e08305650d3602ed3a8b494979ab7",
         "ab3f9536792c13b5c79d7487eca1c65d1be40e93f24308b10ef1cf8e6f35debe"),
     (["sweep", "brunnian", "--n", "2", "--max", "4"],
         "777286b10b4ec97e0f5566a898bfd11c174bb2d01c4b585052c853f889d76b6b",
         "1850081c479e939fc882b4f8adb70648c9ad290fc6b8c894fc547fde2509b0ac"),
-    (["scenario"],
+    (["scenario", RUNS_SCENARIO],
         "730d81332d6270e8041ad0cc28c282f11e137fe9100f10c16b78ce30452b5d31",
         "ae82f424c2ac78d0886de5380d8ba6ae262d9ace711d9c1c9f48311cccbfad02"),
+    (["theorem", "linked-6crit", "--n", "2", "--k", "10000", "--l", "9000"],
+        "c8b3337fbc1782d271cd85f8ca5d47250824c6343a0a03b1de26ed4b3032d4be",
+        "3bfa2196b9ad2df2a0af5559d30b217fa6a0e4d89e085994585b6d298f5f9294"),
+    (["scenario", LONG_RUN_SCENARIO],
+        "95fc334b34c656b0d0f0308b4e3dd8fc36d27e4188f2c030b3a9a3b22504ca4c",
+        "7d5f31ec3c4c6b5f08e475575447f53238fbe8a7694f110fd3aea176c7e7fff9"),
 ]
 
 
-@pytest.mark.parametrize("argv,table,machine", RUNS_DIGESTS, ids=["linked-6crit", "brunnian", "scenario"])
+@pytest.mark.parametrize("argv,table,machine", RUNS_DIGESTS,
+                         ids=["linked-6crit", "brunnian", "scenario", "long-linked-6crit", "long-run-scenario"])
 def test_words_with_runs_print_their_pinned_bytes(argv, table, machine, tmp_path, capsys):
     from barbellcalc import cli
 
-    if argv == ["scenario"]:
+    if argv[0] == "scenario":
         path = tmp_path / "runs.json"
-        path.write_text(json.dumps(RUNS_SCENARIO))
+        path.write_text(json.dumps(argv[1]))
         argv = ["scenario", str(path)]
     for fmt, digest in (("table", table), ("machine", machine)):
         assert cli.main([*argv, "--format", fmt]) == 0

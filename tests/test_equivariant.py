@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barbellcalc.deckgroup import (CYCLIC, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, element_from_json,
-                                   free_abelian, free_group, parse_word, reduce_letters)
+                                   format_element, free_abelian, free_group, parse_word, reduce_letters)
 from barbellcalc.equivariant import (
     DISK,
     MERIDIAN,
@@ -18,14 +18,17 @@ from barbellcalc.equivariant import (
     GeometryError,
     action_sequence,
     barbell_action,
+    class_term_list,
     equivariant_pairing,
     pair_classes,
+    render_class,
     summand_membership,
 )
 from barbellcalc.groupring import F2, INT, RingElement, RingError, from_term_list
 from barbellcalc.scenarios import GEOMETRY_BUILDERS, GluingMatrix, HypothesisError, builtin_geometry
-from oracles import apply_hom, cyclic_project, solve_mod2, stored_row
+from oracles import apply_hom, class_forms, cyclic_project, reduce_pairs, solve_mod2, stored_row
 from oracles import summand_membership as solved_membership
+from test_groupring import FREE_RANKS, NONZERO_COEFFICIENTS, free_words
 
 Z1 = free_abelian(1)
 
@@ -995,6 +998,40 @@ def test_action_and_pairing_are_natural_under_cyclic_covering_maps(coeffs, data)
         except GeometryError:  # a disk paired with a disk
             continue
         assert apply_hom(upstairs, pushed.group, project) == equivariant_pairing(down, b)
+
+
+# -- classes over free groups, written out --------------------------------------
+
+
+@pytest.mark.parametrize("coeffs", [F2, INT])
+@pytest.mark.parametrize("rank", FREE_RANKS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_free_group_classes_render_as_their_pairs_sorted(rank, coeffs, data):
+    # a class's words are sorted and rendered together, or one by one when
+    # any has a run; either way by label, then as pairs
+    group = free_group(rank)
+    geo = Geometry("custom", group, coeffs, {"S": SPHERE, "T": SPHERE}, {})
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from("ST"), free_words(rank), NONZERO_COEFFICIENTS), max_size=8))
+    terms = {}
+    for label, letters, c in drawn:
+        key = (label, DeckElement(group, reduce_letters(letters, rank)))
+        terms[key] = terms.get(key, 0) + c
+    x = EquivClass(geo, terms)
+    term_list, rendered = class_forms([((label, reduce_pairs(letters)), c) for label, letters, c in drawn], coeffs)
+    assert class_term_list(x) == term_list and render_class(x) == rendered
+    assert [[label, format_element(d)] for label, d in x.support()] == [term[:2] for term in term_list]
+
+
+def test_a_free_group_class_of_at_most_one_letter_renders_word_by_word():
+    group = free_group(64)
+    geo = Geometry("custom", group, INT, {"S": SPHERE, "T": SPHERE}, {})
+    for terms, rendered in [
+        ({("S", group.identity()): -1}, "-S"),
+        ({("T", group.identity()): 2, ("S", group.generator(64)): 1}, "(x64) S + 2 T"),
+        ({("S", group.identity()): 1, ("S", group.generator(1)): -3}, "S - 3 (x1) S"),
+    ]:
+        assert render_class(EquivClass(geo, terms)) == rendered
 
 
 # -- trusted results ----------------------------------------------------------

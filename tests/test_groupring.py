@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barbellcalc import deckgroup
 from barbellcalc.deckgroup import (
     CYCLIC,
     FREE,
@@ -43,6 +44,7 @@ from oracles import (
     read_element,
     read_term_list,
     reduce_pairs,
+    ring_forms,
     slow_pow,
 )
 
@@ -483,6 +485,69 @@ def test_term_list_round_trip():
         for coeffs in (F2, INT):
             elem = random_element(rng, group, coeffs, size=6)
             assert from_term_list(term_list_and_render(elem)[0], group, coeffs) == elem
+
+
+# Words on generators at both ends of a rank's range, so that x63 (the last
+# ASCII letter) and x64 on, above it, are drawn, alone or in one element;
+# exponents of size 1 make words without runs and of size 2 words with one.
+FREE_RANKS = [1, 63, 64, 100]
+NONZERO_COEFFICIENTS = st.integers(-4, 4).filter(bool)
+
+
+def free_words(rank):
+    generators = st.integers(1, rank) if rank <= 6 else st.integers(1, 3) | st.integers(rank - 3, rank)
+    return st.lists(st.tuples(generators, st.sampled_from((-2, -1, -1, 1, 1, 2))), max_size=6)
+
+
+def free_element(group, coeffs, drawn):
+    """The ring element sum c w of drawn (letters, c) pairs, equal words added."""
+    terms = {}
+    for letters, c in drawn:
+        x = DeckElement(group, reduce_letters(letters, group.n))
+        terms[x] = terms.get(x, 0) + c
+    return RingElement(group, coeffs, terms)
+
+
+@pytest.mark.parametrize("coeffs", [F2, INT])
+@pytest.mark.parametrize("rank", FREE_RANKS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_free_group_elements_convert_as_their_pairs_sorted(rank, coeffs, data):
+    # the words are sorted and rendered together, through one run test over
+    # all of them, or one by one when any has a run; either way as pairs
+    drawn = data.draw(st.lists(st.tuples(free_words(rank), NONZERO_COEFFICIENTS), max_size=8))
+    elem = free_element(free_group(rank), coeffs, drawn)
+    assert term_list_and_render(elem) == ring_forms([(reduce_pairs(letters), c) for letters, c in drawn], coeffs)
+
+
+@pytest.mark.parametrize("rank", FREE_RANKS)
+def test_elements_of_at_most_one_letter_convert_word_by_word(rank):
+    # joined, these words have fewer than two letters, which the run test
+    # and the one letter lookup do not take
+    group = free_group(rank)
+    one, top = group.identity(), group.generator(rank)
+    cases = [
+        ({one: 1}, F2, [["1", 1]], "1"),
+        ({one: -3}, INT, [["1", -3]], "-3"),
+        ({one: 1, group.generator(1): 1}, F2, [["1", 1], ["x1", 1]], "1 + x1"),
+        ({one: 2, group.generator(1): -1}, INT, [["1", 2], ["x1", -1]], "2 - x1"),
+        ({top.inv(): -2}, INT, [[f"x{rank}^-1", -2]], f"-2x{rank}^-1"),
+    ]
+    for terms, coeffs, term_list, rendered in cases:
+        assert term_list_and_render(RingElement(group, coeffs, terms)) == (term_list, rendered)
+
+
+def test_only_an_element_with_a_run_is_keyed_word_by_word(monkeypatch):
+    # the bar words of an n = 2 relator are powers of x1, so its words have
+    # runs; no word of an n = 3 relator has one
+    keyed, real_key = [], deckgroup._word_key
+    monkeypatch.setattr(deckgroup, "_word_key", lambda word: keyed.append(word) or real_key(word))
+    for n, one_by_one in ((2, True), (3, False)):
+        relator = brunnian_relator(brunnian_word(n).pow(10), brunnian_word(n).pow(12))
+        del keyed[:]
+        forms = term_list_and_render(relator)
+        assert forms == ring_forms([(syllables(word), c) for word, c in relator.terms.items()], F2)
+        assert len(keyed) == (len(relator.terms) if one_by_one else 0), n
 
 
 # -- reading outside values: one JSON form each, nothing coerced ----------------------

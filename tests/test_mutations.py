@@ -104,8 +104,8 @@ _real_law = deckgroup._law
 
 def _law_with_unreduced_residue_sums(kind, n):
     # a cyclic group's law on values with the product's "% m" left out
-    product, inverse, order = _real_law(kind, n)
-    return (lambda a, b: a + b) if kind == deckgroup.CYCLIC else product, inverse, order
+    product, inverse = _real_law(kind, n)
+    return (lambda a, b: a + b) if kind == deckgroup.CYCLIC else product, inverse
 
 
 def _disk_model_without_component_2(n):
