@@ -49,18 +49,20 @@ group with GeometryError.  Classes share a geometry when it is one object
 or has the same deck group and an equal name, coefficients, labels and
 pairing table; ==, add, sub and pair_classes read that one test, and
 refuse a non-class.  Operations on checked classes and table rows apply
-the group's law to values and build their results with the trusted
-constructors _equiv_class and _ring_element, which only reduce
-coefficients mod 2 over F2 and drop zeros.  barbell_action adds k C(x)
-into a copy of x's terms, pairing once when both cuffs are one label.
+the group's law or, in class_pushforward, a map Z^s -> Z/m to values and
+build their results with the trusted constructors _equiv_class and
+_ring_element, which only reduce coefficients mod 2 over F2 and drop
+zeros.  barbell_action adds k C(x) into a copy of x's terms, pairing once
+when both cuffs are one label.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import (CYCLIC, FREE, DeckElement, DeckGroup, _cut, _echo, _is_int, _is_list, _json, _sorted_texts,
-                        _text)
+from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _cut, _echo, _is_int, _is_list, _json,
+                        _sorted_texts, _text)
 from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
 
 SPHERE = "sphere"
@@ -254,6 +256,23 @@ def _sorted(x: EquivClass) -> tuple[list, dict | None]:
     text = _sorted_texts(group, {value for _, value in x.terms})
     place = dict(zip(text, range(len(text))))
     return sorted(x.terms, key=lambda key: (key[0], place[key[1]])), text
+
+
+def class_pushforward(x: EquivClass, target: Geometry, row: Sequence[int]) -> EquivClass:
+    """x, over Z^s, pushed into target, over Z/m and x's coefficients, along
+    Z^s -> Z/m, the dot product with row (s integers) mod m; x's labels are
+    kept, target must declare each, and terms whose images collide add."""
+    home, group = x.geometry, target.group
+    if (home.group.kind != FREE_ABELIAN or group.kind != CYCLIC or home.coeffs != target.coeffs
+            or not (_is_list(row, _is_int) and len(row) == home.group.n)):
+        raise GeometryError(f"class_pushforward takes a class over Z^s, a geometry over Z/m and its coefficients and "
+                            f"s integers, got {home.coeffs}[{home.group!r}], {target.coeffs}[{group!r}], {_echo(row)}")
+    terms: dict = {}
+    for (label, e), c in x.terms.items():
+        target.label(label)
+        key = (label, sum(map(operator.mul, row, e)) % group.n)
+        terms[key] = terms.get(key, 0) + c
+    return _equiv_class(target, terms)
 
 
 def render_class(x: EquivClass) -> str:

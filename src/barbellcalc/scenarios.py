@@ -28,7 +28,8 @@ one, and hands the engine values and its verdict to a Report
 (barbellcalc.report); hypothesis bounds (winding numbers >= 1, cover
 order m large enough) are enforced up front.  The six cover arguments
 share one disk move (`_move`) and one summand test
-(`_in_identity_summand`).  `THEOREMS` maps each
+(`_in_identity_summand`); the cyclic-cover keys push one moved class a
+family (`_generic_cover_class`) to each cover's Z/m.  `THEOREMS` maps each
 reproduction's name to its runner and `SWEEPS` each sweep's name to its
 parameter grid; `run_theorem` and `run_sweep` hold every parameter rule,
 and `run_theorem` names each report and records its parameters.
@@ -46,7 +47,7 @@ from .deckgroup import (_MAX_DIGITS, CYCLIC, FREE, FREE_ABELIAN, DeckElement, De
                         _is_element, _is_int, _is_list, _too_long, brunnian_word, element_from_json, exponent_sum,
                         free_abelian)
 from .equivariant import (DISK, MERIDIAN, SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, action_sequence,
-                          pair_classes, summand_membership)
+                          class_pushforward, pair_classes, summand_membership)
 from .groupring import (F2, INT, RingElement, _is_term_list, _ring_element, from_term_list, is_monomial_unit,
                         laurent_span, normalize_monomial, pushforward, substitute)
 from .presentations import antidiagonal_cokernel, brunnian_disk_obstruction, f2_quotient_dim, present_from_scenario
@@ -297,12 +298,15 @@ def morsesimple_f(k: int, l: int) -> RingElement:
     return _ring_element(free_abelian(1), F2, Counter(sums + [(0,)]))
 
 
+def _lifted(description: dict) -> dict:
+    # a description over Z or Z/m lifted to Z^3, each row's t^e at x3^e,
+    # so that the bars x1 and x2 stand for t^k and t^l
+    lifted = [[a, b, [[[0, 0, e], c] for e, c in terms]] for a, b, terms in description["pairings"]]
+    return {**description, "group": {"kind": FREE_ABELIAN, "rank": 3}, "pairings": lifted}
+
+
 def _lifted_torus_complement() -> dict:
-    # the torus complement over Z^3, each row's t^e at x3^e, so that the
-    # bars x1 and x2 stand for t^k and t^l
-    torus = _torus_complement()
-    lifted = [[a, b, [[[0, 0, e], c] for e, c in terms]] for a, b, terms in torus["pairings"]]
-    return {**torus, "group": {"kind": FREE_ABELIAN, "rank": 3}, "pairings": lifted}
+    return _lifted(_torus_complement())
 
 
 def _phi_torus(row: str | None) -> dict:
@@ -504,16 +508,33 @@ def _run_disks_linked(k: int, l: int) -> Report:
     )
 
 
+@functools.cache
+def _generic_cover_class(both: bool) -> EquivClass:
+    """The engine's class of D on the cyclic cover lifted to Z^3 (_lifted),
+    moved by bars x1 and, for l >= 1 (both), x2, as _cover_move moves it;
+    built once a process for each family, and handed to no caller."""
+    geo = _read_geometry(_lifted(_cyclic_cover(1)))
+    x = geo.group.generator
+    return _move(geo, "D", "S_prime", "S", (x(1), 1), (x(2), -1 if both else 0))
+
+
 def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivClass]:
     """Check the cover hypotheses, then move the disk D of the m-fold
     cover by the barbell (S_prime, S) whose bar winds k times, followed
     by the inverse of the one winding l times (none when l = 0).
-    Returns the cover and the moved class."""
+    Returns the cover, read per call, and the moved class: on the cyclic
+    cover its family's generic class pushed along (a, b, c) -> (ak + bl + c)
+    mod m, exact as every engine step commutes with that ring map, and
+    m > 2k + 2l keeps {0, ±k, ±l} distinct mod m, so terms merge only where
+    they merge per instance (k = l).  The branched cover's meridian row, the
+    norm element of Z/m, has no generic form: it is moved per call."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
     geo = builtin_geometry(geometry, m=m)
+    if geometry == "cyclic_cover":
+        return geo, class_pushforward(_generic_cover_class(l > 0), geo, [k, l, 1])
     t = geo.group.generator
     return geo, _move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
 

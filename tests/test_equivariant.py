@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from functools import partial
 
 import pytest
@@ -18,6 +19,7 @@ from barbellcalc.equivariant import (
     GeometryError,
     action_sequence,
     barbell_action,
+    class_pushforward,
     class_term_list,
     equivariant_pairing,
     pair_classes,
@@ -1121,10 +1123,38 @@ def test_an_equal_cuff_barbell_pairs_once(monkeypatch):
 
 def test_a_distinct_cuff_barbell_pairs_with_both_cuffs(monkeypatch):
     from barbellcalc.scenarios import run_theorem
+    from test_scenarios import own_groups
 
     labels = pairing_spy(monkeypatch)
-    assert run_theorem("less-simple", m=1000, k=3, l=5).passed
+    # less-simple moves its disk once a process, on the generic cover: an empty memo builds it here
+    with own_groups():
+        assert run_theorem("less-simple", m=1000, k=3, l=5).passed
     assert labels == ["S_prime", "S", "S_prime", "S"]
+
+
+def test_a_class_is_pushed_to_z_mod_m_and_anything_else_is_refused():
+    from barbellcalc.scenarios import _generic_cover_class
+
+    # D + x1 S - x1^-1 S_prime - x2 S + x2^-1 S_prime along (a, b, c) -> (a + 2b) mod 7
+    generic, cover = _generic_cover_class(True), builtin_geometry("cyclic_cover", m=7)
+    t = cover.group.generator
+    expected = cover.basis_class("D")
+    for label, power, c in (("S", 1, 1), ("S_prime", 6, -1), ("S", 2, -1), ("S_prime", 5, 1)):
+        expected = expected.add(cover.basis_class(label, t(1, power), c))
+    assert class_pushforward(generic, cover, [1, 2, 0]) == expected
+    takes = "class_pushforward takes a class over Z^s, a geometry over Z/m and its coefficients and s integers"
+    circles = builtin_geometry("circles_complement")
+    for x, target, row, message in [
+        (cover.basis_class("D"), cover, [1], f"{takes}, got Z[Z/7]"),
+        (generic, builtin_geometry("branched_cover", m=7), [1, 2, 0], f"{takes}, got Z[Z^3], F2[Z/7]"),
+        (generic, builtin_geometry("torus_complement"), [1, 2, 0], f"{takes}, got Z[Z^3], F2[Z^1]"),
+        (generic, cover, [1, 2], takes),
+        (generic, cover, [1, 2.0, 0], takes),
+        (generic, cover, [1, True, 0], takes),
+        (generic, circles, [1, 2, 0], "unknown label 'D' in geometry 'circles_complement'"),
+    ]:
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}"):
+            class_pushforward(x, target, row)
 
 
 def test_a_foreign_offset_or_holonomy_is_refused_before_any_pairing(monkeypatch):

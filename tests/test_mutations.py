@@ -4,11 +4,14 @@ monkeypatch, each run against every registry key at its sample
 parameters, against linked-6crit at n = 2 (where word products join runs
 of x1) and at n = 3 with k = l = 2 (where the relator's products cancel
 in pairs), against genus1-hd with vertical data (whose dimension, unlike
-the default's, depends on l), against the committed scenario, and against the morsesimple
-sweep at --max 3, which passes only when every job does.  The torus keys
-push generic presentations forward and linked-6crit substitutes into
-another, both built once a process by one memoized helper, and each deck
-group is built once while it lives; every mutated run gets a group table
+the default's, depends on l), against less-simple with l = 3 (the sample
+runs l = 0, whose family has one barbell), against the committed
+scenario, and against the morsesimple sweep at --max 3, which passes only
+when every job does.  The torus keys push generic presentations forward
+and linked-6crit substitutes into another, both built once a process by
+one memoized helper, the cyclic-cover keys push a generic class built
+once a process for each of their two families, and each deck group is
+built once while it lives; every mutated run gets a group table
 of its own and empty memos (own_groups), so that a fault in the engine
 or a group law reaches the generic presentations and the groups the run
 builds, and nothing built under a fault outlives its run.  A check that
@@ -39,6 +42,7 @@ ROWS = {key: (key, SAMPLE_PARAMS[key]) for key in sorted(THEOREMS)}
 ROWS["linked-6crit n=2"] = ("linked-6crit", {"n": 2, "k": 1, "l": 2})
 ROWS["linked-6crit n=3 k=l=2"] = ("linked-6crit", {"n": 3, "k": 2, "l": 2})
 ROWS["genus1-hd vertical"] = ("genus1-hd", {"k": 100, "l": 200, "h": {0: 1}, "v": {0: 1}})
+ROWS["less-simple l=3"] = ("less-simple", {"m": 205, "k": 2, "l": 3})
 
 
 def _respec(change):
@@ -151,6 +155,13 @@ _real_extended_gcd = scenarios._extended_gcd
 _real_dim = scenarios.f2_quotient_dim
 _real_pushforward = scenarios.pushforward
 _real_substitute = scenarios.substitute
+_real_class_pushforward = scenarios.class_pushforward
+
+
+def _class_pushforward_swapping_k_and_l(x, target, row):
+    # the cyclic-cover keys' map (a, b, c) -> (ak + bl + c) mod m read as (a, b, c) -> (al + bk + c) mod m
+    k, l, c = row
+    return _real_class_pushforward(x, target, [l, k, c])
 
 # name -> [(module or class, attribute, replacement)]
 MUTATIONS = {
@@ -175,6 +186,7 @@ MUTATIONS = {
         (scenarios, "substitute", _substitute_sending_inverse_letters_to_images)
     ],
     "image sends t to 1": [(scenarios, "substitute", _image_with_t_at_one)],
+    "class pushforward swaps k and l": [(scenarios, "class_pushforward", _class_pushforward_swapping_k_and_l)],
     "ring result skips F2 reduction": [
         (module, "_ring_element", _ring_element_keeping_even_coefficients) for module in (groupring, equivariant)
     ],
@@ -259,3 +271,10 @@ def test_the_vertical_genus1_hd_row_catches_the_pushforward_fault():
     # data the engine reads 200 against the closed form's 601
     assert matrix()["pushforward drops l"]["genus1-hd"] == "PASS"
     assert matrix()["pushforward drops l"]["genus1-hd vertical"] == "FAIL"
+
+
+def test_a_less_simple_row_catches_the_class_pushforward_fault_and_the_engine_faults_behind_it():
+    fault = matrix()["class pushforward swaps k and l"]
+    assert [row for row in ("less-simple", "less-simple l=3") if fault[row] != "PASS"], fault
+    # the generic class is built under each fault (own_groups empties its memo), so an engine fault reaches it
+    assert matrix()["holonomy inverted"]["less-simple"] == "FAIL"

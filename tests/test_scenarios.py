@@ -216,6 +216,68 @@ def test_bar_residues_are_the_projected_bar_powers(data):
     assert report.computed["bar_residues"] == {str(p): x1.pow(p).value for p in (k, l)}
 
 
+# -- the cyclic-cover keys: one generic class a family, pushed to Z/m ---------------
+
+
+@st.composite
+def cover_parameters(draw):
+    """(m, k, l) within the cover runners' hypotheses: k >= 1, l >= 0 (0
+    and k among the draws), 2k + 2l + 100 < m <= 10^12."""
+    k = draw(st.integers(1, 10**6), label="k")
+    l = draw(st.one_of(st.just(0), st.just(k), st.integers(0, 10**6)), label="l")
+    return draw(st.integers(2 * k + 2 * l + 101, 10**12), label="m"), k, l
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_parameters())
+@example((103, 1, 0))
+@example((10**12, 10**6, 0))
+@example((129, 7, 7))
+@example((10**12, 10**6, 10**6))
+@example((205, 2, 3))
+def test_the_pushed_cover_class_is_the_engine_class_on_the_cover(params):
+    # the generic class of the family pushed along (a, b, c) -> (ak + bl + c)
+    # mod m against the engine moving D on the instance's own cover
+    from barbellcalc.equivariant import class_pushforward
+
+    m, k, l = params
+    geo = builtin_geometry("cyclic_cover", m=m)
+    t = geo.group.generator
+    engine = scenarios._move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
+    assert class_pushforward(scenarios._generic_cover_class(l > 0), geo, [k, l, 1]) == engine
+    less, mixed = (run_theorem(key, m=m, k=k, l=l) for key in ("less-simple", "simple-splitting-spheres"))
+    assert less.passed and mixed.passed and less.computed["class"] == engine
+    assert mixed.computed["class"] == less.expected["class"]
+
+
+def test_the_cover_keys_move_one_generic_class_a_family(monkeypatch):
+    from barbellcalc import equivariant
+
+    moved, read = [], []
+    real_action, real_read = equivariant.barbell_action, scenarios._read_geometry
+    monkeypatch.setattr(equivariant, "barbell_action",
+                        lambda x, spec: moved.append(x.geometry.group) or real_action(x, spec))
+    monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: read.append(spec["group"]["kind"]) or real_read(spec))
+    with own_groups():
+        # the first call of each family reads its cover, then builds the
+        # generic class over Z^3: two barbells for l >= 1, one for l = 0
+        assert run_theorem("less-simple", m=205, k=2, l=3).passed
+        assert run_theorem("simple-splitting-spheres", m=1000, k=3).passed
+        assert read == [CYCLIC, FREE_ABELIAN] * 2 and moved == [free_abelian(3)] * 3
+        assert scenarios._generic_cover_class.cache_info().currsize == 2
+        moved.clear()
+        for key in ("less-simple", "simple-splitting-spheres"):
+            for m, k, l in ((10**12, 7, 0), (1001, 9, 4), (301, 50, 50), (211, 1, 2)):
+                read.clear()
+                assert run_theorem(key, m=m, k=k, l=l).passed
+                assert read == [CYCLIC] and moved == [], (key, m, k, l)
+        assert scenarios._generic_cover_class.cache_info().currsize == 2
+        # genus1-handlebody's meridian row has no generic form: it moves D on its own cover every call
+        for m in (205, 206):
+            assert run_theorem("genus1-handlebody", m=m, k=2, l=3).passed
+        assert [group.n for group in moved] == [205, 205, 206, 206]
+
+
 # -- the Heegaard-genus-1 dimension formula -------------------------------------
 
 
@@ -788,11 +850,11 @@ def test_a_caller_who_changes_a_returned_geometry_changes_no_later_call():
 def own_groups():
     """A deck group table of the block's own, and the memos that hold
     groups (free_group, free_abelian, _link_geometry, _generic_f,
-    _abelian_brunnian_f) empty on entry and exit: every group the block
-    reaches is built in it, and none outlives it in a memo or meets a
-    group built outside."""
+    _abelian_brunnian_f, _generic_cover_class) empty on entry and exit:
+    every group the block reaches is built in it, and none outlives it in
+    a memo or meets a group built outside."""
     memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._link_geometry, scenarios._generic_f,
-             scenarios._abelian_brunnian_f)
+             scenarios._abelian_brunnian_f, scenarios._generic_cover_class)
     table, deckgroup._GROUPS = deckgroup._GROUPS, weakref.WeakValueDictionary()
     for memo in memos:
         memo.cache_clear()
