@@ -52,8 +52,8 @@ refuse a non-class.  Operations on checked classes and table rows apply
 the group's law or, in class_pushforward, a map Z^s -> Z/m to values and
 build their results with the trusted constructors _equiv_class and
 _ring_element, which only reduce coefficients mod 2 over F2 and drop
-zeros.  barbell_action adds k C(x) into a copy of x's terms, pairing once
-when both cuffs are one label.
+zeros; a pushed geometry is a checked Geometry.  barbell_action adds
+k C(x) into a copy of x's terms, pairing once when both cuffs are one label.
 """
 
 from __future__ import annotations
@@ -258,21 +258,34 @@ def _sorted(x: EquivClass) -> tuple[list, dict | None]:
     return sorted(x.terms, key=lambda key: (key[0], place[key[1]])), text
 
 
-def class_pushforward(x: EquivClass, target: Geometry, row: Sequence[int]) -> EquivClass:
-    """x, over Z^s, pushed into target, over Z/m and x's coefficients, along
-    Z^s -> Z/m, the dot product with row (s integers) mod m; x's labels are
-    kept, target must declare each, and terms whose images collide add."""
-    home, group = x.geometry, target.group
-    if (home.group.kind != FREE_ABELIAN or group.kind != CYCLIC or home.coeffs != target.coeffs
+def class_pushforward(x: EquivClass, m: int, row: Sequence[int]) -> EquivClass:
+    """x, over Z^s, pushed along Z^s -> Z/m, the dot product with row (s
+    integers) mod m, onto x's geometry pushed the same way
+    (_pushed_geometry); terms whose images collide add."""
+    home = x.geometry
+    if (home.group.kind != FREE_ABELIAN or not (_is_int(m) and m >= 1)
             or not (_is_list(row, _is_int) and len(row) == home.group.n)):
-        raise GeometryError(f"class_pushforward takes a class over Z^s, a geometry over Z/m and its coefficients and "
-                            f"s integers, got {home.coeffs}[{home.group!r}], {target.coeffs}[{group!r}], {_echo(row)}")
+        raise GeometryError(f"class_pushforward takes a class over Z^s, a modulus m >= 1 and s integers, "
+                            f"got {home.coeffs}[{home.group!r}], {_echo(m)}, {_echo(row)}")
     terms: dict = {}
     for (label, e), c in x.terms.items():
-        target.label(label)
-        key = (label, sum(map(operator.mul, row, e)) % group.n)
+        key = (label, sum(map(operator.mul, row, e)) % m)
         terms[key] = terms.get(key, 0) + c
-    return _equiv_class(target, terms)
+    return _equiv_class(_pushed_geometry(home, DeckGroup(CYCLIC, m), row), terms)
+
+
+def _pushed_geometry(home: Geometry, group: DeckGroup, row: Sequence[int]) -> Geometry:
+    """A new, checked Geometry over group, Z/m: copies of home's name, labels,
+    roles and aliases, and its stored rows pushed along row mod m."""
+    pairings = {}
+    for pair, elem in home.pairings.items():
+        terms: dict = {}
+        for e, c in elem.terms.items():
+            image = sum(map(operator.mul, row, e)) % group.n
+            terms[image] = terms.get(image, 0) + c
+        pairings[pair] = _ring_element(group, home.coeffs, terms)
+    return Geometry(home.name, group, home.coeffs, dict(home.labels), pairings, list(home.attaching),
+                    list(home.disks), dict(home.aliases))
 
 
 def render_class(x: EquivClass) -> str:

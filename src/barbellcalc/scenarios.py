@@ -9,30 +9,30 @@ complement with free deck group, the two-circle complement, and m-fold
 cyclic and branched cyclic covers (one builder, `_cover`); the
 higher-dimensional torus analogue has the torus complement's pairing
 data and runs on it.  A builder returns its cover's description in the
-inline form of a scenario file, and one reader, `_read_geometry`, builds
-every Geometry; a scenario file's own attaching spheres and belt disks
+inline form of a scenario file, and one reader, `_read_geometry`, reads
+every description; a scenario file's own attaching spheres and belt disks
 replace the roles in the description before it is read, so the roles are
 checked once, by Geometry.  One memo, `_link_geometry`, keeps the
-sphere/torus link's geometry at each n, read once a process; every other
-runner reads its geometry per call.  Every presentation matrix comes
-from `present_from_scenario`; one memo, `_generic_f`, holds the generic ones:
-the torus keys, in theorem calls and sweeps alike, push the torus
-complement's over Z^3 forward; genus1-hd sums translates of four, its
-sphere phi meeting nothing or one label once (`_phi_torus`), as its
-intersection data give them, and pushes the sum forward; and
-linked-6crit substitutes its bar words into the sphere/torus link's, and
-pushes that one's abelianization forward to its image.
+sphere/torus link's geometry at each n, read once a process; the
+cyclic-cover keys push theirs; every other runner reads its geometry per
+call.  Every presentation matrix comes from `present_from_scenario`; one
+memo, `_generic_f`, holds the generic ones: the torus keys, in theorem calls
+and sweeps alike, push the torus complement's over Z^3 forward; genus1-hd
+sums translates of four, its sphere phi meeting nothing or one label once
+(`_phi_torus`), as its intersection data give them, and pushes the sum
+forward; and linked-6crit substitutes its bar words into the sphere/torus
+link's, and pushes that one's abelianization forward to its image.
 Each theorem runner drives the barbell engine through one argument,
 compares against the closed-form or substituted value when there is
 one, and hands the engine values and its verdict to a Report
-(barbellcalc.report); hypothesis bounds (winding numbers >= 1, cover
-order m large enough) are enforced up front.  The six cover arguments
-share one disk move (`_move`) and one summand test
-(`_in_identity_summand`); the cyclic-cover keys push one moved class a
-family (`_generic_cover_class`) to each cover's Z/m.  `THEOREMS` maps each
-reproduction's name to its runner and `SWEEPS` each sweep's name to its
-parameter grid; `run_theorem` and `run_sweep` hold every parameter rule,
-and `run_theorem` names each report and records its parameters.
+(barbellcalc.report); hypothesis bounds (winding numbers >= 1, cover order
+m large enough) are enforced up front.  The six cover arguments share one
+disk move (`_move`) and one summand test (`_in_identity_summand`); the
+cyclic-cover keys push one moved class a family (`_generic_cover_class`),
+and its geometry, to each call's Z/m.  `THEOREMS` maps each reproduction's
+name to its runner and `SWEEPS` each sweep's name to its parameter grid;
+`run_theorem` and `run_sweep` hold every parameter rule, and `run_theorem`
+names each report and records its parameters.
 """
 
 from __future__ import annotations
@@ -513,7 +513,7 @@ def _generic_cover_class(both: bool) -> EquivClass:
     """The engine's class of D on the cyclic cover lifted to Z^3 (_lifted),
     moved by bars x1 and, for l >= 1 (both), x2, as _cover_move moves it;
     built once a process for each family, and handed to no caller."""
-    geo = _read_geometry(_lifted(_cyclic_cover(1)))
+    geo = _read_geometry(_lifted(_builtin_description("cyclic_cover", {"m": 1})))
     x = geo.group.generator
     return _move(geo, "D", "S_prime", "S", (x(1), 1), (x(2), -1 if both else 0))
 
@@ -522,19 +522,21 @@ def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivC
     """Check the cover hypotheses, then move the disk D of the m-fold
     cover by the barbell (S_prime, S) whose bar winds k times, followed
     by the inverse of the one winding l times (none when l = 0).
-    Returns the cover, read per call, and the moved class: on the cyclic
-    cover its family's generic class pushed along (a, b, c) -> (ak + bl + c)
-    mod m, exact as every engine step commutes with that ring map, and
+    Returns the cover and the moved class: on the cyclic cover, its
+    family's generic class and geometry pushed afresh along (a, b, c) ->
+    (ak + bl + c) mod m, the geometry equal to builtin_geometry's, the
+    class exact as every engine step commutes with that ring map, and
     m > 2k + 2l keeps {0, ±k, ±l} distinct mod m, so terms merge only where
-    they merge per instance (k = l).  The branched cover's meridian row, the
-    norm element of Z/m, has no generic form: it is moved per call."""
+    they merge per instance (k = l).  The branched cover's meridian row,
+    the norm element of Z/m, has no generic form: it is read per call."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
-    geo = builtin_geometry(geometry, m=m)
     if geometry == "cyclic_cover":
-        return geo, class_pushforward(_generic_cover_class(l > 0), geo, [k, l, 1])
+        moved = class_pushforward(_generic_cover_class(l > 0), m, [k, l, 1])
+        return moved.geometry, moved
+    geo = builtin_geometry(geometry, m=m)
     t = geo.group.generator
     return geo, _move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
 

@@ -1141,20 +1141,20 @@ def test_a_class_is_pushed_to_z_mod_m_and_anything_else_is_refused():
     expected = cover.basis_class("D")
     for label, power, c in (("S", 1, 1), ("S_prime", 6, -1), ("S", 2, -1), ("S_prime", 5, 1)):
         expected = expected.add(cover.basis_class(label, t(1, power), c))
-    assert class_pushforward(generic, cover, [1, 2, 0]) == expected
-    takes = "class_pushforward takes a class over Z^s, a geometry over Z/m and its coefficients and s integers"
-    circles = builtin_geometry("circles_complement")
-    for x, target, row, message in [
-        (cover.basis_class("D"), cover, [1], f"{takes}, got Z[Z/7]"),
-        (generic, builtin_geometry("branched_cover", m=7), [1, 2, 0], f"{takes}, got Z[Z^3], F2[Z/7]"),
-        (generic, builtin_geometry("torus_complement"), [1, 2, 0], f"{takes}, got Z[Z^3], F2[Z^1]"),
-        (generic, cover, [1, 2], takes),
-        (generic, cover, [1, 2.0, 0], takes),
-        (generic, cover, [1, True, 0], takes),
-        (generic, circles, [1, 2, 0], "unknown label 'D' in geometry 'circles_complement'"),
+    pushed = class_pushforward(generic, 7, [1, 2, 0])
+    assert pushed == expected and pushed.geometry is not generic.geometry
+    takes = "class_pushforward takes a class over Z^s, a modulus m >= 1 and s integers"
+    for x, m, row, message in [
+        (cover.basis_class("D"), 7, [1], f"{takes}, got Z[Z/7], 7, [1]"),
+        (generic, 0, [1, 2, 0], f"{takes}, got Z[Z^3], 0, [1, 2, 0]"),
+        (generic, 7.0, [1, 2, 0], f"{takes}, got Z[Z^3], 7.0"),
+        (generic, True, [1, 2, 0], f"{takes}, got Z[Z^3], True"),
+        (generic, 7, [1, 2], takes),
+        (generic, 7, [1, 2.0, 0], takes),
+        (generic, 7, [1, True, 0], takes),
     ]:
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}"):
-            class_pushforward(x, target, row)
+            class_pushforward(x, m, row)
 
 
 def test_a_foreign_offset_or_holonomy_is_refused_before_any_pairing(monkeypatch):

@@ -9,10 +9,10 @@ runs l = 0, whose family has one barbell), against the committed
 scenario, and against the morsesimple sweep at --max 3, which passes only
 when every job does.  The torus keys push generic presentations forward
 and linked-6crit substitutes into another, both built once a process by
-one memoized helper, the cyclic-cover keys push a generic class built
-once a process for each of their two families, and each deck group is
-built once while it lives; every mutated run gets a group table
-of its own and empty memos (own_groups), so that a fault in the engine
+one memoized helper, the cyclic-cover keys push a generic class and its
+geometry, built once a process for each of their two families, to Z/m,
+and each deck group is built once while it lives; every mutated run gets
+a group table of its own and empty memos (own_groups), so that a fault in the engine
 or a group law reaches the generic presentations and the groups the run
 builds, and nothing built under a fault outlives its run.  A check that
 no fault can turn from PASS to FAIL or refusal checks nothing, so every
@@ -158,10 +158,15 @@ _real_substitute = scenarios.substitute
 _real_class_pushforward = scenarios.class_pushforward
 
 
-def _class_pushforward_swapping_k_and_l(x, target, row):
+def _class_pushforward_swapping_k_and_l(x, m, row):
     # the cyclic-cover keys' map (a, b, c) -> (ak + bl + c) mod m read as (a, b, c) -> (al + bk + c) mod m
     k, l, c = row
-    return _real_class_pushforward(x, target, [l, k, c])
+    return _real_class_pushforward(x, m, [l, k, c])
+
+
+def _geometry_left_unpushed(home, group, row):
+    # equivariant._pushed_geometry with the push left out: the class lands on home, over Z^s, not Z/m
+    return home
 
 # name -> [(module or class, attribute, replacement)]
 MUTATIONS = {
@@ -187,6 +192,7 @@ MUTATIONS = {
     ],
     "image sends t to 1": [(scenarios, "substitute", _image_with_t_at_one)],
     "class pushforward swaps k and l": [(scenarios, "class_pushforward", _class_pushforward_swapping_k_and_l)],
+    "pushed geometry left over Z^s": [(equivariant, "_pushed_geometry", _geometry_left_unpushed)],
     "ring result skips F2 reduction": [
         (module, "_ring_element", _ring_element_keeping_even_coefficients) for module in (groupring, equivariant)
     ],
@@ -278,3 +284,9 @@ def test_a_less_simple_row_catches_the_class_pushforward_fault_and_the_engine_fa
     assert [row for row in ("less-simple", "less-simple l=3") if fault[row] != "PASS"], fault
     # the generic class is built under each fault (own_groups empties its memo), so an engine fault reaches it
     assert matrix()["holonomy inverted"]["less-simple"] == "FAIL"
+
+
+def test_a_less_simple_row_catches_a_geometry_left_unpushed():
+    # the class's values land in Z/m, its geometry stays over Z^3: the closed-form class, built on it, differs
+    fault = matrix()["pushed geometry left over Z^s"]
+    assert fault["less-simple"] == fault["less-simple l=3"] == "FAIL", fault

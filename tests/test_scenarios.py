@@ -244,7 +244,7 @@ def test_the_pushed_cover_class_is_the_engine_class_on_the_cover(params):
     geo = builtin_geometry("cyclic_cover", m=m)
     t = geo.group.generator
     engine = scenarios._move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
-    assert class_pushforward(scenarios._generic_cover_class(l > 0), geo, [k, l, 1]) == engine
+    assert class_pushforward(scenarios._generic_cover_class(l > 0), m, [k, l, 1]) == engine
     less, mixed = (run_theorem(key, m=m, k=k, l=l) for key in ("less-simple", "simple-splitting-spheres"))
     assert less.passed and mixed.passed and less.computed["class"] == engine
     assert mixed.computed["class"] == less.expected["class"]
@@ -259,23 +259,68 @@ def test_the_cover_keys_move_one_generic_class_a_family(monkeypatch):
                         lambda x, spec: moved.append(x.geometry.group) or real_action(x, spec))
     monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: read.append(spec["group"]["kind"]) or real_read(spec))
     with own_groups():
-        # the first call of each family reads its cover, then builds the
-        # generic class over Z^3: two barbells for l >= 1, one for l = 0
+        # the first call of each family reads the generic cover over Z^3 and
+        # moves D on it: two barbells for l >= 1, one for l = 0
         assert run_theorem("less-simple", m=205, k=2, l=3).passed
         assert run_theorem("simple-splitting-spheres", m=1000, k=3).passed
-        assert read == [CYCLIC, FREE_ABELIAN] * 2 and moved == [free_abelian(3)] * 3
+        assert read == [FREE_ABELIAN] * 2 and moved == [free_abelian(3)] * 3
         assert scenarios._generic_cover_class.cache_info().currsize == 2
         moved.clear()
+        # later calls read no geometry: they push the class and its geometry to Z/m
         for key in ("less-simple", "simple-splitting-spheres"):
             for m, k, l in ((10**12, 7, 0), (1001, 9, 4), (301, 50, 50), (211, 1, 2)):
                 read.clear()
                 assert run_theorem(key, m=m, k=k, l=l).passed
-                assert read == [CYCLIC] and moved == [], (key, m, k, l)
+                assert read == [] and moved == [], (key, m, k, l)
         assert scenarios._generic_cover_class.cache_info().currsize == 2
-        # genus1-handlebody's meridian row has no generic form: it moves D on its own cover every call
+        # genus1-handlebody's meridian row has no generic form: it reads its
+        # cover and moves D on it every call
         for m in (205, 206):
             assert run_theorem("genus1-handlebody", m=m, k=2, l=3).passed
-        assert [group.n for group in moved] == [205, 205, 206, 206]
+        assert read == [CYCLIC] * 2 and [group.n for group in moved] == [205, 205, 206, 206]
+
+
+def _geometry_fields(geo):
+    return (geo.name, geo.group, geo.coeffs, geo.labels, geo.pairings, geo._rows, geo.attaching, geo.disks,
+            geo.aliases, geo.meridians())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_parameters())
+@example((103, 1, 0))
+@example((129, 7, 7))
+@example((10**12, 10**6, 10**6))
+@example((10**12, 10**6, 0))
+def test_the_pushed_cover_geometry_is_the_builtin_cover(params):
+    m, k, l = params
+    geo, moved = scenarios._cover_move("cyclic_cover", m, k, l)
+    builtin = builtin_geometry("cyclic_cover", m=m)
+    assert moved.geometry is geo and geo.group is builtin.group
+    assert _geometry_fields(geo) == _geometry_fields(builtin)
+    # a class built on one is the same class built on the other
+    for label, power in (("D", 0), ("S", k), ("S_prime", -l)):
+        ours, theirs = (cover.basis_class(label, cover.group.generator(1, power)) for cover in (geo, builtin))
+        assert ours == theirs and theirs == ours
+
+
+def test_a_caller_who_changes_a_returned_cover_changes_no_later_cover_call():
+    # less-simple returns its pushed geometry inside its classes, and a
+    # caller may change it: neither the generic geometry nor a later call sees it
+    generic = [scenarios._generic_cover_class(both).geometry for both in (False, True)]
+    before = [_geometry_fields(geo) for geo in generic]
+    keys = ("less-simple", "simple-splitting-spheres")
+    printed = {key: render_machine(run_theorem(key, m=1001, k=9, l=4)) for key in keys}
+    changed = run_theorem("less-simple", m=1001, k=9, l=4).computed["class"].geometry
+    changed.labels["S"] = changed.labels["D"] = DISK
+    changed.aliases["S"] = "D"
+    changed.pairings.clear()
+    changed.disks.append("S")
+    assert [_geometry_fields(geo) for geo in generic] == before
+    cover = _geometry_fields(builtin_geometry("cyclic_cover", m=1001))
+    for key in keys:
+        report = run_theorem(key, m=1001, k=9, l=4)
+        assert report.passed and render_machine(report) == printed[key], key
+        assert _geometry_fields(report.computed["class"].geometry) == cover, key
 
 
 # -- the Heegaard-genus-1 dimension formula -------------------------------------
