@@ -60,9 +60,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Mapping, Sequence
+from types import MappingProxyType
 
-from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _cut, _echo, _is_int, _is_list, _json,
-                        _sorted_texts, _text)
+from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _cut, _echo, _immutable, _is_int, _is_list,
+                        _json, _sorted_texts, _text)
 from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
 
 SPHERE = "sphere"
@@ -81,16 +82,16 @@ class Geometry:
     disks).  The roles are checked here, once: each names a declared
     label of its kind, and no label is listed twice in one role.  The deck
     group must be a DeckGroup, checked first, and each pairing row a
-    RingElement over it and the geometry's coefficients.
+    RingElement over it and the geometry's coefficients.  It is immutable,
+    as a DeckGroup is: its mappings are read-only copies, its roles tuples.
 
     pairings holds P[a,b] for the stored direction; the reverse pairing
     is derived by the involution g -> g^-1 (the intersection form on
     middle-dimensional classes here is symmetric), once, at
     construction: the private _rows table holds both directions, a
     stored entry winning over the reverse of its mirror, so a changed
-    table is built as a new Geometry, never by mutating pairings in
-    place.  Disk-disk pairings are deliberately absent and asking for
-    one is an error; any other absent entry counts as zero.
+    table is a new Geometry.  Disk-disk pairings are deliberately absent
+    and asking for one is an error; any other absent entry counts as zero.
 
     A meridian label is a deck-invariant kernel class, its rows stored as
     augmentations (cyclic deck groups only, never expanded); the lifted
@@ -99,13 +100,19 @@ class Geometry:
     labels that are parallel copies of the same homology class.
     """
 
-    def __init__(self, name: str, group: DeckGroup, coeffs: str, labels: dict[str, str],
-                 pairings: dict[tuple[str, str], RingElement], attaching: list[str] | None = None,
-                 disks: list[str] | None = None, aliases: dict[str, str] | None = None):
+    __slots__ = ("name", "group", "coeffs", "labels", "pairings", "aliases", "attaching", "disks", "_labels", "_rows")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, name: str, group: DeckGroup, coeffs: str, labels: Mapping[str, str],
+                 pairings: Mapping[tuple[str, str], RingElement], attaching: Iterable[str] | None = None,
+                 disks: Iterable[str] | None = None, aliases: Mapping[str, str] | None = None):
         if group.__class__ is not DeckGroup:
             raise GeometryError(f"{_echo(group)} is not a deck group")
-        self.name, self.group, self.coeffs, self.labels, self.pairings = name, group, coeffs, labels, pairings
-        self.attaching, self.disks, self.aliases = attaching or [], disks or [], aliases or {}
+        labels, pairings = dict(labels), dict(pairings)
+        fields = (name, group, coeffs, *map(MappingProxyType, (labels, pairings, dict(aliases or {}))),
+                  tuple(attaching or ()), tuple(disks or ()), labels)  # _labels, the dict behind labels, for hot lookups
+        for field, value in zip(self.__slots__, fields):
+            object.__setattr__(self, field, value)
         for label, kind in labels.items():
             if kind not in (SPHERE, DISK, MERIDIAN):
                 raise GeometryError(f"label {_echo(label)} has unknown generator kind {_echo(kind)}")
@@ -117,7 +124,7 @@ class Geometry:
                 raise GeometryError(f"pairing row {_echo((a, b))} must be an element of {coeffs}[{group!r}], got {got}")
             if labels[a] == DISK and labels[b] == DISK:
                 raise GeometryError("disk-disk pairings are not part of the data")
-            if self._meridian(a, b) and any(g != group.identity().value for g in elem.terms):
+            if MERIDIAN in (labels[a], labels[b]) and any(g != group.identity().value for g in elem.terms):
                 raise GeometryError(f"meridian row {_echo((a, b))} must be stored as its augmentation, "
                                     f"got {_cut(render(elem))}")
         for role, names, kind in (("attaching", self.attaching, SPHERE), ("belt disk", self.disks, DISK)):
@@ -132,16 +139,15 @@ class Geometry:
                 seen.add(label)
         if self.meridians() and group.kind != CYCLIC:
             raise GeometryError(f"geometry {_echo(name)}: meridians need a cyclic deck group, not {group!r}")
-        self._rows = {(b, a): elem.reverse() for (a, b), elem in pairings.items()}
-        self._rows.update(pairings)
+        object.__setattr__(self, "_rows", {**{(b, a): elem.reverse() for (a, b), elem in pairings.items()}, **pairings})
 
     def meridians(self) -> list[str]:
-        return [name for name, kind in self.labels.items() if kind == MERIDIAN]
+        return [name for name, kind in self._labels.items() if kind == MERIDIAN]
 
     def label(self, name: str) -> str:
         """The kind of a declared label."""
         try:
-            return self.labels[name]
+            return self._labels[name]
         except (KeyError, TypeError):  # TypeError: an unhashable value, never a label
             raise GeometryError(f"unknown label {_echo(name)} in geometry {_echo(self.name)}") from None
 
@@ -157,11 +163,11 @@ class Geometry:
         return deck.value
 
     def _meridian(self, a: str, b: str) -> bool:
-        return MERIDIAN in (self.labels[a], self.labels[b])
+        return MERIDIAN in (self._labels[a], self._labels[b])
 
     def _stored(self, a: str, b: str) -> RingElement | None:
         row = self._rows.get((a, b))
-        if row is None and self.labels[a] == DISK and self.labels[b] == DISK:
+        if row is None and self._labels[a] == DISK and self._labels[b] == DISK:
             raise GeometryError(f"pairing of two disks {_echo((a, b))} is undefined")
         return row
 
@@ -275,8 +281,8 @@ def class_pushforward(x: EquivClass, m: int, row: Sequence[int]) -> EquivClass:
 
 
 def _pushed_geometry(home: Geometry, group: DeckGroup, row: Sequence[int]) -> Geometry:
-    """A new, checked Geometry over group, Z/m: copies of home's name, labels,
-    roles and aliases, and its stored rows pushed along row mod m."""
+    """A new, checked Geometry over group, Z/m: home's name, labels, roles
+    and aliases, and its stored rows pushed along row mod m."""
     pairings = {}
     for pair, elem in home.pairings.items():
         terms: dict = {}
@@ -284,8 +290,7 @@ def _pushed_geometry(home: Geometry, group: DeckGroup, row: Sequence[int]) -> Ge
             image = sum(map(operator.mul, row, e)) % group.n
             terms[image] = terms.get(image, 0) + c
         pairings[pair] = _ring_element(group, home.coeffs, terms)
-    return Geometry(home.name, group, home.coeffs, dict(home.labels), pairings, list(home.attaching),
-                    list(home.disks), dict(home.aliases))
+    return Geometry(home.name, group, home.coeffs, home.labels, pairings, home.attaching, home.disks, home.aliases)
 
 
 def render_class(x: EquivClass) -> str:

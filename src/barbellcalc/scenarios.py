@@ -12,11 +12,11 @@ data and runs on it.  A builder returns its cover's description in the
 inline form of a scenario file, and one reader, `_read_geometry`, reads
 every description; a scenario file's own attaching spheres and belt disks
 replace the roles in the description before it is read, so the roles are
-checked once, by Geometry.  One memo, `_link_geometry`, keeps the
-sphere/torus link's geometry at each n, read once a process; the
-cyclic-cover keys push theirs; every other runner reads its geometry per
-call.  Every presentation matrix comes from `present_from_scenario`; one
-memo, `_generic_f`, holds the generic ones: the torus keys, in theorem calls
+checked once, by Geometry.  Geometries are immutable, and one bounded
+memo, `_geometry`, keyed by name, parameters and a file's roles, serves
+every built-in one; the cyclic-cover keys push theirs.  Every
+presentation matrix comes from `present_from_scenario`; one memo,
+`_generic_f`, holds the generic ones: the torus keys, in theorem calls
 and sweeps alike, push the torus complement's over Z^3 forward; genus1-hd
 sums translates of four, its sphere phi meeting nothing or one label once
 (`_phi_torus`), as its intersection data give them, and pushes the sum
@@ -249,32 +249,28 @@ def _read_geometry(spec: Mapping) -> Geometry:
         (a, b): _in_field(f"geometry.pairings[{i}]", from_term_list, terms, group, coeffs)
         for i, (a, b, terms) in enumerate(spec.get("pairings", ()))
     }
-    return Geometry(spec.get("name", "custom"), group, coeffs, dict(spec["labels"]), pairings,
-                    list(spec.get("attaching") or []), list(spec.get("disks") or []), spec.get("aliases"))
+    return Geometry(spec.get("name", "custom"), group, coeffs, spec["labels"], pairings, spec.get("attaching"),
+                    spec.get("disks"), spec.get("aliases"))
 
 
-def _builtin_description(name, params: Mapping) -> dict:
-    """The named built-in's description, its name and parameters checked."""
+def _builtin_args(name, params: Mapping) -> tuple:
+    """The named built-in's builder arguments in order, its name and parameters checked."""
     if not isinstance(name, str) or name not in GEOMETRY_BUILDERS:
         raise GeometryError(f"unknown geometry {_echo(name)}; available: {', '.join(sorted(GEOMETRY_BUILDERS))}")
     _check_parameters(f"geometry {name}", GEOMETRY_BUILDERS[name], params)
-    return {"name": name, **GEOMETRY_BUILDERS[name](**params)}
+    return tuple(params[key] for key in parameters(GEOMETRY_BUILDERS[name])[0])
+
+
+@functools.lru_cache(maxsize=16)  # bounds what a loop over n, m or g keeps: a genus_g_complement has 2g + 1 labels
+def _geometry(name: str, args: tuple, roles: tuple) -> Geometry:
+    """The one Geometry of built-in name at its builder's checked args, a
+    scenario file's (role, labels) pairs replacing its roles; a refusal is not kept."""
+    return _read_geometry({"name": name, **GEOMETRY_BUILDERS[name](*args), **dict(roles)})
 
 
 def builtin_geometry(name: str, **params) -> Geometry:
-    """The named built-in's Geometry, read afresh on every call: a
-    Geometry is mutable, so none is shared with a caller.  Only
-    linked-6crit reads its geometry through a memo (_link_geometry)."""
-    return _read_geometry(_builtin_description(name, params))
-
-
-@functools.cache
-def _link_geometry(n: int) -> Geometry:
-    """sphere_torus_link's Geometry at n, read once a process and shared
-    by linked-6crit and the generic Brunnian relator (_generic_f), neither
-    of which hands it to a caller.  MAX_LINKED_WORD_LETTERS admits
-    n <= 13, so it holds at most 12 entries."""
-    return builtin_geometry("sphere_torus_link", n=n)
+    """The named built-in's one immutable Geometry, from the memo (_geometry)."""
+    return _geometry(name, _builtin_args(name, params), ())
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,8 @@ def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) ->
     this one pushed forward (torus: (a, b, c) -> ak + bl + c), a sum of
     translates of genus1-hd's four pushed forward, or substituted into
     (Brunnian).  The sphere/torus link's geometry is linked-6crit's own."""
-    geo = _link_geometry(*params) if builder is _sphere_torus_link else _read_geometry(builder(*params))
+    link = builder is _sphere_torus_link
+    geo = _geometry("sphere_torus_link", params, ()) if link else _read_geometry(builder(*params))
     x = geo.group.generator
     bars = {"S_h": x(1), "S_v": x(2)}
     return present_from_scenario(geo, [BarbellSpec(cuff, cuff, bars[cuff]) for cuff in cuffs])[0][0]
@@ -409,10 +406,9 @@ def _run_linked_6crit(n: int, k: int, l: int) -> Report:
     of sphere_torus_link at n = 3 (a third of a call to build) at
     x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image in
     F2[s^±1, t^±1] (the sweep's image_in_st): the generic one at s^k,
-    s^l, t, pushed forward from its abelianization (_abelian_brunnian_f).
-    The geometry at each n is read once a process (_link_geometry)."""
+    s^l, t, pushed forward from its abelianization (_abelian_brunnian_f)."""
     _check_linked(n, k, l)
-    geo = _link_geometry(n)
+    geo = _geometry("sphere_torus_link", (n,), ())
     w = brunnian_word(n)
     wk, wl = w.pow(k), w.pow(l)
     engine_f = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
@@ -435,7 +431,7 @@ def _run_linked_6crit(n: int, k: int, l: int) -> Report:
 
 def _run_simple_5d(k: int) -> Report:
     _require(k >= 1, f"iteration count must be >= 1, got k={k}")
-    geo = builtin_geometry("genus2_complement")
+    geo = _geometry("genus2_complement", (), ())
     spec = BarbellSpec("S_h_1", "S_h_2", geo.identity(), iterate=k)
     rows = present_from_scenario(geo, [spec])
     zero = RingElement.zero(geo.group, INT)
@@ -466,7 +462,7 @@ def _in_identity_summand(x: EquivClass, *labels: str) -> bool:
 
 
 def _run_circle_splitting(k: int, l: int = 0) -> Report:
-    geo = builtin_geometry("circles_complement")
+    geo = _geometry("circles_complement", (), ())
     moved = _move(geo, "D_R", "S_L", "S_R", (geo.identity(), k - l))
     expected_class = geo.basis_class("D_R").add(geo.basis_class("S_L", coeff=l - k))
     member = _in_identity_summand(moved, "D_R", "S_R")
@@ -481,7 +477,7 @@ def _run_circle_splitting(k: int, l: int = 0) -> Report:
 
 def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
     _require(g >= 2, f"the two-cuff argument needs genus g >= 2, got {g}")
-    geo = builtin_geometry("genus_g_complement", g=g)
+    geo = _geometry("genus_g_complement", (g,), ())
     class_k, class_l = (_move(geo, "D_h", "S_h_1", "S_h_2", (geo.identity(), power)) for power in (k, l))
     expected_k = geo.basis_class("D_h").add(geo.basis_class("S_h_2", coeff=k))
     distinguished = not _in_identity_summand(class_k.sub(class_l), "D_h")
@@ -493,7 +489,7 @@ def _run_simple_knotted_handlebody(k: int, l: int = 0, g: int = 2) -> Report:
 
 
 def _run_disks_linked(k: int, l: int) -> Report:
-    geo = builtin_geometry("circles_complement")
+    geo = _geometry("circles_complement", (), ())
     # the glued 2-sphere's class in the complement of the other component
     # is f^k(D_R) - f^l(D_R), for a trivial bar f^(k-l)(D_R) - D_R: only
     # the meridian coefficient survives
@@ -513,7 +509,7 @@ def _generic_cover_class(both: bool) -> EquivClass:
     """The engine's class of D on the cyclic cover lifted to Z^3 (_lifted),
     moved by bars x1 and, for l >= 1 (both), x2, as _cover_move moves it;
     built once a process for each family, and handed to no caller."""
-    geo = _read_geometry(_lifted(_builtin_description("cyclic_cover", {"m": 1})))
+    geo = _read_geometry(_lifted({"name": "cyclic_cover", **_cyclic_cover(1)}))
     x = geo.group.generator
     return _move(geo, "D", "S_prime", "S", (x(1), 1), (x(2), -1 if both else 0))
 
@@ -528,7 +524,7 @@ def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivC
     class exact as every engine step commutes with that ring map, and
     m > 2k + 2l keeps {0, ±k, ±l} distinct mod m, so terms merge only where
     they merge per instance (k = l).  The branched cover's meridian row,
-    the norm element of Z/m, has no generic form: it is read per call."""
+    the norm element of Z/m, has no generic form: D moves on the memo's."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
@@ -536,7 +532,7 @@ def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivC
     if geometry == "cyclic_cover":
         moved = class_pushforward(_generic_cover_class(l > 0), m, [k, l, 1])
         return moved.geometry, moved
-    geo = builtin_geometry(geometry, m=m)
+    geo = _geometry(geometry, (m,), ())
     t = geo.group.generator
     return geo, _move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
 
@@ -545,12 +541,12 @@ def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
     geo, moved = _cover_move("cyclic_cover", m, k, l)
     member = _in_identity_summand(moved, "D", "S", "S_prime")
     distinguished = not member
-    t = geo.group.generator
-    expected_class = geo.basis_class("D")
-    for power, sign in ((k, 1), (l, -1)):
-        if power:
-            expected_class = expected_class.add(geo.basis_class("S", t(1, power), sign))
-            expected_class = expected_class.add(geo.basis_class("S_prime", t(1, -power), -sign))
+    terms = {("D", geo.identity()): 1}
+    for label, power, c in (("S", k, 1), ("S_prime", -k, -1), ("S", l, -1), ("S_prime", -l, 1)):
+        if power:  # l = 0: no second barbell
+            key = (label, geo.group.generator(1, power))
+            terms[key] = terms.get(key, 0) + c
+    expected_class = EquivClass(geo, terms)
     return Report(
         computed={"class": moved, "in_chosen_summand": member, "distinguished": distinguished},
         expected={"class": expected_class, "distinguished": k != l},
@@ -1039,19 +1035,18 @@ def run_scenario(data: Mapping) -> Report:
     _check("expected", data.get("expected", {}))
     geometry = data["geometry"]
     geometry = {"name": geometry} if isinstance(geometry, str) else geometry
+    roles = tuple((role, tuple(data[role])) for role in ("attaching", "disks") if data.get(role) is not None)
     if "labels" in geometry:
         _check("inline geometry", geometry)
         _check("group", geometry["group"], (_GROUP_SIZE[geometry["group"]["kind"]],))
+        geo = _read_geometry({**geometry, **dict(roles)})
     else:
         params = dict(geometry)
-        geometry = _builtin_description(params.pop("name", None), params)
-    roles = {role: data[role] for role in ("attaching", "disks") if data.get(role) is not None}
-    geo = _read_geometry({**geometry, **roles})
+        name = params.pop("name", None)
+        geo = _geometry(name, _builtin_args(name, params), roles)
 
     if "field" in data and _field(data["field"]) != geo.coeffs:
-        raise HypothesisError(
-            f"geometry {_echo(geo.name)} is defined over {geo.coeffs}, not {_field(data['field'])}"
-        )
+        raise HypothesisError(f"geometry {_echo(geo.name)} is defined over {geo.coeffs}, not {_field(data['field'])}")
 
     barbells = []
     for i, spec in enumerate(data.get("barbells", [])):

@@ -529,9 +529,51 @@ def test_value_class_constructors_refuse_invalid_values(cls, args, error, messag
 
 
 def test_geometry_lists_default_to_fresh_empty_ones():
+    # the roles default to empty tuples, the aliases to an empty read-only mapping of each geometry's own
     first, second = (Geometry("z", Z1, F2, {"S": SPHERE}, {}) for _ in range(2))
-    assert first.attaching == first.disks == [] and first.aliases == {}
-    assert first.attaching is not second.attaching and first.aliases is not second.aliases
+    assert first.attaching == first.disks == () and first.aliases == {}
+    assert first.aliases is not second.aliases
+
+
+def test_no_edit_of_a_geometry_or_of_what_built_it_reaches_the_geometry():
+    # a Geometry is immutable, as a DeckGroup is: it copies the caller's values once, before any check
+    z = DeckGroup(CYCLIC, 1)
+    labels, pairings = {"S": SPHERE, "T": SPHERE, "D": DISK}, {("D", "T"): _one(z)}
+    attaching, disks, aliases = ["S"], ["D"], {"T": "S"}
+    geo = Geometry("z", z, F2, labels, pairings, attaching, disks, aliases)
+    fields = (dict(geo.labels), dict(geo.pairings), geo.attaching, geo.disks, dict(geo.aliases))
+
+    def agrees():
+        assert (dict(geo.labels), dict(geo.pairings), geo.attaching, geo.disks, dict(geo.aliases)) == fields
+        assert geo.label("S") == SPHERE
+        # pairing reads what pairings shows: the stored row, its mirror reversed, or zero
+        for a, b in (("D", "T"), ("T", "D"), ("D", "S"), ("S", "D"), ("S", "T"), ("S", "S")):
+            row = stored_row(geo, a, b)
+            assert geo.pairing(a, b) == (RingElement.zero(z, F2) if row is None else row), (a, b)
+
+    # the caller's values, edited afterwards, reach neither pairings, pairing nor label
+    labels["S"], labels["E"] = "torus", DISK
+    pairings[("D", "S")] = 1
+    del pairings[("D", "T")]
+    attaching.append("T")
+    disks.clear()
+    aliases["S"] = "T"
+    agrees()
+    # the returned mappings refuse every edit, and the roles are tuples
+    for mapping, key, value in ((geo.labels, "S", DISK), (geo.pairings, ("D", "S"), _one(z)), (geo.aliases, "S", "T")):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping[next(iter(mapping))]
+        assert not any(hasattr(mapping, name) for name in ("clear", "pop", "popitem", "update", "setdefault"))
+    assert type(geo.attaching) is type(geo.disks) is tuple
+    # no field can be set or deleted, and none added
+    for field in (*Geometry.__slots__, "extra"):
+        with pytest.raises(AttributeError, match="Geometry values are immutable"):
+            setattr(geo, field, None)
+        with pytest.raises(AttributeError, match="Geometry values are immutable"):
+            delattr(geo, field)
+    agrees()
 
 
 def test_disk_disk_pairing_is_undefined():

@@ -105,9 +105,9 @@ def test_unknown_geometry_name():
 
 def test_geometry_roles_are_declared():
     geo = builtin_geometry("torus_complement")
-    assert geo.attaching == ["S_v"] and geo.disks == ["D_v"]
+    assert geo.attaching == ("S_v",) and geo.disks == ("D_v",)
     geo2 = builtin_geometry("genus2_complement")
-    assert geo2.attaching == ["S_v_1", "S_v_2"] and geo2.disks == ["D_h_1", "D_h_2"]
+    assert geo2.attaching == ("S_v_1", "S_v_2") and geo2.disks == ("D_h_1", "D_h_2")
     branched = builtin_geometry("branched_cover", m=7)
     assert branched.labels["mu"] == MERIDIAN and branched.meridians() == ["mu"]
     # every builder names its geometry by its registry key
@@ -304,17 +304,18 @@ def test_the_pushed_cover_geometry_is_the_builtin_cover(params):
 
 
 def test_a_caller_who_changes_a_returned_cover_changes_no_later_cover_call():
-    # less-simple returns its pushed geometry inside its classes, and a
-    # caller may change it: neither the generic geometry nor a later call sees it
+    # less-simple returns its pushed geometry inside its classes: a caller's
+    # edit of it is refused, and neither the generic geometry nor a later call changes
     generic = [scenarios._generic_cover_class(both).geometry for both in (False, True)]
     before = [_geometry_fields(geo) for geo in generic]
     keys = ("less-simple", "simple-splitting-spheres")
     printed = {key: render_machine(run_theorem(key, m=1001, k=9, l=4)) for key in keys}
     changed = run_theorem("less-simple", m=1001, k=9, l=4).computed["class"].geometry
-    changed.labels["S"] = changed.labels["D"] = DISK
-    changed.aliases["S"] = "D"
-    changed.pairings.clear()
-    changed.disks.append("S")
+    edits = (lambda: changed.labels.__setitem__("S", DISK), lambda: changed.aliases.__setitem__("S", "D"),
+             lambda: changed.pairings.clear(), lambda: changed.disks.append("S"), lambda: setattr(changed, "disks", ()))
+    for edit in edits:
+        with pytest.raises((TypeError, AttributeError)):
+            edit()
     assert [_geometry_fields(geo) for geo in generic] == before
     cover = _geometry_fields(builtin_geometry("cyclic_cover", m=1001))
     for key in keys:
@@ -402,7 +403,7 @@ def test_genus1_hd_presents_its_matrix_once(monkeypatch):
     monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: read.append(spec) or real_read(spec))
     with own_groups():
         assert run_theorem("genus1-hd", k=100, l=100).passed
-        assert [(geo.attaching, geo.disks) for geo in presented] == [(["phi"], ["D_h"])] * 4 and len(read) == 4
+        assert [(geo.attaching, geo.disks) for geo in presented] == [(("phi",), ("D_h",))] * 4 and len(read) == 4
         assert scenarios._generic_f(scenarios._phi_torus, ("S_v", "S_h"), None).is_zero()
         presented.clear()
         read.clear()
@@ -430,7 +431,7 @@ def test_genus1_hd_builds_the_torus_table_plus_phi_once(monkeypatch):
         tables[row] = {pair: term_list_and_render(elem)[0] for pair, elem in geo.pairings.items()}
         assert geo.labels == labels
         assert (geo.group.kind, geo.group.n, geo.coeffs, geo.aliases) == (FREE_ABELIAN, 3, F2, {})
-        assert (geo.attaching, geo.disks) == (["phi"], ["D_h"])
+        assert (geo.attaching, geo.disks) == (("phi",), ("D_h",))
     assert len(built) == 4 and tables == {
         row: {**lifted, **({("phi", row): [[[0, 0, 0], 1]]} if row else {})} for row in GENUS1_HD_ROWS}
 
@@ -706,6 +707,8 @@ UNREACHED_BY_THE_CLI = {
     "groupring.RingElement.coefficient": "reads a term at a DeckElement; the engine reads values",
     "groupring.RingElement.support": "hands DeckElements back; reports read sorted values",
     "equivariant.EquivClass.support": "hands (label, DeckElement) pairs back; reports read sorted values",
+    "scenarios.builtin_geometry": "checks a library caller's name and parameters; the runners and scenario files, "
+                                  "whose parameters are checked, read its memo (_geometry) directly",
 }
 
 # An inline geometry (the torus complement's data) moved by a lift with
@@ -856,37 +859,57 @@ def test_linked_6crit_reads_one_geometry_per_n_and_abelianizes_once(monkeypatch)
         assert run_theorem("linked-6crit", n=5, k=2, l=2).passed
         assert run_theorem("linked-6crit", n=5, k=3, l=1).passed
         assert read == ["sphere_torus_link"] * 2 and abelianized == [3]
-        # builtin_geometry reads afresh: a caller may change what it gets
-        fresh = builtin_geometry("sphere_torus_link", n=3)
-        assert len(read) == 3 and fresh is not scenarios._link_geometry(3)
+        # builtin_geometry reads through the same memo: the runner's geometry, an immutable one
+        assert builtin_geometry("sphere_torus_link", n=3) is scenarios._geometry("sphere_torus_link", (3,), ())
+        assert len(read) == 2
 
 
-def test_the_geometry_memo_keeps_only_the_sphere_torus_link_geometries():
-    # every other runner reads its geometry per call: a cover's m and
-    # genus_g_complement's g are unbounded, and the parameter-free runners
-    # return their geometry inside a class; the memo holds sphere_torus_link
-    # at each n the letter cap admits, the generic relator's n = 3 among them
+def test_one_memo_holds_every_builtin_geometry_up_to_its_bound():
+    # builtin_geometry, the runners and a scenario file naming a built-in
+    # read one memo, keyed by name, parameters and the file's roles: an
+    # equal description returns the same object, read once
+    memo = scenarios._geometry
     with own_groups():
-        for m in (105, 106, 107):
-            for key in ("less-simple", "simple-splitting-spheres", "genus1-handlebody"):
-                assert run_theorem(key, m=m, k=1).passed
-        for g in (2, 3, 4):
-            assert run_theorem("simple-knotted-handlebody", k=2, g=g).passed
-        for key in ("simple-5d", "circle-splittingspheres", "disks-5dlinked"):
+        for key in ("simple-5d", "circle-splittingspheres", "simple-splitting", "disks-5dlinked"):
             assert run_theorem(key, **SAMPLE_PARAMS[key]).passed
-        assert scenarios._link_geometry.cache_info().currsize == 0
+        assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
+        circles = run_theorem("circle-splittingspheres", k=5, l=2).computed["class"].geometry
+        assert circles is builtin_geometry("circles_complement") and memo.cache_info().misses == 2
+        # a scenario file's own roles are part of the key; without them it reads the built-in's
+        scenario = {"geometry": "torus_complement", "barbells": [{"cuff1": "S_h", "cuff2": "S_h", "holonomy": 2}]}
+        for roles in ({}, {"attaching": None}, {"attaching": ["S_v"], "disks": ["D_v"]}, {"attaching": ["S_v", "S_h"]}):
+            assert run_scenario({**scenario, **roles}).computed["matrix"]
+        assert memo.cache_info().misses == 5
+        assert builtin_geometry("torus_complement") is memo("torus_complement", (), ())
+        # a loop over n, m or g keeps at most the memo's 16 geometries,
+        # and the cyclic-cover keys push theirs, reading none
         for n in range(2, 14):
             assert run_theorem("linked-6crit", n=n, k=1, l=1).passed
         with pytest.raises(HypothesisError, match="letters"):
             run_theorem("linked-6crit", n=14, k=1, l=1)
-        assert scenarios._link_geometry.cache_info().currsize == 12
+        for m in range(105, 125):
+            assert run_theorem("genus1-handlebody", m=m, k=1).passed
+            assert run_theorem("less-simple", m=m, k=1).passed
+        for g in (2, 3, 4):
+            assert run_theorem("simple-knotted-handlebody", k=2, g=g).passed
+        assert memo.cache_info().misses == 5 + 12 + 20 + 3
+        assert memo.cache_info().currsize == memo.cache_info().maxsize == 16
+    # a refusal keeps nothing
+    with own_groups():
+        for name, params in (("genus_g_complement", {"g": MAX_GENUS + 1}), ("cyclic_cover", {"m": 0})):
+            with pytest.raises(HypothesisError):
+                builtin_geometry(name, **params)
+        assert memo.cache_info().currsize == 0
 
 
 def test_a_caller_who_changes_a_returned_geometry_changes_no_later_call():
-    # circle-splittingspheres returns its geometry inside its classes, and a
-    # caller may change it: every later run reads a geometry of its own
+    # circle-splittingspheres returns its geometry, the memo's, inside its
+    # classes: a caller's edit of it is refused, and every later run passes
     changed = run_theorem("circle-splittingspheres", k=2).computed["class"].geometry
-    changed.labels["S_L"] = changed.labels["S_R"] = DISK
+    with pytest.raises(TypeError):
+        changed.labels["S_L"] = DISK
+    with pytest.raises(AttributeError):
+        changed.labels = {**changed.labels, "S_L": DISK, "S_R": DISK}
     for key in ("circle-splittingspheres", "simple-splitting", "disks-5dlinked", "simple-5d"):
         assert run_theorem(key, **SAMPLE_PARAMS[key]).passed
 
@@ -894,11 +917,12 @@ def test_a_caller_who_changes_a_returned_geometry_changes_no_later_call():
 @contextlib.contextmanager
 def own_groups():
     """A deck group table of the block's own, and the memos that hold
-    groups (free_group, free_abelian, _link_geometry, _generic_f,
+    groups (free_group, free_abelian, _geometry, _generic_f,
     _abelian_brunnian_f, _generic_cover_class) empty on entry and exit:
     every group the block reaches is built in it, and none outlives it in
-    a memo or meets a group built outside."""
-    memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._link_geometry, scenarios._generic_f,
+    a memo or meets a group built outside.  Geometries hold reversed rows,
+    so a geometry built under a fault outlives no block either."""
+    memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._geometry, scenarios._generic_f,
              scenarios._abelian_brunnian_f, scenarios._generic_cover_class)
     table, deckgroup._GROUPS = deckgroup._GROUPS, weakref.WeakValueDictionary()
     for memo in memos:
@@ -924,13 +948,15 @@ def test_free_and_free_abelian_groups_are_built_once_a_size(monkeypatch):
 
 
 def test_the_group_table_keeps_no_dropped_cover_group():
-    # a group costs about 600 B: a loop over many cover orders must not keep them all
+    # a group costs about 600 B: a loop over many cover orders must not keep
+    # them all; the geometry memo keeps the last 16
     orders = range(10**4 + 7, 2 * 10**4 + 7)
     geometries = [builtin_geometry("cyclic_cover", m=m) for m in orders]
     assert all(deckgroup._GROUPS[CYCLIC, m] is geo.group for m, geo in zip(orders, geometries))
     del geometries
     gc.collect()
-    assert not {(CYCLIC, m) for m in orders} & set(deckgroup._GROUPS.keys())
+    kept = {m for kind, m in deckgroup._GROUPS.keys() if kind == CYCLIC and m in orders}
+    assert kept == set(orders[-scenarios._geometry.cache_info().maxsize:])
 
 
 def test_sweep_grids_keep_their_job_counts():
