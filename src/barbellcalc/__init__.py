@@ -20,6 +20,7 @@ from .deckgroup import (
     DeckElement,
     DeckGroup,
     GroupError,
+    GroupMap,
     brunnian_word,
     commutator,
     free_abelian,

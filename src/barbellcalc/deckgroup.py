@@ -60,7 +60,7 @@ import re
 import reprlib
 import threading
 import weakref
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
 class GroupError(ValueError):
@@ -474,6 +474,52 @@ def brunnian_word(n: int) -> DeckElement:
     for x in map(chr, range(5, 2 * n, 2)):  # x2 .. x_(n-1)
         w = product(product(inverse(w), inverse(x)), product(w, x))
     return DeckElement(group, w)
+
+
+class GroupMap:
+    """A homomorphism out of F_s or Z^s: its generators' image values in
+    target, and value, the map on canonical values.  The images must be
+    DeckElements in target; a cyclic source, and Z^s into F_n, are refused."""
+
+    __slots__ = ("source", "target", "images", "value")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, source: DeckGroup, target: DeckGroup, images: Sequence[DeckElement]):
+        _check_group(source)
+        _check_group(target)
+        if source.kind == CYCLIC or source.kind == FREE_ABELIAN and target.kind == FREE:
+            raise GroupError(f"no group map {source!r} -> {target!r}: the source must be F_s, or Z^s into Z^r or Z/m")
+        if not _is_list(images) or len(images) != source.n or not all(h in target for h in images):
+            raise GroupError(f"a map out of {source!r} takes {source.n} images in {target!r}, got {_echo(images)}")
+        _group_map(source, target, tuple(h.value for h in images), self)
+
+    def __repr__(self):
+        return f"<GroupMap {self.source!r} -> {self.target!r}>"
+
+
+_FILL = tuple(vars(GroupMap)[name].__set__ for name in GroupMap.__slots__)  # each slot's setter, bound once
+
+
+def _group_map(source: DeckGroup, target: DeckGroup, values: tuple, phi: GroupMap | None = None) -> GroupMap:
+    """The trusted constructor, of image values the engine built; GroupMap
+    ends in it (phi).  value is specialized as _law specializes the law."""
+    if source.kind == FREE:
+        product, inverse, identity = target._product, target._inverse, target.identity().value
+        letters = {chr(2 * i + j): v if j else inverse(v) for i, v in enumerate(values, 1) for j in (0, 1)}
+        value = lambda word: functools.reduce(product, map(letters.__getitem__, word)) if word else identity
+    elif target.kind == CYCLIC:
+        m = target.n
+        value = lambda e: sum(map(operator.mul, values, e)) % m
+    elif target.n == 1:
+        (row,) = zip(*values)
+        value = lambda e: (sum(map(operator.mul, row, e)),)
+    else:
+        rows = tuple(zip(*values))
+        value = lambda e: tuple([sum(map(operator.mul, row, e)) for row in rows])
+    phi = object.__new__(GroupMap) if phi is None else phi
+    for put, field in zip(_FILL, (source, target, values, value)):
+        put(phi, field)
+    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -49,22 +49,22 @@ group with GeometryError.  Classes share a geometry when it is one object
 or has the same deck group and an equal name, coefficients, labels and
 pairing table; ==, add, sub and pair_classes read that one test, and
 refuse a non-class.  Operations on checked classes and table rows apply
-the group's law or, in class_pushforward, a map Z^s -> Z/m to values and
-build their results with the trusted constructors _equiv_class and
-_ring_element, which only reduce coefficients mod 2 over F2 and drop
-zeros; a pushed geometry is a checked Geometry.  barbell_action adds
+the group's law, or a GroupMap (push_class and push_geometry refuse one
+out of another group), to values and build their results with the
+trusted constructors _equiv_class and _ring_element, which only reduce
+coefficients mod 2 over F2 and drop zeros; a pushed geometry is a
+checked Geometry.  barbell_action adds
 k C(x) into a copy of x's terms, pairing once when both cuffs are one label.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 
-from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _cut, _echo, _immutable, _is_int, _is_list,
+from .deckgroup import (CYCLIC, FREE, DeckElement, DeckGroup, GroupMap, _cut, _echo, _immutable, _is_int, _is_list,
                         _json, _sorted_texts, _text)
-from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, render
+from .groupring import F2, RingElement, _reduced, _ring_element, join_signed, push, render
 
 SPHERE = "sphere"
 DISK = "disk"
@@ -264,33 +264,23 @@ def _sorted(x: EquivClass) -> tuple[list, dict | None]:
     return sorted(x.terms, key=lambda key: (key[0], place[key[1]])), text
 
 
-def class_pushforward(x: EquivClass, m: int, row: Sequence[int]) -> EquivClass:
-    """x, over Z^s, pushed along Z^s -> Z/m, the dot product with row (s
-    integers) mod m, onto x's geometry pushed the same way
-    (_pushed_geometry); terms whose images collide add."""
-    home = x.geometry
-    if (home.group.kind != FREE_ABELIAN or not (_is_int(m) and m >= 1)
-            or not (_is_list(row, _is_int) and len(row) == home.group.n)):
-        raise GeometryError(f"class_pushforward takes a class over Z^s, a modulus m >= 1 and s integers, "
-                            f"got {home.coeffs}[{home.group!r}], {_echo(m)}, {_echo(row)}")
-    terms: dict = {}
+def push_geometry(home: Geometry, phi: GroupMap) -> Geometry:
+    """A new, checked Geometry over phi's target: home's name, labels,
+    roles and aliases, and its stored rows pushed along phi (push)."""
+    if phi.__class__ is not GroupMap or phi.source is not home.group:
+        raise GeometryError(f"push_geometry takes a group map out of {home.group!r}, got {_echo(phi)}")
+    pairings = {pair: push(elem, phi) for pair, elem in home.pairings.items()}
+    return Geometry(home.name, phi.target, home.coeffs, home.labels, pairings, home.attaching, home.disks, home.aliases)
+
+
+def push_class(x: EquivClass, phi: GroupMap) -> EquivClass:
+    """x pushed along phi onto its geometry pushed the same way (push_geometry), colliding terms added."""
+    geometry = push_geometry(x.geometry, phi)
+    value, terms = phi.value, {}
     for (label, e), c in x.terms.items():
-        key = (label, sum(map(operator.mul, row, e)) % m)
+        key = (label, value(e))
         terms[key] = terms.get(key, 0) + c
-    return _equiv_class(_pushed_geometry(home, DeckGroup(CYCLIC, m), row), terms)
-
-
-def _pushed_geometry(home: Geometry, group: DeckGroup, row: Sequence[int]) -> Geometry:
-    """A new, checked Geometry over group, Z/m: home's name, labels, roles
-    and aliases, and its stored rows pushed along row mod m."""
-    pairings = {}
-    for pair, elem in home.pairings.items():
-        terms: dict = {}
-        for e, c in elem.terms.items():
-            image = sum(map(operator.mul, row, e)) % group.n
-            terms[image] = terms.get(image, 0) + c
-        pairings[pair] = _ring_element(group, home.coeffs, terms)
-    return Geometry(home.name, group, home.coeffs, home.labels, pairings, home.attaching, home.disks, home.aliases)
+    return _equiv_class(geometry, terms)
 
 
 def render_class(x: EquivClass) -> str:

@@ -18,23 +18,21 @@ Terms map canonical deck values to nonzero coefficients.  An element is
 validated where it enters: RingElement(...), and through it zero and
 one, takes DeckElement keys and refuses an unknown coefficient ring, a
 group that is not a DeckGroup and a term not in the group (groups compare
-by identity), as translate, substitute, add and mul refuse theirs.
-from_term_list reads a term list, its JSON form (_is_term_list), and
-refuses any other value: it converts no element and no coefficient.
-add, neg, mul, translate, reverse, the ring maps pushforward and
-substitute, and the equivariant pairing apply a group law to values, so
-their results go through the trusted constructor _ring_element, which
-only reduces the coefficients mod 2 over F2 and drops zeros.
+by identity), as translate, add, mul and push (a map out of another
+group) refuse theirs.  from_term_list reads a term list, its JSON form
+(_is_term_list), and refuses any other value: it converts no element and
+no coefficient.  add, neg, mul, translate, reverse, push (along a
+checked deckgroup.GroupMap) and the equivariant pairing apply a group
+law to values, so their results go through the trusted constructor
+_ring_element, which only reduces coefficients mod 2 over F2 and drops zeros.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from collections.abc import Iterable, Mapping, Sequence
 
-from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, _echo, _is_element, _is_int, _is_list,
-                        _json, _sorted_texts, element_from_json, free_abelian)
+from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, GroupMap, _echo, _is_element, _is_int,
+                        _is_list, _json, _sorted_texts, element_from_json)
 
 F2 = "F2"
 INT = "Z"
@@ -196,36 +194,16 @@ def laurent_span(elem: RingElement) -> int | None:
     return max(degrees) - min(degrees)
 
 
-def pushforward(elem: RingElement, matrix: Sequence[Sequence[int]]) -> RingElement:
-    """elem, over Z^s, pushed along the group map Z^s -> Z^r whose i-th
-    coordinate is the dot product with matrix[i], a row of s integers;
-    terms whose images collide add (mod 2 over F2)."""
-    if elem.group.kind != FREE_ABELIAN or not matrix or any(len(row) != elem.group.n for row in matrix):
-        raise RingError(f"pushforward takes an element over Z^s and rows of s integers, got {elem.group!r}")
-    terms: dict = {}
+def push(elem: RingElement, phi: GroupMap) -> RingElement:
+    """elem pushed along phi, a GroupMap out of its group: each term at its
+    value's image, terms whose images collide added (mod 2 over F2)."""
+    if phi.__class__ is not GroupMap or phi.source is not elem.group:
+        raise RingError(f"push takes a group map out of {elem.group!r}, got {_echo(phi)}")
+    value, terms = phi.value, {}
     for e, c in elem.terms.items():
-        image = tuple([sum(map(operator.mul, row, e)) for row in matrix])
+        image = value(e)
         terms[image] = terms.get(image, 0) + c
-    return _ring_element(free_abelian(len(matrix)), elem.coeffs, terms)
-
-
-def substitute(elem: RingElement, target: DeckGroup, images: Sequence[DeckElement]) -> RingElement:
-    """elem, over F_s, pushed along the group map F_s -> target that
-    sends x_i to images[i - 1]: each word becomes the product in target of
-    its letters' images, x_i (letter chr(2i + 1)) to images[i - 1] and
-    x_i^-1 (chr(2i)) to its inverse; terms whose images collide add (mod 2
-    over F2)."""
-    if elem.group.kind != FREE or len(images) != elem.group.n:
-        raise RingError(f"substitute takes an element over F_s and s images, got {elem.group!r} and {len(images)}")
-    if not all(h in target for h in images):
-        raise RingError(f"substitute takes images in {_echo(target)}")
-    product, inverse, identity = target._product, target._inverse, target.identity().value
-    letters = {chr(2 * i + j): h.value if j else inverse(h.value) for i, h in enumerate(images, 1) for j in (0, 1)}
-    terms: dict = {}
-    for word, c in elem.terms.items():
-        image = functools.reduce(product, map(letters.__getitem__, word)) if word else identity
-        terms[image] = terms.get(image, 0) + c
-    return _ring_element(target, elem.coeffs, terms)
+    return _ring_element(phi.target, elem.coeffs, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ cokernel normal forms are computed only for the shapes that actually
 arise (1x1 and zero-diagonal 2x2).
 
 The n-component Brunnian-link relator in F2[F_n] and its image in
-F2[s^{±1}, t^{±1}] are one engine-built generic relator specialized by
-groupring.substitute (scenarios); their closed forms are test oracles.
+F2[s^{±1}, t^{±1}] are one engine-built generic relator pushed along a
+deckgroup.GroupMap (groupring.push, scenarios); their closed forms are
+test oracles.
 """
 
 from __future__ import annotations

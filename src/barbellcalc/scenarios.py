@@ -14,25 +14,22 @@ every description; a scenario file's own attaching spheres and belt disks
 replace the roles in the description before it is read, so the roles are
 checked once, by Geometry.  Geometries are immutable, and one bounded
 memo, `_geometry`, keyed by name, parameters and a file's roles, serves
-every built-in one; the cyclic-cover keys push theirs.  Every
-presentation matrix comes from `present_from_scenario`; one memo,
-`_generic_f`, holds the generic ones: the torus keys, in theorem calls
-and sweeps alike, push the torus complement's over Z^3 forward; genus1-hd
-sums translates of four, its sphere phi meeting nothing or one label once
-(`_phi_torus`), as its intersection data give them, and pushes the sum
-forward; and linked-6crit substitutes its bar words into the sphere/torus
-link's, and pushes that one's abelianization forward to its image.
-Each theorem runner drives the barbell engine through one argument,
-compares against the closed-form or substituted value when there is
-one, and hands the engine values and its verdict to a Report
-(barbellcalc.report); hypothesis bounds (winding numbers >= 1, cover order
-m large enough) are enforced up front.  The six cover arguments share one
-disk move (`_move`) and one summand test (`_in_identity_summand`); the
-cyclic-cover keys push one moved class a family (`_generic_cover_class`),
-and its geometry, to each call's Z/m.  `THEOREMS` maps each reproduction's
-name to its runner and `SWEEPS` each sweep's name to its parameter grid;
-`run_theorem` and `run_sweep` hold every parameter rule, and `run_theorem`
-names each report and records its parameters.
+every built-in one.  Every presentation matrix comes from
+`present_from_scenario`; one memo, `_generic_f`, holds the generic ones,
+and one checked map (deckgroup.GroupMap) specializes each: the torus
+keys and genus1-hd (a sum of translates of four, `_phi_torus`) push
+along (a, b, c) -> ak + bl + c (`_along`), linked-6crit to its bar words
+and its abelianization to its image, and the cyclic-cover keys push one
+moved class a family (`_generic_cover_class`) into Z/m (push_class).
+Each runner drives the barbell engine through one argument, compares
+against the closed-form or pushed value when there is one, and hands
+the engine values and its verdict to a Report (barbellcalc.report);
+hypothesis bounds (winding numbers >= 1, cover order m large enough) are
+enforced up front.  The six cover arguments share one disk move
+(`_move`) and one summand test (`_in_identity_summand`).  `THEOREMS`
+maps each reproduction's name to its runner and `SWEEPS` each sweep's
+name to its grid; `run_theorem` and `run_sweep` hold every parameter
+rule, and `run_theorem` names each report and records its parameters.
 """
 
 from __future__ import annotations
@@ -43,13 +40,13 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
 
-from .deckgroup import (_MAX_DIGITS, CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, _echo,
-                        _is_element, _is_int, _is_list, _too_long, brunnian_word, element_from_json, exponent_sum,
-                        free_abelian)
+from .deckgroup import (_MAX_DIGITS, CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, GroupMap, _echo,
+                        _group_map, _is_element, _is_int, _is_list, _too_long, brunnian_word, element_from_json,
+                        exponent_sum, free_abelian)
 from .equivariant import (DISK, MERIDIAN, SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, action_sequence,
-                          class_pushforward, pair_classes, summand_membership)
+                          pair_classes, push_class, summand_membership)
 from .groupring import (F2, INT, RingElement, _is_term_list, _ring_element, from_term_list, is_monomial_unit,
-                        laurent_span, normalize_monomial, pushforward, substitute)
+                        laurent_span, normalize_monomial, push)
 from .presentations import antidiagonal_cokernel, brunnian_disk_obstruction, f2_quotient_dim, present_from_scenario
 from .report import HypothesisError, Report
 
@@ -315,15 +312,20 @@ def _phi_torus(row: str | None) -> dict:
             "attaching": ["phi"], "disks": ["D_h"]}
 
 
+def _along(target: DeckGroup, k: int, l: int) -> GroupMap:
+    """(a, b, c) -> ak + bl + c, from Z^3 into target, Z or Z/m."""
+    values = ((k,), (l,), (1,)) if target.kind == FREE_ABELIAN else (k % target.n, l % target.n, 1 % target.n)
+    return _group_map(free_abelian(3), target, values)
+
+
 @functools.cache
 def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) -> RingElement:
     """The engine's f of builder(*params)'s description under one barbell
     (c, c) per cuff c, in the order they act, S_h's bar the generator x1
-    and S_v's x2; built once a process.  Its sums, products and translates
-    commute with group maps out of its deck group, so an instance's f is
-    this one pushed forward (torus: (a, b, c) -> ak + bl + c), a sum of
-    translates of genus1-hd's four pushed forward, or substituted into
-    (Brunnian).  The sphere/torus link's geometry is linked-6crit's own."""
+    and S_v's x2; built once a process.  Every engine step commutes with
+    group maps, so an instance's f is this one (for genus1-hd, a sum of
+    translates of four) pushed along one (groupring.push).  The
+    sphere/torus link's geometry is linked-6crit's own."""
     link = builder is _sphere_torus_link
     geo = _geometry("sphere_torus_link", params, ()) if link else _read_geometry(builder(*params))
     x = geo.group.generator
@@ -339,7 +341,7 @@ def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) ->
 def _run_torus_knot(k: int, l: int) -> Report:
     _require_windings(k, l)
     # the horizontal diffeomorphism is applied first
-    f = pushforward(_generic_f(_lifted_torus_complement, ("S_h", "S_v")), [[k, l, 1]])
+    f = push(_generic_f(_lifted_torus_complement, ("S_h", "S_v")), _along(free_abelian(1), k, l))
     dim = f2_quotient_dim([[f]])
     expected_f = morsesimple_f(k, l)
     expected_dim = 2 * k + 2 * l + 2
@@ -354,9 +356,9 @@ def _run_unknots(k: int = 1, l: int = 1) -> Report:
     _require_windings(k, l)
     # h-after-v: the horizontal diffeomorphism composed after the vertical one
     variants = {"v-only": ("S_v",), "h-only": ("S_h",), "h-after-v": ("S_v", "S_h")}
-    computed = {}
+    computed, phi = {}, _along(free_abelian(1), k, l)
     for variant, cuffs in variants.items():
-        f = pushforward(_generic_f(_lifted_torus_complement, cuffs), [[k, l, 1]])
+        f = push(_generic_f(_lifted_torus_complement, cuffs), phi)
         computed[variant] = {"f": f, "dim": f2_quotient_dim([[f]])}
     trivial = {"f": RingElement.one(free_abelian(1), F2), "dim": 0}
     return Report(
@@ -394,27 +396,27 @@ def _check_linked(n: int, k: int, l: int):
 @functools.cache
 def _abelian_brunnian_f() -> RingElement:
     """The generic Brunnian relator of sphere_torus_link at n = 3
-    abelianized: substituted into F2[Z^3] at x1, x2, x3 -> e1, e2, e3,
-    once a process.  Its image at s^k, s^l, t is this one pushed forward
-    along (a, b, c) -> (ak + bl, c)."""
+    abelianized, pushed along the checked GroupMap x1, x2, x3 -> e1, e2, e3
+    into F2[Z^3] once a process.  Its image at s^k, s^l, t is this one
+    pushed along (a, b, c) -> (ak + bl, c)."""
     generic, z3 = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(3)
-    return substitute(generic, z3, [z3.generator(i) for i in (1, 2, 3)])
+    return push(generic, GroupMap(generic.group, z3, [z3.generator(i) for i in (1, 2, 3)]))
 
 
 def _run_linked_6crit(n: int, k: int, l: int) -> Report:
     """One winding pair (k, l): the engine's relator against the generic one
-    of sphere_torus_link at n = 3 (a third of a call to build) at
+    of sphere_torus_link at n = 3 (a third of a call to build) pushed along
     x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image in
     F2[s^±1, t^±1] (the sweep's image_in_st): the generic one at s^k,
-    s^l, t, pushed forward from its abelianization (_abelian_brunnian_f)."""
+    s^l, t, pushed from its abelianization (_abelian_brunnian_f)."""
     _check_linked(n, k, l)
     geo = _geometry("sphere_torus_link", (n,), ())
     w = brunnian_word(n)
     wk, wl = w.pow(k), w.pow(l)
     engine_f = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
     generic = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3)
-    expected_f = substitute(generic, geo.group, [wk, wl, geo.group.generator(n)])
-    image = pushforward(_abelian_brunnian_f(), [[k, l, 0], [0, 0, 1]])
+    expected_f = push(generic, _group_map(generic.group, geo.group, (wk.value, wl.value, geo.group.generator(n).value)))
+    image = push(_abelian_brunnian_f(), _group_map(free_abelian(3), free_abelian(2), ((k, 0), (l, 0), (0, 1))))
     nontrivial = not is_monomial_unit(image)
     # the relator pushed through F_n -> Z, every generator to t, needs no
     # word product: w is x1 for n = 2, and a commutator (image 1) otherwise
@@ -516,21 +518,19 @@ def _generic_cover_class(both: bool) -> EquivClass:
 
 def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivClass]:
     """Check the cover hypotheses, then move the disk D of the m-fold
-    cover by the barbell (S_prime, S) whose bar winds k times, followed
-    by the inverse of the one winding l times (none when l = 0).
-    Returns the cover and the moved class: on the cyclic cover, its
-    family's generic class and geometry pushed afresh along (a, b, c) ->
-    (ak + bl + c) mod m, the geometry equal to builtin_geometry's, the
-    class exact as every engine step commutes with that ring map, and
-    m > 2k + 2l keeps {0, ±k, ±l} distinct mod m, so terms merge only where
-    they merge per instance (k = l).  The branched cover's meridian row,
-    the norm element of Z/m, has no generic form: D moves on the memo's."""
+    cover by the barbell (S_prime, S) whose bar winds k times, then by the
+    inverse of the one winding l times (none when l = 0): the cover and
+    the moved class.  On the cyclic cover, the family's generic class is
+    pushed with its geometry along `_along` (push_class), exact as every
+    engine step commutes with it; m > 2k + 2l keeps {0, ±k, ±l} distinct
+    mod m, so terms merge only where they merge per instance (k = l).  The
+    branched cover's meridian row (the norm of Z/m) has no generic form."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
     if geometry == "cyclic_cover":
-        moved = class_pushforward(_generic_cover_class(l > 0), m, [k, l, 1])
+        moved = push_class(_generic_cover_class(l > 0), _along(DeckGroup(CYCLIC, m), k, l))
         return moved.geometry, moved
     geo = _geometry(geometry, (m,), ())
     t = geo.group.generator
@@ -616,12 +616,11 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     (h, v, b), default h = 1: the dimension of its mod-2 second homology
     by the piecewise closed form and by the engine (None = infinite).
     The barbells act F2[Z^3]-linearly and f pairs the moved phi with D_h,
-    so f is affine in phi's rows: over Z^3 it is F_None plus, for each
-    row, lift(data) (F_row + F_None), where F_row is the generic f of phi
-    meeting row once at x3^0, F_None that of phi meeting nothing (0 for a
-    correct engine; computed, so that a fault not linear in phi shows)
-    and lift(data) the sum of x3^e over data's odd positions e.  The sum
-    is pushed forward along (a, b, c) -> ak + bl + c."""
+    so f over Z^3 is F_None plus, for each row, lift(data) (F_row +
+    F_None), where F_row is the generic f of phi meeting row once at x3^0,
+    F_None that of phi meeting nothing (0 for a correct engine; computed,
+    so that a fault not linear in phi shows) and lift(data) the sum of
+    x3^e over data's odd positions e; it is pushed along `_along`."""
     h, v, b = _odd_entries("h", {0: 1} if h is None else h), _odd_entries("v", v or {}), _odd_entries("b", b or {})
     radius = lambda data: max((abs(i) for i in data), default=0)
     m_b, m_h, m_v = radius(b), radius(h), radius(v)
@@ -634,7 +633,7 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     for row, data in (("S_h", h), ("S_v", v), ("D_h", b)):
         lift = _ring_element(none.group, F2, {(0, 0, e): 1 for e in data})
         f = f.add(lift.mul(generic[row].add(none)))
-    engine = f2_quotient_dim([[pushforward(f, [[k, l, 1]])]])
+    engine = f2_quotient_dim([[push(f, _along(free_abelian(1), k, l))]])
 
     if not h and not v:
         # the class meets no cuff, so neither barbell moves it and its

@@ -424,15 +424,16 @@ def test_a_brunnian_job_checks_both_of_its_winding_pairs(monkeypatch, capsys):
     # a job, and its report used to be built but never counted (15/15 passed)
     from barbellcalc import cli, scenarios
 
-    # the expected relator comes from substituting the bar words into
-    # the generic relator: substitute w, not w^3, at (3, 3)
-    substitute = scenarios.substitute
-    w = scenarios.brunnian_word(3)
+    # the expected relator is the generic relator pushed along x1, x2,
+    # x3 -> w^k, w^l, x_n: send x1 and x2 to w, not w^3, at (3, 3)
+    push, w = scenarios.push, scenarios.brunnian_word(3)
 
-    def wrong_at_3_3(elem, target, images):
-        return substitute(elem, target, [w, w, images[2]] if images[0] == images[1] == w.pow(3) else images)
+    def wrong_at_3_3(elem, phi):
+        if phi.images[:2] == (w.pow(3).value,) * 2:
+            phi = scenarios.GroupMap(phi.source, phi.target, [w, w, phi.target.generator(3)])
+        return push(elem, phi)
 
-    monkeypatch.setattr(scenarios, "substitute", wrong_at_3_3)
+    monkeypatch.setattr(scenarios, "push", wrong_at_3_3)
     assert cli.main(["theorem", "linked-6crit", "--n", "3", "--k", "3", "--l", "3"]) == 1
     capsys.readouterr()
     assert cli.main(["sweep", "brunnian", "--n", "3", "--max", "3"]) == 1

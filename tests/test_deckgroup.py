@@ -24,6 +24,7 @@ from barbellcalc.deckgroup import (
     DeckElement,
     DeckGroup,
     GroupError,
+    GroupMap,
     brunnian_word,
     commutator,
     element_from_json,
@@ -445,6 +446,55 @@ def test_values_are_slotted_and_frozen():
         x.value = ""
     with pytest.raises(AttributeError):
         F3.n = 4
+
+
+# -- group maps -------------------------------------------------------------------
+
+
+def test_a_group_map_refuses_what_it_cannot_build():
+    z1, z2, z3, f2, z7 = free_abelian(1), free_abelian(2), free_abelian(3), free_group(2), DeckGroup(CYCLIC, 7)
+    t = z1.generator(1)
+    with pytest.raises(GroupError, match="^'F_2' is not a deck group$"):
+        GroupMap("F_2", z1, [t, t])
+    with pytest.raises(GroupError, match="^None is not a deck group$"):
+        GroupMap(f2, None, [t, t])
+    # a cyclic source, and Z^s into a free group: no caller needs them
+    for source, target in ((z7, z1), (z2, f2), (z1, free_group(1))):
+        with pytest.raises(GroupError, match=f"^no group map {re.escape(repr(source))} -> {re.escape(repr(target))}: "
+                                             r"the source must be F_s, or Z\^s into Z\^r or Z/m$"):
+            GroupMap(source, target, [target.identity()] * source.n)
+    takes = "a map out of F_2 takes 2 images in Z^1, got "
+    # a wrong count, a foreign image, a value that is not a DeckElement, and no list at all
+    for images in ([t], [t, t, t], [t, z2.generator(1)], [(1,), (2,)], (t, 1), None, iter([t, t])):
+        with pytest.raises(GroupError, match=f"^{re.escape(takes)}"):
+            GroupMap(f2, z1, images)
+    # the old class push's refusals, now each group map's: the row (1, 2) of
+    # Z^3 -> Z/7 misses an image, and 2.0 and True are no residues of Z/7
+    for row in ([1, 2], [1, 2.0, 0], [1, True, 0]):
+        with pytest.raises(GroupError, match=f"^{re.escape('a map out of Z^3 takes 3 images in Z/7, got ')}"):
+            GroupMap(z3, z7, row)
+    with pytest.raises(GroupError, match=r"^residue 2\.0 not normalized mod 7$"):
+        GroupMap(z3, z7, [DeckElement(z7, 1), DeckElement(z7, 2.0), z7.identity()])
+    # and its modulus: m < 1 or a non-int m is refused by DeckGroup, before any map,
+    # as is Z^0, the target of an empty list of rows
+    for kind, m, message in ((CYCLIC, 0, "group parameter must be >= 1, got 0"),
+                             (CYCLIC, 7.0, "group parameter must be an int, not float"),
+                             (CYCLIC, True, "group parameter must be an int, not bool"),
+                             (deckgroup.FREE_ABELIAN, 0, "group parameter must be >= 1, got 0")):
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            GroupMap(z3, DeckGroup(kind, m), [])
+
+
+def test_a_group_map_is_slotted_and_frozen():
+    z1 = free_abelian(1)
+    phi = GroupMap(free_group(2), z1, [z1.generator(1), z1.generator(1, -3)])
+    assert not hasattr(phi, "__dict__") and phi.images == ((1,), (-3,)) and repr(phi) == "<GroupMap F_2 -> Z^1>"
+    for field in ("source", "target", "images", "value", "other"):
+        with pytest.raises(AttributeError):
+            setattr(phi, field, None)
+        with pytest.raises(AttributeError):
+            delattr(phi, field)
+    assert phi.value("\x03\x04\x04") == (7,)  # x1 x2^-2 -> t t^6
 
 
 # -- powers ---------------------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barbellcalc.deckgroup import (CYCLIC, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, element_from_json,
-                                   format_element, free_abelian, free_group, parse_word, reduce_letters)
+from barbellcalc.deckgroup import (CYCLIC, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, GroupMap, _echo,
+                                   element_from_json, format_element, free_abelian, free_group, parse_word,
+                                   reduce_letters)
 from barbellcalc.equivariant import (
     DISK,
     MERIDIAN,
@@ -19,10 +20,11 @@ from barbellcalc.equivariant import (
     GeometryError,
     action_sequence,
     barbell_action,
-    class_pushforward,
     class_term_list,
     equivariant_pairing,
     pair_classes,
+    push_class,
+    push_geometry,
     render_class,
     summand_membership,
 )
@@ -983,14 +985,14 @@ def random_free_geometries(n, coeffs):
     )
 
 
-def push_geometry(geo, project, target):
+def project_geometry(geo, project, target):
     """The geometry of the cover that the covering map project: G -> target
     induces: every pairing row pushed through it."""
     entries = {key: apply_hom(p, target, project) for key, p in geo.pairings.items()}
     return Geometry(geo.name, target, geo.coeffs, geo.labels, entries, geo.attaching, geo.disks, geo.aliases)
 
 
-def push_class(x, project, pushed):
+def project_class(x, project, pushed):
     terms = {}
     for (label, u), c in x.terms.items():
         key = (label, project(DeckElement(x.geometry.group, u)))
@@ -1013,7 +1015,7 @@ def test_action_and_pairing_are_natural_under_cyclic_covering_maps(coeffs, data)
     m = data.draw(st.integers(1, 9))
     weights = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
     project = partial(cyclic_project, weights=weights, m=m)
-    pushed = push_geometry(geo, project, DeckGroup(CYCLIC, m))
+    pushed = project_geometry(geo, project, DeckGroup(CYCLIC, m))
 
     cuff1, cuff2 = data.draw(st.sampled_from(disjoint_cuff_pairs(geo)))
     sign = st.sampled_from((1, -1))
@@ -1034,8 +1036,8 @@ def test_action_and_pairing_are_natural_under_cyclic_covering_maps(coeffs, data)
         offset=None if spec.offset is None else project(spec.offset),
     )
     x = data.draw(equiv_classes(geo))
-    down = push_class(x, project, pushed)
-    assert push_class(barbell_action(x, spec), project, pushed) == barbell_action(down, pushed_spec)
+    down = project_class(x, project, pushed)
+    assert project_class(barbell_action(x, spec), project, pushed) == barbell_action(down, pushed_spec)
     for b in sorted(geo.labels):
         try:
             upstairs = equivariant_pairing(x, b)
@@ -1174,7 +1176,7 @@ def test_a_distinct_cuff_barbell_pairs_with_both_cuffs(monkeypatch):
     assert labels == ["S_prime", "S", "S_prime", "S"]
 
 
-def test_a_class_is_pushed_to_z_mod_m_and_anything_else_is_refused():
+def test_a_class_is_pushed_along_a_group_map_onto_its_pushed_geometry():
     from barbellcalc.scenarios import _generic_cover_class
 
     # D + x1 S - x1^-1 S_prime - x2 S + x2^-1 S_prime along (a, b, c) -> (a + 2b) mod 7
@@ -1183,20 +1185,24 @@ def test_a_class_is_pushed_to_z_mod_m_and_anything_else_is_refused():
     expected = cover.basis_class("D")
     for label, power, c in (("S", 1, 1), ("S_prime", 6, -1), ("S", 2, -1), ("S_prime", 5, 1)):
         expected = expected.add(cover.basis_class(label, t(1, power), c))
-    pushed = class_pushforward(generic, 7, [1, 2, 0])
+    phi = GroupMap(free_abelian(3), cover.group, [t(1, 1), t(1, 2), t(1, 0)])
+    pushed = push_class(generic, phi)
     assert pushed == expected and pushed.geometry is not generic.geometry
-    takes = "class_pushforward takes a class over Z^s, a modulus m >= 1 and s integers"
-    for x, m, row, message in [
-        (cover.basis_class("D"), 7, [1], f"{takes}, got Z[Z/7], 7, [1]"),
-        (generic, 0, [1, 2, 0], f"{takes}, got Z[Z^3], 0, [1, 2, 0]"),
-        (generic, 7.0, [1, 2, 0], f"{takes}, got Z[Z^3], 7.0"),
-        (generic, True, [1, 2, 0], f"{takes}, got Z[Z^3], True"),
-        (generic, 7, [1, 2], takes),
-        (generic, 7, [1, 2.0, 0], takes),
-        (generic, 7, [1, True, 0], takes),
-    ]:
-        with pytest.raises(GeometryError, match=f"^{re.escape(message)}"):
-            class_pushforward(x, m, row)
+    assert pushed.geometry is not push_geometry(generic.geometry, phi) and pushed.geometry.group is cover.group
+
+
+def test_push_class_and_push_geometry_refuse_a_map_out_of_another_group():
+    from barbellcalc.scenarios import _generic_cover_class
+
+    generic, cover = _generic_cover_class(True), builtin_geometry("cyclic_cover", m=7)
+    z1 = free_abelian(1)
+    # a class over Z/7, and over Z^3 a map out of Z^1 or none at all (the old modulus and row)
+    for x, phi in [(cover.basis_class("D"), GroupMap(z1, cover.group, [cover.group.generator(1)])),
+                   (generic, GroupMap(z1, cover.group, [cover.group.generator(1)])), (generic, (7, [1, 2, 0]))]:
+        message = f"push_geometry takes a group map out of {x.geometry.group!r}, got {_echo(phi)}"
+        for push_one in (lambda: push_class(x, phi), lambda: push_geometry(x.geometry, phi)):
+            with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+                push_one()
 
 
 def test_a_foreign_offset_or_holonomy_is_refused_before_any_pairing(monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from functools import partial
 
 import pytest
@@ -12,6 +14,7 @@ from barbellcalc.deckgroup import (
     DeckElement,
     DeckGroup,
     GroupError,
+    GroupMap,
     brunnian_word,
     element_from_json,
     free_abelian,
@@ -28,9 +31,8 @@ from barbellcalc.groupring import (
     from_term_list,
     is_monomial_unit,
     laurent_span,
-    pushforward,
+    push,
     render,
-    substitute,
     term_list_and_render,
 )
 from oracles import (
@@ -287,7 +289,7 @@ def test_homs_are_multiplicative_on_their_domains():
         assert cyc(ra.mul(rb)) == cyc(ra).mul(cyc(rb))
 
 
-# -- substitution: the ring map of a group map out of F_s ---------------------
+# -- push: the ring map of a GroupMap ------------------------------------------
 
 
 def substitution_oracle(images):
@@ -301,6 +303,15 @@ def substitution_oracle(images):
     return image
 
 
+def matrix_map(matrix):
+    """The GroupMap Z^s -> Z^r of r rows of s integers: its i-th coordinate is the
+    dot product with matrix[i].  Generator j goes to column j; a short row leaves
+    None in a column, and no rows leave no target, which the map refuses."""
+    target = free_abelian(len(matrix))
+    columns = list(itertools.zip_longest(*matrix))
+    return GroupMap(free_abelian(len(columns)), target, [DeckElement(target, column) for column in columns])
+
+
 @pytest.mark.parametrize("target", [free_group(3), free_abelian(2), DeckGroup(CYCLIC, 6)], ids=repr)
 def test_substitute_is_the_group_map_applied_term_by_term(target):
     rng = random.Random(19)
@@ -308,7 +319,8 @@ def test_substitute_is_the_group_map_applied_term_by_term(target):
         s = rng.randint(1, 3)
         elem = random_element(rng, free_group(s), rng.choice([F2, INT]), size=6)
         images = [random_deck_element(rng, target) for _ in range(s)]
-        assert substitute(elem, target, images) == apply_hom(elem, target, substitution_oracle(images))
+        pushed = push(elem, GroupMap(free_group(s), target, images))
+        assert pushed == apply_hom(elem, target, substitution_oracle(images))
 
 
 def test_substitute_adds_colliding_terms_and_sends_the_inverse_letter_to_the_inverse():
@@ -316,26 +328,10 @@ def test_substitute_adds_colliding_terms_and_sends_the_inverse_letter_to_the_inv
     # x1 + x2 + x1^-1 x2^2 along x1, x2 -> t, t: t + t + t, so t over F2 and 3t over Z
     terms = {x1: 1, x2: 1, x1.inv().mul(x2.pow(2)): 1}
     t = Z1.generator(1)
-    assert substitute(RingElement(F2GRP, F2, terms), Z1, [t, t]) == tpoly(F2, {1: 1})
-    assert substitute(RingElement(F2GRP, INT, terms), Z1, [t, t]) == tpoly(INT, {1: 3})
+    assert push(RingElement(F2GRP, F2, terms), GroupMap(F2GRP, Z1, [t, t])) == tpoly(F2, {1: 1})
+    assert push(RingElement(F2GRP, INT, terms), GroupMap(F2GRP, Z1, [t, t])) == tpoly(INT, {1: 3})
     # x1^-1 + x2 along x1, x2 -> t, t^-1: t^-1 twice, which cancel over F2
-    assert substitute(RingElement(F2GRP, F2, {x1.inv(): 1, x2: 1}), Z1, [t, t.inv()]).is_zero()
-
-
-def test_substitute_refuses_a_source_that_is_not_free_a_wrong_count_and_a_foreign_image():
-    elem = RingElement(F2GRP, F2, {F2GRP.generator(1): 1})
-    t = Z1.generator(1)
-    with pytest.raises(RingError, match="an element over F_s and s images"):
-        substitute(tpoly(F2, {1: 1}), Z1, [t])
-    for images in ([t], [t, t, t]):
-        with pytest.raises(RingError, match="an element over F_s and s images"):
-            substitute(elem, Z1, images)
-    for images in ([t, Z2.generator(1)], [(1,), (2,)]):
-        with pytest.raises(RingError, match="images in Z\\^1"):
-            substitute(elem, Z1, images)
-
-
-# -- pushforward along an integer matrix ----------------------------------------
+    assert push(RingElement(F2GRP, F2, {x1.inv(): 1, x2: 1}), GroupMap(F2GRP, Z1, [t, t.inv()])).is_zero()
 
 
 def test_matrix_pushforward_is_the_group_map_applied_term_by_term():
@@ -346,7 +342,7 @@ def test_matrix_pushforward_is_the_group_map_applied_term_by_term():
         matrix = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(r)]
         elem = random_element(rng, free_abelian(s), rng.choice([F2, INT]), size=6)
         image = lambda g: DeckElement(free_abelian(r), tuple(sum(a * e for a, e in zip(row, g.value)) for row in matrix))
-        assert pushforward(elem, matrix) == apply_hom(elem, free_abelian(r), image)
+        assert push(elem, matrix_map(matrix)) == apply_hom(elem, free_abelian(r), image)
 
 
 def test_matrix_pushforward_is_a_ring_map():
@@ -355,16 +351,74 @@ def test_matrix_pushforward_is_a_ring_map():
         matrix = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(rng.randint(1, 2))]
         coeffs = rng.choice([F2, INT])
         a, b = (random_element(rng, Z2, coeffs) for _ in range(2))
-        push = partial(pushforward, matrix=matrix)
-        assert push(a.mul(b)) == push(a).mul(push(b)) and push(a.add(b)) == push(a).add(push(b))
+        along = partial(push, phi=matrix_map(matrix))
+        assert along(a.mul(b)) == along(a).mul(along(b)) and along(a.add(b)) == along(a).add(along(b))
 
 
 def test_matrix_pushforward_adds_colliding_terms():
     # s t + s^-1 t^-1 + s^2 t^2 along (a, b) -> a - b: all three land on 1
-    elem = {(1, 1): 1, (-1, -1): 1, (2, 2): 1}
-    assert pushforward(stpoly(F2, elem), [[1, -1]]) == tpoly(F2, {0: 1})
-    assert pushforward(stpoly(INT, {**elem, (2, 2): -5}), [[1, -1]]) == tpoly(INT, {0: -3})
-    assert pushforward(stpoly(F2, {(1, 1): 1, (2, 2): 1}), [[1, -1]]).is_zero()
+    elem, phi = {(1, 1): 1, (-1, -1): 1, (2, 2): 1}, matrix_map([[1, -1]])
+    assert push(stpoly(F2, elem), phi) == tpoly(F2, {0: 1})
+    assert push(stpoly(INT, {**elem, (2, 2): -5}), phi) == tpoly(INT, {0: -3})
+    assert push(stpoly(F2, {(1, 1): 1, (2, 2): 1}), phi).is_zero()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_push_to_z_mod_m_is_the_cyclic_projection(s):
+    # oracle: cyclic_project, the weighted exponent sum mod m, out of F_s and out of Z^s
+    rng = random.Random(20 + s)
+    for _ in range(100):
+        m = rng.choice([1, 2, 7, 2**70 + 1])
+        weights, target = [rng.randint(-9, 9) for _ in range(s)], DeckGroup(CYCLIC, m)
+        images = [DeckElement(target, w % m) for w in weights]
+        for source in (free_group(s), free_abelian(s)):
+            elem = random_element(rng, source, rng.choice([F2, INT]), size=6)
+            project = partial(cyclic_project, weights=weights, m=m)
+            assert push(elem, GroupMap(source, target, images)) == apply_hom(elem, target, project)
+
+
+def _maps_out_of(source):
+    """The groups a GroupMap out of source may map into: any group out of
+    F_s, an abelian one out of Z^s; each is a source again but Z/m."""
+    out = [free_abelian(r) for r in (1, 2, 3)] + [DeckGroup(CYCLIC, m) for m in (1, 5, 12)]
+    return out + [free_group(r) for r in (1, 2, 3)] if source.kind == FREE else out
+
+
+@st.composite
+def composable_maps(draw):
+    """f: A -> B and g: B -> C, among F_s, Z^s and Z/m, with random images."""
+    rng = draw(st.randoms(use_true_random=False))
+    source = draw(st.sampled_from([free_group(s) for s in (1, 2, 3)] + [free_abelian(s) for s in (1, 2, 3)]))
+    middle = draw(st.sampled_from([group for group in _maps_out_of(source) if group.kind != CYCLIC]))
+    target = draw(st.sampled_from(_maps_out_of(middle)))
+    f, g = (GroupMap(a, b, [random_deck_element(rng, b) for _ in range(a.n)]) for a, b in ((source, middle),
+                                                                                          (middle, target)))
+    return f, g, random_element(rng, source, rng.choice([F2, INT]), size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(composable_maps())
+def test_pushing_along_a_composite_is_pushing_along_each_map_in_turn(maps):
+    # g o f sends each generator to g applied to f's image of it
+    f, g, elem = maps
+    composite = GroupMap(f.source, g.target, [DeckElement(g.target, g.value(v)) for v in f.images])
+    assert push(push(elem, f), g) == push(elem, composite)
+
+
+def test_push_refuses_a_map_out_of_another_group():
+    t = Z1.generator(1)
+    elem = RingElement(F2GRP, F2, {F2GRP.generator(1): 1})
+    # an element over Z (once a source that is not free), over F_2 and Z/5 (once Z^s rows), and
+    # over Z^2 along rows of three (a map out of Z^3)
+    cyclic = RingElement(DeckGroup(CYCLIC, 5), F2, {DeckElement(DeckGroup(CYCLIC, 5), 1): 1})
+    for x, phi in [(tpoly(F2, {1: 1}), GroupMap(free_group(1), Z1, [t])), (elem, matrix_map([[1, 0]])),
+                   (cyclic, matrix_map([[1]])), (stpoly(F2, {(1, 0): 1}), matrix_map([[1, 0, 1]]))]:
+        with pytest.raises(RingError, match=f"^push takes a group map out of {re.escape(repr(x.group))}, got"):
+            push(x, phi)
+    for phi in (None, [[1, 0]], [t, t]):
+        with pytest.raises(RingError, match="^push takes a group map out of F_2, got "):
+            push(elem, phi)
+
 
 
 @pytest.mark.parametrize("elem, matrix", [
@@ -375,8 +429,11 @@ def test_matrix_pushforward_adds_colliding_terms():
     (stpoly(F2, {(1, 0): 1}), []),
 ])
 def test_matrix_pushforward_refuses_a_map_it_cannot_apply(elem, matrix):
-    with pytest.raises(RingError, match="pushforward takes an element over Z\\^s and rows of s integers"):
-        pushforward(elem, matrix)
+    # rows of s integers push only an element over Z^s: push refuses one over F_2, Z/5 or Z^2 along
+    # rows of three; ragged rows and no rows make no map
+    refusal = "^(push takes a group map out of |\\(0, None\\) is not an exponent vector|group parameter must be >= 1)"
+    with pytest.raises((RingError, GroupError), match=refusal):
+        push(elem, matrix_map(matrix))
 
 
 # -- units and associates -------------------------------------------------------

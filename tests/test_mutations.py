@@ -7,9 +7,9 @@ in pairs), against genus1-hd with vertical data (whose dimension, unlike
 the default's, depends on l), against less-simple with l = 3 (the sample
 runs l = 0, whose family has one barbell), against the committed
 scenario, and against the morsesimple sweep at --max 3, which passes only
-when every job does.  The torus keys push generic presentations forward
-and linked-6crit substitutes into another, both built once a process by
-one memoized helper, the cyclic-cover keys push a generic class and its
+when every job does.  The torus keys and linked-6crit push generic
+presentations along a GroupMap, each built once a process by one
+memoized helper, the cyclic-cover keys push a generic class and its
 geometry, built once a process for each of their two families, to Z/m,
 and each deck group is built once while it lives; every mutated run gets
 a group table of its own and empty memos (own_groups), so that a fault in the engine
@@ -128,24 +128,6 @@ def _ring_element_keeping_even_coefficients(group, coeffs, terms):
     return elem
 
 
-def _substitute_sending_inverse_letters_to_images(elem, target, images):
-    # groupring.substitute with x_i^-1 sent to x_i's image, not its inverse
-    product, terms = target._product, {}
-    for word, c in elem.terms.items():
-        image = target.identity().value
-        for letter in word:
-            image = product(image, images[(ord(letter) >> 1) - 1].value)
-        terms[image] = terms.get(image, 0) + c
-    return groupring._ring_element(target, elem.coeffs, terms)
-
-
-def _image_with_t_at_one(elem, target, images):
-    # the substitution into F2[s, t] with x3 -> 1, not t
-    if target.kind == deckgroup.FREE_ABELIAN:
-        images = [*images[:2], target.identity()]
-    return _real_substitute(elem, target, images)
-
-
 def _bezout_sign(a, b):
     g, x, y = _real_extended_gcd(a, b)
     return g, x, -y
@@ -153,20 +135,48 @@ def _bezout_sign(a, b):
 
 _real_extended_gcd = scenarios._extended_gcd
 _real_dim = scenarios.f2_quotient_dim
-_real_pushforward = scenarios.pushforward
-_real_substitute = scenarios.substitute
-_real_class_pushforward = scenarios.class_pushforward
+_real_push = scenarios.push
+_real_push_class = scenarios.push_class
 
 
-def _class_pushforward_swapping_k_and_l(x, m, row):
+def _with_images(phi, images, value=None):
+    """phi's groups with other image values, and, given, another map on values."""
+    out = deckgroup._group_map(phi.source, phi.target, images)
+    if value is not None:
+        object.__setattr__(out, "value", value)
+    return out
+
+
+def _push_dropping_l(elem, phi):
+    # the torus sweeps' map (a, b, c) -> ak + bl + c read as (a, b, c) -> ak + c:
+    # out of Z^3, the second image is the identity
+    if phi.source.kind == deckgroup.FREE_ABELIAN:
+        phi = _with_images(phi, (phi.images[0], phi.target.identity().value, phi.images[2]))
+    return _real_push(elem, phi)
+
+
+def _push_sending_inverse_letters_to_images(elem, phi):
+    # a map out of F_s with x_i^-1 sent to x_i's image, not its inverse
+    if phi.source.kind == deckgroup.FREE:
+        product, identity = phi.target._product, phi.target.identity().value
+        letters = {chr(2 * i + j): v for i, v in enumerate(phi.images, 1) for j in (0, 1)}
+        value = lambda word: functools.reduce(product, map(letters.__getitem__, word), identity)
+        phi = _with_images(phi, phi.images, value)
+    return _real_push(elem, phi)
+
+
+def _push_with_t_at_one(elem, phi):
+    # the push into F2[s, t] with x3 -> 1, not t
+    if phi.source.kind == deckgroup.FREE and phi.target.kind == deckgroup.FREE_ABELIAN:
+        phi = _with_images(phi, (*phi.images[:2], phi.target.identity().value))
+    return _real_push(elem, phi)
+
+
+def _push_class_swapping_k_and_l(x, phi):
     # the cyclic-cover keys' map (a, b, c) -> (ak + bl + c) mod m read as (a, b, c) -> (al + bk + c) mod m
-    k, l, c = row
-    return _real_class_pushforward(x, m, [l, k, c])
+    k, l, c = phi.images
+    return _real_push_class(x, _with_images(phi, (l, k, c)))
 
-
-def _geometry_left_unpushed(home, group, row):
-    # equivariant._pushed_geometry with the push left out: the class lands on home, over Z^s, not Z/m
-    return home
 
 # name -> [(module or class, attribute, replacement)]
 MUTATIONS = {
@@ -183,16 +193,12 @@ MUTATIONS = {
     "meridian augmentation dropped": [(equivariant.Geometry, "coefficient", _meridian_read_as_zero)],
     "Bezout sign": [(scenarios, "_extended_gcd", _bezout_sign)],
     "disk model skips a component": [(scenarios, "_disk_model", _disk_model_without_component_2)],
-    # the torus sweeps' map (a, b, c) -> ak + bl + c read as (a, b, c) -> ak + c
-    "pushforward drops l": [
-        (scenarios, "pushforward", lambda elem, matrix: _real_pushforward(elem, [[k, 0, c] for k, _, c in matrix]))
-    ],
-    "substitution sends x_i^-1 to x_i's image": [
-        (scenarios, "substitute", _substitute_sending_inverse_letters_to_images)
-    ],
-    "image sends t to 1": [(scenarios, "substitute", _image_with_t_at_one)],
-    "class pushforward swaps k and l": [(scenarios, "class_pushforward", _class_pushforward_swapping_k_and_l)],
-    "pushed geometry left over Z^s": [(equivariant, "_pushed_geometry", _geometry_left_unpushed)],
+    "pushforward drops l": [(scenarios, "push", _push_dropping_l)],
+    "substitution sends x_i^-1 to x_i's image": [(scenarios, "push", _push_sending_inverse_letters_to_images)],
+    "image sends t to 1": [(scenarios, "push", _push_with_t_at_one)],
+    "class pushforward swaps k and l": [(scenarios, "push_class", _push_class_swapping_k_and_l)],
+    # the class's values land in Z/m, its geometry stays over Z^s
+    "pushed geometry left over Z^s": [(equivariant, "push_geometry", lambda home, phi: home)],
     "ring result skips F2 reduction": [
         (module, "_ring_element", _ring_element_keeping_even_coefficients) for module in (groupring, equivariant)
     ],

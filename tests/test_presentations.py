@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barbellcalc import scenarios
-from barbellcalc.deckgroup import DeckElement, brunnian_word, free_abelian
+from barbellcalc.deckgroup import DeckElement, GroupMap, brunnian_word, free_abelian
 from barbellcalc.equivariant import BarbellSpec, action_sequence, equivariant_pairing
-from barbellcalc.groupring import F2, INT, RingElement, render, substitute
+from barbellcalc.groupring import F2, INT, RingElement, push, render
 from barbellcalc.presentations import (
     PresentationError,
     antidiagonal_cokernel,
@@ -190,9 +190,9 @@ def test_the_generic_relator_substituted_is_the_engine_relator_and_its_image(par
     wk, wl = w.pow(k), w.pow(l)
     engine = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
     generic, Z2 = scenarios._generic_f(scenarios._sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(2)
-    relator = substitute(generic, geo.group, [wk, wl, geo.group.generator(n)])
+    relator = push(generic, GroupMap(generic.group, geo.group, [wk, wl, geo.group.generator(n)]))
     assert relator == engine == brunnian_relator(wk, wl)
-    image = substitute(generic, Z2, [Z2.generator(1, k), Z2.generator(1, l), Z2.generator(2)])
+    image = push(generic, GroupMap(generic.group, Z2, [Z2.generator(1, k), Z2.generator(1, l), Z2.generator(2)]))
     assert image == brunnian_image(k, l, n) == apply_hom(engine, Z2, partial(brunnian_coordinates, n=n))
 
 

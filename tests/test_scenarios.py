@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barbellcalc import deckgroup, scenarios
-from barbellcalc.deckgroup import CYCLIC, FREE_ABELIAN, GroupError, free_abelian, free_group
+from barbellcalc.deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, GroupError, GroupMap, free_abelian,
+                                   free_group)
 from barbellcalc.equivariant import DISK, MERIDIAN, SPHERE, BarbellSpec
-from barbellcalc.groupring import F2, RingElement, pushforward, substitute, term_list_and_render
+from barbellcalc.groupring import F2, RingElement, push, term_list_and_render
 from barbellcalc.presentations import present_from_scenario
 from barbellcalc.report import render_machine
 from barbellcalc.scenarios import (
@@ -238,13 +239,14 @@ def cover_parameters(draw):
 def test_the_pushed_cover_class_is_the_engine_class_on_the_cover(params):
     # the generic class of the family pushed along (a, b, c) -> (ak + bl + c)
     # mod m against the engine moving D on the instance's own cover
-    from barbellcalc.equivariant import class_pushforward
+    from barbellcalc.equivariant import push_class
 
     m, k, l = params
     geo = builtin_geometry("cyclic_cover", m=m)
     t = geo.group.generator
     engine = scenarios._move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
-    assert class_pushforward(scenarios._generic_cover_class(l > 0), m, [k, l, 1]) == engine
+    phi = GroupMap(free_abelian(3), geo.group, [t(1, k), t(1, l), t(1, 1)])
+    assert push_class(scenarios._generic_cover_class(l > 0), phi) == engine
     less, mixed = (run_theorem(key, m=m, k=k, l=l) for key in ("less-simple", "simple-splitting-spheres"))
     assert less.passed and mixed.passed and less.computed["class"] == engine
     assert mixed.computed["class"] == less.expected["class"]
@@ -301,6 +303,40 @@ def test_the_pushed_cover_geometry_is_the_builtin_cover(params):
     for label, power in (("D", 0), ("S", k), ("S_prime", -l)):
         ours, theirs = (cover.basis_class(label, cover.group.generator(1, power)) for cover in (geo, builtin))
         assert ours == theirs and theirs == ours
+
+
+# the range each built-in builder's parameter is drawn from
+BUILDER_PARAMETERS = {"n": (2, 13), "g": (1, 40), "m": (1, 10**12)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_builtin_geometry_is_a_fresh_read_of_its_description(data):
+    # the memo hands out what reading the builder's description again
+    # gives, field by field, at any parameters
+    name = data.draw(st.sampled_from(sorted(GEOMETRY_BUILDERS)), label="name")
+    params = {key: data.draw(st.integers(*BUILDER_PARAMETERS[key]), label=key)
+              for key in scenarios.parameters(GEOMETRY_BUILDERS[name])[0]}
+    memo = builtin_geometry(name, **params)
+    fresh = scenarios._read_geometry({"name": name, **GEOMETRY_BUILDERS[name](**params)})
+    assert memo is not fresh and memo.name == fresh.name == name and memo.group is fresh.group
+    assert (memo.coeffs, memo.labels, memo._rows) == (fresh.coeffs, fresh.labels, fresh._rows)
+    assert (memo.attaching, memo.disks, memo.aliases) == (fresh.attaching, fresh.disks, fresh.aliases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**12), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@example(1, 1, 0)
+@example(10**12, 10**6, 10**6)
+def test_the_lifted_cyclic_cover_pushed_along_k_l_1_is_the_builtin_cover(m, k, l):
+    from barbellcalc.equivariant import push_geometry
+
+    home = scenarios._read_geometry(scenarios._lifted({"name": "cyclic_cover", **scenarios._cyclic_cover(1)}))
+    z = deckgroup.DeckGroup(CYCLIC, m)
+    pushed = push_geometry(home, GroupMap(free_abelian(3), z, [z.generator(1, k), z.generator(1, l), z.generator(1)]))
+    builtin = builtin_geometry("cyclic_cover", m=m)
+    assert pushed is not builtin and pushed.basis_class("D")._same_geometry(builtin.basis_class("D"))
+    assert _geometry_fields(pushed) == _geometry_fields(builtin)
 
 
 def test_a_caller_who_changes_a_returned_cover_changes_no_later_cover_call():
@@ -798,15 +834,16 @@ def test_brunnian_sweep_builds_each_image_once(monkeypatch):
     from barbellcalc import scenarios
 
     # each image is the abelianized generic relator pushed into F2[s, t]
-    # along (a, b, c) -> (ak + bl, c): record (k, l) of every such pushforward
+    # along (a, b, c) -> (ak + bl, c): record (k, l) of every such push
     built = []
-    real = scenarios.pushforward
+    real = scenarios.push
 
-    def recording(elem, matrix):
-        built.append((matrix[0][0], matrix[0][1]))
-        return real(elem, matrix)
+    def recording(elem, phi):
+        if (phi.source, phi.target) == (free_abelian(3), free_abelian(2)):
+            built.append((phi.images[0][0], phi.images[1][0]))
+        return real(elem, phi)
 
-    monkeypatch.setattr(scenarios, "pushforward", recording)
+    monkeypatch.setattr(scenarios, "push", recording)
     reports = list(scenarios.run_sweep("brunnian", 4, n=3))
     # 45 pair jobs over the 10 winding pairs k <= l <= 4
     assert len(reports) == 45 and all(report.passed for report in reports)
@@ -831,26 +868,26 @@ def test_the_generic_brunnian_relator_is_built_once_a_process():
 @example(2, 3, 9)
 @example(5, 12, 12)
 def test_the_image_pushed_from_the_abelianized_relator_is_the_substituted_one(n, k, l):
-    # image_in_st is the generic relator substituted into F2[Z^3] once and
-    # pushed along (a, b, c) -> (ak + bl, c): it must equal the closed form
-    # and the generic relator substituted into F2[s, t] at s^k, s^l, t
+    # image_in_st is the generic relator pushed into F2[Z^3] once and then
+    # along (a, b, c) -> (ak + bl, c): it must equal the closed form and
+    # the generic relator pushed into F2[s, t] at s^k, s^l, t
     report = run_theorem("linked-6crit", n=n, k=k, l=l)
     generic, z2 = scenarios._generic_f(scenarios._sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(2)
-    direct = substitute(generic, z2, [z2.generator(1, k), z2.generator(1, l), z2.generator(2)])
+    direct = push(generic, GroupMap(generic.group, z2, [z2.generator(1, k), z2.generator(1, l), z2.generator(2)]))
     assert report.computed["image_in_st"] == brunnian_image(k, l, n) == direct and report.passed
 
 
 def test_linked_6crit_reads_one_geometry_per_n_and_abelianizes_once(monkeypatch):
     read, abelianized = [], []
-    real_read, real_substitute = scenarios._read_geometry, scenarios.substitute
+    real_read, real_push = scenarios._read_geometry, scenarios.push
     monkeypatch.setattr(scenarios, "_read_geometry", lambda spec: read.append(spec["name"]) or real_read(spec))
 
-    def recording(elem, target, images):
-        if target.kind == FREE_ABELIAN:
-            abelianized.append(target.n)
-        return real_substitute(elem, target, images)
+    def recording(elem, phi):
+        if phi.source.kind == FREE and phi.target.kind == FREE_ABELIAN:
+            abelianized.append(phi.target.n)
+        return real_push(elem, phi)
 
-    monkeypatch.setattr(scenarios, "substitute", recording)
+    monkeypatch.setattr(scenarios, "push", recording)
     with own_groups():
         # at n = 3 the runner's geometry is the generic relator's own
         assert run_theorem("linked-6crit", n=3, k=1, l=2).passed
@@ -1032,6 +1069,12 @@ def generic_torus_f(cuffs=CUFF_ORDERS[0]):
     return scenarios._generic_f(scenarios._lifted_torus_complement, cuffs)
 
 
+def along(k, l):
+    """(a, b, c) -> ak + bl + c, Z^3 -> Z, through the checked constructor."""
+    z1 = free_abelian(1)
+    return GroupMap(free_abelian(3), z1, [DeckElement(z1, (k,)), DeckElement(z1, (l,)), z1.generator(1)])
+
+
 def engine_f(k, l, cuffs=CUFF_ORDERS[0]):
     """f of winding pair (k, l) from the engine on the torus complement
     itself, one barbell per cuff in the order they act: S_h's bar t^k, S_v's t^l."""
@@ -1056,7 +1099,7 @@ def test_the_pushforward_is_the_engine_f_on_every_small_pair():
     for cuffs in CUFF_ORDERS:
         for k in range(1, 13):
             for l in range(1, 13):
-                pushed = pushforward(generic_torus_f(cuffs), [[k, l, 1]])
+                pushed = push(generic_torus_f(cuffs), along(k, l))
                 assert pushed == engine_f(k, l, cuffs), (cuffs, k, l)
                 if len(pushed.terms) < len(generic_torus_f(cuffs).terms):
                     merged.add((cuffs, k, l))
@@ -1069,18 +1112,20 @@ def test_the_pushforward_is_the_engine_f_on_every_small_pair():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(13, 10**12), st.integers(13, 10**12), st.sampled_from(CUFF_ORDERS))
 def test_the_pushforward_is_the_engine_f_on_larger_pairs(k, l, cuffs):
-    assert pushforward(generic_torus_f(cuffs), [[k, l, 1]]) == engine_f(k, l, cuffs)
+    assert push(generic_torus_f(cuffs), along(k, l)) == engine_f(k, l, cuffs)
 
 
 def test_the_three_unknots_presentations_are_the_unit_over_z3(monkeypatch):
     import barbellcalc.scenarios as scenarios
 
-    pushed = []
-    monkeypatch.setattr(scenarios, "pushforward", lambda elem, matrix: pushed.append(elem) or pushforward(elem, matrix))
+    pushed, maps = [], []
+    monkeypatch.setattr(scenarios, "push", lambda elem, phi: pushed.append(elem) or maps.append(phi) or push(elem, phi))
     assert run_theorem("unknots", k=3, l=5).passed
     one = RingElement.one(free_abelian(3), F2)
     # v-only, h-only and h-after-v, in the order the report lists them
     assert pushed == [one] * 3 and [generic_torus_f(cuffs) for cuffs in CUFF_ORDERS[1:]] == [one] * 3
+    # along one map, built once a call: (a, b, c) -> 3a + 5b + c
+    assert maps == [maps[0]] * 3 and maps[0].images == ((3,), (5,), (1,))
 
 
 @pytest.mark.parametrize("name", ["morsesimple", "higher-dim"])
@@ -1091,7 +1136,7 @@ def test_a_torus_sweep_presents_once_and_pushes_that_matrix_to_every_job(name, m
     presented, pushed = [], []
     real = scenarios.present_from_scenario
     monkeypatch.setattr(scenarios, "present_from_scenario", lambda *args: presented.append(real(*args)) or presented[-1])
-    monkeypatch.setattr(scenarios, "pushforward", lambda elem, matrix: pushed.append(elem) or pushforward(elem, matrix))
+    monkeypatch.setattr(scenarios, "push", lambda elem, phi: pushed.append(elem) or push(elem, phi))
     reports = list(run_sweep(name, 6))
     assert len(reports) == 36 and all(report.passed for report in reports)
     # single theorem calls of both torus-knot keys take the same route
