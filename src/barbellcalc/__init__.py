@@ -35,9 +35,9 @@ from .equivariant import (
     GeometryError,
     action_sequence,
     barbell_action,
+    class_forms,
     equivariant_pairing,
     pair_classes,
-    render_class,
     summand_membership,
 )
 from .groupring import (

@@ -26,23 +26,25 @@ attribute raises AttributeError).  Groups compare by identity, one live
 a kind and size: DeckGroup(kind, n) refuses a size that is not an int,
 then takes the live group from a weak table or builds it (_law);
 free_group and free_abelian hold theirs.  A group carries its law on
-canonical values, _product and _inverse.  Ring and class terms are
-keyed by values, and DeckElement(group, value) (x in group tests one)
-is the checked public type where values enter and leave: it refuses a
-group that is not a DeckGroup, a word that is not freely reduced, a
-vector that is not a tuple of r ints and a residue that is not an int
-in [0, m).  Two reduced words only cancel where they meet, and their
-product bisects that seam with C-level slice comparisons (_seam); pow
-writes a word as u v u^-1, v cyclically reduced, and repeats v.
+canonical values, _product and _inverse, and its identity, built with
+it: a reference cycle, so the weak table lets a dropped group go at the
+next garbage collection.  Ring and class terms are keyed by values, and
+DeckElement(group, value) (x in group tests one) is the checked public
+type where values enter and leave: it refuses a group that is not a
+DeckGroup, a word that is not freely reduced, a vector that is not a
+tuple of r ints and a residue that is not an int in [0, m).  Two reduced
+words only cancel where they meet, and their product bisects that seam
+with C-level slice comparisons (_seam); pow writes a word as u v u^-1,
+v cyclically reduced, and repeats v.
 
 A word in which no letter repeats its neighbour (x1^2 does) is its own
 sort key (_word_key), and _text joins its letters' strings in C; others
 are cut at their runs, each found in C however long it is (_by_runs).
 The words of a ring element or class are sorted and rendered together
-(_sorted_texts): one re.search over all of them joined, then, if none
-has a run and every letter is ASCII (x1..x63), one sort, one letter
-lookup, one join and one split.  DeckElement.sort_key and format_element
-run one re.search per word; products never look.
+(_sorted_texts): one re.search over one word, one over all of them
+joined, then, if none has a run and every letter is ASCII (x1..x63), one
+sort, one letter lookup, one join and one split.  DeckElement.sort_key
+and format_element run one re.search per word; products never look.
 
 Every layer reads outside values by this module's rules: _is_int (exactly
 an int: no bool, no float), _is_element (the JSON form element_from_json
@@ -136,7 +138,7 @@ def _immutable(self, name, *value):
 class DeckGroup:
     """A deck group F_n, Z^r or Z/m (n is the rank or m), the one live group of its kind and size."""
 
-    __slots__ = ("kind", "n", "_product", "_inverse", "__weakref__")
+    __slots__ = ("kind", "n", "_product", "_inverse", "_one", "__weakref__")
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, kind: str, n: int):
@@ -154,6 +156,8 @@ class DeckGroup:
                 group = object.__new__(cls)
                 for name, value in zip(cls.__slots__, (kind, n, *_law(kind, n))):
                     object.__setattr__(group, name, value)
+                one = "" if kind == FREE else (0,) * n if kind == FREE_ABELIAN else 0
+                object.__setattr__(group, "_one", DeckElement(group, one))
                 _GROUPS[kind, n] = group
         return group
 
@@ -168,7 +172,7 @@ class DeckGroup:
         return f"Z/{self.n}"
 
     def identity(self) -> "DeckElement":
-        return DeckElement(self, "" if self.kind == FREE else (0,) * self.n if self.kind == FREE_ABELIAN else 0)
+        return self._one
 
     def generator(self, i: int, exponent: int = 1) -> "DeckElement":
         """The i-th generator (1-based), optionally raised to a power."""
@@ -324,16 +328,16 @@ _ASCII_TEXT = {chr(code): _TEXT.rule(code) for code in _ASCII_LETTERS} | {_SEPAR
 
 def _sorted_texts(group: DeckGroup, words: Iterable[Word]) -> dict[Word, str]:
     """A free group's words, in deck-element order, each to its text
-    (_text), decided for all of them at once.  The words other than the
-    identity are joined by _SEPARATOR and searched for a run once, before
-    anything is sorted.  Without a run, and with ASCII letters (x1..x63),
+    (_text), decided for all of them at once.  One word, then the words
+    other than the identity joined by _SEPARATOR, are searched for a run
+    before anything is sorted.  Without a run, and with ASCII letters (x1..x63),
     each word is its own sort key, and every text comes from one letter
     lookup, one join and one split.  Otherwise, or with at most one letter
     in all, each word is keyed (_word_key) and rendered (_text) alone."""
     rest = set(words)
     identity = "" in rest  # its text is "1", and it sorts first
     rest.discard("")
-    letters = _SEPARATOR.join(rest)
+    letters = "" if re.search(_RUN, next(iter(rest), "")) else _SEPARATOR.join(rest)
     if len(letters) < 2 or not letters.isascii() or re.search(_RUN, letters):  # itemgetter(one letter) is no tuple
         return {word: _text(group, word) for word in sorted(words, key=_word_key)}
     ordered = sorted(rest)
@@ -387,8 +391,8 @@ class DeckElement:
 
     def __init__(self, group: DeckGroup, value: Word | tuple[int, ...] | int):
         _check_value(group, value)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "value", value)
+        _PUT_GROUP(self, group)
+        _PUT_VALUE(self, value)
 
     def __eq__(self, other):
         if self is other:
@@ -446,6 +450,9 @@ class DeckElement:
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.group}>"
+
+
+_PUT_GROUP, _PUT_VALUE = (vars(DeckElement)[name].__set__ for name in DeckElement.__slots__)  # bound once
 
 
 def _run_key(gen: int, exp: int) -> str:

@@ -52,9 +52,9 @@ refuse a non-class.  Operations on checked classes and table rows apply
 the group's law, or a GroupMap (push_class and push_geometry refuse one
 out of another group), to values and build their results with the
 trusted constructors _equiv_class and _ring_element, which only reduce
-coefficients mod 2 over F2 and drop zeros; a pushed geometry is a
-checked Geometry.  barbell_action adds
-k C(x) into a copy of x's terms, pairing once when both cuffs are one label.
+coefficients mod 2 over F2 and drop zeros; push_geometry builds a trusted
+Geometry on its home's checked labels, roles and aliases.  barbell_action
+adds k C(x) into a copy of x's terms, pairing once when both cuffs are one label.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class Geometry:
         labels, pairings = dict(labels), dict(pairings)
         fields = (name, group, coeffs, *map(MappingProxyType, (labels, pairings, dict(aliases or {}))),
                   tuple(attaching or ()), tuple(disks or ()), labels)  # _labels, the dict behind labels, for hot lookups
-        for field, value in zip(self.__slots__, fields):
-            object.__setattr__(self, field, value)
+        for put, value in zip(_FILL, fields):
+            put(self, value)
         for label, kind in labels.items():
             if kind not in (SPHERE, DISK, MERIDIAN):
                 raise GeometryError(f"label {_echo(label)} has unknown generator kind {_echo(kind)}")
@@ -139,7 +139,7 @@ class Geometry:
                 seen.add(label)
         if self.meridians() and group.kind != CYCLIC:
             raise GeometryError(f"geometry {_echo(name)}: meridians need a cyclic deck group, not {group!r}")
-        object.__setattr__(self, "_rows", {**{(b, a): elem.reverse() for (a, b), elem in pairings.items()}, **pairings})
+        _FILL[-1](self, {**{(b, a): elem.reverse() for (a, b), elem in pairings.items()}, **pairings})
 
     def meridians(self) -> list[str]:
         return [name for name, kind in self._labels.items() if kind == MERIDIAN]
@@ -187,6 +187,9 @@ class Geometry:
     def basis_class(self, label: str, deck: DeckElement | None = None, coeff: int = 1) -> "EquivClass":
         value = self._value(self.identity() if deck is None else deck, label)  # checked before it keys a dict
         return _equiv_class(self, {(label, value): coeff})
+
+
+_FILL = tuple(vars(Geometry)[name].__set__ for name in Geometry.__slots__)  # each slot's setter, bound once
 
 
 class EquivClass:
@@ -240,7 +243,7 @@ class EquivClass:
     __hash__ = None
 
     def __repr__(self):
-        return f"<EquivClass {render_class(self)}>"
+        return f"<EquivClass {class_forms(self)[1]}>"
 
 
 def _equiv_class(geometry: Geometry, terms: dict) -> EquivClass:
@@ -265,12 +268,17 @@ def _sorted(x: EquivClass) -> tuple[list, dict | None]:
 
 
 def push_geometry(home: Geometry, phi: GroupMap) -> Geometry:
-    """A new, checked Geometry over phi's target: home's name, labels,
-    roles and aliases, and its stored rows pushed along phi (push)."""
+    """A new Geometry over phi's target: home's name, labels, roles and aliases, shared, and each
+    row of its two-way table pushed along phi (push).  It is built without Geometry's checks, none
+    of which could fail: a GroupMap keeps the identity and inverses."""
     if phi.__class__ is not GroupMap or phi.source is not home.group:
         raise GeometryError(f"push_geometry takes a group map out of {home.group!r}, got {_echo(phi)}")
-    pairings = {pair: push(elem, phi) for pair, elem in home.pairings.items()}
-    return Geometry(home.name, phi.target, home.coeffs, home.labels, pairings, home.attaching, home.disks, home.aliases)
+    rows = {pair: push(elem, phi) for pair, elem in home._rows.items()}
+    geometry, pairings = object.__new__(Geometry), MappingProxyType({pair: rows[pair] for pair in home.pairings})
+    for put, value in zip(_FILL, (home.name, phi.target, home.coeffs, home.labels, pairings, home.aliases,
+                                  home.attaching, home.disks, home._labels, rows)):
+        put(geometry, value)
+    return geometry
 
 
 def push_class(x: EquivClass, phi: GroupMap) -> EquivClass:
@@ -283,24 +291,19 @@ def push_class(x: EquivClass, phi: GroupMap) -> EquivClass:
     return _equiv_class(geometry, terms)
 
 
-def render_class(x: EquivClass) -> str:
-    """Sorted human form, e.g. "S_v + x1^-1 S_h + ..."."""
-    group = x.geometry.group
-    one = group.identity().value
-    keys, texts = _sorted(x)
-    parts = []
-    for label, value in keys:
-        c = x.terms[(label, value)]
-        body = label if value == one else f"({texts[value] if texts else _text(group, value)}) {label}"
-        if abs(c) != 1:
-            body = f"{abs(c)} {body}"
-        parts.append((c < 0, body))
-    return join_signed(parts)
+def class_forms(x: EquivClass) -> tuple[list[list], str]:
+    """The JSON term list (class_term_list) and the human form written from it,
+    e.g. "S_v + (x1^-1) S_h + ...": one sort for both."""
+    group, terms = x.geometry.group, class_term_list(x)
+    one, free, parts = _json(group, group.identity().value), group.kind == FREE, []
+    for label, raw, c in terms:  # _text reads an exponent vector's list as its tuple
+        body = label if raw == one else f"({raw if free else _text(group, raw)}) {label}"
+        parts.append((c < 0, body if abs(c) == 1 else f"{abs(c)} {body}"))
+    return terms, join_signed(parts)
 
 
 def class_term_list(x: EquivClass) -> list[list]:
-    """The JSON term list [label, deck element's JSON form, coefficient], in
-    render_class's order; a word's JSON form is its text."""
+    """[label, deck element's JSON form, coefficient] per term, sorted (_sorted); a word's JSON form is its text."""
     group = x.geometry.group
     keys, texts = _sorted(x)
     return [[label, texts[value] if texts else _json(group, value), x.terms[label, value]] for label, value in keys]

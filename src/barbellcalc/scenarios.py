@@ -184,6 +184,12 @@ def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], t
 _KINDS = {"int": _is_int, "Mapping": lambda v: isinstance(v, Mapping), "None": lambda v: v is None}
 
 
+@functools.cache
+def _checkers(entry: Callable) -> dict[str, tuple]:
+    """Each parameter's tests, one per alternative of its annotation (_KINDS), read once per registry entry."""
+    return {key: tuple(map(_KINDS.__getitem__, entry.__annotations__[key].split(" | "))) for key in parameters(entry)[0]}
+
+
 def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool = False):
     """Refuse params that do not fit the entry's signature, naming the
     entry (what) and the unexpected or missing names, or the first
@@ -196,9 +202,8 @@ def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool =
         note = f" (required: {', '.join(required)})" if 0 < len(required) < len(takes) else ""
         raise HypothesisError(f"{what} takes {', '.join(takes) or 'no parameters'}{note}; {problem}")
     for key, value in params.items():
-        annotation = entry.__annotations__[key]
-        if not any(_KINDS[kind](value) for kind in annotation.split(" | ")):
-            raise HypothesisError(f"{what} parameter {key} must be {annotation}, got {_echo(value)}")
+        if not any(kind(value) for kind in _checkers(entry)[key]):
+            raise HypothesisError(f"{what} parameter {key} must be {entry.__annotations__[key]}, got {_echo(value)}")
         if _is_int(value) and _too_long(value):
             raise HypothesisError(f"{what} parameter {key} has more than {_MAX_DIGITS} digits")
 
@@ -546,6 +551,7 @@ def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
         if power:  # l = 0: no second barbell
             key = (label, geo.group.generator(1, power))
             terms[key] = terms.get(key, 0) + c
+    # checked, from DeckElements of geo's group: from residues it would match a class left over Z^s
     expected_class = EquivClass(geo, terms)
     return Report(
         computed={"class": moved, "in_chosen_summand": member, "distinguished": distinguished},

@@ -31,7 +31,7 @@ value its own way, and the tests compare the two.
   the reference of DeckElement.sort_key.  ring_forms and class_forms
   write a free-group ring element or class from its words' pairs: the
   oracles of groupring.term_list_and_render and of
-  equivariant.render_class and class_term_list.
+  equivariant.class_forms.
 * The plain versions of the word-path kernels: format_letters, the
   per-syllable join of deckgroup.format_element; slow_pow, a power as
   |k| - 1 products, for DeckElement.pow; and stored_row, a pairing row
@@ -48,11 +48,15 @@ value its own way, and the tests compare the two.
   a ring element read by their written rules (caret notation through
   reduce_pairs): the oracles of element_from_json, parse_word and
   from_term_list, refusals included.
+* table_from_record, a report's table laid out from its machine record
+  (Report.to_machine), as tables were printed before they were written
+  from the engine values: the oracle of report.render_table.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -72,6 +76,7 @@ from barbellcalc.deckgroup import (
 from barbellcalc.equivariant import SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, pair_classes
 from barbellcalc.groupring import F2, RingElement, RingError, from_term_list, is_monomial_unit, normalize_monomial
 from barbellcalc.presentations import PresentationError, f2_quotient_dim, present_from_scenario
+from barbellcalc.report import Report
 from barbellcalc.scenarios import builtin_geometry
 
 # ---------------------------------------------------------------------------
@@ -630,3 +635,29 @@ def read_term_list(data, group: DeckGroup, coeffs: str) -> dict | None:
             return None
         terms[value] = terms.get(value, 0) + pair[1]
     return {value: c % 2 if coeffs == F2 else c for value, c in terms.items() if (c % 2 if coeffs == F2 else c)}
+
+
+def _fmt(value) -> str:
+    """One value of a machine record as a table line prints it."""
+    if value is None:
+        return "infinite"
+    if isinstance(value, dict) and "rendered" in value:
+        return value["rendered"]
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, sort_keys=True)
+    return str(value)
+
+
+def table_from_record(report: Report) -> str:
+    """The report's table laid out from its machine record: its theorem,
+    its params, each computed and expected form in key order through _fmt,
+    its notes and its verdict."""
+    record = report.to_machine()
+    lines = [f"theorem: {report.name}"]
+    if report.params:
+        lines.append(f"params: {', '.join(f'{key}={report.params[key]}' for key in sorted(report.params))}")
+    lines += [f"  {key}: {_fmt(record['computed'][key])}" for key in sorted(record["computed"])]
+    lines += [f"  expected {key}: {_fmt(record['expected'][key])}" for key in sorted(record["expected"])]
+    lines += [f"  note: {note}" for note in report.notes]
+    lines.append("PASS" if report.passed else "FAIL")
+    return "\n".join(lines)

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import operator
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import given
@@ -142,6 +144,26 @@ def test_one_live_group_a_kind_and_size(kind, n):
     assert DeckGroup(kind, n) is group and deckgroup._GROUPS[kind, n] is group
     # groups compare by identity alone
     assert "__eq__" not in vars(DeckGroup) and "__hash__" not in vars(DeckGroup)
+
+
+@pytest.mark.parametrize("kind, n", [(FREE, 3), ("free_abelian", 2), (CYCLIC, 5), (CYCLIC, 2**70)])
+def test_a_group_builds_its_identity_once(kind, n):
+    group = DeckGroup(kind, n)
+    one = group.identity()
+    assert all(group.identity() is one for _ in range(3)) and one.group is group and one.is_identity()
+    assert one == DeckElement(group, "" if kind == FREE else (0,) * n if kind == "free_abelian" else 0)
+
+
+def test_a_dropped_group_is_collected_though_its_identity_refers_back_to_it():
+    # the identity element and its group form a reference cycle: the weak
+    # table drops the group when the collector breaks it
+    m = 10**12 + 39
+    group = DeckGroup(CYCLIC, m)
+    held, one = weakref.ref(group), group.identity()
+    assert one.group is group and deckgroup._GROUPS[CYCLIC, m] is group
+    del group, one
+    gc.collect()
+    assert held() is None and (CYCLIC, m) not in deckgroup._GROUPS
 
 
 def test_free_group_and_free_abelian_hold_the_live_group():

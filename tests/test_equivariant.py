@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barbellcalc import equivariant
 from barbellcalc.deckgroup import (CYCLIC, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, GroupMap, _echo,
                                    element_from_json, format_element, free_abelian, free_group, parse_word,
                                    reduce_letters)
@@ -20,12 +21,10 @@ from barbellcalc.equivariant import (
     GeometryError,
     action_sequence,
     barbell_action,
-    class_term_list,
     equivariant_pairing,
     pair_classes,
     push_class,
     push_geometry,
-    render_class,
     summand_membership,
 )
 from barbellcalc.groupring import F2, INT, RingElement, RingError, from_term_list
@@ -1065,7 +1064,7 @@ def test_free_group_classes_render_as_their_pairs_sorted(rank, coeffs, data):
         terms[key] = terms.get(key, 0) + c
     x = EquivClass(geo, terms)
     term_list, rendered = class_forms([((label, reduce_pairs(letters)), c) for label, letters, c in drawn], coeffs)
-    assert class_term_list(x) == term_list and render_class(x) == rendered
+    assert equivariant.class_forms(x) == (term_list, rendered) and equivariant.class_term_list(x) == term_list
     assert [[label, format_element(d)] for label, d in x.support()] == [term[:2] for term in term_list]
 
 
@@ -1077,7 +1076,7 @@ def test_a_free_group_class_of_at_most_one_letter_renders_word_by_word():
         ({("T", group.identity()): 2, ("S", group.generator(64)): 1}, "(x64) S + 2 T"),
         ({("S", group.identity()): 1, ("S", group.generator(1)): -3}, "S - 3 (x1) S"),
     ]:
-        assert render_class(EquivClass(geo, terms)) == rendered
+        assert equivariant.class_forms(EquivClass(geo, terms))[1] == rendered
 
 
 # -- trusted results ----------------------------------------------------------
@@ -1189,6 +1188,36 @@ def test_a_class_is_pushed_along_a_group_map_onto_its_pushed_geometry():
     pushed = push_class(generic, phi)
     assert pushed == expected and pushed.geometry is not generic.geometry
     assert pushed.geometry is not push_geometry(generic.geometry, phi) and pushed.geometry.group is cover.group
+
+
+# over Z^3: stored both ways with rows that are not each other's mirrors, and a disk row
+BOTH_WAYS = Geometry("both_ways", free_abelian(3), INT, {"A": SPHERE, "B": SPHERE, "D": DISK}, {
+    ("A", "B"): from_term_list([[[0, 0, 0], 2], [[1, -1, 0], -1], [[0, 2, 1], 1]], free_abelian(3), INT),
+    ("B", "A"): from_term_list([[[1, 0, 0], 1], [[0, 0, -3], 4]], free_abelian(3), INT),
+    ("D", "A"): from_term_list([[[0, 1, 0], 1], [[2, 0, 0], -1]], free_abelian(3), INT),
+}, attaching=["A"], disks=["D"], aliases={"B": "A"})
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 30) | st.integers(1, 10**12), k=st.integers(-10**6, 10**6), l=st.integers(-10**6, 10**6),
+       both=st.booleans())
+def test_a_pushed_geometry_is_the_checked_geometry_of_its_pushed_rows(m, k, l, both):
+    from barbellcalc.groupring import push
+    from barbellcalc.scenarios import _along, _generic_cover_class, _lifted_torus_complement, _read_geometry
+
+    # push_geometry builds without Geometry's checks; field by field, the two-way table included, it
+    # is the Geometry those checks build from its home's stored rows pushed along the same map
+    homes = (_generic_cover_class(both).geometry, _read_geometry(_lifted_torus_complement()), BOTH_WAYS)
+    for home in homes:
+        for target in (DeckGroup(CYCLIC, m), free_abelian(1)):
+            phi = _along(target, k, l)
+            pushed = push_geometry(home, phi)
+            checked = Geometry(home.name, target, home.coeffs, home.labels,
+                               {pair: push(elem, phi) for pair, elem in home.pairings.items()},
+                               home.attaching, home.disks, home.aliases)
+            assert {slot: getattr(pushed, slot) for slot in Geometry.__slots__} == {
+                slot: getattr(checked, slot) for slot in Geometry.__slots__}
+            assert all(pushed._rows[pair] is row for pair, row in pushed.pairings.items())
 
 
 def test_push_class_and_push_geometry_refuse_a_map_out_of_another_group():

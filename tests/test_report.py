@@ -1,23 +1,32 @@
 """
 The reporting layer: Report holds the engine values a runner hands it,
-and Report.to_machine converts them when a report is printed.  A ring
+and each format converts them when a report is printed.  A ring
 element is converted once however many reports print it, a sweep's
 table lines convert none, an expected value equal to the computed one
 reuses its form, and an integer too long to print is refused by its
-field where it would be printed.
+field where it would be printed, computed first, then expected, then
+params.  A table, written from the engine values, is its machine record
+laid out as before (oracles.table_from_record).
 """
 
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barbellcalc import groupring, report, scenarios
-from barbellcalc.deckgroup import free_abelian
-from barbellcalc.groupring import INT, from_term_list, render, term_list_and_render
+from barbellcalc.deckgroup import free_abelian, free_group
+from barbellcalc.groupring import F2, INT, RingElement, from_term_list, render, term_list_and_render
 from barbellcalc.report import HypothesisError, Report, render_line, render_machine, render_table
-from barbellcalc.scenarios import builtin_geometry, run_sweep, run_theorem
+from barbellcalc.scenarios import SWEEPS, builtin_geometry, run_scenario, run_sweep, run_theorem
+from oracles import table_from_record
+from test_scenarios import INLINE_SCENARIO, SAMPLE_PARAMS
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
 
 
 def test_a_planted_closed_form_is_printed_as_expected_and_fails(monkeypatch):
@@ -144,3 +153,102 @@ def test_a_scenario_param_too_long_to_print_is_refused_by_its_field():
     printed = Report(computed={"dim": 1}, params={"barbells": [{"iterate": 10**4100}], "k": 3})
     params_line = f"params: barbells=[{{'iterate': {10**4100}}}], k=3"
     assert render_table(printed).splitlines()[0:2] == ["theorem: ", params_line]
+
+
+def test_a_long_integer_is_refused_computed_first_then_expected_then_params():
+    # each field in the order the report holds it, not in the order a table prints it
+    big = 10**5000
+    cases = [
+        (Report(computed={"z": 1, "b": [big], "a": big}, expected={"a": -big}, params={"k": big}), "computed.b[0]"),
+        (Report(computed={"a": 1}, expected={"z": {"x": big}, "a": big}, params={"k": big}), "expected.z.x"),
+        (Report(computed={"a": 1}, expected={"a": 1}, params={"k": 1, "j": -big}), "params.j"),
+    ]
+    for result, field in cases:
+        for render_report in (Report.to_machine, render_table, render_machine):
+            with pytest.raises(HypothesisError, match=f"^{re.escape(field)} has an integer of more than"):
+                render_report(result)
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLE_PARAMS))
+def test_a_theorem_table_is_its_record_laid_out(key):
+    result = run_theorem(key, **SAMPLE_PARAMS[key])
+    assert render_table(result) == table_from_record(result)
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.name)
+def test_a_scenario_table_is_its_record_laid_out(path):
+    for data in (json.loads(path.read_text()), INLINE_SCENARIO):
+        result = run_scenario(data)
+        assert render_table(result) == table_from_record(result)
+
+
+LINK = builtin_geometry("sphere_torus_link", n=3)
+WORD = LINK.group.generator(1, 2).mul(LINK.group.generator(3, -1))
+
+
+@pytest.mark.parametrize("result", [
+    # a failing report: a class unlike the expected one, over a free group,
+    # nested values, None, and an int equal to the expected bool
+    Report(computed={"class": LINK.basis_class("S_h", WORD, 3), "nested": {"rows": [[RingElement.one(free_group(3), F2)]],
+                                                                            "dim": None},
+                     "dim": None, "flag": 1, "branch": "b"},
+           expected={"class": LINK.basis_class("S_v"), "nested": {"dim": 2}, "dim": 4, "flag": True},
+           passed=False, notes=["a note"], name="planted", params={"k": 1, "h": {"0": 1}}),
+    Report(computed={"matrix": [[from_term_list([[[2], -3], [[0], 1]], free_abelian(1), INT)]]},
+           expected={"class": CIRCLES.basis_class("D_R", coeff=-2)}),
+], ids=["failing", "expected class only"])
+def test_a_built_report_table_is_its_record_laid_out(result):
+    assert render_table(result) == table_from_record(result)
+
+
+@st.composite
+def cover_params(draw) -> dict:
+    k, l = draw(st.integers(1, 10**5)), draw(st.integers(0, 10**5) | st.just(0))
+    return {"m": draw(st.integers(2 * k + 2 * l + 101, 10**12)), "k": k, "l": l}
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(["morsesimple-s3", "higher-dim-knots", "unknots"]),
+       k=st.integers(1, 10**6), l=st.integers(1, 10**6))
+def test_torus_tables_are_their_records_laid_out(key, k, l):
+    result = run_theorem(key, k=k, l=l)
+    assert render_table(result) == table_from_record(result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(["less-simple", "simple-splitting-spheres", "genus1-handlebody"]), params=cover_params())
+def test_cover_tables_are_their_records_laid_out(key, params):
+    result = run_theorem(key, **params)
+    assert render_table(result) == table_from_record(result)
+
+
+def _holds_itself(value, above: frozenset = frozenset()) -> bool:
+    """Does a container of value hold itself, directly or further down?  A
+    form shared by two fields (an expected value reusing the computed one) is
+    no cycle."""
+    if not isinstance(value, (dict, list, tuple)):
+        return False
+    if id(value) in above:
+        return True
+    items = value.values() if isinstance(value, dict) else value
+    return any(_holds_itself(item, above | {id(value)}) for item in items)
+
+
+def test_every_report_record_nests_without_a_cycle():
+    # render_machine's encoder skips the circular check, which every record passes
+    shared = {"cuff1": "S_h", "cuff2": "S_h", "holonomy": [1]}
+    reports = [run_theorem(key, **params) for key, params in SAMPLE_PARAMS.items()]
+    reports += [job for name in SWEEPS for job in run_sweep(name, 3)]
+    # a library caller's dict, echoed as params: one barbell object twice
+    reports += [run_scenario(data) for data in (*(json.loads(path.read_text()) for path in SCENARIOS), INLINE_SCENARIO,
+                                                {"geometry": "torus_complement", "barbells": [shared, shared]})]
+    for result in reports:
+        record = result.to_machine()
+        assert not _holds_itself(record), result.name
+        assert render_machine(result) == json.dumps(record, sort_keys=True)
+    # a caller's dict that holds itself is refused by the schema before anything echoes it
+    for field in ("field", "barbells", "geometry"):
+        data = {"geometry": "torus_complement"}
+        data[field] = [data] if field == "barbells" else data
+        with pytest.raises(ValueError):
+            run_scenario(data)

@@ -730,7 +730,6 @@ def test_reports_record_omitted_defaults(key, call, params):
 # and why each stays.  Anything else the CLI never reaches is library
 # code without a caller, or an oracle that belongs in tests/oracles.py.
 UNREACHED_BY_THE_CLI = {
-    "groupring.render": "renders ring elements in error messages and reprs",
     # the DeckElement API of library callers: the engine keys terms by
     # values, applies the group's law to them, and sorts and renders them
     "deckgroup.DeckElement.mul": "the group law on checked elements; the engine multiplies values",
