@@ -24,11 +24,12 @@ power, and a free group of rank above MAX_FREE_RANK are refused.
 Groups and elements are immutable slotted values (setting or deleting an
 attribute raises AttributeError).  Groups compare by identity, one live
 a kind and size: DeckGroup(kind, n) refuses a size that is not an int,
-then takes the live group from a weak table or builds it (_law);
-free_group and free_abelian hold theirs.  A group carries its law on
-canonical values, _product and _inverse, and its identity, built with
-it: a reference cycle, so the weak table lets a dropped group go at the
-next garbage collection.  Ring and class terms are keyed by values, and
+then, under a lock (two threads would each build a group it lacks),
+takes the live group from a weak table or builds it (_law); free_group
+and free_abelian hold theirs.  A group carries its law on canonical
+values, _product and _inverse, and its identity, built with it: a
+reference cycle, so the weak table lets a dropped group go at the next
+garbage collection.  Ring and class terms are keyed by values, and
 DeckElement(group, value) (x in group tests one) is the checked public
 type where values enter and leave: it refuses a group that is not a
 DeckGroup, a word that is not freely reduced, a vector that is not a

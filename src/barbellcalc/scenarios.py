@@ -19,17 +19,17 @@ every built-in one.  Every presentation matrix comes from
 and one checked map (deckgroup.GroupMap) specializes each: the torus
 keys and genus1-hd (a sum of translates of four, `_phi_torus`) push
 along (a, b, c) -> ak + bl + c (`_along`), linked-6crit to its bar words
-and its abelianization to its image, and the cyclic-cover keys push one
-moved class a family (`_generic_cover_class`) into Z/m (push_class).
-Each runner drives the barbell engine through one argument, compares
-against the closed-form or pushed value when there is one, and hands
-the engine values and its verdict to a Report (barbellcalc.report);
-hypothesis bounds (winding numbers >= 1, cover order m large enough) are
-enforced up front.  The six cover arguments share one disk move
-(`_move`) and one summand test (`_in_identity_summand`).  `THEOREMS`
-maps each reproduction's name to its runner and `SWEEPS` each sweep's
-name to its grid; `run_theorem` and `run_sweep` hold every parameter
-rule, and `run_theorem` names each report and records its parameters.
+and its abelianization to its image, and the three cover keys push one
+class a family (`_generic_cover_class`, `_cover_move`) into Z/m, read
+mod 2 on the branched cover.  Each runner drives the barbell engine
+through one argument, compares against the closed-form or pushed value
+when there is one, and hands the engine values and its verdict to a
+Report (barbellcalc.report); hypothesis bounds (winding numbers >= 1,
+cover order m large enough) are enforced up front.  One helper, `_move`,
+moves every disk (a cover family's once).  `THEOREMS` maps each
+reproduction's name to its runner and `SWEEPS` each sweep's name to its
+grid; `run_theorem` and `run_sweep` hold every parameter rule, and
+`run_theorem` names each report and records its parameters.
 """
 
 from __future__ import annotations
@@ -514,36 +514,34 @@ def _run_disks_linked(k: int, l: int) -> Report:
 @functools.cache
 def _generic_cover_class(both: bool) -> EquivClass:
     """The engine's class of D on the cyclic cover lifted to Z^3 (_lifted),
-    moved by bars x1 and, for l >= 1 (both), x2, as _cover_move moves it;
-    built once a process for each family, and handed to no caller."""
+    moved by bars x1 and, for l >= 1 (both), x2, for all three cover keys
+    (_cover_move); built once a process a family, handed to no caller."""
     geo = _read_geometry(_lifted({"name": "cyclic_cover", **_cyclic_cover(1)}))
     x = geo.group.generator
     return _move(geo, "D", "S_prime", "S", (x(1), 1), (x(2), -1 if both else 0))
 
 
-def _cover_move(geometry: str, m: int, k: int, l: int) -> tuple[Geometry, EquivClass]:
-    """Check the cover hypotheses, then move the disk D of the m-fold
-    cover by the barbell (S_prime, S) whose bar winds k times, then by the
-    inverse of the one winding l times (none when l = 0): the cover and
-    the moved class.  On the cyclic cover, the family's generic class is
+def _cover_move(m: int, k: int, l: int) -> EquivClass:
+    """Check the cover hypotheses, then move D on the m-fold cyclic cover by
+    the barbell (S_prime, S) whose bar winds k times, then by the inverse of
+    the one winding l times (none when l = 0): the family's generic class
     pushed with its geometry along `_along` (push_class), exact as every
-    engine step commutes with it; m > 2k + 2l keeps {0, ±k, ±l} distinct
-    mod m, so terms merge only where they merge per instance (k = l).  The
-    branched cover's meridian row (the norm of Z/m) has no generic form."""
+    engine step commutes with it; m > 2k + 2l keeps {0, ±k, ±l} distinct mod
+    m, so terms merge only where they merge per instance (k = l).  Read mod 2
+    it is the branched cover's move too: one builder (_cover) gives both
+    covers the same rows on D, S and S_prime, the only rows the barbells
+    read; mu pairs with D alone and never enters the class; and Z -> F2 is
+    a ring map that commutes with every engine step."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
-    if geometry == "cyclic_cover":
-        moved = push_class(_generic_cover_class(l > 0), _along(DeckGroup(CYCLIC, m), k, l))
-        return moved.geometry, moved
-    geo = _geometry(geometry, (m,), ())
-    t = geo.group.generator
-    return geo, _move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
+    return push_class(_generic_cover_class(l > 0), _along(DeckGroup(CYCLIC, m), k, l))
 
 
 def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
-    geo, moved = _cover_move("cyclic_cover", m, k, l)
+    moved = _cover_move(m, k, l)
+    geo = moved.geometry
     member = _in_identity_summand(moved, "D", "S", "S_prime")
     distinguished = not member
     terms = {("D", geo.identity()): 1}
@@ -565,7 +563,7 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
     # by (m, 0) and (0, 1): weights (1, 0) mod m.  A bar winding p times
     # around the first meridian projects to p * 1 + 0 mod m, so its
     # residue is p mod m.
-    geo, moved = _cover_move("cyclic_cover", m, k, l)
+    moved = _cover_move(m, k, l)
     distinguished = not _in_identity_summand(moved, "D", "S", "S_prime")
     return Report(
         computed={"bar_residues": {str(p): p % m for p in (k, l)}, "class": moved, "distinguished": distinguished},
@@ -576,7 +574,8 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
 
 
 def _run_branched(m: int, k: int, l: int = 0) -> Report:
-    geo, moved = _cover_move("branched_cover", m, k, l)
+    moved, geo = _cover_move(m, k, l), _geometry("branched_cover", (m,), ())  # the move checks m, k, l first
+    moved = EquivClass(geo, {(label, DeckElement(geo.group, v)): c for (label, v), c in moved.terms.items()})
     d = geo.basis_class("D")
     x = moved.sub(d)
     probes = [geo.basis_class("D", geo.group.generator(1, k)), d]

@@ -3,6 +3,8 @@ import itertools
 import operator
 import random
 import re
+import threading
+import time
 import weakref
 
 import pytest
@@ -164,6 +166,21 @@ def test_a_dropped_group_is_collected_though_its_identity_refers_back_to_it():
     del group, one
     gc.collect()
     assert held() is None and (CYCLIC, m) not in deckgroup._GROUPS
+
+
+def test_two_threads_interning_one_fresh_group_get_one_object(monkeypatch):
+    # a law that takes 0.05 s to build lets the second thread look the
+    # group up while the first still builds it: only the lock makes it wait
+    real = deckgroup._law
+    monkeypatch.setattr(deckgroup, "_law", lambda kind, n: time.sleep(0.05) or real(kind, n))
+    m, got = 10**12 + 61, []
+    assert (CYCLIC, m) not in deckgroup._GROUPS
+    threads = [threading.Thread(target=lambda: got.append(DeckGroup(CYCLIC, m))) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(got) == 2 and got[0] is got[1]
 
 
 def test_free_group_and_free_abelian_hold_the_live_group():

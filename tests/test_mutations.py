@@ -6,20 +6,21 @@ of x1) and at n = 3 with k = l = 2 (where the relator's products cancel
 in pairs), against genus1-hd with vertical data (whose dimension, unlike
 the default's, depends on l), against less-simple with l = 3 (the sample
 runs l = 0, whose family has one barbell), against the committed
-scenario, and against the morsesimple sweep at --max 3, which passes only
-when every job does.  The torus keys and linked-6crit push generic
+scenario, and against the morsesimple sweep at --max 3, which passes
+only when every job does.  The torus keys and linked-6crit push generic
 presentations along a GroupMap, each built once a process by one
-memoized helper, the cyclic-cover keys push a generic class and its
-geometry, built once a process for each of their two families, to Z/m,
-and each deck group is built once while it lives; every mutated run gets
-a group table of its own and empty memos (own_groups), so that a fault in the engine
-or a group law reaches the generic presentations and the groups the run
-builds, and nothing built under a fault outlives its run.  A check that
-no fault can turn from PASS to FAIL or refusal checks nothing, so every
-key must catch some mutation and every mutation must be caught by some
-key, unless it is named in UNCATCHABLE or UNCAUGHT with its reason.
-Both lists are checked both ways: an entry that starts to be caught must
-leave its list.
+memoized helper, all three cover keys push a generic class and its
+geometry, built once a process for each of their two families, to Z/m
+(genus1-handlebody then reads the class on its branched cover), and each
+deck group is built once while it lives; every mutated run gets a group
+table of its own and empty memos (own_groups), so that a fault in the
+engine or a group law reaches the generic presentations and the groups
+the run builds, and nothing built under a fault outlives its run.  A
+check that no fault can turn from PASS to FAIL or refusal checks
+nothing, so every key must catch some mutation and every mutation must
+be caught by some key, unless it is named in UNCATCHABLE or UNCAUGHT
+with its reason.  Both lists are checked both ways: an entry that starts
+to be caught must leave its list.
 """
 
 import functools
@@ -173,7 +174,7 @@ def _push_with_t_at_one(elem, phi):
 
 
 def _push_class_swapping_k_and_l(x, phi):
-    # the cyclic-cover keys' map (a, b, c) -> (ak + bl + c) mod m read as (a, b, c) -> (al + bk + c) mod m
+    # the cover keys' map (a, b, c) -> (ak + bl + c) mod m read as (a, b, c) -> (al + bk + c) mod m
     k, l, c = phi.images
     return _real_push_class(x, _with_images(phi, (l, k, c)))
 
@@ -288,6 +289,8 @@ def test_the_vertical_genus1_hd_row_catches_the_pushforward_fault():
 def test_a_less_simple_row_catches_the_class_pushforward_fault_and_the_engine_faults_behind_it():
     fault = matrix()["class pushforward swaps k and l"]
     assert [row for row in ("less-simple", "less-simple l=3") if fault[row] != "PASS"], fault
+    # genus1-handlebody reads the same pushed class, mod 2, on its branched cover
+    assert fault["genus1-handlebody"] == "FAIL", fault
     # the generic class is built under each fault (own_groups empties its memo), so an engine fault reaches it
     assert matrix()["holonomy inverted"]["less-simple"] == "FAIL"
 

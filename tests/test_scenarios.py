@@ -275,11 +275,34 @@ def test_the_cover_keys_move_one_generic_class_a_family(monkeypatch):
                 assert run_theorem(key, m=m, k=k, l=l).passed
                 assert read == [] and moved == [], (key, m, k, l)
         assert scenarios._generic_cover_class.cache_info().currsize == 2
-        # genus1-handlebody's meridian row has no generic form: it reads its
-        # cover and moves D on it every call
-        for m in (205, 206):
+        # genus1-handlebody pushes the same class: it reads its branched
+        # cover once per new m, for mu and the probes, and moves nothing
+        for m in (205, 206, 205):
             assert run_theorem("genus1-handlebody", m=m, k=2, l=3).passed
-        assert read == [CYCLIC] * 2 and [group.n for group in moved] == [205, 205, 206, 206]
+        assert read == [CYCLIC] * 2 and moved == []
+        assert scenarios._generic_cover_class.cache_info().currsize == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_parameters())
+@example((205, 2, 2))
+@example((103, 1, 0))
+@example((10**12, 10**6, 0))
+def test_genus1_handlebody_reads_the_pushed_class_as_the_engine_move_on_the_branched_cover(params):
+    # the reference is the per-instance move the runner used to make: the
+    # engine moving D on the branched cover of order m itself
+    from barbellcalc.equivariant import pair_classes, summand_membership
+
+    m, k, l = params
+    geo = builtin_geometry("branched_cover", m=m)
+    t, d = geo.group.generator, geo.basis_class("D")
+    x = scenarios._move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0)).sub(d)
+    probes = [geo.basis_class("D", t(1, k)), d]
+    report = run_theorem("genus1-handlebody", m=m, k=k, l=l)
+    assert report.computed["class"] == x
+    assert report.computed["witnesses"] == {"x_dot_rho_k_D": pair_classes(x, probes[0]), "x_dot_D": pair_classes(x, d),
+                                            "mu_dot_D": pair_classes(geo.basis_class("mu"), d)}
+    assert report.computed["in_meridian_span"] == summand_membership(x, allowed=(), probes=probes)
 
 
 def _geometry_fields(geo):
@@ -295,9 +318,9 @@ def _geometry_fields(geo):
 @example((10**12, 10**6, 0))
 def test_the_pushed_cover_geometry_is_the_builtin_cover(params):
     m, k, l = params
-    geo, moved = scenarios._cover_move("cyclic_cover", m, k, l)
-    builtin = builtin_geometry("cyclic_cover", m=m)
-    assert moved.geometry is geo and geo.group is builtin.group
+    moved = scenarios._cover_move(m, k, l)
+    geo, builtin = moved.geometry, builtin_geometry("cyclic_cover", m=m)
+    assert geo.group is builtin.group
     assert _geometry_fields(geo) == _geometry_fields(builtin)
     # a class built on one is the same class built on the other
     for label, power in (("D", 0), ("S", k), ("S_prime", -l)):
