@@ -63,8 +63,8 @@ def _emit(lines: Iterable[str], out_path: str | None):
     line is drawn before out_path is opened: a run refused before its
     first line leaves the file untouched."""
     lines = iter(lines)
-    head = list(itertools.islice(lines, 1))
-    text = (f"{line}\n" for line in itertools.chain(head, lines))
+    head = next(lines, None)
+    text = (f"{line}\n" for line in itertools.chain(() if head is None else (head,), lines))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.writelines(text)
@@ -76,7 +76,7 @@ _RENDER = {"table": render_table, "machine": render_machine}  # the first is the
 
 
 def _cmd_theorem(args) -> int:
-    params = {key: getattr(args, key) for key in _PARAM_FLAGS if getattr(args, key) is not None}
+    params = {key: value for key, value in vars(args).items() if value is not None and key in _PARAM_FLAGS}
     report = run_theorem(args.name, **params)
     _emit([_RENDER[args.format](report)], args.out)
     return 0 if report.passed else 1

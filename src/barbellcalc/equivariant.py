@@ -49,8 +49,8 @@ group with GeometryError.  Classes share a geometry when it is one object
 or has the same deck group and an equal name, coefficients, labels and
 pairing table; ==, add, sub and pair_classes read that one test, and
 refuse a non-class.  Operations on checked classes and table rows apply
-the group's law, or a GroupMap (push_class and push_geometry refuse one
-out of another group), to values and build their results with the
+the group's law, or a GroupMap (push_terms, push_class and push_geometry
+refuse one out of another group), to values and build their results with the
 trusted constructors _equiv_class and _ring_element, which only reduce
 coefficients mod 2 over F2 and drop zeros; push_geometry builds a trusted
 Geometry on its home's checked labels, roles and aliases.  barbell_action
@@ -281,14 +281,20 @@ def push_geometry(home: Geometry, phi: GroupMap) -> Geometry:
     return geometry
 
 
-def push_class(x: EquivClass, phi: GroupMap) -> EquivClass:
-    """x pushed along phi onto its geometry pushed the same way (push_geometry), colliding terms added."""
-    geometry = push_geometry(x.geometry, phi)
+def push_terms(x: EquivClass, phi: GroupMap) -> dict:
+    """x's terms pushed along phi, a GroupMap out of its group, colliding terms added, unreduced."""
+    if phi.__class__ is not GroupMap or phi.source is not x.geometry.group:
+        raise GeometryError(f"push_terms takes a group map out of {x.geometry.group!r}, got {_echo(phi)}")
     value, terms = phi.value, {}
     for (label, e), c in x.terms.items():
         key = (label, value(e))
         terms[key] = terms.get(key, 0) + c
-    return _equiv_class(geometry, terms)
+    return terms
+
+
+def push_class(x: EquivClass, phi: GroupMap) -> EquivClass:
+    """x pushed along phi (push_terms) onto its geometry pushed the same way (push_geometry)."""
+    return _equiv_class(push_geometry(x.geometry, phi), push_terms(x, phi))
 
 
 def class_forms(x: EquivClass) -> tuple[list[list], str]:
@@ -447,6 +453,8 @@ def summand_membership(
     x: EquivClass,
     allowed: Iterable[tuple[str, DeckElement]],
     probes: Sequence[EquivClass] = (),
+    *,
+    witnesses: Sequence[int] | None = None,
 ) -> bool:
     """Is x congruent, modulo the span of the geometry's meridians, to
     a class supported only on the allowed (label, deck) pairs?
@@ -459,10 +467,11 @@ def summand_membership(
     geometry has no meridian, its lifted generators then being a free
     basis.  With one meridian mu and nothing allowed, the only candidates
     are 0 and mu, so x is refuted when its pairings against the probes
-    are neither all zero nor those of mu.  Everything else raises rather
-    than guesses: an allowed label or deck element foreign to the
-    geometry, no probes, pairings that refute nothing, witnesses with
-    allowed pairs or several meridians, and over Z any meridian or probe.
+    (witnesses, computed unless the caller holds them) are neither all
+    zero nor those of mu.  Everything else raises rather than guesses: an
+    allowed label or deck element foreign to the geometry, no probes,
+    witnesses not one per probe, pairings that refute nothing, witnesses
+    with allowed pairs or several meridians, and over Z any meridian or probe.
     """
     geo = x.geometry
     meridians = [_aliased(geo.basis_class(name)) for name in geo.meridians()]
@@ -483,8 +492,11 @@ def summand_membership(
         raise GeometryError(
             "pairing witnesses are read only modulo one meridian with nothing allowed; undecided"
         )
-    witnesses = [pair_classes(x, z) for z in probes]
-    if any(witnesses) and witnesses != [pair_classes(meridians[0], z) for z in probes]:
+    if witnesses is None:
+        witnesses = [pair_classes(x, z) for z in probes]
+    elif len(witnesses) != len(probes):
+        raise GeometryError(f"{len(witnesses)} witnesses for {len(probes)} probes: give x's pairing with each probe")
+    if any(witnesses) and list(witnesses) != [pair_classes(meridians[0], z) for z in probes]:
         return False
     raise GeometryError(
         "pairing witnesses do not refute membership and the basis is not free; undecided"

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from .deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, GroupMap, _echo, _is_element, _is_int,
-                        _is_list, _json, _sorted_texts, element_from_json)
+                        _is_list, _sorted_texts, element_from_json)
 
 F2 = "F2"
 INT = "Z"
@@ -214,16 +214,17 @@ _VARIABLE_NAMES = {1: ("t",), 2: ("s", "t")}
 
 def _monomial_string(group: DeckGroup, value) -> str:
     """A cyclic or free abelian value in t / s, t / x1, x2, ... notation."""
-    if group.kind == CYCLIC:
-        return "1" if value == 0 else ("t" if value == 1 else f"t^{value}")
+    kind = group.kind
+    if kind == CYCLIC or group.n == 1:  # a residue or a rank-1 exponent e, as t^e in one step
+        e = value if kind == CYCLIC else value[0]
+        return "1" if e == 0 else "t" if e == 1 else f"t^{e}"
     names = _VARIABLE_NAMES.get(group.n)
     parts = []
     for i, e in enumerate(value):
-        if e == 0:
-            continue
-        name = names[i] if names else f"x{i + 1}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return " ".join(parts) if parts else "1"
+        if e:
+            name = names[i] if names else f"x{i + 1}"
+            parts.append(name if e == 1 else f"{name}^{e}")
+    return " ".join(parts) or "1"
 
 
 def join_signed(parts: Iterable[tuple[bool, str]]) -> str:
@@ -244,26 +245,25 @@ def term_list_and_render(elem: RingElement) -> tuple[list[list], str]:
     human form (e.g. "t^-3 + t^-1 + 1 + t + t^3", increasing deck-element
     order) from one pass over the sorted values, a free-group word's text,
     made with all the others (_sorted_texts), serving both; kept on the
-    element and shared by every later call, so not to be mutated."""
+    element and shared by every later call, so not to be mutated.  Over F2
+    every coefficient is 1 and the sum is its monomials joined by " + "."""
     if elem._forms is not None:
         return elem._forms
-    group, free = elem.group, elem.group.kind == FREE
-    text = _sorted_texts(group, elem.terms) if free else None
-    terms = []
-    parts = []
-    for value in text if free else sorted(elem.terms):
-        c = elem.terms[value]
-        raw = text[value] if free else _json(group, value)
-        terms.append([raw, c])
-        mono = raw if free else _monomial_string(group, value)
-        if mono == "1":
-            body = str(abs(c)) if elem.coeffs == INT else "1"
-        elif abs(c) == 1:
-            body = mono
+    group, terms, signed = elem.group, elem.terms, elem.coeffs == INT
+    free, cyclic = group.kind == FREE, group.kind == CYCLIC
+    text = _sorted_texts(group, terms) if free else None
+    term_list, parts = [], []
+    for value in text if free else sorted(terms):
+        c = terms[value]
+        if free:
+            raw = body = text[value]
         else:
-            body = f"{abs(c)}{mono}"
-        parts.append((c < 0, body))
-    elem._forms = terms, join_signed(parts)
+            raw, body = value if cyclic else list(value), _monomial_string(group, value)
+        term_list.append([raw, c])
+        if signed:
+            body = c < 0, str(abs(c)) if body == "1" else body if c in (1, -1) else f"{abs(c)}{body}"
+        parts.append(body)
+    elem._forms = term_list, join_signed(parts) if signed else " + ".join(parts) or "0"
     return elem._forms
 
 

@@ -20,7 +20,7 @@ and one checked map (deckgroup.GroupMap) specializes each: the torus
 keys and genus1-hd (a sum of translates of four, `_phi_torus`) push
 along (a, b, c) -> ak + bl + c (`_along`), linked-6crit to its bar words
 and its abelianization to its image, and the three cover keys push one
-class a family (`_generic_cover_class`, `_cover_move`) into Z/m, read
+class a family (`_generic_cover_class`, `_cover_map`) into Z/m, read
 mod 2 on the branched cover.  Each runner drives the barbell engine
 through one argument, compares against the closed-form or pushed value
 when there is one, and hands the engine values and its verdict to a
@@ -44,7 +44,7 @@ from .deckgroup import (_MAX_DIGITS, CYCLIC, FREE, FREE_ABELIAN, DeckElement, De
                         _group_map, _is_element, _is_int, _is_list, _too_long, brunnian_word, element_from_json,
                         exponent_sum, free_abelian)
 from .equivariant import (DISK, MERIDIAN, SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, action_sequence,
-                          pair_classes, push_class, summand_membership)
+                          pair_classes, push_class, push_terms, summand_membership)
 from .groupring import (F2, INT, RingElement, _is_term_list, _ring_element, from_term_list, is_monomial_unit,
                         laurent_span, normalize_monomial, push)
 from .presentations import antidiagonal_cokernel, brunnian_disk_obstruction, f2_quotient_dim, present_from_scenario
@@ -171,13 +171,14 @@ GEOMETRY_BUILDERS: dict[str, Callable[..., dict]] = {
 
 
 @functools.cache
-def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The names a registry entry takes, and those it requires, read from
-    its code object once per process.  A keyed entry's first parameter
+def parameters(entry: Callable, keyed: bool = False) -> tuple[tuple[str, ...], tuple[str, ...], dict]:
+    """The names a registry entry takes, those it requires and the others' defaults (a shared dict, not
+    to be mutated), read from its code object once per process.  A keyed entry's first parameter
     (a sweep grid's size, top) does not count."""
-    code = entry.__code__
-    required = code.co_argcount - len(entry.__defaults__ or ())
-    return code.co_varnames[keyed : code.co_argcount], code.co_varnames[keyed:required]
+    code, defaults = entry.__code__, entry.__defaults__ or ()
+    takes = code.co_varnames[keyed : code.co_argcount]
+    required = takes[: len(takes) - len(defaults)]
+    return takes, required, dict(zip(takes[len(required) :], defaults))
 
 
 # the values each alternative of a parameter's annotation admits
@@ -185,24 +186,30 @@ _KINDS = {"int": _is_int, "Mapping": lambda v: isinstance(v, Mapping), "None": l
 
 
 @functools.cache
-def _checkers(entry: Callable) -> dict[str, tuple]:
-    """Each parameter's tests, one per alternative of its annotation (_KINDS), read once per registry entry."""
-    return {key: tuple(map(_KINDS.__getitem__, entry.__annotations__[key].split(" | "))) for key in parameters(entry)[0]}
+def _checkers(entry: Callable, keyed: bool = False) -> tuple[dict[str, tuple], frozenset]:
+    """Each parameter's tests, one per alternative of its annotation (_KINDS), and the required names' set."""
+    takes, required, _ = parameters(entry, keyed)
+    kinds = {key: tuple(map(_KINDS.__getitem__, entry.__annotations__[key].split(" | "))) for key in takes}
+    return kinds, frozenset(required)
 
 
 def _check_parameters(what: str, entry: Callable, params: Mapping, keyed: bool = False):
-    """Refuse params that do not fit the entry's signature, naming the
-    entry (what) and the unexpected or missing names, or the first
-    parameter whose value its annotation does not admit."""
-    takes, required = parameters(entry, keyed)
-    extra = sorted(key for key in params if key not in takes)
-    missing = [key for key in required if key not in params]
-    if extra or missing:
-        problem = f"unexpected {_echo(', '.join(extra))}" if extra else f"missing {', '.join(missing)}"
+    """Refuse params that do not fit the entry's signature, naming the entry (what) and the unexpected
+    names (before any missing ones), or the first parameter whose value its annotation does not admit
+    or that has too many digits."""
+    kinds, required = _checkers(entry, keyed)
+    if not kinds.keys() >= params.keys() >= required:
+        takes, required, _ = parameters(entry, keyed)
+        extra = sorted(params.keys() - kinds.keys())
+        problem = (f"unexpected {_echo(', '.join(extra))}" if extra else
+                   f"missing {', '.join(key for key in required if key not in params)}")
         note = f" (required: {', '.join(required)})" if 0 < len(required) < len(takes) else ""
         raise HypothesisError(f"{what} takes {', '.join(takes) or 'no parameters'}{note}; {problem}")
     for key, value in params.items():
-        if not any(kind(value) for kind in _checkers(entry)[key]):
+        for kind in kinds[key]:
+            if kind(value):
+                break
+        else:
             raise HypothesisError(f"{what} parameter {key} must be {entry.__annotations__[key]}, got {_echo(value)}")
         if _is_int(value) and _too_long(value):
             raise HypothesisError(f"{what} parameter {key} has more than {_MAX_DIGITS} digits")
@@ -292,8 +299,10 @@ def morsesimple_f(k: int, l: int) -> RingElement:
     """The closed-form mod-2 intersection polynomial of both torus-knot
     runners, 1 + sum over signs of t^(±k ± l ± 1), which factors as
     1 + (t + t^-1)(t^k + t^-k)(t^l + t^-l); equal exponents cancel mod 2."""
-    sums = [(a + b + c,) for a in (1, -1) for b in (k, -k) for c in (l, -l)]
-    return _ring_element(free_abelian(1), F2, Counter(sums + [(0,)]))
+    terms = {(0,): 1}
+    for e in [(a + b + c,) for a in (1, -1) for b in (k, -k) for c in (l, -l)]:
+        terms[e] = terms.get(e, 0) + 1
+    return _ring_element(free_abelian(1), F2, terms)
 
 
 def _lifted(description: dict) -> dict:
@@ -515,32 +524,34 @@ def _run_disks_linked(k: int, l: int) -> Report:
 def _generic_cover_class(both: bool) -> EquivClass:
     """The engine's class of D on the cyclic cover lifted to Z^3 (_lifted),
     moved by bars x1 and, for l >= 1 (both), x2, for all three cover keys
-    (_cover_move); built once a process a family, handed to no caller."""
+    (_cover_map); built once a process a family, and only ever pushed, so
+    no runner hands it out."""
     geo = _read_geometry(_lifted({"name": "cyclic_cover", **_cyclic_cover(1)}))
     x = geo.group.generator
     return _move(geo, "D", "S_prime", "S", (x(1), 1), (x(2), -1 if both else 0))
 
 
-def _cover_move(m: int, k: int, l: int) -> EquivClass:
-    """Check the cover hypotheses, then move D on the m-fold cyclic cover by
-    the barbell (S_prime, S) whose bar winds k times, then by the inverse of
-    the one winding l times (none when l = 0): the family's generic class
-    pushed with its geometry along `_along` (push_class), exact as every
-    engine step commutes with it; m > 2k + 2l keeps {0, ±k, ±l} distinct mod
-    m, so terms merge only where they merge per instance (k = l).  Read mod 2
-    it is the branched cover's move too: one builder (_cover) gives both
-    covers the same rows on D, S and S_prime, the only rows the barbells
-    read; mu pairs with D alone and never enters the class; and Z -> F2 is
-    a ring map that commutes with every engine step."""
+def _cover_map(m: int, k: int, l: int) -> tuple[EquivClass, GroupMap]:
+    """Check the cover hypotheses, then give the family's generic class and
+    the map `_along` into Z/m that pushes it to the move of D on the m-fold
+    cyclic cover by the barbell (S_prime, S) whose bar winds k times, then
+    by the inverse of the one winding l times (none when l = 0).  The push
+    is exact as every engine step commutes with it; m > 2k + 2l keeps
+    {0, ±k, ±l} distinct mod m, so terms merge only where they merge per
+    instance (k = l).  Read mod 2 its terms are the branched cover's move
+    too: one builder (_cover) gives both covers the same rows on D, S and
+    S_prime, the only rows the barbells read; mu pairs with D alone and
+    never enters the class; and Z -> F2 is a ring map that commutes with
+    every engine step."""
     _require(k >= 1, f"winding number must satisfy k >= 1, got k={k}")
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
-    return push_class(_generic_cover_class(l > 0), _along(DeckGroup(CYCLIC, m), k, l))
+    return _generic_cover_class(l > 0), _along(DeckGroup(CYCLIC, m), k, l)
 
 
 def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
-    moved = _cover_move(m, k, l)
+    moved = push_class(*_cover_map(m, k, l))
     geo = moved.geometry
     member = _in_identity_summand(moved, "D", "S", "S_prime")
     distinguished = not member
@@ -563,7 +574,7 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
     # by (m, 0) and (0, 1): weights (1, 0) mod m.  A bar winding p times
     # around the first meridian projects to p * 1 + 0 mod m, so its
     # residue is p mod m.
-    moved = _cover_move(m, k, l)
+    moved = push_class(*_cover_map(m, k, l))
     distinguished = not _in_identity_summand(moved, "D", "S", "S_prime")
     return Report(
         computed={"bar_residues": {str(p): p % m for p in (k, l)}, "class": moved, "distinguished": distinguished},
@@ -574,17 +585,14 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
 
 
 def _run_branched(m: int, k: int, l: int = 0) -> Report:
-    moved, geo = _cover_move(m, k, l), _geometry("branched_cover", (m,), ())  # the move checks m, k, l first
-    moved = EquivClass(geo, {(label, DeckElement(geo.group, v)): c for (label, v), c in moved.terms.items()})
+    pushed, geo = push_terms(*_cover_map(m, k, l)), _geometry("branched_cover", (m,), ())  # m, k, l checked first
+    moved = EquivClass(geo, {(label, DeckElement(geo.group, v)): c for (label, v), c in pushed.items()})
     d = geo.basis_class("D")
     x = moved.sub(d)
     probes = [geo.basis_class("D", geo.group.generator(1, k)), d]
-    witnesses = {
-        "x_dot_rho_k_D": pair_classes(x, probes[0]),
-        "x_dot_D": pair_classes(x, probes[1]),
-        "mu_dot_D": pair_classes(geo.basis_class("mu"), d),
-    }
-    member = summand_membership(x, allowed=(), probes=probes)
+    paired = [pair_classes(x, probe) for probe in probes]  # membership reads these too
+    witnesses = {"x_dot_rho_k_D": paired[0], "x_dot_D": paired[1], "mu_dot_D": pair_classes(geo.basis_class("mu"), d)}
+    member = summand_membership(x, allowed=(), probes=probes, witnesses=paired)
     refuted = not member
     degenerate = k == l
     # equal powers move D back to itself: x = 0 pairs to 0 with every probe
@@ -636,8 +644,9 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     generic = {row: _generic_f(_phi_torus, ("S_v", "S_h"), row) for row in (None, "S_h", "S_v", "D_h")}
     f = none = generic[None]
     for row, data in (("S_h", h), ("S_v", v), ("D_h", b)):
-        lift = _ring_element(none.group, F2, {(0, 0, e): 1 for e in data})
-        f = f.add(lift.mul(generic[row].add(none)))
+        if data:  # no odd position: lift(data) is 0 and leaves f as it is
+            lift = _ring_element(none.group, F2, {(0, 0, e): 1 for e in data})
+            f = f.add(lift.mul(generic[row].add(none)))
     engine = f2_quotient_dim([[push(f, _along(free_abelian(1), k, l))]])
 
     if not h and not v:
@@ -824,9 +833,7 @@ def run_theorem(name: str, **params) -> Report:
 
 def _named(name: str, params: Mapping, report: Report) -> Report:
     """report, run by theorem name on params, named and given its params as run_theorem records them."""
-    runner = THEOREMS[name]
-    takes, required = parameters(runner)
-    ran = {**dict(zip(takes[len(required):], runner.__defaults__ or ())), **params, **report.params}
+    ran = {**parameters(THEOREMS[name])[2], **params, **report.params}
     report.name, report.params = name, {key: value for key, value in ran.items() if value is not None}
     return report
 

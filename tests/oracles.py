@@ -31,7 +31,9 @@ value its own way, and the tests compare the two.
   the reference of DeckElement.sort_key.  ring_forms and class_forms
   write a free-group ring element or class from its words' pairs: the
   oracles of groupring.term_list_and_render and of
-  equivariant.class_forms.
+  equivariant.class_forms.  laurent_forms writes a sum over Z, Z^2,
+  Z^3 or Z/m from its exponents by the same rules: the oracle of
+  term_list_and_render over the abelian groups.
 * The plain versions of the word-path kernels: format_letters, the
   per-syllable join of deckgroup.format_element; slow_pow, a power as
   |k| - 1 products, for DeckElement.pow; and stored_row, a pairing row
@@ -460,6 +462,29 @@ def ring_forms(terms: Iterable[tuple[Pairs, int]], coeffs: str) -> tuple[list[li
         c = collected[a]
         parts.append((c, str(abs(c)) if not a else pairs_text(a) if abs(c) == 1 else f"{abs(c)}{pairs_text(a)}"))
     return [[pairs_text(a), collected[a]] for a in order], signed_sum(parts)
+
+
+# the variables of Z, Z^2 and Z^3, as the paper writes F2[t^{±1}] and F2[s^{±1}, t^{±1}]
+_LAURENT_NAMES = {1: ("t",), 2: ("s", "t"), 3: ("x1", "x2", "x3")}
+
+
+def laurent_forms(terms: Iterable[tuple], coeffs: str, modulus: int | None = None) -> tuple[list[list], str]:
+    """The term list and rendering of the Laurent sum of the terms c x^e over
+    Z^r (r = 1, 2, 3), each key an exponent vector e, or, given the modulus m,
+    over Z/m, each key an integer e read mod m: keys sorted (residues in
+    [0, m)), each term [e as a list, or the residue, c], each monomial its
+    variables' powers ("t", "s^2 t^-1", "x1 x3^-2"; "t^e" over Z/m), "1" at
+    the identity, a coefficient of size above 1 before it, and the identity
+    written as its coefficient's size."""
+    collected = _collected(((key % modulus if modulus else tuple(key), c) for key, c in terms), coeffs)
+    order = sorted(collected)
+    parts = []
+    for key in order:
+        c = collected[key]
+        powers = zip(("t",), (key,)) if modulus else zip(_LAURENT_NAMES[len(key)], key)
+        monomial = " ".join(name if e == 1 else f"{name}^{e}" for name, e in powers if e) or "1"
+        parts.append((c, str(abs(c)) if monomial == "1" else monomial if abs(c) == 1 else f"{abs(c)}{monomial}"))
+    return [[key if modulus else list(key), collected[key]] for key in order], signed_sum(parts)
 
 
 def class_forms(terms: Iterable[tuple[tuple[str, Pairs], int]], coeffs: str) -> tuple[list[list], str]:

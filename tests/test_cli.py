@@ -51,7 +51,8 @@ def test_parameters_read_from_code_match_the_signature():
             params = list(inspect.signature(entry).parameters.values())[keyed:]
             names = tuple(p.name for p in params)
             required = tuple(p.name for p in params if p.default is p.empty)
-            assert parameters(entry, keyed) == (names, required), entry.__name__
+            defaults = {p.name: p.default for p in params if p.default is not p.empty}
+            assert parameters(entry, keyed) == (names, required, defaults), entry.__name__
 
 
 def test_theorem_pass_exit_zero():
@@ -1223,7 +1224,7 @@ def test_theorem_flags_pass_or_are_refused(key, data, capsys):
     # error: line, and no call takes more than a few seconds
     from barbellcalc import cli
 
-    takes, required = parameters(THEOREMS[key])
+    takes, required, _ = parameters(THEOREMS[key])
     accepted = [name for name in takes if name in cli._PARAM_FLAGS]
     argv = ["theorem", key]
     for flag in accepted:
@@ -1337,6 +1338,20 @@ def test_library_sweeps_pass_or_are_refused(name, top, params, capsys):
         ({"m": 10, "k": int("9" * 4300)}, "theorem less-simple parameter k has more than 4000 digits"),
         ({"m": -(10**4000)}, "geometry cyclic_cover parameter m has more than 4000 digits"),
         ({"top": 10**4000}, "sweep morsesimple parameter top has more than 4000 digits"),
+        # precedence: an unexpected name before a missing one, and a value's
+        # type before its digits, the parameters taken in the order given
+        ({"k": 1, "m": 5}, "theorem morsesimple-s3 takes k, l; unexpected 'm'"),
+        ({"l": 100, "zz": 1}, "theorem genus1-hd takes k, l, h, v, b (required: k, l); unexpected 'zz'"),
+        ({"k": 100, "l": 100, "h": 10**5000},
+         "theorem genus1-hd parameter h must be Mapping | None, got <integer of more than 4000 digits>"),
+        ({"k": "9" * 5000, "l": 10**5000},
+         "theorem morsesimple-s3 parameter k must be int, got '999999999999...9999999999999'"),
+        ({"k": 10**5000, "l": "x"}, "theorem morsesimple-s3 parameter k has more than 4000 digits"),
+        ({"top": 3, "n": 3, "z": 1}, "sweep brunnian takes n; unexpected 'z'"),
+        ({"top": 10**5000, "n": "x"}, "sweep brunnian parameter n must be int, got 'x'"),
+        ({"top": "9" * 5000}, "sweep morsesimple parameter top must be int, got '999999999999...9999999999999'"),
+        ({"n": 2}, "geometry cyclic_cover takes m; unexpected 'n'"),
+        ({"g": "9" * 5000}, "geometry genus_g_complement parameter g must be int, got '999999999999...9999999999999'"),
     ],
 )
 def test_library_call_names_the_theorem_and_its_parameters(call, message):

@@ -25,6 +25,7 @@ from barbellcalc.equivariant import (
     pair_classes,
     push_class,
     push_geometry,
+    push_terms,
     summand_membership,
 )
 from barbellcalc.groupring import F2, INT, RingElement, RingError, from_term_list
@@ -870,6 +871,27 @@ def test_membership_witnesses_with_allowed_pairs_are_undecided():
         summand_membership(x, allowed, probes)
 
 
+def test_membership_reads_the_witnesses_its_caller_holds(monkeypatch):
+    geo = builtin_geometry("branched_cover", m=205)
+    x, probes = refutable_class(geo)
+    held = [pair_classes(x, z) for z in probes]
+    paired, real = [], equivariant.pair_classes
+    monkeypatch.setattr(equivariant, "pair_classes", lambda a, b: paired.append(a) or real(a, b))
+    assert summand_membership(x, set(), probes) is False and len(paired) == 2 * len(probes)
+    del paired[:]
+    # only the meridian is paired with the probes; x's pairings are the ones given
+    assert summand_membership(x, set(), probes, witnesses=held) is False and len(paired) == len(probes)
+    with pytest.raises(GeometryError, match="undecided"):
+        summand_membership(x, set(), probes, witnesses=[0, 0])
+    with pytest.raises(GeometryError, match="^1 witnesses for 2 probes: give x's pairing with each probe$"):
+        summand_membership(x, set(), probes, witnesses=held[:1])
+    # every refusal before the witnesses are read stays
+    with pytest.raises(GeometryError, match="needs pairing witnesses"):
+        summand_membership(x, set(), witnesses=held)
+    with pytest.raises(GeometryError, match="undecided"):
+        summand_membership(x, {("S", t_elt(geo, 5))}, probes, witnesses=held)
+
+
 def test_membership_witnesses_modulo_two_meridians_are_undecided():
     geo = with_second_meridian(builtin_geometry("branched_cover", m=205))
     x, probes = refutable_class(geo)
@@ -1188,6 +1210,10 @@ def test_a_class_is_pushed_along_a_group_map_onto_its_pushed_geometry():
     pushed = push_class(generic, phi)
     assert pushed == expected and pushed.geometry is not generic.geometry
     assert pushed.geometry is not push_geometry(generic.geometry, phi) and pushed.geometry.group is cover.group
+    # the terms alone, unreduced and keyed by values, as a caller places them on a geometry of its own
+    terms = push_terms(generic, phi)
+    assert terms == pushed.terms and EquivClass(cover, {
+        (label, DeckElement(cover.group, value)): c for (label, value), c in terms.items()}) == expected
 
 
 # over Z^3: stored both ways with rows that are not each other's mirrors, and a disk row
@@ -1232,6 +1258,8 @@ def test_push_class_and_push_geometry_refuse_a_map_out_of_another_group():
         for push_one in (lambda: push_class(x, phi), lambda: push_geometry(x.geometry, phi)):
             with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
                 push_one()
+        with pytest.raises(GeometryError, match=f"^{re.escape(message.replace('push_geometry', 'push_terms'))}$"):
+            push_terms(x, phi)
 
 
 def test_a_foreign_offset_or_holonomy_is_refused_before_any_pairing(monkeypatch):

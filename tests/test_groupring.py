@@ -41,6 +41,7 @@ from oracles import (
     brunnian_coordinates,
     brunnian_relator,
     cyclic_project,
+    laurent_forms,
     pairs_inverse,
     pairs_product,
     read_element,
@@ -542,6 +543,46 @@ def test_term_list_round_trip():
         for coeffs in (F2, INT):
             elem = random_element(rng, group, coeffs, size=6)
             assert from_term_list(term_list_and_render(elem)[0], group, coeffs) == elem
+
+
+# The abelian groups a ring element is written over (t; s, t; x1..x3; t mod m),
+# each with the modulus its keys are read mod, or None.
+LAURENT_GROUPS = {"Z": (Z1, None), "Z^2": (Z2, None), "Z^3": (free_abelian(3), None),
+                  "Z/7": (DeckGroup(CYCLIC, 7), 7), "Z/1000": (DeckGroup(CYCLIC, 1000), 1000)}
+
+
+def laurent_element(group, modulus, coeffs, drawn):
+    """The ring element sum c x^e of drawn (e, c) pairs, equal keys added."""
+    terms = {}
+    for key, c in drawn:
+        x = DeckElement(group, key % modulus if modulus else tuple(key))
+        terms[x] = terms.get(x, 0) + c
+    return RingElement(group, coeffs, terms)
+
+
+@pytest.mark.parametrize("coeffs", [F2, INT])
+@pytest.mark.parametrize("name", sorted(LAURENT_GROUPS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_laurent_elements_convert_as_their_exponents_sorted(name, coeffs, data):
+    # signed, non-unit and cancelling coefficients, at the identity too, and
+    # exponents of 0, 1 and several digits
+    group, modulus = LAURENT_GROUPS[name]
+    key = st.integers(-1200, 1200) if modulus else st.tuples(*[st.integers(-12, 12)] * group.n)
+    drawn = data.draw(st.lists(st.tuples(key | st.just(0 if modulus else (0,) * group.n), st.integers(-4, 4)),
+                               max_size=8))
+    elem = laurent_element(group, modulus, coeffs, drawn)
+    assert term_list_and_render(elem) == laurent_forms(drawn, coeffs, modulus)
+
+
+@pytest.mark.parametrize("name", sorted(LAURENT_GROUPS))
+def test_the_zero_element_and_the_identity_convert_as_written(name):
+    group, modulus = LAURENT_GROUPS[name]
+    one = 0 if modulus else (0,) * group.n
+    for coeffs, drawn, text in [(F2, [], "0"), (INT, [], "0"), (F2, [(one, 2)], "0"), (F2, [(one, 1)], "1"),
+                                (INT, [(one, 1)], "1"), (INT, [(one, -1)], "-1"), (INT, [(one, -3)], "-3")]:
+        forms = term_list_and_render(laurent_element(group, modulus, coeffs, drawn))
+        assert forms == laurent_forms(drawn, coeffs, modulus) and forms[1] == text
 
 
 # Words on generators at both ends of a rank's range, so that x63 (the last

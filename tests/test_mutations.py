@@ -9,9 +9,10 @@ runs l = 0, whose family has one barbell), against the committed
 scenario, and against the morsesimple sweep at --max 3, which passes
 only when every job does.  The torus keys and linked-6crit push generic
 presentations along a GroupMap, each built once a process by one
-memoized helper, all three cover keys push a generic class and its
-geometry, built once a process for each of their two families, to Z/m
-(genus1-handlebody then reads the class on its branched cover), and each
+memoized helper, all three cover keys push a generic class, built once
+a process for each of their two families, to Z/m (the two cyclic ones
+with its geometry; genus1-handlebody pushes its terms alone and reads
+them on its branched cover), and each
 deck group is built once while it lives; every mutated run gets a group
 table of its own and empty memos (own_groups), so that a fault in the
 engine or a group law reaches the generic presentations and the groups
@@ -138,6 +139,7 @@ _real_extended_gcd = scenarios._extended_gcd
 _real_dim = scenarios.f2_quotient_dim
 _real_push = scenarios.push
 _real_push_class = scenarios.push_class
+_real_push_terms = scenarios.push_terms
 
 
 def _with_images(phi, images, value=None):
@@ -173,10 +175,12 @@ def _push_with_t_at_one(elem, phi):
     return _real_push(elem, phi)
 
 
-def _push_class_swapping_k_and_l(x, phi):
+def _swapping_k_and_l(push):
     # the cover keys' map (a, b, c) -> (ak + bl + c) mod m read as (a, b, c) -> (al + bk + c) mod m
-    k, l, c = phi.images
-    return _real_push_class(x, _with_images(phi, (l, k, c)))
+    def swapped(x, phi):
+        k, l, c = phi.images
+        return push(x, _with_images(phi, (l, k, c)))
+    return swapped
 
 
 # name -> [(module or class, attribute, replacement)]
@@ -197,7 +201,9 @@ MUTATIONS = {
     "pushforward drops l": [(scenarios, "push", _push_dropping_l)],
     "substitution sends x_i^-1 to x_i's image": [(scenarios, "push", _push_sending_inverse_letters_to_images)],
     "image sends t to 1": [(scenarios, "push", _push_with_t_at_one)],
-    "class pushforward swaps k and l": [(scenarios, "push_class", _push_class_swapping_k_and_l)],
+    # at both places the cover keys push their class: with its geometry, and its terms alone
+    "class pushforward swaps k and l": [(scenarios, "push_class", _swapping_k_and_l(_real_push_class)),
+                                        (scenarios, "push_terms", _swapping_k_and_l(_real_push_terms))],
     # the class's values land in Z/m, its geometry stays over Z^s
     "pushed geometry left over Z^s": [(equivariant, "push_geometry", lambda home, phi: home)],
     "ring result skips F2 reduction": [
@@ -289,7 +295,7 @@ def test_the_vertical_genus1_hd_row_catches_the_pushforward_fault():
 def test_a_less_simple_row_catches_the_class_pushforward_fault_and_the_engine_faults_behind_it():
     fault = matrix()["class pushforward swaps k and l"]
     assert [row for row in ("less-simple", "less-simple l=3") if fault[row] != "PASS"], fault
-    # genus1-handlebody reads the same pushed class, mod 2, on its branched cover
+    # genus1-handlebody reads the same pushed terms, mod 2, on its branched cover
     assert fault["genus1-handlebody"] == "FAIL", fault
     # the generic class is built under each fault (own_groups empties its memo), so an engine fault reaches it
     assert matrix()["holonomy inverted"]["less-simple"] == "FAIL"

@@ -65,13 +65,20 @@ def test_a_class_is_reported_with_its_rendering_only_as_computed():
 
 
 def _spy(monkeypatch) -> tuple[list, list]:
-    """(the elements the reports ask term_list_and_render for, one entry per
-    conversion it makes), filled as the test renders; join_signed ends each
-    conversion, and a kept result is returned before it."""
+    """(the elements the reports ask term_list_and_render for, the elements
+    it converts), filled as the test renders; an element asked for by the
+    report layer or through groupring.render is converted when it keeps no
+    forms yet, and a kept result is returned without a conversion."""
     asked, converted = [], []
-    real_convert, real_join = report.term_list_and_render, groupring.join_signed
-    monkeypatch.setattr(report, "term_list_and_render", lambda elem: asked.append(elem) or real_convert(elem))
-    monkeypatch.setattr(groupring, "join_signed", lambda parts: converted.append(1) or real_join(parts))
+    real_convert = groupring.term_list_and_render
+
+    def convert(elem):
+        if elem._forms is None:
+            converted.append(elem)
+        return real_convert(elem)
+
+    monkeypatch.setattr(groupring, "term_list_and_render", convert)
+    monkeypatch.setattr(report, "term_list_and_render", lambda elem: asked.append(elem) or convert(elem))
     return asked, converted
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from barbellcalc import deckgroup, scenarios
 from barbellcalc.deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, GroupError, GroupMap, free_abelian,
                                    free_group)
-from barbellcalc.equivariant import DISK, MERIDIAN, SPHERE, BarbellSpec
+from barbellcalc.equivariant import DISK, MERIDIAN, SPHERE, BarbellSpec, push_class
 from barbellcalc.groupring import F2, RingElement, push, term_list_and_render
 from barbellcalc.presentations import present_from_scenario
 from barbellcalc.report import render_machine
@@ -239,8 +239,6 @@ def cover_parameters(draw):
 def test_the_pushed_cover_class_is_the_engine_class_on_the_cover(params):
     # the generic class of the family pushed along (a, b, c) -> (ak + bl + c)
     # mod m against the engine moving D on the instance's own cover
-    from barbellcalc.equivariant import push_class
-
     m, k, l = params
     geo = builtin_geometry("cyclic_cover", m=m)
     t = geo.group.generator
@@ -283,6 +281,26 @@ def test_the_cover_keys_move_one_generic_class_a_family(monkeypatch):
         assert scenarios._generic_cover_class.cache_info().currsize == 2
 
 
+def test_genus1_handlebody_builds_no_pushed_geometry_and_pairs_x_with_each_probe_once(monkeypatch):
+    from barbellcalc import equivariant
+
+    built, paired = [], []
+    real_push, real_pair = equivariant.push_geometry, equivariant.pair_classes
+    monkeypatch.setattr(equivariant, "push_geometry", lambda home, phi: built.append(phi) or real_push(home, phi))
+    pair = lambda x, y: paired.append(x) or real_pair(x, y)
+    for module in (equivariant, scenarios):
+        monkeypatch.setattr(module, "pair_classes", pair)
+    for m, k, l in ((1000, 3, 5), (205, 2, 2), (10**12, 1, 0)):
+        paired.clear()
+        report = run_theorem("genus1-handlebody", m=m, k=k, l=l)
+        assert report.passed
+        # three witnesses, which membership reads, and mu against its two
+        # probes; at equal powers x = 0 is a member by its terms alone
+        assert len(paired) == (5 if k != l else 3), (m, k, l)
+    assert built == []
+    assert run_theorem("less-simple", m=1000, k=3, l=5).passed and len(built) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(cover_parameters())
 @example((205, 2, 2))
@@ -318,7 +336,7 @@ def _geometry_fields(geo):
 @example((10**12, 10**6, 0))
 def test_the_pushed_cover_geometry_is_the_builtin_cover(params):
     m, k, l = params
-    moved = scenarios._cover_move(m, k, l)
+    moved = push_class(*scenarios._cover_map(m, k, l))
     geo, builtin = moved.geometry, builtin_geometry("cyclic_cover", m=m)
     assert geo.group is builtin.group
     assert _geometry_fields(geo) == _geometry_fields(builtin)
