@@ -27,7 +27,8 @@ positional, options, help line and runner, and `_parse` reads a line by
 argparse's rules (an option by full name or unique prefix, `--opt=value`,
 the last of a repeated option wins), so it accepts exactly the lines
 argparse accepted; a malformed one exits 2 with one `error:` line, and
-`-h` prints help made from the same table.  Nothing is built per call.
+`-h` prints help made from the same table.  The table is built once, at
+import; a call builds only the chosen command's option names and defaults.
 """
 
 from __future__ import annotations

@@ -15,15 +15,15 @@ replace the roles in the description before it is read, so the roles are
 checked once, by Geometry.  Geometries are immutable, and one bounded
 memo, `_geometry`, keyed by name, parameters and a file's roles, serves
 every built-in one.  Every presentation matrix comes from
-`present_from_scenario`; one memo, `_generic_f`, holds the generic ones,
-and one checked map (deckgroup.GroupMap) specializes each: the torus
-keys and genus1-hd (a sum of translates of four, `_phi_torus`) push
-along (a, b, c) -> ak + bl + c (`_along`), linked-6crit to its bar words
-and its abelianization to its image, and the three cover keys push one
-class a family (`_generic_cover_class`, `_cover_map`) into Z/m, read
-mod 2 on the branched cover.  Each runner drives the barbell engine
-through one argument, compares against the closed-form or pushed value
-when there is one, and hands the engine values and its verdict to a
+`present_from_scenario`; one memo, `_generic`, holds each family's
+generic value, and one checked map (deckgroup.GroupMap) specializes it:
+the torus keys and genus1-hd (a sum of translates of four) push an f
+from Z^3 (`_lifted`) along (a, b, c) -> ak + bl + c (`_along`),
+linked-6crit its relator to its bar words and its abelianization to its
+image, and the three cover keys a class a family (`_cover_map`) into
+Z/m, read mod 2 on the branched cover.  Each runner drives the barbell
+engine through one argument, compares against the closed-form or pushed
+value when there is one, and hands the engine values and its verdict to a
 Report (barbellcalc.report); hypothesis bounds (winding numbers >= 1,
 cover order m large enough) are enforced up front.  One helper, `_move`,
 moves every disk (a cover family's once).  `THEOREMS` maps each
@@ -305,25 +305,12 @@ def morsesimple_f(k: int, l: int) -> RingElement:
     return _ring_element(free_abelian(1), F2, terms)
 
 
-def _lifted(description: dict) -> dict:
-    # a description over Z or Z/m lifted to Z^3, each row's t^e at x3^e,
-    # so that the bars x1 and x2 stand for t^k and t^l
+def _lifted(description: dict, **fields) -> Geometry:
+    """description, fields replacing its own, read over Z^3: each row's t^e at x3^e, so that the bars
+    x1 and x2 stand for t^k and t^l (pushed back along `_along`)."""
+    description = {**description, **fields}
     lifted = [[a, b, [[[0, 0, e], c] for e, c in terms]] for a, b, terms in description["pairings"]]
-    return {**description, "group": {"kind": FREE_ABELIAN, "rank": 3}, "pairings": lifted}
-
-
-def _lifted_torus_complement() -> dict:
-    return _lifted(_torus_complement())
-
-
-def _phi_torus(row: str | None) -> dict:
-    # the lifted torus complement with genus1-hd's attaching sphere phi,
-    # paired against the belt disk D_h, meeting at most the label row,
-    # once at x3^0
-    torus = _lifted_torus_complement()
-    pairings = torus["pairings"] + ([["phi", row, [[[0, 0, 0], 1]]]] if row else [])
-    return {**torus, "labels": {**torus["labels"], "phi": SPHERE}, "pairings": pairings,
-            "attaching": ["phi"], "disks": ["D_h"]}
+    return _read_geometry({**description, "group": {"kind": FREE_ABELIAN, "rank": 3}, "pairings": lifted})
 
 
 def _along(target: DeckGroup, k: int, l: int) -> GroupMap:
@@ -333,18 +320,24 @@ def _along(target: DeckGroup, k: int, l: int) -> GroupMap:
 
 
 @functools.cache
-def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) -> RingElement:
-    """The engine's f of builder(*params)'s description under one barbell
-    (c, c) per cuff c, in the order they act, S_h's bar the generator x1
-    and S_v's x2; built once a process.  Every engine step commutes with
-    group maps, so an instance's f is this one (for genus1-hd, a sum of
-    translates of four) pushed along one (groupring.push).  The
-    sphere/torus link's geometry is linked-6crit's own."""
-    link = builder is _sphere_torus_link
-    geo = _geometry("sphere_torus_link", params, ()) if link else _read_geometry(builder(*params))
-    x = geo.group.generator
-    bars = {"S_h": x(1), "S_v": x(2)}
+def _generic(build: Callable, *args):
+    """build(*args), a family's generic value, built once a process; as every engine step commutes with
+    group maps, an instance's value is it pushed along one.  Keyed by builders and no user parameter, it
+    holds 12: the torus f of four cuff orders, genus1-hd's four phi rows, the Brunnian relator and its
+    abelianization, and the two cover families' classes."""
+    return build(*args)
+
+
+def _presented(geo: Geometry, cuffs: tuple[str, ...]) -> RingElement:
+    """The engine's f of geo under one barbell (c, c) per cuff c, in the
+    order they act, S_h's bar the generator x1 and S_v's x2."""
+    bars = {"S_h": geo.group.generator(1), "S_v": geo.group.generator(2)}
     return present_from_scenario(geo, [BarbellSpec(cuff, cuff, bars[cuff]) for cuff in cuffs])[0][0]
+
+
+def _torus_f(cuffs: tuple[str, ...]) -> RingElement:
+    # the torus keys' generic f: the torus complement over Z^3
+    return _presented(_lifted(_torus_complement()), cuffs)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +348,7 @@ def _generic_f(builder: Callable[..., dict], cuffs: tuple[str, ...], *params) ->
 def _run_torus_knot(k: int, l: int) -> Report:
     _require_windings(k, l)
     # the horizontal diffeomorphism is applied first
-    f = push(_generic_f(_lifted_torus_complement, ("S_h", "S_v")), _along(free_abelian(1), k, l))
+    f = push(_generic(_torus_f, ("S_h", "S_v")), _along(free_abelian(1), k, l))
     dim = f2_quotient_dim([[f]])
     expected_f = morsesimple_f(k, l)
     expected_dim = 2 * k + 2 * l + 2
@@ -372,7 +365,7 @@ def _run_unknots(k: int = 1, l: int = 1) -> Report:
     variants = {"v-only": ("S_v",), "h-only": ("S_h",), "h-after-v": ("S_v", "S_h")}
     computed, phi = {}, _along(free_abelian(1), k, l)
     for variant, cuffs in variants.items():
-        f = push(_generic_f(_lifted_torus_complement, cuffs), phi)
+        f = push(_generic(_torus_f, cuffs), phi)
         computed[variant] = {"f": f, "dim": f2_quotient_dim([[f]])}
     trivial = {"f": RingElement.one(free_abelian(1), F2), "dim": 0}
     return Report(
@@ -407,30 +400,31 @@ def _check_linked(n: int, k: int, l: int):
     )
 
 
-@functools.cache
-def _abelian_brunnian_f() -> RingElement:
-    """The generic Brunnian relator of sphere_torus_link at n = 3
-    abelianized, pushed along the checked GroupMap x1, x2, x3 -> e1, e2, e3
-    into F2[Z^3] once a process.  Its image at s^k, s^l, t is this one
-    pushed along (a, b, c) -> (ak + bl, c)."""
-    generic, z3 = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(3)
+def _brunnian_f() -> RingElement:
+    # the generic Brunnian relator: linked-6crit's own geometry at n = 3, bars x1 and x2
+    return _presented(_geometry("sphere_torus_link", (3,), ()), ("S_h", "S_v"))
+
+
+def _abelian_brunnian() -> RingElement:
+    """The generic Brunnian relator pushed into F2[Z^3] along the checked GroupMap x1, x2, x3 -> e1,
+    e2, e3; its image at s^k, s^l, t is this one pushed along (a, b, c) -> (ak + bl, c)."""
+    generic, z3 = _generic(_brunnian_f), free_abelian(3)
     return push(generic, GroupMap(generic.group, z3, [z3.generator(i) for i in (1, 2, 3)]))
 
 
 def _run_linked_6crit(n: int, k: int, l: int) -> Report:
-    """One winding pair (k, l): the engine's relator against the generic one
-    of sphere_torus_link at n = 3 (a third of a call to build) pushed along
-    x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image in
-    F2[s^±1, t^±1] (the sweep's image_in_st): the generic one at s^k,
-    s^l, t, pushed from its abelianization (_abelian_brunnian_f)."""
+    """One winding pair (k, l): the engine's relator against the generic one (_brunnian_f, a third
+    of a call to build) pushed along x1, x2, x3 -> w^k, w^l, x_n, and the nontriviality of its image
+    in F2[s^±1, t^±1] (the sweep's image_in_st): the generic one at s^k, s^l, t, pushed from its
+    abelianization (_abelian_brunnian)."""
     _check_linked(n, k, l)
     geo = _geometry("sphere_torus_link", (n,), ())
     w = brunnian_word(n)
     wk, wl = w.pow(k), w.pow(l)
     engine_f = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
-    generic = _generic_f(_sphere_torus_link, ("S_h", "S_v"), 3)
+    generic = _generic(_brunnian_f)
     expected_f = push(generic, _group_map(generic.group, geo.group, (wk.value, wl.value, geo.group.generator(n).value)))
-    image = push(_abelian_brunnian_f(), _group_map(free_abelian(3), free_abelian(2), ((k, 0), (l, 0), (0, 1))))
+    image = push(_generic(_abelian_brunnian), _group_map(free_abelian(3), free_abelian(2), ((k, 0), (l, 0), (0, 1))))
     nontrivial = not is_monomial_unit(image)
     # the relator pushed through F_n -> Z, every generator to t, needs no
     # word product: w is x1 for n = 2, and a commutator (image 1) otherwise
@@ -520,13 +514,10 @@ def _run_disks_linked(k: int, l: int) -> Report:
     )
 
 
-@functools.cache
-def _generic_cover_class(both: bool) -> EquivClass:
-    """The engine's class of D on the cyclic cover lifted to Z^3 (_lifted),
-    moved by bars x1 and, for l >= 1 (both), x2, for all three cover keys
-    (_cover_map); built once a process a family, and only ever pushed, so
-    no runner hands it out."""
-    geo = _read_geometry(_lifted({"name": "cyclic_cover", **_cyclic_cover(1)}))
+def _cover_class(both: bool) -> EquivClass:
+    """The engine's class of D on the cyclic cover over Z^3 (_lifted), moved by bars x1 and, for l >= 1
+    (both), x2, for all three cover keys (_cover_map); only ever pushed, so no runner hands it out."""
+    geo = _lifted(_cyclic_cover(1), name="cyclic_cover")
     x = geo.group.generator
     return _move(geo, "D", "S_prime", "S", (x(1), 1), (x(2), -1 if both else 0))
 
@@ -547,7 +538,7 @@ def _cover_map(m: int, k: int, l: int) -> tuple[EquivClass, GroupMap]:
     _require(l >= 0, f"second winding number must be >= 0, got l={l}")
     bound = 2 * k + 2 * l + 100
     _require(m > bound, f"cover order must satisfy m > {bound}, got m={m}")
-    return _generic_cover_class(l > 0), _along(DeckGroup(CYCLIC, m), k, l)
+    return _generic(_cover_class, l > 0), _along(DeckGroup(CYCLIC, m), k, l)
 
 
 def _run_less_simple(m: int, k: int, l: int = 0) -> Report:
@@ -623,6 +614,14 @@ def _odd_entries(name: str, data: Mapping) -> dict[int, int]:
     return {position: 1 for position, bit in odd.items() if bit}
 
 
+def _phi_f(row: str | None) -> RingElement:
+    # genus1-hd's generic f: the torus complement over Z^3, phi attaching, meeting at most row, once at x3^0
+    torus = _torus_complement()
+    return _presented(_lifted(torus, labels={**torus["labels"], "phi": SPHERE},
+                              pairings=torus["pairings"] + ([["phi", row, [[0, 1]]]] if row else []),
+                              attaching=["phi"], disks=["D_h"]), ("S_v", "S_h"))
+
+
 def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None = None,
                    b: Mapping | None = None) -> Report:
     """The twisted genus-1 scenario with prescribed intersection data
@@ -641,7 +640,7 @@ def _run_genus1_hd(k: int, l: int, h: Mapping | None = None, v: Mapping | None =
     _require(l >= m_b + m_h + m_v + 100, f"need l >= {m_b + m_h + m_v + 100}, got l={l}")
 
     # vertical barbell acts first here; the horizontal one is applied last
-    generic = {row: _generic_f(_phi_torus, ("S_v", "S_h"), row) for row in (None, "S_h", "S_v", "D_h")}
+    generic = {row: _generic(_phi_f, row) for row in (None, "S_h", "S_v", "D_h")}
     f = none = generic[None]
     for row, data in (("S_h", h), ("S_v", v), ("D_h", b)):
         if data:  # no odd position: lift(data) is 0 and leaves f as it is

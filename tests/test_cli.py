@@ -1597,3 +1597,18 @@ def test_readme_command_lines_exit_as_documented(line, code, monkeypatch, capsys
     monkeypatch.chdir(README.parent)
     assert cli.main(line.split()[1:]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_readme_names_only_private_helpers_that_exist():
+    # every backticked `module._name` of a barbellcalc module resolves there,
+    # so a helper removed or renamed takes the README's passage with it
+    import importlib
+    import pkgutil
+
+    modules = {info.name for info in pkgutil.iter_modules(barbellcalc.__path__)}
+    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(_\w+)`", README.read_text(encoding="utf-8"))
+             if module in modules}
+    assert named, "the README names no private helper"
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"barbellcalc.{module}"), name)]
+    assert missing == []

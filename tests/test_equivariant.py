@@ -1175,11 +1175,11 @@ def pairing_spy(monkeypatch):
 
 
 def test_an_equal_cuff_barbell_pairs_once(monkeypatch):
-    from barbellcalc.scenarios import _generic_f, run_theorem
+    from barbellcalc.scenarios import _generic, run_theorem
 
     # the theorem presents its generic f once a process: clear that memo
     # so that this call presents it under the spy
-    _generic_f.cache_clear()
+    _generic.cache_clear()
     labels = pairing_spy(monkeypatch)
     assert run_theorem("morsesimple-s3", k=2, l=3).passed
     # one pairing per barbell, then the acted sphere against D_v
@@ -1198,10 +1198,10 @@ def test_a_distinct_cuff_barbell_pairs_with_both_cuffs(monkeypatch):
 
 
 def test_a_class_is_pushed_along_a_group_map_onto_its_pushed_geometry():
-    from barbellcalc.scenarios import _generic_cover_class
+    from barbellcalc.scenarios import _cover_class, _generic
 
     # D + x1 S - x1^-1 S_prime - x2 S + x2^-1 S_prime along (a, b, c) -> (a + 2b) mod 7
-    generic, cover = _generic_cover_class(True), builtin_geometry("cyclic_cover", m=7)
+    generic, cover = _generic(_cover_class, True), builtin_geometry("cyclic_cover", m=7)
     t = cover.group.generator
     expected = cover.basis_class("D")
     for label, power, c in (("S", 1, 1), ("S_prime", 6, -1), ("S", 2, -1), ("S_prime", 5, 1)):
@@ -1229,11 +1229,11 @@ BOTH_WAYS = Geometry("both_ways", free_abelian(3), INT, {"A": SPHERE, "B": SPHER
        both=st.booleans())
 def test_a_pushed_geometry_is_the_checked_geometry_of_its_pushed_rows(m, k, l, both):
     from barbellcalc.groupring import push
-    from barbellcalc.scenarios import _along, _generic_cover_class, _lifted_torus_complement, _read_geometry
+    from barbellcalc.scenarios import _along, _cover_class, _generic, _lifted, _torus_complement
 
     # push_geometry builds without Geometry's checks; field by field, the two-way table included, it
     # is the Geometry those checks build from its home's stored rows pushed along the same map
-    homes = (_generic_cover_class(both).geometry, _read_geometry(_lifted_torus_complement()), BOTH_WAYS)
+    homes = (_generic(_cover_class, both).geometry, _lifted(_torus_complement()), BOTH_WAYS)
     for home in homes:
         for target in (DeckGroup(CYCLIC, m), free_abelian(1)):
             phi = _along(target, k, l)
@@ -1247,9 +1247,9 @@ def test_a_pushed_geometry_is_the_checked_geometry_of_its_pushed_rows(m, k, l, b
 
 
 def test_push_class_and_push_geometry_refuse_a_map_out_of_another_group():
-    from barbellcalc.scenarios import _generic_cover_class
+    from barbellcalc.scenarios import _cover_class, _generic
 
-    generic, cover = _generic_cover_class(True), builtin_geometry("cyclic_cover", m=7)
+    generic, cover = _generic(_cover_class, True), builtin_geometry("cyclic_cover", m=7)
     z1 = free_abelian(1)
     # a class over Z/7, and over Z^3 a map out of Z^1 or none at all (the old modulus and row)
     for x, phi in [(cover.basis_class("D"), GroupMap(z1, cover.group, [cover.group.generator(1)])),

@@ -7,16 +7,17 @@ in pairs), against genus1-hd with vertical data (whose dimension, unlike
 the default's, depends on l), against less-simple with l = 3 (the sample
 runs l = 0, whose family has one barbell), against the committed
 scenario, and against the morsesimple sweep at --max 3, which passes
-only when every job does.  The torus keys and linked-6crit push generic
-presentations along a GroupMap, each built once a process by one
-memoized helper, all three cover keys push a generic class, built once
-a process for each of their two families, to Z/m (the two cyclic ones
-with its geometry; genus1-handlebody pushes its terms alone and reads
-them on its branched cover), and each
-deck group is built once while it lives; every mutated run gets a group
-table of its own and empty memos (own_groups), so that a fault in the
-engine or a group law reaches the generic presentations and the groups
-the run builds, and nothing built under a fault outlives its run.  A
+only when every job does.  One memo (scenarios._generic) holds every
+family's generic value, built once a process: the torus keys,
+genus1-hd and linked-6crit push generic presentations along a
+GroupMap, and all three cover keys push a generic class, one for each
+of their two families, to Z/m (the two cyclic ones with its geometry;
+genus1-handlebody pushes its terms alone and reads them on its branched
+cover); each deck group is built once while it lives.  Every mutated
+run gets a group table of its own and empty memos (own_groups), so
+that a fault in the engine or a group law reaches the generic values
+and the groups the run builds, and nothing built under a fault
+outlives its run.  A
 check that no fault can turn from PASS to FAIL or refusal checks
 nothing, so every key must catch some mutation and every mutation must
 be caught by some key, unless it is named in UNCATCHABLE or UNCAUGHT

@@ -189,7 +189,7 @@ def test_the_generic_relator_substituted_is_the_engine_relator_and_its_image(par
     w = brunnian_word(n)
     wk, wl = w.pow(k), w.pow(l)
     engine = present_from_scenario(geo, [BarbellSpec("S_h", "S_h", wk), BarbellSpec("S_v", "S_v", wl)])[0][0]
-    generic, Z2 = scenarios._generic_f(scenarios._sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(2)
+    generic, Z2 = scenarios._generic(scenarios._brunnian_f), free_abelian(2)
     relator = push(generic, GroupMap(generic.group, geo.group, [wk, wl, geo.group.generator(n)]))
     assert relator == engine == brunnian_relator(wk, wl)
     image = push(generic, GroupMap(generic.group, Z2, [Z2.generator(1, k), Z2.generator(1, l), Z2.generator(2)]))

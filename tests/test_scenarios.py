@@ -244,7 +244,7 @@ def test_the_pushed_cover_class_is_the_engine_class_on_the_cover(params):
     t = geo.group.generator
     engine = scenarios._move(geo, "D", "S_prime", "S", (t(1, k), 1), (t(1, l), -1 if l else 0))
     phi = GroupMap(free_abelian(3), geo.group, [t(1, k), t(1, l), t(1, 1)])
-    assert push_class(scenarios._generic_cover_class(l > 0), phi) == engine
+    assert push_class(scenarios._generic(scenarios._cover_class, l > 0), phi) == engine
     less, mixed = (run_theorem(key, m=m, k=k, l=l) for key in ("less-simple", "simple-splitting-spheres"))
     assert less.passed and mixed.passed and less.computed["class"] == engine
     assert mixed.computed["class"] == less.expected["class"]
@@ -264,7 +264,7 @@ def test_the_cover_keys_move_one_generic_class_a_family(monkeypatch):
         assert run_theorem("less-simple", m=205, k=2, l=3).passed
         assert run_theorem("simple-splitting-spheres", m=1000, k=3).passed
         assert read == [FREE_ABELIAN] * 2 and moved == [free_abelian(3)] * 3
-        assert scenarios._generic_cover_class.cache_info().currsize == 2
+        assert scenarios._generic.cache_info().currsize == 2
         moved.clear()
         # later calls read no geometry: they push the class and its geometry to Z/m
         for key in ("less-simple", "simple-splitting-spheres"):
@@ -272,13 +272,13 @@ def test_the_cover_keys_move_one_generic_class_a_family(monkeypatch):
                 read.clear()
                 assert run_theorem(key, m=m, k=k, l=l).passed
                 assert read == [] and moved == [], (key, m, k, l)
-        assert scenarios._generic_cover_class.cache_info().currsize == 2
+        assert scenarios._generic.cache_info().currsize == 2
         # genus1-handlebody pushes the same class: it reads its branched
         # cover once per new m, for mu and the probes, and moves nothing
         for m in (205, 206, 205):
             assert run_theorem("genus1-handlebody", m=m, k=2, l=3).passed
         assert read == [CYCLIC] * 2 and moved == []
-        assert scenarios._generic_cover_class.cache_info().currsize == 2
+        assert scenarios._generic.cache_info().currsize == 2
 
 
 def test_genus1_handlebody_builds_no_pushed_geometry_and_pairs_x_with_each_probe_once(monkeypatch):
@@ -372,7 +372,7 @@ def test_every_builtin_geometry_is_a_fresh_read_of_its_description(data):
 def test_the_lifted_cyclic_cover_pushed_along_k_l_1_is_the_builtin_cover(m, k, l):
     from barbellcalc.equivariant import push_geometry
 
-    home = scenarios._read_geometry(scenarios._lifted({"name": "cyclic_cover", **scenarios._cyclic_cover(1)}))
+    home = scenarios._lifted(scenarios._cyclic_cover(1), name="cyclic_cover")
     z = deckgroup.DeckGroup(CYCLIC, m)
     pushed = push_geometry(home, GroupMap(free_abelian(3), z, [z.generator(1, k), z.generator(1, l), z.generator(1)]))
     builtin = builtin_geometry("cyclic_cover", m=m)
@@ -383,7 +383,7 @@ def test_the_lifted_cyclic_cover_pushed_along_k_l_1_is_the_builtin_cover(m, k, l
 def test_a_caller_who_changes_a_returned_cover_changes_no_later_cover_call():
     # less-simple returns its pushed geometry inside its classes: a caller's
     # edit of it is refused, and neither the generic geometry nor a later call changes
-    generic = [scenarios._generic_cover_class(both).geometry for both in (False, True)]
+    generic = [scenarios._generic(scenarios._cover_class, both).geometry for both in (False, True)]
     before = [_geometry_fields(geo) for geo in generic]
     keys = ("less-simple", "simple-splitting-spheres")
     printed = {key: render_machine(run_theorem(key, m=1001, k=9, l=4)) for key in keys}
@@ -481,14 +481,14 @@ def test_genus1_hd_presents_its_matrix_once(monkeypatch):
     with own_groups():
         assert run_theorem("genus1-hd", k=100, l=100).passed
         assert [(geo.attaching, geo.disks) for geo in presented] == [(("phi",), ("D_h",))] * 4 and len(read) == 4
-        assert scenarios._generic_f(scenarios._phi_torus, ("S_v", "S_h"), None).is_zero()
+        assert scenarios._generic(scenarios._phi_f, None).is_zero()
         presented.clear()
         read.clear()
         assert run_theorem("genus1-hd", k=300, l=400, h={1: 1, -2: 3}, v={"5": 1}, b={"3": 1}).passed
         assert run_theorem("genus1-hd", k=100, l=100, h={}, v={}, b={}).passed
         assert presented == read == []
         # the one memo holds the four, keyed by no winding number or intersection datum
-        assert scenarios._generic_f.cache_info().currsize == 4
+        assert scenarios._generic.cache_info().currsize == 4
 
 
 def test_genus1_hd_builds_the_torus_table_plus_phi_once(monkeypatch):
@@ -580,19 +580,23 @@ def test_the_genus1_hd_engine_is_affine_in_phis_rows(rows):
     # the engine over Z^3 with phi's rows any elements, not only sums of
     # x3^e: f = F_None + sum over rows of row (F_row + F_None), the
     # generic f of phi meeting nothing (F_None) or one label once at x3^0
+    from barbellcalc.equivariant import Geometry
     from barbellcalc.groupring import from_term_list
 
     group = free_abelian(3)
-    terms = {label: [[list(e), c] for e, c in row.items()] for label, row in zip(("S_h", "S_v", "D_h"), rows)}
-    description = scenarios._phi_torus(None)
-    description["pairings"] += [["phi", label, row] for label, row in terms.items()]
+    terms = {label: from_term_list([[list(e), c] for e, c in row.items()], group, F2)
+             for label, row in zip(("S_h", "S_v", "D_h"), rows)}
+    # the lifted torus complement with phi, attaching, against the belt disk D_h, and phi's rows
+    torus = scenarios._torus_complement()
+    home = scenarios._lifted(torus, labels={**torus["labels"], "phi": SPHERE}, attaching=["phi"], disks=["D_h"])
+    rows = {**home.pairings, **{("phi", label): row for label, row in terms.items()}}
+    geo = Geometry(home.name, group, F2, home.labels, rows, home.attaching, home.disks)
     x = group.generator
-    engine = present_from_scenario(scenarios._read_geometry(description),
-                                   [BarbellSpec("S_v", "S_v", x(2)), BarbellSpec("S_h", "S_h", x(1))])[0][0]
-    generic = {row: scenarios._generic_f(scenarios._phi_torus, ("S_v", "S_h"), row) for row in GENUS1_HD_ROWS}
+    engine = present_from_scenario(geo, [BarbellSpec("S_v", "S_v", x(2)), BarbellSpec("S_h", "S_h", x(1))])[0][0]
+    generic = {row: scenarios._generic(scenarios._phi_f, row) for row in GENUS1_HD_ROWS}
     affine = generic[None]
     for label, row in terms.items():
-        affine = affine.add(from_term_list(row, group, F2).mul(generic[label].add(generic[None])))
+        affine = affine.add(row.mul(generic[label].add(generic[None])))
     assert engine == affine
 
 
@@ -856,7 +860,7 @@ def test_every_public_function_is_reached_by_the_cli(capsys, tmp_path):
     # the registry signatures, the shared groups and the generic
     # presentations are cached per process: clear them so that this call
     # sequence enters their builders whatever ran before it
-    for cached in (scenarios.parameters, free_group, free_abelian, scenarios._generic_f):
+    for cached in (scenarios.parameters, free_group, free_abelian, scenarios._generic):
         cached.cache_clear()
     sys.setprofile(profile)
     try:
@@ -890,15 +894,17 @@ def test_brunnian_sweep_builds_each_image_once(monkeypatch):
     assert sorted(built) == sorted({(k, l) for k in range(1, 5) for l in range(k, 5)})
 
 
-def test_the_generic_brunnian_relator_is_built_once_a_process():
+def test_the_generic_brunnian_relator_is_built_once_a_process(monkeypatch):
     from barbellcalc import scenarios
 
-    # the one memo of generic presentations holds it, keyed by its builder and bars
-    scenarios._generic_f.cache_clear()
-    assert all(report.passed for report in scenarios.run_sweep("brunnian", 3, n=2))
-    assert run_theorem("linked-6crit", n=5, k=2, l=1).passed
-    info = scenarios._generic_f.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits > 1
+    # the one memo of generic values holds it and its abelianization, each keyed by its builder
+    built, real = [], scenarios._brunnian_f
+    monkeypatch.setattr(scenarios, "_brunnian_f", lambda: built.append(real()) or built[-1])
+    with own_groups():
+        assert all(report.passed for report in scenarios.run_sweep("brunnian", 3, n=2))
+        assert run_theorem("linked-6crit", n=5, k=2, l=1).passed
+        info = scenarios._generic.cache_info()
+    assert len(built) == 1 and (info.misses, info.currsize) == (2, 2) and info.hits > 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -912,7 +918,7 @@ def test_the_image_pushed_from_the_abelianized_relator_is_the_substituted_one(n,
     # along (a, b, c) -> (ak + bl, c): it must equal the closed form and
     # the generic relator pushed into F2[s, t] at s^k, s^l, t
     report = run_theorem("linked-6crit", n=n, k=k, l=l)
-    generic, z2 = scenarios._generic_f(scenarios._sphere_torus_link, ("S_h", "S_v"), 3), free_abelian(2)
+    generic, z2 = scenarios._generic(scenarios._brunnian_f), free_abelian(2)
     direct = push(generic, GroupMap(generic.group, z2, [z2.generator(1, k), z2.generator(1, l), z2.generator(2)]))
     assert report.computed["image_in_st"] == brunnian_image(k, l, n) == direct and report.passed
 
@@ -991,25 +997,79 @@ def test_a_caller_who_changes_a_returned_geometry_changes_no_later_call():
         assert run_theorem(key, **SAMPLE_PARAMS[key]).passed
 
 
+# the memos own_groups empties: each can hold a deck group or an engine value
+OWN_MEMOS = (deckgroup.free_group, deckgroup.free_abelian, scenarios._geometry, scenarios._generic)
+# the memos it keeps, and why: they hold signatures only
+KEPT_MEMOS = {
+    "parameters": "a registry entry's parameter names and defaults, read from its code object",
+    "_checkers": "a registry entry's tests of its parameters, read from its annotations",
+}
+
+
 @contextlib.contextmanager
 def own_groups():
     """A deck group table of the block's own, and the memos that hold
-    groups (free_group, free_abelian, _geometry, _generic_f,
-    _abelian_brunnian_f, _generic_cover_class) empty on entry and exit:
-    every group the block reaches is built in it, and none outlives it in
-    a memo or meets a group built outside.  Geometries hold reversed rows,
-    so a geometry built under a fault outlives no block either."""
-    memos = (deckgroup.free_group, deckgroup.free_abelian, scenarios._geometry, scenarios._generic_f,
-             scenarios._abelian_brunnian_f, scenarios._generic_cover_class)
+    groups or engine values (OWN_MEMOS: free_group, free_abelian,
+    _geometry and _generic, which holds every family's generic value)
+    empty on entry and exit: every group the block reaches is built in
+    it, and none outlives it in a memo or meets a group built outside.
+    Geometries hold reversed rows, so a geometry built under a fault
+    outlives no block either."""
     table, deckgroup._GROUPS = deckgroup._GROUPS, weakref.WeakValueDictionary()
-    for memo in memos:
+    for memo in OWN_MEMOS:
         memo.cache_clear()
     try:
         yield
     finally:
         deckgroup._GROUPS = table
-        for memo in memos:
+        for memo in OWN_MEMOS:
             memo.cache_clear()
+
+
+def test_own_groups_empties_every_memo_that_can_hold_a_group_or_an_engine_value():
+    # a memo left out would carry a value built under one mutation into the
+    # next run; both lists are checked both ways, as the mutation matrix's are
+    found = {}
+    for module in (deckgroup, scenarios):
+        found.update({id(value): value for value in vars(module).values() if hasattr(value, "cache_clear")})
+    emptied = [memo for memo in found.values() if any(memo is own for own in OWN_MEMOS)]
+    kept = sorted(memo.__name__ for memo in found.values() if not any(memo is own for own in OWN_MEMOS))
+    assert len(emptied) == len(OWN_MEMOS) and kept == sorted(KEPT_MEMOS)
+
+
+def test_the_generic_memo_is_closed_and_bounded(monkeypatch):
+    # each family's generic value is keyed by its builder and a family
+    # index (a cuff order, a phi row, a cover family), never by a user
+    # parameter: after every key, sweep and family the memo holds 12
+    # values, each built once, and the same calls again build nothing
+    built = []
+    for name in ("_torus_f", "_phi_f", "_brunnian_f", "_abelian_brunnian", "_cover_class"):
+        record = lambda *args, name=name, real=getattr(scenarios, name): built.append((name, *args)) or real(*args)
+        monkeypatch.setattr(scenarios, name, record)
+
+    def run_all():
+        for key in THEOREMS:
+            assert run_theorem(key, **SAMPLE_PARAMS[key]).passed, key
+        for key in ("less-simple", "simple-splitting-spheres", "genus1-handlebody"):
+            for m, k, l in ((105, 1, 0), (205, 2, 3), (1000, 3, 0), (10**12, 7, 7)):
+                assert run_theorem(key, m=m, k=k, l=l).passed, (key, m, k, l)
+        for n in range(2, 7):
+            assert run_theorem("linked-6crit", n=n, k=1, l=2).passed, n
+        for data in ({"v": {0: 1}}, {"h": {}, "b": {0: 1, 3: 1}}, {"h": {}, "b": {}}):
+            assert run_theorem("genus1-hd", k=200, l=300, **data).passed, data
+        for name in SWEEPS:
+            assert all(report.passed for report in run_sweep(name, 3)), name
+
+    with own_groups():
+        run_all()
+        info = scenarios._generic.cache_info()
+        run_all()
+        again = scenarios._generic.cache_info()
+    assert sorted(built, key=repr) == sorted([*(("_torus_f", cuffs) for cuffs in CUFF_ORDERS),
+                                              *(("_phi_f", row) for row in GENUS1_HD_ROWS),
+                                              ("_brunnian_f",), ("_abelian_brunnian",),
+                                              ("_cover_class", False), ("_cover_class", True)], key=repr)
+    assert (info.misses, info.currsize) == (again.misses, again.currsize) == (12, 12)
 
 
 def test_free_and_free_abelian_groups_are_built_once_a_size(monkeypatch):
@@ -1106,7 +1166,7 @@ def generic_torus_f(cuffs=CUFF_ORDERS[0]):
     """The generic F over Z^3 the torus keys present for cuffs, one bar each."""
     import barbellcalc.scenarios as scenarios
 
-    return scenarios._generic_f(scenarios._lifted_torus_complement, cuffs)
+    return scenarios._generic(scenarios._torus_f, cuffs)
 
 
 def along(k, l):
@@ -1172,7 +1232,7 @@ def test_the_three_unknots_presentations_are_the_unit_over_z3(monkeypatch):
 def test_a_torus_sweep_presents_once_and_pushes_that_matrix_to_every_job(name, monkeypatch):
     import barbellcalc.scenarios as scenarios
 
-    scenarios._generic_f.cache_clear()
+    scenarios._generic.cache_clear()
     presented, pushed = [], []
     real = scenarios.present_from_scenario
     monkeypatch.setattr(scenarios, "present_from_scenario", lambda *args: presented.append(real(*args)) or presented[-1])
