@@ -15,16 +15,16 @@ its quotient ring because F2[t, t^{-1}] is Euclidean under that span.
 No factorization, Groebner bases, or general ideal membership.
 
 Terms map canonical deck values to nonzero coefficients.  An element is
-validated where it enters: RingElement(...), and through it zero and
-one, takes DeckElement keys and refuses an unknown coefficient ring, a
-group that is not a DeckGroup and a term not in the group (groups compare
-by identity), as translate, add, mul and push (a map out of another
-group) refuse theirs.  from_term_list reads a term list, its JSON form
-(_is_term_list), and refuses any other value: it converts no element and
-no coefficient.  add, neg, mul, translate, reverse, push (along a
-checked deckgroup.GroupMap) and the equivariant pairing apply a group
-law to values, so their results go through the trusted constructor
-_ring_element, which only reduces coefficients mod 2 over F2 and drops zeros.
+validated where it enters: RingElement(...), and through it zero and one,
+takes DeckElement keys and int coefficients (not a bool) and refuses an
+unknown coefficient ring, a group that is not a DeckGroup and a term not in
+the group (groups compare by identity), as translate, add, mul and push (a
+map out of another group) refuse theirs.  from_term_list reads a term list,
+its JSON form (_is_term_list), and refuses any other value: it converts no
+element and no coefficient.  add, neg, mul, translate, reverse, push (along a
+checked deckgroup.GroupMap) and the equivariant pairing apply a group law to
+values, so their results go through the trusted constructor _ring_element,
+which only reduces coefficients mod 2 over F2 and drops zeros.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class RingElement:
         for elt in terms:
             if elt not in group:
                 raise RingError(f"term from a different deck group: {elt.__class__.__name__} not in {group!r}")
+        if not all(map(_is_int, terms.values())):  # a bool would be written True by json_text, true by json
+            raise RingError(f"coefficients {_echo([*terms.values()])} are not all ints")
         self.group, self.coeffs, self._forms = group, coeffs, None
         self.terms = _reduced(coeffs, {elt.value: c for elt, c in terms.items()})
 
@@ -265,6 +267,19 @@ def term_list_and_render(elem: RingElement) -> tuple[list[list], str]:
         parts.append(body)
     elem._forms = term_list, join_signed(parts) if signed else " + ".join(parts) or "0"
     return elem._forms
+
+
+def json_text(elem: RingElement) -> str:
+    """The JSON text {"rendered": ..., "terms": ...} of the element, joined from the texts term_list_and_render
+    keeps and never escaped: each is printable ASCII without " or \\ (x3^-1 x1, s^-5 t, -3t^-1 + 3)."""
+    terms, rendered = term_list_and_render(elem)
+    if elem.group.kind != FREE or not terms:  # lists of ints, whose repr is their JSON text
+        listed = repr(terms)
+    elif elem.coeffs == F2:  # every coefficient is 1: the words, the first column, joined
+        listed = '[["' + '", 1], ["'.join(next(zip(*terms))) + '", 1]]'
+    else:
+        listed = "[" + ", ".join([f'["{word}", {c}]' for word, c in terms]) + "]"
+    return f'{{"rendered": "{rendered}", "terms": {listed}}}'
 
 
 def render(elem: RingElement) -> str:

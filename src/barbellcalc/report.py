@@ -2,26 +2,29 @@ r"""
 The reporting layer.  Report holds the engine values a runner hands it
 (RingElements, EquivClasses, lists and dicts of them, plain JSON), and
 each format converts them when a report is printed, computed, then
-expected, then params: render_machine writes Report.to_machine, a ring
-element's term list and rendered sum (kept on the element, so shared
-values convert once) and a class's term list (and under computed its
-rendered sum, as KEY_rendered; class_forms), render_table the texts, a
-ring element's sum alone.  An expected value equal to the computed one
-reuses its form; an integer too long to print is refused by its field
-(params.barbells[0].iterate).  render_line prints a sweep job's verdict,
-name and params.
+expected, then params: render_machine writes Report.to_machine's text,
+a free-group ring element's joined from the forms it keeps (shared
+values convert once; groupring.json_text), the rest, classes too,
+through the JSON encoder render_table, writing a ring element's sum
+alone, shares.  An expected value equal to the computed one reuses its
+form; an integer too long to print is refused by its field.
 """
 
 from __future__ import annotations
 
-import json
 import sys
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from .equivariant import EquivClass, class_forms, class_term_list
-from .groupring import RingElement, render, term_list_and_render
+from .groupring import FREE, RingElement, json_text, render, term_list_and_render
 
-# both formats' JSON: every record nests without a cycle (run_scenario echoes only checked fields)
-_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+_E = JSONEncoder(sort_keys=True, check_circular=False)  # both formats' encoder; no record nests a cycle
+_CHUNKS = c_make_encoder(None, _E.default, encode_basestring_ascii, _E.indent, _E.key_separator, _E.item_separator,
+                         _E.sort_keys, _E.skipkeys, _E.allow_nan)  # built once; JSONEncoder.encode builds one a call
+
+
+def _encode(value) -> str:
+    return "".join(_CHUNKS(value, 0))
 
 
 class HypothesisError(ValueError):
@@ -79,15 +82,15 @@ class Report:
                 "expected": expected, "passed": self.passed, "notes": self.notes}
 
 
-def _converted(report: Report, convert, class_terms) -> tuple[dict, dict]:
+def _converted(report: Report, convert, class_terms, class_rendered=str) -> tuple[dict, dict]:
     """The computed values, then the expected ones (one equal to the computed reusing its form), each
-    convert(value, where); a computed class is class_terms(its term list) and KEY_rendered its sum."""
+    convert(value, where); a computed class is class_terms(its term list), KEY_rendered class_rendered(its sum)."""
     computed = {}
     for key, value in report.computed.items():
         where = f"computed.{key}"
         if type(value) is EquivClass:
-            terms, computed[f"{key}_rendered"] = _printed(class_forms, value, where)
-            computed[key] = class_terms(terms)
+            terms, rendered = _printed(class_forms, value, where)
+            computed[f"{key}_rendered"], computed[key] = class_rendered(rendered), class_terms(terms)
         else:
             computed[key] = convert(value, where)
     return computed, {key: computed[key] if key in report.computed and value == report.computed[key]
@@ -121,8 +124,30 @@ def render_table(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _holds_words(value) -> bool:
+    """Is value a ring element over a free group, or a list (a row, a matrix) whose first item is or holds one?"""
+    return (type(value) is RingElement and value.group.kind == FREE
+            or type(value) is list and bool(value) and _holds_words(value[0]))
+
+
+def _json(value, where: str) -> str:
+    """The text of _form(value, where): a ring element's joined, a list's holding one from its items'."""
+    if type(value) is RingElement:
+        return _printed(json_text, value, where)
+    if type(value) is list and _holds_words(value):
+        return f"[{', '.join([_json(item, f'{where}[{i}]') for i, item in enumerate(value)])}]"
+    return _encode(_form(value, where))
+
+
 def render_machine(report: Report) -> str:
-    return _encode(report.to_machine())
+    """json.dumps(report.to_machine(), sort_keys=True), from texts (_json) if a value holds words and keys are str."""
+    if not (any(map(_holds_words, report.computed.values()))  # else whole: short texts escape cheaply
+            and {*map(type, report.computed), *map(type, report.expected)} <= {str}):
+        return _encode(report.to_machine())
+    computed, expected = (", ".join([f"{encode_basestring_ascii(key)}: {texts[key]}" for key in sorted(texts)])
+                          for texts in _converted(report, _json, _encode, _encode))
+    rest = _encode(dict(notes=report.notes, params=_checked(report.params), passed=report.passed, theorem=report.name))
+    return f'{{"computed": {{{computed}}}, "expected": {{{expected}}}, {rest[1:]}'  # rest's keys last, "{" dropped
 
 
 def render_line(report: Report) -> str:

@@ -1601,14 +1601,18 @@ def test_readme_command_lines_exit_as_documented(line, code, monkeypatch, capsys
 
 def test_readme_names_only_private_helpers_that_exist():
     # every backticked `module._name` of a barbellcalc module resolves there,
-    # so a helper removed or renamed takes the README's passage with it
+    # and so does every unqualified `_name` in the module table's row of
+    # `barbellcalc.module`, so a helper removed or renamed takes the
+    # README's passage with it
     import importlib
     import pkgutil
 
+    text = README.read_text(encoding="utf-8")
     modules = {info.name for info in pkgutil.iter_modules(barbellcalc.__path__)}
-    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(_\w+)`", README.read_text(encoding="utf-8"))
-             if module in modules}
-    assert named, "the README names no private helper"
+    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(_\w+)`", text) if module in modules}
+    rows = re.findall(r"^\| `barbellcalc\.(\w+)` \|(.*)$", text, re.MULTILINE)
+    named |= {(module, name) for module, row in rows for name in re.findall(r"`(_\w+)", row)}
+    assert ("scenarios", "_generic") in named, "the module table's unqualified names are not read"
     missing = [f"{module}.{name}" for module, name in sorted(named)
                if not hasattr(importlib.import_module(f"barbellcalc.{module}"), name)]
     assert missing == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from functools import partial
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barbellcalc import deckgroup
+from barbellcalc.report import _form
 from barbellcalc.deckgroup import (
     CYCLIC,
     FREE,
@@ -30,6 +32,7 @@ from barbellcalc.groupring import (
     RingError,
     from_term_list,
     is_monomial_unit,
+    json_text,
     laurent_span,
     push,
     render,
@@ -198,6 +201,14 @@ def test_a_term_from_a_foreign_group_is_refused():
     again = DeckGroup(FREE, 2)
     assert again is F2GRP
     assert RingElement(again, F2, {x1: 1}).terms == {x1.value: 1}
+
+
+@pytest.mark.parametrize("coeff", [True, False, 2.0, "1", None])
+def test_a_coefficient_that_is_not_an_int_is_refused(coeff):
+    # a bool is an int to arithmetic, but JSON writes it true, which no reader takes for a coefficient
+    for coeffs in (F2, INT):
+        with pytest.raises(RingError, match="are not all ints"):
+            RingElement(F2GRP, coeffs, {F2GRP.identity(): 1, F2GRP.generator(1): coeff})
 
 
 def test_ring_axioms_on_random_triples():
@@ -633,6 +644,41 @@ def test_elements_of_at_most_one_letter_convert_word_by_word(rank):
     ]
     for terms, coeffs, term_list, rendered in cases:
         assert term_list_and_render(RingElement(group, coeffs, terms)) == (term_list, rendered)
+
+
+# Every kind of group an element is written over: free groups whose words
+# have runs and letters past x63 (which _sorted_texts renders word by word),
+# Z^1..Z^4 (t; s, t; x1..) and Z/m.
+JSON_GROUPS = {**{f"F_{rank}": free_group(rank) for rank in FREE_RANKS},
+               **{f"Z^{rank}": free_abelian(rank) for rank in range(1, 5)},
+               "Z/7": DeckGroup(CYCLIC, 7), "Z/1000": DeckGroup(CYCLIC, 1000)}
+
+
+def _is_plain(text) -> bool:
+    """Printable ASCII without a quote or a backslash: JSON's escaper leaves it as it is."""
+    return isinstance(text, str) and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+@pytest.mark.parametrize("coeffs", [F2, INT])
+@pytest.mark.parametrize("name", sorted(JSON_GROUPS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_an_elements_json_text_is_its_form_encoded_with_nothing_to_escape(name, coeffs, data):
+    # json_text joins the kept texts without escaping them: it is the JSON
+    # encoder's text of the element's form only if there is nothing to escape
+    group = JSON_GROUPS[name]
+    if group.kind == FREE:
+        drawn = data.draw(st.lists(st.tuples(free_words(group.n), NONZERO_COEFFICIENTS), max_size=8))
+        elem = free_element(group, coeffs, drawn)
+    else:
+        exponent = st.integers(-12, 12) | st.integers(-10**6, 10**6)
+        key = exponent if group.kind == CYCLIC else st.tuples(*[exponent] * group.n)
+        elem = laurent_element(group, group.n if group.kind == CYCLIC else None, coeffs,
+                               data.draw(st.lists(st.tuples(key, st.integers(-10**6, 10**6)), max_size=8)))
+    for x in (elem, RingElement.zero(group, coeffs), RingElement.one(group, coeffs)):
+        assert json_text(x) == json.dumps(_form(x, "f"), sort_keys=True)
+        terms, rendered = term_list_and_render(x)
+        assert _is_plain(rendered) and all(_is_plain(raw) for raw, _ in terms if group.kind == FREE)
 
 
 def test_only_an_element_with_a_run_is_keyed_word_by_word(monkeypatch):

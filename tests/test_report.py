@@ -65,12 +65,14 @@ def test_a_class_is_reported_with_its_rendering_only_as_computed():
 
 
 def _spy(monkeypatch) -> tuple[list, list]:
-    """(the elements the reports ask term_list_and_render for, the elements
-    it converts), filled as the test renders; an element asked for by the
-    report layer or through groupring.render is converted when it keeps no
-    forms yet, and a kept result is returned without a conversion."""
+    """(the elements the report layer asks for a form or a JSON text, the
+    elements term_list_and_render converts), filled as the test renders; an
+    element asked for by the report layer (its JSON forms, or render_machine's
+    text through groupring.json_text) or through groupring.render is converted
+    when it keeps no forms yet, and a kept result is returned without a
+    conversion."""
     asked, converted = [], []
-    real_convert = groupring.term_list_and_render
+    real_convert, real_text = groupring.term_list_and_render, groupring.json_text
 
     def convert(elem):
         if elem._forms is None:
@@ -79,6 +81,7 @@ def _spy(monkeypatch) -> tuple[list, list]:
 
     monkeypatch.setattr(groupring, "term_list_and_render", convert)
     monkeypatch.setattr(report, "term_list_and_render", lambda elem: asked.append(elem) or convert(elem))
+    monkeypatch.setattr(report, "json_text", lambda elem: asked.append(elem) or real_text(elem))
     return asked, converted
 
 
@@ -241,14 +244,58 @@ def _holds_itself(value, above: frozenset = frozenset()) -> bool:
     return any(_holds_itself(item, above | {id(value)}) for item in items)
 
 
+# INLINE_SCENARIO with labels holding what JSON escapes: a quote, a
+# backslash, a newline, a tab, a non-ASCII letter and U+2028
+ESCAPED = {"S_h": 'S"h\\', "S_v": "S\n\tv", "D_v": "D\u00e9\u2028"}
+ESCAPED_SCENARIO = {
+    "geometry": {"name": "inline_torus", "group": {"kind": "free_abelian", "rank": 1},
+                 "labels": {ESCAPED["S_h"]: "sphere", ESCAPED["S_v"]: "sphere", ESCAPED["D_v"]: "disk"},
+                 "pairings": [[ESCAPED["S_h"], ESCAPED["S_v"], [[[0], 1], [[1], 1]]],
+                              [ESCAPED["D_v"], ESCAPED["S_v"], [[[0], 1]]]],
+                 "attaching": [ESCAPED["S_v"]], "disks": [ESCAPED["D_v"]]},
+    "barbells": [{"cuff1": ESCAPED["S_h"], "cuff2": ESCAPED["S_h"], "holonomy": [2], "offset": [1], "iterate": -2}],
+}
+# a free group of rank 100: words with letters past x63
+WIDE_SCENARIO = {
+    "geometry": {"group": {"kind": "free", "rank": 100}, "labels": {"S": "sphere", "T": "sphere", "D": "disk"},
+                 "attaching": ["S"], "disks": ["D"],
+                 "pairings": [["D", "S", [["1", 1], ["x64 x100^-1", 1], ["x99 x70", 1]]],
+                              ["S", "T", [["x100 x64", 1]]]]},
+    "barbells": [{"cuff1": "S", "cuff2": "S", "holonomy": "x64 x100 x65^-1", "offset": "x100^-1 x64", "iterate": 2}],
+}
+
+
+def _built_reports() -> list[Report]:
+    """Reports a library caller builds: classes whose labels JSON escapes, nested dicts and lists
+    holding ring elements (first or not), empty fields, a tuple, a float, None and int dict keys."""
+    geo = scenarios._read_geometry(ESCAPED_SCENARIO["geometry"])
+    f = run_theorem("linked-6crit", n=2, k=3, l=2).computed["relator"]  # words with runs
+    g = from_term_list([[[2], -3], [[0], 1]], geo.group, INT)
+    computed = {"class": geo.basis_class(ESCAPED["S_h"], coeff=3), "f": f, "g": g, "rows": [[f, g], [f]],
+                "mixed": [1, f], "late": [[], [f]], "abelian": [[g, g], [g]], "unknots": {"v-only": {"f": f, "dim": 0}},
+                "pair": (1, 2), "x": 0.5, "none": None, "counts": {1: 2, 3: [4]}}
+    return [
+        Report(computed=computed, expected={"class": geo.basis_class(ESCAPED["D_v"]), "rows": [[f]], "g": g, "x": 0.25},
+               passed=False, notes=[f"a note naming {ESCAPED['S_v']}"], name=ESCAPED["S_h"],
+               params={"label": ESCAPED["D_v"]}),
+        Report(computed={"f": f}),  # an empty expected, notes and params
+        Report(computed={}),
+        Report(computed={1: f, 2: None}, expected={2: None}),
+    ]
+
+
 def test_every_report_record_nests_without_a_cycle():
-    # render_machine's encoder skips the circular check, which every record passes
+    # render_machine's encoder skips the circular check, which every record passes,
+    # and writes each record's text as json.dumps(to_machine(), sort_keys=True) does
     shared = {"cuff1": "S_h", "cuff2": "S_h", "holonomy": [1]}
     reports = [run_theorem(key, **params) for key, params in SAMPLE_PARAMS.items()]
     reports += [job for name in SWEEPS for job in run_sweep(name, 3)]
+    reports += list(run_sweep("brunnian", 3, n=2))  # powers of x1: words with runs
     # a library caller's dict, echoed as params: one barbell object twice
     reports += [run_scenario(data) for data in (*(json.loads(path.read_text()) for path in SCENARIOS), INLINE_SCENARIO,
+                                                ESCAPED_SCENARIO, WIDE_SCENARIO,
                                                 {"geometry": "torus_complement", "barbells": [shared, shared]})]
+    reports += _built_reports()
     for result in reports:
         record = result.to_machine()
         assert not _holds_itself(record), result.name
