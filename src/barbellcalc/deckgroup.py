@@ -18,8 +18,10 @@ A word is a str of one code point per letter, chr(2g + 1) for x_g and
 chr(2g) for x_g^-1 ("" is the identity), which caches its hash, compares
 by memcmp, and is sliced, joined and translated in C.  reduce_letters is
 the one entry from raw (generator, exponent) pairs, and syllables reads
-them back.  A word of more than MAX_POWER_LETTERS letters, parsed or a
-power, and a free group of rank above MAX_FREE_RANK are refused.
+them back.  A word of more than MAX_POWER_LETTERS letters, parsed, a
+power or brunnian_word(n), a free group of rank above MAX_FREE_RANK and
+a free abelian group of rank above MAX_FREE_ABELIAN_RANK are refused
+before they are built.
 
 Groups and elements are immutable slotted values (setting or deleting an
 attribute raises AttributeError).  Groups compare by identity, one live
@@ -77,14 +79,14 @@ FREE_ABELIAN = "free_abelian"
 CYCLIC = "cyclic"
 _INT = frozenset((int,))  # _is_int over a list or tuple in C: the one type a vector coordinate has
 
-# Longest word power DeckElement.pow builds.  On a 2-vCPU Xeon host a
-# scenario whose offset power had 10**5 letters took 0.5 s and 38 MB end
-# to end, one with 4 * 10**5 letters 1.8 s and 107 MB.
+# Most letters of a word, parsed, a power or brunnian_word(n); tests/test_caps.py holds each cap at its edge.
 MAX_POWER_LETTERS = 100_000
 
 # Code points above every letter that mark a run in a sort key (_run_key).
 _POSITIVE_RUN, _NEGATIVE_RUN = "\U0010fffe", "\U0010ffff"
 MAX_FREE_RANK = (ord(_POSITIVE_RUN) - 2) // 2
+# Largest rank of Z^r, whose elements are r-tuples (tests/test_caps.py).
+MAX_FREE_ABELIAN_RANK = 10**4
 
 
 # Most digits an integer parameter or a genus1-hd position may have: a
@@ -154,6 +156,8 @@ class DeckGroup:
                     raise GroupError(f"group parameter must be >= 1, got {n}")
                 if kind == FREE and n > MAX_FREE_RANK:
                     raise GroupError(f"free group rank must be <= {MAX_FREE_RANK}, so that each letter is one code point")
+                if kind == FREE_ABELIAN and n > MAX_FREE_ABELIAN_RANK:
+                    raise GroupError(f"free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {_echo(n)}")
                 group = object.__new__(cls)
                 for name, value in zip(cls.__slots__, (kind, n, *_law(kind, n))):
                     object.__setattr__(group, name, value)
@@ -469,13 +473,22 @@ def commutator(a: DeckElement, b: DeckElement) -> DeckElement:
     return a.inv().mul(b.inv()).mul(a).mul(b)
 
 
+def _brunnian_letters(n: int) -> int:
+    """The letters of brunnian_word(n), 3 * 2^(n-2) - 2; the shift is capped,
+    so that a huge n stays cheap to refuse."""
+    return (3 << min(n - 2, 64)) - 2
+
+
 def brunnian_word(n: int) -> DeckElement:
     """The iterated commutator w_{n-1} in F_n: w_1 = x1, w_{m+1} = [w_m, x_{m+1}].
 
-    Lies in the subgroup generated by x1..x_{n-1}; requires n >= 2.
+    Lies in the subgroup generated by x1..x_{n-1}; requires n >= 2, and
+    is refused before it is built past MAX_POWER_LETTERS letters.
     """
     if n < 2:
         raise GroupError(f"brunnian_word needs rank n >= 2, got {_echo(n)}")
+    if _brunnian_letters(n) > MAX_POWER_LETTERS:
+        raise GroupError(f"brunnian_word needs 3 * 2^(n-2) - 2 <= {MAX_POWER_LETTERS} letters, got n={_echo(n)}")
     group = free_group(n)
     product, inverse = group._product, group._inverse
     w = "\x03"  # x1

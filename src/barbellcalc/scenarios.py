@@ -40,9 +40,9 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
 
-from .deckgroup import (_MAX_DIGITS, CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, GroupMap, _echo,
-                        _group_map, _is_element, _is_int, _is_list, _too_long, brunnian_word, element_from_json,
-                        exponent_sum, free_abelian)
+from .deckgroup import (_MAX_DIGITS, CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, GroupMap,
+                        _brunnian_letters, _echo, _group_map, _is_element, _is_int, _is_list, _too_long, brunnian_word,
+                        element_from_json, exponent_sum, free_abelian)
 from .equivariant import (DISK, MERIDIAN, SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, action_sequence,
                           pair_classes, push_class, push_terms, summand_membership)
 from .groupring import (F2, INT, RingElement, _is_term_list, _ring_element, from_term_list, is_monomial_unit,
@@ -98,9 +98,7 @@ def _genus2_complement() -> dict:
     }
 
 
-# The geometry has 2g + 1 generators; on a 2-vCPU Xeon host a scenario
-# with one barbell took 0.45 s and 23 MB at g = 10**4 and 3.8 s and
-# 105 MB at g = 10**5, so larger genera are refused rather than built.
+# Largest genus of genus_g_complement, whose geometry has 2g spheres (tests/test_caps.py).
 MAX_GENUS = 10**4
 
 
@@ -225,10 +223,6 @@ def _field(name) -> str:
     return wanted
 
 
-# Every element of Z^r is an r-tuple; on a 2-vCPU Xeon host a
-# one-barbell scenario over Z^r took under 0.01 s and 15 MB at r = 10**4
-# and 1.1 s and 244 MB at r = 10**7 (the paper's groups have rank <= 2).
-MAX_FREE_ABELIAN_RANK = 10**4
 _GROUP_SIZE = {FREE: "rank", FREE_ABELIAN: "rank", CYCLIC: "modulus"}
 
 
@@ -249,10 +243,7 @@ def _read_geometry(spec: Mapping) -> Geometry:
     it comes from an actual embedded configuration."""
     group_spec = spec["group"]
     kind = group_spec["kind"]
-    size = group_spec[_GROUP_SIZE[kind]]
-    if kind == FREE_ABELIAN and size > MAX_FREE_ABELIAN_RANK:
-        raise HypothesisError(f"free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {_echo(size)}")
-    group = DeckGroup(kind, size)
+    group = DeckGroup(kind, group_spec[_GROUP_SIZE[kind]])
     coeffs = _field(spec.get("field", "f2"))
     pairings = {
         (a, b): _in_field(f"geometry.pairings[{i}]", from_term_list, terms, group, coeffs)
@@ -376,13 +367,7 @@ def _run_unknots(k: int = 1, l: int = 1) -> Report:
     )
 
 
-# Longest bar word w_n^k the Brunnian runner accepts, k its largest
-# winding number.  Its cost grows linearly in the letters: on a 2-vCPU
-# Xeon host, from the shell, 10**4 letters (n = 5, k = l = 454) took
-# 0.10-0.17 s at 24 MB in table format and 0.12-0.16 s at 31 MB in
-# machine format, where starting the interpreter alone took 0.11 s and
-# 18 MB; in process, 10**5 letters (k = l = 4545) took 0.26 s at 81 MB
-# and 0.49 s at 120 MB.
+# Longest bar word w_n^k linked-6crit accepts, k its larger winding number (tests/test_caps.py).
 MAX_LINKED_WORD_LETTERS = 10_000
 
 
@@ -390,11 +375,9 @@ def _check_linked(n: int, k: int, l: int):
     """The linked-6crit hypotheses, checked before any word is built."""
     _require(n >= 2, f"need n >= 2 components, got {n}")
     _require_windings(k, l)
-    # |w_n| = 3 * 2^(n-2) - 2; the shift is capped so that a huge n
-    # stays cheap to refuse
     top = max(k, l)
     _require(
-        ((3 << min(n - 2, 64)) - 2) * top <= MAX_LINKED_WORD_LETTERS,
+        _brunnian_letters(n) * top <= MAX_LINKED_WORD_LETTERS,
         f"bar words w_n^k must have <= {MAX_LINKED_WORD_LETTERS} letters "
         f"(|w_n| = 3 * 2^(n-2) - 2), got n={n} and winding number {top}",
     )
@@ -768,8 +751,7 @@ def _run_morsesimple3mfd(p: int | None = None, q: int | None = None) -> Report:
     )
 
 
-# Most components whose constraint model no-brunnian-2disk evaluates
-# (n = 10**5 took 0.5 s on a 2-vCPU Xeon host); above it, the closed form.
+# Most components whose constraint model no-brunnian-2disk evaluates, above it the closed form (tests/test_caps.py).
 MAX_DISK_MODEL_COMPONENTS = 10**5
 
 
@@ -926,11 +908,7 @@ SWEEPS: dict[str, Sweep] = {
     "montesinos": Sweep("morsesimple3mfd", 30, _montesinos_grid),
 }
 
-# Most jobs one sweep runs: run_sweep draws at most one more from the
-# grid.  On a 2-vCPU Xeon host, from the shell, morsesimple --max 100
-# (10**4 jobs) took 0.3 s in table format and 0.7 s in machine format, at
-# 18 MB; brunnian --n 4 --max 16 (9,180 jobs, 136 reports) took 0.2 s in
-# table format and 1.1-1.5 s in machine format, at 21 MB.
+# Most jobs one sweep runs; run_sweep draws at most one more from the grid (tests/test_caps.py).
 MAX_SWEEP_JOBS = 10_000
 
 

@@ -23,6 +23,7 @@ from barbellcalc.deckgroup import (
     _TEXT,
     _check_value,
     _text,
+    MAX_FREE_ABELIAN_RANK,
     MAX_FREE_RANK,
     MAX_POWER_LETTERS,
     DeckElement,
@@ -137,7 +138,11 @@ def test_a_free_group_whose_letters_do_not_fit_in_a_code_point_is_refused():
     for rank in (MAX_FREE_RANK + 1, 10**5000):
         with pytest.raises(GroupError, match=f"free group rank must be <= {MAX_FREE_RANK}"):
             free_group(rank)
-    assert DeckGroup("free_abelian", MAX_FREE_RANK + 1).n == MAX_FREE_RANK + 1
+    # a free abelian group's cap is its own: each element is a tuple of its rank
+    assert DeckGroup("free_abelian", MAX_FREE_ABELIAN_RANK).n == MAX_FREE_ABELIAN_RANK
+    for rank in (MAX_FREE_ABELIAN_RANK + 1, MAX_FREE_RANK + 1, 10**9):
+        with pytest.raises(GroupError, match=f"^free abelian rank must be <= {MAX_FREE_ABELIAN_RANK}, got {rank}$"):
+            DeckGroup("free_abelian", rank)
 
 
 @pytest.mark.parametrize("kind, n", [(FREE, 3), ("free_abelian", 2), (CYCLIC, 5), (CYCLIC, 2**70)])

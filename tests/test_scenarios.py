@@ -15,15 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barbellcalc import deckgroup, scenarios
-from barbellcalc.deckgroup import (CYCLIC, FREE, FREE_ABELIAN, DeckElement, GroupError, GroupMap, free_abelian,
-                                   free_group)
+from barbellcalc.deckgroup import (CYCLIC, FREE, FREE_ABELIAN, MAX_FREE_ABELIAN_RANK, DeckElement, GroupError, GroupMap,
+                                   free_abelian, free_group)
 from barbellcalc.equivariant import DISK, MERIDIAN, SPHERE, BarbellSpec, push_class
 from barbellcalc.groupring import F2, RingElement, push, term_list_and_render
 from barbellcalc.presentations import present_from_scenario
 from barbellcalc.report import render_machine
 from barbellcalc.scenarios import (
     GEOMETRY_BUILDERS,
-    MAX_FREE_ABELIAN_RANK,
     MAX_GENUS,
     SWEEPS,
     THEOREMS,
@@ -1347,7 +1346,8 @@ def _free_abelian_payload(rank):
 
 def test_custom_free_abelian_rank_is_bounded():
     assert run_scenario(_free_abelian_payload(MAX_FREE_ABELIAN_RANK)).passed
-    with pytest.raises(HypothesisError, match=f"rank must be <= {MAX_FREE_ABELIAN_RANK}, got 1000000000"):
+    # the deck group refuses it where it is built, a GroupError (a ValueError, as a HypothesisError is)
+    with pytest.raises(GroupError, match=f"rank must be <= {MAX_FREE_ABELIAN_RANK}, got 1000000000"):
         run_scenario(_free_abelian_payload(10**9))
 
 
