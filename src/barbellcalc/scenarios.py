@@ -43,8 +43,8 @@ from collections.abc import Callable, Iterator, Mapping
 from .deckgroup import (_MAX_DIGITS, CYCLIC, FREE, FREE_ABELIAN, DeckElement, DeckGroup, GroupError, GroupMap,
                         _brunnian_letters, _echo, _group_map, _is_element, _is_int, _is_list, _too_long, brunnian_word,
                         element_from_json, exponent_sum, free_abelian)
-from .equivariant import (DISK, MERIDIAN, SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, action_sequence,
-                          pair_classes, push_class, push_terms, summand_membership)
+from .equivariant import (DISK, MERIDIAN, SPHERE, BarbellSpec, EquivClass, Geometry, GeometryError, _equiv_class,
+                          action_sequence, pair_classes, push_class, push_terms, summand_membership)
 from .groupring import (F2, INT, RingElement, _is_term_list, _ring_element, from_term_list, is_monomial_unit,
                         laurent_span, normalize_monomial, push)
 from .presentations import antidiagonal_cokernel, brunnian_disk_obstruction, f2_quotient_dim, present_from_scenario
@@ -560,7 +560,7 @@ def _run_splitting_spheres_mixed(m: int, k: int, l: int = 0) -> Report:
 
 def _run_branched(m: int, k: int, l: int = 0) -> Report:
     pushed, geo = push_terms(*_cover_map(m, k, l)), _geometry("branched_cover", (m,), ())  # m, k, l checked first
-    moved = EquivClass(geo, {(label, DeckElement(geo.group, v)): c for (label, v), c in pushed.items()})
+    moved = _equiv_class(geo, pushed)
     d = geo.basis_class("D")
     x = moved.sub(d)
     probes = [geo.basis_class("D", geo.group.generator(1, k)), d]

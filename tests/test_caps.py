@@ -33,8 +33,8 @@ FILE = "FILE"  # stands for the path of a call's scenario file, in its command l
 # a library call's contract is the CLI's: PASS and exit 0 when the
 # expression holds, one error: line and exit 2 when it raises one of
 # the package's refusals, a ValueError
-_LIBRARY = """import sys
-from barbellcalc import DeckGroup, brunnian_word, builtin_geometry, scenarios
+_LIBRARY = """import gc, sys
+from barbellcalc import DeckGroup, brunnian_word, builtin_geometry, deckgroup, run_theorem, scenarios
 try:
     held = eval(sys.argv[1])
 except ValueError as exc:
@@ -55,8 +55,8 @@ def theorem(size, *argv, says="PASS") -> Call:
     return Call(size, (*CLI, *argv), says)
 
 
-def scenario(size, doc, says="PASS") -> Call:
-    return Call(size, (*CLI, "scenario", FILE), says, doc if isinstance(doc, str) else json.dumps(doc))
+def scenario(size, doc, *flags, says="PASS") -> Call:
+    return Call(size, (*CLI, "scenario", FILE, *flags), says, doc if isinstance(doc, str) else json.dumps(doc))
 
 
 def library(size, expr, says="PASS") -> Call:
@@ -177,23 +177,31 @@ def value(name: str) -> int:
     return getattr({"deckgroup": deckgroup, "scenarios": scenarios}[module], constant)
 
 
-def run(call: Call, cap: Cap, tmp_path) -> tuple[int, str, str]:
-    """The call's exit code, stdout and stderr, run under the row's address-space limit and time bound."""
+def run(call: Call, kib: int, seconds: float, tmp_path) -> tuple[int, str, str]:
+    """The call's exit code, stdout and stderr, run in a fresh interpreter under an address-space limit of
+    kib KiB and a time bound of seconds."""
     path = tmp_path / "scenario.json"
     path.write_text(call.file)
     argv = [str(path) if arg == FILE else arg for arg in call.argv]
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap.kib * 1024, cap.kib * 1024))
+        resource.setrlimit(resource.RLIMIT_AS, (kib * 1024, kib * 1024))
 
-    result = subprocess.run(argv, capture_output=True, text=True, env=ENV, timeout=cap.seconds, preexec_fn=limit)
+    result = subprocess.run(argv, capture_output=True, text=True, env=ENV, timeout=seconds, preexec_fn=limit)
     return result.returncode, result.stdout, result.stderr
+
+
+def refused(call: Call, code: int, out: str, err: str, says: str):
+    """The refusal contract: exit 2, empty stdout, one error: line of under 300 bytes that holds says, no traceback."""
+    assert (code, out) == (2, ""), (call.argv[-6:], err)
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300, err
+    assert says in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("cap", CAPS, ids=_IDS)
 def test_calls_at_the_cap_pass_in_time(cap, tmp_path):
     for call in cap.at:
-        code, out, err = run(call, cap, tmp_path)
+        code, out, err = run(call, cap.kib, cap.seconds, tmp_path)
         assert (code, err) == (0, "") and call.says in out.splitlines()[-1], (call.argv[-6:], out[-300:], err)
         assert cap.refuses or "note:" not in out, out  # the cap that does not refuse notes only calls past it
 
@@ -202,15 +210,14 @@ def test_calls_at_the_cap_pass_in_time(cap, tmp_path):
 def test_calls_past_the_cap_name_it(cap, tmp_path):
     cap_value = str(value(cap.name))
     for call in cap.past:
-        code, out, err = run(call, cap, tmp_path)
+        code, out, err = run(call, cap.kib, cap.seconds, tmp_path)
         says = call.says.replace(FILE, _echo(str(tmp_path / "scenario.json")))
         if not cap.refuses:
             assert (code, err) == (0, "") and out.splitlines()[-1] == "PASS", (call.argv[-6:], err)
             assert says in out and cap_value in says
             continue
-        assert (code, out) == (2, ""), (call.argv[-6:], err)
-        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300, err
-        assert cap_value in err and says in err and "Traceback" not in err, err
+        refused(call, code, out, err, says)
+        assert cap_value in err, err
 
 
 def test_every_cap_has_one_row_and_every_row_a_live_cap_its_calls_straddle():

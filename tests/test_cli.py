@@ -1551,6 +1551,9 @@ def test_readme_command_lines_exit_as_documented(line, code, monkeypatch, capsys
 
     assert code is not None, f"README line {line!r} states no exit code"
     monkeypatch.chdir(README.parent)
+    if code == 2:
+        cli_refusal(line.split()[1:], capsys)
+        return
     assert cli.main(line.split()[1:]) == code
     assert "Traceback" not in capsys.readouterr().err
 
